@@ -55,11 +55,12 @@ pub struct TrieKey {
 /// concurrent queries racing on a cold key share a single build.
 ///
 /// Each entry is charged the byte size its builder reports at insert time —
-/// for the engine's tries, a pessimistic bound *derived from the actual key
-/// layout* (`InputTrie::estimated_bytes` computes it from
-/// `size_of::<LevelKey>()` and friends), so the budget invariant stays
-/// honest across key-representation changes rather than relying on a
-/// hand-tuned constant.
+/// for the engine's tries, a pessimistic bound *derived from the actual
+/// layout* (`InputTrie::estimated_bytes` charges every row, at every level,
+/// its `u32` in the level's grouped offset array plus one
+/// `size_of::<(LevelKey, u32)>()` index entry and one `size_of::<TrieNode>()`
+/// child), so the budget invariant stays honest across representation
+/// changes rather than relying on a hand-tuned constant.
 #[derive(Debug)]
 pub struct TrieCache<T> {
     inner: ShardedLru<TrieKey, T>,

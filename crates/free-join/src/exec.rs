@@ -19,7 +19,7 @@
 //!   probe order. At every node marked reorderable at prepare time, each
 //!   binding re-ranks the cover candidates and the remaining probes by the
 //!   O(1) construction-fixed bound of each subatom's *current* trie position
-//!   ([`TrieNode::key_bound`]) — smallest first, plan order as the
+//!   ([`NodeRef::key_bound`]) — smallest first, plan order as the
 //!   tie-break — so a miss on a tiny per-binding sub-trie skips (and never
 //!   lazily forces) a huge one. Bounds are fixed when tries are built, so
 //!   the decisions, results and counters are identical at any thread count
@@ -87,7 +87,7 @@ use crate::cancel::CancelToken;
 use crate::compile::{CompiledNode, CompiledPlan, CompiledSubatom, IterAction};
 use crate::options::FreeJoinOptions;
 use crate::sink::{ChunkBuffer, Sink};
-use crate::trie::{InputTrie, TrieNode};
+use crate::trie::{InputTrie, NodeRef};
 use fj_obs::{ProfileSheet, TraceBuf, TraceCat, DEFAULT_TRACE_CAPACITY};
 use fj_query::CancelReason;
 use fj_storage::{LevelKey, Value};
@@ -201,12 +201,12 @@ impl ExecCounters {
 /// per-tuple heap allocation. Under parallel execution every worker owns a
 /// private set.
 #[derive(Debug, Default)]
-struct NodeScratch {
+struct NodeScratch<'t> {
     /// Spill buffer for probe keys wider than the inline arity (arity ≤ 2
     /// probes build `Copy` [`LevelKey`]s in place and never touch this).
     spill_key: Vec<Value>,
     /// Saved trie positions to restore after a recursive call.
-    saved: Vec<(usize, Arc<TrieNode>)>,
+    saved: Vec<(usize, NodeRef<'t>)>,
     /// Vectorized batch: values bound by the cover (stride = new slots).
     writes: Vec<Value>,
     /// Vectorized batch: accumulated weights.
@@ -215,7 +215,7 @@ struct NodeScratch {
     alive: Vec<bool>,
     /// Vectorized batch: child trie nodes per (entry, subatom) — flat, stride
     /// = number of subatoms in the node. Only non-final subatoms use a slot.
-    children: Vec<Option<Arc<TrieNode>>>,
+    children: Vec<Option<NodeRef<'t>>>,
     /// Number of entries currently buffered.
     count: usize,
     /// Probe order for this node's non-cover subatoms (subatom indices).
@@ -257,7 +257,7 @@ pub fn execute_pipeline_cancellable(
         counters.traces.push(TraceBuf::with_capacity(DEFAULT_TRACE_CAPACITY, 0));
     }
     let mut tuple = vec![Value::Null; plan.binding_order.len()];
-    let mut current: Vec<Arc<TrieNode>> = tries.iter().map(|t| t.root()).collect();
+    let mut current: Vec<NodeRef<'_>> = tries.iter().map(|t| t.root()).collect();
     let mut scratch: Vec<NodeScratch> = plan.nodes.iter().map(|_| NodeScratch::default()).collect();
     let mut out = ChunkBuffer::for_sink_metered(sink, plan.binding_order.len(), token.clone());
     run_node(
@@ -280,15 +280,15 @@ pub fn execute_pipeline_cancellable(
 
 /// A materialized cover-entry list shared across the sibling sub-ranges of
 /// one split.
-type EntryList = Arc<Vec<(LevelKey, Arc<TrieNode>)>>;
+type EntryList<'t> = Arc<Vec<(&'t LevelKey, NodeRef<'t>)>>;
 
-/// What one scheduler task iterates. Entry lists are materialized as owned
-/// clones (`LevelKey` is `Copy`-cheap at the inline arities) shared across
-/// the sibling sub-ranges of one split via `Arc`, so tasks have no lifetime
-/// ties to the worker that spawned them.
-enum TaskItems {
+/// What one scheduler task iterates. Entry lists borrow their keys and
+/// child handles from the tries (which outlive the worker scope) and are
+/// shared across the sibling sub-ranges of one split via `Arc`, so tasks
+/// have no lifetime ties to the worker that spawned them.
+enum TaskItems<'t> {
     /// A range of a node's (forced) cover-map entries.
-    Entries { cover_idx: usize, entries: EntryList, lo: usize, hi: usize },
+    Entries { cover_idx: usize, entries: EntryList<'t>, lo: usize, hi: usize },
     /// A range of base-table rows — the root cover is an unforced last level
     /// (the COLT fast path), iterated directly without forcing.
     Rows { cover_idx: usize, lo: usize, hi: usize },
@@ -303,12 +303,12 @@ enum TaskItems {
 /// `path` is the task's dense key in the task tree; sorting per-task sinks
 /// by it reproduces the same merge order at any thread count and any steal
 /// schedule (see the module docs).
-struct Task {
+struct Task<'t> {
     path: Vec<u32>,
     node_idx: usize,
-    items: TaskItems,
+    items: TaskItems<'t>,
     tuple: Vec<Value>,
-    positions: Vec<Arc<TrieNode>>,
+    positions: Vec<NodeRef<'t>>,
     weight: u64,
     /// Worker that pushed the task (`usize::MAX` for root tasks, which live
     /// in the injector and are claimed, not stolen).
@@ -320,9 +320,9 @@ struct Task {
 /// caches warm) and steal FIFO (breadth-first, takes the largest-granularity
 /// work) from the injector or a peer. Plain mutexed deques: contention is
 /// bounded by the split threshold, which keeps tasks coarse.
-struct Scheduler {
-    injector: Mutex<VecDeque<Task>>,
-    queues: Vec<Mutex<VecDeque<Task>>>,
+struct Scheduler<'t> {
+    injector: Mutex<VecDeque<Task<'t>>>,
+    queues: Vec<Mutex<VecDeque<Task<'t>>>>,
     /// Tasks pushed but not yet completed; workers exit when it hits zero.
     /// Incremented *before* a task becomes visible, decremented only after
     /// it ran to completion, so it never reads zero while work remains.
@@ -332,7 +332,7 @@ struct Scheduler {
     split_threshold: usize,
 }
 
-impl Scheduler {
+impl<'t> Scheduler<'t> {
     fn new(num_workers: usize, options: &FreeJoinOptions) -> Self {
         Scheduler {
             injector: Mutex::new(VecDeque::new()),
@@ -347,7 +347,7 @@ impl Scheduler {
         }
     }
 
-    fn push_tasks(&self, worker: usize, tasks: Vec<Task>) {
+    fn push_tasks(&self, worker: usize, tasks: Vec<Task<'t>>) {
         self.pending.fetch_add(tasks.len(), Ordering::AcqRel);
         self.spawned.fetch_add(tasks.len() as u64, Ordering::Relaxed);
         let mut queue = self.queues[worker].lock().expect("no poisoned worker deque");
@@ -355,7 +355,7 @@ impl Scheduler {
     }
 
     /// Own deque first (LIFO), then the injector, then peers (FIFO steal).
-    fn find_task(&self, worker: usize) -> Option<Task> {
+    fn find_task(&self, worker: usize) -> Option<Task<'t>> {
         if let Some(t) = self.queues[worker].lock().expect("no poisoned worker deque").pop_back() {
             return Some(t);
         }
@@ -377,7 +377,7 @@ impl Scheduler {
 /// The split hook threaded through the recursive join. The serial path uses
 /// [`NoSplit`]; each parallel worker uses a [`WorkerSplitter`] scoped to the
 /// task it is running.
-trait Splitter {
+trait Splitter<'t> {
     /// Should a node expansion of `size` cover entries be cut into sub-range
     /// tasks instead of walked by the current worker?
     fn should_split(&self, size: usize) -> bool;
@@ -390,9 +390,9 @@ trait Splitter {
         &mut self,
         node_idx: usize,
         cover_idx: usize,
-        entries: Vec<(LevelKey, Arc<TrieNode>)>,
+        entries: Vec<(&'t LevelKey, NodeRef<'t>)>,
         tuple: &[Value],
-        positions: &[Arc<TrieNode>],
+        positions: &[NodeRef<'t>],
         weight: u64,
     );
     /// Spawn sub-range tasks over an independent tail's first expansion list.
@@ -404,7 +404,7 @@ trait Splitter {
         weights: Vec<u64>,
         inner_count: u64,
         tuple: &[Value],
-        positions: &[Arc<TrieNode>],
+        positions: &[NodeRef<'t>],
         weight: u64,
     );
 }
@@ -412,7 +412,7 @@ trait Splitter {
 /// Serial execution: never split.
 struct NoSplit;
 
-impl Splitter for NoSplit {
+impl<'t> Splitter<'t> for NoSplit {
     fn should_split(&self, _size: usize) -> bool {
         false
     }
@@ -423,9 +423,9 @@ impl Splitter for NoSplit {
         &mut self,
         _node_idx: usize,
         _cover_idx: usize,
-        _entries: Vec<(LevelKey, Arc<TrieNode>)>,
+        _entries: Vec<(&'t LevelKey, NodeRef<'t>)>,
         _tuple: &[Value],
-        _positions: &[Arc<TrieNode>],
+        _positions: &[NodeRef<'t>],
         _weight: u64,
     ) {
         unreachable!("NoSplit never asks to split")
@@ -437,7 +437,7 @@ impl Splitter for NoSplit {
         _weights: Vec<u64>,
         _inner_count: u64,
         _tuple: &[Value],
-        _positions: &[Arc<TrieNode>],
+        _positions: &[NodeRef<'t>],
         _weight: u64,
     ) {
         unreachable!("NoSplit never asks to split")
@@ -447,14 +447,14 @@ impl Splitter for NoSplit {
 /// Per-task split context of one parallel worker. Child tasks extend the
 /// running task's path key with a counter assigned in expansion order, which
 /// is what makes the task tree — and the merge order — schedule-independent.
-struct WorkerSplitter<'a> {
-    sched: &'a Scheduler,
+struct WorkerSplitter<'a, 't> {
+    sched: &'a Scheduler<'t>,
     worker: usize,
     path: &'a [u32],
     next_child: u32,
 }
 
-impl WorkerSplitter<'_> {
+impl<'t> WorkerSplitter<'_, 't> {
     fn child_path(&mut self) -> Vec<u32> {
         let mut path = Vec::with_capacity(self.path.len() + 1);
         path.extend_from_slice(self.path);
@@ -467,7 +467,7 @@ impl WorkerSplitter<'_> {
         &mut self,
         total: usize,
         chunk: usize,
-        mut make: impl FnMut(&mut Self, usize, usize) -> Task,
+        mut make: impl FnMut(&mut Self, usize, usize) -> Task<'t>,
     ) {
         let chunk = chunk.max(1);
         let mut tasks = Vec::with_capacity(total.div_ceil(chunk));
@@ -482,7 +482,7 @@ impl WorkerSplitter<'_> {
     }
 }
 
-impl Splitter for WorkerSplitter<'_> {
+impl<'t> Splitter<'t> for WorkerSplitter<'_, 't> {
     fn should_split(&self, size: usize) -> bool {
         self.sched.steal && size >= self.sched.split_threshold
     }
@@ -498,9 +498,9 @@ impl Splitter for WorkerSplitter<'_> {
         &mut self,
         node_idx: usize,
         cover_idx: usize,
-        entries: Vec<(LevelKey, Arc<TrieNode>)>,
+        entries: Vec<(&'t LevelKey, NodeRef<'t>)>,
         tuple: &[Value],
-        positions: &[Arc<TrieNode>],
+        positions: &[NodeRef<'t>],
         weight: u64,
     ) {
         let total = entries.len();
@@ -528,7 +528,7 @@ impl Splitter for WorkerSplitter<'_> {
         weights: Vec<u64>,
         inner_count: u64,
         tuple: &[Value],
-        positions: &[Arc<TrieNode>],
+        positions: &[NodeRef<'t>],
         weight: u64,
     ) {
         let total = weights.len();
@@ -557,22 +557,23 @@ impl Splitter for WorkerSplitter<'_> {
 /// spill buffer and are looked up as a borrowed slice. Either way the probe
 /// allocates nothing.
 #[inline]
-fn probe_subatom(
-    trie: &InputTrie,
-    node: &TrieNode,
+fn probe_subatom<'t>(
+    trie: &'t InputTrie,
+    node: NodeRef<'t>,
     level: usize,
     key_slots: &[usize],
     spill: &mut Vec<Value>,
     read: impl Fn(usize) -> Value,
-) -> Option<Arc<TrieNode>> {
+) -> Option<NodeRef<'t>> {
+    let forced = trie.force(node, level, true);
     match *key_slots {
-        [] => trie.get_key(node, level, &LevelKey::empty()),
-        [a] => trie.get_key(node, level, &LevelKey::single(read(a))),
-        [a, b] => trie.get_key(node, level, &LevelKey::pair(read(a), read(b))),
+        [] => forced.get(&LevelKey::empty()),
+        [a] => forced.get(&LevelKey::single(read(a))),
+        [a, b] => forced.get(&LevelKey::pair(read(a), read(b))),
         ref slots => {
             spill.clear();
             spill.extend(slots.iter().map(|&s| read(s)));
-            trie.get(node, level, spill)
+            forced.get(spill.as_slice())
         }
     }
 }
@@ -646,17 +647,17 @@ where
     }
 
     // Materialize the first node's cover iteration as a splittable work list.
-    let roots: Vec<Arc<TrieNode>> = tries.iter().map(|t| t.root()).collect();
+    let roots: Vec<NodeRef<'_>> = tries.iter().map(|t| t.root()).collect();
     let cover_idx = select_cover(tries, node0, &roots, options);
     let cover = &node0.subatoms[cover_idx];
     let cover_trie = &tries[cover.input];
-    let cover_root = roots[cover.input].clone();
-    let root_entries: Option<EntryList> =
+    let cover_root = roots[cover.input];
+    let root_entries: Option<EntryList<'_>> =
         if !cover_root.is_map() && cover_trie.is_last_level(cover.level) {
             None // unforced last level: iterate base rows directly
         } else {
-            let map = cover_trie.force(&cover_root, cover.level, !cover_root.is_map());
-            Some(Arc::new(map.iter().map(|(k, c)| (k.clone(), c.clone())).collect()))
+            let level = cover_trie.force(cover_root, cover.level, !cover_root.is_map());
+            Some(Arc::new(level.iter().collect()))
         };
     let total = match &root_entries {
         None => cover_trie.num_rows(),
@@ -712,7 +713,7 @@ where
             let roots = &roots;
             scope.spawn(move || {
                 let mut tuple = vec![Value::Null; plan.binding_order.len()];
-                let mut current: Vec<Arc<TrieNode>> = roots.clone();
+                let mut current: Vec<NodeRef<'_>> = roots.clone();
                 let mut scratch: Vec<NodeScratch> =
                     plan.nodes.iter().map(|_| NodeScratch::default()).collect();
                 let mut counters =
@@ -827,19 +828,19 @@ where
 /// plan and may split again, deeper), or an independent-tail slice through
 /// [`run_tail_range`].
 #[allow(clippy::too_many_arguments)]
-fn run_task(
-    tries: &[Arc<InputTrie>],
+fn run_task<'t>(
+    tries: &'t [Arc<InputTrie>],
     plan: &CompiledPlan,
     options: &FreeJoinOptions,
-    task: &Task,
+    task: &Task<'t>,
     tuple: &mut Vec<Value>,
-    current: &mut Vec<Arc<TrieNode>>,
-    scratch: &mut [NodeScratch],
+    current: &mut Vec<NodeRef<'t>>,
+    scratch: &mut [NodeScratch<'t>],
     key_buf: &mut Vec<Value>,
     sink: &mut dyn Sink,
     counters: &mut ExecCounters,
     out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter,
+    splitter: &mut dyn Splitter<'t>,
 ) {
     // Chaos failpoint: an injected panic here unwinds out of a worker thread
     // mid-join — the serve layer's catch_unwind isolation (and the scoped
@@ -895,7 +896,7 @@ fn run_task(
         mine.count = 0;
         match &task.items {
             TaskItems::Entries { entries, .. } => {
-                for (key, child) in &entries[lo..hi] {
+                for &(key, child) in &entries[lo..hi] {
                     if counters.check_cancel() {
                         break;
                     }
@@ -947,7 +948,7 @@ fn run_task(
     } else {
         match &task.items {
             TaskItems::Entries { entries, .. } => {
-                for (key, child) in &entries[lo..hi] {
+                for &(key, child) in &entries[lo..hi] {
                     process_cover_entry(
                         tries,
                         plan,
@@ -1001,10 +1002,10 @@ fn run_task(
 }
 
 /// Select which subatom of the node to iterate (the runtime cover).
-fn select_cover(
-    tries: &[Arc<InputTrie>],
+fn select_cover<'t>(
+    tries: &'t [Arc<InputTrie>],
     node: &CompiledNode,
-    current: &[Arc<TrieNode>],
+    current: &[NodeRef<'t>],
     options: &FreeJoinOptions,
 ) -> usize {
     // Adaptive execution ranks candidates by the construction-fixed bound of
@@ -1026,7 +1027,7 @@ fn select_cover(
             .copied()
             .min_by_key(|&i| {
                 let sub = &node.subatoms[i];
-                tries[sub.input].estimated_keys(&current[sub.input])
+                tries[sub.input].estimated_keys(current[sub.input])
             })
             .expect("valid plans have at least one cover")
     } else {
@@ -1039,19 +1040,19 @@ fn select_cover(
 /// (`scratch[0]` belongs to `node_idx`); `out` is the worker's chunk buffer,
 /// where every result emission of this invocation lands.
 #[allow(clippy::too_many_arguments)]
-fn run_node(
-    tries: &[Arc<InputTrie>],
+fn run_node<'t>(
+    tries: &'t [Arc<InputTrie>],
     plan: &CompiledPlan,
     options: &FreeJoinOptions,
     node_idx: usize,
     tuple: &mut Vec<Value>,
-    current: &mut Vec<Arc<TrieNode>>,
+    current: &mut Vec<NodeRef<'t>>,
     weight: u64,
     sink: &mut dyn Sink,
     counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch],
+    scratch: &mut [NodeScratch<'t>],
     out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter,
+    splitter: &mut dyn Splitter<'t>,
 ) {
     if counters.check_cancel() {
         return;
@@ -1071,7 +1072,7 @@ fn run_node(
         let mut total = weight;
         for (d, tail) in plan.nodes[node_idx..].iter().enumerate() {
             let sub = &tail.subatoms[0];
-            total = total.saturating_mul(tries[sub.input].tuple_count(&current[sub.input]));
+            total = total.saturating_mul(tries[sub.input].tuple_count(current[sub.input]));
             // The running product is exactly the rows the skipped node would
             // have produced; record it so the profile's actuals match the
             // enumerating paths.
@@ -1103,12 +1104,10 @@ fn run_node(
     // hot key's subtree fan out over every idle worker. The decision depends
     // only on trie sizes and options, keeping the task tree (and the merge
     // order) schedule-independent.
-    if splitter.should_split(tries[cover.input].estimated_keys(&current[cover.input])) {
-        let cover_trie = &tries[cover.input];
-        let cover_node = current[cover.input].clone();
-        let map = cover_trie.force(&cover_node, cover.level, !cover_node.is_map());
-        let entries: Vec<(LevelKey, Arc<TrieNode>)> =
-            map.iter().map(|(k, c)| (k.clone(), c.clone())).collect();
+    let cover_node = current[cover.input];
+    if splitter.should_split(tries[cover.input].estimated_keys(cover_node)) {
+        let level = tries[cover.input].force(cover_node, cover.level, !cover_node.is_map());
+        let entries: Vec<_> = level.iter().collect();
         if let Some(tb) = counters.traces.last_mut() {
             tb.instant(TraceCat::Split, node_idx as u32, entries.len() as u64, &[]);
         }
@@ -1140,18 +1139,18 @@ fn run_node(
 /// form, so results and counters are unchanged — only the per-combination
 /// trie iteration and recursion are gone.
 #[allow(clippy::too_many_arguments)]
-fn expand_independent_tail(
-    tries: &[Arc<InputTrie>],
+fn expand_independent_tail<'t>(
+    tries: &'t [Arc<InputTrie>],
     plan: &CompiledPlan,
     node_idx: usize,
     tuple: &mut Vec<Value>,
-    current: &[Arc<TrieNode>],
+    current: &[NodeRef<'t>],
     weight: u64,
     sink: &mut dyn Sink,
     counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch],
+    scratch: &mut [NodeScratch<'t>],
     out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter,
+    splitter: &mut dyn Splitter<'t>,
 ) {
     // Gather phase: one trie walk per inner tail node, reusing the node's
     // (otherwise unused — single-subatom nodes never batch) scratch vectors.
@@ -1163,7 +1162,7 @@ fn expand_independent_tail(
     let node = &plan.nodes[node_idx];
     let sub = &node.subatoms[0];
     let trie = &tries[sub.input];
-    let node_cur = current[sub.input].clone();
+    let node_cur = current[sub.input];
     let t0 = counters.profile.is_enabled().then(Instant::now);
     let gathered = &scratch[1..1 + inner.len()];
     // Product rows per first-list entry; `expansions` counts emitted rows so
@@ -1176,12 +1175,12 @@ fn expand_independent_tail(
     // from the level map) × inner combinations (known from the gather) —
     // decides, so a single hot join key whose output is one giant Cartesian
     // product fans out across workers by first-list sub-ranges.
-    let first_len = trie.estimated_keys(&node_cur);
+    let first_len = trie.estimated_keys(node_cur);
     if splitter.should_split_tail(first_len, inner_count) {
         let stride = node.bound_after - node.bound_before;
         let mut writes: Vec<Value> = Vec::with_capacity(first_len * stride);
         let mut weights: Vec<u64> = Vec::with_capacity(first_len);
-        trie.for_each(&node_cur, sub.level, |key, child| {
+        trie.for_each(node_cur, sub.level, |key, child| {
             let base = writes.len();
             writes.resize(base + stride, Value::Null);
             for action in &sub.iter_actions {
@@ -1205,7 +1204,7 @@ fn expand_independent_tail(
         tb.begin(TraceCat::Node, node_idx as u32, inner_count, &[]);
     }
     let mut first_sum: u64 = 0;
-    trie.for_each(&node_cur, sub.level, |key, child| {
+    trie.for_each(node_cur, sub.level, |key, child| {
         if counters.check_cancel() {
             return;
         }
@@ -1262,21 +1261,21 @@ fn profile_tail_rows(
 /// (`scratch[0]` belongs to the tail's first node) as flat `(values, weight)`
 /// columns. Returns `false` when some factor is empty — the whole product is
 /// then empty and the caller must emit nothing.
-fn gather_tail_lists(
-    tries: &[Arc<InputTrie>],
+fn gather_tail_lists<'t>(
+    tries: &'t [Arc<InputTrie>],
     inner: &[CompiledNode],
-    current: &[Arc<TrieNode>],
-    scratch: &mut [NodeScratch],
+    current: &[NodeRef<'t>],
+    scratch: &mut [NodeScratch<'t>],
 ) -> bool {
     for (j, node) in inner.iter().enumerate() {
         let sub = &node.subatoms[0];
         let trie = &tries[sub.input];
-        let node_cur = current[sub.input].clone();
+        let node_cur = current[sub.input];
         let stride = node.bound_after - node.bound_before;
         let s = &mut scratch[1 + j];
         s.writes.clear();
         s.weights.clear();
-        trie.for_each(&node_cur, sub.level, |key, child| {
+        trie.for_each(node_cur, sub.level, |key, child| {
             let base = s.writes.len();
             s.writes.resize(base + stride, Value::Null);
             for action in &sub.iter_actions {
@@ -1300,12 +1299,12 @@ fn gather_tail_lists(
 /// Emission order within the slice matches the unsplit stream, so
 /// path-key-ordered sinks concatenate to the unsplit emission order.
 #[allow(clippy::too_many_arguments)]
-fn run_tail_range(
-    tries: &[Arc<InputTrie>],
+fn run_tail_range<'t>(
+    tries: &'t [Arc<InputTrie>],
     plan: &CompiledPlan,
     node_idx: usize,
     tuple: &mut Vec<Value>,
-    current: &[Arc<TrieNode>],
+    current: &[NodeRef<'t>],
     weight: u64,
     writes: &[Value],
     weights: &[u64],
@@ -1313,7 +1312,7 @@ fn run_tail_range(
     hi: usize,
     sink: &mut dyn Sink,
     counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch],
+    scratch: &mut [NodeScratch<'t>],
     out: &mut ChunkBuffer,
 ) {
     let inner = &plan.nodes[node_idx + 1..];
@@ -1398,10 +1397,10 @@ fn emit_product(
 /// `reorders` per binding it applies the order to). O(1) per candidate —
 /// `key_bound` is fixed at trie construction, which is also what makes the
 /// ranking identical at any thread count or steal schedule.
-fn order_probes(
+fn order_probes<'t>(
     node: &CompiledNode,
     cover_idx: usize,
-    current: &[Arc<TrieNode>],
+    current: &[NodeRef<'t>],
     order: &mut Vec<usize>,
 ) -> bool {
     order.clear();
@@ -1417,20 +1416,20 @@ fn order_probes(
 /// probe loops of [`process_cover_entry`].
 #[allow(clippy::too_many_arguments)]
 #[inline(always)]
-fn probe_one_subatom(
-    tries: &[Arc<InputTrie>],
+fn probe_one_subatom<'t>(
+    tries: &'t [Arc<InputTrie>],
     node_idx: usize,
     sub: &CompiledSubatom,
     tuple: &[Value],
-    current: &mut [Arc<TrieNode>],
-    mine: &mut NodeScratch,
+    current: &mut [NodeRef<'t>],
+    mine: &mut NodeScratch<'t>,
     local_weight: &mut u64,
     counters: &mut ExecCounters,
 ) -> bool {
     counters.probes += 1;
     match probe_subatom(
         &tries[sub.input],
-        &current[sub.input],
+        current[sub.input],
         sub.level,
         &sub.key_slots,
         &mut mine.spill_key,
@@ -1441,7 +1440,7 @@ fn probe_one_subatom(
             counters.profile.add_probe(node_idx, true);
             if sub.final_for_input {
                 *local_weight =
-                    local_weight.saturating_mul(tries[sub.input].tuple_count(&child_node));
+                    local_weight.saturating_mul(tries[sub.input].tuple_count(child_node));
             } else {
                 mine.saved
                     .push((sub.input, std::mem::replace(&mut current[sub.input], child_node)));
@@ -1478,22 +1477,22 @@ fn apply_iter_actions(actions: &[IterAction], key: &[Value], tuple: &mut [Value]
 /// [`InputTrie::for_each`]) and the parallel path (driven by the range items
 /// of scheduler tasks).
 #[allow(clippy::too_many_arguments)]
-fn process_cover_entry(
-    tries: &[Arc<InputTrie>],
+fn process_cover_entry<'t>(
+    tries: &'t [Arc<InputTrie>],
     plan: &CompiledPlan,
     options: &FreeJoinOptions,
     node_idx: usize,
     cover_idx: usize,
     key: &[Value],
-    child: Option<&Arc<TrieNode>>,
+    child: Option<NodeRef<'t>>,
     tuple: &mut Vec<Value>,
-    current: &mut Vec<Arc<TrieNode>>,
+    current: &mut Vec<NodeRef<'t>>,
     weight: u64,
     sink: &mut dyn Sink,
     counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch],
+    scratch: &mut [NodeScratch<'t>],
     out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter,
+    splitter: &mut dyn Splitter<'t>,
 ) {
     // The serial path's per-cover-entry cancellation boundary: a fired token
     // turns every remaining `for_each` callback into this one test.
@@ -1519,7 +1518,7 @@ fn process_cover_entry(
             local_weight = local_weight.saturating_mul(cover_trie.tuple_count(c));
         }
     } else {
-        let c = child.expect("non-final cover level is forced into a map").clone();
+        let c = child.expect("non-final cover level is forced into a map");
         mine.saved.push((cover.input, std::mem::replace(&mut current[cover.input], c)));
     }
 
@@ -1596,31 +1595,31 @@ fn process_cover_entry(
 
 /// Tuple-at-a-time execution of one node (no vectorization).
 #[allow(clippy::too_many_arguments)]
-fn run_node_scalar(
-    tries: &[Arc<InputTrie>],
+fn run_node_scalar<'t>(
+    tries: &'t [Arc<InputTrie>],
     plan: &CompiledPlan,
     options: &FreeJoinOptions,
     node_idx: usize,
     cover_idx: usize,
     tuple: &mut Vec<Value>,
-    current: &mut Vec<Arc<TrieNode>>,
+    current: &mut Vec<NodeRef<'t>>,
     weight: u64,
     sink: &mut dyn Sink,
     counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch],
+    scratch: &mut [NodeScratch<'t>],
     out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter,
+    splitter: &mut dyn Splitter<'t>,
 ) {
     let node = &plan.nodes[node_idx];
     let cover = &node.subatoms[cover_idx];
     let cover_trie = &tries[cover.input];
-    let cover_node = current[cover.input].clone();
+    let cover_node = current[cover.input];
     let t0 = counters.profile.is_enabled().then(Instant::now);
     if let Some(tb) = counters.traces.last_mut() {
         tb.begin(TraceCat::Node, node_idx as u32, 0, &[]);
     }
 
-    cover_trie.for_each(&cover_node, cover.level, |key, child| {
+    cover_trie.for_each(cover_node, cover.level, |key, child| {
         process_cover_entry(
             tries, plan, options, node_idx, cover_idx, key, child, tuple, current, weight, sink,
             counters, scratch, out, splitter,
@@ -1637,25 +1636,25 @@ fn run_node_scalar(
 /// Vectorized execution of one node (Figure 13): batch the cover iteration,
 /// run each probe across the whole batch, then recurse for the survivors.
 #[allow(clippy::too_many_arguments)]
-fn run_node_vectorized(
-    tries: &[Arc<InputTrie>],
+fn run_node_vectorized<'t>(
+    tries: &'t [Arc<InputTrie>],
     plan: &CompiledPlan,
     options: &FreeJoinOptions,
     node_idx: usize,
     cover_idx: usize,
     tuple: &mut Vec<Value>,
-    current: &mut Vec<Arc<TrieNode>>,
+    current: &mut Vec<NodeRef<'t>>,
     weight: u64,
     sink: &mut dyn Sink,
     counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch],
+    scratch: &mut [NodeScratch<'t>],
     out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter,
+    splitter: &mut dyn Splitter<'t>,
 ) {
     let node = &plan.nodes[node_idx];
     let cover = &node.subatoms[cover_idx];
     let cover_trie = &tries[cover.input];
-    let cover_node = current[cover.input].clone();
+    let cover_node = current[cover.input];
     let batch_size = options.batch_size;
     let t0 = counters.profile.is_enabled().then(Instant::now);
     if let Some(tb) = counters.traces.last_mut() {
@@ -1667,7 +1666,7 @@ fn run_node_vectorized(
     ensure_batch_buffers(mine, batch_size, node);
     mine.count = 0;
 
-    cover_trie.for_each(&cover_node, cover.level, |key, child| {
+    cover_trie.for_each(cover_node, cover.level, |key, child| {
         // Checked before buffering: once cancelled, flush_batch refuses to
         // drain, so appending again would overrun the batch buffers.
         if counters.check_cancel() {
@@ -1697,7 +1696,7 @@ fn run_node_vectorized(
 
 /// Size a node's vectorization buffers for the configured batch size; a
 /// no-op once sized (the buffers are reused across invocations).
-fn ensure_batch_buffers(mine: &mut NodeScratch, batch_size: usize, node: &CompiledNode) {
+fn ensure_batch_buffers(mine: &mut NodeScratch<'_>, batch_size: usize, node: &CompiledNode) {
     let new_slots = node.bound_after - node.bound_before;
     let stride = node.subatoms.len();
     if mine.weights.len() < batch_size {
@@ -1714,15 +1713,15 @@ fn ensure_batch_buffers(mine: &mut NodeScratch, batch_size: usize, node: &Compil
 /// cover's weight/child continuation. Entries failing a `Check` are skipped.
 /// Shared between the serial vectorized loop and the parallel task driver.
 #[allow(clippy::too_many_arguments)]
-fn buffer_cover_entry(
+fn buffer_cover_entry<'t>(
     node: &CompiledNode,
     cover_idx: usize,
-    cover_trie: &InputTrie,
+    cover_trie: &'t InputTrie,
     key: &[Value],
-    child: Option<&Arc<TrieNode>>,
+    child: Option<NodeRef<'t>>,
     tuple: &[Value],
     weight: u64,
-    mine: &mut NodeScratch,
+    mine: &mut NodeScratch<'t>,
 ) {
     let cover = &node.subatoms[cover_idx];
     let new_slots = node.bound_after - node.bound_before;
@@ -1747,7 +1746,7 @@ fn buffer_cover_entry(
             mine.weights[e] = mine.weights[e].saturating_mul(cover_trie.tuple_count(c));
         }
     } else {
-        let c = child.expect("non-final cover level is forced into a map").clone();
+        let c = child.expect("non-final cover level is forced into a map");
         mine.children[e * stride + cover_idx] = Some(c);
     }
     mine.count += 1;
@@ -1756,20 +1755,20 @@ fn buffer_cover_entry(
 /// Probe every non-cover subatom across the buffered batch, then recurse for
 /// the surviving entries (the body of Figure 13).
 #[allow(clippy::too_many_arguments)]
-fn flush_batch(
-    tries: &[Arc<InputTrie>],
+fn flush_batch<'t>(
+    tries: &'t [Arc<InputTrie>],
     plan: &CompiledPlan,
     options: &FreeJoinOptions,
     node_idx: usize,
     cover_idx: usize,
-    mine: &mut NodeScratch,
-    rest: &mut [NodeScratch],
+    mine: &mut NodeScratch<'t>,
+    rest: &mut [NodeScratch<'t>],
     tuple: &mut Vec<Value>,
-    current: &mut Vec<Arc<TrieNode>>,
+    current: &mut Vec<NodeRef<'t>>,
     sink: &mut dyn Sink,
     counters: &mut ExecCounters,
     out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter,
+    splitter: &mut dyn Splitter<'t>,
 ) {
     if mine.count == 0 {
         return;
@@ -1810,7 +1809,7 @@ fn flush_batch(
         for &j in probe_order.iter() {
             let sub = &node.subatoms[j];
             let trie = &tries[sub.input];
-            let base = current[sub.input].clone();
+            let base = current[sub.input];
             for e in 0..*count {
                 if !alive[e] {
                     continue;
@@ -1823,12 +1822,12 @@ fn flush_batch(
                     }
                 };
                 counters.probes += 1;
-                match probe_subatom(trie, &base, sub.level, &sub.key_slots, spill_key, read) {
+                match probe_subatom(trie, base, sub.level, &sub.key_slots, spill_key, read) {
                     Some(child) => {
                         counters.probe_hits += 1;
                         counters.profile.add_probe(node_idx, true);
                         if sub.final_for_input {
-                            weights[e] = weights[e].saturating_mul(trie.tuple_count(&child));
+                            weights[e] = weights[e].saturating_mul(trie.tuple_count(child));
                         } else {
                             children[e * stride + j] = Some(child);
                         }
@@ -1845,20 +1844,18 @@ fn flush_batch(
     // Recurse for the survivors.
     for e in 0..mine.count {
         if !mine.alive[e] || mine.weights[e] == 0 {
-            // Clear any children stored before a later probe failed.
-            for j in 0..stride {
-                mine.children[e * stride + j] = None;
-            }
             continue;
         }
         for k in 0..new_slots {
             tuple[node.bound_before + k] = mine.writes[e * new_slots + k];
         }
         mine.saved.clear();
-        for (j, sub) in node.subatoms.iter().enumerate() {
-            if let Some(child) = mine.children[e * stride + j].take() {
-                mine.saved.push((sub.input, std::mem::replace(&mut current[sub.input], child)));
-            }
+        // A survivor descended every non-final subatom in this batch, so
+        // those slots are fresh; slots of dead entries may hold stale
+        // handles, which are never read.
+        for (j, sub) in node.subatoms.iter().enumerate().filter(|(_, s)| !s.final_for_input) {
+            let child = mine.children[e * stride + j].expect("survivors descend every level");
+            mine.saved.push((sub.input, std::mem::replace(&mut current[sub.input], child)));
         }
         counters.profile.add_output_rows(node_idx, mine.weights[e]);
         run_node(

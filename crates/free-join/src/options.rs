@@ -80,7 +80,7 @@ pub struct FreeJoinOptions {
     pub profile: bool,
     /// Adaptive cardinality-guided execution: at every plan node with at
     /// least two remaining subatoms, pick the next subatom to expand by its
-    /// O(1) construction-fixed trie bound ([`crate::trie::TrieNode::key_bound`])
+    /// O(1) construction-fixed trie bound ([`crate::trie::NodeRef::key_bound`])
     /// instead of trusting the static plan order — the cover with the
     /// smallest bound is iterated, and the remaining probes run
     /// smallest-bound-first so a miss on a tiny subatom skips (and never

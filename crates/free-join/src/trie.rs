@@ -15,29 +15,44 @@
 //! * [`TrieStrategy::Colt`] — nothing is built up front; the root iterates
 //!   the base relation directly, and every level is built on first probe.
 //!
+//! # Layout
+//!
+//! The trie is **flat**: forcing a node builds one [`Level`] — one
+//! `HashMap<LevelKey, u32, FastBuildHasher>` from key to child index, one
+//! `Box<[TrieNode]>` of children, and one `Box<[u32]>` of the node's row
+//! offsets grouped by child (count, prefix-sum, scatter; rows stay ascending
+//! inside each group, which keeps emission order deterministic). A
+//! [`TrieNode`] is its row range in its parent's offset array plus the
+//! `OnceLock` of its own level, so a level costs a constant number of
+//! allocations however many keys it has, a leaf is a sub-slice of its
+//! parent's offsets, and every node knows its tuple count in O(1).
+//!
+//! A position in the trie is a [`NodeRef`]: a `Copy` pair of borrows (the
+//! node and its row slice) tied to the [`InputTrie`]. The executor holds,
+//! saves, restores and ships positions between workers by copying handles;
+//! nothing on the probe path touches a reference count or the allocator.
+//!
 //! # Key representation and hashing
 //!
-//! Every hash-map level is a `HashMap<LevelKey, Arc<TrieNode>,
-//! FastBuildHasher>` ([`LevelMap`]). A [`LevelKey`] packs the level's key
-//! values **inline** for arity ≤ 2 (a fixed-width `Copy` struct — the
-//! overwhelmingly common case in JOB/LSQB-shaped plans) and spills wider
-//! keys to a `Box<[Value]>` allocated once per *distinct* key; the hasher is
-//! the workspace's FxHash-style multiply-xor [`FastBuildHasher`] (see
-//! `fj_storage::key`). Two consequences shape the hot paths here:
+//! A [`LevelKey`] packs the level's key values **inline** for arity ≤ 2 (a
+//! fixed-width `Copy` struct — the overwhelmingly common case in
+//! JOB/LSQB-shaped plans) and spills wider keys to a `Box<[Value]>` allocated
+//! once per *distinct* key; the hasher is the workspace's FxHash-style
+//! multiply-xor [`FastBuildHasher`] (see `fj_storage::key`). Two consequences
+//! shape the hot paths here:
 //!
-//! * **Building** a level reads keys directly from the column vectors —
-//!   arity-1 and arity-2 levels hoist their column references and construct
-//!   inline keys per row, so eager builds and lazy forcing perform no
-//!   per-row heap allocation (wide levels fill a reused buffer and allocate
-//!   only per distinct key).
+//! * **Scanning** rows — to build a level or to iterate an unforced leaf —
+//!   reads keys directly from the column vectors. Arity-1 and arity-2 levels
+//!   match each column's variant once, outside the row loop, and read typed
+//!   slices when the column has no NULL mask; masked columns and wider keys
+//!   fall back to `Column::get` and a reused buffer.
 //! * **Probing** never constructs an owned key: `LevelKey` implements
-//!   `Borrow<[Value]>` with slice-delegated `Hash`/`Eq`, so [`InputTrie::get`]
-//!   accepts a borrowed `&[Value]` (e.g. a stack array), and
-//!   [`InputTrie::get_key`] accepts an inline key built in place.
+//!   `Borrow<[Value]>` with slice-delegated `Hash`/`Eq`, so [`Level::get`]
+//!   accepts a borrowed `&[Value]` (e.g. a stack array) as well as an inline
+//!   key built in place.
 //!
 //! `Null` is an ordinary key value (`Null == Null`), so NULL groups occupy
-//! trie branches like any other — a trie must represent every row. The
-//! refactor preserves the engines' existing NULL policy bit-for-bit: NULL
+//! trie branches like any other — a trie must represent every row. NULL
 //! keys match NULL keys in every engine (see `fj_storage::Value` on the
 //! SQL-semantics gap tracked in the ROADMAP).
 //!
@@ -45,99 +60,110 @@
 //!
 //! The trie is `Send + Sync` so that the work-stealing parallel executor
 //! ([`crate::exec`]) can probe — and therefore lazily force — nodes from
-//! many worker threads at once. Every node carries its immutable *raw*
-//! payload (the row offsets it stands for) plus a [`OnceLock`] holding the
-//! forced hash-map level. Probe-time forcing goes through
-//! [`OnceLock::get_or_init`]: the first thread to touch an unforced node
-//! builds its map while any racing threads block, and afterwards reads are
-//! lock-free (a single atomic load). The trade-off versus the
-//! single-threaded `RefCell` design this replaced is that a *lazily* forced
-//! node keeps its raw offset vector alive alongside the map (shared readers
-//! may still hold it), costing at most one extra copy of each lazily forced
-//! level's offsets; eagerly built levels (the simple-trie strategy) own
-//! their rows during construction and carry no such copy.
+//! many worker threads at once. A node's row range is immutable and its
+//! level sits behind a [`OnceLock`]: the first thread to touch an unforced
+//! node builds the level (behind a cold call) while racing threads block,
+//! and afterwards [`InputTrie::force`] is an inlined atomic load. Handles
+//! are plain shared borrows, so workers share no mutable state — not even a
+//! reference count — on forced levels.
 
 use crate::options::TrieStrategy;
 use crate::prep::BoundInput;
-use fj_storage::{FastBuildHasher, LevelKey, Relation, Value};
+use fj_storage::{Column, FastBuildHasher, LevelKey, Relation, Value, MAX_INLINE_KEY_ARITY};
+use std::borrow::Borrow;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-/// A forced hash-map level: packed key to child node, under the fast hasher.
-pub type LevelMap = HashMap<LevelKey, Arc<TrieNode>, FastBuildHasher>;
-
-/// The raw (unforced) payload of a trie node: which base rows it stands for.
-#[derive(Debug)]
-enum RawRows {
-    /// Lazily represents *every* row of the relation without materializing
-    /// offsets — the COLT root before any probe ("iterate directly over the
-    /// base table").
-    AllRows,
-    /// A vector of row offsets into the base relation (an unforced node, or a
-    /// leaf).
-    Offsets(Vec<u32>),
-}
-
-/// A read-only view of a node's current payload.
-#[derive(Debug)]
-pub enum NodeData<'a> {
-    /// Every row of the base relation (an unforced COLT root).
-    AllRows,
-    /// Row offsets into the base relation (an unforced node, or a leaf).
-    Offsets(&'a [u32]),
-    /// A forced hash-map level.
-    Map(&'a LevelMap),
-}
-
-/// One node of a GHT.
+/// One node of a GHT: a range of its parent level's row offsets and, once
+/// forced, the hash-map level keyed on its own schema level.
 ///
-/// `Send + Sync`: the raw payload is immutable after construction and the
-/// forced map is built at most once through the `OnceLock`.
+/// `Send + Sync`: the range is immutable after construction and the level is
+/// built at most once through the `OnceLock`.
 #[derive(Debug)]
 pub struct TrieNode {
-    /// The rows below this node; fixed at construction.
-    raw: RawRows,
-    /// The forced hash-map level, built lazily at most once.
-    forced: OnceLock<LevelMap>,
-    /// Deterministic O(1) cardinality bound, fixed at construction: the
-    /// number of rows below this node (or the distinct-key count for
-    /// eagerly built map nodes, which own no offsets). Unlike
-    /// [`InputTrie::estimated_keys`], this never changes when the node is
-    /// lazily forced, so decisions keyed on it are identical at any thread
-    /// count or steal schedule — the property adaptive subatom reordering
-    /// relies on.
-    bound: usize,
+    /// Where this node's offsets start in its parent's [`Level`] (0 for the
+    /// root, which stands for every row of the relation).
+    start: u32,
+    /// Number of base rows below this node; fixed at construction.
+    len: u32,
+    /// The forced hash-map level, built lazily at most once. Boxed so that
+    /// the leaves — most nodes of most tries — stay three words.
+    forced: OnceLock<Box<Level>>,
 }
 
-impl TrieNode {
-    fn new(raw: RawRows, bound: usize) -> Arc<Self> {
-        Arc::new(TrieNode { raw, forced: OnceLock::new(), bound })
+/// A forced hash-map level: three allocations (and its own box) however
+/// many keys it holds.
+#[derive(Debug)]
+pub struct Level {
+    /// Key to index into `children`.
+    index: HashMap<LevelKey, u32, FastBuildHasher>,
+    /// One node per distinct key, in first-occurrence order.
+    children: Box<[TrieNode]>,
+    /// The forced node's row offsets grouped by child, ascending inside
+    /// each group; every child is a sub-slice.
+    rows: Box<[u32]>,
+}
+
+impl Level {
+    /// Number of distinct keys.
+    pub fn num_keys(&self) -> usize {
+        self.children.len()
     }
 
+    /// The child under `key` (a [`LevelKey`] or a borrowed value slice).
+    #[inline]
+    pub fn get<Q>(&self, key: &Q) -> Option<NodeRef<'_>>
+    where
+        LevelKey: Borrow<Q>,
+        Q: Hash + Eq + ?Sized,
+    {
+        self.index.get(key).map(|&i| self.child(i))
+    }
+
+    /// Every `(key, child)` entry, in the map's iteration order.
+    pub fn iter(&self) -> impl Iterator<Item = (&LevelKey, NodeRef<'_>)> {
+        self.index.iter().map(|(key, &i)| (key, self.child(i)))
+    }
+
+    #[inline]
+    fn child(&self, i: u32) -> NodeRef<'_> {
+        let node = &self.children[i as usize];
+        NodeRef { node, rows: Some(&self.rows[node.start as usize..][..node.len as usize]) }
+    }
+}
+
+/// A position in a trie: a `Copy` borrowed handle on a node and the row
+/// offsets it stands for (`None` for the root: every row, never
+/// materialized). Valid for as long as the [`InputTrie`] it came from.
+#[derive(Debug, Clone, Copy)]
+pub struct NodeRef<'t> {
+    node: &'t TrieNode,
+    rows: Option<&'t [u32]>,
+}
+
+impl<'t> NodeRef<'t> {
     /// Is this node currently a hash map?
     pub fn is_map(&self) -> bool {
-        self.forced.get().is_some()
+        self.node.forced.get().is_some()
     }
 
-    /// The construction-fixed cardinality bound: an O(1) upper bound on the
-    /// distinct keys below this node (row count for unforced nodes, map size
-    /// for eagerly built levels). Deterministic — independent of whether or
-    /// when the node was lazily forced.
+    /// The row offsets below this node, ascending; `None` at the root,
+    /// which stands for every row of the relation.
+    pub fn rows(&self) -> Option<&'t [u32]> {
+        self.rows
+    }
+
+    /// The construction-fixed cardinality bound: the number of rows below
+    /// this node, an O(1) upper bound on its distinct keys under every
+    /// strategy (an eagerly built node reports its row count too, not its
+    /// map size). Unlike [`InputTrie::estimated_keys`] it never changes when
+    /// the node is lazily forced, so decisions keyed on it are identical at
+    /// any thread count or steal schedule — the property adaptive subatom
+    /// reordering relies on.
     pub fn key_bound(&self) -> usize {
-        self.bound
-    }
-
-    /// View the node payload (the forced map if one exists, the raw rows
-    /// otherwise).
-    pub fn data(&self) -> NodeData<'_> {
-        match self.forced.get() {
-            Some(map) => NodeData::Map(map),
-            None => match &self.raw {
-                RawRows::AllRows => NodeData::AllRows,
-                RawRows::Offsets(offsets) => NodeData::Offsets(offsets),
-            },
-        }
+        self.node.len as usize
     }
 }
 
@@ -155,20 +181,45 @@ pub struct InputTrie {
     /// Column index (in `relation`) of each variable, per level.
     level_cols: Vec<Vec<usize>>,
     /// The root node.
-    root: Arc<TrieNode>,
+    root: TrieNode,
     /// Number of hash-map levels built (eager + lazy).
     maps_built: AtomicU64,
     /// Number of hash-map levels built lazily during the join phase.
     lazy_built: AtomicU64,
 }
 
-/// The executor moves `InputTrie` references across worker threads and
-/// forces nodes concurrently; keep that invariant checked at compile time.
+/// The executor copies handles across worker threads and forces nodes
+/// concurrently; keep those invariants checked at compile time.
 const _: () = {
     const fn assert_send_sync<T: Send + Sync>() {}
+    const fn assert_copy<T: Copy>() {}
     assert_send_sync::<InputTrie>();
-    assert_send_sync::<TrieNode>();
+    assert_send_sync::<NodeRef<'static>>();
+    assert_copy::<NodeRef<'static>>();
 };
+
+/// Bind `$get` to a `row -> Value` reader over `$col` and evaluate `$body`
+/// with the column's variant matched once, outside the body's row loop:
+/// unmasked `Int64`/`Str` columns read their typed slice, anything else
+/// falls back to [`Column::get`].
+macro_rules! with_reader {
+    ($col:expr, $get:ident => $body:expr) => {
+        match $col {
+            Column::Int64(v, None) => {
+                let $get = |row: u32| Value::Int(v[row as usize]);
+                $body
+            }
+            Column::Str(v, None) => {
+                let $get = |row: u32| Value::Str(v[row as usize]);
+                $body
+            }
+            col => {
+                let $get = |row: u32| col.get(row as usize);
+                $body
+            }
+        }
+    };
+}
 
 impl InputTrie {
     /// Build the trie for a bound input according to the GHT schema computed
@@ -189,27 +240,37 @@ impl InputTrie {
                     .collect()
             })
             .collect();
-        let mut trie = InputTrie {
+        let num_rows = u32::try_from(input.relation.num_rows()).expect("row offsets are u32");
+        let trie = InputTrie {
             name: input.name.clone(),
             relation: Arc::clone(&input.relation),
             schema,
             level_cols,
-            root: TrieNode::new(RawRows::AllRows, input.relation.num_rows()),
+            root: TrieNode { start: 0, len: num_rows, forced: OnceLock::new() },
             maps_built: AtomicU64::new(0),
             lazy_built: AtomicU64::new(0),
         };
         match strategy {
             TrieStrategy::Colt => {}
-            TrieStrategy::Slt => {
-                if trie.num_levels() > 1 {
-                    trie.force(&trie.root.clone(), 0, false);
-                }
-            }
-            TrieStrategy::Simple => {
-                trie.root = trie.build_eager(RawRows::AllRows, 0);
-            }
+            TrieStrategy::Slt => trie.force_down_to(trie.root(), 0, 1),
+            TrieStrategy::Simple => trie.force_down_to(trie.root(), 0, usize::MAX),
         }
         trie
+    }
+
+    /// Eagerly force `node` (at `level`) and its descendants, `depth` map
+    /// levels deep. The last schema level is never forced up front — its
+    /// nodes are the GHT leaves.
+    fn force_down_to(&self, node: NodeRef<'_>, level: usize, depth: usize) {
+        if depth == 0 || self.is_last_level(level) {
+            return;
+        }
+        let forced = self.force(node, level, false);
+        if depth > 1 {
+            forced
+                .iter()
+                .for_each(|(_, child)| self.force_down_to(child, level + 1, depth - 1));
+        }
     }
 
     /// The input name.
@@ -217,9 +278,9 @@ impl InputTrie {
         &self.name
     }
 
-    /// The root node.
-    pub fn root(&self) -> Arc<TrieNode> {
-        self.root.clone()
+    /// The root position.
+    pub fn root(&self) -> NodeRef<'_> {
+        NodeRef { node: &self.root, rows: None }
     }
 
     /// Number of rows in the underlying bound relation.
@@ -254,28 +315,28 @@ impl InputTrie {
 
     /// A pessimistic estimate of the trie's eventual heap footprint in
     /// bytes, for cache budget accounting: the bound relation's columns plus
-    /// an allowance per row and level for the hash-map nodes lazy forcing
-    /// may eventually build (offset vectors, key tuples, table overhead).
-    /// Charged once at cache-insert time, so it deliberately bounds the
-    /// *fully forced* trie rather than tracking lazy growth.
+    /// an allowance per row and level for the levels lazy forcing may
+    /// eventually build. Charged once at cache-insert time, so it
+    /// deliberately bounds the *fully forced* trie rather than tracking lazy
+    /// growth.
     pub fn estimated_bytes(&self) -> usize {
         // Per-(row, level) cost of a forced level, computed from the actual
-        // layout so cache budget accounting stays honest if the key
-        // representation changes again: a copied `u32` offset in a child's
-        // offset vector, plus — pessimistically assuming every row is a
-        // distinct key — one map entry (inline `LevelKey` + child `Arc`
-        // pointer) and a word of hash-table control/bucket overhead. Keys
-        // wider than `MAX_INLINE_KEY_ARITY` spill per distinct key; the
-        // all-distinct assumption already over-counts enough to absorb that.
+        // layout so budget accounting stays honest if the representation
+        // changes again: the row's `u32` in the grouped offset array, plus —
+        // pessimistically assuming every row is a distinct key — one index
+        // entry (inline `LevelKey` + child index) and one child node.
+        // Hash-table slack and wide-key spill are absorbed by the
+        // all-distinct, every-level-forced over-count.
         // Fixed per-trie overhead, charged even for a trie over zero rows:
-        // the `InputTrie` struct, its name/schema strings, the root node,
-        // and a share of the cache's own key/bookkeeping for this entry.
-        // Without a floor, a serving workload probing many distinct filters
-        // that each match nothing would insert zero-cost entries the budget
-        // never sees, growing the cache without bound.
+        // the `InputTrie` struct, its name/schema strings, and a share of
+        // the cache's own key/bookkeeping for this entry. Without a floor, a
+        // serving workload probing many distinct filters that each match
+        // nothing would insert zero-cost entries the budget never sees,
+        // growing the cache without bound.
         const BASE_BYTES: usize = 256;
-        let map_entry = std::mem::size_of::<LevelKey>() + std::mem::size_of::<Arc<TrieNode>>();
-        let row_level = std::mem::size_of::<u32>() + map_entry + std::mem::size_of::<u64>();
+        let row_level = std::mem::size_of::<u32>()
+            + std::mem::size_of::<(LevelKey, u32)>()
+            + std::mem::size_of::<TrieNode>();
         BASE_BYTES
             + self.relation.approx_bytes()
             + self.relation.num_rows() * self.schema.len().max(1) * row_level
@@ -286,29 +347,22 @@ impl InputTrie {
     /// tuple count otherwise (the paper: "we use the length of the vector as
     /// an estimate"). O(1) for every strategy, but the answer *changes* when
     /// a lazy node is forced — schedule-dependent under parallel execution.
-    /// Adaptive reordering therefore uses [`TrieNode::key_bound`] instead,
+    /// Adaptive reordering therefore uses [`NodeRef::key_bound`] instead,
     /// which is fixed at construction.
-    pub fn estimated_keys(&self, node: &TrieNode) -> usize {
-        match node.data() {
-            NodeData::AllRows => self.relation.num_rows(),
-            NodeData::Offsets(v) => v.len(),
-            NodeData::Map(m) => m.len(),
-        }
+    pub fn estimated_keys(&self, node: NodeRef<'_>) -> usize {
+        node.node.forced.get().map_or(node.node.len as usize, |level| level.num_keys())
     }
 
-    /// The number of base tuples represented below this node.
-    pub fn tuple_count(&self, node: &TrieNode) -> u64 {
-        match node.data() {
-            NodeData::AllRows => self.relation.num_rows() as u64,
-            NodeData::Offsets(v) => v.len() as u64,
-            NodeData::Map(m) => m.values().map(|c| self.tuple_count(c)).sum(),
-        }
+    /// The number of base tuples represented below this node: one field
+    /// read, forced or not (the same number [`NodeRef::key_bound`] reports).
+    #[inline]
+    pub fn tuple_count(&self, node: NodeRef<'_>) -> u64 {
+        u64::from(node.node.len)
     }
 
     /// Read the key values of `level` for a row offset into a reusable
     /// buffer (used by the parallel executor when iterating the base table
-    /// directly, and by wide-key paths here; arity ≤ 2 paths build inline
-    /// [`LevelKey`]s instead).
+    /// directly, and by the wide-key scan here).
     pub(crate) fn read_key_into(&self, level: usize, offset: u32, key: &mut Vec<Value>) {
         key.clear();
         for &c in &self.level_cols[level] {
@@ -316,112 +370,108 @@ impl InputTrie {
         }
     }
 
-    /// Group a node's rows by the key of `level`.
-    fn group_rows(
-        &self,
-        rows: &RawRows,
-        level: usize,
-    ) -> HashMap<LevelKey, Vec<u32>, FastBuildHasher> {
-        match rows {
-            RawRows::AllRows => self.group_row_iter(level, 0..self.relation.num_rows() as u32),
-            RawRows::Offsets(offsets) => self.group_row_iter(level, offsets.iter().copied()),
+    /// Call `f(row, key)` with the `level` key of every row below `node`, in
+    /// row order, reading directly from the column vectors.
+    fn scan_keys(&self, node: NodeRef<'_>, level: usize, f: impl FnMut(u32, &[Value])) {
+        match node.rows {
+            None => self.scan_row_keys(level, 0..node.node.len, f),
+            Some(rows) => self.scan_row_keys(level, rows.iter().copied(), f),
         }
     }
 
-    /// Group row offsets by the key of `level`, reading keys directly from
-    /// the column vectors. Arity-1 and arity-2 levels hoist their column
-    /// references and build inline (`Copy`, heap-free) keys per row; wider
-    /// levels fill a reused buffer and allocate one boxed key per *distinct*
-    /// key (via the `Borrow<[Value]>` lookup), never per row.
-    fn group_row_iter(
+    /// [`InputTrie::scan_keys`] over an explicit row iterator. Arity ≤ 2
+    /// keys are assembled in stack arrays from typed column cursors; wider
+    /// keys go through one reused buffer. No per-row allocation either way.
+    fn scan_row_keys(
         &self,
         level: usize,
         rows: impl Iterator<Item = u32>,
-    ) -> HashMap<LevelKey, Vec<u32>, FastBuildHasher> {
-        let mut groups: HashMap<LevelKey, Vec<u32>, FastBuildHasher> = HashMap::default();
+        mut f: impl FnMut(u32, &[Value]),
+    ) {
+        let col = |c: usize| self.relation.column(c);
         match *self.level_cols[level].as_slice() {
-            [] => {
-                let offsets: Vec<u32> = rows.collect();
-                if !offsets.is_empty() {
-                    groups.insert(LevelKey::empty(), offsets);
-                }
-            }
-            [c] => {
-                let col = self.relation.column(c);
-                for offset in rows {
-                    let key = LevelKey::single(col.get(offset as usize));
-                    groups.entry(key).or_default().push(offset);
-                }
-            }
-            [c0, c1] => {
-                let (a, b) = (self.relation.column(c0), self.relation.column(c1));
-                for offset in rows {
-                    let key = LevelKey::pair(a.get(offset as usize), b.get(offset as usize));
-                    groups.entry(key).or_default().push(offset);
-                }
-            }
-            ref cols => {
-                let mut buf: Vec<Value> = Vec::with_capacity(cols.len());
-                for offset in rows {
-                    buf.clear();
-                    buf.extend(cols.iter().map(|&c| self.relation.column(c).get(offset as usize)));
-                    match groups.get_mut(buf.as_slice()) {
-                        Some(group) => group.push(offset),
-                        None => {
-                            groups.insert(LevelKey::from_values(&buf), vec![offset]);
-                        }
-                    }
+            [] => rows.for_each(|row| f(row, &[])),
+            [c] => with_reader!(col(c), get => rows.for_each(|row| f(row, &[get(row)]))),
+            [c0, c1] => with_reader!(col(c0), a => with_reader!(col(c1), b => {
+                rows.for_each(|row| f(row, &[a(row), b(row)]))
+            })),
+            _ => {
+                let mut buf: Vec<Value> = Vec::new();
+                for row in rows {
+                    self.read_key_into(level, row, &mut buf);
+                    f(row, &buf);
                 }
             }
         }
-        groups
     }
 
-    /// Group a node's rows by the key of `level` into a fresh map level.
-    fn build_level_map(&self, node: &TrieNode, level: usize) -> LevelMap {
-        self.group_rows(&node.raw, level)
-            .into_iter()
-            .map(|(k, offsets)| {
-                let bound = offsets.len();
-                (k, TrieNode::new(RawRows::Offsets(offsets), bound))
-            })
-            .collect()
-    }
-
-    /// Build a fully-forced subtree for `rows` at `level` (the simple-trie
-    /// strategy). Unlike probe-time forcing, eager construction owns its
-    /// rows outright, so inner nodes are created as pure map nodes without
-    /// retaining an offset vector; only the leaves (the last schema level)
-    /// keep their offsets — those are the GHT leaves.
-    fn build_eager(&self, rows: RawRows, level: usize) -> Arc<TrieNode> {
-        if self.is_last_level(level) {
-            let bound = match &rows {
-                RawRows::AllRows => self.relation.num_rows(),
-                RawRows::Offsets(v) => v.len(),
+    /// Group the rows below `node` by the key of `level` into a fresh
+    /// [`Level`]: assign child indices in first-occurrence order while
+    /// counting, prefix-sum the counts into child ranges, then scatter the
+    /// rows — stably — into one grouped offset array. Inline keys hash once
+    /// per row (`entry`); wide keys are looked up borrowed and boxed only
+    /// per *distinct* key.
+    fn build_level(&self, node: NodeRef<'_>, level: usize) -> Level {
+        let mut index: HashMap<LevelKey, u32, FastBuildHasher> = HashMap::default();
+        let mut cursors: Vec<u32> = Vec::new();
+        let mut child_of: Vec<u32> = Vec::with_capacity(node.node.len as usize);
+        self.scan_keys(node, level, |_, key| {
+            let next = cursors.len() as u32;
+            let child = if key.len() <= MAX_INLINE_KEY_ARITY {
+                *index.entry(LevelKey::from_values(key)).or_insert(next)
+            } else if let Some(&child) = index.get(key) {
+                child
+            } else {
+                index.insert(LevelKey::from_values(key), next);
+                next
             };
-            return TrieNode::new(rows, bound);
-        }
-        let map: LevelMap = self
-            .group_rows(&rows, level)
-            .into_iter()
-            .map(|(k, offsets)| (k, self.build_eager(RawRows::Offsets(offsets), level + 1)))
+            if child == next {
+                cursors.push(0);
+            }
+            cursors[child as usize] += 1;
+            child_of.push(child);
+        });
+        let mut next_start = 0;
+        let children: Box<[TrieNode]> = cursors
+            .iter_mut()
+            .map(|cursor| {
+                // The child's count becomes its scatter cursor.
+                let (start, len) = (next_start, std::mem::replace(cursor, next_start));
+                next_start += len;
+                TrieNode { start, len, forced: OnceLock::new() }
+            })
             .collect();
-        self.maps_built.fetch_add(1, Ordering::Relaxed);
-        let bound = map.len();
-        Arc::new(TrieNode { raw: RawRows::Offsets(Vec::new()), forced: OnceLock::from(map), bound })
+        let mut rows = vec![0u32; child_of.len()].into_boxed_slice();
+        for (i, &child) in child_of.iter().enumerate() {
+            let cursor = &mut cursors[child as usize];
+            rows[*cursor as usize] = node.rows.map_or(i as u32, |r| r[i]);
+            *cursor += 1;
+        }
+        Level { index, children, rows }
     }
 
-    /// Force a node at `level` into a hash map, returning the map (no-op if
-    /// already forced). `lazy` marks whether this happens during the join
-    /// phase (for the statistics that distinguish eager from lazy building).
+    /// Force a node at `level` into a hash map, returning the level (an
+    /// inlined atomic load if already forced). `lazy` marks whether this
+    /// happens during the join phase (for the statistics that distinguish
+    /// eager from lazy building).
     ///
     /// Safe to call from many threads at once: the first caller builds the
-    /// map while the others block, and exactly one build is counted.
-    pub fn force<'n>(&self, node: &'n TrieNode, level: usize, lazy: bool) -> &'n LevelMap {
+    /// level while the others block, and exactly one build is counted.
+    #[inline]
+    pub fn force<'t>(&'t self, node: NodeRef<'t>, level: usize, lazy: bool) -> &'t Level {
+        match node.node.forced.get() {
+            Some(forced) => forced,
+            None => self.force_cold(node, level, lazy),
+        }
+    }
+
+    #[cold]
+    #[inline(never)]
+    fn force_cold<'t>(&'t self, node: NodeRef<'t>, level: usize, lazy: bool) -> &'t Level {
         let mut built_here = false;
-        let map = node.forced.get_or_init(|| {
+        let forced = node.node.forced.get_or_init(|| {
             built_here = true;
-            self.build_level_map(node, level)
+            Box::new(self.build_level(node, level))
         });
         if built_here {
             self.maps_built.fetch_add(1, Ordering::Relaxed);
@@ -429,24 +479,24 @@ impl InputTrie {
                 self.lazy_built.fetch_add(1, Ordering::Relaxed);
             }
         }
-        map
+        forced
     }
 
     /// Look up `key` at `node` (which sits at `level`), forcing the node into
-    /// a map first if necessary. Returns the child node, or `None` if the key
-    /// is absent. This is the `get` of the GHT interface (Figure 5).
+    /// a map first if necessary. Returns the child position, or `None` if
+    /// the key is absent. This is the `get` of the GHT interface (Figure 5).
     ///
     /// The key is a borrowed value slice — a stack array or reused buffer —
     /// looked up through `LevelKey: Borrow<[Value]>`, so probing allocates
     /// nothing at any arity.
-    pub fn get(&self, node: &TrieNode, level: usize, key: &[Value]) -> Option<Arc<TrieNode>> {
-        self.force(node, level, true).get(key).cloned()
-    }
-
-    /// [`InputTrie::get`] for a [`LevelKey`] built in place (the arity ≤ 2
-    /// probe fast path: the key is `Copy` and lives in registers).
-    pub fn get_key(&self, node: &TrieNode, level: usize, key: &LevelKey) -> Option<Arc<TrieNode>> {
-        self.force(node, level, true).get(key).cloned()
+    #[inline]
+    pub fn get<'t>(
+        &'t self,
+        node: NodeRef<'t>,
+        level: usize,
+        key: &[Value],
+    ) -> Option<NodeRef<'t>> {
+        self.force(node, level, true).get(key)
     }
 
     /// Iterate the entries of `node` at `level`, calling `f(key, child)`.
@@ -464,66 +514,18 @@ impl InputTrie {
     /// This is the `iter` of the GHT interface (Figure 5); the child is
     /// passed along so the caller does not need a separate `get` on the
     /// iterated trie (line 8 of Figure 7).
-    pub fn for_each(
-        &self,
-        node: &TrieNode,
+    pub fn for_each<'t>(
+        &'t self,
+        node: NodeRef<'t>,
         level: usize,
-        mut f: impl FnMut(&[Value], Option<&Arc<TrieNode>>),
+        mut f: impl FnMut(&[Value], Option<NodeRef<'t>>),
     ) {
-        if !node.is_map() && !self.is_last_level(level) {
-            self.force(node, level, true);
-        }
-        match node.data() {
-            NodeData::Map(m) => {
-                for (key, child) in m {
-                    f(key.values(), Some(child));
-                }
+        if node.is_map() || !self.is_last_level(level) {
+            for (key, child) in self.force(node, level, true).iter() {
+                f(key.values(), Some(child));
             }
-            NodeData::AllRows => {
-                self.for_each_row_key(level, 0..self.relation.num_rows() as u32, &mut f);
-            }
-            NodeData::Offsets(offsets) => {
-                self.for_each_row_key(level, offsets.iter().copied(), &mut f);
-            }
-        }
-    }
-
-    /// Tuple-wise iteration of the [`InputTrie::for_each`] fast path: call
-    /// `f` with the key values of every row offset, reading directly from
-    /// the column vectors. Arity ≤ 2 keys are assembled in stack arrays;
-    /// wider keys go through one reused buffer. No per-row allocation either
-    /// way.
-    fn for_each_row_key(
-        &self,
-        level: usize,
-        rows: impl Iterator<Item = u32>,
-        f: &mut impl FnMut(&[Value], Option<&Arc<TrieNode>>),
-    ) {
-        match *self.level_cols[level].as_slice() {
-            [] => {
-                for _ in rows {
-                    f(&[], None);
-                }
-            }
-            [c] => {
-                let col = self.relation.column(c);
-                for offset in rows {
-                    f(&[col.get(offset as usize)], None);
-                }
-            }
-            [c0, c1] => {
-                let (a, b) = (self.relation.column(c0), self.relation.column(c1));
-                for offset in rows {
-                    f(&[a.get(offset as usize), b.get(offset as usize)], None);
-                }
-            }
-            ref cols => {
-                let mut buf: Vec<Value> = Vec::with_capacity(cols.len());
-                for offset in rows {
-                    self.read_key_into(level, offset, &mut buf);
-                    f(&buf, None);
-                }
-            }
+        } else {
+            self.scan_keys(node, level, |_, key| f(key, None));
         }
     }
 }
@@ -562,8 +564,8 @@ mod tests {
         assert_eq!(trie.lazy_built(), 0);
         assert_eq!(trie.num_levels(), 2);
         assert!(!trie.root().is_map());
-        assert_eq!(trie.estimated_keys(&trie.root()), 7);
-        assert_eq!(trie.tuple_count(&trie.root()), 7);
+        assert_eq!(trie.estimated_keys(trie.root()), 7);
+        assert_eq!(trie.tuple_count(trie.root()), 7);
     }
 
     #[test]
@@ -575,9 +577,9 @@ mod tests {
         assert!(trie.root().is_map());
         // The children (second level) are unforced offset vectors.
         let root = trie.root();
-        let x2 = trie.get(&root, 0, &[Value::Int(2)]).unwrap();
+        let x2 = trie.get(root, 0, &[Value::Int(2)]).unwrap();
         assert!(!x2.is_map());
-        assert_eq!(trie.estimated_keys(&x2), 3);
+        assert_eq!(trie.estimated_keys(x2), 3);
     }
 
     #[test]
@@ -588,12 +590,12 @@ mod tests {
         assert_eq!(trie.maps_built(), 4);
         assert_eq!(trie.lazy_built(), 0);
         let root = trie.root();
-        let x3 = trie.get(&root, 0, &[Value::Int(3)]).unwrap();
+        let x3 = trie.get(root, 0, &[Value::Int(3)]).unwrap();
         assert!(x3.is_map());
-        let b = trie.get(&x3, 1, &[Value::Int(301)]).unwrap();
+        let b = trie.get(x3, 1, &[Value::Int(301)]).unwrap();
         // The leaf is a vector of one offset.
-        assert_eq!(trie.estimated_keys(&b), 1);
-        assert_eq!(trie.tuple_count(&x3), 3);
+        assert_eq!(trie.estimated_keys(b), 1);
+        assert_eq!(trie.tuple_count(x3), 3);
     }
 
     #[test]
@@ -602,20 +604,20 @@ mod tests {
         let trie = InputTrie::build(&input, schema(&[&["x"], &["b"]]), TrieStrategy::Colt);
         let root = trie.root();
         // First probe forces the first level.
-        let x0 = trie.get(&root, 0, &[Value::Int(0)]).unwrap();
+        let x0 = trie.get(root, 0, &[Value::Int(0)]).unwrap();
         assert_eq!(trie.maps_built(), 1);
         assert_eq!(trie.lazy_built(), 1);
-        assert_eq!(trie.estimated_keys(&x0), 1);
+        assert_eq!(trie.estimated_keys(x0), 1);
         // Missing key returns None without further building.
-        assert!(trie.get(&root, 0, &[Value::Int(42)]).is_none());
+        assert!(trie.get(root, 0, &[Value::Int(42)]).is_none());
         assert_eq!(trie.maps_built(), 1);
         // Probing the second level of one branch only forces that branch.
-        let x2 = trie.get(&root, 0, &[Value::Int(2)]).unwrap();
-        assert!(trie.get(&x2, 1, &[Value::Int(201)]).is_some());
-        assert!(trie.get(&x2, 1, &[Value::Int(999)]).is_none());
+        let x2 = trie.get(root, 0, &[Value::Int(2)]).unwrap();
+        assert!(trie.get(x2, 1, &[Value::Int(201)]).is_some());
+        assert!(trie.get(x2, 1, &[Value::Int(999)]).is_none());
         assert_eq!(trie.maps_built(), 2);
         // The x3 branch was never touched.
-        let x3 = trie.get(&root, 0, &[Value::Int(3)]).unwrap();
+        let x3 = trie.get(root, 0, &[Value::Int(3)]).unwrap();
         assert!(!x3.is_map());
     }
 
@@ -625,7 +627,7 @@ mod tests {
         let trie = InputTrie::build(&input, schema(&[&["x"], &["b"]]), TrieStrategy::Slt);
         let root = trie.root();
         let mut keys = Vec::new();
-        trie.for_each(&root, 0, |key, child| {
+        trie.for_each(root, 0, |key, child| {
             assert!(child.is_some());
             keys.push(key[0]);
         });
@@ -641,7 +643,7 @@ mod tests {
         let trie = InputTrie::build(&input, schema(&[&["x", "b"]]), TrieStrategy::Colt);
         let root = trie.root();
         let mut count = 0;
-        trie.for_each(&root, 0, |key, child| {
+        trie.for_each(root, 0, |key, child| {
             assert_eq!(key.len(), 2);
             assert!(child.is_none());
             count += 1;
@@ -657,7 +659,7 @@ mod tests {
         let trie = InputTrie::build(&input, schema(&[&["x"], &["b"]]), TrieStrategy::Colt);
         let root = trie.root();
         let mut distinct = 0;
-        trie.for_each(&root, 0, |_, child| {
+        trie.for_each(root, 0, |_, child| {
             assert!(child.is_some());
             distinct += 1;
         });
@@ -677,13 +679,58 @@ mod tests {
         let input = prepare_inputs(&cat, &q).unwrap().atoms.remove(0);
         let trie = InputTrie::build(&input, schema(&[&["x"], &["y"], &[]]), TrieStrategy::Colt);
         let root = trie.root();
-        let x1 = trie.get(&root, 0, &[Value::Int(1)]).unwrap();
-        let y5 = trie.get(&x1, 1, &[Value::Int(5)]).unwrap();
+        let x1 = trie.get(root, 0, &[Value::Int(1)]).unwrap();
+        let y5 = trie.get(x1, 1, &[Value::Int(5)]).unwrap();
         // Two duplicate (1,5) tuples → the leaf holds two offsets.
-        assert_eq!(trie.estimated_keys(&y5), 2);
-        assert_eq!(trie.tuple_count(&y5), 2);
-        let y6 = trie.get(&x1, 1, &[Value::Int(6)]).unwrap();
-        assert_eq!(trie.tuple_count(&y6), 1);
+        assert_eq!(trie.estimated_keys(y5), 2);
+        assert_eq!(trie.tuple_count(y5), 2);
+        let y6 = trie.get(x1, 1, &[Value::Int(6)]).unwrap();
+        assert_eq!(trie.tuple_count(y6), 1);
+    }
+
+    /// `tuple_count` is one field read on every node — forced or not — and
+    /// agrees with a brute-force count under all three strategies, with
+    /// duplicate tuples and an empty-key level in the schema.
+    #[test]
+    fn tuple_count_matches_brute_force_on_forced_nodes() {
+        let tuples: [(i64, i64); 8] =
+            [(1, 5), (1, 5), (1, 6), (2, 5), (2, 5), (2, 5), (3, 9), (1, 5)];
+        let mut cat = Catalog::new();
+        let mut b = RelationBuilder::new("D", Schema::all_int(&["x", "y"]));
+        for &(x, y) in &tuples {
+            b.push_ints(&[x, y]).unwrap();
+        }
+        cat.add(b.finish()).unwrap();
+        let q = QueryBuilder::new("q").atom("D", &["x", "y"]).build();
+        let input = prepare_inputs(&cat, &q).unwrap().atoms.remove(0);
+        let brute = |pred: &dyn Fn(i64, i64) -> bool| {
+            tuples.iter().filter(|&&(x, y)| pred(x, y)).count() as u64
+        };
+        for strategy in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
+            let levels = schema(&[&[], &["x"], &["y"], &[]]);
+            let trie = InputTrie::build(&input, levels, strategy);
+            let root = trie.root();
+            let all = trie.get(root, 0, &[]).unwrap();
+            assert!(root.is_map());
+            assert_eq!(trie.tuple_count(root), 8, "{strategy:?}");
+            assert_eq!(trie.tuple_count(all), 8, "{strategy:?}");
+            for x in 1..=3i64 {
+                let at_x = trie.get(all, 1, &[Value::Int(x)]).unwrap();
+                assert_eq!(trie.tuple_count(at_x), brute(&|a, _| a == x), "{strategy:?} x={x}");
+                for y in [5i64, 6, 9] {
+                    let expected = brute(&|a, b| a == x && b == y);
+                    match trie.get(at_x, 2, &[Value::Int(y)]) {
+                        Some(leaf) => assert_eq!(trie.tuple_count(leaf), expected),
+                        None => assert_eq!(expected, 0),
+                    }
+                }
+                // Forcing the node (the probes above did) must not change it.
+                assert!(at_x.is_map());
+                assert_eq!(trie.tuple_count(at_x), brute(&|a, _| a == x));
+            }
+            assert!(all.is_map());
+            assert_eq!(trie.tuple_count(all), 8);
+        }
     }
 
     #[test]
@@ -692,10 +739,10 @@ mod tests {
         // Schema with an empty first level (arises for cross-product probes).
         let trie = InputTrie::build(&input, schema(&[&[], &["x", "b"]]), TrieStrategy::Colt);
         let root = trie.root();
-        let child = trie.get(&root, 0, &[]).unwrap();
-        assert_eq!(trie.tuple_count(&child), 7);
+        let child = trie.get(root, 0, &[]).unwrap();
+        assert_eq!(trie.tuple_count(child), 7);
         let mut n = 0;
-        trie.for_each(&child, 1, |_, _| n += 1);
+        trie.for_each(child, 1, |_, _| n += 1);
         assert_eq!(n, 7);
     }
 
@@ -707,11 +754,11 @@ mod tests {
         let input = prepare_inputs(&cat, &q).unwrap().atoms.remove(0);
         let trie = InputTrie::build(&input, schema(&[&["x"]]), TrieStrategy::Simple);
         let root = trie.root();
-        assert_eq!(trie.estimated_keys(&root), 0);
+        assert_eq!(trie.estimated_keys(root), 0);
         let mut n = 0;
-        trie.for_each(&root, 0, |_, _| n += 1);
+        trie.for_each(root, 0, |_, _| n += 1);
         assert_eq!(n, 0);
-        assert!(trie.get(&root, 0, &[Value::Int(1)]).is_none());
+        assert!(trie.get(root, 0, &[Value::Int(1)]).is_none());
         // Even a zero-row trie charges its fixed overhead, so caching many
         // distinct empty-result tries stays bounded by the byte budget.
         assert!(trie.estimated_bytes() > 0, "empty tries must not be budget-free");
@@ -741,9 +788,9 @@ mod tests {
         let input = clover_s_input();
         let trie = InputTrie::build(&input, schema(&[&["x"], &["x", "b"]]), TrieStrategy::Colt);
         let root = trie.root();
-        for (key, child) in trie.force(&root, 0, true) {
+        for (key, child) in trie.force(root, 0, true).iter() {
             assert!(key.is_inline(), "arity-1 key spilled: {key:?}");
-            for key2 in trie.force(child, 1, true).keys() {
+            for (key2, _) in trie.force(child, 1, true).iter() {
                 assert!(key2.is_inline(), "arity-2 key spilled: {key2:?}");
             }
         }
@@ -761,28 +808,29 @@ mod tests {
         let colt = InputTrie::build(&input, schema(&[&["x"], &["b"]]), TrieStrategy::Colt);
         let root = colt.root();
         assert_eq!(root.key_bound(), 7);
-        assert_eq!(colt.estimated_keys(&root), 7);
-        let x2 = colt.get(&root, 0, &[Value::Int(2)]).unwrap();
+        assert_eq!(colt.estimated_keys(root), 7);
+        let x2 = colt.get(root, 0, &[Value::Int(2)]).unwrap();
         assert_eq!(x2.key_bound(), 3);
-        colt.force(&x2, 1, true);
+        colt.force(x2, 1, true);
         assert_eq!(x2.key_bound(), 3, "forcing must not change the bound");
-        assert_eq!(colt.estimated_keys(&x2), 3);
+        assert_eq!(colt.estimated_keys(x2), 3);
         // Root after forcing: estimated_keys becomes the distinct count (3)
         // while the bound stays at the construction-time row count (7).
-        assert_eq!(colt.estimated_keys(&root), 3);
+        assert_eq!(colt.estimated_keys(root), 3);
         assert_eq!(root.key_bound(), 7);
 
         // SLT: the pre-forced root still reports its construction bound.
         let slt = InputTrie::build(&input, schema(&[&["x"], &["b"]]), TrieStrategy::Slt);
         assert_eq!(slt.root().key_bound(), 7);
 
-        // Simple: eagerly built map nodes report their distinct-key count,
-        // leaves their row count.
+        // Simple: eagerly built nodes report their row count like every
+        // other node (the bound is the same under all three strategies).
         let simple = InputTrie::build(&input, schema(&[&["x"], &["b"], &[]]), TrieStrategy::Simple);
         let root = simple.root();
-        assert_eq!(root.key_bound(), 3, "eager root bound is the distinct x count");
-        let x3 = simple.get(&root, 0, &[Value::Int(3)]).unwrap();
-        assert_eq!(x3.key_bound(), 3, "eager inner bound is its distinct b count");
+        assert_eq!(root.key_bound(), 7, "eager root bound is its row count, not its 3 keys");
+        assert_eq!(simple.estimated_keys(root), 3);
+        let x3 = simple.get(root, 0, &[Value::Int(3)]).unwrap();
+        assert_eq!(x3.key_bound(), 3);
     }
 
     #[test]
@@ -818,9 +866,9 @@ mod tests {
                     barrier.wait();
                     let root = trie.root();
                     for i in 0..32i64 {
-                        let x = trie.get(&root, 0, &[Value::Int((i + t as i64) % 32)]).unwrap();
+                        let x = trie.get(root, 0, &[Value::Int((i + t as i64) % 32)]).unwrap();
                         // Also race the second level.
-                        assert!(trie.get(&x, 1, &[Value::Int(-1)]).is_none());
+                        assert!(trie.get(x, 1, &[Value::Int(-1)]).is_none());
                     }
                 });
             }
