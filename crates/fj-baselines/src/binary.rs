@@ -247,13 +247,6 @@ impl Sink for PipelineSink {
         }
     }
 
-    fn accepts_factorized(&self, bound_prefix: usize) -> bool {
-        match self {
-            PipelineSink::Output(s) => s.accepts_factorized(bound_prefix),
-            PipelineSink::Materialize(s) => s.accepts_factorized(bound_prefix),
-        }
-    }
-
     fn tuples(&self) -> u64 {
         match self {
             PipelineSink::Output(s) => s.tuples(),

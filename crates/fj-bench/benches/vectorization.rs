@@ -61,10 +61,6 @@ impl Sink for PerTupleSink {
         None
     }
 
-    fn accepts_factorized(&self, bound_prefix: usize) -> bool {
-        self.builder.is_counting() && self.builder.vars_bound_within(bound_prefix)
-    }
-
     fn tuples(&self) -> u64 {
         self.builder.tuples()
     }

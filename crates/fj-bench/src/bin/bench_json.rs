@@ -270,6 +270,17 @@ fn measure_serving(
     )
 }
 
+/// The session the three overhead estimators below measure in: serial, and
+/// with dead-variable pruning off. The gated percentages price the
+/// instruments' per-node and per-probe sites against a join loop that is
+/// busy; pruned, the clover's count is a few dozen probes (tens of
+/// microseconds), and what would be measured is the fixed per-execution
+/// cost of assembling a profile or a trace against almost nothing.
+fn overhead_session() -> Session {
+    Session::new(Arc::new(EngineCaches::with_defaults()))
+        .with_options(FreeJoinOptions::default().with_num_threads(1).with_factorized_output(false))
+}
+
 /// Warm profiled-vs-unprofiled overhead (schema_version 7): the same
 /// prepared query executed in batches over warm caches, profile off vs on,
 /// best batch of each. Batching amortizes timer resolution on a
@@ -278,8 +289,7 @@ fn measure_serving(
 fn profile_overhead_pct(workload: &Workload) -> f64 {
     const BATCH: usize = 200;
     const ROUNDS: usize = 14;
-    let session = Session::new(Arc::new(EngineCaches::with_defaults()))
-        .with_options(FreeJoinOptions::default().with_num_threads(1));
+    let session = overhead_session();
     let named = &workload.queries[0];
     let prepared = session.prepare(&workload.catalog, &named.query).expect("overhead prepares");
     for _ in 0..5 {
@@ -326,8 +336,7 @@ fn profile_overhead_pct(workload: &Workload) -> f64 {
 fn trace_overhead_pct(workload: &Workload) -> f64 {
     const BATCH: usize = 200;
     const ROUNDS: usize = 14;
-    let session = Session::new(Arc::new(EngineCaches::with_defaults()))
-        .with_options(FreeJoinOptions::default().with_num_threads(1));
+    let session = overhead_session();
     let named = &workload.queries[0];
     let prepared = session.prepare(&workload.catalog, &named.query).expect("overhead prepares");
     for _ in 0..5 {
@@ -373,8 +382,7 @@ fn trace_overhead_pct(workload: &Workload) -> f64 {
 fn cancel_check_overhead_pct(workload: &Workload) -> f64 {
     const BATCH: usize = 200;
     const ROUNDS: usize = 14;
-    let session = Session::new(Arc::new(EngineCaches::with_defaults()))
-        .with_options(FreeJoinOptions::default().with_num_threads(1));
+    let session = overhead_session();
     let named = &workload.queries[0];
     let prepared = session.prepare(&workload.catalog, &named.query).expect("overhead prepares");
     let token = CancelToken::with_deadline(Duration::from_secs(3600));

@@ -256,18 +256,20 @@ fn fig18() {
 /// Figure 19: LSQB with factorized output.
 fn fig19() {
     println!("\n[Figure 19] LSQB-like run time with factorized output");
-    print_header("Fig 19: factorized output", &["sf", "freejoin", "fj+factorized", "speedup"]);
+    print_header("Fig 19: factorized output", &["sf", "fj-plain", "freejoin", "speedup"]);
     for sf in [0.1, 0.3, 1.0] {
         let w = lsqb_workload(sf);
         for named in &w.queries {
             let (plan, _) = plan_query(&w.catalog, &named.query, EstimatorMode::Accurate);
-            let plain = run_query_with_plan(&w.catalog, named, &plan, &Engine::free_join_default());
-            let fact = run_query_with_plan(
+            // Factorized output (dead-variable pruning) is the default; the
+            // ablation turns it off.
+            let plain = run_query_with_plan(
                 &w.catalog,
                 named,
                 &plan,
-                &Engine::FreeJoin(FreeJoinOptions::default().with_factorized_output(true)),
+                &Engine::FreeJoin(FreeJoinOptions::default().with_factorized_output(false)),
             );
+            let fact = run_query_with_plan(&w.catalog, named, &plan, &Engine::free_join_default());
             print_row(
                 &named.name,
                 &[

@@ -222,16 +222,7 @@ impl DecomposedPlan {
     /// The variables produced by pipeline `p` (union of its inputs' variables
     /// in first-appearance order).
     pub fn pipeline_vars(&self, query: &ConjunctiveQuery, p: usize) -> Vec<String> {
-        let mut seen = BTreeSet::new();
-        let mut out = Vec::new();
-        for &input in &self.pipelines[p].inputs {
-            for v in self.input_vars(query, input) {
-                if seen.insert(v.clone()) {
-                    out.push(v);
-                }
-            }
-        }
-        out
+        union_in_order(&self.pipeline_input_vars(query, p))
     }
 
     /// Variable lists for every input of pipeline `p`, in input order. This
@@ -239,6 +230,73 @@ impl DecomposedPlan {
     /// execution engines.
     pub fn pipeline_input_vars(&self, query: &ConjunctiveQuery, p: usize) -> Vec<Vec<String>> {
         self.pipelines[p].inputs.iter().map(|&i| self.input_vars(query, i)).collect()
+    }
+
+    /// [`DecomposedPlan::pipeline_input_vars`] of every pipeline with the
+    /// *dead* variables removed (liveness analysis for the plan compiler).
+    ///
+    /// A variable is **live** in a pipeline when something reads it: it
+    /// occurs twice among the pipeline's inputs (a join, or a self-equality
+    /// inside one atom), or it is read after the pipeline — by the query
+    /// output (`output_vars`: the head, the grouping variables, nothing for
+    /// a count) or by an atom joined in by a later pipeline. Every other
+    /// variable is bound by one input and read by nothing; dropping it from
+    /// the input's list makes the plan built from these lists never iterate
+    /// it, and the rows it distinguished fold into a trie-leaf multiplicity.
+    ///
+    /// An intermediate input carries exactly the live variables of the
+    /// pipeline that produced it, so a column nobody reads is dropped at the
+    /// first pipeline that could carry it.
+    pub fn live_input_vars(
+        &self,
+        query: &ConjunctiveQuery,
+        output_vars: &[String],
+    ) -> Vec<Vec<Vec<String>>> {
+        let mut live: Vec<Vec<Vec<String>>> = Vec::with_capacity(self.len());
+        for (p, pipeline) in self.pipelines.iter().enumerate() {
+            let below = self.atoms_below(p);
+            let mut read_later: BTreeSet<&str> = output_vars.iter().map(String::as_str).collect();
+            for (a, atom) in query.atoms.iter().enumerate() {
+                if !below.contains(&a) {
+                    read_later.extend(atom.vars.iter().map(String::as_str));
+                }
+            }
+            let inputs: Vec<Vec<String>> = pipeline
+                .inputs
+                .iter()
+                .map(|&input| match input {
+                    PipeInput::Atom(a) => query.atoms[a].vars.clone(),
+                    PipeInput::Intermediate(j) => union_in_order(&live[j]),
+                })
+                .collect();
+            let occurrences = |var: &String| inputs.iter().flatten().filter(|v| *v == var).count();
+            let pruned = inputs
+                .iter()
+                .map(|vars| {
+                    vars.iter()
+                        .filter(|v| read_later.contains(v.as_str()) || occurrences(v) >= 2)
+                        .cloned()
+                        .collect()
+                })
+                .collect();
+            live.push(pruned);
+        }
+        live
+    }
+
+    /// The query atoms joined by pipeline `p`, directly or through the
+    /// intermediates it consumes.
+    fn atoms_below(&self, p: usize) -> BTreeSet<usize> {
+        let mut atoms = BTreeSet::new();
+        for &input in &self.pipelines[p].inputs {
+            match input {
+                PipeInput::Atom(a) => {
+                    atoms.insert(a);
+                }
+                PipeInput::Intermediate(j) => atoms.extend(self.atoms_below(j)),
+            }
+        }
+        atoms
     }
 
     /// Index of the final (result-producing) pipeline.
@@ -262,6 +320,12 @@ impl DecomposedPlan {
     pub fn is_single_pipeline(&self) -> bool {
         self.pipelines.len() == 1
     }
+}
+
+/// The variables of several lists, each once, in first-appearance order.
+fn union_in_order(lists: &[Vec<String>]) -> Vec<String> {
+    let mut seen = BTreeSet::new();
+    lists.iter().flatten().filter(|v| seen.insert(v.as_str())).cloned().collect()
 }
 
 #[cfg(test)]
@@ -366,6 +430,52 @@ mod tests {
         let vars = d.pipeline_input_vars(&q, 1);
         assert_eq!(vars.len(), 3);
         assert_eq!(vars[2], vec!["z", "u", "v"]);
+    }
+
+    fn names(lists: &[&[&str]]) -> Vec<Vec<String>> {
+        lists.iter().map(|l| l.iter().map(|s| s.to_string()).collect()).collect()
+    }
+
+    #[test]
+    fn liveness_keeps_joins_and_output_vars_only() {
+        let q = chain_query();
+        let d = BinaryPlan::left_deep(&[0, 1, 2, 3]).decompose();
+        // A count reads nothing: the chain's end points x and v are dead.
+        assert_eq!(
+            d.live_input_vars(&q, &[]),
+            vec![names(&[&["y"], &["y", "z"], &["z", "u"], &["u"]])]
+        );
+        // A variable the output reads stays, wherever it is bound.
+        assert_eq!(
+            d.live_input_vars(&q, &["v".to_string()]),
+            vec![names(&[&["y"], &["y", "z"], &["z", "u"], &["u", "v"]])]
+        );
+        // With the full head nothing is dead: the unpruned lists come back.
+        assert_eq!(d.live_input_vars(&q, &q.head), vec![d.pipeline_input_vars(&q, 0)]);
+    }
+
+    #[test]
+    fn liveness_keeps_a_variable_repeated_inside_one_atom() {
+        // R(x, x, a) is a self-equality on x: read by the atom itself.
+        let q = ConjunctiveQuery::new("q", vec![], vec![Atom::new("R", vec!["x", "x", "a"])]);
+        let d = BinaryPlan::left_deep(&[0]).decompose();
+        assert_eq!(d.live_input_vars(&q, &[]), vec![names(&[&["x", "x"]])]);
+    }
+
+    #[test]
+    fn liveness_across_bushy_pipelines() {
+        // (R ⋈ S) ⋈ (T ⋈ W): P0 = T(z,u) ⋈ W(u,v), P1 = R(x,y) ⋈ S(y,z) ⋈ P0.
+        let q = chain_query();
+        let bushy = BinaryPlan::new(PlanTree::Join(
+            Box::new(PlanTree::Join(Box::new(PlanTree::Leaf(0)), Box::new(PlanTree::Leaf(1)))),
+            Box::new(PlanTree::Join(Box::new(PlanTree::Leaf(2)), Box::new(PlanTree::Leaf(3)))),
+        ));
+        let live = bushy.decompose().live_input_vars(&q, &[]);
+        // P0: z is read later (S joins on it), u is P0's own join, v is dead.
+        assert_eq!(live[0], names(&[&["z", "u"], &["u"]]));
+        // P1: the intermediate arrives as (z, u); u was only P0's join key,
+        // so the final pipeline does not read it — and x is dead as before.
+        assert_eq!(live[1], names(&[&["y"], &["y", "z"], &["z"]]));
     }
 
     #[test]

@@ -230,6 +230,61 @@ impl FreeJoinPlan {
         schemas
     }
 
+    /// Remove every subatom that has no variables — unless it is the only
+    /// subatom of its input, which must stay in the plan to contribute the
+    /// input's row count. Iterating or probing an empty key finds the one
+    /// entry standing for every remaining row of the input, so the step does
+    /// nothing but multiply the multiplicity; without it the input's previous
+    /// subatom becomes its last, and the executor reads the same
+    /// multiplicity off the trie node that subatom reaches.
+    ///
+    /// A node left with nothing but probes on already-bound variables (its
+    /// cover was such a subatom) moves to the end of the previous node, where
+    /// those variables were bound, instead of iterating a whole trie level
+    /// to check one already-bound key.
+    ///
+    /// Plans converted from a binary plan over live-variable lists (see
+    /// `DecomposedPlan::live_input_vars`) are full of such subatoms; a valid
+    /// plan stays valid.
+    pub fn prune_empty_subatoms(&mut self) {
+        let mut left_of_input: Vec<usize> = Vec::new();
+        for s in self.nodes.iter().flat_map(|n| &n.subatoms) {
+            if left_of_input.len() <= s.input {
+                left_of_input.resize(s.input + 1, 0);
+            }
+            left_of_input[s.input] += 1;
+        }
+        let mut bound: BTreeSet<String> = BTreeSet::new();
+        let mut nodes: Vec<FjNode> = Vec::with_capacity(self.nodes.len());
+        for mut node in std::mem::take(&mut self.nodes) {
+            node.subatoms.retain(|s| {
+                let keep = !s.vars.is_empty() || left_of_input[s.input] == 1;
+                if !keep {
+                    left_of_input[s.input] -= 1;
+                }
+                keep
+            });
+            let only_probes = node
+                .subatoms
+                .iter()
+                .all(|s| !s.vars.is_empty() && s.vars.iter().all(|v| bound.contains(v)));
+            match nodes.last_mut() {
+                Some(prev)
+                    if only_probes
+                        && node.subatoms.iter().all(|s| !prev.references_input(s.input)) =>
+                {
+                    prev.subatoms.append(&mut node.subatoms);
+                }
+                _ if node.subatoms.is_empty() => {}
+                _ => {
+                    bound.extend(node.vars());
+                    nodes.push(node);
+                }
+            }
+        }
+        self.nodes = nodes;
+    }
+
     /// Check validity (Definition 3.7) against the inputs' variable lists.
     pub fn validate(&self, input_vars: &[Vec<String>]) -> Result<(), PlanValidityError> {
         // Per-node checks.
@@ -494,6 +549,67 @@ mod tests {
             schemas[2],
             vec![vec!["x".to_string()], vec!["z".to_string()], Vec::<String>::new()]
         );
+    }
+
+    #[test]
+    fn prune_empty_subatoms_folds_iteration_free_steps() {
+        // The clover with a, b, c pruned, as `binary2fj` converts it.
+        let inputs = vec![vec!["x".to_string()]; 3];
+        let mut plan = FreeJoinPlan::new(vec![
+            FjNode::new(vec![s(0, &["x"]), s(1, &["x"])]),
+            FjNode::new(vec![s(1, &[]), s(2, &["x"])]),
+            FjNode::new(vec![s(2, &[])]),
+        ]);
+        plan.prune_empty_subatoms();
+        // S() and T() iterate nothing; T(x) probes where x was bound.
+        assert_eq!(
+            plan,
+            FreeJoinPlan::new(vec![FjNode::new(vec![s(0, &["x"]), s(1, &["x"]), s(2, &["x"])])])
+        );
+        plan.validate(&inputs).unwrap();
+
+        // The triangle's trailing T() goes; nothing else changes.
+        let mut triangle = FreeJoinPlan::new(vec![
+            FjNode::new(vec![s(0, &["x", "y"]), s(1, &["y"])]),
+            FjNode::new(vec![s(1, &["z"]), s(2, &["z", "x"])]),
+            FjNode::new(vec![s(2, &[])]),
+        ]);
+        triangle.prune_empty_subatoms();
+        assert_eq!(triangle.to_string(), "[[#0(x,y), #1(y)], [#1(z), #2(z,x)]]");
+    }
+
+    #[test]
+    fn prune_empty_subatoms_keeps_an_inputs_only_subatom() {
+        // A single atom with every variable pruned still counts its rows.
+        let mut scan = FreeJoinPlan::new(vec![FjNode::new(vec![s(0, &[])])]);
+        scan.prune_empty_subatoms();
+        assert_eq!(scan.to_string(), "[[#0()]]");
+        scan.validate(&[vec![]]).unwrap();
+
+        // A Cartesian factor (input 2 shares nothing) keeps exactly one
+        // subatom, as a node of its own: its row count is one iteration step.
+        let mut product = FreeJoinPlan::new(vec![
+            FjNode::new(vec![s(0, &["x"]), s(1, &["x"])]),
+            FjNode::new(vec![s(1, &[]), s(2, &[])]),
+            FjNode::new(vec![s(2, &[])]),
+        ]);
+        product.prune_empty_subatoms();
+        assert_eq!(product.to_string(), "[[#0(x), #1(x)], [#2()]]");
+        product.validate(&[vec!["x".into()], vec!["x".into()], vec![]]).unwrap();
+    }
+
+    #[test]
+    fn prune_empty_subatoms_respects_one_subatom_per_input_and_node() {
+        // Node 1 loses its cover #0(), but node 0 already probes input 1:
+        // #1(y) stays a node of its own (a cover that binds nothing new).
+        let inputs = vec![vec!["x".to_string(), "y".to_string()]; 2];
+        let mut plan = FreeJoinPlan::new(vec![
+            FjNode::new(vec![s(0, &["x", "y"]), s(1, &["x"])]),
+            FjNode::new(vec![s(0, &[]), s(1, &["y"])]),
+        ]);
+        plan.prune_empty_subatoms();
+        assert_eq!(plan.to_string(), "[[#0(x,y), #1(x)], [#1(y)]]");
+        plan.validate(&inputs).unwrap();
     }
 
     #[test]

@@ -222,9 +222,13 @@ impl<'a> CardinalityEstimator<'a> {
     /// The estimate for node `k` is the running join cardinality capped by
     /// the product of distinct counts of the variables bound through node
     /// `k` — the join of the *whole* inputs can't produce more distinct
-    /// prefix bindings than that product allows. The last node's estimate
-    /// is therefore the full join estimate, matching what the optimizer
-    /// costed the pipeline at.
+    /// prefix bindings than that product allows. An input whose last
+    /// subatom sits in node `k` or earlier counts with *all* its variables,
+    /// named by the plan or not: a plan over pruned variable lists reaches
+    /// that subatom with the rows the pruned variables tell apart folded into
+    /// the weight, and the actuals count weighted rows. The last node's
+    /// estimate is therefore the full join estimate, matching what the
+    /// optimizer costed the pipeline at.
     ///
     /// `intermediates[j]` carries the previously computed final
     /// [`SubPlanInfo`] of pipeline `j`, for [`PipeInput::Intermediate`]
@@ -247,14 +251,27 @@ impl<'a> CardinalityEstimator<'a> {
             None => unit(),
         };
         let mut joined = vec![false; inputs.len()];
+        let mut subatoms_left: Vec<usize> =
+            plan.subatom_vars_per_input(inputs.len()).iter().map(Vec::len).collect();
         let mut acc: Option<SubPlanInfo> = None;
         let mut bound: BTreeSet<String> = BTreeSet::new();
         let mut estimates = Vec::with_capacity(plan.nodes.len());
         for node in &plan.nodes {
             for sub in &node.subatoms {
-                if sub.input < joined.len() && !joined[sub.input] {
+                if sub.input >= joined.len() {
+                    continue;
+                }
+                subatoms_left[sub.input] -= 1;
+                let finished = subatoms_left[sub.input] == 0;
+                if !finished && joined[sub.input] {
+                    continue;
+                }
+                let info = input_info(sub.input);
+                if finished {
+                    bound.extend(info.distinct.keys().cloned());
+                }
+                if !joined[sub.input] {
                     joined[sub.input] = true;
-                    let info = input_info(sub.input);
                     acc = Some(match acc.take() {
                         None => info,
                         Some(left) => {
@@ -422,6 +439,14 @@ mod tests {
         let (ests, _) = est.pipeline_node_estimates(&q, &inputs, &plan, &[]);
         assert!((ests[0] - 10.0).abs() < 1e-9, "{ests:?}");
         assert!((ests[2] - 50.0).abs() < 1e-9, "{ests:?}");
+
+        // A plan over pruned variable lists: R is read through x alone, its
+        // last (only) subatom folds the y's apart into the weight, so node 0
+        // stands for all of R's 100 rows — not for x's 10 distinct values,
+        // as it does above where R(y) is still to come.
+        let plan = FreeJoinPlan::new(vec![FjNode::new(vec![Subatom::new(0, vec!["x".into()])])]);
+        let (ests, _) = est.pipeline_node_estimates(&q, &inputs[..1], &plan, &[]);
+        assert!((ests[0] - 100.0).abs() < 1e-9, "{ests:?}");
 
         // Intermediate inputs read from the supplied infos.
         let inter = [PipeInput::Intermediate(0)];

@@ -31,6 +31,18 @@ impl Aggregate {
     pub fn group_count(vars: &[&str]) -> Self {
         Aggregate::GroupCount(vars.iter().map(|s| s.to_string()).collect())
     }
+
+    /// The variables this aggregate reads from each result tuple: the query
+    /// `head` for `Materialize`, the grouping variables for `GroupCount`,
+    /// none for `Count`. Everything else a join binds is invisible to the
+    /// output (which is what lets the plan compiler prune it).
+    pub fn output_vars<'a>(&'a self, head: &'a [String]) -> &'a [String] {
+        match self {
+            Aggregate::Materialize => head,
+            Aggregate::Count => &[],
+            Aggregate::GroupCount(vars) => vars,
+        }
+    }
 }
 
 /// The result of evaluating a query.
@@ -307,12 +319,8 @@ impl OutputBuilder {
         aggregate: Aggregate,
         binding_order: &[String],
     ) -> Result<Self, QueryError> {
-        let vars: Vec<String> = match &aggregate {
-            Aggregate::GroupCount(gs) => gs.clone(),
-            // COUNT(*) needs no output columns at all.
-            Aggregate::Count => Vec::new(),
-            Aggregate::Materialize => head.to_vec(),
-        };
+        // COUNT(*) needs no output columns at all.
+        let vars: Vec<String> = aggregate.output_vars(head).to_vec();
         let mut positions = Vec::with_capacity(vars.len());
         for v in &vars {
             match binding_order.iter().position(|b| b == v) {
@@ -409,19 +417,6 @@ impl OutputBuilder {
     /// The aggregate being computed.
     pub fn aggregate(&self) -> &Aggregate {
         &self.aggregate
-    }
-
-    /// Are the output variables (head or group-by) all bound before position
-    /// `bound_prefix` of the binding order? Engines use this to decide when
-    /// factorized (non-enumerating) counting is safe.
-    pub fn vars_bound_within(&self, bound_prefix: usize) -> bool {
-        self.positions.iter().all(|&p| p < bound_prefix)
-    }
-
-    /// Does this aggregate avoid materializing individual rows (so weighted
-    /// pushes are cheap)?
-    pub fn is_counting(&self) -> bool {
-        !matches!(self.aggregate, Aggregate::Materialize)
     }
 
     /// Absorb another builder's accumulated results. Parallel engines give
@@ -704,7 +699,6 @@ mod tests {
         c.push(&[Value::Int(1), Value::Int(2)]);
         c.push_weighted(&[Value::Int(1), Value::Int(2)], 10);
         c.push_weighted(&[Value::Int(1), Value::Int(2)], 0);
-        assert!(c.is_counting());
         assert_eq!(c.finish(), QueryOutput::count(11));
 
         let mut g = OutputBuilder::new(&binding, Aggregate::group_count(&["y"]), &binding);
@@ -768,12 +762,11 @@ mod tests {
     }
 
     #[test]
-    fn output_builder_vars_bound_within() {
-        let binding: Vec<String> = ["x", "y", "z"].iter().map(|s| s.to_string()).collect();
-        let head: Vec<String> = ["y"].iter().map(|s| s.to_string()).collect();
-        let b = OutputBuilder::new(&head, Aggregate::group_count(&["y"]), &binding);
-        assert!(b.vars_bound_within(2));
-        assert!(!b.vars_bound_within(1));
+    fn aggregate_output_vars() {
+        let head: Vec<String> = ["x", "y"].iter().map(|s| s.to_string()).collect();
+        assert_eq!(Aggregate::Materialize.output_vars(&head), head.as_slice());
+        assert!(Aggregate::Count.output_vars(&head).is_empty());
+        assert_eq!(Aggregate::group_count(&["y"]).output_vars(&head), ["y".to_string()]);
     }
 
     #[test]

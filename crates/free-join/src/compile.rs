@@ -13,7 +13,29 @@
 //! * which subatom is the last one of its input (its probe result contributes
 //!   a bag-semantics multiplicity rather than a new trie position);
 //! * from which node onward the remaining plan is a chain of independent
-//!   expansions, enabling the factorized-output shortcut (Section 4.4).
+//!   expansions, which the executor emits as a Cartesian product instead of
+//!   recursing per combination.
+//!
+//! # Dead-variable pruning
+//!
+//! [`compile_query`] compiles the *live* part of the query (unless
+//! [`FreeJoinOptions::factorize_output`] is off). A variable that one atom
+//! binds and nothing reads — no join, no self-equality, not the output, no
+//! later pipeline — never reaches the plan: it is removed from the input
+//! variable lists (`fj_plan::DecomposedPlan::live_input_vars`) before the
+//! binary plan is converted, and the subatoms that lose every variable are
+//! removed from the converted plan (`FreeJoinPlan::prune_empty_subatoms`)
+//! before it is factored. Validation, GHT schemas, cover candidates, slot
+//! assignment and everything at run time see only the pruned plan; the
+//! binding order, the tries and the intermediates are simply shorter. Bag
+//! semantics need nothing new: the rows a pruned variable told apart sit
+//! below the trie node its input's last subatom reaches, and the executor
+//! already multiplies that node's tuple count into the running weight. This
+//! is the factorized output of Section 4.4, decided once per plan instead of
+//! once per binding — and, unlike a run-time shortcut, it also removes a dead
+//! variable that sits *in front of* a probe, and lets an input whose dead
+//! variable kept it the only cover of its node (`movie_info_idx(itype,
+//! info)`) share that role with the other side of the join.
 
 use crate::error::{EngineError, EngineResult};
 use crate::options::FreeJoinOptions;
@@ -98,6 +120,11 @@ pub struct CompiledPipeline {
     pub fj_plan: FreeJoinPlan,
     /// The compiled, slot-addressed plan.
     pub plan: CompiledPlan,
+    /// Per input, the variables dead-variable pruning removed: the input
+    /// binds them, the plan does not. An input with a non-empty list is read
+    /// through a multiplicity — its last subatom's probe (or iteration) folds
+    /// the number of rows the pruned variables told apart into the weight.
+    pub pruned: Vec<Vec<String>>,
 }
 
 /// A whole query compiled against a binary plan: every pipeline of the
@@ -119,19 +146,42 @@ impl CompiledQuery {
 }
 
 /// Compile every pipeline of a binary plan for a query: decompose the plan,
-/// convert each pipeline to a Free Join plan (factoring it according to the
-/// engine options), and compile to the slot-addressed form. The caller is
-/// responsible for checking `plan.covers_query(query)` first.
+/// drop the variables nothing reads (see the module docs; skipped when
+/// `options.factorize_output` is off), convert each pipeline to a Free Join
+/// plan (factoring it according to the engine options), and compile to the
+/// slot-addressed form. The caller is responsible for checking
+/// `plan.covers_query(query)` first.
 pub fn compile_query(
     query: &ConjunctiveQuery,
     plan: &BinaryPlan,
     options: &FreeJoinOptions,
 ) -> EngineResult<CompiledQuery> {
     let decomposed = plan.decompose();
-    let mut pipelines = Vec::with_capacity(decomposed.len());
+    let live = options
+        .factorize_output
+        .then(|| decomposed.live_input_vars(query, query.aggregate.output_vars(&query.head)));
+    let mut pipelines: Vec<CompiledPipeline> = Vec::with_capacity(decomposed.len());
     for p in 0..decomposed.len() {
-        let input_vars = decomposed.pipeline_input_vars(query, p);
+        let input_vars = match &live {
+            Some(live) => live[p].clone(),
+            None => decomposed.pipeline_input_vars(query, p),
+        };
+        let pruned = decomposed.pipelines[p]
+            .inputs
+            .iter()
+            .zip(&input_vars)
+            .map(|(&input, kept)| {
+                let bound = match input {
+                    PipeInput::Atom(a) => &query.atoms[a].vars,
+                    PipeInput::Intermediate(j) => &pipelines[j].plan.binding_order,
+                };
+                bound.iter().filter(|v| !kept.contains(v)).cloned().collect()
+            })
+            .collect();
         let mut fj_plan = binary2fj(&input_vars);
+        if options.factorize_output {
+            fj_plan.prune_empty_subatoms();
+        }
         if options.optimize_plan {
             if options.factor_to_fixpoint {
                 factor_until_fixpoint(&mut fj_plan);
@@ -144,6 +194,7 @@ pub fn compile_query(
             inputs: decomposed.pipelines[p].inputs.clone(),
             fj_plan,
             plan: compiled,
+            pruned,
         });
     }
     Ok(CompiledQuery { pipelines })
@@ -245,7 +296,14 @@ pub fn compile(plan: &FreeJoinPlan, input_vars: &[Vec<String>]) -> EngineResult<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fj_plan::{binary2fj, factor, fj_plan_from_var_order};
+    use crate::exec::{execute_pipeline, ExecCounters};
+    use crate::prep::bind_atom;
+    use crate::sink::OutputSink;
+    use crate::trie::InputTrie;
+    use fj_plan::{factor, fj_plan_from_var_order, PlanTree};
+    use fj_query::{Aggregate, OutputBuilder, QueryBuilder};
+    use fj_storage::{Catalog, RelationBuilder, Schema};
+    use std::sync::Arc;
 
     fn vars(lists: &[&[&str]]) -> Vec<Vec<String>> {
         lists.iter().map(|l| l.iter().map(|s| s.to_string()).collect()).collect()
@@ -375,5 +433,198 @@ mod tests {
         let plan = binary2fj(&iv);
         let compiled = compile(&plan, &iv).unwrap();
         assert_eq!(compiled.schemas, plan.ght_schemas(&iv));
+    }
+
+    // ---- dead-variable pruning (`compile_query`) ----
+
+    /// `R(x, a)`, `S(x, b)`, `T(x, c)` over `keys` join keys, `fan` rows per
+    /// key and relation, plus a `U(u)` of `u_rows` rows that joins nothing.
+    fn clover_catalog(keys: i64, fan: i64, u_rows: i64) -> Catalog {
+        let mut cat = Catalog::new();
+        for (name, col) in [("R", "a"), ("S", "b"), ("T", "c")] {
+            let mut b = RelationBuilder::new(name, Schema::all_int(&["x", col]));
+            for i in 0..keys * fan {
+                b.push_ints(&[i % keys, i]).unwrap();
+            }
+            cat.add(b.finish()).unwrap();
+        }
+        let mut u = RelationBuilder::new("U", Schema::all_int(&["u"]));
+        for i in 0..u_rows {
+            u.push_ints(&[i]).unwrap();
+        }
+        cat.add(u.finish()).unwrap();
+        cat
+    }
+
+    fn clover(aggregate: Aggregate) -> ConjunctiveQuery {
+        QueryBuilder::new("clover")
+            .atom("R", &["x", "a"])
+            .atom("S", &["x", "b"])
+            .atom("T", &["x", "c"])
+            .build()
+            .with_aggregate(aggregate)
+    }
+
+    fn pruning(on: bool) -> FreeJoinOptions {
+        FreeJoinOptions::default().with_factorized_output(on).with_num_threads(1)
+    }
+
+    /// Compile a left-deep plan in atom order and run its single pipeline
+    /// (atoms are bound without the connectedness check of `prepare_inputs`,
+    /// so Cartesian factors can be driven).
+    fn run(
+        catalog: &Catalog,
+        query: &ConjunctiveQuery,
+        options: &FreeJoinOptions,
+    ) -> (CompiledPipeline, fj_query::QueryOutput, ExecCounters) {
+        let order: Vec<usize> = (0..query.num_atoms()).collect();
+        let compiled = compile_query(query, &BinaryPlan::left_deep(&order), options).unwrap();
+        let pipeline = compiled.pipelines.into_iter().next().unwrap();
+        let tries: Vec<Arc<InputTrie>> = query
+            .atoms
+            .iter()
+            .zip(&pipeline.plan.schemas)
+            .map(|(atom, schema)| {
+                let bound = bind_atom(catalog, atom).unwrap();
+                Arc::new(InputTrie::build(&bound, schema.clone(), options.trie))
+            })
+            .collect();
+        let builder =
+            OutputBuilder::new(&query.head, query.aggregate.clone(), &pipeline.plan.binding_order);
+        let mut sink = OutputSink::new(builder);
+        let counters = execute_pipeline(&tries, &pipeline.plan, options, &mut sink);
+        (pipeline, sink.finish(), counters)
+    }
+
+    #[test]
+    fn pruning_compiles_only_the_variables_something_reads() {
+        let cat = clover_catalog(5, 4, 0);
+        let q = clover(Aggregate::Count);
+        let (pruned, out, counters) = run(&cat, &q, &pruning(true));
+        // a, b, c are bound once and read by nothing: one node is left, every
+        // subatom probes or iterates x and folds its input's 4 rows per key.
+        assert_eq!(pruned.fj_plan.to_string(), "[[#0(x), #1(x), #2(x)]]");
+        assert_eq!(pruned.plan.binding_order, vec!["x"]);
+        assert_eq!(pruned.pruned, vars(&[&["a"], &["b"], &["c"]]));
+        assert!(pruned.plan.nodes[0].subatoms.iter().all(|s| s.final_for_input));
+        assert_eq!(pruned.plan.nodes[0].cover_candidates, vec![0, 1, 2]);
+        assert_eq!(out.cardinality(), 5 * 4 * 4 * 4);
+
+        let (full, reference, full_counters) = run(&cat, &q, &pruning(false));
+        assert_eq!(full.fj_plan.to_string(), "[[#0(x,a), #1(x), #2(x)], [#1(b)], [#2(c)]]");
+        assert_eq!(full.plan.binding_order, vec!["x", "a", "b", "c"]);
+        assert!(full.pruned.iter().all(Vec::is_empty));
+        assert_eq!(reference, out);
+        assert!(counters.probes <= full_counters.probes);
+        assert!(counters.expansions < full_counters.expansions);
+    }
+
+    /// Edge (a): an atom whose every variable is dead costs one step — its
+    /// row count read off the trie root — however many rows it has.
+    #[test]
+    fn pruning_counts_an_all_dead_atom_in_constant_time() {
+        let mut product_work = Vec::new();
+        for u_rows in [7, 7_000] {
+            let cat = clover_catalog(5, 4, u_rows);
+            // The single-atom count.
+            let scan = QueryBuilder::new("scan").atom("U", &["u"]).count().build();
+            let (pipeline, out, counters) = run(&cat, &scan, &pruning(true));
+            assert_eq!(pipeline.fj_plan.to_string(), "[[#0()]]");
+            assert!(pipeline.plan.binding_order.is_empty());
+            assert_eq!(out.cardinality(), u_rows as u64);
+            assert_eq!(counters.work(), (0, 0, 1), "{u_rows} rows, one expansion");
+
+            // A Cartesian factor: U joins nothing, so it multiplies.
+            let product = QueryBuilder::new("product")
+                .atom("R", &["x", "a"])
+                .atom("S", &["x", "b"])
+                .atom("U", &["u"])
+                .count()
+                .build();
+            let (pipeline, out, counters) = run(&cat, &product, &pruning(true));
+            assert_eq!(pipeline.fj_plan.to_string(), "[[#0(x), #1(x)], [#2()]]");
+            assert_eq!(out.cardinality(), 5 * 4 * 4 * u_rows as u64);
+            product_work.push(counters.work());
+        }
+        // R's 20 rows iterated and probed, one step into U per match —
+        // whether U has 7 rows or 7000.
+        assert_eq!(product_work, vec![(20, 20, 40); 2]);
+        // An empty all-dead atom still annihilates the result.
+        let cat = clover_catalog(5, 4, 0);
+        let scan = QueryBuilder::new("scan").atom("U", &["u"]).count().build();
+        assert_eq!(run(&cat, &scan, &pruning(true)).1.cardinality(), 0);
+    }
+
+    /// Edge (b): a variable repeated inside one atom is a self-equality the
+    /// atom itself reads. It stays in the plan — where it is rejected, as it
+    /// is without pruning — instead of being pruned into a plan that ignores
+    /// the equality.
+    #[test]
+    fn pruning_keeps_a_variable_repeated_inside_one_atom() {
+        let q = QueryBuilder::new("diag").atom("R", &["x", "x"]).count().build();
+        let plan = BinaryPlan::left_deep(&[0]);
+        for on in [true, false] {
+            assert!(
+                matches!(compile_query(&q, &plan, &pruning(on)), Err(EngineError::Plan(_))),
+                "pruning {on}"
+            );
+        }
+    }
+
+    /// Edge (c): a variable only the output reads stays live, and what comes
+    /// after it in the plan is still pruned.
+    #[test]
+    fn pruning_keeps_output_variables_and_prunes_past_them() {
+        let cat = clover_catalog(5, 4, 0);
+        let by_b = clover(Aggregate::group_count(&["b"]));
+        let (pipeline, out, _) = run(&cat, &by_b, &pruning(true));
+        // b is enumerated; T's c, bound after it in the unpruned plan, is not.
+        assert_eq!(pipeline.fj_plan.to_string(), "[[#0(x), #1(x), #2(x)], [#1(b)]]");
+        assert_eq!(pipeline.plan.binding_order, vec!["x", "b"]);
+        assert_eq!(pipeline.pruned, vars(&[&["a"], &[], &["c"]]));
+        assert_eq!(out, run(&cat, &by_b, &pruning(false)).1);
+
+        // The head of a materializing query, likewise (a projection).
+        let mut rows = clover(Aggregate::Materialize);
+        rows.head = vec!["c".to_string(), "x".to_string()];
+        let (pipeline, out, _) = run(&cat, &rows, &pruning(true));
+        assert_eq!(pipeline.plan.binding_order, vec!["x", "c"]);
+        assert!(out.result_eq(&run(&cat, &rows, &pruning(false)).1));
+        assert_eq!(out.cardinality(), 5 * 4 * 4 * 4);
+    }
+
+    /// Edge (d): in a bushy plan no intermediate carries a dead column, and
+    /// the consuming pipeline addresses the intermediate by the shortened
+    /// binding order it is materialized with.
+    #[test]
+    fn pruning_shortens_bushy_intermediates() {
+        // (f1 ⋈ f2) ⋈ (person ⋈ city), as a count.
+        let q = QueryBuilder::new("two_hop")
+            .atom_as("follows", "f1", &["a", "b"])
+            .atom_as("follows", "f2", &["b", "c"])
+            .atom("person", &["c", "town"])
+            .atom("city", &["town", "country"])
+            .count()
+            .build();
+        let bushy = BinaryPlan::new(PlanTree::Join(
+            Box::new(PlanTree::Join(Box::new(PlanTree::Leaf(0)), Box::new(PlanTree::Leaf(1)))),
+            Box::new(PlanTree::Join(Box::new(PlanTree::Leaf(2)), Box::new(PlanTree::Leaf(3)))),
+        ));
+        let compiled = compile_query(&q, &bushy, &pruning(true)).unwrap();
+        let [sub, root] = compiled.pipelines.as_slice() else { panic!("two pipelines") };
+        // person ⋈ city: c is read by f2 later, town is the join, country
+        // is dead — the intermediate is (c, town), not (c, town, country).
+        assert_eq!(sub.plan.binding_order, vec!["c", "town"]);
+        assert_eq!(sub.pruned, vars(&[&[], &["country"]]));
+        // The final pipeline reads only c of it: town was the sub-join's key.
+        assert_eq!(root.inputs[2], PipeInput::Intermediate(0));
+        assert_eq!(root.pruned, vars(&[&["a"], &[], &["town"]]));
+        assert_eq!(root.plan.binding_order, vec!["b", "c"]);
+        // Every level of the intermediate's trie names a column it has.
+        let carried = &sub.plan.binding_order;
+        assert!(root.plan.schemas[2].iter().flatten().all(|v| carried.contains(v)));
+
+        let unpruned = compile_query(&q, &bushy, &pruning(false)).unwrap();
+        assert_eq!(unpruned.pipelines[0].plan.binding_order, vec!["c", "town", "country"]);
     }
 }

@@ -140,6 +140,13 @@ impl FreeJoinEngine {
     /// Execute a hand-written Free Join plan over the atoms of a query
     /// (single pipeline, inputs in atom order). This exposes the full design
     /// space of Figure 1 to callers who want to run a specific plan.
+    ///
+    /// The plan runs **verbatim**: it must partition every variable of every
+    /// atom, and every variable it names is enumerated. Dead-variable
+    /// pruning ([`FreeJoinOptions::factorize_output`]) belongs to the
+    /// compiler that derives a plan from a binary plan
+    /// ([`FreeJoinEngine::execute`]); a caller who wants a pruned plan here
+    /// writes one over a query that omits the dead columns.
     pub fn execute_fj_plan(
         &self,
         catalog: &Catalog,
@@ -595,6 +602,54 @@ mod tests {
         let (custom, _) = engine.execute_fj_plan(&cat, &q, &fj).unwrap();
         let (reference, _) = engine.execute(&cat, &q, &BinaryPlan::left_deep(&[0, 1])).unwrap();
         assert_eq!(custom.cardinality(), reference.cardinality());
+    }
+
+    /// Edge (e) of dead-variable pruning: a hand-written plan is run as
+    /// written — same probes as the unpruned compiled plan of the same shape,
+    /// more than the pruned one — and a plan that leaves a variable out is
+    /// still rejected rather than read as "prune it".
+    #[test]
+    fn execute_fj_plan_runs_the_plan_verbatim() {
+        let cat = catalog();
+        let q = QueryBuilder::new("cities")
+            .atom_as("follows", "f1", &["a", "b"])
+            .atom("person", &["b", "town"])
+            .count()
+            .build();
+        let var = |v: &str| v.to_string();
+        let written = FreeJoinPlan::new(vec![
+            FjNode::new(vec![
+                Subatom::new(0, vec![var("a"), var("b")]),
+                Subatom::new(1, vec![var("b")]),
+            ]),
+            FjNode::new(vec![Subatom::new(1, vec![var("town")])]),
+        ]);
+        let serial = |prune| {
+            FreeJoinEngine::new(
+                FreeJoinOptions::default().with_num_threads(1).with_factorized_output(prune),
+            )
+        };
+        let plan = BinaryPlan::left_deep(&[0, 1]);
+        let (pruned, pruned_stats) = serial(true).execute(&cat, &q, &plan).unwrap();
+        let (full, full_stats) = serial(false).execute(&cat, &q, &plan).unwrap();
+        for prune in [true, false] {
+            let (out, stats) = serial(prune).execute_fj_plan(&cat, &q, &written).unwrap();
+            assert_eq!(out, full);
+            assert_eq!(stats.probes, full_stats.probes, "pruning {prune}");
+        }
+        assert_eq!(pruned, full);
+        // Pruned, `a` and `town` are gone: person's 40 keys are iterated and
+        // probed into follows, instead of follows' 54 rows into person.
+        assert!(pruned_stats.probes < full_stats.probes);
+
+        let partial = FreeJoinPlan::new(vec![FjNode::new(vec![
+            Subatom::new(0, vec![var("b")]),
+            Subatom::new(1, vec![var("b")]),
+        ])]);
+        assert!(matches!(
+            serial(true).execute_fj_plan(&cat, &q, &partial),
+            Err(EngineError::Plan(_))
+        ));
     }
 
     #[test]

@@ -11,9 +11,9 @@
 //! * **Vectorized execution** (Section 4.3, Figure 13): gather a batch of
 //!   iterated keys, run each probe over the whole batch, then recurse for
 //!   the survivors.
-//! * **Factorized output** (Section 4.4): when the remaining nodes are
-//!   independent expansions and the sink only needs counts, multiply subtree
-//!   sizes instead of enumerating the Cartesian product.
+//! * **Factorized output** (Section 4.4) needs nothing here: the plan
+//!   compiler removed every variable nothing reads ([`crate::compile`]), and
+//!   the weight rule below counts the rows those variables told apart.
 //! * **Adaptive cardinality-guided execution** (`FreeJoinOptions::adaptive`,
 //!   off by default): the compiled plan no longer has the last word on the
 //!   probe order. At every node marked reorderable at prepare time, each
@@ -26,9 +26,9 @@
 //!   and steal schedule. When off, the static path runs exactly the legacy
 //!   loop behind one precomputed per-node mask check.
 //!
-//! Bag semantics are handled with a running weight: when an input's final
-//! subatom is probed (rather than iterated), the probe result stands for all
-//! matching base tuples and multiplies the weight by their number.
+//! Bag semantics are handled with a running weight: the trie node reached
+//! through an input's final subatom — probed or iterated — stands for all
+//! the base tuples below it and multiplies the weight by their number.
 //!
 //! The hot path is allocation-free: probe keys of arity ≤ 2 are built as
 //! inline [`LevelKey`]s (or stack arrays) in place, and every remaining
@@ -46,8 +46,8 @@
 //! [`fj_query::ResultChunk`] already projected onto the sink's output slots
 //! (a counting sink's chunks carry only weights) — and crosses the sink
 //! boundary once per chunk. When the remaining plan is an *independent tail*
-//! (every following node a single final expansion, the factorized-output
-//! plan shape of Section 4.4) but the sink needs enumeration, the executor
+//! (every following node a single final expansion of live variables — the
+//! output reads them, so they must be enumerated), the executor
 //! gathers each inner expansion's `(values, weight)` list once and emits the
 //! Cartesian product straight into the chunk columns, rather than re-walking
 //! each suffix trie for every outer combination. Emission order is identical
@@ -587,9 +587,8 @@ fn probe_subatom<'t>(
 /// order** (per-task dense path keys sorted lexicographically) together with
 /// the summed counters, so the caller's merge is deterministic — identical
 /// at any thread count and any steal schedule. Falls back to the serial
-/// algorithm (returning a single sink) when `num_threads <= 1`, when the
-/// factorized-output shortcut already applies at the first node, or when
-/// there is no root-level work to split.
+/// algorithm (returning a single sink) when `num_threads <= 1` or when there
+/// is no root-level work to split.
 pub fn execute_pipeline_parallel<S, F>(
     tries: &[Arc<InputTrie>],
     plan: &CompiledPlan,
@@ -636,20 +635,17 @@ where
     if num_threads <= 1 || plan.nodes.is_empty() {
         return serial(make_sink());
     }
-    // If the whole plan collapses into the factorized-output shortcut, the
-    // work is O(#inputs); run it serially without forcing anything.
-    let node0 = &plan.nodes[0];
-    if options.factorize_output && node0.independent_tail {
-        let sink = make_sink();
-        if sink.accepts_factorized(node0.bound_before) {
-            return serial(sink);
-        }
-    }
 
     // Materialize the first node's cover iteration as a splittable work list.
+    let node0 = &plan.nodes[0];
     let roots: Vec<NodeRef<'_>> = tries.iter().map(|t| t.root()).collect();
     let cover_idx = select_cover(tries, node0, &roots, options);
     let cover = &node0.subatoms[cover_idx];
+    if cover.key_slots.is_empty() {
+        // Every variable of the cover's input was pruned: the root is one
+        // entry carrying the row count, not a list of rows to split.
+        return serial(make_sink());
+    }
     let cover_trie = &tries[cover.input];
     let cover_root = roots[cover.input];
     let root_entries: Option<EntryList<'_>> =
@@ -1063,31 +1059,10 @@ fn run_node<'t>(
     }
     let node = &plan.nodes[node_idx];
 
-    // Factorized output: the rest of the plan is a Cartesian product of
-    // independent expansions and the sink only needs counts — multiply sizes.
-    if options.factorize_output
-        && node.independent_tail
-        && sink.accepts_factorized(node.bound_before)
-    {
-        let mut total = weight;
-        for (d, tail) in plan.nodes[node_idx..].iter().enumerate() {
-            let sub = &tail.subatoms[0];
-            total = total.saturating_mul(tries[sub.input].tuple_count(current[sub.input]));
-            // The running product is exactly the rows the skipped node would
-            // have produced; record it so the profile's actuals match the
-            // enumerating paths.
-            counters.profile.add_output_rows(node_idx + d, total);
-        }
-        // A partial tuple: every slot the sink projects is within
-        // `bound_before` (that is what `accepts_factorized` checked), so the
-        // chunk buffer reads only bound slots.
-        out.push(sink, tuple, total);
-        return;
-    }
-
-    // The sink needs enumeration, but the remaining plan is still a
-    // Cartesian product of independent expansions: emit it straight into the
-    // chunk columns instead of recursing per combination.
+    // The remaining plan is a Cartesian product of independent expansions
+    // (of variables the output reads — dead ones never reach the plan): emit
+    // it straight into the chunk columns instead of recursing per
+    // combination.
     if node.independent_tail {
         expand_independent_tail(
             tries, plan, node_idx, tuple, current, weight, sink, counters, scratch, out, splitter,
@@ -1129,8 +1104,8 @@ fn run_node<'t>(
 }
 
 /// Enumerate an independent tail (every remaining node a single, final,
-/// write-only expansion of a distinct input — the plan shape behind the
-/// factorized-output shortcut) without re-walking suffix tries: the lists of
+/// write-only expansion of a distinct input) without re-walking suffix
+/// tries: the lists of
 /// every tail node after the first are gathered once into their nodes'
 /// scratch as flat `(values, weight)` columns, the first node's cover is
 /// streamed, and the Cartesian product is emitted by nested loops over the
@@ -1886,7 +1861,7 @@ mod tests {
     use crate::options::TrieStrategy;
     use crate::prep::{prepare_inputs, BoundInput};
     use crate::sink::{MaterializeSink, OutputSink};
-    use fj_plan::{binary2fj, factor, fj_plan_from_var_order};
+    use fj_plan::{binary2fj, factor, fj_plan_from_var_order, FjNode, FreeJoinPlan, Subatom};
     use fj_query::{Aggregate, OutputBuilder, QueryBuilder};
     use fj_storage::{Catalog, RelationBuilder, Schema};
 
@@ -2097,7 +2072,6 @@ mod tests {
                     dynamic_cover: false,
                     ..FreeJoinOptions::default()
                 },
-                FreeJoinOptions::default().with_factorized_output(true),
             ] {
                 let (count, _) = run(&inputs, plan, &options, Aggregate::Count);
                 assert_eq!(count, expected, "plan {plan} options {options:?}");
@@ -2165,7 +2139,7 @@ mod tests {
     }
 
     #[test]
-    fn factorized_output_counts_without_enumeration() {
+    fn pruned_plans_count_through_leaf_multiplicities() {
         // Star query: R(x,a), S(x,b), T(x,c) where every relation has the
         // same single x value and k tuples; result size k^3.
         let k = 20i64;
@@ -2187,20 +2161,43 @@ mod tests {
         let mut plan = binary2fj(&iv);
         factor(&mut plan);
 
-        let plain = FreeJoinOptions::default();
-        let fact = FreeJoinOptions::default().with_factorized_output(true);
-        let (c1, k1) = run(&inputs, &plan, &plain, Aggregate::Count);
-        let (c2, k2) = run(&inputs, &plan, &fact, Aggregate::Count);
+        // The same star as the plan compiler prunes it for a count: every
+        // input binds x alone, and the subatoms left without a variable go.
+        let narrowed = |vars: &[&str]| -> Vec<BoundInput> {
+            let vars: Vec<String> = vars.iter().map(|v| v.to_string()).collect();
+            let var_cols: Vec<usize> = (0..vars.len()).collect();
+            inputs
+                .iter()
+                .map(|i| BoundInput { vars: vars.clone(), var_cols: var_cols.clone(), ..i.clone() })
+                .collect()
+        };
+        let x_only = narrowed(&["x"]);
+        let mut pruned = binary2fj(&[vec!["x".to_string()], vec!["x".into()], vec!["x".into()]]);
+        pruned.prune_empty_subatoms();
+
+        let opts = FreeJoinOptions::default();
+        let (c1, k1) = run(&inputs, &plan, &opts, Aggregate::Count);
+        let (c2, k2) = run(&x_only, &pruned, &opts, Aggregate::Count);
         assert_eq!(c1, (k * k * k) as u64);
         assert_eq!(c2, c1);
-        // The factorized run should do no more probing than the plain run
-        // (it skips the expansion levels entirely).
+        // k rows of R iterated against k^3 product rows emitted.
         assert!(k2.probes <= k1.probes);
+        assert_eq!(k2.expansions, k as u64);
+        assert!(k1.expansions >= (k * k * k) as u64);
         // Same counts through the parallel driver.
-        let (p1, _) = run_parallel(&inputs, &plan, &plain, Aggregate::Count, 4);
-        let (p2, _) = run_parallel(&inputs, &plan, &fact, Aggregate::Count, 4);
+        let (p1, _) = run_parallel(&inputs, &plan, &opts, Aggregate::Count, 4);
+        let (p2, _) = run_parallel(&x_only, &pruned, &opts, Aggregate::Count, 4);
         assert_eq!(p1, c1);
         assert_eq!(p2, c1);
+
+        // Every variable pruned: the root is one entry carrying R's row
+        // count, serial or parallel (nothing to split).
+        let scan = FreeJoinPlan::new(vec![FjNode::new(vec![Subatom::new(0, vec![])])]);
+        let no_vars = &narrowed(&[])[..1];
+        let (count, counters) = run(no_vars, &scan, &opts, Aggregate::Count);
+        assert_eq!((count, counters.work()), (k as u64, (0, 0, 1)));
+        let (count, counters) = run_parallel(no_vars, &scan, &opts, Aggregate::Count, 4);
+        assert_eq!((count, counters.work()), (k as u64, (0, 0, 1)));
     }
 
     #[test]

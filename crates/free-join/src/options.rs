@@ -40,10 +40,16 @@ pub struct FreeJoinOptions {
     /// Choose the cover with the fewest keys at run time (Section 4.4)
     /// instead of always iterating the statically designated cover.
     pub dynamic_cover: bool,
-    /// Use the factorized-output optimization (Section 4.4 / Figure 19):
-    /// when the remaining plan nodes are independent expansions and the
-    /// output is an aggregate, multiply subtree sizes instead of enumerating
-    /// the Cartesian product.
+    /// Factorized output (Section 4.4 / Figure 19), decided at compile time:
+    /// the plan compiler drops every *dead* variable — bound by one atom and
+    /// read by nothing: no join, not the head or the grouping variables, no
+    /// later pipeline — before it converts the binary plan, so the executor
+    /// never iterates it and the rows it told apart are counted as a
+    /// trie-leaf multiplicity (see [`crate::compile`]). On by default; the
+    /// result is the same for every aggregate. Off compiles every variable
+    /// of every atom into the plan: the enumerating reference the
+    /// equivalence tests and the Figure 19 ablation compare against. The
+    /// flag changes the compiled plan, so it is part of the plan-cache key.
     pub factorize_output: bool,
     /// Optimize the converted Free Join plan by factoring probes into earlier
     /// nodes (Section 4.1). Disabling this makes Free Join behave exactly
@@ -120,7 +126,7 @@ impl Default for FreeJoinOptions {
             trie: TrieStrategy::Colt,
             batch_size: 1000,
             dynamic_cover: true,
-            factorize_output: false,
+            factorize_output: true,
             optimize_plan: true,
             factor_to_fixpoint: false,
             num_threads: 0,
@@ -159,9 +165,15 @@ impl FreeJoinOptions {
     }
 
     /// A configuration that makes Free Join execute the binary plan as-is
-    /// (no factoring), useful as a sanity baseline.
+    /// (no factoring, no pruning: every variable is enumerated, probe for
+    /// probe like the binary hash join), useful as a sanity baseline.
     pub fn binary_equivalent() -> Self {
-        FreeJoinOptions { optimize_plan: false, dynamic_cover: false, ..Self::default() }
+        FreeJoinOptions {
+            optimize_plan: false,
+            dynamic_cover: false,
+            factorize_output: false,
+            ..Self::default()
+        }
     }
 
     /// Builder-style setter for the trie strategy.
@@ -176,7 +188,8 @@ impl FreeJoinOptions {
         self
     }
 
-    /// Builder-style setter for factorized output.
+    /// Builder-style setter for factorized output (compile-time
+    /// dead-variable pruning); `false` selects the enumerating reference.
     pub fn with_factorized_output(mut self, on: bool) -> Self {
         self.factorize_output = on;
         self
@@ -278,7 +291,7 @@ mod tests {
         assert_eq!(o.batch_size, 1000);
         assert!(o.dynamic_cover);
         assert!(o.optimize_plan);
-        assert!(!o.factorize_output);
+        assert!(o.factorize_output, "dead-variable pruning is on by default");
         assert!(o.vectorized());
         assert_eq!(o.num_threads, 0, "default is auto (available parallelism)");
         assert!(o.effective_threads() >= 1);
@@ -320,10 +333,10 @@ mod tests {
         let o = FreeJoinOptions::default()
             .with_trie(TrieStrategy::Slt)
             .with_batch_size(0)
-            .with_factorized_output(true);
+            .with_factorized_output(false);
         assert_eq!(o.trie, TrieStrategy::Slt);
         assert_eq!(o.batch_size, 1, "batch size is clamped to at least 1");
-        assert!(o.factorize_output);
+        assert!(!o.factorize_output);
         let o = FreeJoinOptions::default().with_steal(false).with_split_threshold(0);
         assert!(!o.steal);
         assert_eq!(o.split_threshold, 2, "split threshold is clamped to at least 2");

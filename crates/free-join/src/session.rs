@@ -57,7 +57,7 @@
 //! ```
 
 use crate::cancel::CancelToken;
-use crate::compile::{compile_query, CompiledQuery};
+use crate::compile::{compile_query, CompiledPipeline, CompiledQuery};
 use crate::engine::{cancelled, join_pipeline, PipelineResult};
 use crate::error::{EngineError, EngineResult};
 use crate::options::{FreeJoinOptions, TrieStrategy};
@@ -108,6 +108,9 @@ pub struct CachedPlan {
     /// Rendered node labels, same indexing — plan-static, so formatting
     /// them here keeps profiled executions from paying string building.
     node_labels: Vec<Vec<String>>,
+    /// Rendered pipeline labels (position, role, pruned variables), one per
+    /// pipeline, for the same reason.
+    pipeline_labels: Vec<String>,
 }
 
 impl CachedPlan {
@@ -122,22 +125,53 @@ impl CachedPlan {
     }
 }
 
-/// A node label naming each subatom by its input — atom aliases for base
-/// relations, `pipe<j>` for intermediates — e.g. `[e1(a,b) e2(b)]`.
-fn node_label(query: &ConjunctiveQuery, inputs: &[PipeInput], node: &fj_plan::FjNode) -> String {
+/// The display name of a pipeline input: the atom alias for a base
+/// relation, `pipe<j>` for an intermediate.
+fn input_name<'q>(query: &'q ConjunctiveQuery, inputs: &[PipeInput], input: usize) -> Cow<'q, str> {
+    match inputs.get(input) {
+        Some(PipeInput::Atom(a)) => Cow::Borrowed(query.atoms[*a].alias.as_str()),
+        Some(PipeInput::Intermediate(i)) => Cow::Owned(format!("pipe{i}")),
+        None => Cow::Owned(format!("#{input}")),
+    }
+}
+
+/// A node label naming each subatom by its input, e.g. `[e1(a,b) e2(b)]`.
+/// A subatom marked `x|rows|` is the last of an input with pruned variables:
+/// reaching it multiplies the weight by the rows below the trie node, which
+/// is where the bindings of the pruned variables went.
+fn node_label(query: &ConjunctiveQuery, pipeline: &CompiledPipeline, k: usize) -> String {
     let mut label = String::from("[");
-    for (j, sub) in node.subatoms.iter().enumerate() {
+    let subatoms = pipeline.fj_plan.nodes[k].subatoms.iter().zip(&pipeline.plan.nodes[k].subatoms);
+    for (j, (sub, compiled)) in subatoms.enumerate() {
         if j > 0 {
             label.push(' ');
         }
-        let name: Cow<'_, str> = match inputs.get(sub.input) {
-            Some(PipeInput::Atom(a)) => Cow::Borrowed(query.atoms[*a].alias.as_str()),
-            Some(PipeInput::Intermediate(i)) => Cow::Owned(format!("pipe{i}")),
-            None => Cow::Owned(format!("#{}", sub.input)),
-        };
+        let name = input_name(query, &pipeline.inputs, sub.input);
         let _ = write!(label, "{}({})", name, sub.vars.join(","));
+        if compiled.final_for_input && !pipeline.pruned[sub.input].is_empty() {
+            label.push_str(" x|rows|");
+        }
     }
     label.push(']');
+    label
+}
+
+/// A pipeline label: its position and role, then the variables dead-variable
+/// pruning removed from each input, e.g. `pipeline 0 (final) pruned:
+/// title{kind,year} keyword{cat}`.
+fn pipeline_label(query: &ConjunctiveQuery, compiled: &CompiledQuery, p: usize) -> String {
+    let role = if p == compiled.root_pipeline() { "final" } else { "intermediate" };
+    let mut label = format!("pipeline {p} ({role})");
+    let pipeline = &compiled.pipelines[p];
+    let pruned: Vec<String> = (pipeline.pruned.iter().enumerate())
+        .filter(|(_, vars)| !vars.is_empty())
+        .map(|(i, vars)| {
+            format!("{}{{{}}}", input_name(query, &pipeline.inputs, i), vars.join(","))
+        })
+        .collect();
+    if !pruned.is_empty() {
+        let _ = write!(label, " pruned: {}", pruned.join(" "));
+    }
     label
 }
 
@@ -340,15 +374,21 @@ impl Session {
                 node_estimates.push(ests);
                 infos[p] = Some(info);
                 node_labels.push(
-                    pipeline
-                        .fj_plan
-                        .nodes
-                        .iter()
-                        .map(|node| node_label(query, &pipeline.inputs, node))
+                    (0..pipeline.fj_plan.nodes.len())
+                        .map(|k| node_label(query, pipeline, k))
                         .collect(),
                 );
             }
-            Ok(CachedPlan { canonical: canonical.clone(), compiled, node_estimates, node_labels })
+            let pipeline_labels = (0..compiled.pipelines.len())
+                .map(|p| pipeline_label(query, &compiled, p))
+                .collect();
+            Ok(CachedPlan {
+                canonical: canonical.clone(),
+                compiled,
+                node_estimates,
+                node_labels,
+                pipeline_labels,
+            })
         };
         let mut plan = self.caches.plans.try_get_or_build(fingerprint, || build().map(Arc::new))?;
         if plan.canonical != canonical {
@@ -783,8 +823,7 @@ impl Prepared {
                     wall_nanos: acc.wall_nanos,
                 });
             }
-            let role = if p == compiled.root_pipeline() { "final" } else { "intermediate" };
-            pipelines.push(PipelineProfile { label: format!("pipeline {p} ({role})"), nodes });
+            pipelines.push(PipelineProfile { label: self.plan.pipeline_labels[p].clone(), nodes });
         }
         QueryProfile { pipelines }
     }
@@ -933,8 +972,8 @@ fn canonical_query(
     }
     let _ = write!(
         out,
-        "opt:{:?};plan:{},{}",
-        optimizer, options.optimize_plan, options.factor_to_fixpoint
+        "opt:{:?};plan:{},{},{}",
+        optimizer, options.optimize_plan, options.factor_to_fixpoint, options.factorize_output
     );
     out
 }
@@ -1245,6 +1284,51 @@ mod tests {
         assert!(report.contains("e1("), "{report}");
         let (out, _) = s.execute(&cat, &two_hop()).unwrap();
         assert!(report.contains(&format!("output_rows={}", out.cardinality())), "{report}");
+    }
+
+    /// `EXPLAIN ANALYZE` answers "why so few probes?" by itself: it lists
+    /// the variables pruned from each input, and marks the subatoms that
+    /// stand for them with a multiplicity.
+    #[test]
+    fn explain_analyze_shows_pruned_variables_and_folded_multiplicities() {
+        let cat = catalog();
+        let report = session().explain_analyze(&cat, &two_hop()).unwrap();
+        assert!(report.contains("pipeline 0 (final) pruned:"), "{report}");
+        assert!(report.contains(" e1{a}") && report.contains(" person{city}"), "{report}");
+        assert!(report.contains("e1(b) x|rows|"), "{report}");
+        assert!(report.contains("person(c) x|rows|"), "{report}");
+        // e2 lost nothing: reaching its last subatom folds plain duplicates.
+        assert!(!report.contains("e2(c) x|rows|") && !report.contains("e2(b) x|rows|"), "{report}");
+
+        let enumerating =
+            session().with_options(FreeJoinOptions::default().with_factorized_output(false));
+        let report = enumerating.explain_analyze(&cat, &two_hop()).unwrap();
+        assert!(!report.contains("pruned:") && !report.contains("x|rows|"), "{report}");
+    }
+
+    /// Regression: `factorize_output` decides the compiled plan, so it is
+    /// part of the plan-cache key. Two sessions over one cache pair that
+    /// differ only in the flag must not share a `CompiledQuery`.
+    #[test]
+    fn pruning_flag_is_part_of_the_plan_cache_key() {
+        let cat = catalog();
+        let caches = Arc::new(EngineCaches::with_defaults());
+        let pruning = Session::new(Arc::clone(&caches));
+        let enumerating = Session::new(Arc::clone(&caches))
+            .with_options(FreeJoinOptions::default().with_factorized_output(false));
+        let q = two_hop();
+        let a = pruning.prepare(&cat, &q).unwrap();
+        let b = enumerating.prepare(&cat, &q).unwrap();
+        assert_ne!(a.fingerprint(), b.fingerprint());
+        let stats = caches.stats().plans;
+        assert_eq!((stats.misses, stats.hits), (2, 0), "two plan-cache entries");
+        let nodes = |p: &Prepared| p.plan.compiled.pipelines[0].plan.nodes.len();
+        assert!(nodes(&a) < nodes(&b), "{} vs {} nodes", nodes(&a), nodes(&b));
+        assert_eq!(a.execute(&cat).unwrap().0, b.execute(&cat).unwrap().0);
+        // Each session finds its own entry again.
+        assert_eq!(nodes(&pruning.prepare(&cat, &q).unwrap()), nodes(&a));
+        assert_eq!(nodes(&enumerating.prepare(&cat, &q).unwrap()), nodes(&b));
+        assert_eq!(caches.stats().plans.hits, 2);
     }
 
     /// A fired token surfaces as the typed `Cancelled` error carrying partial

@@ -21,20 +21,18 @@ use fj_storage::{Row, Value};
 /// The hot path is [`Sink::push_chunk`]: the executor's [`ChunkBuffer`]
 /// gathers result tuples column-wise — already projected onto
 /// [`Sink::projected_slots`] — and hands over a full chunk at a time. The
-/// chunk's weights column carries bag-semantics multiplicities and
-/// factorized partial-tuple weights: an entry with weight `w` stands for
-/// `w` full result tuples.
+/// chunk's weights column carries bag-semantics multiplicities — including
+/// the rows told apart only by variables the plan compiler pruned: an entry
+/// with weight `w` stands for `w` full result tuples.
 pub trait Sink {
     /// Consume one chunk of results. The chunk's columns are exactly
     /// [`Sink::projected_slots`], in order; entries never have weight 0.
     fn push_chunk(&mut self, chunk: &ResultChunk);
 
-    /// Per-tuple adapter, kept for tests and simple callers: push one
-    /// (possibly partial) result tuple laid out in the pipeline's binding
-    /// order, with `bound_prefix` valid slots and a multiplicity. For
-    /// fully-enumerated results `bound_prefix` equals the tuple length; the
-    /// factorized-output optimization pushes partial tuples with a weight
-    /// equal to the number of full tuples they expand into.
+    /// Per-tuple adapter, kept for tests and simple callers: push one result
+    /// tuple laid out in the pipeline's binding order, with `bound_prefix`
+    /// valid slots (the tuple length — the executor only emits fully bound
+    /// tuples) and a multiplicity.
     fn push(&mut self, tuple: &[Value], bound_prefix: usize, weight: u64);
 
     /// The binding-order slots this sink consumes, in the column order its
@@ -42,11 +40,6 @@ pub trait Sink {
     /// counting sink returns `Some([])` — its chunks carry only weights, so
     /// the executor copies no values at all.
     fn projected_slots(&self) -> Option<Vec<usize>>;
-
-    /// May the engine push partial tuples with only `bound_prefix` slots
-    /// bound? (True only for counting aggregates whose output variables —
-    /// and therefore every projected slot — are all within the prefix.)
-    fn accepts_factorized(&self, bound_prefix: usize) -> bool;
 
     /// Number of tuples pushed so far (with multiplicity) — chunk-weight
     /// metadata, never a row count.
@@ -61,11 +54,6 @@ pub trait Sink {
 /// One buffer exists per worker; the work-stealing executor flushes it at
 /// every task boundary so each per-task sink holds exactly its task's
 /// results and the deterministic path-key-order merge is preserved.
-///
-/// Factorized partial pushes go through the same [`ChunkBuffer::push`]: the
-/// engine only emits them after [`Sink::accepts_factorized`] approved the
-/// prefix, which guarantees every projected slot is bound, so the buffer
-/// never reads an unbound slot.
 #[derive(Debug)]
 pub struct ChunkBuffer {
     chunk: ResultChunk,
@@ -174,10 +162,6 @@ impl Sink for OutputSink {
         Some(self.builder.positions().to_vec())
     }
 
-    fn accepts_factorized(&self, bound_prefix: usize) -> bool {
-        self.builder.is_counting() && self.builder.vars_bound_within(bound_prefix)
-    }
-
     fn tuples(&self) -> u64 {
         self.builder.tuples()
     }
@@ -276,10 +260,6 @@ impl Sink for MaterializeSink {
         None // intermediates keep every bound variable
     }
 
-    fn accepts_factorized(&self, _bound_prefix: usize) -> bool {
-        false
-    }
-
     fn tuples(&self) -> u64 {
         self.total
     }
@@ -295,10 +275,9 @@ mod tests {
     }
 
     #[test]
-    fn output_sink_counting_accepts_factorized() {
+    fn output_sink_counting_projects_no_columns() {
         let b = OutputBuilder::new(&binding(), Aggregate::Count, &binding());
         let mut sink = OutputSink::new(b);
-        assert!(sink.accepts_factorized(0));
         assert_eq!(sink.projected_slots(), Some(vec![]), "counting sinks need no columns");
         sink.push(&[Value::Int(1), Value::Int(2)], 2, 5);
         assert_eq!(sink.tuples(), 5);
@@ -306,19 +285,10 @@ mod tests {
     }
 
     #[test]
-    fn output_sink_group_count_requires_bound_group_vars() {
+    fn output_sink_group_count_projects_the_group_vars() {
         let b = OutputBuilder::new(&binding(), Aggregate::group_count(&["y"]), &binding());
         let sink = OutputSink::new(b);
-        assert!(!sink.accepts_factorized(1)); // y is slot 1, not yet bound
-        assert!(sink.accepts_factorized(2));
         assert_eq!(sink.projected_slots(), Some(vec![1]));
-    }
-
-    #[test]
-    fn output_sink_materialize_never_factorizes() {
-        let b = OutputBuilder::new(&binding(), Aggregate::Materialize, &binding());
-        let sink = OutputSink::new(b);
-        assert!(!sink.accepts_factorized(2));
     }
 
     #[test]
@@ -352,7 +322,6 @@ mod tests {
         sink.push(&[Value::Int(3)], 1, 0);
         assert_eq!(sink.len(), 4);
         assert_eq!(sink.tuples(), 4);
-        assert!(!sink.accepts_factorized(1));
         let rows = sink.into_rows();
         assert_eq!(rows[0], vec![Value::Int(1)]);
         assert_eq!(rows[3], vec![Value::Int(2)]);

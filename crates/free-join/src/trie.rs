@@ -25,7 +25,10 @@
 //! [`TrieNode`] is its row range in its parent's offset array plus the
 //! `OnceLock` of its own level, so a level costs a constant number of
 //! allocations however many keys it has, a leaf is a sub-slice of its
-//! parent's offsets, and every node knows its tuple count in O(1).
+//! parent's offsets, and every node knows its tuple count in O(1). A level
+//! the plan compiler pruned (no live variable below it, see
+//! [`crate::compile`]) is therefore never built or walked: the node above
+//! it is a leaf whose multiplicity is `len`.
 //!
 //! A position in the trie is a [`NodeRef`]: a `Copy` pair of borrows (the
 //! node and its row slice) tied to the [`InputTrie`]. The executor holds,
@@ -506,7 +509,11 @@ impl InputTrie {
     /// * For an unforced node at the **last** level, the iteration goes
     ///   directly over the underlying tuples (one call per tuple, duplicates
     ///   included) and `child` is `None` — the paper's "iterate directly over
-    ///   the base table" optimization.
+    ///   the base table" optimization. When that level has no variables
+    ///   (every variable of the input was pruned), the tuples all carry the
+    ///   same empty key: a non-empty node is reported as one entry whose
+    ///   `child` is the node itself, so its multiplicity is one O(1)
+    ///   [`InputTrie::tuple_count`] instead of a call per row.
     /// * For an unforced node at a non-final level, the node is first forced
     ///   (iterating it tuple-wise would enumerate duplicate keys and multiply
     ///   work below).
@@ -524,8 +531,10 @@ impl InputTrie {
             for (key, child) in self.force(node, level, true).iter() {
                 f(key.values(), Some(child));
             }
-        } else {
+        } else if !self.level_cols[level].is_empty() {
             self.scan_keys(node, level, |_, key| f(key, None));
+        } else if node.node.len > 0 {
+            f(&[], Some(node));
         }
     }
 }

@@ -1,5 +1,6 @@
 //! Run the LSQB-like subgraph queries (q1–q5) at a small scale factor with
-//! all three engines, plus Free Join with factorized output — a miniature of
+//! all three engines, plus Free Join without factorized output (every
+//! variable enumerated, the paper's Figure 19 ablation) — a miniature of
 //! the paper's Figures 16 and 19.
 //!
 //! ```text
@@ -20,21 +21,21 @@ fn main() {
     );
     println!(
         "{:<6} {:>8} {:>12} {:>12} {:>12} {:>14} {:>12}",
-        "query", "cyclic", "binary", "generic", "freejoin", "fj+factorized", "tuples"
+        "query", "cyclic", "binary", "generic", "fj-plain", "freejoin", "tuples"
     );
 
     let binary = BinaryJoinEngine::new();
     let generic = GenericJoinEngine::new();
+    let free_plain = FreeJoinEngine::new(FreeJoinOptions::default().with_factorized_output(false));
     let free = FreeJoinEngine::new(FreeJoinOptions::default());
-    let free_fact = FreeJoinEngine::new(FreeJoinOptions::default().with_factorized_output(true));
     let stats = CatalogStats::collect(&workload.catalog);
 
     for named in &workload.queries {
         let plan = optimize(&named.query, &stats, OptimizerOptions::default());
         let (b_out, b_stats) = binary.execute(&workload.catalog, &named.query, &plan).unwrap();
         let (g_out, g_stats) = generic.execute(&workload.catalog, &named.query, &plan).unwrap();
-        let (f_out, f_stats) = free.execute(&workload.catalog, &named.query, &plan).unwrap();
-        let (ff_out, ff_stats) = free_fact.execute(&workload.catalog, &named.query, &plan).unwrap();
+        let (f_out, f_stats) = free_plain.execute(&workload.catalog, &named.query, &plan).unwrap();
+        let (ff_out, ff_stats) = free.execute(&workload.catalog, &named.query, &plan).unwrap();
         assert_eq!(b_out.cardinality(), f_out.cardinality());
         assert_eq!(g_out.cardinality(), f_out.cardinality());
         assert_eq!(ff_out.cardinality(), f_out.cardinality());

@@ -29,11 +29,14 @@ fn main() {
     // owning ~90% of the output, so splits and steals actually happen.
     let workload = micro::skewed_star(2, 120, 0.9, 29);
     let named = &workload.queries[0];
+    // Dead-variable pruning off: pruned, the count is one probe per hub key
+    // and leaves the scheduler nothing to split.
     let session = Session::new(Arc::new(EngineCaches::with_defaults())).with_options(
         FreeJoinOptions::default()
             .with_num_threads(4)
             .with_steal(true)
-            .with_split_threshold(8),
+            .with_split_threshold(8)
+            .with_factorized_output(false),
     );
     let prepared = session.prepare(&workload.catalog, &named.query).unwrap();
 

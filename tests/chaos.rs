@@ -35,8 +35,11 @@ fn long_workload(rows: usize) -> freejoin::workloads::Workload {
 }
 
 fn start_server(catalog: Arc<Catalog>, config: ServerConfig) -> freejoin::serve::Server {
+    // Dead-variable pruning off: with it the star's count is one probe per
+    // hub key and finishes in microseconds; these tests need a join that is
+    // still enumerating when the deadline or the cancel frame arrives.
     let session = Session::new(Arc::new(EngineCaches::with_defaults()))
-        .with_options(FreeJoinOptions::default().with_num_threads(1));
+        .with_options(FreeJoinOptions::default().with_num_threads(1).with_factorized_output(false));
     freejoin::serve::Server::start("127.0.0.1:0", catalog, session, config)
         .expect("server binds an ephemeral loopback port")
 }

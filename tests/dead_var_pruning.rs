@@ -1,0 +1,385 @@
+//! Differential test of dead-variable pruning: the plans the compiler prunes
+//! (the default) must answer exactly like the plans that enumerate every
+//! variable (`with_factorized_output(false)`), like the binary hash join
+//! baseline, and like a brute-force nested-loop evaluation of the query —
+//! for a count, for a group-count over a join variable and over a leaf
+//! variable (bound by one atom; the output is what keeps it alive), and for
+//! materialized rows under the full head and under projections.
+//!
+//! Two sources of inputs: the repository's tiny JOB-like, LSQB-like and micro
+//! suites, and small generated relations (duplicate rows, NULL keys, empty
+//! relations) under the clover, star, skew-flip and triangle shapes. Every
+//! case runs left-deep and bushy, across the trie strategies, thread counts
+//! and adaptive execution; pruning may also never cost probes.
+
+use freejoin::plan::PlanTree;
+use freejoin::prelude::*;
+use freejoin::storage::Field;
+use freejoin::workloads::{job, lsqb, micro, Workload};
+use proptest::prelude::*;
+
+/// Brute-force evaluation under bag semantics: one row per atom, kept when
+/// the shared variables agree (`NULL` equals `NULL`, as in every engine).
+/// One enumeration answers every query of `variants` — the same atoms under
+/// different heads and aggregates — through the `OutputBuilder` the engines
+/// use.
+fn oracle(catalog: &Catalog, variants: &[&ConjunctiveQuery]) -> Vec<QueryOutput> {
+    struct Step {
+        rows: Vec<Vec<Value>>,
+        /// The binding slot of each column.
+        slots: Vec<usize>,
+    }
+    fn recurse(steps: &[Step], binding: &mut Vec<Option<Value>>, emit: &mut dyn FnMut(&[Value])) {
+        let Some((step, rest)) = steps.split_first() else {
+            let tuple: Vec<Value> = binding.iter().map(|v| v.expect("all bound")).collect();
+            emit(&tuple);
+            return;
+        };
+        for row in &step.rows {
+            let before = binding.clone();
+            let consistent = step
+                .slots
+                .iter()
+                .zip(row)
+                .all(|(&slot, value)| *binding[slot].get_or_insert(*value) == *value);
+            if consistent {
+                recurse(rest, binding, emit);
+            }
+            *binding = before;
+        }
+    }
+    let query = variants[0];
+    let order = query.variables();
+    let steps: Vec<Step> = query
+        .atoms
+        .iter()
+        .map(|atom| {
+            let rel = catalog.get(&atom.relation).unwrap();
+            let filter = atom.filter.resolve_strings(catalog.dictionary());
+            let rows = (0..rel.num_rows())
+                .filter(|&row| !atom.has_filter() || filter.eval(&rel, row))
+                .map(|row| rel.row(row))
+                .collect();
+            let slot = |v: &String| order.iter().position(|o| o == v).unwrap();
+            Step { rows, slots: atom.vars.iter().map(slot).collect() }
+        })
+        .collect();
+    let mut builders: Vec<_> = variants
+        .iter()
+        .map(|q| freejoin::query::OutputBuilder::new(&q.head, q.aggregate.clone(), &order))
+        .collect();
+    recurse(&steps, &mut vec![None; order.len()], &mut |tuple| {
+        builders.iter_mut().for_each(|b| b.push(tuple));
+    });
+    builders.into_iter().map(|b| b.finish()).collect()
+}
+
+/// 1, 2 and `FJ_TEST_THREADS` workers (CI's race-hunting job sets 8).
+fn thread_counts() -> Vec<usize> {
+    let mut counts = vec![1, 2];
+    let extra = std::env::var("FJ_TEST_THREADS").ok().and_then(|v| v.trim().parse().ok());
+    if let Some(n) = extra.filter(|n| !counts.contains(n)) {
+        counts.push(n);
+    }
+    counts
+}
+
+/// Trie strategy x threads x adaptive execution, pruning on.
+fn grid() -> Vec<FreeJoinOptions> {
+    let mut grid = Vec::new();
+    for trie in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
+        for threads in thread_counts() {
+            for adaptive in [false, true] {
+                grid.push(
+                    FreeJoinOptions::default()
+                        .with_trie(trie)
+                        .with_num_threads(threads)
+                        .with_adaptive(adaptive)
+                        // Small enough that the larger suites' expansions split.
+                        .with_split_threshold(16),
+                );
+            }
+        }
+    }
+    grid
+}
+
+/// The optimizer's left-deep plan and a bushy one: the last atom of that
+/// order joined with an earlier atom it shares a variable with becomes a
+/// pipeline of its own, under the remaining atoms in their order.
+fn plans(catalog: &Catalog, query: &ConjunctiveQuery) -> Vec<(&'static str, BinaryPlan)> {
+    let stats = CatalogStats::collect(catalog);
+    let left_deep = optimize(
+        query,
+        &stats,
+        OptimizerOptions { left_deep_only: true, ..OptimizerOptions::default() },
+    );
+    let order = left_deep.leaves();
+    let mut out = vec![("left-deep", left_deep)];
+    let (&last, rest) = order.split_last().unwrap();
+    let partner = rest
+        .iter()
+        .rposition(|&a| !query.atoms[a].shared_vars(&query.atoms[last]).is_empty())
+        .filter(|_| rest.len() >= 2);
+    if let Some(partner) = partner {
+        let mut spine = rest.to_vec();
+        let partner = spine.remove(partner);
+        let mut tree = PlanTree::Leaf(spine[0]);
+        for &atom in &spine[1..] {
+            tree = PlanTree::Join(Box::new(tree), Box::new(PlanTree::Leaf(atom)));
+        }
+        let sub = PlanTree::Join(Box::new(PlanTree::Leaf(partner)), Box::new(PlanTree::Leaf(last)));
+        out.push(("bushy", BinaryPlan::new(PlanTree::Join(Box::new(tree), Box::new(sub)))));
+    }
+    out
+}
+
+/// The aggregates one query shape is checked under. `pick` seeds the
+/// projection (which variables, from which rotation of the variable order).
+fn variants(query: &ConjunctiveQuery, pick: u64) -> Vec<(String, ConjunctiveQuery)> {
+    let vars = query.variables();
+    let occurrences = |v: &String| query.atoms_with_var(v).len();
+    let with = |label: &str, aggregate: Aggregate, head: Vec<String>| {
+        let mut q = query.clone().with_aggregate(aggregate);
+        q.head = head;
+        (format!("{} {label}", query.name), q)
+    };
+    let mut out = vec![with("count", Aggregate::Count, vars.clone())];
+    if let Some(join_var) = vars.iter().find(|v| occurrences(v) >= 2) {
+        let by = Aggregate::GroupCount(vec![join_var.clone()]);
+        out.push(with("group by join var", by, vars.clone()));
+    }
+    if let Some(leaf_var) = vars.iter().rev().find(|v| occurrences(v) == 1) {
+        let by = Aggregate::GroupCount(vec![leaf_var.clone()]);
+        out.push(with("group by leaf var", by, vars.clone()));
+    }
+    out.push(with("rows", Aggregate::Materialize, vars.clone()));
+    // A projection: a non-empty subset of the variables, in rotated order.
+    let mask = 1 + pick % ((1u64 << vars.len()) - 1);
+    let rotation = (pick / 7) as usize % vars.len();
+    let head: Vec<String> = (0..vars.len())
+        .map(|i| (i + rotation) % vars.len())
+        .filter(|i| mask >> i & 1 == 1)
+        .map(|i| vars[i].clone())
+        .collect();
+    out.push(with("projected rows", Aggregate::Materialize, head));
+    out
+}
+
+/// Materializing a result larger than this in every configuration would
+/// dominate the suite's run time without exercising anything new.
+const MAX_MATERIALIZED: u64 = 20_000;
+
+/// Check one query (under every aggregate variant and plan) against the
+/// oracle: binary join, the enumerating Free Join, and the pruned Free Join
+/// under `configs`; pruned probes never exceed unpruned probes.
+fn check(catalog: &Catalog, query: &ConjunctiveQuery, pick: u64, configs: &[FreeJoinOptions]) {
+    let mut variants = variants(query, pick);
+    let counting: Vec<&ConjunctiveQuery> = variants
+        .iter()
+        .map(|(_, q)| q)
+        .filter(|q| q.aggregate != Aggregate::Materialize)
+        .collect();
+    let mut expected = oracle(catalog, &counting);
+    if expected[0].cardinality() > MAX_MATERIALIZED {
+        variants.truncate(counting.len());
+    } else {
+        let rows: Vec<&ConjunctiveQuery> =
+            variants[counting.len()..].iter().map(|(_, q)| q).collect();
+        expected.extend(oracle(catalog, &rows));
+    }
+    for ((label, variant), expected) in variants.iter().zip(&expected) {
+        for (shape, plan) in plans(catalog, variant) {
+            let ctx = format!("{label}, {shape} plan");
+            let (binary, _) = BinaryJoinEngine::new().execute(catalog, variant, &plan).unwrap();
+            assert!(binary.result_eq(expected), "{ctx}: binary join vs oracle");
+
+            let serial = FreeJoinOptions::default().with_num_threads(1);
+            let run = |options: FreeJoinOptions| {
+                let (out, stats) = FreeJoinEngine::new(options)
+                    .execute(catalog, variant, &plan)
+                    .unwrap_or_else(|e| panic!("{ctx}: {options:?} failed: {e}"));
+                assert!(
+                    out.result_eq(expected),
+                    "{ctx}: {options:?}: {} tuples, expected {}",
+                    out.cardinality(),
+                    expected.cardinality()
+                );
+                stats.probes
+            };
+            let unpruned = run(serial.with_factorized_output(false));
+            let pruned = run(serial);
+            assert!(pruned <= unpruned, "{ctx}: pruning cost probes: {pruned} > {unpruned}");
+            for &options in configs {
+                run(options);
+            }
+        }
+    }
+}
+
+/// The whole grid on the first query of a suite and a rotating sixth of it
+/// on the others: every configuration meets every suite, every query meets
+/// every strategy, and the run stays in seconds.
+fn check_suite(workload: &Workload) {
+    let grid = grid();
+    for (i, named) in workload.queries.iter().enumerate() {
+        let configs: Vec<FreeJoinOptions> = if i == 0 {
+            grid.clone()
+        } else {
+            grid.iter().copied().skip(i % 6).step_by(6).collect()
+        };
+        check(&workload.catalog, &named.query, 0x9e37_79b9 * (i as u64 + 1), &configs);
+    }
+}
+
+#[test]
+fn job_like_suite() {
+    // A third of `JobConfig::tiny()`: the nested-loop oracle scans a whole
+    // relation per partial binding of up to eight atoms.
+    let config = job::JobConfig {
+        movies: 40,
+        people: 60,
+        companies: 8,
+        keywords: 12,
+        ..job::JobConfig::tiny()
+    };
+    check_suite(&job::workload(&config));
+}
+
+#[test]
+fn lsqb_like_suite() {
+    check_suite(&lsqb::workload(&lsqb::LsqbConfig::tiny()));
+}
+
+#[test]
+fn micro_suites() {
+    for workload in [
+        micro::clover(12),
+        micro::star(2, 40, 6, 0.8, 5),
+        micro::skew_flip(256, 3),
+        micro::skewed_triangle(30, 4, 0.9, 13),
+        micro::chain(3, 60, 12, 9),
+    ] {
+        check_suite(&workload);
+    }
+}
+
+/// A relation of nullable integer columns: a generated `5` is a NULL, so
+/// NULL keys, duplicate rows (the domain is tiny) and empty relations (the
+/// row count may be 0) all occur.
+fn relation(name: &str, cols: &[&str], rows: &[Vec<i64>]) -> Relation {
+    let schema = Schema::new(cols.iter().map(|c| Field::int(*c)).collect());
+    let mut b = RelationBuilder::new(name, schema);
+    for row in rows {
+        let values = row.iter().map(|&v| if v == 5 { Value::Null } else { Value::Int(v) });
+        b.push_row(values.collect()).unwrap();
+    }
+    b.finish()
+}
+
+fn rows(arity: usize) -> impl Strategy<Value = Vec<Vec<i64>>> {
+    prop::collection::vec(prop::collection::vec(0i64..6, arity), 0..12)
+}
+
+fn catalog_of(relations: Vec<Relation>) -> Catalog {
+    let mut catalog = Catalog::new();
+    for relation in relations {
+        catalog.add(relation).unwrap();
+    }
+    catalog
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
+
+    #[test]
+    fn generated_clover(r in rows(2), s in rows(2), t in rows(2), pick in 0u64..1 << 40) {
+        let catalog = catalog_of(vec![
+            relation("R", &["x", "a"], &r),
+            relation("S", &["x", "b"], &s),
+            relation("T", &["x", "c"], &t),
+        ]);
+        let query = QueryBuilder::new("clover")
+            .atom("R", &["x", "a"])
+            .atom("S", &["x", "b"])
+            .atom("T", &["x", "c"])
+            .build();
+        check(&catalog, &query, pick, &grid());
+    }
+
+    #[test]
+    fn generated_star(h in rows(3), s in rows(2), t in rows(2), pick in 0u64..1 << 40) {
+        // The hub carries two dead columns; one spoke is read twice.
+        let catalog = catalog_of(vec![
+            relation("hub", &["x", "h", "g"], &h),
+            relation("S", &["x", "b"], &s),
+            relation("T", &["x", "c"], &t),
+        ]);
+        let query = QueryBuilder::new("star")
+            .atom("hub", &["x", "h", "g"])
+            .atom_as("S", "s1", &["x", "b"])
+            .atom_as("S", "s2", &["x", "d"])
+            .atom("T", &["x", "c"])
+            .build();
+        check(&catalog, &query, pick, &grid());
+    }
+
+    #[test]
+    fn generated_skew_flip(
+        hub in rows(2),
+        anchor in rows(1),
+        mid in rows(1),
+        sel in rows(2),
+        pick in 0u64..1 << 40,
+    ) {
+        let catalog = catalog_of(vec![
+            relation("hub", &["x", "y"], &hub),
+            relation("anchor", &["x"], &anchor),
+            relation("mid", &["y"], &mid),
+            relation("sel", &["y", "w"], &sel),
+        ]);
+        let query = QueryBuilder::new("skew_flip")
+            .atom("hub", &["x", "y"])
+            .atom("anchor", &["x"])
+            .atom("mid", &["y"])
+            .atom("sel", &["y", "w"])
+            .build();
+        check(&catalog, &query, pick, &grid());
+    }
+
+    #[test]
+    fn generated_triangle(r in rows(2), s in rows(2), t in rows(3), pick in 0u64..1 << 40) {
+        // A cycle with one dead column hanging off it.
+        let catalog = catalog_of(vec![
+            relation("R", &["a", "b"], &r),
+            relation("S", &["a", "b"], &s),
+            relation("T", &["a", "b", "c"], &t),
+        ]);
+        let query = QueryBuilder::new("triangle")
+            .atom("R", &["x", "y"])
+            .atom("S", &["y", "z"])
+            .atom("T", &["z", "x", "w"])
+            .build();
+        check(&catalog, &query, pick, &grid());
+    }
+}
+
+/// An empty relation anywhere in the plan empties every aggregate, pruned
+/// or not (the generated cases above only sometimes draw zero rows).
+#[test]
+fn an_empty_relation_empties_the_result() {
+    let full = vec![vec![1, 2], vec![1, 2], vec![3, 5]];
+    for empty in ["R", "S", "T"] {
+        let table = |name: &str, col: &str| {
+            relation(name, &["x", col], if name == empty { &[] } else { &full })
+        };
+        let catalog = catalog_of(vec![table("R", "a"), table("S", "b"), table("T", "c")]);
+        let query = QueryBuilder::new("clover")
+            .atom("R", &["x", "a"])
+            .atom("S", &["x", "b"])
+            .atom("T", &["x", "c"])
+            .build();
+        assert_eq!(oracle(&catalog, &[&query])[0].cardinality(), 0);
+        check(&catalog, &query, 11, &grid());
+    }
+}

@@ -52,6 +52,9 @@ fn assert_identical(serial: &QueryOutput, parallel: &QueryOutput, context: &str)
 /// Run every query of a workload serially and at the given thread counts,
 /// for all three trie strategies, and demand identical outputs. `configure`
 /// customizes the shared options (steal / split-threshold variations).
+/// Everything runs twice: with dead-variable pruning (the default plans)
+/// and without — these workloads count, so only the unpruned plans still
+/// have the deep expansions the scheduler splits and steals.
 fn check_workload_configured(
     workload: &Workload,
     threads_to_test: &[usize],
@@ -64,8 +67,10 @@ fn check_workload_configured(
             &stats,
             OptimizerOptions { mode: EstimatorMode::Accurate, ..OptimizerOptions::default() },
         );
-        for trie in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
-            let base = configure(FreeJoinOptions { trie, ..FreeJoinOptions::default() });
+        let strategies = [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt];
+        for (trie, prune) in strategies.into_iter().flat_map(|t| [(t, true), (t, false)]) {
+            let base = configure(FreeJoinOptions { trie, ..FreeJoinOptions::default() })
+                .with_factorized_output(prune);
             let serial_engine = FreeJoinEngine::new(base.with_num_threads(1));
             let (serial, _) = serial_engine
                 .execute(&workload.catalog, &named.query, &plan)
@@ -77,7 +82,8 @@ fn check_workload_configured(
                         panic!("{} with {threads} threads failed: {e}", named.name)
                     });
                 let context = format!(
-                    "workload {} query {} trie {trie:?} threads {threads} steal {} split {}",
+                    "workload {} query {} trie {trie:?} threads {threads} steal {} split {} \
+                     prune {prune}",
                     workload.name, named.name, base.steal, base.split_threshold
                 );
                 assert_identical(&serial, &parallel, &context);
@@ -217,7 +223,11 @@ fn skewed_star_steal_balances_workers() {
         &stats,
         OptimizerOptions { mode: EstimatorMode::Accurate, ..OptimizerOptions::default() },
     );
-    let base = FreeJoinOptions::default().with_steal(true).with_split_threshold(64);
+    // The enumerating plan: pruned, the count never expands the hot key.
+    let base = FreeJoinOptions::default()
+        .with_steal(true)
+        .with_split_threshold(64)
+        .with_factorized_output(false);
     let (serial, _) = FreeJoinEngine::new(base.with_num_threads(1))
         .execute(&w.catalog, &named.query, &plan)
         .unwrap();

@@ -87,7 +87,7 @@ fn check_all_engines(catalog: &Catalog, query: &ConjunctiveQuery) {
             dynamic_cover: false,
             ..FreeJoinOptions::default()
         },
-        FreeJoinOptions::default().with_factorized_output(true),
+        FreeJoinOptions::default().with_factorized_output(false),
         FreeJoinOptions::generic_join_baseline(),
     ] {
         let (fj, _) = FreeJoinEngine::new(options).execute(catalog, query, &plan).unwrap();

@@ -299,11 +299,14 @@ fn stats_frame_reports_scheduler_counters() {
     let workload = freejoin::workloads::micro::skewed_star(2, 80, 0.9, 37);
     let catalog = Arc::new(workload.catalog);
     let named = &workload.queries[0];
+    // Dead-variable pruning off: pruned, the star's count is one probe per
+    // hub key and no expansion is left for the scheduler to split or steal.
     let session = Session::new(Arc::new(EngineCaches::with_defaults())).with_options(
         FreeJoinOptions::default()
             .with_num_threads(4)
             .with_steal(true)
-            .with_split_threshold(8),
+            .with_split_threshold(8)
+            .with_factorized_output(false),
     );
     let server = freejoin::serve::Server::start(
         "127.0.0.1:0",

@@ -51,13 +51,16 @@ fn gate() -> MutexGuard<'static, ()> {
 
 /// A session over a FRESH cache pair with the given execution options —
 /// fresh so trie-fetch outcomes (built vs hit) are identical run to run,
-/// which the span-tree determinism contract depends on.
+/// which the span-tree determinism contract depends on. Dead-variable
+/// pruning is off: these tests watch the scheduler split and steal the star
+/// workloads' expansions, and pruned, a star's count has none left.
 fn fresh_session(threads: usize, steal: bool) -> Session {
     Session::new(Arc::new(EngineCaches::with_defaults())).with_options(
         FreeJoinOptions::default()
             .with_num_threads(threads)
             .with_steal(steal)
-            .with_split_threshold(32),
+            .with_split_threshold(32)
+            .with_factorized_output(false),
     )
 }
 
