@@ -413,12 +413,23 @@ mod tests {
         assert_eq!((s.hits, s.misses), (0, 1));
     }
 
+    /// Insert `key -> n` (8 bytes) as if its build had taken `cost_micros`,
+    /// bypassing the clock `try_get_or_build` times the closure with.
+    fn insert_costing(cache: &ShardedLru<u32, u64>, key: u32, n: u64, cost_micros: u64) {
+        let mut shard = ShardedLru::lock(cache.shard_for(&key));
+        cache.insert_ready(&mut shard, key, Arc::new(n), 8, cost_micros);
+    }
+
     #[test]
     fn lru_eviction_respects_budget_and_recency() {
-        // One shard so recency is global; room for two 8-byte entries.
+        // One shard so recency is global; room for two 8-byte entries. Both
+        // builds cost the same by construction: measured, an "instant"
+        // closure that gets preempted reads >= 1 us against the other's 0,
+        // and the score — not recency, which is what this test is about —
+        // then picks the victim (it did, in about one full run in thirty).
         let cache: ShardedLru<u32, u64> = ShardedLru::new(16, 1);
-        cache.get_or_build(&1, || val(1));
-        cache.get_or_build(&2, || val(2));
+        insert_costing(&cache, 1, 1, 0);
+        insert_costing(&cache, 2, 2, 0);
         // Touch 1 so 2 is now least recently used.
         cache.get_or_build(&1, || unreachable!());
         cache.get_or_build(&3, || val(3));

@@ -210,6 +210,12 @@ impl FreeJoinPlan {
     /// remaining tuple), *except* when the input's last subatom is the
     /// statically designated cover (first subatom) of its node, in which case
     /// the last level is stored as a vector of those variables directly.
+    ///
+    /// The schema says how an input is *addressed*, not what is built: the
+    /// engine's lazy trie builds a level when a probe has to descend through
+    /// it, walks a level with nothing keyed below it — trailing empty level
+    /// or not, so also the `T(z)` a split leaves as a second cover — row by
+    /// row, and answers a final probe into a small node by scanning it.
     pub fn ght_schemas(&self, input_vars: &[Vec<String>]) -> Vec<Vec<Vec<String>>> {
         let mut schemas = self.subatom_vars_per_input(input_vars.len());
         for (input, schema) in schemas.iter_mut().enumerate() {

@@ -218,7 +218,14 @@ impl<'a> CardinalityEstimator<'a> {
     /// `est` column of `EXPLAIN ANALYZE`.
     ///
     /// Walks the plan nodes in order, joining each input's [`SubPlanInfo`]
-    /// into a running estimate the first time one of its subatoms appears.
+    /// into a running estimate the first time one of its subatoms appears —
+    /// on the variables that subatom exposes. A variable the input shares
+    /// with the running join but binds in a *later* subatom (the `T(z)` of
+    /// the triangle's split `T(x)` / `T(z)`, with `z` known from `S`) is an
+    /// equality the plan has not checked yet: its selectivity is applied at
+    /// the node that checks it, not at the node of the first subatom, whose
+    /// estimate would otherwise be that of the whole cycle and flag the
+    /// prefix's actual rows as a bust.
     /// The estimate for node `k` is the running join cardinality capped by
     /// the product of distinct counts of the variables bound through node
     /// `k` — the join of the *whole* inputs can't produce more distinct
@@ -251,6 +258,10 @@ impl<'a> CardinalityEstimator<'a> {
             None => unit(),
         };
         let mut joined = vec![false; inputs.len()];
+        // Equalities an input's first subatom left open: variables it shares
+        // with the running join that only a later subatom of it binds, each
+        // with the divisor its join would have applied.
+        let mut open: Vec<Vec<(String, f64)>> = vec![Vec::new(); inputs.len()];
         let mut subatoms_left: Vec<usize> =
             plan.subatom_vars_per_input(inputs.len()).iter().map(Vec::len).collect();
         let mut acc: Option<SubPlanInfo> = None;
@@ -263,6 +274,15 @@ impl<'a> CardinalityEstimator<'a> {
                 }
                 subatoms_left[sub.input] -= 1;
                 let finished = subatoms_left[sub.input] == 0;
+                if let (true, Some(acc)) = (joined[sub.input], acc.as_mut()) {
+                    open[sub.input].retain(|(v, divisor)| {
+                        let closes = sub.vars.contains(v);
+                        if closes {
+                            acc.cardinality = (acc.cardinality / divisor).max(1.0);
+                        }
+                        !closes
+                    });
+                }
                 if !finished && joined[sub.input] {
                     continue;
                 }
@@ -275,11 +295,18 @@ impl<'a> CardinalityEstimator<'a> {
                     acc = Some(match acc.take() {
                         None => info,
                         Some(left) => {
-                            let shared: Vec<String> = info
+                            let (shared, later): (Vec<String>, Vec<String>) = info
                                 .distinct
                                 .keys()
                                 .filter(|v| left.distinct.contains_key(*v))
                                 .cloned()
+                                .partition(|v| sub.vars.contains(v) || finished);
+                            open[sub.input] = later
+                                .into_iter()
+                                .map(|v| {
+                                    let divisor = left.distinct[&v].max(1.0).max(info.distinct[&v]);
+                                    (v, divisor)
+                                })
                                 .collect();
                             self.join(&left, &info, &shared)
                         }
@@ -468,6 +495,49 @@ mod tests {
         ]);
         let (ests, _) = bad.pipeline_node_estimates(&q, &inputs, &plan, &[]);
         assert!(ests.iter().all(|&e| e == 1.0), "{ests:?}");
+    }
+
+    #[test]
+    fn split_inputs_close_their_open_equality_where_the_plan_checks_it() {
+        use crate::fj_plan::{FjNode, FreeJoinPlan, Subatom};
+        let stats = CatalogStats::collect(&catalog());
+        let est = CardinalityEstimator::new(&stats, EstimatorMode::Accurate);
+        // A triangle over R(x,y), S(y,z) and R again as T(z,x).
+        let q = ConjunctiveQuery::new(
+            "triangle",
+            vec![],
+            vec![
+                Atom::new("R", vec!["x", "y"]),
+                Atom::new("S", vec!["y", "z"]),
+                Atom::with_alias("R", "T", vec!["z", "x"]),
+            ],
+        );
+        let inputs = [PipeInput::Atom(0), PipeInput::Atom(1), PipeInput::Atom(2)];
+        let sub = |input: usize, vars: &[&str]| {
+            Subatom::new(input, vars.iter().map(|v| v.to_string()).collect())
+        };
+        let unsplit = FreeJoinPlan::new(vec![
+            FjNode::new(vec![sub(0, &["x", "y"]), sub(1, &["y"])]),
+            FjNode::new(vec![sub(1, &["z"]), sub(2, &["z", "x"])]),
+        ]);
+        let split = FreeJoinPlan::new(vec![
+            FjNode::new(vec![sub(0, &["x", "y"]), sub(1, &["y"]), sub(2, &["x"])]),
+            FjNode::new(vec![sub(1, &["z"]), sub(2, &["z"])]),
+        ]);
+        let (whole, whole_info) = est.pipeline_node_estimates(&q, &inputs, &unsplit, &[]);
+        let (halves, halves_info) = est.pipeline_node_estimates(&q, &inputs, &split, &[]);
+        // T(x) joins T on x alone: node 0 is R ⋈ S ⋈_x T — the 50 rows of
+        // R ⋈ S times T's one row per x (T.x is R's key column), 50 · 100 /
+        // 100 — not the closed cycle (5), which the actual row count of the
+        // (x,y) prefix would "bust".
+        assert!((whole[0] - 50.0).abs() < 1e-9, "{whole:?}");
+        assert!((halves[0] - 50.0).abs() < 1e-9, "{halves:?}");
+        assert!((whole[1] - 5.0).abs() < 1e-9, "{whole:?}");
+        // T(z) closes the cycle where the plan checks z: the same final
+        // estimate as the unsplit plan's, which joins T on (z,x) at once.
+        assert!((halves[1] - whole[1]).abs() < 1e-9, "{halves:?} vs {whole:?}");
+        assert!((halves_info.cardinality - whole_info.cardinality).abs() < 1e-9);
+        assert!(halves[1] < halves[0]);
     }
 
     #[test]

@@ -8,6 +8,11 @@
 //!
 //! * **Dynamic cover selection** (Section 4.4): among the node's cover
 //!   candidates, iterate the one whose trie currently has the fewest keys.
+//!   On the two-cover nodes split factoring produces for cyclic queries
+//!   (`[S(z), T(z)]`) this is a per-binding set intersection: the shorter
+//!   list is walked row by row and the longer one probed — by scanning it
+//!   in place when it is small, through its map when it is a hub (see
+//!   "Lazy leaves" in [`crate::trie`]).
 //! * **Vectorized execution** (Section 4.3, Figure 13): gather a batch of
 //!   iterated keys, run each probe over the whole batch, then recurse for
 //!   the survivors.
@@ -28,7 +33,12 @@
 //!
 //! Bag semantics are handled with a running weight: the trie node reached
 //! through an input's final subatom — probed or iterated — stands for all
-//! the base tuples below it and multiplies the weight by their number.
+//! the base tuples below it and multiplies the weight by their number. A
+//! final probe therefore asks the trie for that number only
+//! ([`InputTrie::count_matches`]); a probe that has to descend asks for the
+//! child position. Both count as one probe (and one hit) in
+//! [`ExecCounters`] and in the per-node profile, in the scalar, vectorized
+//! and work-stealing loops alike.
 //!
 //! The hot path is allocation-free: probe keys of arity ≤ 2 are built as
 //! inline [`LevelKey`]s (or stack arrays) in place, and every remaining
@@ -289,8 +299,8 @@ type EntryList<'t> = Arc<Vec<(&'t LevelKey, NodeRef<'t>)>>;
 enum TaskItems<'t> {
     /// A range of a node's (forced) cover-map entries.
     Entries { cover_idx: usize, entries: EntryList<'t>, lo: usize, hi: usize },
-    /// A range of base-table rows — the root cover is an unforced last level
-    /// (the COLT fast path), iterated directly without forcing.
+    /// A range of base-table rows — the root cover is unforced with no keyed
+    /// level below it (the COLT fast path), iterated directly without forcing.
     Rows { cover_idx: usize, lo: usize, hi: usize },
     /// A range of an independent tail's first expansion list (flat
     /// `(values, weight)` columns); the task re-gathers the inner lists and
@@ -551,29 +561,46 @@ impl<'t> Splitter<'t> for WorkerSplitter<'_, 't> {
     }
 }
 
+/// What a successful probe yields.
+enum Found<'t> {
+    /// The subatom is its input's last: the number of rows under the key,
+    /// which multiplies the weight. No trie position is needed — and for a
+    /// small unforced node none is built ([`InputTrie::count_matches`]).
+    Rows(u64),
+    /// The input has more subatoms to come: the child position.
+    Child(NodeRef<'t>),
+}
+
 /// Probe one subatom's trie level, reading the key values through
-/// `read(slot)`. Arity ≤ 2 keys — the common case — are built as inline
-/// (`Copy`) [`LevelKey`]s in place; wider keys fill the node's reusable
-/// spill buffer and are looked up as a borrowed slice. Either way the probe
-/// allocates nothing.
+/// `read(slot)`. Arity ≤ 2 keys — the common case — are built in a stack
+/// array; wider keys fill the node's reusable spill buffer. Either way the
+/// key is looked up as a borrowed slice and the probe allocates nothing.
 #[inline]
 fn probe_subatom<'t>(
     trie: &'t InputTrie,
     node: NodeRef<'t>,
-    level: usize,
-    key_slots: &[usize],
+    sub: &CompiledSubatom,
     spill: &mut Vec<Value>,
     read: impl Fn(usize) -> Value,
-) -> Option<NodeRef<'t>> {
-    let forced = trie.force(node, level, true);
-    match *key_slots {
-        [] => forced.get(&LevelKey::empty()),
-        [a] => forced.get(&LevelKey::single(read(a))),
-        [a, b] => forced.get(&LevelKey::pair(read(a), read(b))),
+) -> Option<Found<'t>> {
+    let lookup = |key: &[Value]| {
+        if sub.final_for_input {
+            match trie.count_matches(node, sub.level, key) {
+                0 => None,
+                rows => Some(Found::Rows(rows)),
+            }
+        } else {
+            trie.get(node, sub.level, key).map(Found::Child)
+        }
+    };
+    match *sub.key_slots {
+        [] => lookup(&[]),
+        [a] => lookup(&[read(a)]),
+        [a, b] => lookup(&[read(a), read(b)]),
         ref slots => {
             spill.clear();
             spill.extend(slots.iter().map(|&s| read(s)));
-            forced.get(spill.as_slice())
+            lookup(spill)
         }
     }
 }
@@ -649,8 +676,8 @@ where
     let cover_trie = &tries[cover.input];
     let cover_root = roots[cover.input];
     let root_entries: Option<EntryList<'_>> =
-        if !cover_root.is_map() && cover_trie.is_last_level(cover.level) {
-            None // unforced last level: iterate base rows directly
+        if cover.final_for_input && cover_trie.iterates_rows(cover_root, cover.level) {
+            None // unforced, nothing keyed below: iterate base rows directly
         } else {
             let level = cover_trie.force(cover_root, cover.level, !cover_root.is_map());
             Some(Arc::new(level.iter().collect()))
@@ -1089,6 +1116,13 @@ fn run_node<'t>(
         splitter.spawn_entries(node_idx, cover_idx, entries, tuple, current, weight);
         return;
     }
+    if !cover.final_for_input {
+        // The input has subatoms to come, so every entry needs its child
+        // position: iterate the map, never the rows. (Only an empty-key
+        // subatom can follow a level the trie would walk row by row — the
+        // `[#2()]` tail of an unpruned plan.)
+        tries[cover.input].force(cover_node, cover.level, true);
+    }
 
     if options.vectorized() && node.subatoms.len() > 1 {
         run_node_vectorized(
@@ -1402,31 +1436,20 @@ fn probe_one_subatom<'t>(
     counters: &mut ExecCounters,
 ) -> bool {
     counters.probes += 1;
-    match probe_subatom(
-        &tries[sub.input],
-        current[sub.input],
-        sub.level,
-        &sub.key_slots,
-        &mut mine.spill_key,
-        |s| tuple[s],
-    ) {
-        Some(child_node) => {
-            counters.probe_hits += 1;
-            counters.profile.add_probe(node_idx, true);
-            if sub.final_for_input {
-                *local_weight =
-                    local_weight.saturating_mul(tries[sub.input].tuple_count(child_node));
-            } else {
-                mine.saved
-                    .push((sub.input, std::mem::replace(&mut current[sub.input], child_node)));
-            }
-            true
+    let found =
+        probe_subatom(&tries[sub.input], current[sub.input], sub, &mut mine.spill_key, |s| {
+            tuple[s]
+        });
+    counters.profile.add_probe(node_idx, found.is_some());
+    match found {
+        Some(Found::Rows(rows)) => *local_weight = local_weight.saturating_mul(rows),
+        Some(Found::Child(child)) => {
+            mine.saved.push((sub.input, std::mem::replace(&mut current[sub.input], child)));
         }
-        None => {
-            counters.profile.add_probe(node_idx, false);
-            false
-        }
+        None => return false,
     }
+    counters.probe_hits += 1;
+    true
 }
 
 /// Apply the cover's iteration actions to the tuple buffer. Returns `false`
@@ -1797,21 +1820,17 @@ fn flush_batch<'t>(
                     }
                 };
                 counters.probes += 1;
-                match probe_subatom(trie, base, sub.level, &sub.key_slots, spill_key, read) {
-                    Some(child) => {
-                        counters.probe_hits += 1;
-                        counters.profile.add_probe(node_idx, true);
-                        if sub.final_for_input {
-                            weights[e] = weights[e].saturating_mul(trie.tuple_count(child));
-                        } else {
-                            children[e * stride + j] = Some(child);
-                        }
-                    }
+                let found = probe_subatom(trie, base, sub, spill_key, read);
+                counters.profile.add_probe(node_idx, found.is_some());
+                match found {
+                    Some(Found::Rows(rows)) => weights[e] = weights[e].saturating_mul(rows),
+                    Some(Found::Child(child)) => children[e * stride + j] = Some(child),
                     None => {
-                        counters.profile.add_probe(node_idx, false);
                         alive[e] = false;
+                        continue;
                     }
                 }
+                counters.probe_hits += 1;
             }
         }
     }
@@ -2079,6 +2098,98 @@ mod tests {
                 for threads in [2, 3, 8] {
                     let (par, _) = run_parallel(&inputs, plan, &options, Aggregate::Count, threads);
                     assert_eq!(par, expected, "threads {threads} plan {plan} options {options:?}");
+                }
+            }
+        }
+    }
+
+    /// `R(x,y) = {(1,1)}`, `S(y,z) = {(1,0..s_rows)}` and `T(z,x)` with the
+    /// row `(0,1)` twice and `(2,1)` once: three triangles, and for the one
+    /// binding of `(x,y)` T's list (3 rows, 2 keys) is shorter than S's.
+    fn duplicate_triangle_inputs(s_rows: i64) -> Vec<BoundInput> {
+        let mut cat = Catalog::new();
+        let mut r = RelationBuilder::new("R", Schema::all_int(&["u", "v"]));
+        r.push_ints(&[1, 1]).unwrap();
+        cat.add(r.finish()).unwrap();
+        let mut s = RelationBuilder::new("S", Schema::all_int(&["u", "v"]));
+        for z in 0..s_rows {
+            s.push_ints(&[1, z]).unwrap();
+        }
+        cat.add(s.finish()).unwrap();
+        let mut t = RelationBuilder::new("T", Schema::all_int(&["u", "v"]));
+        for z in [0, 0, 2] {
+            t.push_ints(&[z, 1]).unwrap();
+        }
+        cat.add(t.finish()).unwrap();
+        let q = QueryBuilder::new("triangle")
+            .atom("R", &["x", "y"])
+            .atom("S", &["y", "z"])
+            .atom("T", &["z", "x"])
+            .build();
+        prepare_inputs(&cat, &q).unwrap().atoms
+    }
+
+    /// An unpruned plan keeps `binary2fj`'s trailing `[#2()]`, so after the
+    /// split `#2(z)` is a cover that is *not* its input's last subatom while
+    /// nothing keyed remains below it: the trie would walk it row by row,
+    /// but every entry needs a child position for `#2()` to start from. The
+    /// executor iterates the map there.
+    #[test]
+    fn unpruned_split_plan_gives_a_non_final_cover_its_children() {
+        let inputs = duplicate_triangle_inputs(6);
+        let iv: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
+        let mut plan = binary2fj(&iv);
+        factor(&mut plan);
+        assert_eq!(plan.to_string(), "[[#0(x,y), #1(y), #2(x)], [#1(z), #2(z)], [#2()]]");
+        for trie in [TrieStrategy::Colt, TrieStrategy::Slt, TrieStrategy::Simple] {
+            for batch_size in [1, 1000] {
+                let options =
+                    FreeJoinOptions::default().with_trie(trie).with_batch_size(batch_size);
+                // Dynamic cover iterates #2(z), T's shorter list.
+                let (count, counters) = run(&inputs, &plan, &options, Aggregate::Count);
+                assert_eq!(count, 3, "{options:?}");
+                // (x,y), the two distinct z under T, one step into #2() each.
+                assert_eq!(counters.expansions, 1 + 2 + 2, "{options:?}");
+                let split = options.with_split_threshold(2);
+                for threads in [2, 4] {
+                    let (par, _) = run_parallel(&inputs, &plan, &split, Aggregate::Count, threads);
+                    assert_eq!(par, 3, "threads {threads} {split:?}");
+                }
+            }
+        }
+    }
+
+    /// Walking an unforced cover row by row reports a duplicate row as two
+    /// entries of weight 1 where its map has one entry of weight 2: the same
+    /// bag result from a different number of expansions (and probes). The
+    /// probes into S's list are final: scanned in place while the list is
+    /// within the scan bound, answered by its map once it is a hub — and
+    /// counted the same either way, in the scalar, vectorized and
+    /// work-stealing loops.
+    #[test]
+    fn row_wise_cover_reports_duplicate_rows_as_separate_entries() {
+        for s_rows in [6, crate::trie::SCAN_PROBE_MAX_ROWS as i64 + 5] {
+            let inputs = duplicate_triangle_inputs(s_rows);
+            let iv: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
+            let mut plan = binary2fj(&iv);
+            plan.prune_empty_subatoms();
+            factor(&mut plan);
+            assert_eq!(plan.to_string(), "[[#0(x,y), #1(y), #2(x)], [#1(z), #2(z)]]");
+            for batch_size in [1, 1000] {
+                let colt = FreeJoinOptions::default().with_batch_size(batch_size);
+                let (count, rows) = run(&inputs, &plan, &colt, Aggregate::Count);
+                // COLT: T's three rows under x = 1, each probing S.
+                assert_eq!((count, rows.work()), (3, (2 + 3, 2 + 3, 1 + 3)), "S has {s_rows}");
+                // The simple trie built T's second level up front: two keys.
+                let simple = colt.with_trie(TrieStrategy::Simple);
+                let (count, keys) = run(&inputs, &plan, &simple, Aggregate::Count);
+                assert_eq!((count, keys.work()), (3, (2 + 2, 2 + 2, 1 + 2)), "S has {s_rows}");
+                // Materialized, the duplicate still comes out twice.
+                assert_eq!(run(&inputs, &plan, &colt, Aggregate::Materialize).0, 3);
+                let split = colt.with_split_threshold(2);
+                for threads in [2, 4] {
+                    let (par, _) = run_parallel(&inputs, &plan, &split, Aggregate::Count, threads);
+                    assert_eq!(par, 3, "threads {threads}, S has {s_rows}");
                 }
             }
         }

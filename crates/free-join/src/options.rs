@@ -38,7 +38,11 @@ pub struct FreeJoinOptions {
     /// Figure 18). The paper's default is 1000.
     pub batch_size: usize,
     /// Choose the cover with the fewest keys at run time (Section 4.4)
-    /// instead of always iterating the statically designated cover.
+    /// instead of always iterating the statically designated cover. On a
+    /// node factoring left with two subatoms over one new variable — the
+    /// `[S(z), T(z)]` of the triangle — this is the set intersection of
+    /// Generic Join: per binding, the shorter list is walked and the longer
+    /// one probed. Off, such a node always walks its first subatom.
     pub dynamic_cover: bool,
     /// Factorized output (Section 4.4 / Figure 19), decided at compile time:
     /// the plan compiler drops every *dead* variable — bound by one atom and
@@ -52,10 +56,14 @@ pub struct FreeJoinOptions {
     /// flag changes the compiled plan, so it is part of the plan-cache key.
     pub factorize_output: bool,
     /// Optimize the converted Free Join plan by factoring probes into earlier
-    /// nodes (Section 4.1). Disabling this makes Free Join behave exactly
+    /// nodes (Section 4.1): a probe whose variables are all bound one node
+    /// earlier moves there, and one with only some of them bound — the
+    /// closing atom of a cycle — is split, its bound part moving
+    /// (`fj_plan::factor`). Disabling this makes Free Join behave exactly
     /// like the binary join plan it was given.
     pub optimize_plan: bool,
-    /// Apply factorization to a fixpoint instead of the paper's single pass.
+    /// Apply factorization to a fixpoint instead of the paper's single pass
+    /// (a pass moves a probe, or the bound part of one, one node earlier).
     /// Off by default to match the paper; exposed for the ablation benches.
     pub factor_to_fixpoint: bool,
     /// Number of worker threads for morsel-driven parallel execution.

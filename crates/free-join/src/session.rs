@@ -1306,6 +1306,53 @@ mod tests {
         assert!(!report.contains("pruned:") && !report.contains("x|rows|"), "{report}");
     }
 
+    /// A cycle's closing atom is split by factoring: `EXPLAIN ANALYZE` shows
+    /// both halves where they run, the estimator closes the cycle at the
+    /// node that checks the second half (no spurious `!` on the first), and
+    /// the per-node probe counts — scan probes included — still add up.
+    #[test]
+    fn explain_analyze_renders_both_halves_of_a_split_input() {
+        let mut cat = Catalog::new();
+        let mut knows = RelationBuilder::new("knows", Schema::all_int(&["src", "dst"]));
+        // The complete directed graph on six nodes: 6 · 5 · 4 triangles, and
+        // an independence estimate (30^3 / 6^3) that is about right.
+        for (i, j) in (0..6i64).flat_map(|i| (0..6).map(move |j| (i, j))).filter(|(i, j)| i != j) {
+            knows.push_ints(&[i, j]).unwrap();
+        }
+        cat.add(knows.finish()).unwrap();
+        let triangle = QueryBuilder::new("triangle")
+            .atom_as("knows", "k1", &["a", "b"])
+            .atom_as("knows", "k2", &["b", "c"])
+            .atom_as("knows", "k3", &["c", "a"])
+            .count()
+            .build();
+        let s = session().with_options(FreeJoinOptions::default().with_num_threads(1));
+        let report = s.explain_analyze(&cat, &triangle).unwrap();
+        let node = |k: usize| {
+            let line = report.lines().find(|l| l.trim_start().starts_with(&format!("node {k}:")));
+            line.unwrap_or_else(|| panic!("no node {k} in {report}")).to_string()
+        };
+        // The same input appears in both nodes, one variable each.
+        let split: Vec<&str> = ["k1", "k2", "k3"]
+            .into_iter()
+            .filter(|k| node(0).contains(&format!("{k}(")) && node(1).contains(&format!("{k}(")))
+            .collect();
+        assert_eq!(split.len(), 2, "the probed-then-iterated input and the split one: {report}");
+        assert!(node(1).matches('(').count() == 2, "two covers over one variable: {report}");
+        assert!(!report.contains(" ! "), "{report}");
+        assert!(report.contains("estimate_busts=0"), "{report}");
+        // Every list here has five rows: the final probes were scans and the
+        // covers were walked, so only the two probed roots were ever built.
+        assert!(report.contains(" tries_built=2 "), "{report}");
+
+        let prepared = s.prepare(&cat, &triangle).unwrap();
+        let (out, stats, profile) = prepared.execute_profiled(&cat, &Params::new()).unwrap();
+        assert_eq!(out.cardinality(), 120);
+        assert_eq!(profile.total_probes(), stats.probes);
+        assert_eq!(profile.total_probe_hits(), stats.probe_hits);
+        assert_eq!(profile.output_rows(), out.cardinality());
+    }
+
     /// Regression: `factorize_output` decides the compiled plan, so it is
     /// part of the plan-cache key. Two sessions over one cache pair that
     /// differ only in the flag must not share a `CompiledQuery`.

@@ -30,6 +30,31 @@
 //! [`crate::compile`]) is therefore never built or walked: the node above
 //! it is a leaf whose multiplicity is `len`.
 //!
+//! **Lazy leaves.** Split factoring (`fj_plan::factor`) gives the inner nodes
+//! of a cyclic plan one small sub-trie per `(input, binding)` — an adjacency
+//! list of ten rows on average in the LSQB-like graph — and a level built
+//! for each of them costs more than the intersection it serves. A node's
+//! level is therefore built only when it has to be *addressed*; the other
+//! two things the executor does with a node read the rows where they are:
+//!
+//! * **iterated** — a node with no keyed level below it (the last level, or
+//!   a level followed only by the trailing empty one) is walked row by row
+//!   straight off the column vectors, whether it is the cover the plan
+//!   designated or one the executor chose at run time
+//!   ([`InputTrie::for_each`], [`InputTrie::iterates_rows`]); duplicates
+//!   come out as separate weight-1 entries;
+//! * **scanned** — a probe of an input's *final* subatom only needs the
+//!   number of rows under the key, and on an unforced node of at most
+//!   [`SCAN_PROBE_MAX_ROWS`] rows (under a one-variable level) it gets it by
+//!   comparing the rows through the typed column cursor
+//!   ([`InputTrie::count_matches`]); the
+//!   node stays unforced, so a trie resident in the cache is scanned again
+//!   by the next query;
+//! * **built** — everything else: a probe that must descend (the input has
+//!   subatoms to come), any probe into a node above the scan bound (a hub is
+//!   forced once and shared by every later binding and query), an iteration
+//!   with keyed levels below, and an expansion the scheduler splits.
+//!
 //! A position in the trie is a [`NodeRef`]: a `Copy` pair of borrows (the
 //! node and its row slice) tied to the [`InputTrie`]. The executor holds,
 //! saves, restores and ships positions between workers by copying handles;
@@ -78,6 +103,20 @@ use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
+
+/// A probe of an input's final subatom into an unforced node of at most this
+/// many rows compares the rows' keys in place instead of forcing the node
+/// into a map ([`InputTrie::count_matches`]).
+///
+/// Chosen by measurement, not an option. On the benchmark's `lsqb_cyclic`
+/// workload (three alternating 8 s runs per value, same build otherwise)
+/// `fj_geomean_ms` read 46.1 / 46.1 / 49.1 at 8, 43.6 / 44.8 / 43.7 at 16
+/// and 42.2 / 43.4 / 43.8 at 32, with 15,115, 3,807 and 1,281 levels built
+/// per suite (49,506 when every probe forces); warm `serve_hot`, whose cached
+/// tries are re-scanned by every request, stayed within run-to-run noise of
+/// the forcing build at 0, 8 and 16. 16 takes nearly all of the gain while
+/// bounding what a probe can cost on a resident trie to sixteen comparisons.
+pub const SCAN_PROBE_MAX_ROWS: usize = 16;
 
 /// One node of a GHT: a range of its parent level's row offsets and, once
 /// forced, the hash-map level keyed on its own schema level.
@@ -183,6 +222,10 @@ pub struct InputTrie {
     schema: Vec<Vec<String>>,
     /// Column index (in `relation`) of each variable, per level.
     level_cols: Vec<Vec<usize>>,
+    /// The deepest level that has key columns (0 when none has): below it a
+    /// node's rows are told apart by nothing, so a node at or past it is
+    /// iterated row by row instead of being grouped into a map.
+    last_keyed_level: usize,
     /// The root node.
     root: TrieNode,
     /// Number of hash-map levels built (eager + lazy).
@@ -248,6 +291,7 @@ impl InputTrie {
             name: input.name.clone(),
             relation: Arc::clone(&input.relation),
             schema,
+            last_keyed_level: level_cols.iter().rposition(|cols| !cols.is_empty()).unwrap_or(0),
             level_cols,
             root: TrieNode { start: 0, len: num_rows, forced: OnceLock::new() },
             maps_built: AtomicU64::new(0),
@@ -502,21 +546,58 @@ impl InputTrie {
         self.force(node, level, true).get(key)
     }
 
+    /// The number of rows below `node` whose `level` key is `key` (0 when
+    /// the key is absent): all that a probe of an input's *final* subatom
+    /// needs, since the rows under the key are only ever counted. An
+    /// unforced node of at most [`SCAN_PROBE_MAX_ROWS`] rows under a
+    /// one-variable level — what such probes meet in practice — answers by
+    /// comparing its rows through the typed column cursor and stays
+    /// unforced; any other node is probed as [`InputTrie::get`] probes it
+    /// (forced once, shared from then on).
+    #[inline]
+    pub fn count_matches(&self, node: NodeRef<'_>, level: usize, key: &[Value]) -> u64 {
+        if let (&[col], &[value]) = (self.level_cols[level].as_slice(), key) {
+            if node.node.len as usize <= SCAN_PROBE_MAX_ROWS && !node.is_map() {
+                let matches = with_reader!(self.relation.column(col), get => match node.rows {
+                    None => (0..node.node.len).filter(|&row| get(row) == value).count(),
+                    Some(rows) => rows.iter().filter(|&&row| get(row) == value).count(),
+                });
+                return matches as u64;
+            }
+        }
+        self.get(node, level, key).map_or(0, |child| self.tuple_count(child))
+    }
+
+    /// Does [`InputTrie::for_each`] walk `node` row by row (one entry per
+    /// base row, no child) rather than key by key? True for an unforced node
+    /// whose level has key columns and no keyed level below it.
+    pub fn iterates_rows(&self, node: NodeRef<'_>, level: usize) -> bool {
+        !node.is_map() && level >= self.last_keyed_level && !self.level_cols[level].is_empty()
+    }
+
     /// Iterate the entries of `node` at `level`, calling `f(key, child)`.
     ///
     /// * For a forced (map) node, `key` ranges over the distinct keys and
     ///   `child` is the corresponding subtrie.
-    /// * For an unforced node at the **last** level, the iteration goes
-    ///   directly over the underlying tuples (one call per tuple, duplicates
-    ///   included) and `child` is `None` — the paper's "iterate directly over
-    ///   the base table" optimization. When that level has no variables
-    ///   (every variable of the input was pruned), the tuples all carry the
-    ///   same empty key: a non-empty node is reported as one entry whose
-    ///   `child` is the node itself, so its multiplicity is one O(1)
-    ///   [`InputTrie::tuple_count`] instead of a call per row.
-    /// * For an unforced node at a non-final level, the node is first forced
-    ///   (iterating it tuple-wise would enumerate duplicate keys and multiply
-    ///   work below).
+    /// * For an unforced node with **no keyed level below it** — the last
+    ///   level, or a level followed only by the trailing empty one that
+    ///   `ght_schemas` gives an input whose last subatom is not its node's
+    ///   designated cover — the iteration goes directly over the underlying
+    ///   tuples (one call per tuple, duplicates included, each standing for
+    ///   itself) and `child` is `None`: the paper's "iterate directly over
+    ///   the base table" optimization, which a dynamically chosen cover gets
+    ///   like the designated one ([`InputTrie::iterates_rows`]). When the
+    ///   level itself has no variables either (every variable of the input
+    ///   was pruned), the tuples all carry the same empty key: a non-empty
+    ///   node is reported as one entry whose `child` is the node itself, so
+    ///   its multiplicity is one O(1) [`InputTrie::tuple_count`] instead of
+    ///   a call per row.
+    /// * For an unforced node with a keyed level below it, the node is first
+    ///   forced (iterating it tuple-wise would enumerate duplicate keys and
+    ///   multiply work below).
+    ///
+    /// A caller that needs a child position for every entry (the level is
+    /// not the last one its plan addresses) forces the node first.
     ///
     /// This is the `iter` of the GHT interface (Figure 5); the child is
     /// passed along so the caller does not need a separate `get` on the
@@ -527,12 +608,12 @@ impl InputTrie {
         level: usize,
         mut f: impl FnMut(&[Value], Option<NodeRef<'t>>),
     ) {
-        if node.is_map() || !self.is_last_level(level) {
+        if self.iterates_rows(node, level) {
+            self.scan_keys(node, level, |_, key| f(key, None));
+        } else if node.is_map() || level < self.last_keyed_level {
             for (key, child) in self.force(node, level, true).iter() {
                 f(key.values(), Some(child));
             }
-        } else if !self.level_cols[level].is_empty() {
-            self.scan_keys(node, level, |_, key| f(key, None));
         } else if node.node.len > 0 {
             f(&[], Some(node));
         }
@@ -674,6 +755,77 @@ mod tests {
         });
         assert_eq!(distinct, 3);
         assert_eq!(trie.lazy_built(), 1);
+    }
+
+    #[test]
+    fn for_each_walks_rows_when_only_the_trailing_level_is_below() {
+        // S keyed [x], [b] and the trailing empty level `ght_schemas` gives
+        // an input whose last subatom is not its node's designated cover:
+        // a dynamically chosen cover S(b) is walked, not hashed.
+        let input = clover_s_input();
+        let trie = InputTrie::build(&input, schema(&[&["x"], &["b"], &[]]), TrieStrategy::Colt);
+        let x2 = trie.get(trie.root(), 0, &[Value::Int(2)]).unwrap();
+        assert!(trie.iterates_rows(x2, 1));
+        let mut keys = Vec::new();
+        trie.for_each(x2, 1, |key, child| {
+            assert!(child.is_none(), "a row stands for itself");
+            keys.push(key[0]);
+        });
+        assert_eq!(keys, vec![Value::Int(201), Value::Int(202), Value::Int(203)]);
+        assert_eq!(trie.maps_built(), 1, "only the root level was built");
+        // The root has a keyed level below it: grouped, as before.
+        assert!(!trie.iterates_rows(trie.root(), 0));
+        // Once something forced the node, its map is iterated.
+        trie.force(x2, 1, true);
+        assert!(!trie.iterates_rows(x2, 1));
+        trie.for_each(x2, 1, |_, child| assert_eq!(trie.tuple_count(child.unwrap()), 1));
+    }
+
+    #[test]
+    fn count_matches_scans_small_nodes_and_forces_hubs() {
+        // x = 0: a hub of 40 rows, above the scan bound; x = 1: three rows,
+        // two of them equal; x = 2: a NULL key and a non-NULL one.
+        const { assert!(SCAN_PROBE_MAX_ROWS < 40 && SCAN_PROBE_MAX_ROWS >= 3) };
+        let mut cat = Catalog::new();
+        let mut b = RelationBuilder::new("D", Schema::all_int(&["x", "y", "z"]));
+        for i in 0..40i64 {
+            b.push_ints(&[0, i % 10, i]).unwrap();
+        }
+        for y in [5, 5, 6] {
+            b.push_ints(&[1, y, 0]).unwrap();
+        }
+        b.push_row(vec![Value::Int(2), Value::Null, Value::Int(0)]).unwrap();
+        b.push_ints(&[2, 7, 0]).unwrap();
+        cat.add(b.finish()).unwrap();
+        let q = QueryBuilder::new("q").atom("D", &["x", "y", "z"]).build();
+        let input = prepare_inputs(&cat, &q).unwrap().atoms.remove(0);
+
+        let trie = InputTrie::build(&input, schema(&[&["x"], &["y"], &[]]), TrieStrategy::Colt);
+        let at = |x: i64| trie.get(trie.root(), 0, &[Value::Int(x)]).unwrap();
+        // Small nodes are scanned: duplicates and NULLs count like any key,
+        // a miss is 0, and nothing is built.
+        assert_eq!(trie.count_matches(at(1), 1, &[Value::Int(5)]), 2);
+        assert_eq!(trie.count_matches(at(1), 1, &[Value::Int(6)]), 1);
+        assert_eq!(trie.count_matches(at(1), 1, &[Value::Int(9)]), 0);
+        assert_eq!(trie.count_matches(at(2), 1, &[Value::Null]), 1);
+        assert_eq!(trie.count_matches(at(2), 1, &[Value::Int(7)]), 1);
+        assert!(!at(1).is_map() && !at(2).is_map());
+        assert_eq!(trie.maps_built(), 1);
+        // The hub is forced once and shared from then on.
+        assert_eq!(trie.count_matches(at(0), 1, &[Value::Int(3)]), 4);
+        assert_eq!(trie.count_matches(at(0), 1, &[Value::Int(11)]), 0);
+        assert!(at(0).is_map());
+        assert_eq!(trie.maps_built(), 2);
+        // A node something else forced answers from its map, small or not.
+        trie.force(at(1), 1, true);
+        assert_eq!(trie.count_matches(at(1), 1, &[Value::Int(5)]), 2);
+
+        // Keys of any other arity go through the map, whatever the size.
+        let pair = InputTrie::build(&input, schema(&[&["x"], &["y", "z"]]), TrieStrategy::Colt);
+        let x1 = pair.get(pair.root(), 0, &[Value::Int(1)]).unwrap();
+        assert_eq!(pair.count_matches(x1, 1, &[Value::Int(5), Value::Int(0)]), 2);
+        assert_eq!(pair.count_matches(x1, 1, &[Value::Int(5), Value::Int(1)]), 0);
+        assert!(x1.is_map());
     }
 
     #[test]

@@ -11,6 +11,14 @@
 //! relations) under the clover, star, skew-flip and triangle shapes. Every
 //! case runs left-deep and bushy, across the trie strategies, thread counts
 //! and adaptive execution; pruning may also never cost probes.
+//!
+//! The cyclic shapes at the end — triangle, 4-cycle with a chord, triangle
+//! with a shared attribute, all as self-joins — are the ones split factoring
+//! turns into intersection plans and lazy leaves then walk and scan instead
+//! of hashing: they run the same grid pruned *and* unpruned, against
+//! Generic Join as well, over duplicate rows, NULL keys, a hub key above the
+//! scan bound and an empty relation, and once more with every expansion
+//! split into scheduler tasks.
 
 use freejoin::plan::PlanTree;
 use freejoin::prelude::*;
@@ -193,6 +201,8 @@ fn check(catalog: &Catalog, query: &ConjunctiveQuery, pick: u64, configs: &[Free
             let ctx = format!("{label}, {shape} plan");
             let (binary, _) = BinaryJoinEngine::new().execute(catalog, variant, &plan).unwrap();
             assert!(binary.result_eq(expected), "{ctx}: binary join vs oracle");
+            let (generic, _) = GenericJoinEngine::new().execute(catalog, variant, &plan).unwrap();
+            assert!(generic.result_eq(expected), "{ctx}: Generic Join vs oracle");
 
             let serial = FreeJoinOptions::default().with_num_threads(1);
             let run = |options: FreeJoinOptions| {
@@ -207,8 +217,18 @@ fn check(catalog: &Catalog, query: &ConjunctiveQuery, pick: u64, configs: &[Free
                 );
                 stats.probes
             };
-            let unpruned = run(serial.with_factorized_output(false));
-            let pruned = run(serial);
+            run(serial.with_factorized_output(false));
+            run(serial);
+            // Pruning never costs probes — compared with the covers fixed
+            // (re-derived for lazy leaves). A dynamically chosen cover whose
+            // input is done is walked row by row, a duplicate row probing
+            // again, while the unpruned plan, where the same subatom still
+            // has its empty `[#k()]` successor, walks a map of distinct keys:
+            // on inputs with duplicate rows the two plans then differ in how
+            // they iterate, not in what pruning removed.
+            let fixed = FreeJoinOptions { dynamic_cover: false, ..serial };
+            let unpruned = run(fixed.with_factorized_output(false));
+            let pruned = run(fixed);
             assert!(pruned <= unpruned, "{ctx}: pruning cost probes: {pruned} > {unpruned}");
             for &options in configs {
                 run(options);
@@ -382,4 +402,131 @@ fn an_empty_relation_empties_the_result() {
         assert_eq!(oracle(&catalog, &[&query])[0].cardinality(), 0);
         check(&catalog, &query, 11, &grid());
     }
+}
+
+// ---- cyclic shapes: split plans, row-wise covers, scan probes ----
+
+/// The grid with every configuration pruned and unpruned. An unpruned split
+/// plan keeps its trailing `[#k()]` node, so its dynamically chosen covers
+/// are not their inputs' last subatoms (they iterate maps where the pruned
+/// plan walks rows).
+fn cyclic_grid() -> Vec<FreeJoinOptions> {
+    grid().into_iter().flat_map(|o| [o, o.with_factorized_output(false)]).collect()
+}
+
+/// Triangle, 4-cycle with a chord (LSQB `q3`) and triangle whose first two
+/// corners share an attribute (LSQB `q2`), as self-joins of `edge` (and of
+/// `tag`).
+fn cyclic_queries() -> Vec<ConjunctiveQuery> {
+    let edges = |name: &str, pairs: &[(&str, &str)]| {
+        let mut q = QueryBuilder::new(name);
+        for (i, (src, dst)) in pairs.iter().enumerate() {
+            q = q.atom_as("edge", &format!("e{i}"), &[src, dst]);
+        }
+        q
+    };
+    vec![
+        edges("triangle", &[("x", "y"), ("y", "z"), ("z", "x")]).build(),
+        edges("chord", &[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]).build(),
+        edges("shared", &[("a", "b"), ("b", "c"), ("c", "a")])
+            .atom_as("tag", "i1", &["a", "t"])
+            .atom_as("tag", "i2", &["b", "t"])
+            .build(),
+    ]
+}
+
+/// The full grid on the triangle, a rotating sixth of it on the other two.
+fn check_cyclic(catalog: &Catalog, pick: u64, grid: &[FreeJoinOptions]) {
+    for (i, query) in cyclic_queries().iter().enumerate() {
+        let configs: Vec<FreeJoinOptions> = if i == 0 {
+            grid.to_vec()
+        } else {
+            grid.iter().copied().skip((pick as usize + i) % 6).step_by(6).collect()
+        };
+        check(catalog, query, pick.wrapping_mul(i as u64 + 1), &configs);
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig { cases: 8, ..ProptestConfig::default() })]
+
+    #[test]
+    fn generated_cyclic_self_joins(edge in rows(2), tag in rows(2), pick in 0u64..1 << 40) {
+        let catalog = catalog_of(vec![
+            relation("edge", &["src", "dst"], &edge),
+            relation("tag", &["node", "tag"], &tag),
+        ]);
+        check_cyclic(&catalog, pick, &cyclic_grid());
+    }
+}
+
+/// A graph with everything the lazy leaves treat differently: node 0 is a
+/// hub whose adjacency lists are above the scan bound (they are forced once
+/// and shared), the other lists are within it (scanned, or walked row by
+/// row), some edges are duplicated, one endpoint is NULL on both sides of a
+/// match, and `tag` may be empty.
+fn hub_catalog(with_tags: bool) -> Catalog {
+    let spokes = freejoin::engine::trie::SCAN_PROBE_MAX_ROWS as i64 + 4;
+    let mut edges = Vec::new();
+    for v in 1..=spokes {
+        edges.push(vec![0, v]);
+        edges.push(vec![v, 0]);
+        edges.push(vec![v, v % spokes + 1]);
+        if v % 3 == 0 {
+            edges.push(vec![v % spokes + 1, v]);
+            edges.push(vec![v, v % spokes + 1]); // a duplicate row
+        }
+    }
+    // `5` is NULL in `relation`: renumber the real node 5, then add NULLs.
+    for e in &mut edges {
+        e.iter_mut().filter(|v| **v == 5).for_each(|v| *v = 500);
+    }
+    edges.extend([vec![5, 1], vec![1, 5], vec![5, 5], vec![5, 0], vec![0, 5]]);
+    let tags: Vec<Vec<i64>> = if with_tags {
+        (0..=spokes).map(|v| vec![v, v % 2]).chain([vec![0, 1], vec![5, 0]]).collect()
+    } else {
+        Vec::new()
+    };
+    catalog_of(vec![
+        relation("edge", &["src", "dst"], &edges),
+        relation("tag", &["node", "tag"], &tags),
+    ])
+}
+
+#[test]
+fn cyclic_shapes_over_a_hub_duplicates_and_nulls() {
+    let catalog = hub_catalog(true);
+    for query in &cyclic_queries() {
+        let matches = oracle(&catalog, &[query])[0].cardinality();
+        assert!(matches > 50, "{}: {matches} matches make a weak test", query.name);
+    }
+    check_cyclic(&catalog, 0x5bd1_e995, &cyclic_grid());
+}
+
+#[test]
+fn cyclic_shapes_with_an_empty_relation() {
+    let catalog = hub_catalog(false);
+    let shared = &cyclic_queries()[2];
+    assert_eq!(oracle(&catalog, &[shared])[0].cardinality(), 0);
+    check(&catalog, shared, 7, &cyclic_grid());
+    // The other two do not read `tag`; an empty `edge` empties them too.
+    let none = catalog_of(vec![
+        relation("edge", &["src", "dst"], &[]),
+        relation("tag", &["node", "tag"], &[vec![1, 1]]),
+    ]);
+    check_cyclic(&none, 3, &cyclic_grid());
+}
+
+/// The forced-split stress over split plans: `split_threshold = 2` hands
+/// every expansion of two or more entries to the scheduler, so covers that
+/// would be walked row by row are forced and cut into entry ranges, and scan
+/// probes race with the forcing of the nodes they scan.
+#[test]
+fn cyclic_shapes_under_forced_splitting() {
+    let grid: Vec<FreeJoinOptions> = cyclic_grid()
+        .into_iter()
+        .filter(|o| o.num_threads > 1)
+        .map(|o| o.with_split_threshold(2))
+        .collect();
+    check_cyclic(&hub_catalog(true), 0x2545_f491, &grid);
 }

@@ -9,7 +9,7 @@
 use freejoin::plan::{optimize, CatalogStats, EstimatorMode, OptimizerOptions};
 use freejoin::prelude::*;
 use freejoin::query::OutputKind;
-use freejoin::workloads::{micro, Workload};
+use freejoin::workloads::{lsqb, micro, Workload};
 
 const THREAD_COUNTS: &[usize] = &[2, 4];
 
@@ -112,6 +112,16 @@ fn uniform_triangle_parallel_matches_serial() {
     check_workload(&micro::skewed_triangle(100, 4, 0.0, 5));
 }
 
+/// The cyclic LSQB-like queries compile to split plans: two-cover inner
+/// nodes whose covers are walked row by row and whose final probes are
+/// scanned or — for a hub, or when another worker got there first — served
+/// from a map. Which of the two a worker finds depends on the schedule; the
+/// answer must not.
+#[test]
+fn lsqb_like_parallel_matches_serial() {
+    check_workload(&lsqb::workload(&lsqb::LsqbConfig::tiny()));
+}
+
 #[test]
 fn chain_parallel_matches_serial() {
     check_workload(&micro::chain(4, 300, 50, 3));
@@ -190,6 +200,9 @@ fn forced_split_stress_matches_serial() {
     check_workload_configured(&micro::skewed_star(2, 40, 0.9, 31), &threads, tiny);
     check_workload_configured(&micro::clover(40), &threads, tiny);
     check_workload_configured(&micro::skewed_triangle(80, 4, 1.0, 17), &threads, tiny);
+    // Split plans: every adjacency list of two or more rows is forced and
+    // cut into entry ranges while other workers scan or walk the same nodes.
+    check_workload_configured(&lsqb::workload(&lsqb::LsqbConfig::tiny()), &threads, tiny);
     // Adaptive probe reordering under maximal steal interleavings: the
     // bound-driven decisions must survive any task split schedule.
     let tiny_adaptive = |o: FreeJoinOptions| o.with_split_threshold(2).with_adaptive(true);

@@ -5,11 +5,15 @@
 //! unprofiled execution (turning profiling on is what pays, and only then).
 //!
 //! Everything lives in one `#[test]` because the counter is process-global
-//! and the default harness runs tests concurrently.
+//! and the default harness runs tests concurrently. Only the test's own
+//! thread is counted: the harness's main thread keeps allocating for a
+//! moment after it spawned the test (its running-tests table, its timeout
+//! queue), which used to fail the first assertion in about half the runs.
 
 use freejoin::obs::ProfileSheet;
 use freejoin::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
@@ -17,9 +21,21 @@ struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
 
+thread_local! {
+    /// Set by the test on its own thread; const-initialized and without a
+    /// destructor, so reading it inside the allocator allocates nothing.
+    static COUNTED: Cell<bool> = const { Cell::new(false) };
+}
+
+fn count() {
+    if COUNTED.try_with(Cell::get).unwrap_or(false) {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+    }
+}
+
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.alloc(layout) }
     }
 
@@ -28,7 +44,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -42,6 +58,7 @@ fn allocations() -> u64 {
 
 #[test]
 fn disabled_profiling_is_allocation_free() {
+    COUNTED.with(|counted| counted.set(true));
     // Part 1: a disabled sheet is a no-op at the allocator level. The bumps
     // are failed bounds checks into an empty slice, not stores.
     let mut sheet = ProfileSheet::disabled();

@@ -4,9 +4,12 @@
 //! yields, at every level, exactly the key -> row-offset lists of a naive
 //! `BTreeMap` grouping, with offsets ascending inside each group. Stable
 //! grouping is what keeps emission order — and with it the path-key-ordered
-//! merge of the parallel executor — deterministic.
+//! merge of the parallel executor — deterministic. The lazy-leaf reads are
+//! checked against the same oracle before anything is forced: a node with
+//! nothing keyed below it walks its rows in order, and a counting probe
+//! returns the group's size whether it scans the node or forces it.
 
-use freejoin::engine::trie::NodeRef;
+use freejoin::engine::trie::{NodeRef, SCAN_PROBE_MAX_ROWS};
 use freejoin::engine::{BoundInput, InputTrie};
 use freejoin::prelude::*;
 use freejoin::storage::Field;
@@ -53,7 +56,12 @@ fn check_node(trie: &InputTrie, input: &BoundInput, node: NodeRef<'_>, level: us
         return;
     }
     let key_of = |row: u32| input.read_vars(row as usize, trie.level_vars(level));
-    if trie.is_last_level(level) && !node.is_map() {
+    let nothing_keyed_below = (level + 1..trie.num_levels()).all(|l| trie.level_vars(l).is_empty());
+    assert_eq!(
+        trie.iterates_rows(node, level),
+        !node.is_map() && nothing_keyed_below && !trie.level_vars(level).is_empty()
+    );
+    if nothing_keyed_below && !node.is_map() {
         let mut seen = Vec::new();
         if trie.level_vars(level).is_empty() {
             // Nothing to tell the tuples apart: a non-empty leaf is one
@@ -65,7 +73,8 @@ fn check_node(trie: &InputTrie, input: &BoundInput, node: NodeRef<'_>, level: us
             });
             assert_eq!(seen.len(), usize::from(!rows.is_empty()));
         } else {
-            // The unforced leaf iterates its tuples directly, in row order.
+            // The unforced node — a leaf, or a level with only the trailing
+            // empty one below it — iterates its tuples directly, in row order.
             trie.for_each(node, level, |key, child| {
                 assert!(child.is_none());
                 seen.push(key.to_vec());
@@ -77,6 +86,19 @@ fn check_node(trie: &InputTrie, input: &BoundInput, node: NodeRef<'_>, level: us
     for &row in rows {
         oracle.entry(ord(&key_of(row))).or_default().push(row);
     }
+    // Counting probes agree with the oracle whether they scan the node
+    // (unforced and small) or force it (a hub), and scanning forces nothing.
+    let scanned =
+        !node.is_map() && rows.len() <= SCAN_PROBE_MAX_ROWS && trie.level_vars(level).len() == 1;
+    for group in oracle.values() {
+        assert_eq!(trie.count_matches(node, level, &key_of(group[0])), group.len() as u64);
+    }
+    let absent = vec![Value::Int(-1); trie.level_vars(level).len()];
+    assert_eq!(
+        trie.count_matches(node, level, &absent),
+        u64::from(absent.is_empty()) * rows.len() as u64
+    );
+    assert_eq!(node.is_map(), !scanned, "level {level}: {} rows", rows.len());
     let forced = trie.force(node, level, true);
     assert_eq!(forced.num_keys(), oracle.len());
     assert_eq!(trie.estimated_keys(node), oracle.len());
