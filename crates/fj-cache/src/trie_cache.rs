@@ -57,10 +57,11 @@ pub struct TrieKey {
 /// Each entry is charged the byte size its builder reports at insert time —
 /// for the engine's tries, a pessimistic bound *derived from the actual
 /// layout* (`InputTrie::estimated_bytes` charges every row, at every level,
-/// its `u32` in the level's grouped offset array plus one
-/// `size_of::<(LevelKey, u32)>()` index entry and one `size_of::<TrieNode>()`
-/// child), so the budget invariant stays honest across representation
-/// changes rather than relying on a hand-tuned constant.
+/// its `u32` in the level's grouped offset array, its 16/7 slots — a
+/// `size_of::<(u64, u32)>()` entry and a control byte each — of a word-keyed
+/// index sized from the row count, and one `size_of::<TrieNode>()` child),
+/// so the budget invariant stays honest across representation changes
+/// rather than relying on a hand-tuned constant.
 #[derive(Debug)]
 pub struct TrieCache<T> {
     inner: ShardedLru<TrieKey, T>,

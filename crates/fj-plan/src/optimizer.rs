@@ -21,6 +21,8 @@ use crate::binary_plan::{BinaryPlan, PlanTree};
 pub use crate::stats::EstimatorMode;
 use crate::stats::{CardinalityEstimator, CatalogStats, SubPlanInfo};
 use fj_query::ConjunctiveQuery;
+use fj_storage::FastBuildHasher;
+use std::cmp::Ordering;
 use std::collections::HashMap;
 
 /// Options controlling the optimizer.
@@ -49,6 +51,87 @@ impl OptimizerOptions {
     }
 }
 
+/// A set of query variables: bit `v % 64` of word `v / 64` stands for
+/// variable `v` of [`VarSets::names`].
+type VarSet = Vec<u64>;
+
+/// The query's variables numbered once per [`optimize`] call, so that the
+/// search intersects machine words instead of building a set of names for
+/// every candidate pair.
+struct VarSets {
+    /// The distinct variable names, sorted: the bits of a set, read in
+    /// order, name its variables in name order (the order the estimator is
+    /// handed shared variables in, which fixes its floating-point result).
+    names: Vec<String>,
+    /// The variables of each atom.
+    atoms: Vec<VarSet>,
+}
+
+impl VarSets {
+    fn new(query: &ConjunctiveQuery) -> Self {
+        let mut names: Vec<String> =
+            query.atoms.iter().flat_map(|atom| atom.vars.iter().cloned()).collect();
+        names.sort_unstable();
+        names.dedup();
+        let atoms = query
+            .atoms
+            .iter()
+            .map(|atom| {
+                let mut set = vec![0u64; names.len().div_ceil(64)];
+                for var in &atom.vars {
+                    let v = names.binary_search(var).expect("every variable was numbered");
+                    set[v / 64] |= 1 << (v % 64);
+                }
+                set
+            })
+            .collect();
+        VarSets { names, atoms }
+    }
+
+    /// The names of the variables in both sets, sorted.
+    fn shared(&self, left: &VarSet, right: &VarSet) -> Vec<String> {
+        let mut out = Vec::new();
+        for (w, (l, r)) in left.iter().zip(right).enumerate() {
+            let mut both = l & r;
+            while both != 0 {
+                out.push(self.names[w * 64 + both.trailing_zeros() as usize].clone());
+                both &= both - 1;
+            }
+        }
+        out
+    }
+
+    /// Is the atom set `mask` connected in the query's join graph?
+    fn is_connected(&self, mask: u64) -> bool {
+        let mut rest = mask & (mask - 1);
+        let mut reached = self.atoms[mask.trailing_zeros() as usize].clone();
+        // Grow the first atom's component until no remaining atom touches it.
+        loop {
+            let before = rest;
+            let mut candidates = rest;
+            while candidates != 0 {
+                let i = candidates.trailing_zeros() as usize;
+                candidates &= candidates - 1;
+                if intersects(&reached, &self.atoms[i]) {
+                    reached.iter_mut().zip(&self.atoms[i]).for_each(|(r, a)| *r |= a);
+                    rest &= !(1u64 << i);
+                }
+            }
+            if rest == 0 || rest == before {
+                return rest == 0;
+            }
+        }
+    }
+}
+
+fn intersects(left: &VarSet, right: &VarSet) -> bool {
+    left.iter().zip(right).any(|(l, r)| l & r != 0)
+}
+
+fn union(left: &VarSet, right: &VarSet) -> VarSet {
+    left.iter().zip(right).map(|(l, r)| l | r).collect()
+}
+
 /// One DP table entry: the best plan found for a set of atoms.
 #[derive(Debug, Clone)]
 struct DpEntry {
@@ -56,6 +139,24 @@ struct DpEntry {
     info: SubPlanInfo,
     /// Accumulated cost (sum of intermediate result cardinalities).
     cost: f64,
+    /// The variables of the entry's atoms.
+    vars: VarSet,
+}
+
+impl DpEntry {
+    fn leaf(
+        query: &ConjunctiveQuery,
+        estimator: &CardinalityEstimator<'_>,
+        sets: &VarSets,
+        i: usize,
+    ) -> Self {
+        DpEntry {
+            tree: PlanTree::Leaf(i),
+            info: estimator.atom_info(query, i),
+            cost: 0.0,
+            vars: sets.atoms[i].clone(),
+        }
+    }
 }
 
 /// Optimize a query into a binary join plan.
@@ -73,67 +174,27 @@ pub fn optimize(
     if n == 1 {
         return BinaryPlan::new(PlanTree::Leaf(0));
     }
+    let sets = VarSets::new(query);
     if n <= options.dp_threshold && n <= 20 {
-        dp_optimize(query, &estimator, options)
+        dp_optimize(query, &estimator, &sets, options)
     } else {
-        greedy_optimize(query, &estimator, options)
+        greedy_optimize(query, &estimator, &sets, options)
     }
 }
 
-/// Variables shared between two atom sets.
-fn shared_vars(query: &ConjunctiveQuery, left: u64, right: u64) -> Vec<String> {
-    let mut left_vars = std::collections::BTreeSet::new();
-    for (i, atom) in query.atoms.iter().enumerate() {
-        if left & (1u64 << i) != 0 {
-            left_vars.extend(atom.vars.iter().cloned());
-        }
-    }
-    let mut out = std::collections::BTreeSet::new();
-    for (i, atom) in query.atoms.iter().enumerate() {
-        if right & (1u64 << i) != 0 {
-            for v in &atom.vars {
-                if left_vars.contains(v) {
-                    out.insert(v.clone());
-                }
-            }
-        }
-    }
-    out.into_iter().collect()
-}
-
-/// Is the atom set `mask` connected in the query's join graph?
-fn is_connected(query: &ConjunctiveQuery, mask: u64) -> bool {
-    let members: Vec<usize> = (0..query.num_atoms()).filter(|i| mask & (1u64 << i) != 0).collect();
-    if members.len() <= 1 {
-        return true;
-    }
-    let mut visited = vec![false; members.len()];
-    let mut stack = vec![0usize];
-    visited[0] = true;
-    while let Some(i) = stack.pop() {
-        for j in 0..members.len() {
-            if !visited[j]
-                && !query.atoms[members[i]].shared_vars(&query.atoms[members[j]]).is_empty()
-            {
-                visited[j] = true;
-                stack.push(j);
-            }
-        }
-    }
-    visited.into_iter().all(|v| v)
-}
-
-/// Join two DP entries into a candidate plan for their union. The child with
+/// Join two DP entries into a candidate plan for their union, if it costs
+/// less than `below` (any cost does when there is no bound). The child with
 /// the larger estimated cardinality goes on the left (probe/iterate side),
-/// matching the hash-join convention of building on the smaller input.
+/// matching the hash-join convention of building on the smaller input. A
+/// candidate is costed from its cardinality alone; the merged statistics and
+/// the plan tree are built only for one that beats the bound.
 fn combine(
     estimator: &CardinalityEstimator<'_>,
-    query: &ConjunctiveQuery,
-    left_mask: u64,
+    sets: &VarSets,
     left: &DpEntry,
-    right_mask: u64,
     right: &DpEntry,
     left_deep_only: bool,
+    below: Option<f64>,
 ) -> Option<DpEntry> {
     if left_deep_only
         && !matches!(right.tree, PlanTree::Leaf(_))
@@ -141,9 +202,13 @@ fn combine(
     {
         return None;
     }
-    let shared = shared_vars(query, left_mask, right_mask);
+    let shared = sets.shared(&left.vars, &right.vars);
+    let cost =
+        left.cost + right.cost + estimator.join_cardinality(&left.info, &right.info, &shared);
+    if below.is_some_and(|bound| cost.partial_cmp(&bound) != Some(Ordering::Less)) {
+        return None;
+    }
     let info = estimator.join(&left.info, &right.info, &shared);
-    let cost = left.cost + right.cost + info.cardinality;
     // Keep the bigger side on the left. Under AlwaysOne the estimates tie and
     // the orientation is arbitrary, which is part of what makes bad plans bad.
     // When only left-deep plans are allowed and exactly one side is a leaf,
@@ -165,7 +230,7 @@ fn combine(
     if left_deep_only && !tree.is_left_deep() {
         return None;
     }
-    Some(DpEntry { tree, info, cost })
+    Some(DpEntry { tree, info, cost, vars: union(&left.vars, &right.vars) })
 }
 
 /// Should the leaf be forced onto the right child? Only when restricted to
@@ -182,14 +247,15 @@ fn options_prefers_leaf_right(
 fn dp_optimize(
     query: &ConjunctiveQuery,
     estimator: &CardinalityEstimator<'_>,
+    sets: &VarSets,
     options: OptimizerOptions,
 ) -> BinaryPlan {
     let n = query.num_atoms();
     let full: u64 = if n == 64 { u64::MAX } else { (1u64 << n) - 1 };
-    let mut table: HashMap<u64, DpEntry> = HashMap::new();
+    // Keyed by the search's own atom masks: the cheap hasher is safe.
+    let mut table: HashMap<u64, DpEntry, FastBuildHasher> = HashMap::default();
     for i in 0..n {
-        let info = estimator.atom_info(query, i);
-        table.insert(1u64 << i, DpEntry { tree: PlanTree::Leaf(i), info, cost: 0.0 });
+        table.insert(1u64 << i, DpEntry::leaf(query, estimator, sets, i));
     }
 
     // Enumerate subsets in increasing popcount so both halves are available.
@@ -199,7 +265,7 @@ fn dp_optimize(
         if mask.count_ones() < 2 || table.contains_key(&mask) && mask.count_ones() == 1 {
             continue;
         }
-        if !is_connected(query, mask) {
+        if !sets.is_connected(mask) {
             continue;
         }
         let mut best: Option<DpEntry> = None;
@@ -215,16 +281,16 @@ fn dp_optimize(
             if let (Some(left), Some(right)) = (table.get(&sub), table.get(&other)) {
                 // Require both sides connected and sharing a variable unless
                 // the whole query forces a cross product.
-                let shares = !shared_vars(query, sub, other).is_empty();
+                let shares = intersects(&left.vars, &right.vars);
                 if shares || mask == full {
-                    for (lm, l, rm, r) in [(sub, left, other, right), (other, right, sub, left)] {
-                        if let Some(cand) =
-                            combine(estimator, query, lm, l, rm, r, options.left_deep_only)
-                        {
-                            if best.as_ref().is_none_or(|b| cand.cost < b.cost) {
-                                best = Some(cand);
-                            }
-                        }
+                    // One orientation is enough: `combine` is symmetric in
+                    // cost and feasibility, and only a strictly cheaper
+                    // candidate replaces the best.
+                    let below = best.as_ref().map(|b| b.cost);
+                    if let Some(cand) =
+                        combine(estimator, sets, left, right, options.left_deep_only, below)
+                    {
+                        best = Some(cand);
                     }
                 }
             }
@@ -239,7 +305,7 @@ fn dp_optimize(
         Some(entry) => BinaryPlan::new(entry.tree),
         // Disconnected queries (cross products) may leave gaps; fall back to
         // the greedy algorithm which always produces a plan.
-        None => greedy_optimize(query, estimator, options),
+        None => greedy_optimize(query, estimator, sets, options),
     }
 }
 
@@ -248,27 +314,21 @@ fn dp_optimize(
 fn greedy_optimize(
     query: &ConjunctiveQuery,
     estimator: &CardinalityEstimator<'_>,
+    sets: &VarSets,
     options: OptimizerOptions,
 ) -> BinaryPlan {
     let n = query.num_atoms();
-    let mut components: Vec<(u64, DpEntry)> = (0..n)
-        .map(|i| {
-            (
-                1u64 << i,
-                DpEntry { tree: PlanTree::Leaf(i), info: estimator.atom_info(query, i), cost: 0.0 },
-            )
-        })
-        .collect();
+    let mut components: Vec<DpEntry> =
+        (0..n).map(|i| DpEntry::leaf(query, estimator, sets, i)).collect();
 
     while components.len() > 1 {
         let mut best: Option<(usize, usize, DpEntry)> = None;
         let mut best_connected = false;
         for i in 0..components.len() {
             for j in (i + 1)..components.len() {
-                let (mi, ei) = &components[i];
-                let (mj, ej) = &components[j];
-                let connected = !shared_vars(query, *mi, *mj).is_empty();
-                let Some(cand) = combine(estimator, query, *mi, ei, *mj, ej, false) else {
+                let (ei, ej) = (&components[i], &components[j]);
+                let connected = intersects(&ei.vars, &ej.vars);
+                let Some(cand) = combine(estimator, sets, ei, ej, false, None) else {
                     continue;
                 };
                 let better = match &best {
@@ -286,12 +346,12 @@ fn greedy_optimize(
             }
         }
         let (i, j, entry) = best.expect("at least one pair exists");
-        let (mask_j, _) = components.remove(j);
-        let (mask_i, _) = components.remove(i);
-        components.push((mask_i | mask_j, entry));
+        components.remove(j);
+        components.remove(i);
+        components.push(entry);
     }
 
-    let plan = BinaryPlan::new(components.pop().expect("one component remains").1.tree);
+    let plan = BinaryPlan::new(components.pop().expect("one component remains").tree);
     if options.left_deep_only && !plan.is_left_deep() {
         // Flatten to a left-deep plan over the same leaf order.
         return BinaryPlan::left_deep(&plan.leaves());

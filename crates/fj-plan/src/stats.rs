@@ -176,6 +176,27 @@ impl<'a> CardinalityEstimator<'a> {
         SubPlanInfo { cardinality: card, distinct }
     }
 
+    /// The cardinality [`CardinalityEstimator::join`] estimates, without
+    /// the per-variable distinct counts: all a search needs to cost a
+    /// candidate it may well discard.
+    pub fn join_cardinality(
+        &self,
+        left: &SubPlanInfo,
+        right: &SubPlanInfo,
+        shared_vars: &[String],
+    ) -> f64 {
+        if self.mode == EstimatorMode::AlwaysOne {
+            return 1.0;
+        }
+        let mut cardinality = left.cardinality * right.cardinality;
+        for v in shared_vars {
+            let dl = left.distinct.get(v).copied().unwrap_or(left.cardinality).max(1.0);
+            let dr = right.distinct.get(v).copied().unwrap_or(right.cardinality).max(1.0);
+            cardinality /= dl.max(dr);
+        }
+        cardinality.max(1.0)
+    }
+
     /// Estimate the join of two sub-plans that share `shared_vars`.
     pub fn join(
         &self,
@@ -193,13 +214,7 @@ impl<'a> CardinalityEstimator<'a> {
             }
             return SubPlanInfo { cardinality: 1.0, distinct };
         }
-        let mut cardinality = left.cardinality * right.cardinality;
-        for v in shared_vars {
-            let dl = left.distinct.get(v).copied().unwrap_or(left.cardinality).max(1.0);
-            let dr = right.distinct.get(v).copied().unwrap_or(right.cardinality).max(1.0);
-            cardinality /= dl.max(dr);
-        }
-        cardinality = cardinality.max(1.0);
+        let cardinality = self.join_cardinality(left, right, shared_vars);
         let mut distinct = HashMap::new();
         for (v, d) in &left.distinct {
             let merged = match right.distinct.get(v) {

@@ -1,10 +1,13 @@
 //! Inline-packed join keys and the fast hasher shared by every hash level.
 //!
-//! Every hash structure in the workspace — GHT trie levels in
-//! `free-join::trie`, the binary-join build tables and Generic Join tries in
-//! `fj-baselines` — keys on a tuple of [`Value`]s. Representing that tuple as
-//! `Vec<Value>` costs a heap allocation per key built and a pointer chase per
-//! key compared, in the innermost loop of the join. [`LevelKey`] removes both
+//! The hash structures that key on a *tuple* of [`Value`]s — the binary-join
+//! build tables and Generic Join tries in `fj-baselines`, and the GHT trie
+//! levels of `free-join::trie` that have no key column or several — use
+//! [`LevelKey`]. (A one-column GHT level, the common case there, is keyed by
+//! the value's 64-bit payload instead and never builds a `LevelKey`; it
+//! shares only the hasher below.) Representing the tuple as `Vec<Value>`
+//! costs a heap allocation per key built and a pointer chase per key
+//! compared, in the innermost loop of the join. [`LevelKey`] removes both
 //! costs for the overwhelmingly common case:
 //!
 //! * **arity 0–2** keys (single join variables and pairs) are packed inline

@@ -40,13 +40,12 @@
 //! [`ExecCounters`] and in the per-node profile, in the scalar, vectorized
 //! and work-stealing loops alike.
 //!
-//! The hot path is allocation-free: probe keys of arity ≤ 2 are built as
-//! inline [`LevelKey`]s (or stack arrays) in place, and every remaining
-//! per-iteration buffer (wide-key spill, saved trie positions, vectorization
-//! batches) lives in a per-node `NodeScratch` allocated once per pipeline
-//! and reused across iterations. Trie levels hash with the workspace's
-//! FxHash-style `FastBuildHasher` (see `fj_storage::key` and
-//! [`crate::trie`]).
+//! The hot path is allocation-free: probe keys of arity ≤ 2 are built in
+//! stack arrays in place, and every remaining per-iteration buffer (wide-key
+//! spill, saved trie positions, vectorization batches) lives in a per-node
+//! `NodeScratch` allocated once per pipeline and reused across iterations.
+//! A one-variable probe hashes and compares one 64-bit word (see "Key
+//! representation and hashing" in [`crate::trie`]).
 //!
 //! # Chunked result emission
 //!
@@ -100,7 +99,7 @@ use crate::sink::{ChunkBuffer, Sink};
 use crate::trie::{InputTrie, NodeRef};
 use fj_obs::{ProfileSheet, TraceBuf, TraceCat, DEFAULT_TRACE_CAPACITY};
 use fj_query::CancelReason;
-use fj_storage::{LevelKey, Value};
+use fj_storage::Value;
 use std::collections::VecDeque;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
@@ -212,8 +211,8 @@ impl ExecCounters {
 /// private set.
 #[derive(Debug, Default)]
 struct NodeScratch<'t> {
-    /// Spill buffer for probe keys wider than the inline arity (arity ≤ 2
-    /// probes build `Copy` [`LevelKey`]s in place and never touch this).
+    /// Spill buffer for probe keys of more than two values (narrower keys
+    /// are built in stack arrays and never touch this).
     spill_key: Vec<Value>,
     /// Saved trie positions to restore after a recursive call.
     saved: Vec<(usize, NodeRef<'t>)>,
@@ -288,20 +287,16 @@ pub fn execute_pipeline_cancellable(
     counters
 }
 
-/// A materialized cover-entry list shared across the sibling sub-ranges of
-/// one split.
-type EntryList<'t> = Arc<Vec<(&'t LevelKey, NodeRef<'t>)>>;
-
-/// What one scheduler task iterates. Entry lists borrow their keys and
-/// child handles from the tries (which outlive the worker scope) and are
-/// shared across the sibling sub-ranges of one split via `Arc`, so tasks
-/// have no lifetime ties to the worker that spawned them.
-enum TaskItems<'t> {
-    /// A range of a node's (forced) cover-map entries.
-    Entries { cover_idx: usize, entries: EntryList<'t>, lo: usize, hi: usize },
-    /// A range of base-table rows — the root cover is unforced with no keyed
-    /// level below it (the COLT fast path), iterated directly without forcing.
-    Rows { cover_idx: usize, lo: usize, hi: usize },
+/// What one scheduler task iterates. Cover ranges are plain indices into
+/// the tries (which outlive the worker scope), so tasks have no lifetime
+/// ties to the worker that spawned them and a split materializes nothing.
+enum TaskItems {
+    /// A range of a node's cover: children `lo..hi` of its forced level (the
+    /// node is the task's position in the cover's input), or — `by_rows` —
+    /// base-table rows `lo..hi`: the root cover is unforced with no keyed
+    /// level below it (the COLT fast path), iterated directly without
+    /// forcing.
+    Cover { cover_idx: usize, by_rows: bool, lo: usize, hi: usize },
     /// A range of an independent tail's first expansion list (flat
     /// `(values, weight)` columns); the task re-gathers the inner lists and
     /// emits its slice of the Cartesian product.
@@ -316,7 +311,7 @@ enum TaskItems<'t> {
 struct Task<'t> {
     path: Vec<u32>,
     node_idx: usize,
-    items: TaskItems<'t>,
+    items: TaskItems,
     tuple: Vec<Value>,
     positions: Vec<NodeRef<'t>>,
     weight: u64,
@@ -394,13 +389,14 @@ trait Splitter<'t> {
     /// Should an independent-tail product (`first_len` first-list entries ×
     /// `inner_count` inner combinations each) be cut into sub-range tasks?
     fn should_split_tail(&self, first_len: usize, inner_count: u64) -> bool;
-    /// Spawn sub-range tasks over a node's materialized cover entries.
+    /// Spawn sub-range tasks over the `total` children of a node's forced
+    /// cover level (`positions` holds the node).
     #[allow(clippy::too_many_arguments)]
     fn spawn_entries(
         &mut self,
         node_idx: usize,
         cover_idx: usize,
-        entries: Vec<(&'t LevelKey, NodeRef<'t>)>,
+        total: usize,
         tuple: &[Value],
         positions: &[NodeRef<'t>],
         weight: u64,
@@ -433,7 +429,7 @@ impl<'t> Splitter<'t> for NoSplit {
         &mut self,
         _node_idx: usize,
         _cover_idx: usize,
-        _entries: Vec<(&'t LevelKey, NodeRef<'t>)>,
+        _total: usize,
         _tuple: &[Value],
         _positions: &[NodeRef<'t>],
         _weight: u64,
@@ -508,22 +504,20 @@ impl<'t> Splitter<'t> for WorkerSplitter<'_, 't> {
         &mut self,
         node_idx: usize,
         cover_idx: usize,
-        entries: Vec<(&'t LevelKey, NodeRef<'t>)>,
+        total: usize,
         tuple: &[Value],
         positions: &[NodeRef<'t>],
         weight: u64,
     ) {
-        let total = entries.len();
         // Balanced chunks of at most `split_threshold` entries: sub-tasks
         // stay below the threshold themselves, and the chunking depends only
         // on the expansion size, never on the thread count.
         let chunks = total.div_ceil(self.sched.split_threshold);
         let chunk = total.div_ceil(chunks.max(1));
-        let entries = Arc::new(entries);
         self.spawn_ranges(total, chunk, |this, lo, hi| Task {
             path: this.child_path(),
             node_idx,
-            items: TaskItems::Entries { cover_idx, entries: entries.clone(), lo, hi },
+            items: TaskItems::Cover { cover_idx, by_rows: false, lo, hi },
             tuple: tuple.to_vec(),
             positions: positions.to_vec(),
             weight,
@@ -675,16 +669,12 @@ where
     }
     let cover_trie = &tries[cover.input];
     let cover_root = roots[cover.input];
-    let root_entries: Option<EntryList<'_>> =
-        if cover.final_for_input && cover_trie.iterates_rows(cover_root, cover.level) {
-            None // unforced, nothing keyed below: iterate base rows directly
-        } else {
-            let level = cover_trie.force(cover_root, cover.level, !cover_root.is_map());
-            Some(Arc::new(level.iter().collect()))
-        };
-    let total = match &root_entries {
-        None => cover_trie.num_rows(),
-        Some(entries) => entries.len(),
+    // Unforced with nothing keyed below: iterate base rows directly.
+    let by_rows = cover.final_for_input && cover_trie.iterates_rows(cover_root, cover.level);
+    let total = if by_rows {
+        cover_trie.num_rows()
+    } else {
+        cover_trie.force(cover_root, cover.level, !cover_root.is_map()).num_keys()
     };
     if total == 0 {
         return serial(make_sink());
@@ -706,14 +696,10 @@ where
         for m in 0..num_root {
             let lo = m * root_chunk;
             let hi = (lo + root_chunk).min(total);
-            let items = match &root_entries {
-                Some(entries) => TaskItems::Entries { cover_idx, entries: entries.clone(), lo, hi },
-                None => TaskItems::Rows { cover_idx, lo, hi },
-            };
             injector.push_back(Task {
                 path: vec![m as u32],
                 node_idx: 0,
-                items,
+                items: TaskItems::Cover { cover_idx, by_rows, lo, hi },
                 tuple: vec![Value::Null; plan.binding_order.len()],
                 positions: roots.clone(),
                 weight: 1,
@@ -749,7 +735,6 @@ where
                         .traces
                         .push(TraceBuf::with_capacity(DEFAULT_TRACE_CAPACITY, id as u32));
                 }
-                let mut key_buf: Vec<Value> = Vec::new();
                 loop {
                     let Some(task) = sched.find_task(id) else {
                         if sched.pending.load(Ordering::Acquire) == 0 {
@@ -796,7 +781,6 @@ where
                             &mut tuple,
                             &mut current,
                             &mut scratch,
-                            &mut key_buf,
                             &mut sink,
                             &mut counters,
                             &mut out,
@@ -859,7 +843,6 @@ fn run_task<'t>(
     tuple: &mut Vec<Value>,
     current: &mut Vec<NodeRef<'t>>,
     scratch: &mut [NodeScratch<'t>],
-    key_buf: &mut Vec<Value>,
     sink: &mut dyn Sink,
     counters: &mut ExecCounters,
     out: &mut ChunkBuffer,
@@ -898,123 +881,59 @@ fn run_task<'t>(
     }
 
     let node = &plan.nodes[node_idx];
-    let (cover_idx, lo, hi) = match &task.items {
-        TaskItems::Entries { cover_idx, lo, hi, .. } => (*cover_idx, *lo, *hi),
-        TaskItems::Rows { cover_idx, lo, hi } => (*cover_idx, *lo, *hi),
-        TaskItems::Tail { .. } => unreachable!("handled above"),
+    let TaskItems::Cover { cover_idx, by_rows, lo, hi } = task.items else {
+        unreachable!("tail tasks are handled above");
     };
     let cover = &node.subatoms[cover_idx];
     let cover_trie = &tries[cover.input];
+    let cover_node = current[cover.input];
     let t0 = counters.profile.is_enabled().then(Instant::now);
     if let Some(tb) = counters.traces.last_mut() {
         tb.begin(TraceCat::Node, node_idx as u32, (hi - lo) as u64, &task.path);
     }
+    // The task's slice of the cover, entry by entry as `for_each` would
+    // hand them out.
+    let walk = |f: &mut dyn FnMut(&[Value], Option<NodeRef<'t>>)| {
+        if by_rows {
+            cover_trie.for_each_row(cover.level, lo as u32..hi as u32, f);
+        } else {
+            let level = cover_trie.force(cover_node, cover.level, true);
+            cover_trie.for_each_child(level, cover.level, lo..hi, f);
+        }
+    };
 
+    let scratch = &mut scratch[node_idx..];
     if options.vectorized() && node.subatoms.len() > 1 {
         // Mirror run_node's choice: batch this node's probes too.
-        let scratch = &mut scratch[node_idx..];
         let (mine, rest) = scratch.split_at_mut(1);
         let mine = &mut mine[0];
         ensure_batch_buffers(mine, options.batch_size, node);
         mine.count = 0;
-        match &task.items {
-            TaskItems::Entries { entries, .. } => {
-                for &(key, child) in &entries[lo..hi] {
-                    if counters.check_cancel() {
-                        break;
-                    }
-                    counters.expansions += 1;
-                    counters.profile.add_expansions(node_idx, 1);
-                    buffer_cover_entry(
-                        node,
-                        cover_idx,
-                        cover_trie,
-                        key.values(),
-                        Some(child),
-                        tuple,
-                        weight,
-                        mine,
-                    );
-                    if mine.count >= options.batch_size {
-                        flush_batch(
-                            tries, plan, options, node_idx, cover_idx, mine, rest, tuple, current,
-                            sink, counters, out, splitter,
-                        );
-                    }
-                }
+        walk(&mut |key, child| {
+            if counters.check_cancel() {
+                return;
             }
-            TaskItems::Rows { .. } => {
-                for offset in lo..hi {
-                    if counters.check_cancel() {
-                        break;
-                    }
-                    cover_trie.read_key_into(cover.level, offset as u32, key_buf);
-                    counters.expansions += 1;
-                    counters.profile.add_expansions(node_idx, 1);
-                    buffer_cover_entry(
-                        node, cover_idx, cover_trie, key_buf, None, tuple, weight, mine,
-                    );
-                    if mine.count >= options.batch_size {
-                        flush_batch(
-                            tries, plan, options, node_idx, cover_idx, mine, rest, tuple, current,
-                            sink, counters, out, splitter,
-                        );
-                    }
-                }
+            counters.expansions += 1;
+            counters.profile.add_expansions(node_idx, 1);
+            buffer_cover_entry(node, cover_idx, cover_trie, key, child, tuple, weight, mine);
+            if mine.count >= options.batch_size {
+                flush_batch(
+                    tries, plan, options, node_idx, cover_idx, mine, rest, tuple, current, sink,
+                    counters, out, splitter,
+                );
             }
-            TaskItems::Tail { .. } => unreachable!("handled above"),
-        }
+        });
         flush_batch(
             tries, plan, options, node_idx, cover_idx, mine, rest, tuple, current, sink, counters,
             out, splitter,
         );
     } else {
-        match &task.items {
-            TaskItems::Entries { entries, .. } => {
-                for &(key, child) in &entries[lo..hi] {
-                    process_cover_entry(
-                        tries,
-                        plan,
-                        options,
-                        node_idx,
-                        cover_idx,
-                        key.values(),
-                        Some(child),
-                        tuple,
-                        current,
-                        weight,
-                        sink,
-                        counters,
-                        &mut scratch[node_idx..],
-                        out,
-                        splitter,
-                    );
-                }
-            }
-            TaskItems::Rows { .. } => {
-                for offset in lo..hi {
-                    cover_trie.read_key_into(cover.level, offset as u32, key_buf);
-                    process_cover_entry(
-                        tries,
-                        plan,
-                        options,
-                        node_idx,
-                        cover_idx,
-                        key_buf,
-                        None,
-                        tuple,
-                        current,
-                        weight,
-                        sink,
-                        counters,
-                        &mut scratch[node_idx..],
-                        out,
-                        splitter,
-                    );
-                }
-            }
-            TaskItems::Tail { .. } => unreachable!("handled above"),
-        }
+        walk(&mut |key, child| {
+            process_cover_entry(
+                tries, plan, options, node_idx, cover_idx, key, child, tuple, current, weight,
+                sink, counters, scratch, out, splitter,
+            );
+        });
     }
     if let Some(tb) = counters.traces.last_mut() {
         tb.end(TraceCat::Node, node_idx as u32, counters.expansions);
@@ -1109,11 +1028,10 @@ fn run_node<'t>(
     let cover_node = current[cover.input];
     if splitter.should_split(tries[cover.input].estimated_keys(cover_node)) {
         let level = tries[cover.input].force(cover_node, cover.level, !cover_node.is_map());
-        let entries: Vec<_> = level.iter().collect();
         if let Some(tb) = counters.traces.last_mut() {
-            tb.instant(TraceCat::Split, node_idx as u32, entries.len() as u64, &[]);
+            tb.instant(TraceCat::Split, node_idx as u32, level.num_keys() as u64, &[]);
         }
-        splitter.spawn_entries(node_idx, cover_idx, entries, tuple, current, weight);
+        splitter.spawn_entries(node_idx, cover_idx, level.num_keys(), tuple, current, weight);
         return;
     }
     if !cover.final_for_input {

@@ -18,24 +18,62 @@
 //! # Layout
 //!
 //! The trie is **flat**: forcing a node builds one [`Level`] — one
-//! `HashMap<LevelKey, u32, FastBuildHasher>` from key to child index, one
-//! `Box<[TrieNode]>` of children, and one `Box<[u32]>` of the node's row
-//! offsets grouped by child (count, prefix-sum, scatter; rows stay ascending
-//! inside each group, which keeps emission order deterministic). A
+//! `Box<[u32]>` of the node's row offsets grouped by child (count,
+//! prefix-sum, scatter; rows stay ascending inside each group, which keeps
+//! emission order deterministic), one `Box<[TrieNode]>` of children in
+//! **first-occurrence order**, and an index from key to child. A
 //! [`TrieNode`] is its row range in its parent's offset array plus the
-//! `OnceLock` of its own level, so a level costs a constant number of
-//! allocations however many keys it has, a leaf is a sub-slice of its
-//! parent's offsets, and every node knows its tuple count in O(1). A level
-//! the plan compiler pruned (no live variable below it, see
-//! [`crate::compile`]) is therefore never built or walked: the node above
-//! it is a leaf whose multiplicity is `len`.
+//! `OnceLock` of its own level, so a leaf is a sub-slice of its parent's
+//! offsets and every node knows its tuple count in O(1). Forcing a
+//! one-column level costs a constant number of allocations — six or seven —
+//! whatever its size: every buffer, the index included, is sized once from
+//! the node's row count, and an index that its keys leave at most a quarter
+//! full is refitted to them once (`WORD_INDEX_REFIT_RATIO`), so that a level
+//! of many rows per key is not probed in a table sized for its rows.
+//! A level the plan compiler pruned (no live variable below it, see
+//! [`crate::compile`]) is never built or walked: the node above it is a leaf
+//! whose multiplicity is `len`.
 //!
-//! **Lazy leaves.** Split factoring (`fj_plan::factor`) gives the inner nodes
-//! of a cyclic plan one small sub-trie per `(input, binding)` — an adjacency
-//! list of ten rows on average in the LSQB-like graph — and a level built
-//! for each of them costs more than the intersection it serves. A node's
-//! level is therefore built only when it has to be *addressed*; the other
-//! two things the executor does with a node read the rows where they are:
+//! **The level stores no keys outside its index.** Iteration reads each
+//! child's key from the base columns through the child's first row — COLT's
+//! "the offsets are the data" applied to the map itself — so
+//! [`InputTrie::for_each`] walks the children in first-occurrence order, a
+//! deterministic order that does not depend on a hash function, and the
+//! scheduler splits an expansion into plain child-index ranges
+//! ([`InputTrie::for_each_child`]) without materializing an entry list.
+//!
+//! # Key representation and hashing
+//!
+//! What the index is depends on the level's key columns:
+//!
+//! * **One column** — every level the JOB-like and LSQB-like plans force —
+//!   is **word-keyed**: a `HashMap<u64, u32, FastBuildHasher>` from the key's
+//!   64-bit payload (the `i64`'s bits, or the `u32` dictionary id) to the
+//!   child index, one reserved child for `NULL`, and the column's
+//!   [`DataType`]. The build loop reads the typed column slice straight into
+//!   the map and constructs no [`Value`]; a probe checks the key's type
+//!   against the column's, hashes one word and compares eight bytes. A key
+//!   of the other type matches nothing (an `Int64` 5 is not a `Str` #5) and
+//!   `NULL` matches the `NULL` child: exactly what comparing `Value`s gives.
+//! * **No column or several** keep a `HashMap<LevelKey, u32>` (see
+//!   `fj_storage::key`: inline for arity ≤ 2, one boxed slice per distinct
+//!   wider key), probed with the borrowed `&[Value]` through
+//!   `LevelKey: Borrow<[Value]>`, so no probe allocates at any arity.
+//!
+//! Both hash with the workspace's FxHash-style [`FastBuildHasher`].
+//! `Null` is an ordinary key value (`Null == Null`), so NULL groups occupy
+//! trie branches like any other — a trie must represent every row. NULL
+//! keys match NULL keys in every engine (see `fj_storage::Value` on the
+//! SQL-semantics gap tracked in the ROADMAP).
+//!
+//! # Lazy leaves
+//!
+//! Split factoring (`fj_plan::factor`) gives the inner nodes of a cyclic
+//! plan one small sub-trie per `(input, binding)` — an adjacency list of ten
+//! rows on average in the LSQB-like graph — and a level built for each of
+//! them costs more than the intersection it serves. A node's level is
+//! therefore built only when it has to be *addressed*; the other two things
+//! the executor does with a node read the rows where they are:
 //!
 //! * **iterated** — a node with no keyed level below it (the last level, or
 //!   a level followed only by the trailing empty one) is walked row by row
@@ -47,9 +85,8 @@
 //!   number of rows under the key, and on an unforced node of at most
 //!   [`SCAN_PROBE_MAX_ROWS`] rows (under a one-variable level) it gets it by
 //!   comparing the rows through the typed column cursor
-//!   ([`InputTrie::count_matches`]); the
-//!   node stays unforced, so a trie resident in the cache is scanned again
-//!   by the next query;
+//!   ([`InputTrie::count_matches`]); the node stays unforced, so a trie
+//!   resident in the cache is scanned again by the next query;
 //! * **built** — everything else: a probe that must descend (the input has
 //!   subatoms to come), any probe into a node above the scan bound (a hub is
 //!   forced once and shared by every later binding and query), an iteration
@@ -59,30 +96,6 @@
 //! node and its row slice) tied to the [`InputTrie`]. The executor holds,
 //! saves, restores and ships positions between workers by copying handles;
 //! nothing on the probe path touches a reference count or the allocator.
-//!
-//! # Key representation and hashing
-//!
-//! A [`LevelKey`] packs the level's key values **inline** for arity ≤ 2 (a
-//! fixed-width `Copy` struct — the overwhelmingly common case in
-//! JOB/LSQB-shaped plans) and spills wider keys to a `Box<[Value]>` allocated
-//! once per *distinct* key; the hasher is the workspace's FxHash-style
-//! multiply-xor [`FastBuildHasher`] (see `fj_storage::key`). Two consequences
-//! shape the hot paths here:
-//!
-//! * **Scanning** rows — to build a level or to iterate an unforced leaf —
-//!   reads keys directly from the column vectors. Arity-1 and arity-2 levels
-//!   match each column's variant once, outside the row loop, and read typed
-//!   slices when the column has no NULL mask; masked columns and wider keys
-//!   fall back to `Column::get` and a reused buffer.
-//! * **Probing** never constructs an owned key: `LevelKey` implements
-//!   `Borrow<[Value]>` with slice-delegated `Hash`/`Eq`, so [`Level::get`]
-//!   accepts a borrowed `&[Value]` (e.g. a stack array) as well as an inline
-//!   key built in place.
-//!
-//! `Null` is an ordinary key value (`Null == Null`), so NULL groups occupy
-//! trie branches like any other — a trie must represent every row. NULL
-//! keys match NULL keys in every engine (see `fj_storage::Value` on the
-//! SQL-semantics gap tracked in the ROADMAP).
 //!
 //! # Threading model
 //!
@@ -97,10 +110,11 @@
 
 use crate::options::TrieStrategy;
 use crate::prep::BoundInput;
-use fj_storage::{Column, FastBuildHasher, LevelKey, Relation, Value, MAX_INLINE_KEY_ARITY};
-use std::borrow::Borrow;
+use fj_storage::{
+    Column, DataType, FastBuildHasher, LevelKey, Relation, Value, MAX_INLINE_KEY_ARITY,
+};
 use std::collections::HashMap;
-use std::hash::Hash;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
@@ -118,8 +132,17 @@ use std::sync::{Arc, OnceLock};
 /// bounding what a probe can cost on a resident trie to sixteen comparisons.
 pub const SCAN_PROBE_MAX_ROWS: usize = 16;
 
+/// The hash state of the multi-column index. Outside tests it is the
+/// workspace's [`FastBuildHasher`]; under `cfg(test)` a switch makes every
+/// key collide, so a unit test can check that wide lookups rest on key
+/// equality and not on hash luck.
+#[cfg(not(test))]
+type WideBuildHasher = FastBuildHasher;
+#[cfg(test)]
+type WideBuildHasher = tests::SwitchableBuildHasher;
+
 /// One node of a GHT: a range of its parent level's row offsets and, once
-/// forced, the hash-map level keyed on its own schema level.
+/// forced, the level keyed on its own schema level.
 ///
 /// `Send + Sync`: the range is immutable after construction and the level is
 /// built at most once through the `OnceLock`.
@@ -130,22 +153,36 @@ pub struct TrieNode {
     start: u32,
     /// Number of base rows below this node; fixed at construction.
     len: u32,
-    /// The forced hash-map level, built lazily at most once. Boxed so that
-    /// the leaves — most nodes of most tries — stay three words.
+    /// The forced level, built lazily at most once. Boxed so that the
+    /// leaves — most nodes of most tries — stay three words.
     forced: OnceLock<Box<Level>>,
 }
 
-/// A forced hash-map level: three allocations (and its own box) however
-/// many keys it holds.
+/// A forced level: the node's rows grouped by key, one child per distinct
+/// key, and the index that finds a key's child.
 #[derive(Debug)]
 pub struct Level {
     /// Key to index into `children`.
-    index: HashMap<LevelKey, u32, FastBuildHasher>,
-    /// One node per distinct key, in first-occurrence order.
+    index: LevelIndex,
+    /// One node per distinct key, in first-occurrence order. A child's key
+    /// is not stored: it is read from the base columns at the child's first
+    /// row.
     children: Box<[TrieNode]>,
     /// The forced node's row offsets grouped by child, ascending inside
     /// each group; every child is a sub-slice.
     rows: Box<[u32]>,
+}
+
+/// How a [`Level`] finds the child under a key (see "Key representation and
+/// hashing" in the module docs).
+#[derive(Debug)]
+enum LevelIndex {
+    /// One key column: the key's 64-bit payload to the child index. `NULL`
+    /// has no payload and gets a child of its own; a key whose type is not
+    /// `data_type` matches nothing.
+    Word { data_type: DataType, map: HashMap<u64, u32, FastBuildHasher>, null: Option<u32> },
+    /// No key column or several.
+    Wide(HashMap<LevelKey, u32, WideBuildHasher>),
 }
 
 impl Level {
@@ -154,25 +191,21 @@ impl Level {
         self.children.len()
     }
 
-    /// The child under `key` (a [`LevelKey`] or a borrowed value slice).
-    #[inline]
-    pub fn get<Q>(&self, key: &Q) -> Option<NodeRef<'_>>
-    where
-        LevelKey: Borrow<Q>,
-        Q: Hash + Eq + ?Sized,
-    {
-        self.index.get(key).map(|&i| self.child(i))
-    }
-
-    /// Every `(key, child)` entry, in the map's iteration order.
-    pub fn iter(&self) -> impl Iterator<Item = (&LevelKey, NodeRef<'_>)> {
-        self.index.iter().map(|(key, &i)| (key, self.child(i)))
-    }
-
     #[inline]
     fn child(&self, i: u32) -> NodeRef<'_> {
-        let node = &self.children[i as usize];
+        self.node_ref(&self.children[i as usize])
+    }
+
+    #[inline]
+    fn node_ref<'t>(&'t self, node: &'t TrieNode) -> NodeRef<'t> {
         NodeRef { node, rows: Some(&self.rows[node.start as usize..][..node.len as usize]) }
+    }
+
+    /// The first row of every child in `range`, with the child.
+    fn first_rows(&self, range: Range<usize>) -> impl Iterator<Item = (u32, NodeRef<'_>)> {
+        self.children[range]
+            .iter()
+            .map(|node| (self.rows[node.start as usize], self.node_ref(node)))
     }
 }
 
@@ -195,6 +228,12 @@ impl<'t> NodeRef<'t> {
     /// which stands for every row of the relation.
     pub fn rows(&self) -> Option<&'t [u32]> {
         self.rows
+    }
+
+    /// The row offsets below this node, ascending, the root's included.
+    fn row_iter(self) -> impl ExactSizeIterator<Item = u32> + 't {
+        let rows = self.rows;
+        (0..self.node.len).map(move |i| rows.map_or(i, |rows| rows[i as usize]))
     }
 
     /// The construction-fixed cardinality bound: the number of rows below
@@ -267,6 +306,83 @@ macro_rules! with_reader {
     };
 }
 
+/// Bind `$word` to a `row -> Option<u64>` reader of `$col`'s key payloads
+/// (`None` for NULL) and evaluate `$body`, with the column's variant and
+/// mask matched once, outside the body's row loop. No [`Value`] is built.
+macro_rules! with_word_reader {
+    ($col:expr, $word:ident => $body:expr) => {
+        match $col {
+            Column::Int64(v, None) => {
+                let $word = |row: u32| Some(v[row as usize] as u64);
+                $body
+            }
+            Column::Int64(v, Some(valid)) => {
+                let $word = |row: u32| valid[row as usize].then(|| v[row as usize] as u64);
+                $body
+            }
+            Column::Str(v, None) => {
+                let $word = |row: u32| Some(u64::from(v[row as usize]));
+                $body
+            }
+            Column::Str(v, Some(valid)) => {
+                let $word = |row: u32| valid[row as usize].then(|| u64::from(v[row as usize]));
+                $body
+            }
+        }
+    };
+}
+
+/// A word index sized from the row count is refitted to its keys when they
+/// fill at most one in this many of the entries reserved (`len <= capacity /
+/// 4`): a level of many rows per key (the parent of adjacency lists, a fact
+/// table's foreign key) would otherwise be probed, for as long as the trie
+/// lives, in a table several times the size its keys need.
+///
+/// Measured, not an option. `lsqb_cyclic`'s `knows` levels hold 9,000 keys
+/// in the 131,072 slots reserved for 90,000 rows: 2.2 MB per level, two or
+/// three such levels per query, beside a 2 MiB L2. On that workload's inputs
+/// (rows shuffled as the harness shuffles them, the four engine runs of each
+/// query interleaved as the harness interleaves them, 6 alternating replays
+/// of 8 suite repetitions per setting) the geometric mean of Free Join's
+/// per-query medians read 31.9-36.9 ms with the index left at its row count,
+/// 29.0-31.2 refitted at 4, and 29.1-34.7 with the index started at an
+/// eighth of the rows and grown by doubling. Free Join alone (8 replays of
+/// 10): 37.5 / 34.4 / 31.5 ms, the medians of the replays' minima 31.1 /
+/// 27.4 / 27.7. On `job_cold`'s inputs the three settings read 3.07 / 3.04 /
+/// 3.00 ms (minima), inside the replays' own spread. Refitting keeps the
+/// build a single sized allocation where keys are mostly distinct — there it
+/// never triggers — and costs one allocation and one pass over the distinct
+/// keys, at most a quarter of the rows, where it does.
+const WORD_INDEX_REFIT_RATIO: usize = 4;
+
+/// Assign every row its child index, in first-occurrence order of its key
+/// word, appending to `child_of`; returns the index and the number of
+/// children. The map is sized once, from the number of rows, and refitted
+/// to its keys if they leave it mostly empty ([`WORD_INDEX_REFIT_RATIO`]).
+fn group_by_word(
+    rows: impl ExactSizeIterator<Item = u32>,
+    data_type: DataType,
+    word: impl Fn(u32) -> Option<u64>,
+    child_of: &mut Vec<u32>,
+) -> (LevelIndex, u32) {
+    let mut next = 0u32;
+    let mut map: HashMap<u64, u32, FastBuildHasher> =
+        HashMap::with_capacity_and_hasher(rows.len(), FastBuildHasher);
+    let mut null = None;
+    for row in rows {
+        let child = match word(row) {
+            Some(word) => *map.entry(word).or_insert(next),
+            None => *null.get_or_insert(next),
+        };
+        next += u32::from(child == next);
+        child_of.push(child);
+    }
+    if map.len() <= map.capacity() / WORD_INDEX_REFIT_RATIO {
+        map.shrink_to_fit();
+    }
+    (LevelIndex::Word { data_type, map, null }, next)
+}
+
 impl InputTrie {
     /// Build the trie for a bound input according to the GHT schema computed
     /// from the Free Join plan and the chosen strategy.
@@ -314,9 +430,9 @@ impl InputTrie {
         }
         let forced = self.force(node, level, false);
         if depth > 1 {
-            forced
-                .iter()
-                .for_each(|(_, child)| self.force_down_to(child, level + 1, depth - 1));
+            for (_, child) in forced.first_rows(0..forced.num_keys()) {
+                self.force_down_to(child, level + 1, depth - 1);
+            }
         }
     }
 
@@ -367,13 +483,6 @@ impl InputTrie {
     /// deliberately bounds the *fully forced* trie rather than tracking lazy
     /// growth.
     pub fn estimated_bytes(&self) -> usize {
-        // Per-(row, level) cost of a forced level, computed from the actual
-        // layout so budget accounting stays honest if the representation
-        // changes again: the row's `u32` in the grouped offset array, plus —
-        // pessimistically assuming every row is a distinct key — one index
-        // entry (inline `LevelKey` + child index) and one child node.
-        // Hash-table slack and wide-key spill are absorbed by the
-        // all-distinct, every-level-forced over-count.
         // Fixed per-trie overhead, charged even for a trie over zero rows:
         // the `InputTrie` struct, its name/schema strings, and a share of
         // the cache's own key/bookkeeping for this entry. Without a floor, a
@@ -381,9 +490,19 @@ impl InputTrie {
         // nothing would insert zero-cost entries the budget never sees,
         // growing the cache without bound.
         const BASE_BYTES: usize = 256;
-        let row_level = std::mem::size_of::<u32>()
-            + std::mem::size_of::<(LevelKey, u32)>()
-            + std::mem::size_of::<TrieNode>();
+        // Per-(row, level) cost of a forced word-keyed level, computed from
+        // the actual layout so budget accounting stays honest if the
+        // representation changes again: the row's `u32` in the grouped
+        // offset array; the word map's share — it is sized from the row
+        // count, and a hash table of capacity n holds between 8n/7 and 16n/7
+        // slots of one entry and one control byte each, so 16/7 slots; and,
+        // pessimistically assuming every row is a distinct key (the case in
+        // which the index is not refitted to fewer keys), one child node.
+        // The wide levels' 48-byte entries are absorbed by the all-distinct,
+        // every-level-forced over-count.
+        let slot = std::mem::size_of::<(u64, u32)>() + 1;
+        let row_level =
+            std::mem::size_of::<u32>() + (16 * slot).div_ceil(7) + std::mem::size_of::<TrieNode>();
         BASE_BYTES
             + self.relation.approx_bytes()
             + self.relation.num_rows() * self.schema.len().max(1) * row_level
@@ -407,77 +526,54 @@ impl InputTrie {
         u64::from(node.node.len)
     }
 
-    /// Read the key values of `level` for a row offset into a reusable
-    /// buffer (used by the parallel executor when iterating the base table
-    /// directly, and by the wide-key scan here).
-    pub(crate) fn read_key_into(&self, level: usize, offset: u32, key: &mut Vec<Value>) {
-        key.clear();
-        for &c in &self.level_cols[level] {
-            key.push(self.relation.column(c).get(offset as usize));
-        }
-    }
-
-    /// Call `f(row, key)` with the `level` key of every row below `node`, in
-    /// row order, reading directly from the column vectors.
-    fn scan_keys(&self, node: NodeRef<'_>, level: usize, f: impl FnMut(u32, &[Value])) {
-        match node.rows {
-            None => self.scan_row_keys(level, 0..node.node.len, f),
-            Some(rows) => self.scan_row_keys(level, rows.iter().copied(), f),
-        }
-    }
-
-    /// [`InputTrie::scan_keys`] over an explicit row iterator. Arity ≤ 2
-    /// keys are assembled in stack arrays from typed column cursors; wider
-    /// keys go through one reused buffer. No per-row allocation either way.
-    fn scan_row_keys(
+    /// Call `f(key, item)` with the `level` key of every `(row, item)`, in
+    /// order, reading directly from the column vectors. Arity ≤ 2 keys are
+    /// assembled in stack arrays from typed column cursors; wider keys go
+    /// through one reused buffer. No per-row allocation either way.
+    fn read_keys<T>(
         &self,
         level: usize,
-        rows: impl Iterator<Item = u32>,
-        mut f: impl FnMut(u32, &[Value]),
+        items: impl Iterator<Item = (u32, T)>,
+        mut f: impl FnMut(&[Value], T),
     ) {
         let col = |c: usize| self.relation.column(c);
         match *self.level_cols[level].as_slice() {
-            [] => rows.for_each(|row| f(row, &[])),
-            [c] => with_reader!(col(c), get => rows.for_each(|row| f(row, &[get(row)]))),
+            [] => items.for_each(|(_, item)| f(&[], item)),
+            [c] => with_reader!(col(c), get => items.for_each(|(row, item)| f(&[get(row)], item))),
             [c0, c1] => with_reader!(col(c0), a => with_reader!(col(c1), b => {
-                rows.for_each(|row| f(row, &[a(row), b(row)]))
+                items.for_each(|(row, item)| f(&[a(row), b(row)], item))
             })),
-            _ => {
-                let mut buf: Vec<Value> = Vec::new();
-                for row in rows {
-                    self.read_key_into(level, row, &mut buf);
-                    f(row, &buf);
+            ref cols => {
+                let mut key: Vec<Value> = Vec::with_capacity(cols.len());
+                for (row, item) in items {
+                    key.clear();
+                    key.extend(cols.iter().map(|&c| col(c).get(row as usize)));
+                    f(&key, item);
                 }
             }
         }
     }
 
     /// Group the rows below `node` by the key of `level` into a fresh
-    /// [`Level`]: assign child indices in first-occurrence order while
-    /// counting, prefix-sum the counts into child ranges, then scatter the
-    /// rows — stably — into one grouped offset array. Inline keys hash once
-    /// per row (`entry`); wide keys are looked up borrowed and boxed only
-    /// per *distinct* key.
+    /// [`Level`]: assign child indices in first-occurrence order, count the
+    /// rows of each child, prefix-sum the counts into child ranges, then
+    /// scatter the rows — stably — into one grouped offset array. Every
+    /// buffer here is sized once.
     fn build_level(&self, node: NodeRef<'_>, level: usize) -> Level {
-        let mut index: HashMap<LevelKey, u32, FastBuildHasher> = HashMap::default();
-        let mut cursors: Vec<u32> = Vec::new();
         let mut child_of: Vec<u32> = Vec::with_capacity(node.node.len as usize);
-        self.scan_keys(node, level, |_, key| {
-            let next = cursors.len() as u32;
-            let child = if key.len() <= MAX_INLINE_KEY_ARITY {
-                *index.entry(LevelKey::from_values(key)).or_insert(next)
-            } else if let Some(&child) = index.get(key) {
-                child
-            } else {
-                index.insert(LevelKey::from_values(key), next);
-                next
-            };
-            if child == next {
-                cursors.push(0);
+        let (index, num_children) = match *self.level_cols[level].as_slice() {
+            [c] => {
+                let column = self.relation.column(c);
+                with_word_reader!(column, word => {
+                    group_by_word(node.row_iter(), column.data_type(), word, &mut child_of)
+                })
             }
+            _ => self.group_by_wide_key(node, level, &mut child_of),
+        };
+        let mut cursors = vec![0u32; num_children as usize];
+        for &child in &child_of {
             cursors[child as usize] += 1;
-            child_of.push(child);
-        });
+        }
         let mut next_start = 0;
         let children: Box<[TrieNode]> = cursors
             .iter_mut()
@@ -489,12 +585,40 @@ impl InputTrie {
             })
             .collect();
         let mut rows = vec![0u32; child_of.len()].into_boxed_slice();
-        for (i, &child) in child_of.iter().enumerate() {
+        for (row, &child) in node.row_iter().zip(&child_of) {
             let cursor = &mut cursors[child as usize];
-            rows[*cursor as usize] = node.rows.map_or(i as u32, |r| r[i]);
+            rows[*cursor as usize] = row;
             *cursor += 1;
         }
         Level { index, children, rows }
+    }
+
+    /// [`group_by_word`] for a level with no key column or several: the
+    /// index is keyed by [`LevelKey`] and grows with the distinct keys (one,
+    /// when there is no column). Inline keys hash once per row (`entry`);
+    /// keys too wide to be inline are looked up borrowed and boxed only per
+    /// *distinct* key.
+    fn group_by_wide_key(
+        &self,
+        node: NodeRef<'_>,
+        level: usize,
+        child_of: &mut Vec<u32>,
+    ) -> (LevelIndex, u32) {
+        let mut map: HashMap<LevelKey, u32, WideBuildHasher> = HashMap::default();
+        let mut next = 0u32;
+        self.read_keys(level, node.row_iter().map(|row| (row, ())), |key, ()| {
+            let child = if key.len() <= MAX_INLINE_KEY_ARITY {
+                *map.entry(LevelKey::from_values(key)).or_insert(next)
+            } else if let Some(&child) = map.get(key) {
+                child
+            } else {
+                map.insert(LevelKey::from_values(key), next);
+                next
+            };
+            next += u32::from(child == next);
+            child_of.push(child);
+        });
+        (LevelIndex::Wide(map), next)
     }
 
     /// Force a node at `level` into a hash map, returning the level (an
@@ -534,8 +658,10 @@ impl InputTrie {
     /// the key is absent. This is the `get` of the GHT interface (Figure 5).
     ///
     /// The key is a borrowed value slice — a stack array or reused buffer —
-    /// looked up through `LevelKey: Borrow<[Value]>`, so probing allocates
-    /// nothing at any arity.
+    /// so probing allocates nothing at any arity. On a one-column level only
+    /// the value's payload word is hashed and compared, after its type was
+    /// checked against the column's: a key of the other type finds nothing,
+    /// and `NULL` finds the `NULL` group.
     #[inline]
     pub fn get<'t>(
         &'t self,
@@ -543,7 +669,17 @@ impl InputTrie {
         level: usize,
         key: &[Value],
     ) -> Option<NodeRef<'t>> {
-        self.force(node, level, true).get(key)
+        let forced = self.force(node, level, true);
+        let child = match &forced.index {
+            LevelIndex::Word { data_type, map, null } => match (key, data_type) {
+                (&[Value::Int(v)], DataType::Int64) => map.get(&(v as u64)).copied(),
+                (&[Value::Str(id)], DataType::Str) => map.get(&u64::from(id)).copied(),
+                (&[Value::Null], _) => *null,
+                _ => None,
+            },
+            LevelIndex::Wide(map) => map.get(key).copied(),
+        };
+        child.map(|i| forced.child(i))
     }
 
     /// The number of rows below `node` whose `level` key is `key` (0 when
@@ -558,9 +694,8 @@ impl InputTrie {
     pub fn count_matches(&self, node: NodeRef<'_>, level: usize, key: &[Value]) -> u64 {
         if let (&[col], &[value]) = (self.level_cols[level].as_slice(), key) {
             if node.node.len as usize <= SCAN_PROBE_MAX_ROWS && !node.is_map() {
-                let matches = with_reader!(self.relation.column(col), get => match node.rows {
-                    None => (0..node.node.len).filter(|&row| get(row) == value).count(),
-                    Some(rows) => rows.iter().filter(|&&row| get(row) == value).count(),
+                let matches = with_reader!(self.relation.column(col), get => {
+                    node.row_iter().filter(|&row| get(row) == value).count()
                 });
                 return matches as u64;
             }
@@ -577,8 +712,9 @@ impl InputTrie {
 
     /// Iterate the entries of `node` at `level`, calling `f(key, child)`.
     ///
-    /// * For a forced (map) node, `key` ranges over the distinct keys and
-    ///   `child` is the corresponding subtrie.
+    /// * For a forced (map) node, `key` ranges over the distinct keys, in
+    ///   the order their first rows come in, and `child` is the
+    ///   corresponding subtrie ([`InputTrie::for_each_child`]).
     /// * For an unforced node with **no keyed level below it** — the last
     ///   level, or a level followed only by the trailing empty one that
     ///   `ght_schemas` gives an input whose last subatom is not its node's
@@ -609,14 +745,41 @@ impl InputTrie {
         mut f: impl FnMut(&[Value], Option<NodeRef<'t>>),
     ) {
         if self.iterates_rows(node, level) {
-            self.scan_keys(node, level, |_, key| f(key, None));
+            self.read_keys(level, node.row_iter().map(|row| (row, None)), f);
         } else if node.is_map() || level < self.last_keyed_level {
-            for (key, child) in self.force(node, level, true).iter() {
-                f(key.values(), Some(child));
-            }
+            let forced = self.force(node, level, true);
+            self.for_each_child(forced, level, 0..forced.num_keys(), f);
         } else if node.node.len > 0 {
             f(&[], Some(node));
         }
+    }
+
+    /// Iterate the children `range` (indices in first-occurrence order) of a
+    /// forced level of `level`, calling `f(key, Some(child))` with each
+    /// child's key read from the base columns at the child's first row. The
+    /// whole range is [`InputTrie::for_each`] on the forced node; the
+    /// scheduler hands out sub-ranges as tasks.
+    pub fn for_each_child<'t>(
+        &'t self,
+        forced: &'t Level,
+        level: usize,
+        range: Range<usize>,
+        f: impl FnMut(&[Value], Option<NodeRef<'t>>),
+    ) {
+        let children = forced.first_rows(range).map(|(row, child)| (row, Some(child)));
+        self.read_keys(level, children, f);
+    }
+
+    /// Iterate the base rows `range` at `level` as [`InputTrie::for_each`]
+    /// iterates an unforced root with no keyed level below it: one
+    /// `f(key, None)` per row. The scheduler's root tasks over such a cover.
+    pub(crate) fn for_each_row<'t>(
+        &'t self,
+        level: usize,
+        range: Range<u32>,
+        f: impl FnMut(&[Value], Option<NodeRef<'t>>),
+    ) {
+        self.read_keys(level, range.map(|row| (row, None)), f);
     }
 }
 
@@ -625,7 +788,53 @@ mod tests {
     use super::*;
     use crate::prep::prepare_inputs;
     use fj_query::QueryBuilder;
-    use fj_storage::{Catalog, RelationBuilder, Schema};
+    use fj_storage::{Catalog, Field, FxHasher, RelationBuilder, Schema};
+    use std::cell::Cell;
+    use std::hash::{BuildHasher, Hasher};
+
+    thread_local! {
+        /// While set, every multi-column index built or probed on this
+        /// thread hashes all keys to the same value.
+        static COLLIDE: Cell<bool> = const { Cell::new(false) };
+    }
+
+    /// The multi-column index's hash state in test builds: the workspace's
+    /// FxHash, or — under [`COLLIDE`] — a constant.
+    #[derive(Debug, Clone, Copy)]
+    pub(super) struct SwitchableBuildHasher {
+        collide: bool,
+    }
+
+    impl Default for SwitchableBuildHasher {
+        fn default() -> Self {
+            SwitchableBuildHasher { collide: COLLIDE.get() }
+        }
+    }
+
+    pub(super) struct SwitchableHasher {
+        inner: FxHasher,
+        collide: bool,
+    }
+
+    impl BuildHasher for SwitchableBuildHasher {
+        type Hasher = SwitchableHasher;
+        fn build_hasher(&self) -> SwitchableHasher {
+            SwitchableHasher { inner: FxHasher::default(), collide: self.collide }
+        }
+    }
+
+    impl Hasher for SwitchableHasher {
+        fn finish(&self) -> u64 {
+            if self.collide {
+                0
+            } else {
+                self.inner.finish()
+            }
+        }
+        fn write(&mut self, bytes: &[u8]) {
+            self.inner.write(bytes);
+        }
+    }
 
     /// The paper's Figure 3 instance of relation S for the clover query,
     /// with n = 3: {(x0,b0)} ∪ {(x2,bl_i), (x3,br_i) | i in 1..3}.
@@ -936,29 +1145,138 @@ mod tests {
         assert!(trie.is_last_level(1));
     }
 
-    /// The acceptance bar of the key refactor: every key on the arity ≤ 2
-    /// trie path is stored and probed inline — `Copy`, no `Vec<Value>`, no
-    /// heap allocation per build row or probe.
+    /// `T(a, s, c)`: `a` an `Int64` column with a NULL (masked), `s` a `Str`
+    /// column whose ids overlap `a`'s integers, `c` an unmasked `Int64`.
+    fn typed_input() -> BoundInput {
+        let schema = Schema::new(vec![Field::int("a"), Field::str("s"), Field::int("c")]);
+        let mut b = RelationBuilder::new("T", schema);
+        for (a, s, c) in [(Some(1), 1, 10), (None, 2, 10), (Some(2), 1, 20), (None, 1, 30)] {
+            let a = a.map_or(Value::Null, Value::Int);
+            b.push_row(vec![a, Value::Str(s), Value::Int(c)]).unwrap();
+        }
+        let mut cat = Catalog::new();
+        cat.add(b.finish()).unwrap();
+        let q = QueryBuilder::new("q").atom("T", &["a", "s", "c"]).build();
+        prepare_inputs(&cat, &q).unwrap().atoms.remove(0)
+    }
+
+    /// The word index is keyed by payload, so the key's *type* has to be
+    /// checked: an `Int64` 1 must not find the `Str` #1 group or the other
+    /// way round, `NULL` finds the `NULL` group (and only a NULL-masked
+    /// column has one), and `count_matches` agrees with `get` whether it
+    /// scans the unforced node or probes the forced one.
     #[test]
-    fn arity_le_2_level_keys_are_inline_and_copy() {
-        fn assert_copy<T: Copy>() {}
-        // The inline representation is Copy by construction…
-        assert_copy::<fj_storage::InlineKey>();
-        // …and arity-1 / arity-2 levels actually use it: force both levels
-        // of the clover trie and inspect every stored key.
-        let input = clover_s_input();
-        let trie = InputTrie::build(&input, schema(&[&["x"], &["x", "b"]]), TrieStrategy::Colt);
-        let root = trie.root();
-        for (key, child) in trie.force(root, 0, true).iter() {
-            assert!(key.is_inline(), "arity-1 key spilled: {key:?}");
-            for (key2, _) in trie.force(child, 1, true).iter() {
-                assert!(key2.is_inline(), "arity-2 key spilled: {key2:?}");
+    fn wrong_typed_and_null_keys_match_as_values_compare() {
+        let input = typed_input();
+        for (var, hit, wrong_type, nulls) in [
+            ("a", Value::Int(1), Value::Str(1), 2),
+            ("s", Value::Str(1), Value::Int(1), 0),
+            ("c", Value::Int(10), Value::Str(10), 0),
+        ] {
+            let trie = InputTrie::build(&input, schema(&[&[var], &[]]), TrieStrategy::Colt);
+            let root = trie.root();
+            let expected =
+                |key: Value| (0..4).filter(|&row| input.read_var(row, var) == key).count() as u64;
+            // Unforced: the rows are scanned.
+            assert_eq!(trie.count_matches(root, 0, &[hit]), expected(hit));
+            assert_eq!(trie.count_matches(root, 0, &[wrong_type]), 0);
+            assert_eq!(trie.count_matches(root, 0, &[Value::Null]), nulls);
+            assert!(!root.is_map());
+            // Forced: the word index is probed.
+            assert_eq!(trie.get(root, 0, &[hit]).map(|n| trie.tuple_count(n)), Some(expected(hit)));
+            assert!(root.is_map());
+            assert!(trie.get(root, 0, &[wrong_type]).is_none(), "{var}: {wrong_type:?}");
+            assert_eq!(trie.get(root, 0, &[Value::Null]).map_or(0, |n| trie.tuple_count(n)), nulls);
+            assert_eq!(trie.count_matches(root, 0, &[hit]), expected(hit));
+            assert_eq!(trie.count_matches(root, 0, &[wrong_type]), 0);
+            assert_eq!(trie.count_matches(root, 0, &[Value::Null]), nulls);
+            // A key of another arity is no key of this level.
+            assert!(trie.get(root, 0, &[]).is_none());
+            assert!(trie.get(root, 0, &[hit, hit]).is_none());
+        }
+    }
+
+    /// A forced level hands out its children in the order their keys first
+    /// occur, the NULL group in its place, with keys read back from the
+    /// columns — for one-column and wider levels alike.
+    #[test]
+    fn forced_levels_iterate_in_first_occurrence_order() {
+        let input = typed_input();
+        let keys_of = |levels: &[&[&str]]| {
+            let trie = InputTrie::build(&input, schema(levels), TrieStrategy::Slt);
+            let mut seen = Vec::new();
+            trie.for_each(trie.root(), 0, |key, child| {
+                seen.push((key.to_vec(), trie.tuple_count(child.unwrap())));
+            });
+            seen
+        };
+        assert_eq!(
+            keys_of(&[&["a"], &["c"]]),
+            vec![(vec![Value::Int(1)], 1), (vec![Value::Null], 2), (vec![Value::Int(2)], 1)]
+        );
+        assert_eq!(
+            keys_of(&[&["s", "c"], &["a"]]),
+            vec![
+                (vec![Value::Str(1), Value::Int(10)], 1),
+                (vec![Value::Str(2), Value::Int(10)], 1),
+                (vec![Value::Str(1), Value::Int(20)], 1),
+                (vec![Value::Str(1), Value::Int(30)], 1),
+            ]
+        );
+    }
+
+    /// The multi-column index with every hash equal: grouping and lookups
+    /// must rest on key equality alone. Covers inline pairs, a spilled
+    /// triple, NULL components, and values that differ only in type or in
+    /// position.
+    #[test]
+    fn wide_levels_survive_a_degenerate_hash() {
+        let schema3 = Schema::new(vec![Field::int("a"), Field::str("s"), Field::int("c")]);
+        let mut b = RelationBuilder::new("T", schema3);
+        let rows = [
+            (Value::Int(1), 2, 1),
+            (Value::Int(2), 1, 1),
+            (Value::Null, 1, 2),
+            (Value::Int(1), 2, 1),
+            (Value::Int(1), 1, 2),
+            (Value::Null, 1, 2),
+        ];
+        for (a, s, c) in rows {
+            b.push_row(vec![a, Value::Str(s), Value::Int(c)]).unwrap();
+        }
+        let mut cat = Catalog::new();
+        cat.add(b.finish()).unwrap();
+        let q = QueryBuilder::new("q").atom("T", &["a", "s", "c"]).build();
+        let input = prepare_inputs(&cat, &q).unwrap().atoms.remove(0);
+
+        COLLIDE.set(true);
+        for levels in
+            [&[&["a", "s"][..], &["c"]][..], &[&["a", "s", "c"], &[]], &[&[], &["c", "a"]]]
+        {
+            let trie = InputTrie::build(&input, schema(levels), TrieStrategy::Simple);
+            let vars = trie.level_vars(0).to_vec();
+            let mut groups: Vec<(Vec<Value>, u64)> = Vec::new();
+            for row in 0..rows.len() {
+                let key = input.read_vars(row, &vars);
+                match groups.iter_mut().find(|(k, _)| *k == key) {
+                    Some((_, n)) => *n += 1,
+                    None => groups.push((key, 1)),
+                }
+            }
+            let mut seen = Vec::new();
+            trie.for_each(trie.root(), 0, |key, child| {
+                seen.push((key.to_vec(), trie.tuple_count(child.unwrap())));
+            });
+            assert_eq!(seen, groups, "{levels:?}");
+            for (key, n) in &groups {
+                assert_eq!(trie.count_matches(trie.root(), 0, key), *n);
+            }
+            if !vars.is_empty() {
+                let absent = vec![Value::Str(1); vars.len()];
+                assert!(trie.get(trie.root(), 0, &absent).is_none());
             }
         }
-        const { assert!(fj_storage::MAX_INLINE_KEY_ARITY >= 2) };
-        // Keys wider than the inline arity spill (and still round-trip).
-        let wide = LevelKey::from_values(&[Value::Int(1), Value::Int(2), Value::Int(3)]);
-        assert!(!wide.is_inline());
+        COLLIDE.set(false);
     }
 
     #[test]

@@ -1,7 +1,10 @@
 //! Pins the flat GHT's allocation behaviour with a counting global
-//! allocator: forcing a level costs a number of allocations that grows with
-//! the *logarithm* of its size (hash-map and count-vector doubling), never
-//! with its distinct-key count, and the probe loop over already-forced tries
+//! allocator: forcing a one-column (word-keyed) level costs a *constant*
+//! number of allocations — every buffer, the hash index included, is sized
+//! once from the node's row count, so nothing doubles, and an index its keys
+//! leave mostly empty is refitted to them once — a wide level's
+//! `LevelKey` index still grows with its distinct keys, by doubling, never
+//! by a number of allocations proportional to them, and the probe loop over already-forced tries
 //! allocates nothing — doubling the number of probes leaves the allocation
 //! count of an execution unchanged.
 //!
@@ -56,20 +59,21 @@ fn relation(name: &str, cols: &[&str], rows: impl Iterator<Item = [i64; 2]>) -> 
 }
 
 /// Allocations of forcing the root level of `R(x, y)` with `keys` distinct
-/// `x` values over `4 * keys` rows.
-fn force_allocations(keys: i64) -> u64 {
+/// `x` values over `per_key * keys` rows, keyed on `level0`.
+fn force_allocations(keys: i64, per_key: i64, level0: &[&str]) -> u64 {
     let mut catalog = Catalog::new();
     catalog
-        .add(relation("R", &["x", "y"], (0..4 * keys).map(|i| [i % keys, i])))
+        .add(relation("R", &["x", "y"], (0..per_key * keys).map(|i| [i % keys, i / keys])))
         .unwrap();
     let query = QueryBuilder::new("q").atom("R", &["x", "y"]).build();
     let input = prepare_inputs(&catalog, &query).unwrap().atoms.remove(0);
-    let schema = vec![vec!["x".to_string()], vec!["y".to_string()]];
+    let schema = vec![level0.iter().map(|v| v.to_string()).collect(), vec!["y".to_string()]];
     let trie = InputTrie::build(&input, schema, TrieStrategy::Colt);
     let before = allocations();
     let level = trie.force(trie.root(), 0, true);
     let spent = allocations() - before;
-    assert_eq!(level.num_keys(), keys as usize);
+    let per_child = if level0.len() == 1 { 1 } else { per_key };
+    assert_eq!(level.num_keys() as i64, keys * per_child);
     spent
 }
 
@@ -122,13 +126,20 @@ fn warm_execution(r_rows: i64, options: &FreeJoinOptions) -> (u64, u64) {
 }
 
 #[test]
-fn forcing_is_logarithmic_and_probing_is_allocation_free() {
-    // (a) One forced level: 10^4 and 2 * 10^4 distinct keys. The Arc-per-key
-    // layout this replaced spent two allocations per distinct key.
-    let small = force_allocations(10_000);
-    let large = force_allocations(20_000);
-    assert!(small < 64, "forcing 10^4 keys took {small} allocations");
-    assert!(large <= small + 4, "doubling the level added {} allocations", large - small);
+fn forcing_is_constant_and_probing_is_allocation_free() {
+    // (a) One forced word-keyed level, from two keys to 2 * 10^4: the
+    // level's box, its index, the child-of-row and count vectors, the
+    // children and the grouped rows, whatever the size — and, at four rows
+    // per key, the index refitted to its keys. A wide level's index grows by
+    // doubling: a few more allocations for twice the keys.
+    let spent = [2, 10_000, 20_000].map(|keys| force_allocations(keys, 1, &["x"]));
+    assert_eq!(spent, [6; 3], "forcing a one-column level must not allocate by size");
+    let spent = [2, 10_000, 20_000].map(|keys| force_allocations(keys, 4, &["x"]));
+    assert_eq!(spent, [7; 3], "refitting the index is one allocation, whatever the size");
+    let small = force_allocations(10_000, 4, &["x", "y"]);
+    let large = force_allocations(20_000, 4, &["x", "y"]);
+    assert!(small < 64, "forcing 4 * 10^4 wide keys took {small} allocations");
+    assert!(large <= small + 4, "doubling the wide level added {} allocations", large - small);
 
     // (b) Warm executions: doubling the probing relation doubles the probes
     // and leaves the allocation count where it was, on the vectorized and

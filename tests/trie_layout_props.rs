@@ -1,13 +1,16 @@
 //! Layout property of the flat GHT: for generated relations (duplicates,
-//! NULLs, skew) and level keys of arity 0 to 3 (so typed cursors, the masked
-//! fallback and the `LevelKey` spill path are all hit), every build strategy
-//! yields, at every level, exactly the key -> row-offset lists of a naive
-//! `BTreeMap` grouping, with offsets ascending inside each group. Stable
-//! grouping is what keeps emission order — and with it the path-key-ordered
-//! merge of the parallel executor — deterministic. The lazy-leaf reads are
-//! checked against the same oracle before anything is forced: a node with
-//! nothing keyed below it walks its rows in order, and a counting probe
-//! returns the group's size whether it scans the node or forces it.
+//! NULLs, skew) and levels of zero to three key columns over `Int64`, `Str`
+//! and NULL-masked columns (so the word-keyed index with and without a NULL
+//! child and the inline and the spilled `LevelKey` index are all hit), every
+//! build strategy yields, at every level, exactly
+//! the key -> row-offset lists of a naive `BTreeMap` grouping: offsets
+//! ascending inside each group, groups handed out in the order their keys
+//! first occur. Stable grouping and hash-independent iteration are what keep
+//! emission order — and with it the path-key-ordered merge of the parallel
+//! executor — deterministic. The lazy-leaf reads are checked against the
+//! same oracle before anything is forced: a node with nothing keyed below it
+//! walks its rows in order, and a counting probe returns the group's size
+//! whether it scans the node or forces it, and again once it is forced.
 
 use freejoin::engine::trie::{NodeRef, SCAN_PROBE_MAX_ROWS};
 use freejoin::engine::{BoundInput, InputTrie};
@@ -29,21 +32,51 @@ fn ord(values: &[Value]) -> Vec<(u8, i64)> {
         .collect()
 }
 
-/// `T(a, b, c)`: `a` a nullable integer (masked column), `b` a string id
-/// without NULLs, `c` an integer skewed towards one hot value.
-fn input(codes: &[(i64, i64, i64)]) -> BoundInput {
-    let schema = Schema::new(vec![Field::int("a"), Field::str("b"), Field::int("c")]);
+/// `T(a, b, c, d)` from already-shaped values: `a` an integer column, `b` a
+/// string column, `c` an integer column, `d` a string column. A column is
+/// NULL-masked exactly when one of its values is `None`.
+fn input_of(rows: &[[Option<i64>; 4]]) -> BoundInput {
+    let schema =
+        Schema::new(vec![Field::int("a"), Field::str("b"), Field::int("c"), Field::str("d")]);
     let mut builder = RelationBuilder::new("T", schema);
-    for &(a, b, c) in codes {
-        let a = if a % 5 == 0 { Value::Null } else { Value::Int(a % 4) };
-        let c = if c % 10 < 7 { 0 } else { c % 6 };
-        builder.push_row(vec![a, Value::Str((b % 3) as u32), Value::Int(c)]).unwrap();
+    for &[a, b, c, d] in rows {
+        let int = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+        let str = |v: Option<i64>| v.map_or(Value::Null, |s| Value::Str(s as u32));
+        builder.push_row(vec![int(a), str(b), int(c), str(d)]).unwrap();
     }
     BoundInput {
         name: "T".to_string(),
         relation: Arc::new(builder.finish()),
-        vars: ["a", "b", "c"].map(String::from).to_vec(),
-        var_cols: vec![0, 1, 2],
+        vars: ["a", "b", "c", "d"].map(String::from).to_vec(),
+        var_cols: vec![0, 1, 2, 3],
+    }
+}
+
+/// The generated shape: `a` a nullable integer (masked column), `b` a string
+/// id without NULLs, `c` an integer skewed towards one hot value, `d` a
+/// nullable string id.
+fn skewed_input(codes: &[(i64, i64, i64)]) -> BoundInput {
+    let rows: Vec<[Option<i64>; 4]> = codes
+        .iter()
+        .map(|&(a, b, c)| {
+            [
+                (a % 5 != 0).then_some(a % 4),
+                Some(b % 3),
+                Some(if c % 10 < 7 { 0 } else { c % 6 }),
+                (b % 4 != 0).then_some(a % 3),
+            ]
+        })
+        .collect();
+    input_of(&rows)
+}
+
+/// The same payload under the other type: what a mixed-type join variable
+/// probes a one-column level with. It must match nothing.
+fn retyped(value: Value) -> Value {
+    match value {
+        Value::Int(i) => Value::Str(i as u32),
+        Value::Str(s) => Value::Int(i64::from(s)),
+        Value::Null => Value::Null,
     }
 }
 
@@ -55,15 +88,13 @@ fn check_node(trie: &InputTrie, input: &BoundInput, node: NodeRef<'_>, level: us
     if level == trie.num_levels() {
         return;
     }
+    let arity = trie.level_vars(level).len();
     let key_of = |row: u32| input.read_vars(row as usize, trie.level_vars(level));
     let nothing_keyed_below = (level + 1..trie.num_levels()).all(|l| trie.level_vars(l).is_empty());
-    assert_eq!(
-        trie.iterates_rows(node, level),
-        !node.is_map() && nothing_keyed_below && !trie.level_vars(level).is_empty()
-    );
+    assert_eq!(trie.iterates_rows(node, level), !node.is_map() && nothing_keyed_below && arity > 0);
     if nothing_keyed_below && !node.is_map() {
         let mut seen = Vec::new();
-        if trie.level_vars(level).is_empty() {
+        if arity == 0 {
             // Nothing to tell the tuples apart: a non-empty leaf is one
             // entry whose child — the leaf itself — carries their number.
             trie.for_each(node, level, |key, child| {
@@ -88,33 +119,111 @@ fn check_node(trie: &InputTrie, input: &BoundInput, node: NodeRef<'_>, level: us
     }
     // Counting probes agree with the oracle whether they scan the node
     // (unforced and small) or force it (a hub), and scanning forces nothing.
-    let scanned =
-        !node.is_map() && rows.len() <= SCAN_PROBE_MAX_ROWS && trie.level_vars(level).len() == 1;
-    for group in oracle.values() {
-        assert_eq!(trie.count_matches(node, level, &key_of(group[0])), group.len() as u64);
-    }
-    let absent = vec![Value::Int(-1); trie.level_vars(level).len()];
-    assert_eq!(
-        trie.count_matches(node, level, &absent),
-        u64::from(absent.is_empty()) * rows.len() as u64
-    );
+    // A key of the right payload and the wrong type counts nothing.
+    let scanned = !node.is_map() && rows.len() <= SCAN_PROBE_MAX_ROWS && arity == 1;
+    let absent = vec![Value::Int(i64::MAX); arity];
+    let check_counts = || {
+        for group in oracle.values() {
+            let key = key_of(group[0]);
+            assert_eq!(trie.count_matches(node, level, &key), group.len() as u64);
+            if let [value] = key[..] {
+                let expected = if value.is_null() { group.len() as u64 } else { 0 };
+                assert_eq!(trie.count_matches(node, level, &[retyped(value)]), expected);
+            }
+        }
+        assert_eq!(
+            trie.count_matches(node, level, &absent),
+            u64::from(absent.is_empty()) * rows.len() as u64
+        );
+    };
+    check_counts();
     assert_eq!(node.is_map(), !scanned, "level {level}: {} rows", rows.len());
+
     let forced = trie.force(node, level, true);
     assert_eq!(forced.num_keys(), oracle.len());
     assert_eq!(trie.estimated_keys(node), oracle.len());
-    for (key, child) in forced.iter() {
-        let group = oracle.remove(&ord(key.values())).expect("every key has rows, once");
+    // The same answers from the index.
+    check_counts();
+    // A forced node hands out one entry per distinct key, in the order the
+    // keys first occur; sub-ranges of children concatenate to the same list.
+    let mut entries: Vec<(Vec<Value>, NodeRef<'_>)> = Vec::new();
+    trie.for_each(node, level, |key, child| {
+        entries.push((key.to_vec(), child.expect("a forced level's entries have children")));
+    });
+    let mut in_ranges = Vec::new();
+    let mid = forced.num_keys() / 2;
+    for range in [0..mid, mid..forced.num_keys()] {
+        trie.for_each_child(forced, level, range, |key, _| in_ranges.push(key.to_vec()));
+    }
+    assert_eq!(in_ranges, entries.iter().map(|(key, _)| key.clone()).collect::<Vec<_>>());
+    let mut by_first_row: Vec<_> = oracle.iter().collect();
+    by_first_row.sort_by_key(|(_, group)| group[0]);
+    assert_eq!(entries.len(), by_first_row.len());
+    for ((key, child), (oracle_key, group)) in entries.iter().zip(by_first_row) {
+        assert_eq!(&ord(key), oracle_key, "level {level}: first-occurrence order");
         assert!(group.windows(2).all(|w| w[0] < w[1]));
         assert_eq!(child.rows(), Some(group.as_slice()), "level {level} key {key:?}");
-        let probed = trie.get(node, level, key.values()).expect("stored keys are found");
+        let probed = trie.get(node, level, key).expect("stored keys are found");
         assert_eq!(probed.rows(), child.rows());
-        check_node(trie, input, child, level + 1, &group);
+        check_node(trie, input, *child, level + 1, group);
     }
-    assert!(oracle.is_empty());
+    if arity > 0 {
+        assert!(trie.get(node, level, &absent).is_none());
+    }
+}
+
+/// One-, two- and three-column levels (and the empty one) over the plain,
+/// the string and the NULL-masked columns, in every position.
+const SCHEMAS: [&[&[&str]]; 9] = [
+    &[&["a"], &["b"], &["c"]],
+    &[&["d"], &["c"], &[]],
+    &[&["b"], &["a"], &["d"]],
+    &[&["a", "b"], &["c"]],
+    &[&["c"], &["b", "d"], &[]],
+    &[&["a", "b", "c"]],
+    &[&["d", "c", "a"], &["b"]],
+    &[&[], &["c", "b", "a"]],
+    &[&["b"], &[], &["a", "c"]],
+];
+
+fn check_all_layouts(input: &BoundInput) {
+    let all_rows: Vec<u32> = (0..input.num_rows() as u32).collect();
+    for levels in SCHEMAS {
+        for strategy in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
+            let schema: Vec<Vec<String>> =
+                levels.iter().map(|l| l.iter().map(|v| v.to_string()).collect()).collect();
+            let trie = InputTrie::build(input, schema, strategy);
+            assert_eq!(trie.root().rows(), None);
+            check_node(&trie, input, trie.root(), 0, &all_rows);
+        }
+    }
+}
+
+/// The shapes a generator rarely hits: no rows, one row, one key repeated,
+/// every key distinct, only NULLs — each at row counts on both sides of the
+/// scan bound.
+#[test]
+fn degenerate_relations_group_like_the_oracle() {
+    check_all_layouts(&input_of(&[]));
+    for n in [1, 2, SCAN_PROBE_MAX_ROWS as i64, SCAN_PROBE_MAX_ROWS as i64 + 1, 70] {
+        let rows = |f: &dyn Fn(i64) -> [Option<i64>; 4]| (0..n).map(f).collect::<Vec<_>>();
+        // A single key in every column, masked columns included.
+        check_all_layouts(&input_of(&rows(&|_| [Some(7), Some(7), Some(7), Some(7)])));
+        check_all_layouts(&input_of(&rows(&|_| [None, Some(1), Some(2), None])));
+        // All distinct, in descending order so first occurrence is not key
+        // order; negative integers exercise the sign bit of the key word.
+        check_all_layouts(&input_of(&rows(&|i| {
+            [Some(-i), Some(n - i), Some(i64::MIN + i), Some(i)]
+        })));
+        // All distinct but for one NULL in the middle.
+        check_all_layouts(&input_of(&rows(&|i| {
+            [(i != n / 2).then_some(i), Some(i), Some(0), (i != n / 2).then_some(n - i)]
+        })));
+    }
 }
 
 proptest! {
-    #![proptest_config(ProptestConfig { cases: 48, ..ProptestConfig::default() })]
+    #![proptest_config(ProptestConfig { cases: 32, ..ProptestConfig::default() })]
 
     #[test]
     fn every_level_groups_rows_like_a_naive_btreemap(
@@ -124,24 +233,6 @@ proptest! {
     ) {
         let codes: Vec<(i64, i64, i64)> =
             a.iter().zip(&b).zip(&c).map(|((&a, &b), &c)| (a, b, c)).collect();
-        let input = input(&codes);
-        let all_rows: Vec<u32> = (0..codes.len() as u32).collect();
-        let schemas: [&[&[&str]]; 6] = [
-            &[&["a"], &["b"], &["c"]],
-            &[&["a", "b"], &["c"]],
-            &[&["c"], &["b", "c"], &[]],
-            &[&["a", "b", "c"]],
-            &[&[], &["c", "b", "a"]],
-            &[&["b"], &[], &["a", "c"]],
-        ];
-        for levels in schemas {
-            for strategy in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
-                let schema: Vec<Vec<String>> =
-                    levels.iter().map(|l| l.iter().map(|v| v.to_string()).collect()).collect();
-                let trie = InputTrie::build(&input, schema, strategy);
-                prop_assert_eq!(trie.root().rows(), None);
-                check_node(&trie, &input, trie.root(), 0, &all_rows);
-            }
-        }
+        check_all_layouts(&skewed_input(&codes));
     }
 }
