@@ -188,6 +188,10 @@ pub struct PipelineProfile {
 /// output.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryProfile {
+    /// Filter conjuncts the session derived before binding the inputs, each
+    /// with its source (`movie_keyword.movie_id = 7 <- title.id`): why an
+    /// input the query text does not filter has three rows.
+    pub derived: Vec<String>,
     /// Per-pipeline profiles in execution order.
     pub pipelines: Vec<PipelineProfile>,
 }
@@ -226,6 +230,9 @@ impl QueryProfile {
     /// `Session::explain_analyze` output.
     pub fn render(&self) -> String {
         let mut out = String::new();
+        for derived in &self.derived {
+            writeln!(out, "derived: {derived}").expect("write to string");
+        }
         for pipeline in &self.pipelines {
             writeln!(out, "{}", pipeline.label).expect("write to string");
             for (k, node) in pipeline.nodes.iter().enumerate() {
@@ -314,6 +321,7 @@ mod tests {
         let floored = NodeProfile { estimated_rows: 0.0, output_rows: 4, ..Default::default() };
         assert!(!floored.bust());
         let profile = QueryProfile {
+            derived: Vec::new(),
             pipelines: vec![PipelineProfile {
                 label: "pipeline 0 (final)".into(),
                 nodes: vec![bust, fine, floored],
@@ -334,6 +342,7 @@ mod tests {
     #[test]
     fn profile_render_and_totals() {
         let profile = QueryProfile {
+            derived: vec!["S.y = 3 <- R.y".into()],
             pipelines: vec![PipelineProfile {
                 label: "pipeline 0 (final)".into(),
                 nodes: vec![
@@ -362,7 +371,7 @@ mod tests {
         assert_eq!(profile.total_probe_hits(), 100);
         assert_eq!(profile.output_rows(), 90);
         let text = profile.render();
-        assert!(text.contains("pipeline 0 (final)"), "{text}");
+        assert!(text.starts_with("derived: S.y = 3 <- R.y\npipeline 0 (final)"), "{text}");
         assert!(text.contains("est=120.0 actual=100"), "{text}");
         assert!(text.contains("hit_rate=0.667"), "{text}");
         assert!(text.contains("node 1: [#2(z)]"), "{text}");

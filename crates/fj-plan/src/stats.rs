@@ -16,7 +16,7 @@
 use crate::binary_plan::PipeInput;
 use crate::fj_plan::FreeJoinPlan;
 use fj_query::{Atom, ConjunctiveQuery};
-use fj_storage::Catalog;
+use fj_storage::{Catalog, Relation};
 use serde::{Deserialize, Serialize};
 use std::collections::{BTreeMap, BTreeSet, HashMap};
 
@@ -44,6 +44,24 @@ pub struct TableStats {
 }
 
 impl TableStats {
+    /// Scan one relation: the unit [`CatalogStats::collect`] is made of, for
+    /// callers that keep statistics per relation version.
+    pub fn collect(relation: &Relation) -> Self {
+        let mut columns = BTreeMap::new();
+        let mut column_order = Vec::with_capacity(relation.arity());
+        for (idx, field) in relation.schema().fields().iter().enumerate() {
+            let col = relation.column(idx);
+            let (min, max) =
+                col.int_min_max().map(|(a, b)| (Some(a), Some(b))).unwrap_or((None, None));
+            columns.insert(
+                field.name.clone(),
+                ColumnStats { distinct: col.distinct_count(), min, max },
+            );
+            column_order.push(field.name.clone());
+        }
+        TableStats { rows: relation.num_rows(), columns, column_order }
+    }
+
     /// Distinct count of a column, defaulting to the row count when the
     /// column is unknown (conservative).
     pub fn distinct(&self, column: &str) -> usize {
@@ -75,29 +93,16 @@ impl CatalogStats {
         let mut tables = BTreeMap::new();
         for name in catalog.relation_names() {
             let relation = catalog.get(name).expect("relation listed but missing");
-            let mut columns = BTreeMap::new();
-            let mut column_order = Vec::with_capacity(relation.arity());
-            for (idx, field) in relation.schema().fields().iter().enumerate() {
-                let col = relation.column(idx);
-                let (min, max) =
-                    col.int_min_max().map(|(a, b)| (Some(a), Some(b))).unwrap_or((None, None));
-                columns.insert(
-                    field.name.clone(),
-                    ColumnStats { distinct: col.distinct_count(), min, max },
-                );
-                column_order.push(field.name.clone());
-            }
-            tables.insert(
-                name.to_string(),
-                TableStats { rows: relation.num_rows(), columns, column_order },
-            );
+            tables.insert(name.to_string(), TableStats::collect(&relation));
         }
         CatalogStats { tables }
     }
 
     /// Statistics for one relation; empty statistics if unknown.
-    pub fn table(&self, name: &str) -> TableStats {
-        self.tables.get(name).cloned().unwrap_or_default()
+    pub fn table(&self, name: &str) -> &TableStats {
+        static UNKNOWN: TableStats =
+            TableStats { rows: 0, columns: BTreeMap::new(), column_order: Vec::new() };
+        self.tables.get(name).unwrap_or(&UNKNOWN)
     }
 }
 

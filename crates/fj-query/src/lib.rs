@@ -14,6 +14,8 @@
 //! * [`parser`] — a datalog-style text syntax for writing queries in tests,
 //!   examples and benchmarks.
 //! * [`QueryBuilder`] — a fluent programmatic builder.
+//! * [`propagate_constants`] — the one logical rewrite: an equality constant
+//!   on a join column becomes a filter on every atom that binds the variable.
 //! * [`QueryOutput`] / [`ExecStats`] — the output and measurement types every
 //!   execution engine in this workspace produces, so that results can be
 //!   compared across engines.
@@ -23,6 +25,7 @@ pub mod builder;
 pub mod hypergraph;
 pub mod output;
 pub mod parser;
+pub mod propagate;
 pub mod query;
 
 pub use atom::Atom;
@@ -32,4 +35,5 @@ pub use output::{
     Aggregate, ExecStats, OutputBuilder, OutputKind, QueryOutput, ResultChunk, CHUNK_CAPACITY,
 };
 pub use parser::{parse_filter, parse_query, ParseError};
+pub use propagate::{propagate_constants, Derivation, Propagated};
 pub use query::{CancelReason, ConjunctiveQuery, QueryError};

@@ -23,6 +23,16 @@
 //!   positions rather than variable names. Racing cold lookups coalesce
 //!   onto a single build (single-flight).
 //!
+//! **Equality constants follow their join variable**: before a session plans
+//! a query or binds a request's inputs, [`fj_query::propagate_constants`]
+//! gives every atom that shares a variable with a `column = constant` filter
+//! the same constant on its own column. A point request (`title` overridden
+//! with `id = K`) then fetches the per-key tries of the fact tables — a few
+//! rows each, cached under the derived filter like any other — instead of
+//! probing every row of every fact table into a one-row trie. The plan is
+//! the prepared one; only the inputs shrink. `FreeJoinEngine` and the
+//! baselines run queries as written.
+//!
 //! **Invalidation** is by construction: `fj_storage::Catalog` bumps a
 //! monotonic version on every relation mutation, and the version is part of
 //! the trie key and the plan fingerprint, so stale entries are simply never
@@ -70,14 +80,17 @@ use fj_obs::{
 };
 use fj_plan::{
     optimize, CardinalityEstimator, CatalogStats, OptimizerOptions, PipeInput, SubPlanInfo,
+    TableStats,
 };
-use fj_query::{Aggregate, Atom, ConjunctiveQuery, ExecStats, QueryOutput};
+use fj_query::{
+    propagate_constants, Aggregate, Atom, ConjunctiveQuery, Derivation, ExecStats, QueryOutput,
+};
 use fj_storage::{Catalog, DataType, Predicate};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
 /// Default trie-cache byte budget: enough for the working set of a serving
@@ -182,6 +195,12 @@ fn pipeline_label(query: &ConjunctiveQuery, compiled: &CompiledQuery, p: usize) 
 pub struct EngineCaches {
     tries: TrieCache<InputTrie>,
     plans: PlanCache<CachedPlan>,
+    /// The optimizer's statistics of each relation at the version they were
+    /// collected from — one scan per relation version, however many shapes
+    /// are prepared over it. Held while collecting, so racing preparers of
+    /// one relation scan it once.
+    table_stats: Mutex<HashMap<String, (u64, TableStats)>>,
+    table_stats_collected: AtomicU64,
     /// Work-stealing scheduler counters, accumulated across every execution
     /// that runs against this cache pair (the natural per-process scope —
     /// the same scope the cache counters already have).
@@ -207,6 +226,8 @@ impl EngineCaches {
         EngineCaches {
             tries: TrieCache::new(trie_budget_bytes),
             plans: PlanCache::new(plan_capacity),
+            table_stats: Mutex::new(HashMap::new()),
+            table_stats_collected: AtomicU64::new(0),
             sched_spawned: AtomicU64::new(0),
             sched_stolen: AtomicU64::new(0),
             exec_reorders: AtomicU64::new(0),
@@ -230,15 +251,45 @@ impl EngineCaches {
         &self.plans
     }
 
-    /// Eagerly reclaim every cached trie of `relation` (all versions) and
-    /// all cached plans. Never needed for correctness — mutations already
-    /// make stale entries unreachable by key — but frees their budget
-    /// immediately after a bulk reload.
+    /// Relation scans made to collect optimizer statistics: one per relation
+    /// version a prepared query has named.
+    pub fn table_stats_collected(&self) -> u64 {
+        self.table_stats_collected.load(Ordering::Relaxed)
+    }
+
+    /// The statistics of the relations `query` names, each collected at most
+    /// once per relation version.
+    fn stats_for(&self, catalog: &Catalog, query: &ConjunctiveQuery) -> EngineResult<CatalogStats> {
+        let mut kept = self.table_stats.lock().expect("no panic while collecting statistics");
+        let mut stats = CatalogStats::default();
+        for atom in &query.atoms {
+            if stats.tables.contains_key(&atom.relation) {
+                continue;
+            }
+            let version = catalog.version_of(&atom.relation);
+            if !matches!(kept.get(&atom.relation), Some((v, _)) if *v == version) {
+                let table = TableStats::collect(&*catalog.get(&atom.relation)?);
+                self.table_stats_collected.fetch_add(1, Ordering::Relaxed);
+                kept.insert(atom.relation.clone(), (version, table));
+            }
+            stats.tables.insert(atom.relation.clone(), kept[&atom.relation].1.clone());
+        }
+        Ok(stats)
+    }
+
+    /// Eagerly reclaim every cached trie of `relation` (all versions), its
+    /// statistics and all cached plans. Never needed for correctness —
+    /// mutations already make stale entries unreachable by key — but frees
+    /// their budget immediately after a bulk reload.
     pub fn invalidate_relation(&self, relation: &str) -> u64 {
         // Plans embed relation versions in their fingerprints, so stale
         // plans are unreachable too; dropping them all keeps this simple and
         // correct (they rebuild in one prepare each).
         self.plans.clear();
+        self.table_stats
+            .lock()
+            .expect("no panic while collecting statistics")
+            .remove(relation);
         self.tries.invalidate_relation(relation)
     }
 
@@ -343,19 +394,24 @@ impl Session {
     /// any thread.
     pub fn prepare(&self, catalog: &Catalog, query: &ConjunctiveQuery) -> EngineResult<Prepared> {
         query.validate(catalog).map_err(EngineError::Query)?;
-        let canonical = canonical_query(catalog, query, &self.optimizer, &self.options);
+        // Plan the query its constants imply: the plan-cache key, the
+        // optimizer's estimates and the compiled plan all see the derived
+        // filters, and an execution without overrides runs it as it is.
+        let propagated = propagate_constants(query, catalog);
+        let planned = propagated.query.as_ref();
+        let canonical = canonical_query(catalog, planned, &self.optimizer, &self.options);
         let fingerprint = {
             let mut fp = Fingerprinter::new();
             fp.push_str(&canonical);
             fp.finish()
         };
         let build = || -> EngineResult<CachedPlan> {
-            let stats = CatalogStats::collect(catalog);
-            let plan = optimize(query, &stats, self.optimizer);
-            if !plan.covers_query(query) {
+            let stats = self.caches.stats_for(catalog, planned)?;
+            let plan = optimize(planned, &stats, self.optimizer);
+            if !plan.covers_query(planned) {
                 return Err(EngineError::PlanDoesNotCoverQuery);
             }
-            let compiled = compile_query(query, &plan, &self.options)?;
+            let compiled = compile_query(planned, &plan, &self.options)?;
             // Estimate each pipeline's per-node cardinalities with the same
             // statistics (and estimator mode) the optimizer just planned
             // with; pipelines are dependency-ordered, so every Intermediate
@@ -366,7 +422,7 @@ impl Session {
             let mut node_labels = Vec::with_capacity(compiled.pipelines.len());
             for (p, pipeline) in compiled.pipelines.iter().enumerate() {
                 let (ests, info) = estimator.pipeline_node_estimates(
-                    query,
+                    planned,
                     &pipeline.inputs,
                     &pipeline.fj_plan,
                     &infos,
@@ -375,12 +431,12 @@ impl Session {
                 infos[p] = Some(info);
                 node_labels.push(
                     (0..pipeline.fj_plan.nodes.len())
-                        .map(|k| node_label(query, pipeline, k))
+                        .map(|k| node_label(planned, pipeline, k))
                         .collect(),
                 );
             }
             let pipeline_labels = (0..compiled.pipelines.len())
-                .map(|p| pipeline_label(query, &compiled, p))
+                .map(|p| pipeline_label(planned, &compiled, p))
                 .collect();
             Ok(CachedPlan {
                 canonical: canonical.clone(),
@@ -396,8 +452,12 @@ impl Session {
             // compile this query uncached rather than run the wrong plan.
             plan = Arc::new(build()?);
         }
+        let versions = query.atoms.iter().map(|a| catalog.version_of(&a.relation)).collect();
         Ok(Prepared {
             query: query.clone(),
+            propagated: propagated.query.into_owned(),
+            derived: propagated.derived,
+            versions,
             plan,
             fingerprint,
             options: self.options,
@@ -503,11 +563,28 @@ impl Params {
 /// execute it repeatedly against current data through the shared caches.
 #[derive(Debug, Clone)]
 pub struct Prepared {
+    /// The query as given: what [`Params`] overrides replace filters of.
     query: ConjunctiveQuery,
+    /// `query` with its equality constants propagated along their join
+    /// variables ([`propagate_constants`]): what the plan was compiled for,
+    /// and what an execution without overrides runs.
+    propagated: ConjunctiveQuery,
+    /// The conjuncts `propagated` has over `query`.
+    derived: Vec<Derivation>,
+    /// The version of each atom's relation when the rewrite read its schema.
+    versions: Vec<u64>,
     plan: Arc<CachedPlan>,
     fingerprint: u64,
     options: FreeJoinOptions,
     caches: Arc<EngineCaches>,
+}
+
+/// What a profiled execution hands back besides its output: one merged
+/// sheet per pipeline and the rendered derived filter conjuncts.
+#[derive(Default)]
+struct ProfileParts {
+    sheets: Vec<ProfileSheet>,
+    derived: Vec<String>,
 }
 
 /// Sessions and prepared queries cross worker threads in serving setups;
@@ -578,16 +655,16 @@ impl Prepared {
         params: &Params,
     ) -> EngineResult<(QueryOutput, ExecStats, QueryProfile)> {
         let options = self.options.with_profile(true);
-        let mut sheets = Vec::with_capacity(self.plan.compiled.pipelines.len());
+        let mut parts = ProfileParts::default();
         let (output, stats) = self.execute_inner(
             catalog,
             params,
             &options,
-            Some(&mut sheets),
+            Some(&mut parts),
             None,
             &CancelToken::disabled(),
         )?;
-        let profile = self.assemble_profile(&sheets);
+        let profile = self.assemble_profile(parts);
         // This run has per-node actuals: count the nodes that bust their
         // prepare-time estimate (the same predicate behind the rendered `!`
         // markers, so the counter reconciles with EXPLAIN ANALYZE output).
@@ -625,11 +702,12 @@ impl Prepared {
         Ok((output, stats, trace))
     }
 
-    /// The shared execution path. When `sheets` is `Some`, one merged
-    /// [`ProfileSheet`] per pipeline is pushed into it (in pipeline order);
-    /// when `None`, a disabled sheet is threaded through instead, which
-    /// allocates nothing — the `profile: false` serving path pays only a
-    /// branch per instrumentation site. `trace` follows the same discipline:
+    /// The shared execution path. When `profile` is `Some`, one merged
+    /// [`ProfileSheet`] per pipeline is pushed into it (in pipeline order)
+    /// next to the description of every derived filter conjunct; when
+    /// `None`, a disabled sheet is threaded through instead, which allocates
+    /// nothing — the `profile: false` serving path pays only a branch per
+    /// instrumentation site. `trace` follows the same discipline:
     /// `None` (with `options.trace` unset) costs one branch per emission
     /// site and never allocates; `Some` collects the session ring and every
     /// per-worker executor ring into the given [`QueryTrace`].
@@ -638,7 +716,7 @@ impl Prepared {
         catalog: &Catalog,
         params: &Params,
         options: &FreeJoinOptions,
-        mut sheets: Option<&mut Vec<ProfileSheet>>,
+        mut profile: Option<&mut ProfileParts>,
         mut trace: Option<&mut QueryTrace>,
         token: &CancelToken,
     ) -> EngineResult<(QueryOutput, ExecStats)> {
@@ -646,8 +724,20 @@ impl Prepared {
         // deadline/budget (disabled when neither is configured, costing one
         // branch per check site).
         let token = if token.is_disabled() { options.cancel_token() } else { token.clone() };
-        let query = self.query_with(params)?;
-        let query = query.as_ref();
+        // The constants of this request follow their join variables before
+        // anything is bound. Without overrides that is the rewrite `prepare`
+        // made, unless a relation it read the schema of has been replaced.
+        let overridden = self.query_with(params)?;
+        let rederived;
+        let (query, derived) = if params.is_empty() && self.rewrite_is_current(catalog) {
+            (&self.propagated, &self.derived[..])
+        } else {
+            rederived = propagate_constants(&overridden, catalog);
+            (rederived.query.as_ref(), &rederived.derived[..])
+        };
+        if let Some(parts) = profile.as_deref_mut() {
+            parts.derived = derived.iter().map(|d| d.describe(query)).collect();
+        }
         // Re-validate against the *current* catalog: relations may have been
         // replaced (even with a different schema) since prepare, and the
         // serving path must surface that as a typed error, never a panic.
@@ -746,8 +836,8 @@ impl Prepared {
                 &mut pipe_traces,
                 &token,
             )?;
-            if let Some(sheets) = sheets.as_deref_mut() {
-                sheets.push(sheet);
+            if let Some(parts) = profile.as_deref_mut() {
+                parts.sheets.push(sheet);
             }
             if let Some(qt) = trace.as_deref_mut() {
                 for mut tb in pipe_traces {
@@ -804,10 +894,10 @@ impl Prepared {
 
     /// Pair each pipeline's merged [`ProfileSheet`] with the prepare-time
     /// node estimates and human-readable labels into a [`QueryProfile`].
-    fn assemble_profile(&self, sheets: &[ProfileSheet]) -> QueryProfile {
+    fn assemble_profile(&self, parts: ProfileParts) -> QueryProfile {
         let compiled = &self.plan.compiled;
-        let mut pipelines = Vec::with_capacity(sheets.len());
-        for (p, (pipeline, sheet)) in compiled.pipelines.iter().zip(sheets).enumerate() {
+        let mut pipelines = Vec::with_capacity(parts.sheets.len());
+        for (p, (pipeline, sheet)) in compiled.pipelines.iter().zip(&parts.sheets).enumerate() {
             let ests = self.plan.node_estimates.get(p);
             let labels = self.plan.node_labels.get(p);
             let mut nodes = Vec::with_capacity(pipeline.fj_plan.nodes.len());
@@ -825,7 +915,16 @@ impl Prepared {
             }
             pipelines.push(PipelineProfile { label: self.plan.pipeline_labels[p].clone(), nodes });
         }
-        QueryProfile { pipelines }
+        QueryProfile { derived: parts.derived, pipelines }
+    }
+
+    /// Does the rewrite made at prepare time still hold? It mapped columns
+    /// to variables through the schemas of these relation versions; a
+    /// relation replaced since may have its columns in another order.
+    fn rewrite_is_current(&self, catalog: &Catalog) -> bool {
+        self.derived.is_empty()
+            || (self.query.atoms.iter().zip(&self.versions))
+                .all(|(atom, version)| catalog.version_of(&atom.relation) == *version)
     }
 
     /// The query with parameter overrides applied (validated against the
@@ -1134,6 +1233,35 @@ mod tests {
         assert!(stats.build_time > Duration::ZERO);
     }
 
+    /// Optimizer statistics are collected once per relation version, not
+    /// once per prepared shape: a second shape over the same relations scans
+    /// nothing, a mutation makes the next prepare scan that relation alone.
+    #[test]
+    fn statistics_are_collected_once_per_relation_version() {
+        let mut cat = catalog();
+        let s = session();
+        let scans = || s.caches().table_stats_collected();
+        s.prepare(&cat, &two_hop()).unwrap();
+        assert_eq!(scans(), 2, "edge and person");
+        let one_hop = QueryBuilder::new("one_hop")
+            .atom("edge", &["a", "b"])
+            .atom("person", &["b", "city"])
+            .count()
+            .build();
+        s.prepare(&cat, &one_hop).unwrap();
+        assert_eq!((scans(), s.cache_stats().plans.misses), (2, 2), "a new shape, no new scan");
+
+        cat.touch("person");
+        s.prepare(&cat, &two_hop()).unwrap();
+        assert_eq!((scans(), s.cache_stats().plans.misses), (3, 3), "person alone is rescanned");
+        s.prepare(&cat, &one_hop).unwrap();
+        assert_eq!((scans(), s.cache_stats().plans.misses), (3, 4));
+
+        s.caches().invalidate_relation("edge");
+        s.prepare(&cat, &one_hop).unwrap();
+        assert_eq!(scans(), 4, "invalidation dropped edge's statistics");
+    }
+
     #[test]
     fn params_override_filters_and_cache_separately() {
         let cat = catalog();
@@ -1304,6 +1432,32 @@ mod tests {
             session().with_options(FreeJoinOptions::default().with_factorized_output(false));
         let report = enumerating.explain_analyze(&cat, &two_hop()).unwrap();
         assert!(!report.contains("pruned:") && !report.contains("x|rows|"), "{report}");
+    }
+
+    /// `EXPLAIN ANALYZE` says why an input the text does not filter has a
+    /// handful of rows: each derived conjunct is listed with its source,
+    /// whether the constant came in the text or as a parameter.
+    #[test]
+    fn explain_analyze_lists_derived_conjuncts_with_their_source() {
+        let cat = catalog();
+        let s = session();
+        let mut pinned = two_hop();
+        pinned.atoms[2].filter = Predicate::eq_const("id", 7i64);
+        let report = s.explain_analyze(&cat, &pinned).unwrap();
+        assert!(report.contains("derived: e2.dst = 7 <- person.id\n"), "{report}");
+        assert_eq!(report.matches("derived:").count(), 1, "{report}");
+        let engine = crate::engine::FreeJoinEngine::new(FreeJoinOptions::default());
+        let (written, _) =
+            engine.plan_and_execute(&cat, &pinned, OptimizerOptions::default()).unwrap();
+        assert!(report.contains(&format!("output_rows={} ", written.cardinality())), "{report}");
+
+        let prepared = s.prepare(&cat, &two_hop()).unwrap();
+        let params = Params::new().with_filter("e1", Predicate::eq_const("dst", 3i64));
+        let (_, _, profile) = prepared.execute_profiled(&cat, &params).unwrap();
+        assert_eq!(profile.derived, ["e2.src = 3 <- e1.dst"]);
+        assert!(profile.render().starts_with("derived: e2.src = 3 <- e1.dst\npipeline 0"));
+        let (_, _, plain) = prepared.execute_profiled(&cat, &Params::new()).unwrap();
+        assert!(plain.derived.is_empty() && !plain.render().contains("derived"));
     }
 
     /// A cycle's closing atom is split by factoring: `EXPLAIN ANALYZE` shows

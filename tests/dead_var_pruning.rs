@@ -20,77 +20,13 @@
 //! scan bound and an empty relation, and once more with every expansion
 //! split into scheduler tasks.
 
+mod common;
+
+use common::{catalog_of, cyclic_queries, hub_catalog, oracle, relation, rows, thread_counts};
 use freejoin::plan::PlanTree;
 use freejoin::prelude::*;
-use freejoin::storage::Field;
 use freejoin::workloads::{job, lsqb, micro, Workload};
 use proptest::prelude::*;
-
-/// Brute-force evaluation under bag semantics: one row per atom, kept when
-/// the shared variables agree (`NULL` equals `NULL`, as in every engine).
-/// One enumeration answers every query of `variants` — the same atoms under
-/// different heads and aggregates — through the `OutputBuilder` the engines
-/// use.
-fn oracle(catalog: &Catalog, variants: &[&ConjunctiveQuery]) -> Vec<QueryOutput> {
-    struct Step {
-        rows: Vec<Vec<Value>>,
-        /// The binding slot of each column.
-        slots: Vec<usize>,
-    }
-    fn recurse(steps: &[Step], binding: &mut Vec<Option<Value>>, emit: &mut dyn FnMut(&[Value])) {
-        let Some((step, rest)) = steps.split_first() else {
-            let tuple: Vec<Value> = binding.iter().map(|v| v.expect("all bound")).collect();
-            emit(&tuple);
-            return;
-        };
-        for row in &step.rows {
-            let before = binding.clone();
-            let consistent = step
-                .slots
-                .iter()
-                .zip(row)
-                .all(|(&slot, value)| *binding[slot].get_or_insert(*value) == *value);
-            if consistent {
-                recurse(rest, binding, emit);
-            }
-            *binding = before;
-        }
-    }
-    let query = variants[0];
-    let order = query.variables();
-    let steps: Vec<Step> = query
-        .atoms
-        .iter()
-        .map(|atom| {
-            let rel = catalog.get(&atom.relation).unwrap();
-            let filter = atom.filter.resolve_strings(catalog.dictionary());
-            let rows = (0..rel.num_rows())
-                .filter(|&row| !atom.has_filter() || filter.eval(&rel, row))
-                .map(|row| rel.row(row))
-                .collect();
-            let slot = |v: &String| order.iter().position(|o| o == v).unwrap();
-            Step { rows, slots: atom.vars.iter().map(slot).collect() }
-        })
-        .collect();
-    let mut builders: Vec<_> = variants
-        .iter()
-        .map(|q| freejoin::query::OutputBuilder::new(&q.head, q.aggregate.clone(), &order))
-        .collect();
-    recurse(&steps, &mut vec![None; order.len()], &mut |tuple| {
-        builders.iter_mut().for_each(|b| b.push(tuple));
-    });
-    builders.into_iter().map(|b| b.finish()).collect()
-}
-
-/// 1, 2 and `FJ_TEST_THREADS` workers (CI's race-hunting job sets 8).
-fn thread_counts() -> Vec<usize> {
-    let mut counts = vec![1, 2];
-    let extra = std::env::var("FJ_TEST_THREADS").ok().and_then(|v| v.trim().parse().ok());
-    if let Some(n) = extra.filter(|n| !counts.contains(n)) {
-        counts.push(n);
-    }
-    counts
-}
 
 /// Trie strategy x threads x adaptive execution, pruning on.
 fn grid() -> Vec<FreeJoinOptions> {
@@ -284,31 +220,6 @@ fn micro_suites() {
     }
 }
 
-/// A relation of nullable integer columns: a generated `5` is a NULL, so
-/// NULL keys, duplicate rows (the domain is tiny) and empty relations (the
-/// row count may be 0) all occur.
-fn relation(name: &str, cols: &[&str], rows: &[Vec<i64>]) -> Relation {
-    let schema = Schema::new(cols.iter().map(|c| Field::int(*c)).collect());
-    let mut b = RelationBuilder::new(name, schema);
-    for row in rows {
-        let values = row.iter().map(|&v| if v == 5 { Value::Null } else { Value::Int(v) });
-        b.push_row(values.collect()).unwrap();
-    }
-    b.finish()
-}
-
-fn rows(arity: usize) -> impl Strategy<Value = Vec<Vec<i64>>> {
-    prop::collection::vec(prop::collection::vec(0i64..6, arity), 0..12)
-}
-
-fn catalog_of(relations: Vec<Relation>) -> Catalog {
-    let mut catalog = Catalog::new();
-    for relation in relations {
-        catalog.add(relation).unwrap();
-    }
-    catalog
-}
-
 proptest! {
     #![proptest_config(ProptestConfig { cases: 12, ..ProptestConfig::default() })]
 
@@ -414,27 +325,6 @@ fn cyclic_grid() -> Vec<FreeJoinOptions> {
     grid().into_iter().flat_map(|o| [o, o.with_factorized_output(false)]).collect()
 }
 
-/// Triangle, 4-cycle with a chord (LSQB `q3`) and triangle whose first two
-/// corners share an attribute (LSQB `q2`), as self-joins of `edge` (and of
-/// `tag`).
-fn cyclic_queries() -> Vec<ConjunctiveQuery> {
-    let edges = |name: &str, pairs: &[(&str, &str)]| {
-        let mut q = QueryBuilder::new(name);
-        for (i, (src, dst)) in pairs.iter().enumerate() {
-            q = q.atom_as("edge", &format!("e{i}"), &[src, dst]);
-        }
-        q
-    };
-    vec![
-        edges("triangle", &[("x", "y"), ("y", "z"), ("z", "x")]).build(),
-        edges("chord", &[("a", "b"), ("b", "c"), ("c", "d"), ("d", "a"), ("a", "c")]).build(),
-        edges("shared", &[("a", "b"), ("b", "c"), ("c", "a")])
-            .atom_as("tag", "i1", &["a", "t"])
-            .atom_as("tag", "i2", &["b", "t"])
-            .build(),
-    ]
-}
-
 /// The full grid on the triangle, a rotating sixth of it on the other two.
 fn check_cyclic(catalog: &Catalog, pick: u64, grid: &[FreeJoinOptions]) {
     for (i, query) in cyclic_queries().iter().enumerate() {
@@ -458,39 +348,6 @@ proptest! {
         ]);
         check_cyclic(&catalog, pick, &cyclic_grid());
     }
-}
-
-/// A graph with everything the lazy leaves treat differently: node 0 is a
-/// hub whose adjacency lists are above the scan bound (they are forced once
-/// and shared), the other lists are within it (scanned, or walked row by
-/// row), some edges are duplicated, one endpoint is NULL on both sides of a
-/// match, and `tag` may be empty.
-fn hub_catalog(with_tags: bool) -> Catalog {
-    let spokes = freejoin::engine::trie::SCAN_PROBE_MAX_ROWS as i64 + 4;
-    let mut edges = Vec::new();
-    for v in 1..=spokes {
-        edges.push(vec![0, v]);
-        edges.push(vec![v, 0]);
-        edges.push(vec![v, v % spokes + 1]);
-        if v % 3 == 0 {
-            edges.push(vec![v % spokes + 1, v]);
-            edges.push(vec![v, v % spokes + 1]); // a duplicate row
-        }
-    }
-    // `5` is NULL in `relation`: renumber the real node 5, then add NULLs.
-    for e in &mut edges {
-        e.iter_mut().filter(|v| **v == 5).for_each(|v| *v = 500);
-    }
-    edges.extend([vec![5, 1], vec![1, 5], vec![5, 5], vec![5, 0], vec![0, 5]]);
-    let tags: Vec<Vec<i64>> = if with_tags {
-        (0..=spokes).map(|v| vec![v, v % 2]).chain([vec![0, 1], vec![5, 0]]).collect()
-    } else {
-        Vec::new()
-    };
-    catalog_of(vec![
-        relation("edge", &["src", "dst"], &edges),
-        relation("tag", &["node", "tag"], &tags),
-    ])
 }
 
 #[test]
