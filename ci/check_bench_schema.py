@@ -168,8 +168,7 @@ def check_profile_overhead_column(doc, path, errors):
 
 def check_trace_overhead_column(doc, path, errors):
     """schema_version 9: every row carries trace_overhead_pct — the warm
-    wall-time cost of span tracing (FreeJoinOptions::trace via
-    Prepared::execute_traced), measured with the same burst-robust paired
+    wall-time cost of span tracing (ExecRequest::trace), measured with the same burst-robust paired
     estimator as profile_overhead_pct. Exactly the designated rows
     (clover / colt / serial / uncached) measure it and must stay under 5%;
     every other row carries 0.0. A breach means the tracer's per-event push

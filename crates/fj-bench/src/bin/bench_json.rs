@@ -10,8 +10,8 @@
 //! Each record carries the query name, trie strategy, worker thread count
 //! and best-of-N wall milliseconds for engine execution over a
 //! pre-optimized plan (planning sits outside the timed loop for grid rows;
-//! only the serving `cold` row times it; `threads = 1` is the exact legacy
-//! serial engine), plus — since
+//! only the serving `cold` row times it; `threads = 1` runs on the calling
+//! thread, without a scheduler), plus — since
 //! schema_version 3 — the `build_ms` / `probe_ms` split of that run's trie
 //! build and join (probe) phases, so trie-representation wins are visible
 //! separately from planning and aggregation overhead. Serving records add a
@@ -45,7 +45,7 @@
 //!
 //! Since schema_version 7 every row carries `profile_overhead_pct` — the
 //! warm wall-time cost of running with the per-node query profiler on
-//! (`FreeJoinOptions::profile`), measured batch-against-batch on the
+//! (`ExecRequest::profile`), measured batch-against-batch on the
 //! clover COLT serial row and `0.0` everywhere else. CI's schema gate
 //! fails if the measured overhead reaches 5%, pinning the profiler's
 //! cheap-when-on contract (its off-cost is pinned separately, by the
@@ -62,10 +62,9 @@
 //!
 //! Since schema_version 9 every row carries `trace_overhead_pct` — the
 //! warm wall-time cost of running with span tracing on
-//! (`FreeJoinOptions::trace`, via `Prepared::execute_traced`), measured
-//! with the same burst-robust paired estimator as `profile_overhead_pct`
-//! on the clover COLT serial row and `0.0` everywhere else. CI's schema
-//! gate fails at ≥ 5%, pinning the tracer's cheap-when-on contract (its
+//! (`ExecRequest::trace`), measured with the same burst-robust paired
+//! estimator as `profile_overhead_pct` on the clover COLT serial row and
+//! `0.0` everywhere else. CI's schema gate fails at ≥ 5%, pinning the tracer's cheap-when-on contract (its
 //! off-cost is pinned separately, by the counting-allocator test in
 //! `tests/trace_invariants.rs`).
 //!
@@ -96,7 +95,9 @@ use fj_query::ExecStats;
 use fj_serve::{Client, Server, ServerConfig};
 use fj_workloads::job::{self, JobConfig};
 use fj_workloads::{micro, Workload};
-use free_join::{CancelToken, EngineCaches, FreeJoinOptions, Params, Session, TrieStrategy};
+use free_join::{
+    CancelToken, EngineCaches, ExecReport, ExecRequest, FreeJoinOptions, Session, TrieStrategy,
+};
 use std::fmt::Write as _;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -216,8 +217,9 @@ fn measure_serving(
     let before_cold = session.cache_stats().tries;
     let cold_start = Instant::now();
     let prepared = session.prepare(&workload.catalog, &named.query).expect("query prepares");
-    let (cold_out, cold_stats) =
-        prepared.execute(&workload.catalog).expect("cold execution succeeds");
+    let ExecReport { output: cold_out, stats: cold_stats, .. } = prepared
+        .execute(&workload.catalog, &ExecRequest::default())
+        .expect("cold execution succeeds");
     let cold_ms = ms(cold_start.elapsed());
     let after_cold = session.cache_stats().tries;
     let cold_delta = after_cold.delta(&before_cold);
@@ -227,7 +229,9 @@ fn measure_serving(
     let mut warm_out = cold_out.cardinality();
     for _ in 0..REPS.max(3) {
         let start = Instant::now();
-        let (output, stats) = prepared.execute(&workload.catalog).expect("warm execution succeeds");
+        let ExecReport { output, stats, .. } = prepared
+            .execute(&workload.catalog, &ExecRequest::default())
+            .expect("warm execution succeeds");
         let elapsed = ms(start.elapsed());
         if elapsed < warm_ms {
             warm_ms = elapsed;
@@ -270,149 +274,54 @@ fn measure_serving(
     )
 }
 
-/// The session the three overhead estimators below measure in: serial, and
-/// with dead-variable pruning off. The gated percentages price the
-/// instruments' per-node and per-probe sites against a join loop that is
-/// busy; pruned, the clover's count is a few dozen probes (tens of
-/// microseconds), and what would be measured is the fixed per-execution
-/// cost of assembling a profile or a trace against almost nothing.
-fn overhead_session() -> Session {
-    Session::new(Arc::new(EngineCaches::with_defaults()))
-        .with_options(FreeJoinOptions::default().with_num_threads(1).with_factorized_output(false))
-}
-
-/// Warm profiled-vs-unprofiled overhead (schema_version 7): the same
-/// prepared query executed in batches over warm caches, profile off vs on,
-/// best batch of each. Batching amortizes timer resolution on a
-/// sub-millisecond query; best-of keeps scheduler noise out. Floored at 0
-/// (noise can make the profiled batch win).
-fn profile_overhead_pct(workload: &Workload) -> f64 {
+/// Warm overhead of what `measured` asks for over the plain request, in
+/// percent: the same prepared query executed in batches over warm caches,
+/// plain vs `measured`. Three columns come from it: a profile
+/// (schema_version 7), a trace (schema_version 9 — every task/steal/split
+/// and trie fetch pushing a POD event into a bounded per-worker ring; the
+/// off-cost, exactly zero allocations, is pinned by the counting-allocator
+/// test in `tests/trace_invariants.rs`) and a live far-future-deadline
+/// token (schema_version 10 — the plain side's disabled token
+/// short-circuits every cooperative check to one branch, the live side
+/// polls the shared atomics, and the clock at deadline checks, at
+/// task/morsel/flush boundaries; CI gates it < 2% because the serving path
+/// arms a token on every deadline-carrying request).
+///
+/// The session is serial, with dead-variable pruning off: the gated
+/// percentages price the instruments' per-node and per-probe sites against
+/// a join loop that is busy; pruned, the clover's count is a few dozen
+/// probes (tens of microseconds), and what would be measured is the fixed
+/// per-execution cost of assembling a profile or a trace against almost
+/// nothing. Batching amortizes timer resolution on a sub-millisecond query.
+fn overhead_pct(workload: &Workload, measured: &ExecRequest) -> f64 {
     const BATCH: usize = 200;
     const ROUNDS: usize = 14;
-    let session = overhead_session();
+    let session = Session::new(Arc::new(EngineCaches::with_defaults()))
+        .with_options(FreeJoinOptions::default().with_num_threads(1).with_factorized_output(false));
     let named = &workload.queries[0];
     let prepared = session.prepare(&workload.catalog, &named.query).expect("overhead prepares");
-    for _ in 0..5 {
-        prepared.execute(&workload.catalog).expect("overhead warm-up executes");
-        prepared
-            .execute_profiled(&workload.catalog, &Params::new())
-            .expect("overhead warm-up executes profiled");
-    }
-    let batch_ms = |profiled: bool| {
+    let plain = ExecRequest::default();
+    let batch_ms = |request: &ExecRequest, runs: usize| {
         let start = Instant::now();
-        for _ in 0..BATCH {
-            if profiled {
-                prepared
-                    .execute_profiled(&workload.catalog, &Params::new())
-                    .expect("profiled execution succeeds");
-            } else {
-                prepared.execute(&workload.catalog).expect("plain execution succeeds");
-            }
+        for _ in 0..runs {
+            prepared
+                .execute(&workload.catalog, request)
+                .expect("overhead execution succeeds");
         }
         ms(start.elapsed())
     };
+    batch_ms(&plain, 5);
+    batch_ms(measured, 5);
     // Pair the two kinds within each round and report the *minimum
     // per-round overhead*: a background burst inflates some rounds' pairs
-    // but a genuine profiler regression lifts every round, so the minimum
-    // tracks the true overhead while shrugging off bursts that
-    // independent min-of-batches (the previous scheme) mistook for
-    // overhead whenever a burst landed on a profiled phase.
+    // but a genuine regression lifts every round, so the minimum tracks the
+    // true overhead while shrugging off bursts that independent
+    // min-of-batches mistook for overhead whenever a burst landed on a
+    // measured phase. Floored at 0 (noise can make the measured batch win).
     let mut overhead = f64::INFINITY;
     for _ in 0..ROUNDS {
-        let plain = batch_ms(false);
-        let profiled = batch_ms(true);
-        overhead = overhead.min(100.0 * (profiled - plain) / plain);
-    }
-    overhead.max(0.0)
-}
-
-/// Warm traced-vs-untraced overhead (schema_version 9): the same
-/// burst-robust paired estimator as [`profile_overhead_pct`], with the
-/// span-tracing path (`Prepared::execute_traced`) on the measured side.
-/// This prices tracing when it is *on* — every task/steal/split and trie
-/// fetch pushing a POD event into a bounded per-worker ring — while the
-/// off-cost (exactly zero allocations) is pinned by the counting-allocator
-/// test in `tests/trace_invariants.rs`.
-fn trace_overhead_pct(workload: &Workload) -> f64 {
-    const BATCH: usize = 200;
-    const ROUNDS: usize = 14;
-    let session = overhead_session();
-    let named = &workload.queries[0];
-    let prepared = session.prepare(&workload.catalog, &named.query).expect("overhead prepares");
-    for _ in 0..5 {
-        prepared.execute(&workload.catalog).expect("overhead warm-up executes");
-        prepared
-            .execute_traced(&workload.catalog, &Params::new())
-            .expect("overhead warm-up executes traced");
-    }
-    let batch_ms = |traced: bool| {
-        let start = Instant::now();
-        for _ in 0..BATCH {
-            if traced {
-                prepared
-                    .execute_traced(&workload.catalog, &Params::new())
-                    .expect("traced execution succeeds");
-            } else {
-                prepared.execute(&workload.catalog).expect("plain execution succeeds");
-            }
-        }
-        ms(start.elapsed())
-    };
-    // Same rationale as profile_overhead_pct: pair the two kinds within
-    // each round and take the minimum per-round overhead, so background
-    // bursts cancel instead of being billed to the tracer.
-    let mut overhead = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let plain = batch_ms(false);
-        let traced = batch_ms(true);
-        overhead = overhead.min(100.0 * (traced - plain) / plain);
-    }
-    overhead.max(0.0)
-}
-
-/// Warm live-token-vs-plain overhead (schema_version 10): the same
-/// burst-robust paired estimator as [`profile_overhead_pct`], with
-/// `Prepared::execute_cancellable` under a live far-future-deadline token on
-/// the measured side. The plain side's disabled token short-circuits every
-/// cooperative check to one branch; the live side actually polls the shared
-/// atomics (and the clock, at deadline checks) at task/morsel/flush
-/// boundaries. CI gates the result < 2%: the serving path arms a token on
-/// every deadline-carrying request, so the checks must stay effectively
-/// free.
-fn cancel_check_overhead_pct(workload: &Workload) -> f64 {
-    const BATCH: usize = 200;
-    const ROUNDS: usize = 14;
-    let session = overhead_session();
-    let named = &workload.queries[0];
-    let prepared = session.prepare(&workload.catalog, &named.query).expect("overhead prepares");
-    let token = CancelToken::with_deadline(Duration::from_secs(3600));
-    for _ in 0..5 {
-        prepared.execute(&workload.catalog).expect("overhead warm-up executes");
-        prepared
-            .execute_cancellable(&workload.catalog, &Params::new(), &token)
-            .expect("overhead warm-up executes cancellable");
-    }
-    let batch_ms = |cancellable: bool| {
-        let start = Instant::now();
-        for _ in 0..BATCH {
-            if cancellable {
-                prepared
-                    .execute_cancellable(&workload.catalog, &Params::new(), &token)
-                    .expect("cancellable execution succeeds");
-            } else {
-                prepared.execute(&workload.catalog).expect("plain execution succeeds");
-            }
-        }
-        ms(start.elapsed())
-    };
-    // Same rationale as profile_overhead_pct: pair the two kinds within
-    // each round and take the minimum per-round overhead, so background
-    // bursts cancel instead of being billed to the cancellation checks.
-    let mut overhead = f64::INFINITY;
-    for _ in 0..ROUNDS {
-        let plain = batch_ms(false);
-        let cancellable = batch_ms(true);
-        overhead = overhead.min(100.0 * (cancellable - plain) / plain);
+        let (plain_ms, measured_ms) = (batch_ms(&plain, BATCH), batch_ms(measured, BATCH));
+        overhead = overhead.min(100.0 * (measured_ms - plain_ms) / plain_ms);
     }
     overhead.max(0.0)
 }
@@ -492,7 +401,11 @@ fn measure_serving_tcp(label: &str, workload: &Workload, query_idx: usize) -> Re
     // Warm the shared caches before the server sees any traffic: the
     // session handed to the server shares the same `EngineCaches`.
     let warm_prepared = session.prepare(&catalog, &named.query).expect("warm-up prepares");
-    let cardinality = warm_prepared.execute(&catalog).expect("warm-up executes").0.cardinality();
+    let cardinality = warm_prepared
+        .execute(&catalog, &ExecRequest::default())
+        .expect("warm-up executes")
+        .output
+        .cardinality();
 
     let server = Server::start(
         "127.0.0.1:0",
@@ -598,11 +511,14 @@ fn main() {
                 .with_num_threads(1);
             let mut record = Record { skew: *skew, ..measure(workload, options) };
             if label.starts_with("clover") && matches!(strategy, TrieStrategy::Colt) {
-                record.profile_overhead_pct = profile_overhead_pct(workload);
+                let plain = ExecRequest::default;
+                let over_plain = |measured: ExecRequest| overhead_pct(workload, &measured);
+                record.profile_overhead_pct = over_plain(ExecRequest { profile: true, ..plain() });
                 eprintln!("  profiled execution overhead: {:.2}%", record.profile_overhead_pct);
-                record.trace_overhead_pct = trace_overhead_pct(workload);
+                record.trace_overhead_pct = over_plain(ExecRequest { trace: true, ..plain() });
                 eprintln!("  traced execution overhead: {:.2}%", record.trace_overhead_pct);
-                record.cancel_check_overhead_pct = cancel_check_overhead_pct(workload);
+                let token = CancelToken::with_deadline(Duration::from_secs(3600));
+                record.cancel_check_overhead_pct = over_plain(ExecRequest { token, ..plain() });
                 eprintln!(
                     "  cancellation-check overhead: {:.2}%",
                     record.cancel_check_overhead_pct
@@ -708,10 +624,10 @@ fn main() {
                 workload's skew knob (Zipf theta, or the hot-key share for star_hotkey, \
                 whose >1-thread rows exercise the recursive-split work-stealing scheduler); \
                 profile_overhead_pct is the warm wall-time cost of per-node profiling \
-                (FreeJoinOptions::profile), batch-measured on the clover colt serial row \
+                (ExecRequest::profile), batch-measured on the clover colt serial row \
                 and 0.0 elsewhere — CI fails the build at >= 5%; trace_overhead_pct is \
-                the warm wall-time cost of span tracing (FreeJoinOptions::trace via \
-                Prepared::execute_traced), measured with the same paired estimator on \
+                the warm wall-time cost of span tracing (ExecRequest::trace), \
+                measured with the same paired estimator on \
                 the same clover colt serial row and 0.0 elsewhere — CI fails the build \
                 at >= 5%, and the trace-off path is separately pinned to zero \
                 allocations by tests/trace_invariants.rs; exec marks the executor \
@@ -722,7 +638,7 @@ fn main() {
                 requires adaptive >= 20% faster), star_hotkey, and clover (the uniform \
                 control; CI requires adaptive < 5% slower); cancel_check_overhead_pct is \
                 the warm wall-time cost of executing under a live far-future-deadline \
-                CancelToken (Prepared::execute_cancellable) versus the plain path whose \
+                CancelToken (ExecRequest::token) versus the plain path whose \
                 disabled token short-circuits every cooperative check, measured with the \
                 same paired estimator on the same clover colt serial row and 0.0 \
                 elsewhere — CI fails the build at >= 2%";

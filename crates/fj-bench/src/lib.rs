@@ -9,7 +9,6 @@
 //! * [`run_query`] — plan, execute, and time one query, reporting the same
 //!   quantity the paper plots (build + join time, excluding selections and
 //!   aggregation);
-//! * Criterion benches (in `benches/`) — one per figure of the paper;
 //! * the `experiments` binary — prints the rows behind every figure and is
 //!   used to fill `EXPERIMENTS.md`.
 

@@ -4,7 +4,7 @@
 //! accumulators, indexed by plan-node id — while it runs. Profiling is
 //! enabled per execution; a *disabled* sheet is an empty vector, so it
 //! allocates nothing and every bump is a bounds check that fails (the
-//! zero-overhead off state the engine's `profile: false` default relies on).
+//! zero-overhead off state a request that asks for no profile relies on).
 //! Each worker owns its own sheet; sheets merge at pipeline end, and the
 //! session pairs the merged actuals with the optimizer's per-node estimates
 //! into a [`QueryProfile`].

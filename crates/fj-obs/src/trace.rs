@@ -8,7 +8,7 @@
 //! assembled into a [`QueryTrace`].
 //!
 //! Gating mirrors the `ProfileSheet` discipline: tracing is off unless the
-//! engine's `trace` option is set, and the off state costs a single branch
+//! execution's request asks for it, and the off state costs a single branch
 //! per emission site — no allocation, no atomics. A [`TraceBuf`] is plain
 //! owned memory bumped by exactly one thread; rings only meet when the
 //! per-worker buffers are handed back at pipeline end.
@@ -104,10 +104,6 @@ pub enum TraceCat {
     TrieHit = 9,
     /// Trie-cache miss → build (session layer; `node` = input index).
     TrieMiss = 10,
-    /// Plan-cache hit at prepare time.
-    PlanHit = 11,
-    /// Plan-cache miss (compile) at prepare time.
-    PlanMiss = 12,
     /// Cache evictions observed during this execution (`arg` = count).
     Evict = 13,
     /// One served request, frame-in to reply-out (serve layer).
@@ -136,8 +132,6 @@ impl TraceCat {
             TraceCat::Reorder => "reorder",
             TraceCat::TrieHit => "trie_hit",
             TraceCat::TrieMiss => "trie_miss",
-            TraceCat::PlanHit => "plan_hit",
-            TraceCat::PlanMiss => "plan_miss",
             TraceCat::Evict => "evict",
             TraceCat::Request => "request",
             TraceCat::Decode => "decode",

@@ -55,7 +55,7 @@ use crate::protocol::{write_frame, BusyReason, Request, Response};
 use fj_obs::{chaos, Counter, MetricsRegistry, QueryProfile, TraceBuf, TraceCat, SESSION_WORKER};
 use fj_query::{parse_filter, parse_query, Aggregate, ConjunctiveQuery, QueryError};
 use fj_storage::Catalog;
-use free_join::{CancelReason, CancelToken, EngineError, Params, Prepared, Session};
+use free_join::{CancelReason, CancelToken, EngineError, ExecRequest, Params, Prepared, Session};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, Read};
 use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
@@ -1060,17 +1060,13 @@ impl Drop for CancelRegistration<'_> {
 /// Map an engine error to its typed response, bumping the deadline /
 /// cancellation counters when the execution unwound cooperatively.
 fn typed_error(shared: &Shared, e: &EngineError) -> Response {
-    Response::Error { message: typed_error_message(shared, e) }
-}
-
-fn typed_error_message(shared: &Shared, e: &EngineError) -> String {
     if let EngineError::Query(QueryError::Cancelled { reason, .. }) = e {
         match reason {
             CancelReason::Deadline => shared.metrics.deadline_exceeded.inc(),
             _ => shared.metrics.cancellations.inc(),
         }
     }
-    e.to_string()
+    Response::Error { message: e.to_string() }
 }
 
 fn prepare(shared: &Shared, query_text: &str, aggregate: Aggregate) -> Response {
@@ -1097,7 +1093,7 @@ fn prepare(shared: &Shared, query_text: &str, aggregate: Aggregate) -> Response 
 }
 
 /// Resolve a handle and parse its parameter overrides, or produce the
-/// typed `Error` response both execute paths return on failure.
+/// typed `Error` response an execution returns on failure.
 fn resolve(
     shared: &Shared,
     handle: u64,
@@ -1128,6 +1124,90 @@ fn resolve(
     Ok((prepared, overrides))
 }
 
+/// One answered execution: what the `Answer` frame carries, and the trace
+/// when the execution recorded one.
+struct Executed {
+    cardinality: u64,
+    tries_built: u64,
+    stored: Option<StoredTrace>,
+}
+
+/// Run one execution of a prepared handle — the one call into the engine.
+/// What the request asks of it is decided independently: the token from the
+/// request's deadline and id (registered for `Cancel` frames while it
+/// runs), a profile whenever the slow-query log is on (the profile must
+/// already exist by the time the execution turns out to have been slow; the
+/// accumulators are flat per-node arrays, so the overhead is a few percent,
+/// pinned by `bench_json`'s `profile_overhead_pct` column and its CI gate),
+/// a trace when `traced`. A traced execution's engine trace is wrapped in a
+/// serve-layer lifecycle ring (request/decode/execute/respond spans), both
+/// views are rendered and the result is retained in the trace ring. Every
+/// completed execution is offered to the slow-query log with whatever it
+/// collected; a cancelled one yields the typed error and no entry.
+fn run_execute(
+    shared: &Shared,
+    handle: u64,
+    params: &[(String, String)],
+    request_id: u64,
+    deadline_ms: u64,
+    traced: bool,
+) -> Result<Executed, Response> {
+    let (prepared, overrides) = resolve(shared, handle, params)?;
+    let token = shared.arm_token(request_id, deadline_ms);
+    let _registration = CancelRegistration::register(shared, request_id, &token);
+    let request = ExecRequest {
+        params: overrides,
+        token,
+        profile: shared.config.slow_query_log > 0,
+        trace: traced,
+    };
+    // The serve-layer lifecycle ring is built around the execution so its
+    // timestamps stay monotone and the execute span has real extent. It is
+    // appended AFTER the engine's session ring, so the canonical span tree
+    // still renders from the query span; these spans only appear in the
+    // Chrome timeline.
+    let lifecycle = traced.then(|| {
+        let mut tb = TraceBuf::with_capacity(8, SESSION_WORKER);
+        tb.begin(TraceCat::Request, 0, handle, &[]);
+        tb.instant(TraceCat::Decode, 0, params.len() as u64, &[]);
+        tb.begin(TraceCat::Execute, 0, 0, &[]);
+        tb
+    });
+    let start = Instant::now();
+    let report = prepared
+        .execute(&shared.catalog, &request)
+        .map_err(|e| typed_error(shared, &e))?;
+    let service_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    let cardinality = report.output.cardinality();
+
+    let stored = report.trace.zip(lifecycle).map(|(mut trace, mut tb)| {
+        trace.trace_id = shared.next_trace_id.fetch_add(1, Ordering::Relaxed);
+        shared.trace_events_dropped.add(trace.dropped_events());
+        tb.end(TraceCat::Execute, 0, cardinality);
+        tb.instant(TraceCat::Respond, 0, service_us, &[]);
+        tb.end(TraceCat::Request, 0, cardinality);
+        trace.attach(tb);
+        let stored = StoredTrace {
+            trace_id: trace.trace_id,
+            cardinality,
+            service_us,
+            span_tree: trace.span_tree(),
+            chrome_json: trace.to_chrome_json(),
+        };
+        shared.store_trace(stored.clone());
+        stored
+    });
+    shared.note_slow_query(
+        handle,
+        prepared.fingerprint(),
+        service_us,
+        cardinality,
+        report.profile.unwrap_or_default(),
+        stored.as_ref().map(|t| t.trace_id),
+    );
+    Ok(Executed { cardinality, tries_built: report.stats.tries_built, stored })
+}
+
 fn execute(
     shared: &Shared,
     handle: u64,
@@ -1135,126 +1215,19 @@ fn execute(
     request_id: u64,
     deadline_ms: u64,
 ) -> Response {
-    let (prepared, overrides) = match resolve(shared, handle, params) {
-        Ok(resolved) => resolved,
-        Err(response) => return response,
-    };
-    let token = shared.arm_token(request_id, deadline_ms);
-    if !token.is_disabled() {
-        // The cancellable path: registered for `Cancel` frames while it
-        // runs, skipping sampling/profiling (a deadlined request wants the
-        // result or the typed error, not observability side quests).
-        let _registration = CancelRegistration::register(shared, request_id, &token);
-        return match prepared.execute_cancellable(&shared.catalog, &overrides, &token) {
-            Ok((output, stats)) => Response::Answer {
-                cardinality: output.cardinality(),
-                tries_built: stats.tries_built,
-                service_us: 0, // stamped by the connection loop, which owns the clock
-            },
-            Err(e) => typed_error(shared, &e),
-        };
-    }
     // `trace_sample_n` sampling: every Nth execute runs traced; the client
     // still gets a plain `Answer`, the rendered trace lands in the ring.
     let seq = shared.execute_seq.fetch_add(1, Ordering::Relaxed);
     let n = shared.config.trace_sample_n as u64;
-    if n > 0 && seq.is_multiple_of(n) {
-        return match run_traced(shared, handle, &prepared, &overrides, params.len() as u64, &token)
-        {
-            Ok((stored, tries_built)) => Response::Answer {
-                cardinality: stored.cardinality,
-                tries_built,
-                service_us: 0, // stamped by the connection loop, which owns the clock
-            },
-            Err(message) => Response::Error { message },
-        };
+    let sampled = n > 0 && seq.is_multiple_of(n);
+    match run_execute(shared, handle, params, request_id, deadline_ms, sampled) {
+        Ok(done) => Response::Answer {
+            cardinality: done.cardinality,
+            tries_built: done.tries_built,
+            service_us: 0, // stamped by the connection loop, which owns the clock
+        },
+        Err(response) => response,
     }
-    // With the slow-query log enabled (the default) every execution runs
-    // profiled — the profile must already exist by the time the execution
-    // turns out to have been slow. The accumulators are flat per-node
-    // arrays, so the overhead is a few percent (pinned by `bench_json`'s
-    // `profile_overhead_pct` column and its CI gate).
-    if shared.config.slow_query_log > 0 {
-        let start = Instant::now();
-        match prepared.execute_profiled(&shared.catalog, &overrides) {
-            Ok((output, stats, profile)) => {
-                let engine_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-                let cardinality = output.cardinality();
-                let fingerprint = prepared.fingerprint();
-                shared.note_slow_query(handle, fingerprint, engine_us, cardinality, profile, None);
-                Response::Answer {
-                    cardinality,
-                    tries_built: stats.tries_built,
-                    service_us: 0, // stamped by the connection loop, which owns the clock
-                }
-            }
-            Err(e) => typed_error(shared, &e),
-        }
-    } else {
-        match prepared.execute_with(&shared.catalog, &overrides) {
-            Ok((output, stats)) => Response::Answer {
-                cardinality: output.cardinality(),
-                tries_built: stats.tries_built,
-                service_us: 0, // stamped by the connection loop, which owns the clock
-            },
-            Err(e) => typed_error(shared, &e),
-        }
-    }
-}
-
-/// Run one traced execution: tracing forced on for this request, the
-/// engine trace wrapped in a serve-layer lifecycle ring
-/// (request/decode/execute/respond spans), both views rendered, the result
-/// retained in the trace ring and noted in the slow-query log. Returns the
-/// stored trace plus the execution's `tries_built`.
-fn run_traced(
-    shared: &Shared,
-    handle: u64,
-    prepared: &Prepared,
-    overrides: &Params,
-    n_params: u64,
-    token: &CancelToken,
-) -> Result<(StoredTrace, u64), String> {
-    // The serve-layer lifecycle ring is built around the execution so its
-    // timestamps stay monotone and the execute span has real extent. It is
-    // appended AFTER the engine's session ring, so the canonical span tree
-    // still renders from the query span; these spans only appear in the
-    // Chrome timeline.
-    let mut tb = TraceBuf::with_capacity(8, SESSION_WORKER);
-    tb.begin(TraceCat::Request, 0, handle, &[]);
-    tb.instant(TraceCat::Decode, 0, n_params, &[]);
-    tb.begin(TraceCat::Execute, 0, 0, &[]);
-    let start = Instant::now();
-    let (output, stats, mut trace) = prepared
-        .execute_traced_cancellable(&shared.catalog, overrides, token)
-        .map_err(|e| typed_error_message(shared, &e))?;
-    let service_us = start.elapsed().as_micros().min(u64::MAX as u128) as u64;
-    let cardinality = output.cardinality();
-    let trace_id = shared.next_trace_id.fetch_add(1, Ordering::Relaxed);
-    trace.trace_id = trace_id;
-    shared.trace_events_dropped.add(trace.dropped_events());
-    tb.end(TraceCat::Execute, 0, cardinality);
-    tb.instant(TraceCat::Respond, 0, service_us, &[]);
-    tb.end(TraceCat::Request, 0, cardinality);
-    trace.attach(tb);
-
-    let stored = StoredTrace {
-        trace_id,
-        cardinality,
-        service_us,
-        span_tree: trace.span_tree(),
-        chrome_json: trace.to_chrome_json(),
-    };
-    shared.store_trace(stored.clone());
-    shared.note_slow_query(
-        handle,
-        prepared.fingerprint(),
-        service_us,
-        cardinality,
-        QueryProfile::default(),
-        Some(trace_id),
-    );
-    Ok((stored, stats.tries_built))
 }
 
 fn trace_execute(
@@ -1264,33 +1237,25 @@ fn trace_execute(
     request_id: u64,
     deadline_ms: u64,
 ) -> Response {
-    let (prepared, overrides) = match resolve(shared, handle, params) {
-        Ok(resolved) => resolved,
-        Err(response) => return response,
-    };
-    let token = shared.arm_token(request_id, deadline_ms);
-    let _registration = CancelRegistration::register(shared, request_id, &token);
-    match run_traced(shared, handle, &prepared, &overrides, params.len() as u64, &token) {
-        Ok((stored, _tries_built)) => Response::Trace {
-            trace_id: stored.trace_id,
-            cardinality: stored.cardinality,
-            service_us: stored.service_us,
-            span_tree: stored.span_tree,
-            chrome_json: stored.chrome_json,
-        },
-        Err(message) => Response::Error { message },
+    match run_execute(shared, handle, params, request_id, deadline_ms, true) {
+        Ok(done) => trace_response(done.stored.expect("a traced execution stores its trace")),
+        Err(response) => response,
+    }
+}
+
+fn trace_response(stored: StoredTrace) -> Response {
+    Response::Trace {
+        trace_id: stored.trace_id,
+        cardinality: stored.cardinality,
+        service_us: stored.service_us,
+        span_tree: stored.span_tree,
+        chrome_json: stored.chrome_json,
     }
 }
 
 fn fetch_trace(shared: &Shared, trace_id: u64) -> Response {
     match shared.find_trace(trace_id) {
-        Some(stored) => Response::Trace {
-            trace_id: stored.trace_id,
-            cardinality: stored.cardinality,
-            service_us: stored.service_us,
-            span_tree: stored.span_tree,
-            chrome_json: stored.chrome_json,
-        },
+        Some(stored) => trace_response(stored),
         None => Response::Error { message: format!("unknown or evicted trace id {trace_id}") },
     }
 }
@@ -1448,11 +1413,71 @@ mod tests {
         assert!(text.contains("# slow_query handle=7"), "{text}");
         assert!(text.contains("# pipeline"), "profile rendered as comment lines");
 
-        // A disabled log records nothing and skips the profiled path.
+        // A disabled log records nothing (and asks the engine for no profile).
         let off =
             test_shared(Catalog::new(), ServerConfig { slow_query_log: 0, ..Default::default() });
         off.note_slow_query(1, 0, u64::MAX, 0, QueryProfile::default(), None);
         assert_eq!(off.metrics.slow_queries.get(), 0);
         assert!(off.slow_queries.lock().unwrap().is_empty());
+    }
+
+    /// The two kinds of request an operator most wants in the slow-query
+    /// log: one under a deadline (or a request id) that *completes* slowly
+    /// is logged with its profile like any other, and a sampled traced one
+    /// carries a real profile next to its trace id. A request its deadline
+    /// cancels yields the typed error and no entry.
+    #[test]
+    fn deadlined_and_traced_requests_reach_the_slow_query_log_with_a_profile() {
+        use fj_query::QueryBuilder;
+        use fj_storage::{RelationBuilder, Schema};
+        use free_join::{EngineCaches, FreeJoinOptions};
+
+        // One hub key under 1200 rows: enumerated (pruning off), the
+        // self-join emits 1.44M product rows, far more than a 1 ms deadline
+        // leaves time for.
+        let mut catalog = Catalog::new();
+        let mut r = RelationBuilder::new("r", Schema::all_int(&["a", "b"]));
+        for i in 0..1200i64 {
+            r.push_ints(&[0, i]).unwrap();
+        }
+        catalog.add(r.finish()).unwrap();
+        let config =
+            ServerConfig { slow_query_us: 0, trace_sample_n: 2, ..ServerConfig::default() };
+        let mut shared = test_shared(catalog, config);
+        shared.session = Session::new(Arc::new(EngineCaches::with_defaults())).with_options(
+            FreeJoinOptions::default().with_num_threads(1).with_factorized_output(false),
+        );
+        let query = QueryBuilder::new("q")
+            .atom_as("r", "r1", &["x", "y"])
+            .atom_as("r", "r2", &["x", "z"])
+            .count()
+            .build();
+        let prepared = shared.session.prepare(&shared.catalog, &query).unwrap();
+        shared.prepared.write().unwrap().insert(7, Arc::new(prepared), 8);
+
+        // Sequence 0 is sampled: traced, deadlined, completes.
+        let response = execute(&shared, 7, &[], 41, 600_000);
+        assert!(
+            matches!(response, Response::Answer { cardinality: 1_440_000, .. }),
+            "{response:?}"
+        );
+        // Sequence 1: a deadline it cannot meet.
+        match execute(&shared, 7, &[], 0, 1) {
+            Response::Error { message } => assert!(message.contains("deadline"), "{message}"),
+            other => panic!("expected the typed deadline error, got {other:?}"),
+        }
+        assert_eq!(shared.metrics.deadline_exceeded.get(), 1);
+        // Sequence 2 is sampled again, without a token; sequence 3 is plain.
+        for _ in 0..2 {
+            let response = execute(&shared, 7, &[], 0, 0);
+            assert!(matches!(response, Response::Answer { .. }), "{response:?}");
+        }
+
+        let log = shared.slow_queries.lock().unwrap();
+        assert_eq!(log.len(), 3, "every completed execution, not the cancelled one");
+        assert!(log.iter().all(|e| e.cardinality == 1_440_000 && e.profile.total_probes() > 0));
+        let traced: Vec<bool> = log.iter().map(|e| e.trace_id.is_some()).collect();
+        assert_eq!(traced, [true, true, false]);
+        assert!(shared.inflight_cancels.lock().unwrap().is_empty(), "registrations are dropped");
     }
 }

@@ -296,7 +296,8 @@ pub fn compile(plan: &FreeJoinPlan, input_vars: &[Vec<String>]) -> EngineResult<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{execute_pipeline, ExecCounters};
+    use crate::cancel::CancelToken;
+    use crate::exec::{execute_pipeline, ExecCounters, Instruments};
     use crate::prep::bind_atom;
     use crate::sink::OutputSink;
     use crate::trie::InputTrie;
@@ -491,9 +492,16 @@ mod tests {
             .collect();
         let builder =
             OutputBuilder::new(&query.head, query.aggregate.clone(), &pipeline.plan.binding_order);
-        let mut sink = OutputSink::new(builder);
-        let counters = execute_pipeline(&tries, &pipeline.plan, options, &mut sink);
-        (pipeline, sink.finish(), counters)
+        let (mut sinks, counters) = execute_pipeline(
+            &tries,
+            &pipeline.plan,
+            options,
+            1,
+            || OutputSink::new(builder.clone()),
+            &CancelToken::disabled(),
+            Instruments::default(),
+        );
+        (pipeline, sinks.pop().expect("one thread, one sink").finish(), counters)
     }
 
     #[test]

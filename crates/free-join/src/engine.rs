@@ -21,14 +21,11 @@
 use crate::cancel::CancelToken;
 use crate::compile::{compile, compile_query, CompiledPlan};
 use crate::error::{EngineError, EngineResult};
-use crate::exec::{
-    execute_pipeline_cancellable, execute_pipeline_parallel_cancellable, ExecCounters,
-};
+use crate::exec::{execute_pipeline, ExecCounters, Instruments};
 use crate::options::FreeJoinOptions;
 use crate::prep::{materialize_intermediate, prepare_inputs, BoundInput};
-use crate::sink::{MaterializeSink, OutputSink};
+use crate::sink::{MaterializeSink, OutputSink, Sink};
 use crate::trie::InputTrie;
-use fj_obs::{ProfileSheet, TraceBuf};
 use fj_plan::{optimize, BinaryPlan, CatalogStats, FreeJoinPlan, OptimizerOptions, PipeInput};
 use fj_query::{CancelReason, ConjunctiveQuery, ExecStats, OutputBuilder, QueryError, QueryOutput};
 use fj_storage::{Catalog, DataType};
@@ -103,18 +100,19 @@ impl FreeJoinEngine {
                 .collect();
             let tries = build_tries(&inputs, &pipeline.plan.schemas, &self.options, &mut stats);
 
-            let is_final = p == compiled.root_pipeline();
-            let pipeline_result = join_pipeline(
+            let role = if p == compiled.root_pipeline() {
+                PipelineRole::Final(query)
+            } else {
+                PipelineRole::Intermediate(&prepared.var_types)
+            };
+            let (pipeline_result, _) = join_pipeline(
                 &tries,
                 &pipeline.plan,
                 &self.options,
-                query,
-                is_final,
-                &prepared.var_types,
-                &mut stats,
-                &mut ProfileSheet::disabled(),
-                &mut Vec::new(),
+                role,
+                Instruments::default(),
                 &token,
+                &mut stats,
             )?;
             for trie in &tries {
                 stats.tries_built += trie.maps_built();
@@ -160,17 +158,14 @@ impl FreeJoinEngine {
         let input_vars: Vec<Vec<String>> = prepared.atoms.iter().map(|i| i.vars.clone()).collect();
         let compiled = compile(fj_plan, &input_vars)?;
         let tries = build_tries(&prepared.atoms, &compiled.schemas, &self.options, &mut stats);
-        let result = join_pipeline(
+        let (result, _) = join_pipeline(
             &tries,
             &compiled,
             &self.options,
-            query,
-            true,
-            &prepared.var_types,
-            &mut stats,
-            &mut ProfileSheet::disabled(),
-            &mut Vec::new(),
+            PipelineRole::Final(query),
+            Instruments::default(),
             &token,
+            &mut stats,
         )?;
         for trie in &tries {
             stats.tries_built += trie.maps_built();
@@ -243,110 +238,79 @@ pub(crate) fn build_tries(
     tries
 }
 
-/// Run one compiled pipeline over its (possibly cache-shared) tries: serial
-/// when one thread is configured (the exact legacy path), under the
-/// work-stealing scheduler otherwise — root cover ranges seed the task
-/// injector, oversized expansions anywhere in the plan re-split, and the
-/// per-task sinks merge in deterministic path-key order. Final pipelines
-/// produce the query output; non-final pipelines materialize an
-/// intermediate relation (bushy plans).
+/// What a pipeline is for, with what only that role needs.
+#[derive(Clone, Copy)]
+pub(crate) enum PipelineRole<'a> {
+    /// The last pipeline: its results are the query's output, shaped by the
+    /// query's head and aggregate.
+    Final(&'a ConjunctiveQuery),
+    /// An earlier pipeline of a bushy plan: its rows become an intermediate
+    /// relation, typed by the query's variable types.
+    Intermediate(&'a HashMap<String, DataType>),
+}
+
+/// Run one compiled pipeline over its (possibly cache-shared) tries at the
+/// configured thread count — on the calling thread at one, under the
+/// work-stealing scheduler above ([`execute_pipeline`]) — and fold its
+/// sinks, in task-tree order, into the query output or a materialized
+/// intermediate.
+///
+/// The pipeline's probe and scheduler counters and its join time are added
+/// to `stats`; the counters come back for the instruments they carry (the
+/// per-node profile and the per-worker trace rings, sorted by worker id —
+/// both empty unless `instruments` asked for them).
 ///
 /// Trie-building counters (`tries_built`, `lazy_expansions`) are *not*
 /// recorded here: with cached tries shared across queries the attribution
 /// differs per caller, so each caller accounts for them itself.
-///
-/// When `options.profile` is set, the merged per-node accumulators land in
-/// `profile` (otherwise it is left untouched — a disabled sheet stays
-/// disabled). When `options.trace` is set, the per-worker trace rings land
-/// in `traces`, sorted by worker id (otherwise nothing is appended).
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn join_pipeline(
     tries: &[Arc<InputTrie>],
     compiled: &CompiledPlan,
     options: &FreeJoinOptions,
-    query: &ConjunctiveQuery,
-    is_final: bool,
-    var_types: &HashMap<String, DataType>,
-    stats: &mut ExecStats,
-    profile: &mut ProfileSheet,
-    traces: &mut Vec<TraceBuf>,
+    role: PipelineRole<'_>,
+    instruments: Instruments,
     token: &CancelToken,
-) -> EngineResult<PipelineResult> {
-    let threads = options.effective_threads();
+    stats: &mut ExecStats,
+) -> EngineResult<(PipelineResult, ExecCounters)> {
     let join_start = Instant::now();
-    let result = if is_final {
-        let builder =
-            OutputBuilder::try_new(&query.head, query.aggregate.clone(), &compiled.binding_order)
-                .map_err(EngineError::Query)?;
-        let output = if threads > 1 {
-            let (sinks, counters) = execute_pipeline_parallel_cancellable(
+    let (result, mut counters) = match role {
+        PipelineRole::Final(query) => {
+            let builder = OutputBuilder::try_new(
+                &query.head,
+                query.aggregate.clone(),
+                &compiled.binding_order,
+            )
+            .map_err(EngineError::Query)?;
+            let (sink, counters) = run_merged(
                 tries,
                 compiled,
                 options,
-                threads,
+                instruments,
+                token,
                 || OutputSink::new(builder.clone()),
-                token,
+                OutputSink::merge,
             );
-            absorb_counters(stats, counters, profile, traces);
-            let mut merged = OutputSink::new(builder);
-            for sink in sinks {
-                merged.merge(sink);
-            }
-            stats.result_chunks += merged.chunks_received();
-            merged.finish()
-        } else {
-            let mut sink = OutputSink::new(builder);
-            let counters = execute_pipeline_cancellable(tries, compiled, options, &mut sink, token);
-            absorb_counters(stats, counters, profile, traces);
             stats.result_chunks += sink.chunks_received();
-            sink.finish()
-        };
-        PipelineResult::Output(output)
-    } else {
-        let rows = if threads > 1 {
-            let (sinks, counters) = execute_pipeline_parallel_cancellable(
+            (PipelineResult::Output(sink.finish()), counters)
+        }
+        PipelineRole::Intermediate(var_types) => {
+            let (sink, counters) = run_merged(
                 tries,
                 compiled,
                 options,
-                threads,
-                MaterializeSink::new,
+                instruments,
                 token,
+                MaterializeSink::new,
+                MaterializeSink::merge,
             );
-            absorb_counters(stats, counters, profile, traces);
-            let mut merged = MaterializeSink::new();
-            for sink in sinks {
-                merged.merge(sink);
-            }
-            stats.result_chunks += merged.chunks_received();
-            merged.into_rows()
-        } else {
-            let mut sink = MaterializeSink::new();
-            let counters = execute_pipeline_cancellable(tries, compiled, options, &mut sink, token);
-            absorb_counters(stats, counters, profile, traces);
             stats.result_chunks += sink.chunks_received();
-            sink.into_rows()
-        };
-        let name = format!("__fj_intermediate_{}", compiled.binding_order.join("_"));
-        let bound = materialize_intermediate(&name, &compiled.binding_order, var_types, &rows)?;
-        PipelineResult::Intermediate(bound)
+            let name = format!("__fj_intermediate_{}", compiled.binding_order.join("_"));
+            let rows = sink.into_rows();
+            let bound = materialize_intermediate(&name, &compiled.binding_order, var_types, &rows)?;
+            (PipelineResult::Intermediate(bound), counters)
+        }
     };
     stats.join_time += join_start.elapsed();
-    Ok(result)
-}
-
-/// Fold one pipeline's execution counters into the query's stats record,
-/// including the scheduler counters (spawned / stolen / per-worker shares;
-/// all zero or empty on serial execution). The per-node profile (enabled
-/// only under `options.profile`) is merged into `profile`.
-fn absorb_counters(
-    stats: &mut ExecStats,
-    mut counters: ExecCounters,
-    profile: &mut ProfileSheet,
-    traces: &mut Vec<TraceBuf>,
-) {
-    profile.merge(&counters.profile);
-    counters.traces.sort_by_key(|tb| tb.worker());
-    traces.append(&mut counters.traces);
     stats.probes += counters.probes;
     stats.probe_hits += counters.probe_hits;
     stats.tasks_spawned += counters.tasks_spawned;
@@ -358,6 +322,29 @@ fn absorb_counters(
     for (mine, theirs) in stats.worker_expansions.iter_mut().zip(&counters.worker_expansions) {
         *mine += theirs;
     }
+    counters.traces.sort_by_key(|tb| tb.worker());
+    Ok((result, counters))
+}
+
+/// Run the pipeline into sinks of one kind and fold them, in the order they
+/// come back (task-tree order), into the first. One thread returns exactly
+/// one sink; a run whose every task came back empty returns none.
+fn run_merged<S: Sink + Send>(
+    tries: &[Arc<InputTrie>],
+    compiled: &CompiledPlan,
+    options: &FreeJoinOptions,
+    instruments: Instruments,
+    token: &CancelToken,
+    make_sink: impl Fn() -> S + Sync,
+    merge: impl Fn(&mut S, S),
+) -> (S, ExecCounters) {
+    let threads = options.effective_threads();
+    let (sinks, counters) =
+        execute_pipeline(tries, compiled, options, threads, &make_sink, token, instruments);
+    let mut sinks = sinks.into_iter();
+    let mut merged = sinks.next().unwrap_or_else(&make_sink);
+    sinks.for_each(|sink| merge(&mut merged, sink));
+    (merged, counters)
 }
 
 /// What a pipeline produced.

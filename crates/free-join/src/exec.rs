@@ -3,8 +3,11 @@
 //! Execution proceeds node by node over a compiled plan. For each node the
 //! engine iterates one subatom — the *cover* — and probes the others; when
 //! every probe succeeds it recurses into the next node, and when the plan is
-//! exhausted it emits the current tuple. Three of the paper's optimizations
-//! live here:
+//! exhausted it emits the current tuple. There is one executor:
+//! [`execute_pipeline`] is the only entry point, an `ExecCtx` holds what the
+//! recursion threads from call to call, and one cover loop walks a node's
+//! entries whether the node was reached by recursion or handed out as a
+//! scheduler task. Four of the paper's optimizations live here:
 //!
 //! * **Dynamic cover selection** (Section 4.4): among the node's cover
 //!   candidates, iterate the one whose trie currently has the fewest keys.
@@ -15,7 +18,10 @@
 //!   "Lazy leaves" in [`crate::trie`]).
 //! * **Vectorized execution** (Section 4.3, Figure 13): gather a batch of
 //!   iterated keys, run each probe over the whole batch, then recurse for
-//!   the survivors.
+//!   the survivors. It is the cover loop's per-entry step at a node with
+//!   probes when `FreeJoinOptions::batch_size > 1`; otherwise each entry is
+//!   probed and recursed for on its own. The batch buffers hold the entries
+//!   the cover can yield, at most `batch_size`.
 //! * **Factorized output** (Section 4.4) needs nothing here: the plan
 //!   compiler removed every variable nothing reads ([`crate::compile`]), and
 //!   the weight rule below counts the rows those variables told apart.
@@ -28,8 +34,8 @@
 //!   tie-break — so a miss on a tiny per-binding sub-trie skips (and never
 //!   lazily forces) a huge one. Bounds are fixed when tries are built, so
 //!   the decisions, results and counters are identical at any thread count
-//!   and steal schedule. When off, the static path runs exactly the legacy
-//!   loop behind one precomputed per-node mask check.
+//!   and steal schedule. When off, the static order runs behind one
+//!   precomputed per-node mask check.
 //!
 //! Bag semantics are handled with a running weight: the trie node reached
 //! through an input's final subatom — probed or iterated — stands for all
@@ -37,8 +43,8 @@
 //! final probe therefore asks the trie for that number only
 //! ([`InputTrie::count_matches`]); a probe that has to descend asks for the
 //! child position. Both count as one probe (and one hit) in
-//! [`ExecCounters`] and in the per-node profile, in the scalar, vectorized
-//! and work-stealing loops alike.
+//! [`ExecCounters`] and in the per-node profile, batched or not, on one
+//! thread or many.
 //!
 //! The hot path is allocation-free: probe keys of arity ≤ 2 are built in
 //! stack arrays in place, and every remaining per-iteration buffer (wide-key
@@ -65,20 +71,22 @@
 //!
 //! # Work-stealing parallelism
 //!
-//! [`execute_pipeline_parallel`] runs the plan under a shared work-stealing
-//! scheduler in the spirit of morsel-driven execution (Leis et al., SIGMOD
-//! 2014), but with **recursive splitting across the whole plan** rather than
-//! at the root only. The first node's cover iteration seeds a global
-//! injector with range tasks; each scoped worker owns a deque, pops its own
-//! tasks LIFO, and steals FIFO from the injector or a peer when idle. A
-//! worker that *begins* an expansion — at any plan node, or an
+//! With `threads > 1`, [`execute_pipeline`] runs the plan under a shared
+//! work-stealing scheduler in the spirit of morsel-driven execution (Leis et
+//! al., SIGMOD 2014), but with **recursive splitting across the whole plan**
+//! rather than at the root only. The first node's cover iteration seeds a
+//! global injector with range tasks; each scoped worker owns a deque, pops
+//! its own tasks LIFO, and steals FIFO from the injector or a peer when
+//! idle. A worker that *begins* an expansion — at any plan node, or an
 //! independent-tail Cartesian product — whose size (read in O(1) from the
 //! trie level-map via `estimated_keys`) reaches
 //! `FreeJoinOptions::split_threshold` does not walk it alone: it pushes
 //! sub-range `Task`s onto its deque for idle workers to steal and moves
 //! on. Each task carries its binding prefix, trie positions and running
-//! weight, so `process_cover_entry`/`flush_batch` resume mid-plan exactly
-//! where the split happened.
+//! weight, so the cover loop resumes mid-plan exactly where the split
+//! happened. With `threads <= 1` the same root call runs on the calling
+//! thread with the split hook absent: no scheduler, no spawned thread, one
+//! sink and one chunk buffer.
 //!
 //! **Determinism.** Every task carries a dense *path key*: root tasks are
 //! keyed `[0] .. [k-1]` in root-range order, and a task's spawned children
@@ -86,11 +94,10 @@
 //! Split decisions depend only on trie sizes and the configured threshold —
 //! never on the thread count or which worker ran what — so the task tree,
 //! and therefore the lexicographic path-key order in which per-task sinks
-//! are merged, is identical at any thread count and any steal schedule.
-//! Probes may lazily force shared trie nodes from several workers at once —
-//! the trie's `OnceLock`-based forcing (see [`crate::trie`]) makes that
-//! race-free. The serial path (`num_threads == 1`) runs the identical
-//! single-threaded algorithm with one sink and one chunk buffer.
+//! are merged, is identical at any thread count above one and any steal
+//! schedule. Probes may lazily force shared trie nodes from several workers
+//! at once — the trie's `OnceLock`-based forcing (see [`crate::trie`]) makes
+//! that race-free.
 
 use crate::cancel::CancelToken;
 use crate::compile::{CompiledNode, CompiledPlan, CompiledSubatom, IterAction};
@@ -101,9 +108,22 @@ use fj_obs::{ProfileSheet, TraceBuf, TraceCat, DEFAULT_TRACE_CAPACITY};
 use fj_query::CancelReason;
 use fj_storage::Value;
 use std::collections::VecDeque;
+use std::ops::Range;
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
+
+/// The request-scoped instruments of one execution, both off by default: an
+/// [`crate::session::ExecRequest`] carries them from the caller, the
+/// executor reads them when it sets up a worker's [`ExecCounters`]. Off,
+/// nothing is allocated and every bump or emission site is one branch.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct Instruments {
+    /// Collect the per-plan-node profile ([`ExecCounters::profile`]).
+    pub profile: bool,
+    /// Record per-worker trace event rings ([`ExecCounters::traces`]).
+    pub trace: bool,
+}
 
 /// Counters collected during the join phase.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
@@ -113,30 +133,30 @@ pub struct ExecCounters {
     /// Number of probes that found a match.
     pub probe_hits: u64,
     /// Expansion work processed: cover entries iterated at join nodes plus
-    /// product rows emitted at independent-tail nodes. Identical between the
-    /// serial and parallel paths (splitting moves work, it never adds any).
+    /// product rows emitted at independent-tail nodes. Identical at any
+    /// thread count (splitting moves work, it never adds any).
     pub expansions: u64,
     /// Tasks created by the scheduler (root ranges plus split sub-ranges).
-    /// Zero on the serial path.
+    /// Zero on one thread.
     pub tasks_spawned: u64,
     /// Tasks executed by a worker other than the one that spawned them.
-    /// Schedule-dependent; zero on the serial path.
+    /// Schedule-dependent; zero on one thread.
     pub tasks_stolen: u64,
-    /// `expansions` broken down by worker id. Empty on the serial path.
+    /// `expansions` broken down by worker id. Empty on one thread.
     pub worker_expansions: Vec<u64>,
     /// Cover-entry bindings whose adaptive probe order differed from the
-    /// static plan order (the vectorized path ranks once per flush and
-    /// charges the whole batch). Zero unless `FreeJoinOptions::adaptive` is
+    /// static plan order (a batch ranks once per flush and charges every
+    /// entry in it). Zero unless `FreeJoinOptions::adaptive` is
     /// set; deterministic — each binding is processed exactly once and the
     /// ranking depends only on construction-fixed trie bounds, so the count
     /// is identical at any thread count or steal schedule.
     pub reorders: u64,
     /// Per-plan-node profile accumulators; disabled (empty, no allocation)
-    /// unless `FreeJoinOptions::profile` is set.
+    /// unless [`Instruments::profile`] is set.
     pub profile: ProfileSheet,
     /// Per-worker trace event rings (node/task spans, steal/split/reorder
     /// instants); empty — no allocation, emission sites reduce to a length
-    /// check — unless `FreeJoinOptions::trace` is set. One ring per worker
+    /// check — unless [`Instruments::trace`] is set. One ring per worker
     /// that executed part of this pipeline.
     pub traces: Vec<TraceBuf>,
     /// Shared cooperative-cancellation token. Every worker clones the same
@@ -157,6 +177,24 @@ pub struct ExecCounters {
 const CANCEL_POLL_PERIOD: u32 = 256;
 
 impl ExecCounters {
+    /// The counters one worker starts from: the query's token, and the
+    /// instruments the request asked for.
+    fn for_worker(
+        plan: &CompiledPlan,
+        token: &CancelToken,
+        instruments: Instruments,
+        worker: u32,
+    ) -> Self {
+        let mut counters = ExecCounters { cancel: token.clone(), ..ExecCounters::default() };
+        if instruments.profile {
+            counters.profile = ProfileSheet::enabled(plan.nodes.len());
+        }
+        if instruments.trace {
+            counters.traces.push(TraceBuf::with_capacity(DEFAULT_TRACE_CAPACITY, worker));
+        }
+        counters
+    }
+
     /// Accumulate another worker's counters.
     pub fn merge(&mut self, mut other: ExecCounters) {
         self.probes += other.probes;
@@ -207,8 +245,7 @@ impl ExecCounters {
 
 /// Reusable per-node scratch space. One instance exists per plan node and is
 /// reused by every invocation of that node, so the join loop performs no
-/// per-tuple heap allocation. Under parallel execution every worker owns a
-/// private set.
+/// per-tuple heap allocation. Every worker owns a private set.
 #[derive(Debug, Default)]
 struct NodeScratch<'t> {
     /// Spill buffer for probe keys of more than two values (narrower keys
@@ -228,79 +265,44 @@ struct NodeScratch<'t> {
     /// Number of entries currently buffered.
     count: usize,
     /// Probe order for this node's non-cover subatoms (subatom indices).
-    /// The vectorized path fills it every flush (plan order unless adaptive
-    /// reordering kicks in); the scalar path touches it only under adaptive
-    /// execution.
+    /// A batch flush fills it every time (plan order unless adaptive
+    /// reordering kicks in); the per-entry step touches it only under
+    /// adaptive execution.
     probe_order: Vec<usize>,
 }
 
-/// Execute a compiled pipeline over its input tries, sending results to the
-/// sink. Returns probe counters; trie-building counters live on the tries.
-pub fn execute_pipeline(
-    tries: &[Arc<InputTrie>],
-    plan: &CompiledPlan,
-    options: &FreeJoinOptions,
-    sink: &mut dyn Sink,
-) -> ExecCounters {
-    execute_pipeline_cancellable(tries, plan, options, sink, &CancelToken::disabled())
+/// Which entries of a node's cover one run of the cover loop walks.
+#[derive(Debug, Clone)]
+enum CoverRange {
+    /// Every entry, as [`InputTrie::for_each`] hands them out: a node
+    /// reached by recursion.
+    All,
+    /// Children `lo..hi` of the cover's forced level (the node is the
+    /// task's position in the cover's input): a scheduler task.
+    Children(Range<usize>),
+    /// Base-table rows `lo..hi`: a root task over a cover that is unforced
+    /// with no keyed level below it (the COLT fast path), iterated directly
+    /// without forcing.
+    Rows(Range<usize>),
 }
 
-/// [`execute_pipeline`] with cooperative cancellation: `token` is checked per
-/// cover entry (and at every node/flush boundary), and chunk-buffer flushes
-/// charge its result-byte budget. A fired token makes the remaining walk a
-/// cheap no-op; the caller detects the trip via [`CancelToken::fired`] (or
-/// the returned counters' `cancelled` field) and discards the partial sink.
-pub fn execute_pipeline_cancellable(
-    tries: &[Arc<InputTrie>],
-    plan: &CompiledPlan,
-    options: &FreeJoinOptions,
-    sink: &mut dyn Sink,
-    token: &CancelToken,
-) -> ExecCounters {
-    debug_assert_eq!(tries.len(), plan.num_inputs);
-    let mut counters = ExecCounters { cancel: token.clone(), ..ExecCounters::default() };
-    if options.profile {
-        counters.profile = ProfileSheet::enabled(plan.nodes.len());
-    }
-    if options.trace {
-        counters.traces.push(TraceBuf::with_capacity(DEFAULT_TRACE_CAPACITY, 0));
-    }
-    let mut tuple = vec![Value::Null; plan.binding_order.len()];
-    let mut current: Vec<NodeRef<'_>> = tries.iter().map(|t| t.root()).collect();
-    let mut scratch: Vec<NodeScratch> = plan.nodes.iter().map(|_| NodeScratch::default()).collect();
-    let mut out = ChunkBuffer::for_sink_metered(sink, plan.binding_order.len(), token.clone());
-    run_node(
-        tries,
-        plan,
-        options,
-        0,
-        &mut tuple,
-        &mut current,
-        1,
-        sink,
-        &mut counters,
-        &mut scratch,
-        &mut out,
-        &mut NoSplit,
-    );
-    out.flush(sink);
-    counters
+/// A range of an independent tail's first expansion list (flat
+/// `(values, weight)` columns, shared by the tasks cut from one list).
+struct TailList {
+    writes: Arc<Vec<Value>>,
+    weights: Arc<Vec<u64>>,
+    range: Range<usize>,
 }
 
 /// What one scheduler task iterates. Cover ranges are plain indices into
 /// the tries (which outlive the worker scope), so tasks have no lifetime
 /// ties to the worker that spawned them and a split materializes nothing.
 enum TaskItems {
-    /// A range of a node's cover: children `lo..hi` of its forced level (the
-    /// node is the task's position in the cover's input), or — `by_rows` —
-    /// base-table rows `lo..hi`: the root cover is unforced with no keyed
-    /// level below it (the COLT fast path), iterated directly without
-    /// forcing.
-    Cover { cover_idx: usize, by_rows: bool, lo: usize, hi: usize },
-    /// A range of an independent tail's first expansion list (flat
-    /// `(values, weight)` columns); the task re-gathers the inner lists and
-    /// emits its slice of the Cartesian product.
-    Tail { writes: Arc<Vec<Value>>, weights: Arc<Vec<u64>>, lo: usize, hi: usize },
+    /// A range of a node's cover.
+    Cover { cover_idx: usize, range: CoverRange },
+    /// A slice of an independent tail's first list; the task re-gathers the
+    /// inner lists and emits its slice of the Cartesian product.
+    Tail(TailList),
 }
 
 /// One unit of stealable work: resume the plan at `node_idx` with the given
@@ -333,22 +335,21 @@ struct Scheduler<'t> {
     /// it ran to completion, so it never reads zero while work remains.
     pending: AtomicUsize,
     spawned: AtomicU64,
-    steal: bool,
     split_threshold: usize,
 }
 
 impl<'t> Scheduler<'t> {
-    fn new(num_workers: usize, options: &FreeJoinOptions) -> Self {
+    /// A scheduler for `num_workers` workers whose injector holds `roots`.
+    fn new(num_workers: usize, split_threshold: usize, roots: Vec<Task<'t>>) -> Self {
         Scheduler {
-            injector: Mutex::new(VecDeque::new()),
             queues: (0..num_workers).map(|_| Mutex::new(VecDeque::new())).collect(),
-            pending: AtomicUsize::new(0),
-            spawned: AtomicU64::new(0),
-            steal: options.steal,
+            pending: AtomicUsize::new(roots.len()),
+            spawned: AtomicU64::new(roots.len() as u64),
+            injector: Mutex::new(roots.into()),
             // A 0/1 threshold would split single-entry expansions into
             // themselves forever; the options setter clamps, this guards
             // struct-literal construction.
-            split_threshold: options.split_threshold.max(2),
+            split_threshold: split_threshold.max(2),
         }
     }
 
@@ -379,180 +380,16 @@ impl<'t> Scheduler<'t> {
     }
 }
 
-/// The split hook threaded through the recursive join. The serial path uses
-/// [`NoSplit`]; each parallel worker uses a [`WorkerSplitter`] scoped to the
-/// task it is running.
-trait Splitter<'t> {
-    /// Should a node expansion of `size` cover entries be cut into sub-range
-    /// tasks instead of walked by the current worker?
-    fn should_split(&self, size: usize) -> bool;
-    /// Should an independent-tail product (`first_len` first-list entries ×
-    /// `inner_count` inner combinations each) be cut into sub-range tasks?
-    fn should_split_tail(&self, first_len: usize, inner_count: u64) -> bool;
-    /// Spawn sub-range tasks over the `total` children of a node's forced
-    /// cover level (`positions` holds the node).
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_entries(
-        &mut self,
-        node_idx: usize,
-        cover_idx: usize,
-        total: usize,
-        tuple: &[Value],
-        positions: &[NodeRef<'t>],
-        weight: u64,
-    );
-    /// Spawn sub-range tasks over an independent tail's first expansion list.
-    #[allow(clippy::too_many_arguments)]
-    fn spawn_tail(
-        &mut self,
-        node_idx: usize,
-        writes: Vec<Value>,
-        weights: Vec<u64>,
-        inner_count: u64,
-        tuple: &[Value],
-        positions: &[NodeRef<'t>],
-        weight: u64,
-    );
-}
-
-/// Serial execution: never split.
-struct NoSplit;
-
-impl<'t> Splitter<'t> for NoSplit {
-    fn should_split(&self, _size: usize) -> bool {
-        false
-    }
-    fn should_split_tail(&self, _first_len: usize, _inner_count: u64) -> bool {
-        false
-    }
-    fn spawn_entries(
-        &mut self,
-        _node_idx: usize,
-        _cover_idx: usize,
-        _total: usize,
-        _tuple: &[Value],
-        _positions: &[NodeRef<'t>],
-        _weight: u64,
-    ) {
-        unreachable!("NoSplit never asks to split")
-    }
-    fn spawn_tail(
-        &mut self,
-        _node_idx: usize,
-        _writes: Vec<Value>,
-        _weights: Vec<u64>,
-        _inner_count: u64,
-        _tuple: &[Value],
-        _positions: &[NodeRef<'t>],
-        _weight: u64,
-    ) {
-        unreachable!("NoSplit never asks to split")
-    }
-}
-
-/// Per-task split context of one parallel worker. Child tasks extend the
-/// running task's path key with a counter assigned in expansion order, which
-/// is what makes the task tree — and the merge order — schedule-independent.
+/// The split hook of one scheduler worker, scoped to the task it is
+/// running; a context without one runs on the calling thread and never
+/// splits. Child tasks extend the running task's path key with a counter
+/// assigned in expansion order, which is what makes the task tree — and the
+/// merge order — schedule-independent.
 struct WorkerSplitter<'a, 't> {
     sched: &'a Scheduler<'t>,
     worker: usize,
     path: &'a [u32],
     next_child: u32,
-}
-
-impl<'t> WorkerSplitter<'_, 't> {
-    fn child_path(&mut self) -> Vec<u32> {
-        let mut path = Vec::with_capacity(self.path.len() + 1);
-        path.extend_from_slice(self.path);
-        path.push(self.next_child);
-        self.next_child += 1;
-        path
-    }
-
-    fn spawn_ranges(
-        &mut self,
-        total: usize,
-        chunk: usize,
-        mut make: impl FnMut(&mut Self, usize, usize) -> Task<'t>,
-    ) {
-        let chunk = chunk.max(1);
-        let mut tasks = Vec::with_capacity(total.div_ceil(chunk));
-        let mut lo = 0;
-        while lo < total {
-            let hi = (lo + chunk).min(total);
-            let task = make(self, lo, hi);
-            tasks.push(task);
-            lo = hi;
-        }
-        self.sched.push_tasks(self.worker, tasks);
-    }
-}
-
-impl<'t> Splitter<'t> for WorkerSplitter<'_, 't> {
-    fn should_split(&self, size: usize) -> bool {
-        self.sched.steal && size >= self.sched.split_threshold
-    }
-
-    fn should_split_tail(&self, first_len: usize, inner_count: u64) -> bool {
-        self.sched.steal
-            && first_len >= 2
-            && (first_len as u64).saturating_mul(inner_count.max(1))
-                >= self.sched.split_threshold as u64
-    }
-
-    fn spawn_entries(
-        &mut self,
-        node_idx: usize,
-        cover_idx: usize,
-        total: usize,
-        tuple: &[Value],
-        positions: &[NodeRef<'t>],
-        weight: u64,
-    ) {
-        // Balanced chunks of at most `split_threshold` entries: sub-tasks
-        // stay below the threshold themselves, and the chunking depends only
-        // on the expansion size, never on the thread count.
-        let chunks = total.div_ceil(self.sched.split_threshold);
-        let chunk = total.div_ceil(chunks.max(1));
-        self.spawn_ranges(total, chunk, |this, lo, hi| Task {
-            path: this.child_path(),
-            node_idx,
-            items: TaskItems::Cover { cover_idx, by_rows: false, lo, hi },
-            tuple: tuple.to_vec(),
-            positions: positions.to_vec(),
-            weight,
-            spawner: this.worker,
-        });
-    }
-
-    fn spawn_tail(
-        &mut self,
-        node_idx: usize,
-        writes: Vec<Value>,
-        weights: Vec<u64>,
-        inner_count: u64,
-        tuple: &[Value],
-        positions: &[NodeRef<'t>],
-        weight: u64,
-    ) {
-        let total = weights.len();
-        // Chunk so each sub-task emits about `split_threshold` product rows:
-        // a single hot first-list entry over a huge inner product gets a task
-        // of its own, while cheap entries batch up.
-        let per_entry = inner_count.max(1);
-        let chunk = ((self.sched.split_threshold as u64 / per_entry) as usize).max(1);
-        let writes = Arc::new(writes);
-        let weights = Arc::new(weights);
-        self.spawn_ranges(total, chunk, |this, lo, hi| Task {
-            path: this.child_path(),
-            node_idx,
-            items: TaskItems::Tail { writes: writes.clone(), weights: weights.clone(), lo, hi },
-            tuple: tuple.to_vec(),
-            positions: positions.to_vec(),
-            weight,
-            spawner: this.worker,
-        });
-    }
 }
 
 /// What a successful probe yields.
@@ -599,142 +436,64 @@ fn probe_subatom<'t>(
     }
 }
 
-/// Execute a compiled pipeline under the work-stealing scheduler (see the
-/// module docs): the first node's cover seeds the injector with range tasks,
-/// and workers re-split any sufficiently large expansion deeper in the plan
-/// into stealable sub-range tasks.
+/// Execute a compiled pipeline over its input tries — the executor's one
+/// entry point.
 ///
-/// `make_sink` creates one sink per task; the sinks come back in **task-tree
-/// order** (per-task dense path keys sorted lexicographically) together with
-/// the summed counters, so the caller's merge is deterministic — identical
-/// at any thread count and any steal schedule. Falls back to the serial
-/// algorithm (returning a single sink) when `num_threads <= 1` or when there
-/// is no root-level work to split.
-pub fn execute_pipeline_parallel<S, F>(
+/// `make_sink` creates the sinks results land in, `token` is checked per
+/// cover entry and at every node, flush and task boundary (chunk-buffer
+/// flushes charge its result-byte budget), and `instruments` says whether
+/// the returned counters carry a per-node profile and trace rings. A fired
+/// token makes the remaining walk a cheap no-op; the caller detects the
+/// trip via [`CancelToken::fired`] (or the counters' `cancelled` field) and
+/// discards the partial sinks. Trie-building counters live on the tries.
+///
+/// With `threads <= 1` — or when the first node has no root-level work to
+/// split — the plan runs on the calling thread into **one** sink: no
+/// scheduler is built and no thread is spawned. Otherwise it runs under the
+/// work-stealing scheduler of the module docs, every task gets its own
+/// sink, and the sinks come back in **task-tree order** (per-task path keys
+/// sorted lexicographically) next to the summed counters, so the caller's
+/// merge is identical at any thread count and any steal schedule.
+pub fn execute_pipeline<S, F>(
     tries: &[Arc<InputTrie>],
     plan: &CompiledPlan,
     options: &FreeJoinOptions,
-    num_threads: usize,
-    make_sink: F,
-) -> (Vec<S>, ExecCounters)
-where
-    S: Sink + Send,
-    F: Fn() -> S + Sync,
-{
-    execute_pipeline_parallel_cancellable(
-        tries,
-        plan,
-        options,
-        num_threads,
-        make_sink,
-        &CancelToken::disabled(),
-    )
-}
-
-/// [`execute_pipeline_parallel`] with cooperative cancellation. Workers check
-/// `token` at every task boundary and inside the recursive walk; once it
-/// fires they stop running tasks but keep draining their deques and the
-/// injector (each drained task is marked complete without executing), so the
-/// `pending == 0` exit condition is still reached and no worker spins.
-pub fn execute_pipeline_parallel_cancellable<S, F>(
-    tries: &[Arc<InputTrie>],
-    plan: &CompiledPlan,
-    options: &FreeJoinOptions,
-    num_threads: usize,
+    threads: usize,
     make_sink: F,
     token: &CancelToken,
+    instruments: Instruments,
 ) -> (Vec<S>, ExecCounters)
 where
     S: Sink + Send,
     F: Fn() -> S + Sync,
 {
     debug_assert_eq!(tries.len(), plan.num_inputs);
-    let serial = |mut sink: S| {
-        let counters = execute_pipeline_cancellable(tries, plan, options, &mut sink, token);
-        (vec![sink], counters)
-    };
-    if num_threads <= 1 || plan.nodes.is_empty() {
-        return serial(make_sink());
-    }
-
-    // Materialize the first node's cover iteration as a splittable work list.
-    let node0 = &plan.nodes[0];
     let roots: Vec<NodeRef<'_>> = tries.iter().map(|t| t.root()).collect();
-    let cover_idx = select_cover(tries, node0, &roots, options);
-    let cover = &node0.subatoms[cover_idx];
-    if cover.key_slots.is_empty() {
-        // Every variable of the cover's input was pruned: the root is one
-        // entry carrying the row count, not a list of rows to split.
-        return serial(make_sink());
-    }
-    let cover_trie = &tries[cover.input];
-    let cover_root = roots[cover.input];
-    // Unforced with nothing keyed below: iterate base rows directly.
-    let by_rows = cover.final_for_input && cover_trie.iterates_rows(cover_root, cover.level);
-    let total = if by_rows {
-        cover_trie.num_rows()
-    } else {
-        cover_trie.force(cover_root, cover.level, !cover_root.is_map()).num_keys()
-    };
-    if total == 0 {
-        return serial(make_sink());
+    let blank = vec![Value::Null; plan.binding_order.len()];
+    let root_tasks =
+        if threads > 1 { root_tasks(tries, plan, options, &roots, &blank) } else { Vec::new() };
+    let new_scratch = move || plan.nodes.iter().map(|_| NodeScratch::default()).collect::<Vec<_>>();
+
+    if root_tasks.is_empty() {
+        let mut sink = make_sink();
+        let counters = ExecCounters::for_worker(plan, token, instruments, 0);
+        let mut ctx = ExecCtx::new(tries, plan, options, &mut sink, counters, (blank, roots));
+        ctx.run_node(0, 1, &mut new_scratch());
+        let counters = ctx.finish();
+        return (vec![sink], counters);
     }
 
-    // Root task granularity: a fixed fan-out independent of the thread count
-    // (so the task tree, and with it the merge order, is the same at any
-    // thread count), capped so per-task sink overhead stays negligible.
-    // Skew below the root is the scheduler's job, not the root chunking's:
-    // any root range hiding a hot subtree re-splits when it reaches the
-    // oversized expansion.
-    const ROOT_FAN: usize = 32;
-    let root_chunk = total.div_ceil(ROOT_FAN).clamp(1, 4096);
-    let num_root = total.div_ceil(root_chunk);
-
-    let sched = Scheduler::new(num_threads, options);
-    {
-        let mut injector = sched.injector.lock().expect("no poisoned injector");
-        for m in 0..num_root {
-            let lo = m * root_chunk;
-            let hi = (lo + root_chunk).min(total);
-            injector.push_back(Task {
-                path: vec![m as u32],
-                node_idx: 0,
-                items: TaskItems::Cover { cover_idx, by_rows, lo, hi },
-                tuple: vec![Value::Null; plan.binding_order.len()],
-                positions: roots.clone(),
-                weight: 1,
-                spawner: usize::MAX,
-            });
-        }
-    }
-    sched.pending.store(num_root, Ordering::Release);
-    sched.spawned.store(num_root as u64, Ordering::Relaxed);
-
+    let sched = Scheduler::new(threads, options.split_threshold, root_tasks);
     let segments: Mutex<Vec<(Vec<u32>, S)>> = Mutex::new(Vec::new());
     let total_counters: Mutex<ExecCounters> = Mutex::new(ExecCounters::default());
 
     std::thread::scope(|scope| {
-        for id in 0..num_threads {
-            let sched = &sched;
-            let segments = &segments;
-            let total_counters = &total_counters;
-            let make_sink = &make_sink;
-            let roots = &roots;
+        for id in 0..threads {
+            let (sched, segments, total_counters, make_sink) =
+                (&sched, &segments, &total_counters, &make_sink);
             scope.spawn(move || {
-                let mut tuple = vec![Value::Null; plan.binding_order.len()];
-                let mut current: Vec<NodeRef<'_>> = roots.clone();
-                let mut scratch: Vec<NodeScratch> =
-                    plan.nodes.iter().map(|_| NodeScratch::default()).collect();
-                let mut counters =
-                    ExecCounters { cancel: token.clone(), ..ExecCounters::default() };
-                if options.profile {
-                    counters.profile = ProfileSheet::enabled(plan.nodes.len());
-                }
-                if options.trace {
-                    counters
-                        .traces
-                        .push(TraceBuf::with_capacity(DEFAULT_TRACE_CAPACITY, id as u32));
-                }
+                let mut scratch = new_scratch();
+                let mut counters = ExecCounters::for_worker(plan, token, instruments, id as u32);
                 loop {
                     let Some(task) = sched.find_task(id) else {
                         if sched.pending.load(Ordering::Acquire) == 0 {
@@ -745,74 +504,43 @@ where
                     };
                     // Drain on observe: a fired token turns every remaining
                     // task into a completed no-op, so the deques and the
-                    // injector empty out and `pending` still reaches zero.
+                    // injector empty out, `pending` still reaches zero and no
+                    // worker spins.
                     if counters.check_cancel() {
                         sched.pending.fetch_sub(1, Ordering::AcqRel);
                         continue;
                     }
-                    if task.spawner != usize::MAX && task.spawner != id {
+                    let Task { path, node_idx, items, tuple, positions, weight, spawner } = task;
+                    let node = node_idx as u32;
+                    if spawner != usize::MAX && spawner != id {
                         counters.tasks_stolen += 1;
                         if let Some(tb) = counters.traces.last_mut() {
-                            tb.instant(
-                                TraceCat::Steal,
-                                task.node_idx as u32,
-                                task.spawner as u64,
-                                &task.path,
-                            );
+                            tb.instant(TraceCat::Steal, node, spawner as u64, &path);
                         }
                     }
                     if let Some(tb) = counters.traces.last_mut() {
-                        tb.begin(TraceCat::Task, task.node_idx as u32, task.weight, &task.path);
+                        tb.begin(TraceCat::Task, node, weight, &path);
                     }
-                    let mut sink = make_sink();
-                    let mut out = ChunkBuffer::for_sink_metered(
-                        &sink,
-                        plan.binding_order.len(),
-                        token.clone(),
-                    );
-                    {
-                        let mut splitter =
-                            WorkerSplitter { sched, worker: id, path: &task.path, next_child: 0 };
-                        run_task(
-                            tries,
-                            plan,
-                            options,
-                            &task,
-                            &mut tuple,
-                            &mut current,
-                            &mut scratch,
-                            &mut sink,
-                            &mut counters,
-                            &mut out,
-                            &mut splitter,
-                        );
-                    }
-                    out.flush(&mut sink);
+                    let (mut sink, start) = (make_sink(), (tuple, positions));
+                    let mine = std::mem::take(&mut counters);
+                    let mut ctx = ExecCtx::new(tries, plan, options, &mut sink, mine, start);
+                    ctx.split =
+                        Some(WorkerSplitter { sched, worker: id, path: &path, next_child: 0 });
+                    ctx.run_task(node_idx, weight, &items, &mut scratch);
+                    counters = ctx.finish();
                     if let Some(tb) = counters.traces.last_mut() {
-                        tb.end(TraceCat::Task, task.node_idx as u32, sink.tuples());
+                        tb.end(TraceCat::Task, node, sink.tuples());
                     }
                     // Empty sinks contribute nothing to the merge; skip them
                     // (split-heavy schedules produce many empty tasks).
                     if sink.tuples() > 0 {
-                        segments
-                            .lock()
-                            .expect("no poisoned segments")
-                            .push((task.path.clone(), sink));
+                        segments.lock().expect("no poisoned segments").push((path, sink));
                     }
                     sched.pending.fetch_sub(1, Ordering::AcqRel);
                 }
-                let mut all = total_counters.lock().expect("no poisoned counters");
-                all.probes += counters.probes;
-                all.probe_hits += counters.probe_hits;
-                all.tasks_stolen += counters.tasks_stolen;
-                all.expansions += counters.expansions;
-                all.reorders += counters.reorders;
-                all.profile.merge(&counters.profile);
-                all.traces.append(&mut counters.traces);
-                if all.worker_expansions.len() < num_threads {
-                    all.worker_expansions.resize(num_threads, 0);
-                }
-                all.worker_expansions[id] += counters.expansions;
+                counters.worker_expansions = vec![0; threads];
+                counters.worker_expansions[id] = counters.expansions;
+                total_counters.lock().expect("no poisoned counters").merge(counters);
             });
         }
     });
@@ -829,335 +557,767 @@ where
     (segments.into_iter().map(|(_, sink)| sink).collect(), counters)
 }
 
-/// Execute one scheduler task: restore its binding prefix, trie positions
-/// and weight, then walk its item range — cover entries through
-/// `process_cover_entry`/`flush_batch` (which recurse into the rest of the
-/// plan and may split again, deeper), or an independent-tail slice through
-/// [`run_tail_range`].
-#[allow(clippy::too_many_arguments)]
-fn run_task<'t>(
+/// The first node's cover iteration as range tasks for the injector, keyed
+/// `[0] .. [k-1]`. Empty when there is nothing at the root to split: no
+/// node, a cover without variables (every variable of its input was pruned,
+/// so the root is one entry carrying the row count), or no entry.
+fn root_tasks<'t>(
     tries: &'t [Arc<InputTrie>],
     plan: &CompiledPlan,
     options: &FreeJoinOptions,
-    task: &Task<'t>,
-    tuple: &mut Vec<Value>,
-    current: &mut Vec<NodeRef<'t>>,
-    scratch: &mut [NodeScratch<'t>],
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter<'t>,
-) {
-    // Chaos failpoint: an injected panic here unwinds out of a worker thread
-    // mid-join — the serve layer's catch_unwind isolation (and the scoped
-    // executor's teardown) must both survive it. Disarmed cost: one relaxed
-    // load per task, not per tuple.
-    let _ = fj_obs::chaos::should_fail("exec.task");
-    tuple.clear();
-    tuple.extend_from_slice(&task.tuple);
-    current.clear();
-    current.extend_from_slice(&task.positions);
-    let node_idx = task.node_idx;
-    let weight = task.weight;
-
-    if let TaskItems::Tail { writes, weights, lo, hi } = &task.items {
-        run_tail_range(
-            tries,
-            plan,
-            node_idx,
-            tuple,
-            current,
-            weight,
-            writes,
-            weights,
-            *lo,
-            *hi,
-            sink,
-            counters,
-            &mut scratch[node_idx..],
-            out,
-        );
-        return;
+    roots: &[NodeRef<'t>],
+    blank: &[Value],
+) -> Vec<Task<'t>> {
+    let Some(node0) = plan.nodes.first() else { return Vec::new() };
+    let cover_idx = select_cover(tries, node0, roots, options.dynamic_cover, options.adaptive);
+    let cover = &node0.subatoms[cover_idx];
+    if cover.key_slots.is_empty() {
+        return Vec::new();
     }
-
-    let node = &plan.nodes[node_idx];
-    let TaskItems::Cover { cover_idx, by_rows, lo, hi } = task.items else {
-        unreachable!("tail tasks are handled above");
-    };
-    let cover = &node.subatoms[cover_idx];
     let cover_trie = &tries[cover.input];
-    let cover_node = current[cover.input];
-    let t0 = counters.profile.is_enabled().then(Instant::now);
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.begin(TraceCat::Node, node_idx as u32, (hi - lo) as u64, &task.path);
-    }
-    // The task's slice of the cover, entry by entry as `for_each` would
-    // hand them out.
-    let walk = |f: &mut dyn FnMut(&[Value], Option<NodeRef<'t>>)| {
-        if by_rows {
-            cover_trie.for_each_row(cover.level, lo as u32..hi as u32, f);
-        } else {
-            let level = cover_trie.force(cover_node, cover.level, true);
-            cover_trie.for_each_child(level, cover.level, lo..hi, f);
-        }
-    };
-
-    let scratch = &mut scratch[node_idx..];
-    if options.vectorized() && node.subatoms.len() > 1 {
-        // Mirror run_node's choice: batch this node's probes too.
-        let (mine, rest) = scratch.split_at_mut(1);
-        let mine = &mut mine[0];
-        ensure_batch_buffers(mine, options.batch_size, node);
-        mine.count = 0;
-        walk(&mut |key, child| {
-            if counters.check_cancel() {
-                return;
-            }
-            counters.expansions += 1;
-            counters.profile.add_expansions(node_idx, 1);
-            buffer_cover_entry(node, cover_idx, cover_trie, key, child, tuple, weight, mine);
-            if mine.count >= options.batch_size {
-                flush_batch(
-                    tries, plan, options, node_idx, cover_idx, mine, rest, tuple, current, sink,
-                    counters, out, splitter,
-                );
-            }
-        });
-        flush_batch(
-            tries, plan, options, node_idx, cover_idx, mine, rest, tuple, current, sink, counters,
-            out, splitter,
-        );
+    let cover_root = roots[cover.input];
+    // Unforced with nothing keyed below: iterate base rows directly.
+    let by_rows = cover.final_for_input && cover_trie.iterates_rows(cover_root, cover.level);
+    let total = if by_rows {
+        cover_trie.num_rows()
     } else {
-        walk(&mut |key, child| {
-            process_cover_entry(
-                tries, plan, options, node_idx, cover_idx, key, child, tuple, current, weight,
-                sink, counters, scratch, out, splitter,
-            );
-        });
-    }
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.end(TraceCat::Node, node_idx as u32, counters.expansions);
-    }
-    if let Some(t0) = t0 {
-        counters.profile.add_wall(node_idx, t0.elapsed());
-    }
+        cover_trie.force(cover_root, cover.level, !cover_root.is_map()).num_keys()
+    };
+    // Root task granularity: a fixed fan-out independent of the thread count
+    // (so the task tree, and with it the merge order, is the same at any
+    // thread count), capped so per-task sink overhead stays negligible.
+    // Skew below the root is the scheduler's job, not the root chunking's:
+    // any root range hiding a hot subtree re-splits when it reaches the
+    // oversized expansion.
+    const ROOT_FAN: usize = 32;
+    let root_chunk = total.div_ceil(ROOT_FAN).clamp(1, 4096);
+    (0..total.div_ceil(root_chunk))
+        .map(|m| {
+            let range = m * root_chunk..((m + 1) * root_chunk).min(total);
+            let range = if by_rows { CoverRange::Rows(range) } else { CoverRange::Children(range) };
+            Task {
+                path: vec![m as u32],
+                node_idx: 0,
+                items: TaskItems::Cover { cover_idx, range },
+                tuple: blank.to_vec(),
+                positions: roots.to_vec(),
+                weight: 1,
+                spawner: usize::MAX,
+            }
+        })
+        .collect()
 }
 
-/// Select which subatom of the node to iterate (the runtime cover).
-fn select_cover<'t>(
-    tries: &'t [Arc<InputTrie>],
+/// Select which subatom of the node to iterate (the runtime cover): the
+/// candidate that ranks smallest, the static plan order breaking ties.
+fn select_cover(
+    tries: &[Arc<InputTrie>],
     node: &CompiledNode,
-    current: &[NodeRef<'t>],
-    options: &FreeJoinOptions,
+    current: &[NodeRef<'_>],
+    dynamic_cover: bool,
+    adaptive: bool,
 ) -> usize {
     // Adaptive execution ranks candidates by the construction-fixed bound of
     // their current trie position — unlike `estimated_keys` this never
     // depends on which levels other workers have already forced, so the
     // choice (and everything downstream of it) is schedule-independent.
-    // Stable min: the static plan order breaks ties.
-    if options.adaptive && node.reorderable && node.cover_candidates.len() > 1 {
-        return node
-            .cover_candidates
+    let by_bound = adaptive && node.reorderable;
+    let rank = |&i: &usize| {
+        let sub = &node.subatoms[i];
+        let at = current[sub.input];
+        if by_bound {
+            at.key_bound()
+        } else {
+            tries[sub.input].estimated_keys(at)
+        }
+    };
+    let candidates = &node.cover_candidates;
+    if candidates.len() > 1 && (by_bound || dynamic_cover) {
+        *candidates
             .iter()
-            .copied()
-            .min_by_key(|&i| current[node.subatoms[i].input].key_bound())
-            .expect("valid plans have at least one cover");
-    }
-    if options.dynamic_cover && node.cover_candidates.len() > 1 {
-        node.cover_candidates
-            .iter()
-            .copied()
-            .min_by_key(|&i| {
-                let sub = &node.subatoms[i];
-                tries[sub.input].estimated_keys(current[sub.input])
-            })
+            .min_by_key(|i| rank(i))
             .expect("valid plans have at least one cover")
     } else {
-        node.cover_candidates[0]
+        candidates[0]
     }
 }
 
-/// The recursive join (Figure 7), one invocation per plan node. `scratch`
-/// holds the scratch space of this node and every following node
-/// (`scratch[0]` belongs to `node_idx`); `out` is the worker's chunk buffer,
-/// where every result emission of this invocation lands.
-#[allow(clippy::too_many_arguments)]
-fn run_node<'t>(
+/// Everything the recursive join threads from call to call: what it reads
+/// (tries, plan, the option values the loop consults), the state it
+/// advances (binding tuple, trie positions, counters) and where results go
+/// (chunk buffer, sink). One context runs the whole plan on the calling
+/// thread, or one scheduler task on a worker — then `split` is set and the
+/// tuple and positions are the task's own. Methods take the plan position
+/// and `scratch`, the scratch space of that node and every following one
+/// (`scratch[0]` belongs to the node).
+struct ExecCtx<'a, 't> {
     tries: &'t [Arc<InputTrie>],
-    plan: &CompiledPlan,
-    options: &FreeJoinOptions,
-    node_idx: usize,
-    tuple: &mut Vec<Value>,
-    current: &mut Vec<NodeRef<'t>>,
-    weight: u64,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch<'t>],
-    out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter<'t>,
-) {
-    if counters.check_cancel() {
-        return;
-    }
-    if node_idx == plan.nodes.len() {
-        out.push(sink, tuple, weight);
-        return;
-    }
-    let node = &plan.nodes[node_idx];
+    plan: &'t CompiledPlan,
+    batch_size: usize,
+    dynamic_cover: bool,
+    adaptive: bool,
+    tuple: Vec<Value>,
+    current: Vec<NodeRef<'t>>,
+    sink: &'a mut dyn Sink,
+    out: ChunkBuffer,
+    counters: ExecCounters,
+    split: Option<WorkerSplitter<'a, 't>>,
+}
 
-    // The remaining plan is a Cartesian product of independent expansions
-    // (of variables the output reads — dead ones never reach the plan): emit
-    // it straight into the chunk columns instead of recursing per
-    // combination.
-    if node.independent_tail {
-        expand_independent_tail(
-            tries, plan, node_idx, tuple, current, weight, sink, counters, scratch, out, splitter,
+impl<'a, 't> ExecCtx<'a, 't> {
+    /// A context that never splits, starting from the binding tuple and
+    /// trie positions in `start`.
+    fn new(
+        tries: &'t [Arc<InputTrie>],
+        plan: &'t CompiledPlan,
+        options: &FreeJoinOptions,
+        sink: &'a mut dyn Sink,
+        counters: ExecCounters,
+        start: (Vec<Value>, Vec<NodeRef<'t>>),
+    ) -> Self {
+        let out = ChunkBuffer::for_sink_metered(
+            &*sink,
+            plan.binding_order.len(),
+            counters.cancel.clone(),
         );
-        return;
-    }
-
-    let cover_idx = select_cover(tries, node, current, options);
-    let cover = &node.subatoms[cover_idx];
-
-    // The split point: an expansion at least `split_threshold` wide (the
-    // level-map size, read in O(1)) is handed to the scheduler as sub-range
-    // tasks instead of being walked by this worker — this is what lets one
-    // hot key's subtree fan out over every idle worker. The decision depends
-    // only on trie sizes and options, keeping the task tree (and the merge
-    // order) schedule-independent.
-    let cover_node = current[cover.input];
-    if splitter.should_split(tries[cover.input].estimated_keys(cover_node)) {
-        let level = tries[cover.input].force(cover_node, cover.level, !cover_node.is_map());
-        if let Some(tb) = counters.traces.last_mut() {
-            tb.instant(TraceCat::Split, node_idx as u32, level.num_keys() as u64, &[]);
+        ExecCtx {
+            tries,
+            plan,
+            batch_size: options.batch_size,
+            dynamic_cover: options.dynamic_cover,
+            adaptive: options.adaptive,
+            tuple: start.0,
+            current: start.1,
+            sink,
+            out,
+            counters,
+            split: None,
         }
-        splitter.spawn_entries(node_idx, cover_idx, level.num_keys(), tuple, current, weight);
-        return;
-    }
-    if !cover.final_for_input {
-        // The input has subatoms to come, so every entry needs its child
-        // position: iterate the map, never the rows. (Only an empty-key
-        // subatom can follow a level the trie would walk row by row — the
-        // `[#2()]` tail of an unpruned plan.)
-        tries[cover.input].force(cover_node, cover.level, true);
     }
 
-    if options.vectorized() && node.subatoms.len() > 1 {
-        run_node_vectorized(
-            tries, plan, options, node_idx, cover_idx, tuple, current, weight, sink, counters,
-            scratch, out, splitter,
-        );
-    } else {
-        run_node_scalar(
-            tries, plan, options, node_idx, cover_idx, tuple, current, weight, sink, counters,
-            scratch, out, splitter,
-        );
-    }
-}
-
-/// Enumerate an independent tail (every remaining node a single, final,
-/// write-only expansion of a distinct input) without re-walking suffix
-/// tries: the lists of
-/// every tail node after the first are gathered once into their nodes'
-/// scratch as flat `(values, weight)` columns, the first node's cover is
-/// streamed, and the Cartesian product is emitted by nested loops over the
-/// gathered columns straight into the chunk buffer. Emission order is
-/// exactly the recursive walk's, and tail nodes perform no probes in either
-/// form, so results and counters are unchanged — only the per-combination
-/// trie iteration and recursion are gone.
-#[allow(clippy::too_many_arguments)]
-fn expand_independent_tail<'t>(
-    tries: &'t [Arc<InputTrie>],
-    plan: &CompiledPlan,
-    node_idx: usize,
-    tuple: &mut Vec<Value>,
-    current: &[NodeRef<'t>],
-    weight: u64,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch<'t>],
-    out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter<'t>,
-) {
-    // Gather phase: one trie walk per inner tail node, reusing the node's
-    // (otherwise unused — single-subatom nodes never batch) scratch vectors.
-    let inner = &plan.nodes[node_idx + 1..];
-    if !gather_tail_lists(tries, inner, current, scratch) {
-        return; // an empty factor annihilates the whole product
+    /// Hand the buffered results to the sink and give the counters back.
+    fn finish(mut self) -> ExecCounters {
+        self.out.flush(self.sink);
+        self.counters
     }
 
-    let node = &plan.nodes[node_idx];
-    let sub = &node.subatoms[0];
-    let trie = &tries[sub.input];
-    let node_cur = current[sub.input];
-    let t0 = counters.profile.is_enabled().then(Instant::now);
-    let gathered = &scratch[1..1 + inner.len()];
-    // Product rows per first-list entry; `expansions` counts emitted rows so
-    // skew inside the product (not just wide first lists) is visible to the
-    // per-worker balance stats.
-    let inner_count: u64 =
-        gathered.iter().fold(1u64, |acc, s| acc.saturating_mul(s.weights.len() as u64));
+    /// Open the span of one run of a node: in the trace, and — its start
+    /// time comes back — in the profile.
+    fn begin_node(&mut self, node_idx: usize, arg: u64, path: &[u32]) -> Option<Instant> {
+        if let Some(tb) = self.counters.traces.last_mut() {
+            tb.begin(TraceCat::Node, node_idx as u32, arg, path);
+        }
+        self.counters.profile.is_enabled().then(Instant::now)
+    }
 
-    // The tail split point: the product's size — first-list length (O(1)
-    // from the level map) × inner combinations (known from the gather) —
-    // decides, so a single hot join key whose output is one giant Cartesian
-    // product fans out across workers by first-list sub-ranges.
-    let first_len = trie.estimated_keys(node_cur);
-    if splitter.should_split_tail(first_len, inner_count) {
-        let stride = node.bound_after - node.bound_before;
-        let mut writes: Vec<Value> = Vec::with_capacity(first_len * stride);
-        let mut weights: Vec<u64> = Vec::with_capacity(first_len);
-        trie.for_each(node_cur, sub.level, |key, child| {
-            let base = writes.len();
-            writes.resize(base + stride, Value::Null);
-            for action in &sub.iter_actions {
-                let IterAction::Write { key_pos, slot } = *action else {
-                    unreachable!("independent-tail covers bind only new variables");
-                };
-                writes[base + (slot - node.bound_before)] = key[key_pos];
+    /// Close the span [`Self::begin_node`] opened.
+    fn end_node(&mut self, node_idx: usize, arg: u64, started: Option<Instant>) {
+        if let Some(t0) = started {
+            self.counters.profile.add_wall(node_idx, t0.elapsed());
+        }
+        if let Some(tb) = self.counters.traces.last_mut() {
+            tb.end(TraceCat::Node, node_idx as u32, arg);
+        }
+    }
+
+    /// The expansion size from which this worker cuts sub-range tasks
+    /// instead of walking the expansion itself; `None` when it never splits.
+    fn split_threshold(&self) -> Option<usize> {
+        self.split.as_ref().map(|s| s.sched.split_threshold)
+    }
+
+    /// Cut `total` entries into tasks of `chunk` and push them onto this
+    /// worker's deque. Each task resumes at `node_idx` from the current
+    /// binding tuple, trie positions and `weight`.
+    fn spawn(
+        &mut self,
+        node_idx: usize,
+        weight: u64,
+        total: usize,
+        chunk: usize,
+        items: impl Fn(Range<usize>) -> TaskItems,
+    ) {
+        let split = self.split.as_mut().expect("only a scheduler worker decides to split");
+        let chunk = chunk.max(1);
+        let tasks = (0..total)
+            .step_by(chunk)
+            .map(|lo| {
+                split.next_child += 1;
+                Task {
+                    path: [split.path, &[split.next_child - 1]].concat(),
+                    node_idx,
+                    items: items(lo..(lo + chunk).min(total)),
+                    tuple: self.tuple.clone(),
+                    positions: self.current.clone(),
+                    weight,
+                    spawner: split.worker,
+                }
+            })
+            .collect();
+        split.sched.push_tasks(split.worker, tasks);
+    }
+
+    /// Execute one scheduler task from the binding prefix, trie positions
+    /// and weight it carried: a cover range through the cover loop (which
+    /// recurses into the rest of the plan and may split again, deeper), or
+    /// a slice of an independent tail's product.
+    fn run_task(
+        &mut self,
+        node_idx: usize,
+        weight: u64,
+        items: &TaskItems,
+        scratch: &mut [NodeScratch<'t>],
+    ) {
+        // Chaos failpoint: an injected panic here unwinds out of a worker
+        // thread mid-join — the serve layer's catch_unwind isolation (and
+        // the scoped executor's teardown) must both survive it. Disarmed
+        // cost: one relaxed load per task, not per tuple.
+        let _ = fj_obs::chaos::should_fail("exec.task");
+        let scratch = &mut scratch[node_idx..];
+        match items {
+            TaskItems::Cover { cover_idx, range } => {
+                self.run_cover(node_idx, *cover_idx, weight, range.clone(), scratch)
             }
-            weights.push(child.map_or(1, |c| trie.tuple_count(c)));
-        });
-        if let Some(tb) = counters.traces.last_mut() {
-            tb.instant(TraceCat::Split, node_idx as u32, weights.len() as u64, &[]);
+            TaskItems::Tail(list) => self.run_tail(node_idx, weight, Some(list), scratch),
         }
-        splitter.spawn_tail(node_idx, writes, weights, inner_count, tuple, current, weight);
-        return;
     }
 
-    // Stream the first tail node's cover; per entry, emit the product of the
-    // gathered inner columns.
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.begin(TraceCat::Node, node_idx as u32, inner_count, &[]);
-    }
-    let mut first_sum: u64 = 0;
-    trie.for_each(node_cur, sub.level, |key, child| {
-        if counters.check_cancel() {
+    /// The recursive join (Figure 7), one invocation per plan node.
+    fn run_node(&mut self, node_idx: usize, weight: u64, scratch: &mut [NodeScratch<'t>]) {
+        if self.counters.check_cancel() {
             return;
         }
-        counters.expansions += inner_count.max(1);
-        counters.profile.add_expansions(node_idx, inner_count.max(1));
-        for action in &sub.iter_actions {
-            let IterAction::Write { key_pos, slot } = *action else {
-                unreachable!("independent-tail covers bind only new variables");
-            };
-            tuple[slot] = key[key_pos];
+        let (tries, plan) = (self.tries, self.plan);
+        if node_idx == plan.nodes.len() {
+            self.out.push(self.sink, &self.tuple, weight);
+            return;
         }
-        let w = child.map_or(weight, |c| weight.saturating_mul(trie.tuple_count(c)));
-        first_sum = first_sum.saturating_add(w);
-        if inner.is_empty() {
-            out.push(sink, tuple, w);
+        let node = &plan.nodes[node_idx];
+
+        // The remaining plan is a Cartesian product of independent
+        // expansions (of variables the output reads — dead ones never reach
+        // the plan): emit it straight into the chunk columns instead of
+        // recursing per combination.
+        if node.independent_tail {
+            self.run_tail(node_idx, weight, None, scratch);
+            return;
+        }
+
+        let cover_idx = select_cover(tries, node, &self.current, self.dynamic_cover, self.adaptive);
+        let cover = &node.subatoms[cover_idx];
+        let cover_trie = &tries[cover.input];
+
+        // The split point: an expansion at least `split_threshold` wide (the
+        // level-map size, read in O(1)) is handed to the scheduler as
+        // sub-range tasks instead of being walked by this worker — this is
+        // what lets one hot key's subtree fan out over every idle worker.
+        // The decision depends only on trie sizes and options, keeping the
+        // task tree (and the merge order) schedule-independent.
+        let cover_node = self.current[cover.input];
+        let threshold = self.split_threshold();
+        if let Some(threshold) = threshold.filter(|&t| cover_trie.estimated_keys(cover_node) >= t) {
+            let total = cover_trie.force(cover_node, cover.level, !cover_node.is_map()).num_keys();
+            if let Some(tb) = self.counters.traces.last_mut() {
+                tb.instant(TraceCat::Split, node_idx as u32, total as u64, &[]);
+            }
+            // Balanced chunks of at most `split_threshold` entries:
+            // sub-tasks stay below the threshold themselves, and the
+            // chunking depends only on the expansion size, never on the
+            // thread count.
+            let chunk = total.div_ceil(total.div_ceil(threshold).max(1));
+            self.spawn(node_idx, weight, total, chunk, |range| TaskItems::Cover {
+                cover_idx,
+                range: CoverRange::Children(range),
+            });
+            return;
+        }
+        if !cover.final_for_input {
+            // The input has subatoms to come, so every entry needs its child
+            // position: iterate the map, never the rows. (Only an empty-key
+            // subatom can follow a level the trie would walk row by row — the
+            // `[#2()]` tail of an unpruned plan.)
+            cover_trie.force(cover_node, cover.level, true);
+        }
+        self.run_cover(node_idx, cover_idx, weight, CoverRange::All, scratch);
+    }
+
+    /// The cover loop: walk `range` of the node's cover and, per entry, bind
+    /// it, probe the node's other subatoms and recurse for the matches —
+    /// entry by entry ([`Self::process_cover_entry`]), or, at a node with
+    /// probes when `batch_size > 1`, a batch at a time (Figure 13:
+    /// [`Self::buffer_cover_entry`] then [`Self::flush_batch`]).
+    fn run_cover(
+        &mut self,
+        node_idx: usize,
+        cover_idx: usize,
+        weight: u64,
+        range: CoverRange,
+        scratch: &mut [NodeScratch<'t>],
+    ) {
+        let (tries, plan) = (self.tries, self.plan);
+        let node = &plan.nodes[node_idx];
+        let cover = &node.subatoms[cover_idx];
+        let cover_trie = &tries[cover.input];
+        let cover_node = self.current[cover.input];
+        // A task's span carries its size and path key, and ends on the
+        // worker's running expansion total; a node reached by recursion
+        // carries neither.
+        let task = match &range {
+            CoverRange::All => None,
+            CoverRange::Children(r) | CoverRange::Rows(r) => {
+                Some((r.len(), self.split.as_ref().map_or(&[][..], |s| s.path)))
+            }
+        };
+        let (size, path) = task.unwrap_or((0, &[][..]));
+        let started = self.begin_node(node_idx, size as u64, path);
+
+        let batch_size = self.batch_size;
+        let batched = batch_size > 1 && node.subatoms.len() > 1;
+        if batched {
+            // Room for the entries the cover can yield, not for a whole
+            // batch: both bounds are O(1) reads.
+            let entries = task.map_or_else(|| cover_trie.estimated_keys(cover_node), |t| t.0);
+            ensure_batch_buffers(&mut scratch[0], batch_size.min(entries), node);
+            scratch[0].count = 0;
+        }
+        let step = |key: &[Value], child: Option<NodeRef<'t>>| {
+            // The per-entry cancellation boundary: a fired token turns every
+            // remaining callback into this one test (and must, before
+            // buffering: `flush_batch` refuses to drain once cancelled, so
+            // appending again would overrun the batch buffers).
+            if self.counters.check_cancel() {
+                return;
+            }
+            self.counters.expansions += 1;
+            self.counters.profile.add_expansions(node_idx, 1);
+            if batched {
+                self.buffer_cover_entry(node, cover_idx, weight, key, child, &mut scratch[0]);
+                if scratch[0].count >= batch_size {
+                    self.flush_batch(node_idx, cover_idx, scratch);
+                }
+            } else {
+                self.process_cover_entry(node_idx, cover_idx, weight, key, child, scratch);
+            }
+        };
+        match range {
+            CoverRange::All => cover_trie.for_each(cover_node, cover.level, step),
+            CoverRange::Children(r) => {
+                let level = cover_trie.force(cover_node, cover.level, true);
+                cover_trie.for_each_child(level, cover.level, r, step);
+            }
+            CoverRange::Rows(r) => {
+                cover_trie.for_each_row(cover.level, r.start as u32..r.end as u32, step)
+            }
+        }
+        if batched {
+            self.flush_batch(node_idx, cover_idx, scratch);
+        }
+
+        let arg = if task.is_some() { self.counters.expansions } else { 0 };
+        self.end_node(node_idx, arg, started);
+    }
+
+    /// Enumerate an independent tail (every remaining node a single, final,
+    /// write-only expansion of a distinct input) without re-walking suffix
+    /// tries: the lists of every tail node after the first are gathered once
+    /// into their nodes' scratch as flat `(values, weight)` columns, the
+    /// first node's entries are streamed — from its trie, or, in a task cut
+    /// from it, from the task's slice `list` of the materialized first
+    /// list — and the Cartesian product is emitted by nested loops over the
+    /// gathered columns straight into the chunk buffer. Emission order is
+    /// exactly the recursive walk's (a slice's is the unsplit stream's, so
+    /// path-key-ordered sinks concatenate to it), and tail nodes perform no
+    /// probes in either form, so results and counters are unchanged — only
+    /// the per-combination trie iteration and recursion are gone.
+    fn run_tail(
+        &mut self,
+        node_idx: usize,
+        weight: u64,
+        list: Option<&TailList>,
+        scratch: &mut [NodeScratch<'t>],
+    ) {
+        let (tries, plan) = (self.tries, self.plan);
+        let (node, inner) = (&plan.nodes[node_idx], &plan.nodes[node_idx + 1..]);
+        // Gather phase: one trie walk per inner tail node (cheap against a
+        // product-sized emission, so a task simply gathers again), reusing
+        // the node's otherwise unused scratch vectors — single-subatom
+        // nodes never batch.
+        for (inner_node, s) in inner.iter().zip(&mut scratch[1..]) {
+            s.writes.clear();
+            s.weights.clear();
+            gather_list(tries, inner_node, &self.current, &mut s.writes, &mut s.weights);
+            if s.weights.is_empty() {
+                return; // an empty factor annihilates the whole product
+            }
+        }
+        let lists = &scratch[1..1 + inner.len()];
+        // Product rows per first-list entry; `expansions` counts emitted
+        // rows so skew inside the product (not just wide first lists) is
+        // visible to the per-worker balance stats.
+        let inner_count =
+            lists.iter().fold(1u64, |acc, s| acc.saturating_mul(s.weights.len() as u64));
+        let sub = &node.subatoms[0];
+        let trie = &tries[sub.input];
+        let node_cur = self.current[sub.input];
+        let stride = node.bound_after - node.bound_before;
+
+        // The tail split point: the product's size — first-list length (O(1)
+        // from the level map) × inner combinations (known from the gather) —
+        // decides, so a single hot join key whose output is one giant
+        // Cartesian product fans out across workers by first-list sub-ranges.
+        let first_len = trie.estimated_keys(node_cur);
+        let product = (first_len as u64).saturating_mul(inner_count.max(1));
+        let threshold = self.split_threshold().filter(|_| list.is_none() && first_len >= 2);
+        if let Some(threshold) = threshold.filter(|&t| product >= t as u64) {
+            let mut writes: Vec<Value> = Vec::with_capacity(first_len * stride);
+            let mut weights: Vec<u64> = Vec::with_capacity(first_len);
+            gather_list(tries, node, &self.current, &mut writes, &mut weights);
+            if let Some(tb) = self.counters.traces.last_mut() {
+                tb.instant(TraceCat::Split, node_idx as u32, weights.len() as u64, &[]);
+            }
+            // Chunk so each sub-task emits about `split_threshold` product
+            // rows: a single hot first-list entry over a huge inner product
+            // gets a task of its own, while cheap entries batch up.
+            let chunk = (threshold as u64 / inner_count.max(1)) as usize;
+            let (total, writes, weights) = (weights.len(), Arc::new(writes), Arc::new(weights));
+            self.spawn(node_idx, weight, total, chunk, |range| {
+                TaskItems::Tail(TailList {
+                    writes: writes.clone(),
+                    weights: weights.clone(),
+                    range,
+                })
+            });
+            return;
+        }
+
+        let started = self.begin_node(node_idx, inner_count, &[]);
+        // Per first-list entry, emit the product of the gathered inner
+        // columns. A single product can dominate a query's output, so every
+        // entry is a cancellation boundary.
+        let mut first_sum: u64 = 0;
+        let mut entry = |this: &mut Self, w: u64| {
+            this.counters.expansions += inner_count.max(1);
+            this.counters.profile.add_expansions(node_idx, inner_count.max(1));
+            first_sum = first_sum.saturating_add(w);
+            if inner.is_empty() {
+                this.out.push(this.sink, &this.tuple, w);
+            } else {
+                this.emit_product(inner, lists, w);
+            }
+        };
+        match list {
+            None => trie.for_each(node_cur, sub.level, |key, child| {
+                if self.counters.check_cancel() {
+                    return;
+                }
+                bind_new_slots(node, key, &mut self.tuple[node.bound_before..node.bound_after]);
+                entry(self, child.map_or(weight, |c| weight.saturating_mul(trie.tuple_count(c))));
+            }),
+            Some(list) => {
+                for i in list.range.clone() {
+                    if self.counters.check_cancel() {
+                        break;
+                    }
+                    self.tuple[node.bound_before..node.bound_after]
+                        .copy_from_slice(&list.writes[i * stride..(i + 1) * stride]);
+                    entry(self, weight.saturating_mul(list.weights[i]));
+                }
+            }
+        }
+        profile_tail_rows(&mut self.counters.profile, node_idx, first_sum, lists);
+        self.end_node(node_idx, first_sum, started);
+    }
+
+    /// Emit the Cartesian product of gathered tail lists, depth-first in
+    /// list order (the recursion order of the plan walk this replaces). Each
+    /// level copies its entry's values into the tuple's slots and multiplies
+    /// its weight; the innermost level appends to the chunk buffer. Every
+    /// level's loop is a cancellation boundary (one cached check per product
+    /// row once a trip is observed).
+    fn emit_product(&mut self, nodes: &[CompiledNode], lists: &[NodeScratch<'t>], weight: u64) {
+        let (node, list) = (&nodes[0], &lists[0]);
+        let stride = node.bound_after - node.bound_before;
+        for (i, &entry_weight) in list.weights.iter().enumerate() {
+            if self.counters.check_cancel() {
+                return;
+            }
+            self.tuple[node.bound_before..node.bound_after]
+                .copy_from_slice(&list.writes[i * stride..(i + 1) * stride]);
+            let w = weight.saturating_mul(entry_weight);
+            if nodes.len() == 1 {
+                self.out.push(self.sink, &self.tuple, w);
+            } else {
+                self.emit_product(&nodes[1..], &lists[1..], w);
+            }
+        }
+    }
+
+    /// Probe one non-cover subatom for the current binding: build the key
+    /// from the bound tuple slots, look it up, and either fold the weight
+    /// (final level) or descend `current` (saving the old position in
+    /// `mine.saved`). Returns `false` on a miss.
+    #[inline(always)]
+    fn probe_one_subatom(
+        &mut self,
+        node_idx: usize,
+        sub: &CompiledSubatom,
+        mine: &mut NodeScratch<'t>,
+        local_weight: &mut u64,
+    ) -> bool {
+        self.counters.probes += 1;
+        let tuple = &self.tuple;
+        let trie = &self.tries[sub.input];
+        let found =
+            probe_subatom(trie, self.current[sub.input], sub, &mut mine.spill_key, |s| tuple[s]);
+        self.counters.profile.add_probe(node_idx, found.is_some());
+        match found {
+            Some(Found::Rows(rows)) => *local_weight = local_weight.saturating_mul(rows),
+            Some(Found::Child(child)) => {
+                let old = std::mem::replace(&mut self.current[sub.input], child);
+                mine.saved.push((sub.input, old));
+            }
+            None => return false,
+        }
+        self.counters.probe_hits += 1;
+        true
+    }
+
+    /// The cover loop's per-entry step without batching: bind the key, probe
+    /// the other subatoms, and recurse into the next node for matches.
+    fn process_cover_entry(
+        &mut self,
+        node_idx: usize,
+        cover_idx: usize,
+        weight: u64,
+        key: &[Value],
+        child: Option<NodeRef<'t>>,
+        scratch: &mut [NodeScratch<'t>],
+    ) {
+        let (tries, plan) = (self.tries, self.plan);
+        let node = &plan.nodes[node_idx];
+        let cover = &node.subatoms[cover_idx];
+        if !apply_iter_actions(&cover.iter_actions, key, &mut self.tuple) {
+            return;
+        }
+        let (mine, rest) = scratch.split_first_mut().expect("every node has its scratch");
+        let mut local_weight = weight;
+        mine.saved.clear();
+
+        // The cover's own continuation.
+        if cover.final_for_input {
+            if let Some(c) = child {
+                local_weight = local_weight.saturating_mul(tries[cover.input].tuple_count(c));
+            }
         } else {
-            emit_product(inner, gathered, 0, tuple, w, sink, counters, out);
+            let c = child.expect("non-final cover level is forced into a map");
+            let old = std::mem::replace(&mut self.current[cover.input], c);
+            mine.saved.push((cover.input, old));
         }
+
+        // Probe the other subatoms, building each key in place from the
+        // tuple slots — in plan order on the static path, smallest current
+        // bound first under adaptive execution (one mask check decides; with
+        // two subatoms there is a single probe and nothing to reorder).
+        let all_matched = if self.adaptive && node.reorderable && node.subatoms.len() > 2 {
+            if order_probes(node, cover_idx, &self.current, &mut mine.probe_order) {
+                self.counters.reorders += 1;
+                if let Some(tb) = self.counters.traces.last_mut() {
+                    tb.instant(TraceCat::Reorder, node_idx as u32, 1, &[]);
+                }
+            }
+            (0..node.subatoms.len() - 1).all(|t| {
+                let sub = &node.subatoms[mine.probe_order[t]];
+                self.probe_one_subatom(node_idx, sub, mine, &mut local_weight)
+            })
+        } else {
+            node.subatoms.iter().enumerate().all(|(j, sub)| {
+                j == cover_idx || self.probe_one_subatom(node_idx, sub, mine, &mut local_weight)
+            })
+        };
+
+        if all_matched && local_weight > 0 {
+            self.counters.profile.add_output_rows(node_idx, local_weight);
+            self.run_node(node_idx + 1, local_weight, rest);
+        }
+        for (input, old) in mine.saved.drain(..) {
+            self.current[input] = old;
+        }
+    }
+
+    /// Buffer one iterated cover entry into the node's batch (the gather
+    /// half of Figure 13): evaluate checks, collect writes into the entry's
+    /// slice of the batch buffer rather than the shared tuple, and record
+    /// the cover's weight/child continuation. Entries failing a `Check` are
+    /// skipped.
+    fn buffer_cover_entry(
+        &self,
+        node: &CompiledNode,
+        cover_idx: usize,
+        weight: u64,
+        key: &[Value],
+        child: Option<NodeRef<'t>>,
+        mine: &mut NodeScratch<'t>,
+    ) {
+        let cover = &node.subatoms[cover_idx];
+        let new_slots = node.bound_after - node.bound_before;
+        let stride = node.subatoms.len();
+        let e = mine.count;
+        for action in &cover.iter_actions {
+            match *action {
+                IterAction::Write { key_pos, slot } => {
+                    mine.writes[e * new_slots + (slot - node.bound_before)] = key[key_pos];
+                }
+                IterAction::Check { key_pos, slot } => {
+                    if self.tuple[slot] != key[key_pos] {
+                        return;
+                    }
+                }
+            }
+        }
+        mine.weights[e] = weight;
+        mine.alive[e] = true;
+        if cover.final_for_input {
+            if let Some(c) = child {
+                let rows = self.tries[cover.input].tuple_count(c);
+                mine.weights[e] = mine.weights[e].saturating_mul(rows);
+            }
+        } else {
+            let c = child.expect("non-final cover level is forced into a map");
+            mine.children[e * stride + cover_idx] = Some(c);
+        }
+        mine.count += 1;
+    }
+
+    /// Probe every non-cover subatom across the buffered batch, then recurse
+    /// for the surviving entries (the body of Figure 13).
+    fn flush_batch(&mut self, node_idx: usize, cover_idx: usize, scratch: &mut [NodeScratch<'t>]) {
+        let (mine, rest) = scratch.split_first_mut().expect("every node has its scratch");
+        if mine.count == 0 {
+            return;
+        }
+        if self.counters.check_cancel() {
+            // Abandon the buffered batch; the entries are dead (the query's
+            // partial output is discarded) and resetting keeps the scratch
+            // reusable.
+            mine.count = 0;
+            return;
+        }
+        let (tries, plan) = (self.tries, self.plan);
+        let node = &plan.nodes[node_idx];
+        let new_slots = node.bound_after - node.bound_before;
+        let stride = node.subatoms.len();
+
+        // Probe phase: one pass over the batch per probed relation, giving
+        // the temporal locality the paper's vectorization targets. Each
+        // entry's key is built in place from the already-bound tuple slots
+        // and the batch's write buffer. The probed inputs' trie positions
+        // are fixed across the batch (only the cover varies per entry), so
+        // under adaptive execution the passes run smallest current bound
+        // first — one O(#subatoms) ranking per flush, amortized over up to
+        // `batch_size` probes, and every entry sees the same per-binding
+        // order the per-entry step would use.
+        {
+            let NodeScratch {
+                spill_key, writes, weights, alive, children, count, probe_order, ..
+            } = &mut *mine;
+            if self.adaptive && node.reorderable && node.subatoms.len() > 2 {
+                if order_probes(node, cover_idx, &self.current, probe_order) {
+                    self.counters.reorders += *count as u64;
+                    if let Some(tb) = self.counters.traces.last_mut() {
+                        tb.instant(TraceCat::Reorder, node_idx as u32, *count as u64, &[]);
+                    }
+                }
+            } else {
+                probe_order.clear();
+                probe_order.extend((0..node.subatoms.len()).filter(|&j| j != cover_idx));
+            }
+            let tuple = &self.tuple;
+            for &j in probe_order.iter() {
+                let sub = &node.subatoms[j];
+                let trie = &tries[sub.input];
+                let base = self.current[sub.input];
+                for e in 0..*count {
+                    if !alive[e] {
+                        continue;
+                    }
+                    let read = |s: usize| {
+                        if s < node.bound_before {
+                            tuple[s]
+                        } else {
+                            writes[e * new_slots + (s - node.bound_before)]
+                        }
+                    };
+                    self.counters.probes += 1;
+                    let found = probe_subatom(trie, base, sub, spill_key, read);
+                    self.counters.profile.add_probe(node_idx, found.is_some());
+                    match found {
+                        Some(Found::Rows(rows)) => weights[e] = weights[e].saturating_mul(rows),
+                        Some(Found::Child(child)) => children[e * stride + j] = Some(child),
+                        None => {
+                            alive[e] = false;
+                            continue;
+                        }
+                    }
+                    self.counters.probe_hits += 1;
+                }
+            }
+        }
+
+        // Recurse for the survivors.
+        for e in 0..mine.count {
+            if !mine.alive[e] || mine.weights[e] == 0 {
+                continue;
+            }
+            self.tuple[node.bound_before..node.bound_after]
+                .copy_from_slice(&mine.writes[e * new_slots..(e + 1) * new_slots]);
+            mine.saved.clear();
+            // A survivor descended every non-final subatom in this batch, so
+            // those slots are fresh; slots of dead entries may hold stale
+            // handles, which are never read.
+            for (j, sub) in node.subatoms.iter().enumerate().filter(|(_, s)| !s.final_for_input) {
+                let child = mine.children[e * stride + j].expect("survivors descend every level");
+                let old = std::mem::replace(&mut self.current[sub.input], child);
+                mine.saved.push((sub.input, old));
+            }
+            self.counters.profile.add_output_rows(node_idx, mine.weights[e]);
+            self.run_node(node_idx + 1, mine.weights[e], rest);
+            for (input, old) in mine.saved.drain(..) {
+                self.current[input] = old;
+            }
+        }
+        mine.count = 0;
+    }
+}
+
+/// Write the values an independent-tail cover binds into `dest`, the
+/// node's window of new slots.
+fn bind_new_slots(node: &CompiledNode, key: &[Value], dest: &mut [Value]) {
+    for action in &node.subatoms[0].iter_actions {
+        let IterAction::Write { key_pos, slot } = *action else {
+            unreachable!("independent-tail covers bind only new variables");
+        };
+        dest[slot - node.bound_before] = key[key_pos];
+    }
+}
+
+/// Append one independent-tail node's expansion list at the current trie
+/// positions to flat `(values, weight)` columns.
+fn gather_list(
+    tries: &[Arc<InputTrie>],
+    node: &CompiledNode,
+    current: &[NodeRef<'_>],
+    writes: &mut Vec<Value>,
+    weights: &mut Vec<u64>,
+) {
+    let sub = &node.subatoms[0];
+    let trie = &tries[sub.input];
+    let stride = node.bound_after - node.bound_before;
+    trie.for_each(current[sub.input], sub.level, |key, child| {
+        let base = writes.len();
+        writes.resize(base + stride, Value::Null);
+        bind_new_slots(node, key, &mut writes[base..]);
+        weights.push(child.map_or(1, |c| trie.tuple_count(c)));
     });
-    profile_tail_rows(&mut counters.profile, node_idx, first_sum, gathered);
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.end(TraceCat::Node, node_idx as u32, first_sum);
-    }
-    if let Some(t0) = t0 {
-        counters.profile.add_wall(node_idx, t0.elapsed());
-    }
 }
 
 /// Attribute an independent tail's output rows to its nodes arithmetically:
@@ -1184,139 +1344,6 @@ fn profile_tail_rows(
     }
 }
 
-/// Gather every inner tail node's expansion list into its scratch slot
-/// (`scratch[0]` belongs to the tail's first node) as flat `(values, weight)`
-/// columns. Returns `false` when some factor is empty — the whole product is
-/// then empty and the caller must emit nothing.
-fn gather_tail_lists<'t>(
-    tries: &'t [Arc<InputTrie>],
-    inner: &[CompiledNode],
-    current: &[NodeRef<'t>],
-    scratch: &mut [NodeScratch<'t>],
-) -> bool {
-    for (j, node) in inner.iter().enumerate() {
-        let sub = &node.subatoms[0];
-        let trie = &tries[sub.input];
-        let node_cur = current[sub.input];
-        let stride = node.bound_after - node.bound_before;
-        let s = &mut scratch[1 + j];
-        s.writes.clear();
-        s.weights.clear();
-        trie.for_each(node_cur, sub.level, |key, child| {
-            let base = s.writes.len();
-            s.writes.resize(base + stride, Value::Null);
-            for action in &sub.iter_actions {
-                let IterAction::Write { key_pos, slot } = *action else {
-                    unreachable!("independent-tail covers bind only new variables");
-                };
-                s.writes[base + (slot - node.bound_before)] = key[key_pos];
-            }
-            s.weights.push(child.map_or(1, |c| trie.tuple_count(c)));
-        });
-        if s.weights.is_empty() {
-            return false;
-        }
-    }
-    true
-}
-
-/// Execute one tail sub-range task: re-gather the inner lists (cheap — one
-/// trie walk per inner node, against a product-sized emission) and emit this
-/// task's slice of the first expansion list against the full inner product.
-/// Emission order within the slice matches the unsplit stream, so
-/// path-key-ordered sinks concatenate to the unsplit emission order.
-#[allow(clippy::too_many_arguments)]
-fn run_tail_range<'t>(
-    tries: &'t [Arc<InputTrie>],
-    plan: &CompiledPlan,
-    node_idx: usize,
-    tuple: &mut Vec<Value>,
-    current: &[NodeRef<'t>],
-    weight: u64,
-    writes: &[Value],
-    weights: &[u64],
-    lo: usize,
-    hi: usize,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch<'t>],
-    out: &mut ChunkBuffer,
-) {
-    let inner = &plan.nodes[node_idx + 1..];
-    if !gather_tail_lists(tries, inner, current, scratch) {
-        return;
-    }
-    let node = &plan.nodes[node_idx];
-    let stride = node.bound_after - node.bound_before;
-    let t0 = counters.profile.is_enabled().then(Instant::now);
-    let gathered = &scratch[1..1 + inner.len()];
-    let inner_count: u64 =
-        gathered.iter().fold(1u64, |acc, s| acc.saturating_mul(s.weights.len() as u64));
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.begin(TraceCat::Node, node_idx as u32, inner_count, &[]);
-    }
-    let mut first_sum: u64 = 0;
-    for i in lo..hi {
-        if counters.check_cancel() {
-            break;
-        }
-        counters.expansions += inner_count.max(1);
-        counters.profile.add_expansions(node_idx, inner_count.max(1));
-        tuple[node.bound_before..node.bound_after]
-            .copy_from_slice(&writes[i * stride..(i + 1) * stride]);
-        let w = weight.saturating_mul(weights[i]);
-        first_sum = first_sum.saturating_add(w);
-        if inner.is_empty() {
-            out.push(sink, tuple, w);
-        } else {
-            emit_product(inner, gathered, 0, tuple, w, sink, counters, out);
-        }
-    }
-    profile_tail_rows(&mut counters.profile, node_idx, first_sum, gathered);
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.end(TraceCat::Node, node_idx as u32, first_sum);
-    }
-    if let Some(t0) = t0 {
-        counters.profile.add_wall(node_idx, t0.elapsed());
-    }
-}
-
-/// Emit the Cartesian product of gathered tail lists, depth-first in list
-/// order (the recursion order of the plan walk this replaces). Each level
-/// copies its entry's values into the tuple's slots and multiplies its
-/// weight; the innermost level appends to the chunk buffer. A single product
-/// can dominate a query's output, so every level's loop is a cancellation
-/// boundary (one cached check per product row once a trip is observed).
-#[allow(clippy::too_many_arguments)]
-fn emit_product(
-    nodes: &[CompiledNode],
-    lists: &[NodeScratch],
-    depth: usize,
-    tuple: &mut Vec<Value>,
-    weight: u64,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    out: &mut ChunkBuffer,
-) {
-    let node = &nodes[depth];
-    let list = &lists[depth];
-    let stride = node.bound_after - node.bound_before;
-    let last = depth + 1 == nodes.len();
-    for (i, &entry_weight) in list.weights.iter().enumerate() {
-        if counters.check_cancel() {
-            return;
-        }
-        tuple[node.bound_before..node.bound_after]
-            .copy_from_slice(&list.writes[i * stride..(i + 1) * stride]);
-        let w = weight.saturating_mul(entry_weight);
-        if last {
-            out.push(sink, tuple, w);
-        } else {
-            emit_product(nodes, lists, depth + 1, tuple, w, sink, counters, out);
-        }
-    }
-}
-
 /// Fill `order` with the node's non-cover subatom indices ranked for
 /// adaptive probing: ascending by the construction-fixed key bound of each
 /// subatom's current trie position, stable so the plan order breaks ties.
@@ -1324,50 +1351,16 @@ fn emit_product(
 /// `reorders` per binding it applies the order to). O(1) per candidate —
 /// `key_bound` is fixed at trie construction, which is also what makes the
 /// ranking identical at any thread count or steal schedule.
-fn order_probes<'t>(
+fn order_probes(
     node: &CompiledNode,
     cover_idx: usize,
-    current: &[NodeRef<'t>],
+    current: &[NodeRef<'_>],
     order: &mut Vec<usize>,
 ) -> bool {
     order.clear();
     order.extend((0..node.subatoms.len()).filter(|&j| j != cover_idx));
     order.sort_by_key(|&j| current[node.subatoms[j].input].key_bound());
     order.windows(2).any(|w| w[0] > w[1])
-}
-
-/// Probe one non-cover subatom for the current binding: build the key from
-/// the bound tuple slots, look it up, and either fold the weight (final
-/// level) or descend `current` (saving the old position in `mine.saved`).
-/// Returns `false` on a miss. Shared by the static and adaptive scalar
-/// probe loops of [`process_cover_entry`].
-#[allow(clippy::too_many_arguments)]
-#[inline(always)]
-fn probe_one_subatom<'t>(
-    tries: &'t [Arc<InputTrie>],
-    node_idx: usize,
-    sub: &CompiledSubatom,
-    tuple: &[Value],
-    current: &mut [NodeRef<'t>],
-    mine: &mut NodeScratch<'t>,
-    local_weight: &mut u64,
-    counters: &mut ExecCounters,
-) -> bool {
-    counters.probes += 1;
-    let found =
-        probe_subatom(&tries[sub.input], current[sub.input], sub, &mut mine.spill_key, |s| {
-            tuple[s]
-        });
-    counters.profile.add_probe(node_idx, found.is_some());
-    match found {
-        Some(Found::Rows(rows)) => *local_weight = local_weight.saturating_mul(rows),
-        Some(Found::Child(child)) => {
-            mine.saved.push((sub.input, std::mem::replace(&mut current[sub.input], child)));
-        }
-        None => return false,
-    }
-    counters.probe_hits += 1;
-    true
 }
 
 /// Apply the cover's iteration actions to the tuple buffer. Returns `false`
@@ -1387,408 +1380,17 @@ fn apply_iter_actions(actions: &[IterAction], key: &[Value], tuple: &mut [Value]
     true
 }
 
-/// Process one iterated cover entry of a node: bind the key, probe the other
-/// subatoms, and recurse into the next node for matches. This is the body of
-/// the scalar cover loop, shared between the serial path (driven by
-/// [`InputTrie::for_each`]) and the parallel path (driven by the range items
-/// of scheduler tasks).
-#[allow(clippy::too_many_arguments)]
-fn process_cover_entry<'t>(
-    tries: &'t [Arc<InputTrie>],
-    plan: &CompiledPlan,
-    options: &FreeJoinOptions,
-    node_idx: usize,
-    cover_idx: usize,
-    key: &[Value],
-    child: Option<NodeRef<'t>>,
-    tuple: &mut Vec<Value>,
-    current: &mut Vec<NodeRef<'t>>,
-    weight: u64,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch<'t>],
-    out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter<'t>,
-) {
-    // The serial path's per-cover-entry cancellation boundary: a fired token
-    // turns every remaining `for_each` callback into this one test.
-    if counters.check_cancel() {
-        return;
-    }
-    let node = &plan.nodes[node_idx];
-    let cover = &node.subatoms[cover_idx];
-    let cover_trie = &tries[cover.input];
-    counters.expansions += 1;
-    counters.profile.add_expansions(node_idx, 1);
-    if !apply_iter_actions(&cover.iter_actions, key, tuple) {
-        return;
-    }
-    let (mine, rest) = scratch.split_at_mut(1);
-    let mine = &mut mine[0];
-    let mut local_weight = weight;
-    mine.saved.clear();
-
-    // The cover's own continuation.
-    if cover.final_for_input {
-        if let Some(c) = child {
-            local_weight = local_weight.saturating_mul(cover_trie.tuple_count(c));
-        }
-    } else {
-        let c = child.expect("non-final cover level is forced into a map");
-        mine.saved.push((cover.input, std::mem::replace(&mut current[cover.input], c)));
-    }
-
-    // Probe the other subatoms, building each key in place from the tuple
-    // slots — in plan order on the static path, smallest current bound first
-    // under adaptive execution (one mask check decides; with two subatoms
-    // there is a single probe and nothing to reorder).
-    let mut all_matched = true;
-    if options.adaptive && node.reorderable && node.subatoms.len() > 2 {
-        if order_probes(node, cover_idx, current, &mut mine.probe_order) {
-            counters.reorders += 1;
-            if let Some(tb) = counters.traces.last_mut() {
-                tb.instant(TraceCat::Reorder, node_idx as u32, 1, &[]);
-            }
-        }
-        for t in 0..node.subatoms.len() - 1 {
-            let j = mine.probe_order[t];
-            if !probe_one_subatom(
-                tries,
-                node_idx,
-                &node.subatoms[j],
-                tuple,
-                current,
-                mine,
-                &mut local_weight,
-                counters,
-            ) {
-                all_matched = false;
-                break;
-            }
-        }
-    } else {
-        for (j, sub) in node.subatoms.iter().enumerate() {
-            if j == cover_idx {
-                continue;
-            }
-            if !probe_one_subatom(
-                tries,
-                node_idx,
-                sub,
-                tuple,
-                current,
-                mine,
-                &mut local_weight,
-                counters,
-            ) {
-                all_matched = false;
-                break;
-            }
-        }
-    }
-
-    if all_matched && local_weight > 0 {
-        counters.profile.add_output_rows(node_idx, local_weight);
-        run_node(
-            tries,
-            plan,
-            options,
-            node_idx + 1,
-            tuple,
-            current,
-            local_weight,
-            sink,
-            counters,
-            rest,
-            out,
-            splitter,
-        );
-    }
-    for (input, old) in mine.saved.drain(..) {
-        current[input] = old;
-    }
-}
-
-/// Tuple-at-a-time execution of one node (no vectorization).
-#[allow(clippy::too_many_arguments)]
-fn run_node_scalar<'t>(
-    tries: &'t [Arc<InputTrie>],
-    plan: &CompiledPlan,
-    options: &FreeJoinOptions,
-    node_idx: usize,
-    cover_idx: usize,
-    tuple: &mut Vec<Value>,
-    current: &mut Vec<NodeRef<'t>>,
-    weight: u64,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch<'t>],
-    out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter<'t>,
-) {
-    let node = &plan.nodes[node_idx];
-    let cover = &node.subatoms[cover_idx];
-    let cover_trie = &tries[cover.input];
-    let cover_node = current[cover.input];
-    let t0 = counters.profile.is_enabled().then(Instant::now);
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.begin(TraceCat::Node, node_idx as u32, 0, &[]);
-    }
-
-    cover_trie.for_each(cover_node, cover.level, |key, child| {
-        process_cover_entry(
-            tries, plan, options, node_idx, cover_idx, key, child, tuple, current, weight, sink,
-            counters, scratch, out, splitter,
-        );
-    });
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.end(TraceCat::Node, node_idx as u32, 0);
-    }
-    if let Some(t0) = t0 {
-        counters.profile.add_wall(node_idx, t0.elapsed());
-    }
-}
-
-/// Vectorized execution of one node (Figure 13): batch the cover iteration,
-/// run each probe across the whole batch, then recurse for the survivors.
-#[allow(clippy::too_many_arguments)]
-fn run_node_vectorized<'t>(
-    tries: &'t [Arc<InputTrie>],
-    plan: &CompiledPlan,
-    options: &FreeJoinOptions,
-    node_idx: usize,
-    cover_idx: usize,
-    tuple: &mut Vec<Value>,
-    current: &mut Vec<NodeRef<'t>>,
-    weight: u64,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    scratch: &mut [NodeScratch<'t>],
-    out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter<'t>,
-) {
-    let node = &plan.nodes[node_idx];
-    let cover = &node.subatoms[cover_idx];
-    let cover_trie = &tries[cover.input];
-    let cover_node = current[cover.input];
-    let batch_size = options.batch_size;
-    let t0 = counters.profile.is_enabled().then(Instant::now);
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.begin(TraceCat::Node, node_idx as u32, 0, &[]);
-    }
-
-    let (mine, rest) = scratch.split_at_mut(1);
-    let mine = &mut mine[0];
-    ensure_batch_buffers(mine, batch_size, node);
-    mine.count = 0;
-
-    cover_trie.for_each(cover_node, cover.level, |key, child| {
-        // Checked before buffering: once cancelled, flush_batch refuses to
-        // drain, so appending again would overrun the batch buffers.
-        if counters.check_cancel() {
-            return;
-        }
-        counters.expansions += 1;
-        counters.profile.add_expansions(node_idx, 1);
-        buffer_cover_entry(node, cover_idx, cover_trie, key, child, tuple, weight, mine);
-        if mine.count >= batch_size {
-            flush_batch(
-                tries, plan, options, node_idx, cover_idx, mine, rest, tuple, current, sink,
-                counters, out, splitter,
-            );
-        }
-    });
-    flush_batch(
-        tries, plan, options, node_idx, cover_idx, mine, rest, tuple, current, sink, counters, out,
-        splitter,
-    );
-    if let Some(tb) = counters.traces.last_mut() {
-        tb.end(TraceCat::Node, node_idx as u32, 0);
-    }
-    if let Some(t0) = t0 {
-        counters.profile.add_wall(node_idx, t0.elapsed());
-    }
-}
-
-/// Size a node's vectorization buffers for the configured batch size; a
-/// no-op once sized (the buffers are reused across invocations).
-fn ensure_batch_buffers(mine: &mut NodeScratch<'_>, batch_size: usize, node: &CompiledNode) {
+/// Size a node's vectorization buffers for `entries` buffered entries; a
+/// no-op once that large (the buffers are reused across invocations).
+fn ensure_batch_buffers(mine: &mut NodeScratch<'_>, entries: usize, node: &CompiledNode) {
     let new_slots = node.bound_after - node.bound_before;
     let stride = node.subatoms.len();
-    if mine.weights.len() < batch_size {
-        mine.writes.resize(batch_size * new_slots.max(1), Value::Null);
-        mine.weights.resize(batch_size, 0);
-        mine.alive.resize(batch_size, false);
-        mine.children.resize(batch_size * stride, None);
+    if mine.weights.len() < entries {
+        mine.writes.resize(entries * new_slots.max(1), Value::Null);
+        mine.weights.resize(entries, 0);
+        mine.alive.resize(entries, false);
+        mine.children.resize(entries * stride, None);
     }
-}
-
-/// Buffer one iterated cover entry into the vectorized batch (the gather
-/// half of Figure 13): evaluate checks, collect writes into the entry's
-/// slice of the batch buffer rather than the shared tuple, and record the
-/// cover's weight/child continuation. Entries failing a `Check` are skipped.
-/// Shared between the serial vectorized loop and the parallel task driver.
-#[allow(clippy::too_many_arguments)]
-fn buffer_cover_entry<'t>(
-    node: &CompiledNode,
-    cover_idx: usize,
-    cover_trie: &'t InputTrie,
-    key: &[Value],
-    child: Option<NodeRef<'t>>,
-    tuple: &[Value],
-    weight: u64,
-    mine: &mut NodeScratch<'t>,
-) {
-    let cover = &node.subatoms[cover_idx];
-    let new_slots = node.bound_after - node.bound_before;
-    let stride = node.subatoms.len();
-    let e = mine.count;
-    for action in &cover.iter_actions {
-        match *action {
-            IterAction::Write { key_pos, slot } => {
-                mine.writes[e * new_slots + (slot - node.bound_before)] = key[key_pos];
-            }
-            IterAction::Check { key_pos, slot } => {
-                if tuple[slot] != key[key_pos] {
-                    return;
-                }
-            }
-        }
-    }
-    mine.weights[e] = weight;
-    mine.alive[e] = true;
-    if cover.final_for_input {
-        if let Some(c) = child {
-            mine.weights[e] = mine.weights[e].saturating_mul(cover_trie.tuple_count(c));
-        }
-    } else {
-        let c = child.expect("non-final cover level is forced into a map");
-        mine.children[e * stride + cover_idx] = Some(c);
-    }
-    mine.count += 1;
-}
-
-/// Probe every non-cover subatom across the buffered batch, then recurse for
-/// the surviving entries (the body of Figure 13).
-#[allow(clippy::too_many_arguments)]
-fn flush_batch<'t>(
-    tries: &'t [Arc<InputTrie>],
-    plan: &CompiledPlan,
-    options: &FreeJoinOptions,
-    node_idx: usize,
-    cover_idx: usize,
-    mine: &mut NodeScratch<'t>,
-    rest: &mut [NodeScratch<'t>],
-    tuple: &mut Vec<Value>,
-    current: &mut Vec<NodeRef<'t>>,
-    sink: &mut dyn Sink,
-    counters: &mut ExecCounters,
-    out: &mut ChunkBuffer,
-    splitter: &mut dyn Splitter<'t>,
-) {
-    if mine.count == 0 {
-        return;
-    }
-    if counters.check_cancel() {
-        // Abandon the buffered batch; the entries are dead (the query's
-        // partial output is discarded) and resetting keeps the scratch
-        // reusable.
-        mine.count = 0;
-        return;
-    }
-    let node = &plan.nodes[node_idx];
-    let new_slots = node.bound_after - node.bound_before;
-    let stride = node.subatoms.len();
-
-    // Probe phase: one pass over the batch per probed relation, giving the
-    // temporal locality the paper's vectorization targets. Each entry's key
-    // is built in place from the already-bound tuple slots and the batch's
-    // write buffer. The probed inputs' trie positions are fixed across the
-    // batch (only the cover varies per entry), so under adaptive execution
-    // the passes run smallest current bound first — one O(#subatoms) ranking
-    // per flush, amortized over up to `batch_size` probes, and every entry
-    // sees the same per-binding order the scalar path would use.
-    {
-        let NodeScratch { spill_key, writes, weights, alive, children, count, probe_order, .. } =
-            &mut *mine;
-        if options.adaptive && node.reorderable && node.subatoms.len() > 2 {
-            if order_probes(node, cover_idx, current, probe_order) {
-                counters.reorders += *count as u64;
-                if let Some(tb) = counters.traces.last_mut() {
-                    tb.instant(TraceCat::Reorder, node_idx as u32, *count as u64, &[]);
-                }
-            }
-        } else {
-            probe_order.clear();
-            probe_order.extend((0..node.subatoms.len()).filter(|&j| j != cover_idx));
-        }
-        for &j in probe_order.iter() {
-            let sub = &node.subatoms[j];
-            let trie = &tries[sub.input];
-            let base = current[sub.input];
-            for e in 0..*count {
-                if !alive[e] {
-                    continue;
-                }
-                let read = |s: usize| {
-                    if s < node.bound_before {
-                        tuple[s]
-                    } else {
-                        writes[e * new_slots + (s - node.bound_before)]
-                    }
-                };
-                counters.probes += 1;
-                let found = probe_subatom(trie, base, sub, spill_key, read);
-                counters.profile.add_probe(node_idx, found.is_some());
-                match found {
-                    Some(Found::Rows(rows)) => weights[e] = weights[e].saturating_mul(rows),
-                    Some(Found::Child(child)) => children[e * stride + j] = Some(child),
-                    None => {
-                        alive[e] = false;
-                        continue;
-                    }
-                }
-                counters.probe_hits += 1;
-            }
-        }
-    }
-
-    // Recurse for the survivors.
-    for e in 0..mine.count {
-        if !mine.alive[e] || mine.weights[e] == 0 {
-            continue;
-        }
-        for k in 0..new_slots {
-            tuple[node.bound_before + k] = mine.writes[e * new_slots + k];
-        }
-        mine.saved.clear();
-        // A survivor descended every non-final subatom in this batch, so
-        // those slots are fresh; slots of dead entries may hold stale
-        // handles, which are never read.
-        for (j, sub) in node.subatoms.iter().enumerate().filter(|(_, s)| !s.final_for_input) {
-            let child = mine.children[e * stride + j].expect("survivors descend every level");
-            mine.saved.push((sub.input, std::mem::replace(&mut current[sub.input], child)));
-        }
-        counters.profile.add_output_rows(node_idx, mine.weights[e]);
-        run_node(
-            tries,
-            plan,
-            options,
-            node_idx + 1,
-            tuple,
-            current,
-            mine.weights[e],
-            sink,
-            counters,
-            rest,
-            out,
-            splitter,
-        );
-        for (input, old) in mine.saved.drain(..) {
-            current[input] = old;
-        }
-    }
-    mine.count = 0;
 }
 
 #[cfg(test)]
@@ -1840,12 +1442,15 @@ mod tests {
         prepare_inputs(cat, &q).unwrap().atoms
     }
 
-    fn run(
+    /// Compile `plan` over `inputs`, build the tries and run the pipeline at
+    /// `threads` into counting/aggregating sinks, one per task.
+    fn run_sinks(
         inputs: &[BoundInput],
         plan: &fj_plan::FreeJoinPlan,
         options: &FreeJoinOptions,
         aggregate: Aggregate,
-    ) -> (u64, ExecCounters) {
+        threads: usize,
+    ) -> (Vec<OutputSink>, ExecCounters) {
         let input_vars: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
         let compiled = compile(plan, &input_vars).unwrap();
         let tries: Vec<Arc<InputTrie>> = inputs
@@ -1855,13 +1460,19 @@ mod tests {
             .collect();
         let builder =
             OutputBuilder::new(&compiled.binding_order, aggregate, &compiled.binding_order);
-        let mut sink = OutputSink::new(builder);
-        let counters = execute_pipeline(&tries, &compiled, options, &mut sink);
-        (sink.finish().cardinality(), counters)
+        execute_pipeline(
+            &tries,
+            &compiled,
+            options,
+            threads,
+            || OutputSink::new(builder.clone()),
+            &CancelToken::disabled(),
+            Instruments::default(),
+        )
     }
 
-    /// Like [`run`], but through the work-stealing parallel driver with
-    /// per-task sinks merged in path-key order.
+    /// [`run_sinks`] with the sinks merged in the order they came back
+    /// (task-tree order): the result's cardinality and the counters.
     fn run_parallel(
         inputs: &[BoundInput],
         plan: &fj_plan::FreeJoinPlan,
@@ -1869,24 +1480,43 @@ mod tests {
         aggregate: Aggregate,
         num_threads: usize,
     ) -> (u64, ExecCounters) {
-        let input_vars: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
-        let compiled = compile(plan, &input_vars).unwrap();
-        let tries: Vec<Arc<InputTrie>> = inputs
-            .iter()
-            .zip(&compiled.schemas)
-            .map(|(input, schema)| Arc::new(InputTrie::build(input, schema.clone(), options.trie)))
-            .collect();
-        let builder =
-            OutputBuilder::new(&compiled.binding_order, aggregate, &compiled.binding_order);
-        let (sinks, counters) =
-            execute_pipeline_parallel(&tries, &compiled, options, num_threads, || {
-                OutputSink::new(builder.clone())
-            });
-        let mut merged = OutputSink::new(builder);
-        for sink in sinks {
+        let (sinks, counters) = run_sinks(inputs, plan, options, aggregate, num_threads);
+        let merged = sinks.into_iter().reduce(|mut merged, sink| {
             merged.merge(sink);
+            merged
+        });
+        // Tasks that produced nothing return no sink.
+        (merged.map_or(0, |sink| sink.finish().cardinality()), counters)
+    }
+
+    /// On the calling thread.
+    fn run(
+        inputs: &[BoundInput],
+        plan: &fj_plan::FreeJoinPlan,
+        options: &FreeJoinOptions,
+        aggregate: Aggregate,
+    ) -> (u64, ExecCounters) {
+        run_parallel(inputs, plan, options, aggregate, 1)
+    }
+
+    /// One thread is the same root call without a scheduler: one sink comes
+    /// back and no task was ever created, however low the split threshold.
+    #[test]
+    fn one_thread_runs_into_one_sink_without_a_scheduler() {
+        let cat = clover_catalog(40);
+        let inputs = clover_inputs(&cat);
+        let iv: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
+        let mut plan = binary2fj(&iv);
+        factor(&mut plan);
+        let options = FreeJoinOptions::default().with_split_threshold(2);
+        for threads in [0, 1] {
+            let (sinks, counters) = run_sinks(&inputs, &plan, &options, Aggregate::Count, threads);
+            assert_eq!(sinks.len(), 1, "threads {threads}");
+            assert_eq!((counters.tasks_spawned, counters.tasks_stolen), (0, 0));
+            assert!(counters.worker_expansions.is_empty());
         }
-        (merged.finish().cardinality(), counters)
+        let (sinks, counters) = run_sinks(&inputs, &plan, &options, Aggregate::Count, 2);
+        assert!(counters.tasks_spawned > 0 && !sinks.is_empty());
     }
 
     /// The clover instance has exactly one result: (x0, a0, b0, c0).
@@ -2156,9 +1786,16 @@ mod tests {
             .zip(&compiled.schemas)
             .map(|(input, schema)| Arc::new(InputTrie::build(input, schema.clone(), options.trie)))
             .collect();
-        let mut sink = MaterializeSink::new();
-        execute_pipeline(&tries, &compiled, &options, &mut sink);
-        let rows = sink.into_rows();
+        let (mut sinks, _) = execute_pipeline(
+            &tries,
+            &compiled,
+            &options,
+            1,
+            MaterializeSink::new,
+            &CancelToken::disabled(),
+            Instruments::default(),
+        );
+        let rows = sinks.pop().expect("one thread, one sink").into_rows();
         assert_eq!(rows.len(), 1);
         // Binding order is x, a, b, c.
         assert_eq!(

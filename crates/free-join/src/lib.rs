@@ -25,12 +25,16 @@
 //!
 //! Execution is **work-stealing parallel** by default
 //! ([`FreeJoinOptions::num_threads`] `= 0` uses the machine's available
-//! parallelism; `1` selects the exact legacy serial path): the trie layer is
-//! `Send + Sync` with race-free lazy forcing, the root cover iteration seeds
-//! a shared task injector, oversized expansions anywhere in the plan re-split
-//! into stealable sub-tasks, and per-task sinks merge deterministically in
-//! path-key order — see [`exec::execute_pipeline_parallel`] and the module
-//! docs of [`trie`].
+//! parallelism; `1` runs the same plan walk on the calling thread, without a
+//! scheduler): the trie layer is `Send + Sync` with race-free lazy forcing,
+//! the root cover iteration seeds a shared task injector, oversized
+//! expansions anywhere in the plan re-split into stealable sub-tasks, and
+//! per-task sinks merge deterministically in path-key order — see
+//! [`exec::execute_pipeline`], the executor's one entry point, and the
+//! module docs of [`trie`]. Repeated queries go through a [`Session`]:
+//! [`Prepared::execute`] takes an [`ExecRequest`] (filter overrides, a
+//! cancel token, and whether to collect a profile or a trace) and returns
+//! an [`ExecReport`].
 //!
 //! ```
 //! use fj_plan::{optimize, CatalogStats, OptimizerOptions};
@@ -76,10 +80,7 @@ pub use cancel::CancelToken;
 pub use compile::{compile_query, CompiledQuery};
 pub use engine::FreeJoinEngine;
 pub use error::{EngineError, EngineResult};
-pub use exec::{
-    execute_pipeline, execute_pipeline_cancellable, execute_pipeline_parallel,
-    execute_pipeline_parallel_cancellable, ExecCounters,
-};
+pub use exec::{execute_pipeline, ExecCounters, Instruments};
 pub use fj_obs::{
     NodeProfile, PipelineProfile, ProfileSheet, QueryProfile, QueryTrace, TraceBuf, TraceCat,
     TraceEvent, TraceKind,
@@ -87,7 +88,9 @@ pub use fj_obs::{
 pub use fj_query::CancelReason;
 pub use options::{FreeJoinOptions, TrieStrategy};
 pub use prep::{prepare_inputs, BoundInput};
-pub use session::{EngineCaches, Params, Prepared, Session, SessionCacheStats};
+pub use session::{
+    EngineCaches, ExecReport, ExecRequest, Params, Prepared, Session, SessionCacheStats,
+};
 pub use sink::{ChunkBuffer, MaterializeSink, OutputSink, Sink};
 pub use trie::InputTrie;
 

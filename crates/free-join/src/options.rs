@@ -68,30 +68,20 @@ pub struct FreeJoinOptions {
     pub factor_to_fixpoint: bool,
     /// Number of worker threads for morsel-driven parallel execution.
     /// `0` (the default) uses the machine's available parallelism; `1` runs
-    /// the exact legacy single-threaded algorithm. Any value > 1 runs the
-    /// work-stealing scheduler: the first plan node's cover iteration seeds
-    /// a shared injector, and expansions anywhere in the plan that exceed
-    /// `split_threshold` are re-split into stealable sub-range tasks (see
-    /// `exec::execute_pipeline_parallel`).
+    /// the plan on the calling thread (no scheduler, no spawned thread). Any
+    /// value > 1 runs the work-stealing scheduler: the first plan node's
+    /// cover iteration seeds a shared injector, and expansions anywhere in
+    /// the plan that reach `split_threshold` are re-split into stealable
+    /// sub-range tasks (see `exec::execute_pipeline`).
     pub num_threads: usize,
-    /// Allow workers to re-split large expansions *inside* the plan into
-    /// sub-range tasks that idle workers steal. Off, parallelism stops at
-    /// the root work list (the pre-stealing behaviour) — an escape hatch,
-    /// since stealing changes neither results nor their merged order.
-    pub steal: bool,
     /// An expansion (or independent-tail product) with at least this many
-    /// entries is split into stealable sub-range tasks when `steal` is on.
+    /// entries is split into sub-range tasks that idle workers steal (above
+    /// one thread; splitting changes neither results nor their merged order).
     /// The size is read in O(1) from the trie level-map (`estimated_keys`).
     /// Minimum 2 (a single entry cannot be split); the default of 1024
     /// keeps task overhead negligible on uniform workloads while still
     /// breaking up skewed subtrees.
     pub split_threshold: usize,
-    /// Collect a per-plan-node profile (expansions, probes, output rows,
-    /// coarse wall time) during execution. Off by default: the disabled
-    /// state allocates nothing and adds only a branch per bump site to the
-    /// hot path. Enabled runs stay within a few percent of unprofiled wall
-    /// time (the bench suite's `profile_overhead_pct` column pins this).
-    pub profile: bool,
     /// Adaptive cardinality-guided execution: at every plan node with at
     /// least two remaining subatoms, pick the next subatom to expand by its
     /// O(1) construction-fixed trie bound ([`crate::trie::NodeRef::key_bound`])
@@ -102,16 +92,8 @@ pub struct FreeJoinOptions {
     /// fallback for non-reorderable nodes. Decisions depend only on trie
     /// sizes fixed at construction, so results are identical to the static
     /// order at any thread count or steal schedule. Off by default: the
-    /// static path stays exact-legacy, guarded by one precomputed per-node
-    /// mask check.
+    /// static order runs behind one precomputed per-node mask check.
     pub adaptive: bool,
-    /// Span tracing: record per-worker event rings (task/node spans, steal
-    /// and split instants, trie fetch/build spans) for assembly into a
-    /// `QueryTrace` with Chrome trace-event export. Off by default; the
-    /// disabled state allocates nothing and adds only a branch per emission
-    /// site, mirroring the `profile` gating discipline (the bench suite's
-    /// `trace_overhead_pct` column pins the off cost).
-    pub trace: bool,
     /// Per-query deadline in milliseconds; `0` (the default) disables it.
     /// When set, `Session`-level execution arms a [`crate::CancelToken`]
     /// whose deadline elapses this long after execution starts, and the
@@ -138,11 +120,8 @@ impl Default for FreeJoinOptions {
             optimize_plan: true,
             factor_to_fixpoint: false,
             num_threads: 0,
-            steal: true,
             split_threshold: 1024,
-            profile: false,
             adaptive: false,
-            trace: false,
             deadline_ms: 0,
             max_result_bytes: 0,
         }
@@ -162,11 +141,8 @@ impl FreeJoinOptions {
             optimize_plan: true,
             factor_to_fixpoint: true,
             num_threads: 1,
-            steal: true,
             split_threshold: 1024,
-            profile: false,
             adaptive: false,
-            trace: false,
             deadline_ms: 0,
             max_result_bytes: 0,
         }
@@ -210,13 +186,6 @@ impl FreeJoinOptions {
         self
     }
 
-    /// Builder-style setter for work stealing (splitting large expansions
-    /// inside the plan into stealable sub-range tasks).
-    pub fn with_steal(mut self, steal: bool) -> Self {
-        self.steal = steal;
-        self
-    }
-
     /// Builder-style setter for the split threshold (clamped to at least 2 —
     /// a single-entry expansion cannot be split).
     pub fn with_split_threshold(mut self, threshold: usize) -> Self {
@@ -224,23 +193,10 @@ impl FreeJoinOptions {
         self
     }
 
-    /// Builder-style setter for per-plan-node profiling.
-    pub fn with_profile(mut self, profile: bool) -> Self {
-        self.profile = profile;
-        self
-    }
-
     /// Builder-style setter for adaptive cardinality-guided execution
     /// (per-binding subatom reordering by deterministic trie bounds).
     pub fn with_adaptive(mut self, adaptive: bool) -> Self {
         self.adaptive = adaptive;
-        self
-    }
-
-    /// Builder-style setter for span tracing (per-worker event rings
-    /// assembled into a `QueryTrace`).
-    pub fn with_trace(mut self, trace: bool) -> Self {
-        self.trace = trace;
         self
     }
 
@@ -303,13 +259,9 @@ mod tests {
         assert!(o.vectorized());
         assert_eq!(o.num_threads, 0, "default is auto (available parallelism)");
         assert!(o.effective_threads() >= 1);
-        assert!(o.steal, "work stealing is on by default");
         assert_eq!(o.split_threshold, 1024);
-        assert!(!o.profile, "profiling is opt-in");
         assert!(!o.adaptive, "adaptive execution is opt-in");
         assert!(o.with_adaptive(true).adaptive);
-        assert!(!o.trace, "tracing is opt-in");
-        assert!(o.with_trace(true).trace);
         assert_eq!(o.deadline_ms, 0, "no deadline by default");
         assert_eq!(o.max_result_bytes, 0, "no memory budget by default");
         assert_eq!(o.with_deadline_ms(250).deadline_ms, 250);
@@ -324,7 +276,7 @@ mod tests {
         assert_eq!(serial.effective_threads(), 1);
         let four = FreeJoinOptions::default().with_num_threads(4);
         assert_eq!(four.effective_threads(), 4);
-        // The paper's Generic Join baseline is the legacy serial path.
+        // The paper's Generic Join baseline runs on one thread.
         assert_eq!(FreeJoinOptions::generic_join_baseline().effective_threads(), 1);
     }
 
@@ -345,8 +297,7 @@ mod tests {
         assert_eq!(o.trie, TrieStrategy::Slt);
         assert_eq!(o.batch_size, 1, "batch size is clamped to at least 1");
         assert!(!o.factorize_output);
-        let o = FreeJoinOptions::default().with_steal(false).with_split_threshold(0);
-        assert!(!o.steal);
+        let o = FreeJoinOptions::default().with_split_threshold(0);
         assert_eq!(o.split_threshold, 2, "split threshold is clamped to at least 2");
     }
 

@@ -42,7 +42,7 @@
 //! ```
 //! use fj_query::QueryBuilder;
 //! use fj_storage::{Catalog, RelationBuilder, Schema};
-//! use free_join::session::{EngineCaches, Session};
+//! use free_join::session::{EngineCaches, ExecRequest, Session};
 //! use std::sync::Arc;
 //!
 //! let mut catalog = Catalog::new();
@@ -60,16 +60,17 @@
 //!     .count()
 //!     .build();
 //! let prepared = session.prepare(&catalog, &query).unwrap();
-//! let (cold, _) = prepared.execute(&catalog).unwrap();
-//! let (warm, _) = prepared.execute(&catalog).unwrap(); // trie & plan cache hits
-//! assert_eq!(cold.cardinality(), warm.cardinality());
+//! let cold = prepared.execute(&catalog, &ExecRequest::default()).unwrap();
+//! let warm = prepared.execute(&catalog, &ExecRequest::default()).unwrap(); // trie & plan cache hits
+//! assert_eq!(cold.output.cardinality(), warm.output.cardinality());
 //! assert!(session.cache_stats().tries.hits > 0);
 //! ```
 
 use crate::cancel::CancelToken;
 use crate::compile::{compile_query, CompiledPipeline, CompiledQuery};
-use crate::engine::{cancelled, join_pipeline, PipelineResult};
+use crate::engine::{cancelled, join_pipeline, PipelineResult, PipelineRole};
 use crate::error::{EngineError, EngineResult};
+use crate::exec::Instruments;
 use crate::options::{FreeJoinOptions, TrieStrategy};
 use crate::prep::{bind_atom, record_var_types, BoundInput};
 use crate::trie::InputTrie;
@@ -294,7 +295,7 @@ impl EngineCaches {
     }
 
     /// Fold one execution's scheduler counters into the process totals
-    /// (called by [`Prepared::execute_with`] after every execution).
+    /// (called by [`Prepared::execute`] after every execution).
     pub fn record_sched(&self, tasks_spawned: u64, tasks_stolen: u64) {
         if tasks_spawned > 0 {
             self.sched_spawned.fetch_add(tasks_spawned, Ordering::Relaxed);
@@ -471,21 +472,24 @@ impl Session {
         catalog: &Catalog,
         query: &ConjunctiveQuery,
     ) -> EngineResult<(QueryOutput, ExecStats)> {
-        self.prepare(catalog, query)?.execute(catalog)
+        let report = self.prepare(catalog, query)?.execute(catalog, &ExecRequest::default())?;
+        Ok((report.output, report.stats))
     }
 
     /// `EXPLAIN ANALYZE`: execute the query with profiling on and render the
     /// plan tree annotated with the optimizer's estimated rows next to the
     /// actuals the executor measured, plus per-node probe hit rates and
-    /// coarse times. Returns the rendered report; use
-    /// [`Prepared::execute_profiled`] for the structured [`QueryProfile`].
+    /// coarse times. Returns the rendered report; ask [`Prepared::execute`]
+    /// for a profile to get the structured [`QueryProfile`].
     pub fn explain_analyze(
         &self,
         catalog: &Catalog,
         query: &ConjunctiveQuery,
     ) -> EngineResult<String> {
-        let prepared = self.prepare(catalog, query)?;
-        let (output, stats, profile) = prepared.execute_profiled(catalog, &Params::new())?;
+        let request = ExecRequest { profile: true, ..ExecRequest::default() };
+        let ExecReport { output, stats, profile, .. } =
+            self.prepare(catalog, query)?.execute(catalog, &request)?;
+        let profile = profile.expect("the request asked for a profile");
         let mut out = String::new();
         let _ = writeln!(out, "EXPLAIN ANALYZE {}", query.name);
         out.push_str(&profile.render());
@@ -503,32 +507,6 @@ impl Session {
         );
         Ok(out)
     }
-
-    /// Prepare and execute with span tracing on, returning the assembled
-    /// [`QueryTrace`]. On top of [`Prepared::execute_traced`], the trace
-    /// carries a plan-cache hit/miss instant for the prepare step (read from
-    /// the shared cache's counter delta — best-effort under concurrent
-    /// sessions, exact when this session is the only preparer).
-    pub fn trace_query(
-        &self,
-        catalog: &Catalog,
-        query: &ConjunctiveQuery,
-    ) -> EngineResult<(QueryOutput, ExecStats, QueryTrace)> {
-        let t_prep = trace_now_nanos();
-        let misses0 = self.caches.plans.stats().misses;
-        let prepared = self.prepare(catalog, query)?;
-        let missed = self.caches.plans.stats().misses > misses0;
-        let (output, stats, mut trace) = prepared.execute_traced(catalog, &Params::new())?;
-        // Attached after the executor's session ring so the span tree still
-        // starts from the query span (`span_tree` reads the first
-        // session-worker ring).
-        let mut prep = TraceBuf::with_capacity(4, SESSION_WORKER);
-        let cat = if missed { TraceCat::PlanMiss } else { TraceCat::PlanHit };
-        prep.begin_at(t_prep, cat, 0, prepared.fingerprint(), &[]);
-        prep.end(cat, 0, 0);
-        trace.attach(prep);
-        Ok((output, stats, trace))
-    }
 }
 
 /// Runtime parameters for one execution of a [`Prepared`] query: per-atom
@@ -542,7 +520,7 @@ pub struct Params {
 }
 
 impl Params {
-    /// No overrides (equivalent to [`Prepared::execute`]).
+    /// No overrides.
     pub fn new() -> Self {
         Self::default()
     }
@@ -579,12 +557,44 @@ pub struct Prepared {
     caches: Arc<EngineCaches>,
 }
 
-/// What a profiled execution hands back besides its output: one merged
-/// sheet per pipeline and the rendered derived filter conjuncts.
-#[derive(Default)]
-struct ProfileParts {
-    sheets: Vec<ProfileSheet>,
-    derived: Vec<String>,
+/// What one execution of a [`Prepared`] query is asked to do. The default
+/// is the plain serving request: no overrides, no caller token, no
+/// instruments.
+#[derive(Debug, Clone, Default)]
+pub struct ExecRequest {
+    /// Per-atom filter overrides (see [`Params`]).
+    pub params: Params,
+    /// An externally controlled [`CancelToken`] (the serving path's
+    /// per-request deadline and `Cancel` frames): polled at every
+    /// task/morsel/flush boundary inside the executor and at pipeline
+    /// boundaries; once it fires, the execution unwinds cooperatively and
+    /// returns [`fj_query::QueryError::Cancelled`] with the partial stats
+    /// gathered so far. Left disabled, the deadline / byte budget of the
+    /// session options apply (if any).
+    pub token: CancelToken,
+    /// Collect the per-node [`QueryProfile`] (actuals paired with the
+    /// optimizer's prepare-time estimates): the engine half of `EXPLAIN
+    /// ANALYZE` and of the server's slow-query log.
+    pub profile: bool,
+    /// Record the [`QueryTrace`]: the session's structural ring (query →
+    /// pipelines → trie fetch/build) plus one executor ring per worker,
+    /// each tagged with its pipeline. Render with [`QueryTrace::span_tree`]
+    /// (canonical, schedule-independent) or [`QueryTrace::to_chrome_json`]
+    /// (full timeline for Perfetto).
+    pub trace: bool,
+}
+
+/// What one execution of a [`Prepared`] query hands back.
+#[derive(Debug)]
+pub struct ExecReport {
+    /// The query's result.
+    pub output: QueryOutput,
+    /// Layer times and work counts of this execution.
+    pub stats: ExecStats,
+    /// The per-node profile, when [`ExecRequest::profile`] asked for it.
+    pub profile: Option<QueryProfile>,
+    /// The span trace, when [`ExecRequest::trace`] asked for it.
+    pub trace: Option<QueryTrace>,
 }
 
 /// Sessions and prepared queries cross worker threads in serving setups;
@@ -611,119 +621,30 @@ impl Prepared {
         self.plan.compiled.pipelines.len()
     }
 
-    /// Execute against the current catalog contents. Tries are fetched from
-    /// the shared cache keyed by each relation's *current* version, so a
-    /// catalog mutation after `prepare` transparently forces a rebuild —
-    /// results always reflect current data.
-    pub fn execute(&self, catalog: &Catalog) -> EngineResult<(QueryOutput, ExecStats)> {
-        self.execute_with(catalog, &Params::new())
-    }
-
-    /// Execute with per-atom filter overrides (see [`Params`]).
-    pub fn execute_with(
-        &self,
-        catalog: &Catalog,
-        params: &Params,
-    ) -> EngineResult<(QueryOutput, ExecStats)> {
-        self.execute_inner(catalog, params, &self.options, None, None, &CancelToken::disabled())
-    }
-
-    /// Execute under an externally controlled [`CancelToken`]: the serving
-    /// path's entry point. The token is polled at every task/morsel/flush
-    /// boundary inside the executor and at pipeline boundaries here; once it
-    /// fires, the execution unwinds cooperatively and returns
-    /// [`fj_query::QueryError::Cancelled`] with the partial stats gathered so
-    /// far. Passing a disabled token falls back to the deadline/budget
-    /// configured in the session options (if any), making this a strict
-    /// superset of [`Prepared::execute_with`].
-    pub fn execute_cancellable(
-        &self,
-        catalog: &Catalog,
-        params: &Params,
-        token: &CancelToken,
-    ) -> EngineResult<(QueryOutput, ExecStats)> {
-        self.execute_inner(catalog, params, &self.options, None, None, token)
-    }
-
-    /// Execute with profiling forced on, returning the per-node
-    /// [`QueryProfile`] (actuals paired with the optimizer's prepare-time
-    /// estimates) alongside the usual output and stats. This is the engine
-    /// half of `EXPLAIN ANALYZE` and of the server's slow-query log.
-    pub fn execute_profiled(
-        &self,
-        catalog: &Catalog,
-        params: &Params,
-    ) -> EngineResult<(QueryOutput, ExecStats, QueryProfile)> {
-        let options = self.options.with_profile(true);
-        let mut parts = ProfileParts::default();
-        let (output, stats) = self.execute_inner(
-            catalog,
-            params,
-            &options,
-            Some(&mut parts),
-            None,
-            &CancelToken::disabled(),
-        )?;
-        let profile = self.assemble_profile(parts);
-        // This run has per-node actuals: count the nodes that bust their
-        // prepare-time estimate (the same predicate behind the rendered `!`
-        // markers, so the counter reconciles with EXPLAIN ANALYZE output).
-        self.caches.record_exec(0, profile.estimate_busts());
-        Ok((output, stats, profile))
-    }
-
-    /// Execute with span tracing forced on, returning the assembled
-    /// [`QueryTrace`] — the session's structural ring (query → pipelines →
-    /// trie fetch/build) plus one executor ring per worker, each tagged with
-    /// its pipeline — alongside the usual output and stats. Render with
-    /// [`QueryTrace::span_tree`] (canonical, schedule-independent) or
-    /// [`QueryTrace::to_chrome_json`] (full timeline for Perfetto).
-    pub fn execute_traced(
-        &self,
-        catalog: &Catalog,
-        params: &Params,
-    ) -> EngineResult<(QueryOutput, ExecStats, QueryTrace)> {
-        self.execute_traced_cancellable(catalog, params, &CancelToken::disabled())
-    }
-
-    /// [`Prepared::execute_traced`] under an externally controlled
-    /// [`CancelToken`] — the serving path's traced entry point, so
-    /// per-request deadlines apply to traced executions too.
-    pub fn execute_traced_cancellable(
-        &self,
-        catalog: &Catalog,
-        params: &Params,
-        token: &CancelToken,
-    ) -> EngineResult<(QueryOutput, ExecStats, QueryTrace)> {
-        let options = self.options.with_trace(true);
-        let mut trace = QueryTrace::new();
-        let (output, stats) =
-            self.execute_inner(catalog, params, &options, None, Some(&mut trace), token)?;
-        Ok((output, stats, trace))
-    }
-
-    /// The shared execution path. When `profile` is `Some`, one merged
-    /// [`ProfileSheet`] per pipeline is pushed into it (in pipeline order)
-    /// next to the description of every derived filter conjunct; when
-    /// `None`, a disabled sheet is threaded through instead, which allocates
-    /// nothing — the `profile: false` serving path pays only a branch per
-    /// instrumentation site. `trace` follows the same discipline:
-    /// `None` (with `options.trace` unset) costs one branch per emission
-    /// site and never allocates; `Some` collects the session ring and every
-    /// per-worker executor ring into the given [`QueryTrace`].
-    fn execute_inner(
-        &self,
-        catalog: &Catalog,
-        params: &Params,
-        options: &FreeJoinOptions,
-        mut profile: Option<&mut ProfileParts>,
-        mut trace: Option<&mut QueryTrace>,
-        token: &CancelToken,
-    ) -> EngineResult<(QueryOutput, ExecStats)> {
+    /// Execute against the current catalog contents — the one way to run a
+    /// prepared query. Tries are fetched from the shared cache keyed by each
+    /// relation's *current* version, so a catalog mutation after `prepare`
+    /// transparently forces a rebuild: results always reflect current data.
+    ///
+    /// The request's instruments are request-scoped and cost nothing when
+    /// off: no sheet or ring is allocated and every instrumentation site is
+    /// one branch. On, one merged [`ProfileSheet`] per pipeline is paired
+    /// with the prepare-time estimates (next to the description of every
+    /// derived filter conjunct), and the session ring and every per-worker
+    /// executor ring are collected into one [`QueryTrace`].
+    pub fn execute(&self, catalog: &Catalog, request: &ExecRequest) -> EngineResult<ExecReport> {
+        let (options, params) = (&self.options, &request.params);
+        let instruments = Instruments { profile: request.profile, trace: request.trace };
+        let mut sheets: Vec<ProfileSheet> = Vec::new();
+        let mut trace = request.trace.then(QueryTrace::new);
         // An explicit caller token wins; otherwise arm one from the options'
         // deadline/budget (disabled when neither is configured, costing one
         // branch per check site).
-        let token = if token.is_disabled() { options.cancel_token() } else { token.clone() };
+        let token = if request.token.is_disabled() {
+            options.cancel_token()
+        } else {
+            request.token.clone()
+        };
         // The constants of this request follow their join variables before
         // anything is bound. Without overrides that is the rewrite `prepare`
         // made, unless a relation it read the schema of has been replaced.
@@ -735,9 +656,11 @@ impl Prepared {
             rederived = propagate_constants(&overridden, catalog);
             (rederived.query.as_ref(), &rederived.derived[..])
         };
-        if let Some(parts) = profile.as_deref_mut() {
-            parts.derived = derived.iter().map(|d| d.describe(query)).collect();
-        }
+        let derived: Vec<String> = if request.profile {
+            derived.iter().map(|d| d.describe(query)).collect()
+        } else {
+            Vec::new()
+        };
         // Re-validate against the *current* catalog: relations may have been
         // replaced (even with a different schema) since prepare, and the
         // serving path must surface that as a typed error, never a panic.
@@ -821,26 +744,25 @@ impl Prepared {
                 }
             }
 
-            let is_final = p == compiled.root_pipeline();
-            let mut sheet = ProfileSheet::disabled();
-            let mut pipe_traces: Vec<TraceBuf> = Vec::new();
-            let result = join_pipeline(
+            let role = if p == compiled.root_pipeline() {
+                PipelineRole::Final(query)
+            } else {
+                PipelineRole::Intermediate(&var_types)
+            };
+            let (result, counters) = join_pipeline(
                 &tries,
                 &pipeline.plan,
                 options,
-                query,
-                is_final,
-                &var_types,
-                &mut stats,
-                &mut sheet,
-                &mut pipe_traces,
+                role,
+                instruments,
                 &token,
+                &mut stats,
             )?;
-            if let Some(parts) = profile.as_deref_mut() {
-                parts.sheets.push(sheet);
+            if request.profile {
+                sheets.push(counters.profile);
             }
-            if let Some(qt) = trace.as_deref_mut() {
-                for mut tb in pipe_traces {
+            if let Some(qt) = trace.as_mut() {
+                for mut tb in counters.traces {
                     tb.set_pipeline(p as u32);
                     qt.attach(tb);
                 }
@@ -884,20 +806,26 @@ impl Prepared {
             }
             tb.end(TraceCat::Query, 0, output.cardinality());
         }
-        if let (Some(qt), Some(tb)) = (trace, session_buf) {
+        if let (Some(qt), Some(tb)) = (trace.as_mut(), session_buf) {
             qt.attach(tb);
         }
+        let profile = request.profile.then(|| self.assemble_profile(derived, &sheets));
         self.caches.record_sched(stats.tasks_spawned, stats.tasks_stolen);
-        self.caches.record_exec(stats.reorders, 0);
-        Ok((output, stats))
+        // A profiled run has per-node actuals: count the nodes that bust
+        // their prepare-time estimate (the same predicate behind the
+        // rendered `!` markers, so the counter reconciles with EXPLAIN
+        // ANALYZE output).
+        self.caches
+            .record_exec(stats.reorders, profile.as_ref().map_or(0, QueryProfile::estimate_busts));
+        Ok(ExecReport { output, stats, profile, trace })
     }
 
     /// Pair each pipeline's merged [`ProfileSheet`] with the prepare-time
     /// node estimates and human-readable labels into a [`QueryProfile`].
-    fn assemble_profile(&self, parts: ProfileParts) -> QueryProfile {
+    fn assemble_profile(&self, derived: Vec<String>, sheets: &[ProfileSheet]) -> QueryProfile {
         let compiled = &self.plan.compiled;
-        let mut pipelines = Vec::with_capacity(parts.sheets.len());
-        for (p, (pipeline, sheet)) in compiled.pipelines.iter().zip(&parts.sheets).enumerate() {
+        let mut pipelines = Vec::with_capacity(sheets.len());
+        for (p, (pipeline, sheet)) in compiled.pipelines.iter().zip(sheets).enumerate() {
             let ests = self.plan.node_estimates.get(p);
             let labels = self.plan.node_labels.get(p);
             let mut nodes = Vec::with_capacity(pipeline.fj_plan.nodes.len());
@@ -915,7 +843,7 @@ impl Prepared {
             }
             pipelines.push(PipelineProfile { label: self.plan.pipeline_labels[p].clone(), nodes });
         }
-        QueryProfile { derived: parts.derived, pipelines }
+        QueryProfile { derived, pipelines }
     }
 
     /// Does the rewrite made at prepare time still hold? It mapped columns
@@ -1117,12 +1045,14 @@ mod tests {
         let cat = catalog();
         let s = session();
         let prepared = s.prepare(&cat, &two_hop()).unwrap();
-        let (cold, cold_stats) = prepared.execute(&cat).unwrap();
+        let ExecReport { output: cold, stats: cold_stats, .. } =
+            prepared.execute(&cat, &ExecRequest::default()).unwrap();
         let after_cold = s.cache_stats();
         // Three atom inputs; the two self-join sides may share one trie key.
         assert!(after_cold.tries.misses <= 3);
         assert_eq!(after_cold.tries.lookups(), 3);
-        let (warm, warm_stats) = prepared.execute(&cat).unwrap();
+        let ExecReport { output: warm, stats: warm_stats, .. } =
+            prepared.execute(&cat, &ExecRequest::default()).unwrap();
         let after_warm = s.cache_stats();
         assert!(cold.result_eq(&warm));
         assert_eq!(after_warm.tries.misses, after_cold.tries.misses, "warm run misses nothing");
@@ -1188,7 +1118,8 @@ mod tests {
         let cat = catalog();
         let s = session();
         let original = s.prepare(&cat, &two_hop()).unwrap();
-        let (expected, _) = original.execute(&cat).unwrap();
+        let ExecReport { output: expected, .. } =
+            original.execute(&cat, &ExecRequest::default()).unwrap();
         let misses_after_original = s.cache_stats().tries.misses;
         let renamed = QueryBuilder::new("renamed")
             .atom_as("edge", "x1", &["u", "v"])
@@ -1198,7 +1129,8 @@ mod tests {
             .build();
         let prepared = s.prepare(&cat, &renamed).unwrap();
         assert_ne!(original.fingerprint(), prepared.fingerprint());
-        let (out, _) = prepared.execute(&cat).unwrap();
+        let ExecReport { output: out, .. } =
+            prepared.execute(&cat, &ExecRequest::default()).unwrap();
         assert!(out.result_eq(&expected), "renamed query must produce the same result");
         // The tries, keyed by column positions, ARE shared across renames:
         // the renamed query builds nothing new.
@@ -1214,7 +1146,8 @@ mod tests {
         let mut cat = catalog();
         let s = session();
         let prepared = s.prepare(&cat, &two_hop()).unwrap();
-        let (before, _) = prepared.execute(&cat).unwrap();
+        let ExecReport { output: before, .. } =
+            prepared.execute(&cat, &ExecRequest::default()).unwrap();
         let misses_before = s.cache_stats().tries.misses;
 
         // Double every edge: the same Prepared must see the new data.
@@ -1227,7 +1160,8 @@ mod tests {
         }
         cat.add_or_replace(edge.finish());
 
-        let (after, stats) = prepared.execute(&cat).unwrap();
+        let ExecReport { output: after, stats, .. } =
+            prepared.execute(&cat, &ExecRequest::default()).unwrap();
         assert!(after.cardinality() > before.cardinality(), "new data is visible");
         assert!(s.cache_stats().tries.misses > misses_before, "version bump forces a trie rebuild");
         assert!(stats.build_time > Duration::ZERO);
@@ -1272,20 +1206,22 @@ mod tests {
             .count()
             .build();
         let prepared = s.prepare(&cat, &q).unwrap();
-        let (all, _) = prepared.execute(&cat).unwrap();
+        let ExecReport { output: all, .. } =
+            prepared.execute(&cat, &ExecRequest::default()).unwrap();
         let params = Params::new().with_filter("e", Predicate::cmp_const("src", CmpOp::Lt, 3i64));
-        let (some, _) = prepared.execute_with(&cat, &params).unwrap();
+        let request = ExecRequest { params, ..ExecRequest::default() };
+        let some = prepared.execute(&cat, &request).unwrap().output;
         assert!(some.cardinality() < all.cardinality());
         assert!(some.cardinality() > 0);
         // Same params again: served from cache.
         let misses = s.cache_stats().tries.misses;
-        let (again, _) = prepared.execute_with(&cat, &params).unwrap();
+        let again = prepared.execute(&cat, &request).unwrap().output;
         assert_eq!(again.cardinality(), some.cardinality());
         assert_eq!(s.cache_stats().tries.misses, misses);
         // Unknown alias is a typed error.
         let bad = Params::new().with_filter("zz", Predicate::True);
         assert!(matches!(
-            prepared.execute_with(&cat, &bad),
+            prepared.execute(&cat, &ExecRequest { params: bad, ..ExecRequest::default() }),
             Err(EngineError::UnknownAtomAlias(a)) if a == "zz"
         ));
     }
@@ -1304,7 +1240,8 @@ mod tests {
                 let s = session().with_options(opts);
                 let prepared = s.prepare(&cat, &q).unwrap();
                 for _ in 0..2 {
-                    let (out, _) = prepared.execute(&cat).unwrap();
+                    let ExecReport { output: out, .. } =
+                        prepared.execute(&cat, &ExecRequest::default()).unwrap();
                     assert!(
                         out.result_eq(&reference),
                         "session diverged for {trie:?} × {threads} threads"
@@ -1322,10 +1259,10 @@ mod tests {
         let mut cat = catalog();
         let s = session();
         let prepared = s.prepare(&cat, &two_hop()).unwrap();
-        prepared.execute(&cat).unwrap();
+        prepared.execute(&cat, &ExecRequest::default()).unwrap();
         // 'edge' shrinks from two columns to one.
         cat.add_or_replace(RelationBuilder::new("edge", Schema::all_int(&["src"])).finish());
-        match prepared.execute(&cat) {
+        match prepared.execute(&cat, &ExecRequest::default()) {
             Err(EngineError::Query(e)) => {
                 assert!(e.to_string().contains("columns"), "unexpected error: {e}")
             }
@@ -1345,7 +1282,8 @@ mod tests {
         let cat = catalog();
         let s = session();
         let prepared = s.prepare(&cat, &two_hop()).unwrap();
-        let (expected, _) = prepared.execute(&cat).unwrap();
+        let ExecReport { output: expected, .. } =
+            prepared.execute(&cat, &ExecRequest::default()).unwrap();
         let expected_card = expected.cardinality();
         let misses_after_cold = s.cache_stats().tries.misses;
         std::thread::scope(|scope| {
@@ -1355,10 +1293,12 @@ mod tests {
                     for _ in 0..5 {
                         // Fresh prepare exercises the shared plan cache...
                         let p = s.prepare(cat, &two_hop()).unwrap();
-                        let (out, _) = p.execute(cat).unwrap();
+                        let ExecReport { output: out, .. } =
+                            p.execute(cat, &ExecRequest::default()).unwrap();
                         assert_eq!(out.cardinality(), expected_card);
                         // ...and the shared Prepared exercises trie reuse.
-                        let (out, _) = prepared.execute(cat).unwrap();
+                        let ExecReport { output: out, .. } =
+                            prepared.execute(cat, &ExecRequest::default()).unwrap();
                         assert_eq!(out.cardinality(), expected_card);
                     }
                 });
@@ -1370,11 +1310,15 @@ mod tests {
     }
 
     #[test]
-    fn execute_profiled_reconciles_with_exec_stats() {
+    fn a_profiled_execution_reconciles_with_exec_stats() {
         let cat = catalog();
         let s = session();
         let prepared = s.prepare(&cat, &two_hop()).unwrap();
-        let (out, stats, profile) = prepared.execute_profiled(&cat, &Params::new()).unwrap();
+        let ExecReport { output: out, stats, profile, trace } = prepared
+            .execute(&cat, &ExecRequest { profile: true, ..ExecRequest::default() })
+            .unwrap();
+        let profile = profile.expect("the request asked for a profile");
+        assert!(trace.is_none(), "and for no trace");
         // Per-node probe counts sum to the ExecStats totals, and the last
         // node's actual rows are the query's output cardinality.
         assert_eq!(profile.total_probes(), stats.probes);
@@ -1393,7 +1337,8 @@ mod tests {
             }
         }
         // The unprofiled path still returns identical results and counters.
-        let (plain, plain_stats) = prepared.execute(&cat).unwrap();
+        let ExecReport { output: plain, stats: plain_stats, .. } =
+            prepared.execute(&cat, &ExecRequest::default()).unwrap();
         assert!(plain.result_eq(&out));
         assert_eq!(plain_stats.probes, stats.probes);
     }
@@ -1453,10 +1398,14 @@ mod tests {
 
         let prepared = s.prepare(&cat, &two_hop()).unwrap();
         let params = Params::new().with_filter("e1", Predicate::eq_const("dst", 3i64));
-        let (_, _, profile) = prepared.execute_profiled(&cat, &params).unwrap();
+        let profile_of = |params: Params| {
+            let request = ExecRequest { params, profile: true, ..ExecRequest::default() };
+            prepared.execute(&cat, &request).unwrap().profile.expect("asked for")
+        };
+        let profile = profile_of(params);
         assert_eq!(profile.derived, ["e2.src = 3 <- e1.dst"]);
         assert!(profile.render().starts_with("derived: e2.src = 3 <- e1.dst\npipeline 0"));
-        let (_, _, plain) = prepared.execute_profiled(&cat, &Params::new()).unwrap();
+        let plain = profile_of(Params::new());
         assert!(plain.derived.is_empty() && !plain.render().contains("derived"));
     }
 
@@ -1500,7 +1449,10 @@ mod tests {
         assert!(report.contains(" tries_built=2 "), "{report}");
 
         let prepared = s.prepare(&cat, &triangle).unwrap();
-        let (out, stats, profile) = prepared.execute_profiled(&cat, &Params::new()).unwrap();
+        let ExecReport { output: out, stats, profile, .. } = prepared
+            .execute(&cat, &ExecRequest { profile: true, ..ExecRequest::default() })
+            .unwrap();
+        let profile = profile.expect("the request asked for a profile");
         assert_eq!(out.cardinality(), 120);
         assert_eq!(profile.total_probes(), stats.probes);
         assert_eq!(profile.total_probe_hits(), stats.probe_hits);
@@ -1525,7 +1477,8 @@ mod tests {
         assert_eq!((stats.misses, stats.hits), (2, 0), "two plan-cache entries");
         let nodes = |p: &Prepared| p.plan.compiled.pipelines[0].plan.nodes.len();
         assert!(nodes(&a) < nodes(&b), "{} vs {} nodes", nodes(&a), nodes(&b));
-        assert_eq!(a.execute(&cat).unwrap().0, b.execute(&cat).unwrap().0);
+        let run = |p: &Prepared| p.execute(&cat, &ExecRequest::default()).unwrap().output;
+        assert_eq!(run(&a), run(&b));
         // Each session finds its own entry again.
         assert_eq!(nodes(&pruning.prepare(&cat, &q).unwrap()), nodes(&a));
         assert_eq!(nodes(&enumerating.prepare(&cat, &q).unwrap()), nodes(&b));
@@ -1541,12 +1494,13 @@ mod tests {
         let cat = catalog();
         let s = session();
         let prepared = s.prepare(&cat, &two_hop()).unwrap();
-        let (expected, _) = prepared.execute(&cat).unwrap();
+        let ExecReport { output: expected, .. } =
+            prepared.execute(&cat, &ExecRequest::default()).unwrap();
 
         // Pre-fired explicit cancel: trips at the first boundary.
         let token = CancelToken::new();
         token.cancel(CancelReason::Explicit);
-        match prepared.execute_cancellable(&cat, &Params::new(), &token) {
+        match prepared.execute(&cat, &ExecRequest { token, ..ExecRequest::default() }) {
             Err(EngineError::Query(QueryError::Cancelled { reason, .. })) => {
                 assert_eq!(reason, CancelReason::Explicit)
             }
@@ -1555,7 +1509,7 @@ mod tests {
 
         // Already-expired deadline: trips as Deadline.
         let token = CancelToken::with_limits(Some(Instant::now()), 0);
-        match prepared.execute_cancellable(&cat, &Params::new(), &token) {
+        match prepared.execute(&cat, &ExecRequest { token, ..ExecRequest::default() }) {
             Err(EngineError::Query(QueryError::Cancelled { reason, .. })) => {
                 assert_eq!(reason, CancelReason::Deadline)
             }
@@ -1570,7 +1524,7 @@ mod tests {
             .build();
         let p = s.prepare(&cat, &q).unwrap();
         let token = CancelToken::with_limits(None, 1);
-        match p.execute_cancellable(&cat, &Params::new(), &token) {
+        match p.execute(&cat, &ExecRequest { token, ..ExecRequest::default() }) {
             Err(EngineError::Query(QueryError::Cancelled { reason, partial_stats })) => {
                 assert_eq!(reason, CancelReason::MemoryBudget);
                 assert!(partial_stats.probes > 0, "partial stats reflect work done");
@@ -1579,7 +1533,8 @@ mod tests {
         }
 
         // The shared Prepared still executes correctly after every trip.
-        let (after, _) = prepared.execute(&cat).unwrap();
+        let ExecReport { output: after, .. } =
+            prepared.execute(&cat, &ExecRequest::default()).unwrap();
         assert!(after.result_eq(&expected));
     }
 

@@ -29,8 +29,10 @@ fn main() {
     // The same numbers, structured: re-run profiled and verify the gate
     // conditions the rendered report was built from.
     let prepared = session.prepare(&workload.catalog, &named.query).unwrap();
-    let (out, stats, profile) =
-        prepared.execute_profiled(&workload.catalog, &Params::new()).unwrap();
+    let request = ExecRequest { profile: true, ..ExecRequest::default() };
+    let ExecReport { output: out, stats, profile, .. } =
+        prepared.execute(&workload.catalog, &request).unwrap();
+    let profile = profile.expect("the request asked for a profile");
 
     let mut failures = Vec::new();
     for pipeline in &profile.pipelines {

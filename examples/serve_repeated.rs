@@ -40,7 +40,10 @@ fn run_pass(catalog: &Catalog, prepared: &[Prepared]) -> (Vec<u64>, f64) {
                     let mut counts = vec![0u64; prepared.len()];
                     for _ in 0..ITERATIONS {
                         for (i, p) in prepared.iter().enumerate() {
-                            let (out, _) = p.execute(catalog).expect("execution succeeds");
+                            let out = p
+                                .execute(catalog, &ExecRequest::default())
+                                .expect("execution succeeds")
+                                .output;
                             counts[i] = out.cardinality();
                         }
                     }

@@ -91,7 +91,8 @@ fn main() {
         .iter()
         .map(|n| {
             let prepared = session.prepare(&catalog, &n.query).expect("reference prepares");
-            prepared.execute(&catalog).expect("reference executes").0.cardinality()
+            let reference = prepared.execute(&catalog, &ExecRequest::default());
+            reference.expect("reference executes").output.cardinality()
         })
         .collect();
 

@@ -34,7 +34,6 @@ fn main() {
     let session = Session::new(Arc::new(EngineCaches::with_defaults())).with_options(
         FreeJoinOptions::default()
             .with_num_threads(4)
-            .with_steal(true)
             .with_split_threshold(8)
             .with_factorized_output(false),
     );
@@ -43,8 +42,10 @@ fn main() {
     let mut failures = Vec::new();
     let mut chosen = None;
     for attempt in 1..=50 {
-        let (out, stats, trace) =
-            prepared.execute_traced(&workload.catalog, &Params::new()).unwrap();
+        let request = ExecRequest { trace: true, ..ExecRequest::default() };
+        let ExecReport { output: out, stats, trace, .. } =
+            prepared.execute(&workload.catalog, &request).unwrap();
+        let trace = trace.expect("the request asked for a trace");
 
         // Exact reconciliation is only defined on drop-free traces: ring
         // overflow discards the oldest events, and whether a skewed

@@ -59,8 +59,8 @@ pub mod prelude {
     pub use fj_serve::{Client, Server, ServerConfig, ServerStats};
     pub use fj_storage::{Catalog, Predicate, Relation, RelationBuilder, Schema, Value};
     pub use free_join::{
-        CancelReason, CancelToken, EngineCaches, FreeJoinEngine, FreeJoinOptions, Params, Prepared,
-        Session, SessionCacheStats, TrieStrategy,
+        CancelReason, CancelToken, EngineCaches, ExecReport, ExecRequest, FreeJoinEngine,
+        FreeJoinOptions, Params, Prepared, Session, SessionCacheStats, TrieStrategy,
     };
 }
 

@@ -66,7 +66,7 @@ fn skew_flip_reorders_and_matches_static() {
 #[test]
 fn adaptive_reorder_count_is_schedule_independent() {
     // The reorder decision depends only on construction-fixed bounds, so the
-    // counter itself must be identical at any thread count or steal setting.
+    // counter itself must be identical at any thread count.
     let w = micro::skew_flip(4096, 11);
     let named = &w.queries[0];
     let plan = plan_like_bench(&w);
@@ -75,15 +75,10 @@ fn adaptive_reorder_count_is_schedule_independent() {
         .execute(&w.catalog, &named.query, &plan)
         .unwrap();
     for threads in [2usize, 4, 8] {
-        for steal in [true, false] {
-            let options = base.with_num_threads(threads).with_steal(steal);
-            let (_, stats) =
-                FreeJoinEngine::new(options).execute(&w.catalog, &named.query, &plan).unwrap();
-            assert_eq!(
-                stats.reorders, serial.reorders,
-                "reorder count diverged at {threads} threads (steal={steal})"
-            );
-        }
+        let options = base.with_num_threads(threads);
+        let (_, stats) =
+            FreeJoinEngine::new(options).execute(&w.catalog, &named.query, &plan).unwrap();
+        assert_eq!(stats.reorders, serial.reorders, "reorder count diverged at {threads} threads");
     }
 }
 
@@ -144,8 +139,11 @@ fn estimate_busts_reconcile_with_explain_analyze() {
     let prepared = session.prepare(&catalog, &query).unwrap();
 
     let before = caches.stats().exec.estimate_busts;
-    let (output, _, profile) =
-        prepared.execute_profiled(&catalog, &freejoin::engine::Params::new()).unwrap();
+    let report =
+        prepared.execute(&catalog, &ExecRequest { profile: true, ..ExecRequest::default() });
+    let ExecReport { output, profile: Some(profile), .. } = report.unwrap() else {
+        panic!("the request asked for a profile");
+    };
     assert_eq!(output.cardinality(), 64);
     let after = caches.stats().exec.estimate_busts;
 
@@ -168,7 +166,7 @@ fn unprofiled_runs_do_not_count_busts() {
     let session = Session::new(Arc::clone(&caches))
         .with_options(FreeJoinOptions::default().with_num_threads(1));
     let prepared = session.prepare(&catalog, &query).unwrap();
-    let (output, _) = prepared.execute(&catalog).unwrap();
+    let output = prepared.execute(&catalog, &ExecRequest::default()).unwrap().output;
     assert_eq!(output.cardinality(), 64);
     assert_eq!(
         caches.stats().exec.estimate_busts,
@@ -192,8 +190,11 @@ fn skew_flip_does_not_bust_estimates() {
             ..OptimizerOptions::default()
         });
     let prepared = session.prepare(&w.catalog, &w.queries[0].query).unwrap();
-    let (_, stats, profile) =
-        prepared.execute_profiled(&w.catalog, &freejoin::engine::Params::new()).unwrap();
+    let report =
+        prepared.execute(&w.catalog, &ExecRequest { profile: true, ..ExecRequest::default() });
+    let ExecReport { stats, profile: Some(profile), .. } = report.unwrap() else {
+        panic!("the request asked for a profile");
+    };
     assert!(stats.reorders > 0);
     assert_eq!(profile.estimate_busts(), 0, "{}", profile.render());
     assert_eq!(caches.stats().exec.estimate_busts, 0);

@@ -52,7 +52,8 @@ proptest! {
                 let session = Session::new(Arc::new(EngineCaches::with_defaults()))
                     .with_options(options);
                 let prepared = session.prepare(&catalog, &query).unwrap();
-                let (cold, _) = prepared.execute(&catalog).unwrap();
+                let ExecReport { output: cold, .. } =
+                    prepared.execute(&catalog, &ExecRequest::default()).unwrap();
                 let cold_rows = cold.canonical_rows();
                 let after_cold = session.cache_stats();
                 // Every subsequent run is served from the caches. (A bushy
@@ -60,7 +61,8 @@ proptest! {
                 // warm run may lazily force trie levels the cold run never
                 // probed — but cached base tries are never rebuilt.)
                 for round in 0..2 {
-                    let (warm, _) = prepared.execute(&catalog).unwrap();
+                    let ExecReport { output: warm, .. } =
+                        prepared.execute(&catalog, &ExecRequest::default()).unwrap();
                     assert_eq!(
                         warm.canonical_rows(),
                         cold_rows,
@@ -112,7 +114,8 @@ fn trie_cache_never_exceeds_its_byte_budget() {
         // hits with evict-and-rebuild misses.
         let params = Params::new()
             .with_filter("e1", Predicate::cmp_const("src", freejoin::storage::CmpOp::Ge, i % 10));
-        let (out, _) = prepared.execute_with(&catalog, &params).unwrap();
+        let request = ExecRequest { params, ..ExecRequest::default() };
+        let out = prepared.execute(&catalog, &request).unwrap().output;
         if i % 10 == 0 {
             match &reference {
                 None => reference = Some(out.cardinality()),
@@ -152,10 +155,11 @@ fn catalog_mutation_forces_rebuild_with_observable_version_bump() {
         .count()
         .build();
     let prepared = session.prepare(&catalog, &q).unwrap();
-    let (before, _) = prepared.execute(&catalog).unwrap();
+    let ExecReport { output: before, .. } =
+        prepared.execute(&catalog, &ExecRequest::default()).unwrap();
     let cold = session.cache_stats().tries;
     // Warm check: no further misses.
-    prepared.execute(&catalog).unwrap();
+    prepared.execute(&catalog, &ExecRequest::default()).unwrap();
     assert_eq!(session.cache_stats().tries.misses, cold.misses);
 
     // Mutate: drop half the edges.
@@ -167,7 +171,8 @@ fn catalog_mutation_forces_rebuild_with_observable_version_bump() {
     let v2 = catalog.version_of("edge");
     assert!(v2 > v1, "mutation bumps the monotonic version");
 
-    let (after, stats) = prepared.execute(&catalog).unwrap();
+    let ExecReport { output: after, stats, .. } =
+        prepared.execute(&catalog, &ExecRequest::default()).unwrap();
     assert!(after.cardinality() < before.cardinality(), "results reflect the mutation");
     let warm = session.cache_stats().tries;
     assert!(warm.misses > cold.misses, "the version bump made the old key unreachable");
@@ -211,7 +216,8 @@ fn concurrent_sessions_build_each_trie_exactly_once() {
                     let session = Session::new(caches).with_options(options);
                     barrier.wait();
                     let prepared = session.prepare(&catalog, &query).unwrap();
-                    let (out, _) = prepared.execute(&catalog).unwrap();
+                    let ExecReport { output: out, .. } =
+                        prepared.execute(&catalog, &ExecRequest::default()).unwrap();
                     out.cardinality()
                 })
             })

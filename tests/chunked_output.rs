@@ -6,7 +6,7 @@
 //! allocation behavior (a weighted tuple stores its shared values once).
 
 use freejoin::engine::compile::compile;
-use freejoin::engine::exec::{execute_pipeline, execute_pipeline_parallel};
+use freejoin::engine::exec::{execute_pipeline, Instruments};
 use freejoin::engine::prepare_inputs;
 use freejoin::engine::sink::{MaterializeSink, OutputSink, Sink};
 use freejoin::engine::InputTrie;
@@ -110,37 +110,32 @@ fn run_both(
         OutputBuilder::try_new(&query.head, query.aggregate.clone(), &compiled.binding_order)
             .unwrap();
 
-    let chunked = if threads <= 1 {
-        let mut sink = OutputSink::new(builder.clone());
-        execute_pipeline(&tries, &compiled, options, &mut sink);
-        sink.finish()
-    } else {
-        let (sinks, _) = execute_pipeline_parallel(&tries, &compiled, options, threads, || {
-            OutputSink::new(builder.clone())
-        });
-        let mut merged = OutputSink::new(builder.clone());
-        for sink in sinks {
-            merged.merge(sink);
-        }
-        merged.finish()
-    };
+    let (token, instruments) = (CancelToken::disabled(), Instruments::default());
+    let (sinks, _) = execute_pipeline(
+        &tries,
+        &compiled,
+        options,
+        threads,
+        || OutputSink::new(builder.clone()),
+        &token,
+        instruments,
+    );
+    let mut chunked = OutputSink::new(builder.clone());
+    sinks.into_iter().for_each(|sink| chunked.merge(sink));
 
-    let tuple_wise = if threads <= 1 {
-        let mut sink = PerTupleSink::new(builder.clone());
-        execute_pipeline(&tries, &compiled, options, &mut sink);
-        sink.finish()
-    } else {
-        let (sinks, _) = execute_pipeline_parallel(&tries, &compiled, options, threads, || {
-            PerTupleSink::new(builder.clone())
-        });
-        let mut merged = PerTupleSink::new(builder);
-        for sink in sinks {
-            merged.merge(sink);
-        }
-        merged.finish()
-    };
+    let (sinks, _) = execute_pipeline(
+        &tries,
+        &compiled,
+        options,
+        threads,
+        || PerTupleSink::new(builder.clone()),
+        &token,
+        instruments,
+    );
+    let mut tuple_wise = PerTupleSink::new(builder.clone());
+    sinks.into_iter().for_each(|sink| tuple_wise.merge(sink));
 
-    (chunked, tuple_wise)
+    (chunked.finish(), tuple_wise.finish())
 }
 
 /// Both outputs must agree exactly: same counts/weights, same group maps,

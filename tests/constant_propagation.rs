@@ -78,7 +78,11 @@ fn check(
                 let session =
                     Session::new(Arc::new(EngineCaches::with_defaults())).with_options(options);
                 let prepared = session.prepare(catalog, prepared).unwrap();
-                let (cold, _, profile) = prepared.execute_profiled(catalog, &params).unwrap();
+                let request = ExecRequest { params: params.clone(), ..ExecRequest::default() };
+                let profiled = ExecRequest { profile: true, ..request.clone() };
+                let ExecReport { output: cold, profile, .. } =
+                    prepared.execute(catalog, &profiled).unwrap();
+                let profile = profile.expect("the request asked for a profile");
                 assert!(
                     cold.result_eq(expected),
                     "{ctx}: session: {} tuples, expected {}\n{}",
@@ -90,7 +94,7 @@ fn check(
                 // Every input, derived ones included, is cached under a key
                 // the same request finds again.
                 let misses = session.cache_stats().tries.misses;
-                let (warm, _) = prepared.execute_with(catalog, &params).unwrap();
+                let warm = prepared.execute(catalog, &request).unwrap().output;
                 assert!(warm.result_eq(expected), "{ctx}: warm session");
                 assert_eq!(session.cache_stats().tries.misses, misses, "{ctx}");
             }
@@ -265,14 +269,19 @@ fn a_point_request_touches_the_rows_of_its_key() {
         let shape_plan = optimize(query, &stats, OptimizerOptions::default());
         let session = Session::new(Arc::new(EngineCaches::with_defaults())).with_options(options);
         let prepared = session.prepare(catalog, query).unwrap();
-        let (_, _, whole) = prepared.execute_profiled(catalog, &Params::new()).unwrap();
+        let profiled = |params: Params| {
+            let request = ExecRequest { params, profile: true, ..ExecRequest::default() };
+            let report = prepared.execute(catalog, &request).unwrap();
+            (report.output, report.stats, report.profile.expect("asked for"))
+        };
+        let (_, _, whole) = profiled(Params::new());
         for (key, bound) in [(2_500, 64), (0, work(&whole))] {
             let ctx = format!("{name} where title.id = {key}");
             let params = Params::new().with_filter("title", eq("id", key));
             let written = with_overrides(query, &[("title", eq("id", key))]);
             let (expected, as_written) =
                 FreeJoinEngine::new(options).execute(catalog, &written, &shape_plan).unwrap();
-            let (out, stats, profile) = prepared.execute_profiled(catalog, &params).unwrap();
+            let (out, stats, profile) = profiled(params.clone());
             assert!(out.result_eq(&expected), "{ctx}");
             assert!(
                 work(&profile) <= bound,
@@ -286,7 +295,9 @@ fn a_point_request_touches_the_rows_of_its_key() {
             // key's intermediate pipeline result is above the scan bound and
             // hashed again by every execution, as any bushy plan's is.)
             let misses = session.cache_stats().tries.misses;
-            let (again, warm) = prepared.execute_with(catalog, &params).unwrap();
+            let ExecReport { output: again, stats: warm, .. } = prepared
+                .execute(catalog, &ExecRequest { params, ..ExecRequest::default() })
+                .unwrap();
             assert!(again.result_eq(&expected), "{ctx}");
             assert_eq!(session.cache_stats().tries.misses, misses, "{ctx}");
             assert!(warm.tries_built == 0 || key == 0, "{ctx}: {warm}");
@@ -310,12 +321,14 @@ fn a_replaced_schema_is_read_again() {
         .build();
     let session = Session::new(Arc::new(EngineCaches::with_defaults()));
     let prepared = session.prepare(&catalog, &query).unwrap();
-    assert_eq!(prepared.execute(&catalog).unwrap().0.cardinality(), 4);
+    let plain = ExecRequest::default();
+    assert_eq!(prepared.execute(&catalog, &plain).unwrap().output.cardinality(), 4);
     // `S(b, x)`: the atom's first variable, `x`, is now bound to column `b`.
     catalog.add_or_replace(relation("S", &["b", "x"], &[vec![1, 2], vec![2, 1], vec![2, 3]]));
     let expected = oracle(&catalog, &[&query]).remove(0);
     assert_eq!(expected.cardinality(), 4, "two S rows have b = 2");
-    let (out, _, profile) = prepared.execute_profiled(&catalog, &Params::new()).unwrap();
+    let report = prepared.execute(&catalog, &ExecRequest { profile: true, ..plain }).unwrap();
+    let (out, profile) = (report.output, report.profile.expect("asked for"));
     assert!(out.result_eq(&expected), "{}", profile.render());
     assert_eq!(profile.derived, ["S.b = 2 <- R.x"]);
 }

@@ -1,17 +1,25 @@
 //! Parallel determinism: for every micro/skew workload query, every trie
 //! strategy and every aggregate kind, executing with `num_threads = 1` (the
-//! exact legacy serial path) and with `num_threads = N > 1` (the
-//! work-stealing parallel path) must produce identical `QueryOutput`s —
-//! identical counts, identical group maps, and identical row multisets
-//! (compared in canonical sorted order, since neither path promises a row
-//! order: hash-map iteration at trie levels is already unordered).
+//! plan walk on the calling thread, no scheduler) and with `num_threads =
+//! N > 1` (the same walk cut into work-stealing tasks) must produce
+//! identical `QueryOutput`s — identical counts, identical group maps, and
+//! identical row multisets (compared in canonical sorted order, since no
+//! thread count promises a row order: hash-map iteration at trie levels is
+//! already unordered) — and, where the tries leave the executor no
+//! schedule-dependent choice, identical work counts.
 
-use freejoin::plan::{optimize, CatalogStats, EstimatorMode, OptimizerOptions};
+use freejoin::engine::exec::{execute_pipeline, ExecCounters, Instruments};
+use freejoin::engine::sink::OutputSink;
+use freejoin::engine::{compile_query, prepare_inputs, InputTrie};
+use freejoin::plan::{optimize, CatalogStats, EstimatorMode, OptimizerOptions, PipeInput};
 use freejoin::prelude::*;
-use freejoin::query::OutputKind;
+use freejoin::query::{OutputBuilder, OutputKind};
 use freejoin::workloads::{lsqb, micro, Workload};
+use std::sync::Arc;
 
-const THREAD_COUNTS: &[usize] = &[2, 4];
+/// One thread is a point of the same grid as the others: the reference the
+/// rest are compared with is simply its first entry.
+const THREAD_COUNTS: &[usize] = &[1, 2, 4];
 
 /// The thread counts to test: the fixed grid plus `FJ_TEST_THREADS` when the
 /// environment sets one (the CI race-hunting job runs the suite at 8).
@@ -21,7 +29,7 @@ fn thread_counts() -> Vec<usize> {
         .ok()
         .and_then(|v| v.trim().parse::<usize>().ok())
     {
-        if n > 1 && !counts.contains(&n) {
+        if n > 0 && !counts.contains(&n) {
             counts.push(n);
         }
     }
@@ -49,9 +57,9 @@ fn assert_identical(serial: &QueryOutput, parallel: &QueryOutput, context: &str)
     }
 }
 
-/// Run every query of a workload serially and at the given thread counts,
-/// for all three trie strategies, and demand identical outputs. `configure`
-/// customizes the shared options (steal / split-threshold variations).
+/// Run every query of a workload at the given thread counts, for all three
+/// trie strategies, and demand identical outputs. `configure` customizes
+/// the shared options (split-threshold and adaptive variations).
 /// Everything runs twice: with dead-variable pruning (the default plans)
 /// and without — these workloads count, so only the unpruned plans still
 /// have the deep expansions the scheduler splits and steals.
@@ -71,25 +79,62 @@ fn check_workload_configured(
         for (trie, prune) in strategies.into_iter().flat_map(|t| [(t, true), (t, false)]) {
             let base = configure(FreeJoinOptions { trie, ..FreeJoinOptions::default() })
                 .with_factorized_output(prune);
-            let serial_engine = FreeJoinEngine::new(base.with_num_threads(1));
-            let (serial, _) = serial_engine
-                .execute(&workload.catalog, &named.query, &plan)
-                .unwrap_or_else(|e| panic!("serial {} failed: {e}", named.name));
+            let mut reference: Option<QueryOutput> = None;
             for &threads in threads_to_test {
                 let engine = FreeJoinEngine::new(base.with_num_threads(threads));
-                let (parallel, _) =
+                let (output, _) =
                     engine.execute(&workload.catalog, &named.query, &plan).unwrap_or_else(|e| {
                         panic!("{} with {threads} threads failed: {e}", named.name)
                     });
                 let context = format!(
-                    "workload {} query {} trie {trie:?} threads {threads} steal {} split {} \
+                    "workload {} query {} trie {trie:?} threads {threads} vs {} split {} \
                      prune {prune}",
-                    workload.name, named.name, base.steal, base.split_threshold
+                    workload.name, named.name, threads_to_test[0], base.split_threshold
                 );
-                assert_identical(&serial, &parallel, &context);
+                assert_identical(
+                    reference.get_or_insert_with(|| output.clone()),
+                    &output,
+                    &context,
+                );
             }
         }
     }
+}
+
+/// Compile the query's left-deep plan (one pipeline, every input an atom),
+/// build its tries and run it through `execute_pipeline` at `threads`:
+/// the merged output and the executor's own counters.
+fn run_pipeline(
+    workload: &Workload,
+    query: &ConjunctiveQuery,
+    options: &FreeJoinOptions,
+    threads: usize,
+) -> (QueryOutput, ExecCounters) {
+    let stats = CatalogStats::collect(&workload.catalog);
+    let left_deep = OptimizerOptions { left_deep_only: true, ..OptimizerOptions::default() };
+    let compiled = compile_query(query, &optimize(query, &stats, left_deep), options).unwrap();
+    let [pipeline] = &compiled.pipelines[..] else { panic!("a left-deep plan is one pipeline") };
+    let inputs = prepare_inputs(&workload.catalog, query).unwrap().atoms;
+    let tries: Vec<Arc<InputTrie>> = (pipeline.inputs.iter().zip(&pipeline.plan.schemas))
+        .map(|(input, schema)| {
+            let PipeInput::Atom(atom) = *input else { panic!("no intermediates") };
+            Arc::new(InputTrie::build(&inputs[atom], schema.clone(), options.trie))
+        })
+        .collect();
+    let builder =
+        OutputBuilder::new(&query.head, query.aggregate.clone(), &pipeline.plan.binding_order);
+    let (sinks, counters) = execute_pipeline(
+        &tries,
+        &pipeline.plan,
+        options,
+        threads,
+        || OutputSink::new(builder.clone()),
+        &CancelToken::disabled(),
+        Instruments::default(),
+    );
+    let mut merged = OutputSink::new(builder.clone());
+    sinks.into_iter().for_each(|sink| merged.merge(sink));
+    (merged.finish(), counters)
 }
 
 /// Default-options matrix over the environment's thread counts.
@@ -135,16 +180,14 @@ fn star_parallel_matches_serial() {
 /// Adaptive execution decides probe order from construction-fixed bounds,
 /// so serial and parallel runs must stay identical with it on — including
 /// on skew_flip, the workload where adaptive decisions actually differ
-/// from the static order, across {simple, slt, colt} × {2, 4, 8} threads
-/// and steal on/off.
+/// from the static order, across {simple, slt, colt} × {1, 2, 4, 8}
+/// threads.
 #[test]
 fn adaptive_parallel_matches_serial() {
     for w in [micro::skew_flip(4096, 13), micro::clover(60), micro::skewed_star(2, 60, 0.9, 23)] {
-        for steal in [true, false] {
-            check_workload_configured(&w, &[2, 4, 8], |o| {
-                o.with_adaptive(true).with_steal(steal).with_split_threshold(32)
-            });
-        }
+        check_workload_configured(&w, &[1, 2, 4, 8], |o| {
+            o.with_adaptive(true).with_split_threshold(32)
+        });
     }
 }
 
@@ -159,33 +202,27 @@ fn materialized_rows_parallel_matches_serial() {
     let plan = optimize(&materialize, &stats, OptimizerOptions::default());
     for trie in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
         let base = FreeJoinOptions { trie, ..FreeJoinOptions::default() };
-        let (serial, _) = FreeJoinEngine::new(base.with_num_threads(1))
-            .execute(&clover.catalog, &materialize, &plan)
-            .unwrap();
+        let run = |threads: usize| {
+            let engine = FreeJoinEngine::new(base.with_num_threads(threads));
+            engine.execute(&clover.catalog, &materialize, &plan).unwrap().0
+        };
+        let serial = run(1);
         for &threads in THREAD_COUNTS {
-            let (parallel, _) = FreeJoinEngine::new(base.with_num_threads(threads))
-                .execute(&clover.catalog, &materialize, &plan)
-                .unwrap();
-            assert_identical(
-                &serial,
-                &parallel,
-                &format!("materialized clover {trie:?} x{threads}"),
-            );
+            let context = format!("materialized clover {trie:?} x{threads}");
+            assert_identical(&serial, &run(threads), &context);
         }
     }
 }
 
 /// The skewed-star shape — one key owning ~90% of the output — across
-/// {simple, slt, colt} × {2, 4, 8} threads × steal on/off, with a split
-/// threshold small enough that the hot key's expansions actually re-split:
-/// the scenario the work-stealing scheduler exists for, checked at thread
-/// counts where steal schedules genuinely differ run to run.
+/// {simple, slt, colt} × {1, 2, 4, 8} threads, with a split threshold small
+/// enough that the hot key's expansions actually re-split: the scenario the
+/// work-stealing scheduler exists for, checked at thread counts where steal
+/// schedules genuinely differ run to run.
 #[test]
 fn skewed_star_parallel_matches_serial() {
     let w = micro::skewed_star(2, 60, 0.9, 23);
-    for steal in [true, false] {
-        check_workload_configured(&w, &[2, 4, 8], |o| o.with_steal(steal).with_split_threshold(32));
-    }
+    check_workload_configured(&w, &[1, 2, 4, 8], |o| o.with_split_threshold(32));
 }
 
 /// Stress: the smallest legal split threshold turns nearly every expansion
@@ -221,7 +258,7 @@ fn forced_split_stress_matches_serial() {
     check_workload_configured(&w, &threads, tiny);
 }
 
-/// The load-balance acceptance check: with 4 workers and stealing on, the
+/// The load-balance acceptance check: with 4 workers, the
 /// hot key of the skewed star must not serialize on one worker — the
 /// maximum per-worker share of processed expansions stays under 55%
 /// (root-only parallelism scores ~100% here), while the output still
@@ -238,7 +275,6 @@ fn skewed_star_steal_balances_workers() {
     );
     // The enumerating plan: pruned, the count never expands the hot key.
     let base = FreeJoinOptions::default()
-        .with_steal(true)
         .with_split_threshold(64)
         .with_factorized_output(false);
     let (serial, _) = FreeJoinEngine::new(base.with_num_threads(1))
@@ -247,7 +283,7 @@ fn skewed_star_steal_balances_workers() {
     let (parallel, exec_stats) = FreeJoinEngine::new(base.with_num_threads(4))
         .execute(&w.catalog, &named.query, &plan)
         .unwrap();
-    assert_identical(&serial, &parallel, "skewed star, 4 workers, steal on");
+    assert_identical(&serial, &parallel, "skewed star, 4 workers");
     assert!(exec_stats.tasks_spawned > 4, "splitting spawned tasks: {exec_stats}");
     let share = exec_stats
         .max_worker_share()
@@ -274,4 +310,54 @@ fn auto_threads_matches_serial() {
         .execute(&w.catalog, &named.query, &plan)
         .unwrap();
     assert_identical(&serial, &auto, "auto threads");
+}
+
+/// Same output **and same work** at every thread count: one thread walks
+/// the plan on the calling thread, more cut the same walk into tasks, and
+/// splitting moves work without adding or dropping any — the probe, hit and
+/// expansion totals of `execute_pipeline` agree at 1, 2, 4 (and
+/// `FJ_TEST_THREADS`) threads, batched or entry by entry, on pruned and
+/// enumerating plans.
+///
+/// Work is compared on fully built tries (`TrieStrategy::Simple`). Under
+/// the lazy strategies dynamic cover selection reads `estimated_keys`, which
+/// is a node's row count until some probe forces it and its key count
+/// after: which of two covers a binding iterates then depends on which
+/// worker got to the node first, and the totals move by a few entries from
+/// schedule to schedule (the outputs, compared for every strategy, do not).
+#[test]
+fn work_counts_are_identical_at_every_thread_count() {
+    let workloads = [
+        micro::clover(60),
+        micro::skewed_triangle(120, 4, 1.0, 11),
+        lsqb::workload(&lsqb::LsqbConfig::tiny()),
+        micro::chain(4, 300, 50, 3),
+        micro::skewed_star(2, 60, 0.9, 23),
+    ];
+    for (workload, named) in workloads.iter().flat_map(|w| w.queries.iter().map(move |q| (w, q))) {
+        for trie in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
+            for (prune, batch_size) in [(true, 1000), (true, 1), (false, 1000), (false, 1)] {
+                let options = FreeJoinOptions { trie, ..FreeJoinOptions::default() }
+                    .with_factorized_output(prune)
+                    .with_batch_size(batch_size)
+                    .with_split_threshold(32);
+                let mut reference: Option<(QueryOutput, (u64, u64, u64))> = None;
+                for threads in thread_counts() {
+                    let (output, counters) =
+                        run_pipeline(workload, &named.query, &options, threads);
+                    let context = format!(
+                        "{} {} {trie:?} x{threads} prune {prune} batch {batch_size}",
+                        workload.name, named.name
+                    );
+                    assert_eq!(counters.tasks_spawned > 0, threads > 1, "{context}");
+                    let (expected, work) =
+                        reference.get_or_insert_with(|| (output.clone(), counters.work()));
+                    assert_identical(expected, &output, &context);
+                    if trie == TrieStrategy::Simple {
+                        assert_eq!(*work, counters.work(), "work diverged: {context}");
+                    }
+                }
+            }
+        }
+    }
 }

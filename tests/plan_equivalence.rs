@@ -6,7 +6,7 @@
 //! the paper's adversarial clover instance.
 
 use freejoin::engine::compile::compile;
-use freejoin::engine::exec::execute_pipeline;
+use freejoin::engine::exec::{execute_pipeline, Instruments};
 use freejoin::engine::prepare_inputs;
 use freejoin::engine::sink::OutputSink;
 use freejoin::engine::InputTrie;
@@ -37,9 +37,16 @@ fn run_fj_plan(
         })
         .collect();
     let builder = OutputBuilder::new(&query.head, Aggregate::Count, &compiled.binding_order);
-    let mut sink = OutputSink::new(builder);
-    let counters = execute_pipeline(&tries, &compiled, options, &mut sink);
-    (sink.finish().cardinality(), counters.probes)
+    let (mut sinks, counters) = execute_pipeline(
+        &tries,
+        &compiled,
+        options,
+        1,
+        || OutputSink::new(builder.clone()),
+        &CancelToken::disabled(),
+        Instruments::default(),
+    );
+    (sinks.pop().expect("one thread, one sink").finish().cardinality(), counters.probes)
 }
 
 #[test]

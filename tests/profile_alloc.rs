@@ -88,18 +88,19 @@ fn disabled_profiling_is_allocation_free() {
     // Part 2: warm executions. After two warm-up runs (trie + plan caches
     // settled), every further unprofiled run allocates an identical amount,
     // and a profiled run allocates strictly more — the delta IS the
-    // feature's cost, and `profile: false` pays none of it.
+    // feature's cost, and a request with `profile: false` pays none of it.
     let workload = freejoin::workloads::micro::clover(100);
     let named = &workload.queries[0];
     let session = Session::new(Arc::new(EngineCaches::with_defaults()))
         .with_options(FreeJoinOptions::default().with_num_threads(1));
     let prepared = session.prepare(&workload.catalog, &named.query).unwrap();
-    let expected = prepared.execute(&workload.catalog).unwrap().0.cardinality();
-    prepared.execute(&workload.catalog).unwrap();
+    let plain = ExecRequest::default();
+    let expected = prepared.execute(&workload.catalog, &plain).unwrap().output.cardinality();
+    prepared.execute(&workload.catalog, &plain).unwrap();
 
     let measure_plain = || {
         let before = allocations();
-        let (out, _) = prepared.execute(&workload.catalog).unwrap();
+        let out = prepared.execute(&workload.catalog, &plain).unwrap().output;
         assert_eq!(out.cardinality(), expected);
         allocations() - before
     };
@@ -107,11 +108,12 @@ fn disabled_profiling_is_allocation_free() {
     let plain_b = measure_plain();
     assert_eq!(plain_a, plain_b, "warm unprofiled executions allocate identically run to run");
 
+    let request = ExecRequest { profile: true, ..ExecRequest::default() };
     let before = allocations();
-    let (out, _, profile) = prepared.execute_profiled(&workload.catalog, &Params::new()).unwrap();
+    let report = prepared.execute(&workload.catalog, &request).unwrap();
     let profiled = allocations() - before;
-    assert_eq!(out.cardinality(), expected);
-    assert!(profile.total_probes() > 0);
+    assert_eq!(report.output.cardinality(), expected);
+    assert!(report.profile.expect("asked for").total_probes() > 0);
     assert!(
         profiled > plain_b,
         "profiling allocates its sheets ({profiled} vs {plain_b}) — if this ever fails \

@@ -7,6 +7,7 @@
 //! plain addition.
 
 use freejoin::prelude::*;
+use freejoin::query::ExecStats;
 use freejoin::workloads::micro;
 use freejoin::workloads::Workload;
 use std::sync::Arc;
@@ -26,6 +27,14 @@ fn session_with(strategy: TrieStrategy, threads: usize) -> Session {
             .with_num_threads(threads)
             .with_split_threshold(8),
     )
+}
+
+/// One profiled execution without overrides.
+fn profiled(prepared: &Prepared, catalog: &Catalog) -> (QueryOutput, ExecStats, QueryProfile) {
+    let request = ExecRequest { profile: true, ..ExecRequest::default() };
+    let report = prepared.execute(catalog, &request).unwrap();
+    assert!(report.trace.is_none(), "nobody asked for a trace");
+    (report.output, report.stats, report.profile.expect("the request asked for a profile"))
 }
 
 /// The count fields of one node, everything except wall time (which is
@@ -65,8 +74,7 @@ fn per_node_sums_reconcile_with_exec_stats() {
                 let session = session_with(strategy, threads);
                 for named in &workload.queries {
                     let prepared = session.prepare(&workload.catalog, &named.query).unwrap();
-                    let (out, stats, profile) =
-                        prepared.execute_profiled(&workload.catalog, &Params::new()).unwrap();
+                    let (out, stats, profile) = profiled(&prepared, &workload.catalog);
                     let ctx = format!("{} / {strategy:?} / {threads} threads", named.name);
                     assert_eq!(profile.total_probes(), stats.probes, "{ctx}");
                     assert_eq!(profile.total_probe_hits(), stats.probe_hits, "{ctx}");
@@ -99,8 +107,7 @@ fn count_profile_is_deterministic_per_configuration() {
                 let run = |threads: usize| {
                     let session = session_with(strategy, threads);
                     let prepared = session.prepare(&workload.catalog, &named.query).unwrap();
-                    let (_, _, profile) =
-                        prepared.execute_profiled(&workload.catalog, &Params::new()).unwrap();
+                    let (_, _, profile) = profiled(&prepared, &workload.catalog);
                     counts(&profile)
                 };
                 let ctx = format!("{} / {strategy:?}", named.name);
@@ -141,11 +148,9 @@ fn warm_reexecution_reports_identical_counts() {
     let session = session_with(TrieStrategy::Colt, 1);
     let named = &workload.queries[0];
     let prepared = session.prepare(&workload.catalog, &named.query).unwrap();
-    let (_, cold_stats, cold) =
-        prepared.execute_profiled(&workload.catalog, &Params::new()).unwrap();
-    let (_, warm_stats, warm) =
-        prepared.execute_profiled(&workload.catalog, &Params::new()).unwrap();
-    let (_, _, again) = prepared.execute_profiled(&workload.catalog, &Params::new()).unwrap();
+    let (_, cold_stats, cold) = profiled(&prepared, &workload.catalog);
+    let (_, warm_stats, warm) = profiled(&prepared, &workload.catalog);
+    let (_, _, again) = profiled(&prepared, &workload.catalog);
     assert!(warm_stats.tries_built <= cold_stats.tries_built);
     assert_eq!(counts(&warm), counts(&again));
     let rows = |profile: &QueryProfile| -> Vec<(String, u64)> {

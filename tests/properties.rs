@@ -215,50 +215,49 @@ proptest! {
 
         for trie in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
             for threads in [1usize, 4] {
-                for steal in [true, false] {
-                    let options = FreeJoinOptions { trie, steal, ..FreeJoinOptions::default() }
-                        .with_num_threads(threads);
-                    let untouched = Session::new(Arc::new(EngineCaches::with_defaults()))
-                        .with_options(options);
-                    let baseline =
-                        untouched.prepare(&catalog, &query).unwrap().execute(&catalog).unwrap().0;
-                    let baseline_bytes = format!("{:?}", baseline.canonical_rows());
+                let options =
+                    FreeJoinOptions { trie, ..FreeJoinOptions::default() }.with_num_threads(threads);
+                let plain = ExecRequest::default();
+                let untouched =
+                    Session::new(Arc::new(EngineCaches::with_defaults())).with_options(options);
+                let baseline = untouched.prepare(&catalog, &query).unwrap();
+                let baseline = baseline.execute(&catalog, &plain).unwrap().output;
+                let baseline_bytes = format!("{:?}", baseline.canonical_rows());
 
-                    let session = Session::new(Arc::new(EngineCaches::with_defaults()))
-                        .with_options(options);
-                    let prepared = session.prepare(&catalog, &query).unwrap();
-                    let pre_cancelled = CancelToken::new();
-                    pre_cancelled.cancel(CancelReason::Explicit);
-                    let doomed = [
-                        pre_cancelled,
-                        CancelToken::with_deadline(Duration::ZERO),
-                        CancelToken::with_limits(None, 1),
-                    ];
-                    for token in &doomed {
-                        match prepared.execute_cancellable(&catalog, &Params::new(), token) {
-                            Err(EngineError::Query(QueryError::Cancelled { .. })) => {}
-                            // An empty join can finish before the first
-                            // cooperative check; completing with the right
-                            // answer is also "uncorrupted".
-                            Ok((out, _)) => {
-                                prop_assert_eq!(
-                                    format!("{:?}", out.canonical_rows()),
-                                    baseline_bytes.clone()
-                                );
-                            }
-                            Err(other) => prop_assert!(false, "unexpected error: {other}"),
+                let session =
+                    Session::new(Arc::new(EngineCaches::with_defaults())).with_options(options);
+                let prepared = session.prepare(&catalog, &query).unwrap();
+                let pre_cancelled = CancelToken::new();
+                pre_cancelled.cancel(CancelReason::Explicit);
+                let doomed = [
+                    pre_cancelled,
+                    CancelToken::with_deadline(Duration::ZERO),
+                    CancelToken::with_limits(None, 1),
+                ];
+                for token in doomed {
+                    match prepared.execute(&catalog, &ExecRequest { token, ..plain.clone() }) {
+                        Err(EngineError::Query(QueryError::Cancelled { .. })) => {}
+                        // An empty join can finish before the first
+                        // cooperative check; completing with the right
+                        // answer is also "uncorrupted".
+                        Ok(report) => {
+                            prop_assert_eq!(
+                                format!("{:?}", report.output.canonical_rows()),
+                                baseline_bytes.clone()
+                            );
                         }
+                        Err(other) => prop_assert!(false, "unexpected error: {other}"),
                     }
-                    // The surviving Prepared re-executes byte-identical —
-                    // twice, so the first post-cancel run did not poison the
-                    // caches for the second either.
-                    for _ in 0..2 {
-                        let (out, _) = prepared.execute(&catalog).unwrap();
-                        prop_assert_eq!(
-                            format!("{:?}", out.canonical_rows()),
-                            baseline_bytes.clone()
-                        );
-                    }
+                }
+                // The surviving Prepared re-executes byte-identical —
+                // twice, so the first post-cancel run did not poison the
+                // caches for the second either.
+                for _ in 0..2 {
+                    let out = prepared.execute(&catalog, &plain).unwrap().output;
+                    prop_assert_eq!(
+                        format!("{:?}", out.canonical_rows()),
+                        baseline_bytes.clone()
+                    );
                 }
             }
         }

@@ -35,7 +35,11 @@ fn concurrent_loopback_clients_match_single_threaded_session() {
         .iter()
         .map(|named| {
             let prepared = reference_session.prepare(&catalog, &named.query).unwrap();
-            prepared.execute(&catalog).unwrap().0.cardinality()
+            prepared
+                .execute(&catalog, &ExecRequest::default())
+                .unwrap()
+                .output
+                .cardinality()
         })
         .collect();
 
@@ -210,7 +214,8 @@ fn wire_params_and_typed_errors() {
     let filter_text = format!("{column} >= 0");
     let params = Params::new()
         .with_filter(alias.clone(), freejoin::query::parse_filter(&filter_text).unwrap());
-    let expected = prepared.execute_with(&catalog, &params).unwrap().0.cardinality();
+    let request = ExecRequest { params, ..ExecRequest::default() };
+    let expected = prepared.execute(&catalog, &request).unwrap().output.cardinality();
 
     let server = start_server(Arc::clone(&catalog), ServerConfig::default());
     let mut client = Client::connect(server.local_addr()).unwrap();
@@ -304,7 +309,6 @@ fn stats_frame_reports_scheduler_counters() {
     let session = Session::new(Arc::new(EngineCaches::with_defaults())).with_options(
         FreeJoinOptions::default()
             .with_num_threads(4)
-            .with_steal(true)
             .with_split_threshold(8)
             .with_factorized_output(false),
     );

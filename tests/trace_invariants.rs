@@ -10,6 +10,7 @@
 
 use freejoin::obs::{TraceCat, TraceKind};
 use freejoin::prelude::*;
+use freejoin::query::ExecStats;
 use freejoin::workloads::micro;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -54,20 +55,27 @@ fn gate() -> MutexGuard<'static, ()> {
 /// which the span-tree determinism contract depends on. Dead-variable
 /// pruning is off: these tests watch the scheduler split and steal the star
 /// workloads' expansions, and pruned, a star's count has none left.
-fn fresh_session(threads: usize, steal: bool) -> Session {
+fn fresh_session(threads: usize) -> Session {
     Session::new(Arc::new(EngineCaches::with_defaults())).with_options(
         FreeJoinOptions::default()
             .with_num_threads(threads)
-            .with_steal(steal)
             .with_split_threshold(32)
             .with_factorized_output(false),
     )
 }
 
+/// One traced execution without overrides.
+fn traced(prepared: &Prepared, catalog: &Catalog) -> (QueryOutput, ExecStats, QueryTrace) {
+    let request = ExecRequest { trace: true, ..ExecRequest::default() };
+    let report = prepared.execute(catalog, &request).unwrap();
+    assert!(report.profile.is_none(), "nobody asked for a profile");
+    (report.output, report.stats, report.trace.expect("the request asked for a trace"))
+}
+
 /// The canonical span tree must not depend on the schedule: {1, 4, 8}
-/// threads × steal on/off over the skewed star (the workload where steal
-/// schedules genuinely differ run to run) all render byte-identical trees,
-/// and every configuration's rings pass the nesting validator.
+/// threads over the skewed star (the workload where steal schedules
+/// genuinely differ run to run) all render byte-identical trees, and every
+/// configuration's rings pass the nesting validator.
 #[test]
 fn span_tree_is_identical_across_thread_counts_and_steal_schedules() {
     let _gate = gate();
@@ -76,28 +84,25 @@ fn span_tree_is_identical_across_thread_counts_and_steal_schedules() {
 
     let mut reference: Option<String> = None;
     for threads in [1usize, 4, 8] {
-        for steal in [true, false] {
-            let session = fresh_session(threads, steal);
-            let prepared = session.prepare(&w.catalog, &named.query).unwrap();
-            let (out, _, trace) = prepared.execute_traced(&w.catalog, &Params::new()).unwrap();
-            assert!(out.cardinality() > 0);
-            trace.validate_nesting().unwrap_or_else(|e| {
-                panic!("unbalanced rings at {threads} threads, steal {steal}: {e}")
-            });
-            assert_eq!(trace.count(TraceKind::Begin, TraceCat::Query), 1);
-            assert_eq!(trace.count(TraceKind::End, TraceCat::Query), 1);
+        let session = fresh_session(threads);
+        let prepared = session.prepare(&w.catalog, &named.query).unwrap();
+        let (out, _, trace) = traced(&prepared, &w.catalog);
+        assert!(out.cardinality() > 0);
+        trace
+            .validate_nesting()
+            .unwrap_or_else(|e| panic!("unbalanced rings at {threads} threads: {e}"));
+        assert_eq!(trace.count(TraceKind::Begin, TraceCat::Query), 1);
+        assert_eq!(trace.count(TraceKind::End, TraceCat::Query), 1);
 
-            let tree = trace.span_tree();
-            assert!(tree.starts_with("query\n"), "tree renders from the query span: {tree}");
-            assert!(tree.contains("pipeline"), "{tree}");
-            assert!(tree.contains("trie_fetch"), "{tree}");
-            assert!(tree.contains("node"), "{tree}");
-            match &reference {
-                None => reference = Some(tree),
-                Some(expected) => assert_eq!(
-                    expected, &tree,
-                    "span tree diverged at {threads} threads, steal {steal}"
-                ),
+        let tree = trace.span_tree();
+        assert!(tree.starts_with("query\n"), "tree renders from the query span: {tree}");
+        assert!(tree.contains("pipeline"), "{tree}");
+        assert!(tree.contains("trie_fetch"), "{tree}");
+        assert!(tree.contains("node"), "{tree}");
+        match &reference {
+            None => reference = Some(tree),
+            Some(expected) => {
+                assert_eq!(expected, &tree, "span tree diverged at {threads} threads")
             }
         }
     }
@@ -115,10 +120,10 @@ fn warm_span_tree_reports_cache_hits_deterministically() {
 
     let mut warm_reference: Option<String> = None;
     for threads in [1usize, 4] {
-        let session = fresh_session(threads, true);
+        let session = fresh_session(threads);
         let prepared = session.prepare(&w.catalog, &named.query).unwrap();
-        let (_, _, cold) = prepared.execute_traced(&w.catalog, &Params::new()).unwrap();
-        let (_, _, warm) = prepared.execute_traced(&w.catalog, &Params::new()).unwrap();
+        let (_, _, cold) = traced(&prepared, &w.catalog);
+        let (_, _, warm) = traced(&prepared, &w.catalog);
         assert!(cold.span_tree().contains("built"), "{}", cold.span_tree());
         assert!(warm.span_tree().contains("hit"), "{}", warm.span_tree());
         assert!(!warm.span_tree().contains("built"), "{}", warm.span_tree());
@@ -138,12 +143,12 @@ fn task_spans_and_steal_instants_reconcile_with_exec_stats() {
     let _gate = gate();
     let w = micro::skewed_star(2, 120, 0.9, 29);
     let named = &w.queries[0];
-    let session = fresh_session(4, true);
+    let session = fresh_session(4);
     let prepared = session.prepare(&w.catalog, &named.query).unwrap();
 
     let mut saw_steal = false;
     for _ in 0..50 {
-        let (_, stats, trace) = prepared.execute_traced(&w.catalog, &Params::new()).unwrap();
+        let (_, stats, trace) = traced(&prepared, &w.catalog);
         if trace.dropped_events() > 0 {
             // Ring overflow dropped the oldest events; exact reconciliation
             // is only defined on drop-free traces. Schedule-dependent, so
@@ -171,6 +176,43 @@ fn task_spans_and_steal_instants_reconcile_with_exec_stats() {
     assert!(saw_steal, "no steal observed in 50 parallel runs of the skewed star");
 }
 
+/// What the six-method API could not express: a profile and a trace from
+/// **one** execution. Each instrument reconciles with the execution's own
+/// `ExecStats` exactly as it does alone — per-node probes sum to
+/// `stats.probes`, task spans cover `tasks_spawned`, steal instants equal
+/// `tasks_stolen` — and the output is the plain run's, on one thread and
+/// under the scheduler.
+#[test]
+fn profile_and_trace_from_one_execution_both_reconcile() {
+    let _gate = gate();
+    let w = micro::skewed_star(2, 120, 0.9, 29);
+    let named = &w.queries[0];
+    let both = ExecRequest { profile: true, trace: true, ..ExecRequest::default() };
+    for threads in [1usize, 4] {
+        let session = fresh_session(threads);
+        let prepared = session.prepare(&w.catalog, &named.query).unwrap();
+        let plain = prepared.execute(&w.catalog, &ExecRequest::default()).unwrap();
+        assert!(plain.profile.is_none() && plain.trace.is_none());
+        for _ in 0..20 {
+            let ExecReport { output, stats, profile, trace } =
+                prepared.execute(&w.catalog, &both).unwrap();
+            let (profile, trace) = (profile.expect("asked for"), trace.expect("asked for"));
+            assert_eq!(output, plain.output, "{threads} threads");
+            assert_eq!(profile.total_probes(), stats.probes, "{threads} threads");
+            assert_eq!(profile.total_probe_hits(), stats.probe_hits);
+            assert_eq!(profile.output_rows(), output.cardinality());
+            assert_eq!((stats.tasks_spawned > 0), threads > 1, "{stats}");
+            trace.validate_nesting().unwrap();
+            if trace.dropped_events() > 0 {
+                continue; // exact reconciliation is defined on drop-free traces
+            }
+            assert!(trace.count(TraceKind::Begin, TraceCat::Task) >= stats.tasks_spawned);
+            assert_eq!(trace.count(TraceKind::Instant, TraceCat::Steal), stats.tasks_stolen);
+            break;
+        }
+    }
+}
+
 /// The Chrome export is well-formed enough to hand to a JSON parser (the
 /// CI checker does the full validation): one `traceEvents` array, every
 /// worker ring contributing, and no trailing garbage.
@@ -179,9 +221,9 @@ fn chrome_export_has_the_expected_shape() {
     let _gate = gate();
     let w = micro::skewed_star(2, 60, 0.9, 23);
     let named = &w.queries[0];
-    let session = fresh_session(4, true);
+    let session = fresh_session(4);
     let prepared = session.prepare(&w.catalog, &named.query).unwrap();
-    let (_, _, trace) = prepared.execute_traced(&w.catalog, &Params::new()).unwrap();
+    let (_, _, trace) = traced(&prepared, &w.catalog);
 
     let json = trace.to_chrome_json();
     assert!(json.starts_with('{') && json.trim_end().ends_with('}'), "{json}");
@@ -204,12 +246,13 @@ fn disabled_tracing_is_allocation_free() {
     let session = Session::new(Arc::new(EngineCaches::with_defaults()))
         .with_options(FreeJoinOptions::default().with_num_threads(1));
     let prepared = session.prepare(&workload.catalog, &named.query).unwrap();
-    let expected = prepared.execute(&workload.catalog).unwrap().0.cardinality();
-    prepared.execute(&workload.catalog).unwrap();
+    let plain = ExecRequest::default();
+    let expected = prepared.execute(&workload.catalog, &plain).unwrap().output.cardinality();
+    prepared.execute(&workload.catalog, &plain).unwrap();
 
     let measure_plain = || {
         let before = allocations();
-        let (out, _) = prepared.execute(&workload.catalog).unwrap();
+        let out = prepared.execute(&workload.catalog, &plain).unwrap().output;
         assert_eq!(out.cardinality(), expected);
         allocations() - before
     };
@@ -218,7 +261,7 @@ fn disabled_tracing_is_allocation_free() {
     assert_eq!(plain_a, plain_b, "warm untraced executions allocate identically run to run");
 
     let before = allocations();
-    let (out, _, trace) = prepared.execute_traced(&workload.catalog, &Params::new()).unwrap();
+    let (out, _, trace) = traced(&prepared, &workload.catalog);
     let traced = allocations() - before;
     assert_eq!(out.cardinality(), expected);
     assert!(trace.total_events() > 0);

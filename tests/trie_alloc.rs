@@ -6,13 +6,15 @@
 //! `LevelKey` index still grows with its distinct keys, by doubling, never
 //! by a number of allocations proportional to them, and the probe loop over already-forced tries
 //! allocates nothing — doubling the number of probes leaves the allocation
-//! count of an execution unchanged.
+//! count of an execution unchanged. The allocator also sums bytes: a warm
+//! execution whose covers have a handful of entries sizes its batch buffers
+//! to them, not to `batch_size`.
 //!
 //! Everything lives in one `#[test]` because the counter is process-global
 //! and the default harness runs tests concurrently.
 
 use freejoin::engine::compile::compile;
-use freejoin::engine::exec::execute_pipeline;
+use freejoin::engine::exec::{execute_pipeline, Instruments};
 use freejoin::engine::prepare_inputs;
 use freejoin::engine::sink::OutputSink;
 use freejoin::engine::InputTrie;
@@ -26,10 +28,12 @@ use std::sync::Arc;
 struct CountingAllocator;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+static ALLOCATED_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
 
@@ -39,6 +43,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        ALLOCATED_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -48,6 +53,11 @@ static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
     ALLOCATIONS.load(Ordering::SeqCst)
+}
+
+/// Bytes requested so far (a `realloc` counts its new size).
+fn allocated_bytes() -> u64 {
+    ALLOCATED_BYTES.load(Ordering::SeqCst)
 }
 
 fn relation(name: &str, cols: &[&str], rows: impl Iterator<Item = [i64; 2]>) -> Relation {
@@ -80,9 +90,9 @@ fn force_allocations(keys: i64, per_key: i64, level0: &[&str]) -> u64 {
 /// Allocations of one warm serial count of `R(x,y), S(y,z), T(z,w)` where
 /// `R` — the relation whose rows drive the probes — has `r_rows` rows, `S`
 /// and `T` are fixed, and every trie level the query touches was forced by
-/// a first, unmeasured execution. Returns the allocation count and the
-/// number of probes the measured execution made.
-fn warm_execution(r_rows: i64, options: &FreeJoinOptions) -> (u64, u64) {
+/// a first, unmeasured execution. Returns the allocation count, the bytes
+/// requested and the number of probes of the measured execution.
+fn warm_execution(r_rows: i64, options: &FreeJoinOptions) -> (u64, u64, u64) {
     let mut catalog = Catalog::new();
     catalog
         .add(relation("R", &["x", "y"], (0..r_rows).map(|i| [i, i % 500])))
@@ -110,19 +120,27 @@ fn warm_execution(r_rows: i64, options: &FreeJoinOptions) -> (u64, u64) {
         OutputBuilder::try_new(&query.head, query.aggregate.clone(), &compiled.binding_order)
             .unwrap();
     let run = || {
-        let mut sink = OutputSink::new(builder.clone());
-        let counters = execute_pipeline(&tries, &compiled, options, &mut sink);
+        let (mut sinks, counters) = execute_pipeline(
+            &tries,
+            &compiled,
+            options,
+            1,
+            || OutputSink::new(builder.clone()),
+            &CancelToken::disabled(),
+            Instruments::default(),
+        );
         // R ⋈ S ⋈ T: every R row meets 2 S rows, each meeting 2 T rows.
+        let sink = sinks.pop().expect("one thread, one sink");
         assert_eq!(sink.finish().cardinality(), 4 * r_rows as u64);
         counters.probes
     };
     run();
     let maps = tries.iter().map(|t| t.maps_built()).sum::<u64>();
-    let before = allocations();
+    let before = (allocations(), allocated_bytes());
     let probes = run();
-    let spent = allocations() - before;
+    let spent = (allocations() - before.0, allocated_bytes() - before.1);
     assert_eq!(tries.iter().map(|t| t.maps_built()).sum::<u64>(), maps, "nothing left to force");
-    (spent, probes)
+    (spent.0, spent.1, probes)
 }
 
 #[test]
@@ -149,8 +167,8 @@ fn forcing_is_constant_and_probing_is_allocation_free() {
             let options = FreeJoinOptions { trie, ..FreeJoinOptions::default() }
                 .with_num_threads(1)
                 .with_batch_size(batch_size);
-            let (allocs_n, probes_n) = warm_execution(20_000, &options);
-            let (allocs_2n, probes_2n) = warm_execution(40_000, &options);
+            let (allocs_n, _, probes_n) = warm_execution(20_000, &options);
+            let (allocs_2n, _, probes_2n) = warm_execution(40_000, &options);
             assert!(probes_n >= 20_000 && probes_2n == 2 * probes_n, "{probes_n} {probes_2n}");
             assert_eq!(
                 allocs_n, allocs_2n,
@@ -158,4 +176,15 @@ fn forcing_is_constant_and_probing_is_allocation_free() {
             );
         }
     }
+
+    // (c) A warm execution whose every cover has at most 16 entries (16
+    // rows of R, two rows of S under each y, two of T under each z) asks
+    // for less memory than one `batch_size`-entry buffer of one node would
+    // take — the 1000 x 16-byte values of a batch's writes: the result
+    // chunk's weights column is the only kilobytes-sized request.
+    let options = FreeJoinOptions::default().with_num_threads(1);
+    assert_eq!(options.batch_size, 1000);
+    let (_, bytes, probes) = warm_execution(16, &options);
+    assert_eq!(probes, 16 + 32);
+    assert!(bytes < 16_000, "a warm 16-row execution requested {bytes} bytes");
 }
