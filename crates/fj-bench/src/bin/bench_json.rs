@@ -418,7 +418,7 @@ fn measure_serving_tcp(label: &str, workload: &Workload, query_idx: usize) -> Re
     let query_text = named.query.to_string();
     let aggregate = named.query.aggregate.clone();
 
-    let before = server.stats();
+    let before = server.metrics();
     let start = Instant::now();
     std::thread::scope(|scope| {
         for _ in 0..SERVE_CLIENTS {
@@ -435,7 +435,7 @@ fn measure_serving_tcp(label: &str, workload: &Workload, query_idx: usize) -> Re
         }
     });
     let wall_ms = ms(start.elapsed());
-    let after = server.stats();
+    let after = server.metrics();
     let delta = after.delta(&before);
     server.shutdown();
     server.join();
@@ -446,14 +446,14 @@ fn measure_serving_tcp(label: &str, workload: &Workload, query_idx: usize) -> Re
         threads: options.effective_threads(),
         cache: "serve",
         exec: "static",
-        trie_hits: delta.cache.tries.hits,
-        trie_misses: delta.cache.tries.misses,
+        trie_hits: delta.get("fj_cache_trie_hits"),
+        trie_misses: delta.get("fj_cache_trie_misses"),
         wall_ms,
         build_ms: 0.0,
         probe_ms: 0.0,
         output_tuples: cardinality,
-        serve_p50_us: after.p50_us,
-        serve_p99_us: after.p99_us,
+        serve_p50_us: after.quantile("fj_serve_latency_us", 0.50),
+        serve_p99_us: after.quantile("fj_serve_latency_us", 0.99),
         skew: 0.0,
         profile_overhead_pct: 0.0,
         trace_overhead_pct: 0.0,

@@ -16,9 +16,11 @@
 //!   builder instead of building twice), **budget-aware eviction** (each
 //!   build is timed; among the least-recently-used candidates the victim
 //!   with the lowest `build_cost × (1 + hits)` score is evicted, so cheap
-//!   tries yield budget to expensive ones), and atomic [`CacheStats`].
-//!   [`StatsSnapshot`] pairs the trie- and plan-cache snapshots into the
-//!   plain wire-encodable struct served by `fj-serve`'s stats frame.
+//!   tries yield budget to expensive ones). Its counts are [`CacheCells`]:
+//!   `fj_obs` counters and gauges the cache owns and a serving process
+//!   binds into its metrics registry once, so the `Metrics` exposition
+//!   reads the very cells the cache bumps; [`CacheStats`] is their typed
+//!   readout for in-process callers.
 //! * [`TrieCache`] — `ShardedLru` keyed by [`TrieKey`] `(relation name,
 //!   relation version, trie strategy, column key-order, filter
 //!   fingerprint)`, handing out `Arc` clones of built tries so concurrent
@@ -46,5 +48,5 @@ pub mod trie_cache;
 pub use fingerprint::{fingerprint_debug, Fingerprinter};
 pub use lru::ShardedLru;
 pub use plan_cache::PlanCache;
-pub use stats::{take_u64, CacheStats, ExecTotals, SchedStats, StatsSnapshot};
+pub use stats::{CacheCells, CacheStats};
 pub use trie_cache::{TrieCache, TrieKey};

@@ -37,7 +37,7 @@
 //! entries keep the protection plain LRU gave them. Ties (e.g. all-zero
 //! scores from instant builders) fall back to least-recently-used.
 
-use crate::stats::{CacheStats, LiveStats};
+use crate::stats::{CacheCells, CacheStats};
 use std::collections::{BTreeMap, HashMap};
 use std::hash::{Hash, Hasher};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
@@ -136,7 +136,7 @@ pub struct ShardedLru<K, V> {
     shards: Vec<Mutex<Shard<K, V>>>,
     /// Per-shard byte budget (total budget / shard count).
     shard_budget: usize,
-    stats: LiveStats,
+    cells: CacheCells,
 }
 
 impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
@@ -147,7 +147,7 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
         ShardedLru {
             shards: (0..num_shards).map(|_| Mutex::new(Shard::default())).collect(),
             shard_budget: budget_bytes / num_shards,
-            stats: LiveStats::default(),
+            cells: CacheCells::default(),
         }
     }
 
@@ -197,15 +197,15 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
             let action = {
                 let mut shard = Self::lock(shard_mutex);
                 if let Some(v) = Self::touch_entry(&mut shard, key) {
-                    LiveStats::bump(&self.stats.hits);
+                    self.cells.hits.inc();
                     Action::Ready(v)
                 } else if let Some(flight) = shard.building.get(key) {
-                    LiveStats::bump(&self.stats.coalesced);
+                    self.cells.coalesced.inc();
                     Action::Wait(flight.clone())
                 } else {
                     let flight = InFlight::new();
                     shard.building.insert(key.clone(), flight.clone());
-                    LiveStats::bump(&self.stats.misses);
+                    self.cells.misses.inc();
                     Action::Build(flight)
                 }
             };
@@ -258,7 +258,7 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
                 }
             }
         }
-        LiveStats::add(&self.stats.invalidated, removed);
+        self.cells.invalidated.add(removed);
         removed
     }
 
@@ -282,7 +282,12 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
         self.len() == 0
     }
 
-    /// A snapshot of the cache's counters and gauges.
+    /// The cache's live cells, for binding into a metrics registry.
+    pub fn cells(&self) -> &CacheCells {
+        &self.cells
+    }
+
+    /// Sum the shards into the two gauges, then read every cell.
     pub fn stats(&self) -> CacheStats {
         let (mut bytes, mut entries) = (0u64, 0u64);
         for shard_mutex in &self.shards {
@@ -290,7 +295,9 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
             bytes += shard.bytes as u64;
             entries += shard.ready.len() as u64;
         }
-        self.stats.snapshot(bytes, entries)
+        self.cells.resident_bytes.set(bytes);
+        self.cells.entries.set(entries);
+        self.cells.read()
     }
 
     /// Look up `key` in a locked shard and bump its recency and hit count.
@@ -318,7 +325,7 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
         cost_micros: u64,
     ) {
         if bytes > self.shard_budget {
-            LiveStats::bump(&self.stats.uncacheable);
+            self.cells.uncacheable.inc();
             return;
         }
         // Re-inserting over an existing entry (e.g. after an invalidation
@@ -332,8 +339,8 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
             let victim = shard.lru.remove(&victim_tick).expect("victim came from the LRU index");
             let evicted = shard.ready.remove(&victim).expect("LRU index matches ready map");
             shard.bytes -= evicted.bytes;
-            LiveStats::bump(&self.stats.evictions);
-            LiveStats::add(&self.stats.bytes_evicted, evicted.bytes as u64);
+            self.cells.evictions.inc();
+            self.cells.bytes_evicted.add(evicted.bytes as u64);
         }
         shard.tick += 1;
         let tick = shard.tick;
@@ -342,7 +349,7 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
             .ready
             .insert(key, Entry { value, bytes, last_used: tick, cost_micros, hits: 0 });
         shard.bytes += bytes;
-        LiveStats::bump(&self.stats.inserts);
+        self.cells.inserts.inc();
     }
 
     /// The recency tick of the entry to evict: among the [`EVICT_WINDOW`]

@@ -6,7 +6,7 @@
 //! single-flight/eviction/stats story — for both caches.
 
 use crate::lru::ShardedLru;
-use crate::stats::CacheStats;
+use crate::stats::{CacheCells, CacheStats};
 use std::sync::Arc;
 
 /// An LRU cache of compiled plan artifacts keyed by a 64-bit fingerprint of
@@ -52,9 +52,15 @@ impl<P> PlanCache<P> {
         self.inner.clear()
     }
 
-    /// Counter/gauge snapshot. `resident_bytes` counts entries (unit cost).
+    /// Counter/gauge readout (refreshes the two gauges). `resident_bytes`
+    /// counts entries (unit cost).
     pub fn stats(&self) -> CacheStats {
         self.inner.stats()
+    }
+
+    /// The live cells behind [`PlanCache::stats`].
+    pub fn cells(&self) -> &CacheCells {
+        self.inner.cells()
     }
 
     /// Number of cached plans.

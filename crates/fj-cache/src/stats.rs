@@ -1,28 +1,15 @@
-//! Cache observability: atomic counters and their public snapshots.
+//! Cache observability: one cache's live cells and their typed readout.
 //!
-//! [`CacheStats`] is one cache's point-in-time snapshot; [`StatsSnapshot`]
-//! pairs the trie and plan caches' snapshots into the plain, wire-encodable
-//! struct that serving front-ends ship in `/metrics`-style stats frames.
-//! Both are plain `Copy` data — no atomics, no locks — so they can be held
-//! across passes, diffed with `delta`, and encoded with the hand-rolled
-//! fixed-order binary codec (the workspace's offline `serde` stand-in does
-//! not serialize, so the codec is explicit: every field is one
-//! little-endian `u64`, in declaration order).
+//! [`CacheCells`] are the [`fj_obs`] counters and gauges a cache bumps —
+//! one cell per number, shared by every shard, bound into a serving
+//! process's `fj_obs::MetricsRegistry` once ([`CacheCells::bind`]) under the
+//! names `fj_cache_<cache>_<field>`. [`CacheStats`] is their plain `Copy`
+//! readout for in-process callers: held across passes, diffed with
+//! [`CacheStats::delta`].
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use fj_obs::{Counter, Gauge, MetricsRegistry};
 
-/// Take one little-endian `u64` off the front of `bytes`, advancing the
-/// slice; `None` when fewer than 8 bytes remain. The single wire-decode
-/// primitive shared by every fixed-order codec in the workspace
-/// ([`CacheStats::decode`], `fj-serve`'s stats frame) so the layout can
-/// never desynchronize between copies.
-pub fn take_u64(bytes: &mut &[u8]) -> Option<u64> {
-    let (head, rest) = bytes.split_first_chunk::<8>()?;
-    *bytes = rest;
-    Some(u64::from_le_bytes(*head))
-}
-
-/// A point-in-time snapshot of a cache's counters and gauges — the public
+/// A point-in-time readout of a cache's counters and gauges — the typed
 /// stats API consulted by sessions, benchmarks and tests.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CacheStats {
@@ -68,8 +55,8 @@ impl CacheStats {
         }
     }
 
-    /// Counter-wise difference against an earlier snapshot (gauges are taken
-    /// from `self`), for per-request attribution: `after.delta(&before)`.
+    /// Counter-wise difference against an earlier readout (gauges are taken
+    /// from `self`), for per-pass attribution: `after.delta(&before)`.
     pub fn delta(&self, earlier: &CacheStats) -> CacheStats {
         CacheStats {
             hits: self.hits - earlier.hits,
@@ -84,248 +71,59 @@ impl CacheStats {
             entries: self.entries,
         }
     }
-
-    /// Field (name, value) pairs in codec order — the single source of truth
-    /// for the binary layout and for metrics-text rendering.
-    pub fn fields(&self) -> [(&'static str, u64); 10] {
-        [
-            ("hits", self.hits),
-            ("misses", self.misses),
-            ("coalesced", self.coalesced),
-            ("inserts", self.inserts),
-            ("evictions", self.evictions),
-            ("bytes_evicted", self.bytes_evicted),
-            ("uncacheable", self.uncacheable),
-            ("invalidated", self.invalidated),
-            ("resident_bytes", self.resident_bytes),
-            ("entries", self.entries),
-        ]
-    }
-
-    /// Append the fixed-order binary encoding (10 little-endian `u64`s).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        for (_, v) in self.fields() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Decode a snapshot from the front of `bytes`, advancing the slice.
-    /// Returns `None` when fewer than 80 bytes remain.
-    pub fn decode(bytes: &mut &[u8]) -> Option<CacheStats> {
-        let mut take = || take_u64(bytes);
-        Some(CacheStats {
-            hits: take()?,
-            misses: take()?,
-            coalesced: take()?,
-            inserts: take()?,
-            evictions: take()?,
-            bytes_evicted: take()?,
-            uncacheable: take()?,
-            invalidated: take()?,
-            resident_bytes: take()?,
-            entries: take()?,
-        })
-    }
 }
 
-/// Work-stealing scheduler counters accumulated across a session's query
-/// executions: how many tasks the parallel executor spawned, and how many
-/// were stolen by a worker other than their spawner. Wire-encoded as two
-/// little-endian `u64`s in declaration order, like [`CacheStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct SchedStats {
-    /// Scheduler tasks spawned (root range tasks plus split sub-ranges).
-    pub tasks_spawned: u64,
-    /// Tasks executed by a worker other than the one that spawned them.
-    pub tasks_stolen: u64,
-}
-
-impl SchedStats {
-    /// Counter-wise difference against an earlier snapshot.
-    pub fn delta(&self, earlier: &SchedStats) -> SchedStats {
-        SchedStats {
-            tasks_spawned: self.tasks_spawned - earlier.tasks_spawned,
-            tasks_stolen: self.tasks_stolen - earlier.tasks_stolen,
-        }
-    }
-
-    /// Field (name, value) pairs in codec order.
-    pub fn fields(&self) -> [(&'static str, u64); 2] {
-        [("tasks_spawned", self.tasks_spawned), ("tasks_stolen", self.tasks_stolen)]
-    }
-
-    /// Append the fixed-order binary encoding (2 little-endian `u64`s).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        for (_, v) in self.fields() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Decode from the front of `bytes`, advancing the slice.
-    pub fn decode(bytes: &mut &[u8]) -> Option<SchedStats> {
-        Some(SchedStats { tasks_spawned: take_u64(bytes)?, tasks_stolen: take_u64(bytes)? })
-    }
-}
-
-/// Adaptive-execution counters accumulated across a session's query
-/// executions: per-binding probe reorders performed by the adaptive
-/// executor, and plan nodes whose profiled actuals bust their prepare-time
-/// estimate (see `fj_obs::ESTIMATE_BUST_FACTOR`). Wire-encoded as two
-/// little-endian `u64`s in declaration order, like [`CacheStats`].
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct ExecTotals {
-    /// Bindings/batches whose adaptive probe order differed from the static
-    /// plan order (zero unless adaptive execution is enabled).
-    pub reorders: u64,
-    /// Plan nodes whose profiled actual rows exceeded the bust factor times
-    /// their cached estimate (bumped by profiled executions).
-    pub estimate_busts: u64,
-}
-
-impl ExecTotals {
-    /// Counter-wise difference against an earlier snapshot.
-    pub fn delta(&self, earlier: &ExecTotals) -> ExecTotals {
-        ExecTotals {
-            reorders: self.reorders - earlier.reorders,
-            estimate_busts: self.estimate_busts - earlier.estimate_busts,
-        }
-    }
-
-    /// Field (name, value) pairs in codec order.
-    pub fn fields(&self) -> [(&'static str, u64); 2] {
-        [("reorders", self.reorders), ("estimate_busts", self.estimate_busts)]
-    }
-
-    /// Append the fixed-order binary encoding (2 little-endian `u64`s).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        for (_, v) in self.fields() {
-            out.extend_from_slice(&v.to_le_bytes());
-        }
-    }
-
-    /// Decode from the front of `bytes`, advancing the slice.
-    pub fn decode(bytes: &mut &[u8]) -> Option<ExecTotals> {
-        Some(ExecTotals { reorders: take_u64(bytes)?, estimate_busts: take_u64(bytes)? })
-    }
-}
-
-/// The combined snapshot of a serving process's cache pair — the trie cache
-/// and the plan cache — plus the session's scheduler counters, as one plain,
-/// copyable, wire-encodable struct. This is what `free-join`'s
-/// `Session::cache_stats` returns and what `fj-serve` embeds in its stats
-/// frame, so in-process assertions (e.g. `examples/serve_repeated.rs`) and
-/// remote `/metrics` consumers read the exact same shape.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-pub struct StatsSnapshot {
-    /// Trie cache counters/gauges.
-    pub tries: CacheStats,
-    /// Plan cache counters/gauges (`resident_bytes` counts entries).
-    pub plans: CacheStats,
-    /// Work-stealing scheduler counters (spawned / stolen tasks).
-    pub sched: SchedStats,
-    /// Adaptive-execution counters (probe reorders / estimate busts).
-    pub exec: ExecTotals,
-}
-
-impl StatsSnapshot {
-    /// Counter-wise difference against an earlier snapshot (gauges from
-    /// `self`): `after.delta(&before)`.
-    pub fn delta(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        StatsSnapshot {
-            tries: self.tries.delta(&earlier.tries),
-            plans: self.plans.delta(&earlier.plans),
-            sched: self.sched.delta(&earlier.sched),
-            exec: self.exec.delta(&earlier.exec),
-        }
-    }
-
-    /// Append the fixed-order binary encoding (tries, plans, sched, exec —
-    /// 192 bytes).
-    pub fn encode(&self, out: &mut Vec<u8>) {
-        self.tries.encode(out);
-        self.plans.encode(out);
-        self.sched.encode(out);
-        self.exec.encode(out);
-    }
-
-    /// Decode from the front of `bytes`, advancing the slice.
-    pub fn decode(bytes: &mut &[u8]) -> Option<StatsSnapshot> {
-        Some(StatsSnapshot {
-            tries: CacheStats::decode(bytes)?,
-            plans: CacheStats::decode(bytes)?,
-            sched: SchedStats::decode(bytes)?,
-            exec: ExecTotals::decode(bytes)?,
-        })
-    }
-
-    /// Publish every counter and gauge into `registry` under the
-    /// workspace-wide `fj_<subsystem>_<metric>` naming scheme
-    /// (`fj_cache_<cache>_<field>`, `fj_sched_<field>`). Serving front-ends
-    /// call this to merge the cache snapshot into their process registry so
-    /// one exposition carries every subsystem.
-    pub fn register_into(&self, registry: &fj_obs::MetricsRegistry) {
-        for (cache, stats) in [("trie", &self.tries), ("plan", &self.plans)] {
-            for (name, value) in stats.fields() {
-                registry.set_gauge(&format!("fj_cache_{cache}_{name}"), value);
-            }
-        }
-        for (name, value) in self.sched.fields() {
-            registry.set_gauge(&format!("fj_sched_{name}"), value);
-        }
-        for (name, value) in self.exec.fields() {
-            registry.set_gauge(&format!("fj_exec_{name}"), value);
-        }
-    }
-
-    /// Render as `/metrics`-style text, one `fj_cache_<cache>_<field> <value>`
-    /// line per counter/gauge plus one `fj_sched_<field> <value>` line per
-    /// scheduler counter — a transient [`fj_obs::MetricsRegistry`] exposition
-    /// of [`StatsSnapshot::register_into`], so the names and line grammar are
-    /// exactly what the registry guarantees.
-    pub fn render_metrics(&self) -> String {
-        let registry = fj_obs::MetricsRegistry::new();
-        self.register_into(&registry);
-        registry.render()
-    }
-}
-
-/// The live counters, shared across shards and updated lock-free. Gauges
-/// (resident bytes, entry count) live on the shards themselves and are
-/// folded in when a snapshot is taken.
+/// The live cells of one cache, updated lock-free from every shard. The
+/// two gauges are sums over the shards, set whenever the cache's stats are
+/// read (`ShardedLru::stats`); the counters are bumped where the event
+/// happens. Fields mirror [`CacheStats`], which documents them.
 #[derive(Debug, Default)]
-pub(crate) struct LiveStats {
-    pub hits: AtomicU64,
-    pub misses: AtomicU64,
-    pub coalesced: AtomicU64,
-    pub inserts: AtomicU64,
-    pub evictions: AtomicU64,
-    pub bytes_evicted: AtomicU64,
-    pub uncacheable: AtomicU64,
-    pub invalidated: AtomicU64,
+pub struct CacheCells {
+    pub(crate) hits: Counter,
+    pub(crate) misses: Counter,
+    pub(crate) coalesced: Counter,
+    pub(crate) inserts: Counter,
+    pub(crate) evictions: Counter,
+    pub(crate) bytes_evicted: Counter,
+    pub(crate) uncacheable: Counter,
+    pub(crate) invalidated: Counter,
+    pub(crate) resident_bytes: Gauge,
+    pub(crate) entries: Gauge,
 }
 
-impl LiveStats {
-    pub fn bump(counter: &AtomicU64) {
-        counter.fetch_add(1, Ordering::Relaxed);
+impl CacheCells {
+    /// Export every cell as `fj_cache_<cache>_<field>` — once, when the
+    /// serving process sets its registry up.
+    pub fn bind(&self, registry: &MetricsRegistry, cache: &str) {
+        for (field, cell) in [
+            ("hits", &self.hits),
+            ("misses", &self.misses),
+            ("coalesced", &self.coalesced),
+            ("inserts", &self.inserts),
+            ("evictions", &self.evictions),
+            ("bytes_evicted", &self.bytes_evicted),
+            ("uncacheable", &self.uncacheable),
+            ("invalidated", &self.invalidated),
+        ] {
+            registry.bind_counter(&format!("fj_cache_{cache}_{field}"), cell);
+        }
+        registry.bind_gauge(&format!("fj_cache_{cache}_resident_bytes"), &self.resident_bytes);
+        registry.bind_gauge(&format!("fj_cache_{cache}_entries"), &self.entries);
     }
 
-    pub fn add(counter: &AtomicU64, n: u64) {
-        counter.fetch_add(n, Ordering::Relaxed);
-    }
-
-    /// Snapshot the counters; the caller fills in the gauges.
-    pub fn snapshot(&self, resident_bytes: u64, entries: u64) -> CacheStats {
+    /// Read every cell.
+    pub fn read(&self) -> CacheStats {
         CacheStats {
-            hits: self.hits.load(Ordering::Relaxed),
-            misses: self.misses.load(Ordering::Relaxed),
-            coalesced: self.coalesced.load(Ordering::Relaxed),
-            inserts: self.inserts.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            bytes_evicted: self.bytes_evicted.load(Ordering::Relaxed),
-            uncacheable: self.uncacheable.load(Ordering::Relaxed),
-            invalidated: self.invalidated.load(Ordering::Relaxed),
-            resident_bytes,
-            entries,
+            hits: self.hits.get(),
+            misses: self.misses.get(),
+            coalesced: self.coalesced.get(),
+            inserts: self.inserts.get(),
+            evictions: self.evictions.get(),
+            bytes_evicted: self.bytes_evicted.get(),
+            uncacheable: self.uncacheable.get(),
+            invalidated: self.invalidated.get(),
+            resident_bytes: self.resident_bytes.get(),
+            entries: self.entries.get(),
         }
     }
 }
@@ -359,76 +157,25 @@ mod tests {
         assert_eq!(d.entries, 2);
     }
 
+    /// The readout and the registry's exposition read the same ten cells.
     #[test]
-    fn snapshot_binary_codec_round_trips() {
-        let snap = StatsSnapshot {
-            tries: CacheStats {
-                hits: 1,
-                misses: 2,
-                coalesced: 3,
-                inserts: 4,
-                evictions: 5,
-                bytes_evicted: 6,
-                uncacheable: 7,
-                invalidated: 8,
-                resident_bytes: 9,
-                entries: 10,
-            },
-            plans: CacheStats { hits: u64::MAX, misses: 11, ..Default::default() },
-            sched: SchedStats { tasks_spawned: 12, tasks_stolen: 13 },
-            exec: ExecTotals { reorders: 14, estimate_busts: 15 },
-        };
-        let mut buf = Vec::new();
-        snap.encode(&mut buf);
-        assert_eq!(buf.len(), 192, "2 caches x 10 fields + 2 sched + 2 exec fields, u64 each");
-        let mut slice = buf.as_slice();
-        let decoded = StatsSnapshot::decode(&mut slice).unwrap();
-        assert_eq!(decoded, snap);
-        assert!(slice.is_empty(), "decode consumes exactly the encoding");
-        // Truncated input is a decode failure, not a panic.
-        assert!(StatsSnapshot::decode(&mut &buf[..191]).is_none());
-    }
+    fn cells_read_out_typed_and_by_series_name() {
+        let cells = CacheCells::default();
+        cells.hits.inc();
+        cells.hits.inc();
+        cells.bytes_evicted.add(64);
+        cells.resident_bytes.set(10);
+        cells.entries.set(1);
+        let s = cells.read();
+        assert_eq!((s.hits, s.bytes_evicted, s.resident_bytes, s.entries), (2, 64, 10, 1));
 
-    #[test]
-    fn snapshot_delta_and_metrics_text() {
-        let before = StatsSnapshot {
-            tries: CacheStats { hits: 5, misses: 2, ..Default::default() },
-            plans: CacheStats { hits: 1, ..Default::default() },
-            sched: SchedStats { tasks_spawned: 10, tasks_stolen: 2 },
-            exec: ExecTotals { reorders: 3, estimate_busts: 1 },
-        };
-        let after = StatsSnapshot {
-            tries: CacheStats { hits: 9, misses: 2, resident_bytes: 64, ..Default::default() },
-            plans: CacheStats { hits: 4, ..Default::default() },
-            sched: SchedStats { tasks_spawned: 40, tasks_stolen: 5 },
-            exec: ExecTotals { reorders: 9, estimate_busts: 2 },
-        };
-        let d = after.delta(&before);
-        assert_eq!(d.tries.hits, 4);
-        assert_eq!(d.plans.hits, 3);
-        assert_eq!(d.tries.resident_bytes, 64, "gauges come from the later snapshot");
-        assert_eq!(d.sched, SchedStats { tasks_spawned: 30, tasks_stolen: 3 });
-        assert_eq!(d.exec, ExecTotals { reorders: 6, estimate_busts: 1 });
-        let text = after.render_metrics();
-        assert!(text.contains("fj_cache_trie_hits 9\n"));
-        assert!(text.contains("fj_cache_plan_hits 4\n"));
-        assert!(text.contains("fj_sched_tasks_spawned 40\n"));
-        assert!(text.contains("fj_sched_tasks_stolen 5\n"));
-        assert!(text.contains("fj_exec_reorders 9\n"));
-        assert!(text.contains("fj_exec_estimate_busts 2\n"));
-        assert_eq!(text.lines().count(), 24);
-    }
-
-    #[test]
-    fn live_stats_snapshot() {
-        let live = LiveStats::default();
-        LiveStats::bump(&live.hits);
-        LiveStats::bump(&live.hits);
-        LiveStats::add(&live.bytes_evicted, 64);
-        let s = live.snapshot(10, 1);
-        assert_eq!(s.hits, 2);
-        assert_eq!(s.bytes_evicted, 64);
-        assert_eq!(s.resident_bytes, 10);
-        assert_eq!(s.entries, 1);
+        let registry = MetricsRegistry::new();
+        cells.bind(&registry, "trie");
+        cells.misses.inc();
+        let text = registry.render();
+        assert_eq!(text.lines().count(), 10, "{text}");
+        assert!(text.contains("fj_cache_trie_hits 2\n"), "{text}");
+        assert!(text.contains("fj_cache_trie_misses 1\n"), "{text}");
+        assert!(text.contains("fj_cache_trie_resident_bytes 10\n"), "{text}");
     }
 }

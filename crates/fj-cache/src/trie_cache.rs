@@ -1,7 +1,7 @@
 //! The shared trie cache: cross-query reuse of built hash tries.
 
 use crate::lru::ShardedLru;
-use crate::stats::CacheStats;
+use crate::stats::{CacheCells, CacheStats};
 use std::sync::Arc;
 
 /// Maximum shard count for trie caches: enough to keep a handful of serving
@@ -122,9 +122,14 @@ impl<T> TrieCache<T> {
         self.inner.clear()
     }
 
-    /// Counter/gauge snapshot.
+    /// Counter/gauge readout (refreshes the two gauges).
     pub fn stats(&self) -> CacheStats {
         self.inner.stats()
+    }
+
+    /// The live cells behind [`TrieCache::stats`].
+    pub fn cells(&self) -> &CacheCells {
+        self.inner.cells()
     }
 
     /// Bytes currently charged against the budget.

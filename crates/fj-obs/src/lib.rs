@@ -29,7 +29,7 @@ mod metrics;
 mod profile;
 mod trace;
 
-pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry};
+pub use metrics::{Counter, Gauge, Histogram, MetricsRegistry, MetricsSnapshot};
 pub use profile::{
     NodeAcc, NodeProfile, PipelineProfile, ProfileSheet, QueryProfile, ESTIMATE_BUST_FACTOR,
 };

@@ -485,7 +485,8 @@ pub struct ExecStats {
     pub build_time: Duration,
     /// Time spent in the join phase proper.
     pub join_time: Duration,
-    /// Time spent in final aggregation / projection.
+    /// Time spent in final aggregation / projection: folding the result
+    /// sinks together and finishing the output (not part of `join_time`).
     pub aggregate_time: Duration,
     /// Number of output tuples produced (with multiplicity).
     pub output_tuples: u64,
@@ -530,8 +531,10 @@ impl ExecStats {
         self.selection_time + self.build_time + self.join_time + self.aggregate_time
     }
 
-    /// Accumulate another stats record into this one (used when a bushy plan
-    /// is executed as several left-deep pipelines).
+    /// Accumulate another stats record into this one — the one way counts
+    /// add up: a worker's into its pipeline's, a pipeline's into its
+    /// query's (a bushy plan runs as several left-deep pipelines).
+    /// `worker_expansions` adds element-wise, the shorter side zero-extended.
     pub fn merge(&mut self, other: &ExecStats) {
         self.selection_time += other.selection_time;
         self.build_time += other.build_time;

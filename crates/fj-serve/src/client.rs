@@ -4,7 +4,6 @@
 //! request/response); open more clients for concurrency, exactly like the
 //! server's thread-per-connection workers expect.
 
-use crate::metrics::ServerStats;
 use crate::protocol::{
     read_frame, write_frame, BusyReason, Request, Response, WireError, MAX_FRAME_BYTES,
 };
@@ -294,16 +293,10 @@ impl Client {
         }
     }
 
-    /// Fetch the `/metrics`-style stats snapshot.
-    pub fn stats(&mut self) -> Result<ServerStats, ClientError> {
-        match self.round_trip(&Request::Stats)? {
-            Response::Stats(stats) => Ok(*stats),
-            _ => Err(ClientError::UnexpectedResponse("Stats")),
-        }
-    }
-
     /// Fetch the Prometheus-style metrics text: every registry series,
     /// the full latency histogram, and the slow-query log as comments.
+    /// Read counts out of it by series name with
+    /// `fj_obs::MetricsSnapshot::parse`.
     pub fn metrics(&mut self) -> Result<String, ClientError> {
         match self.round_trip(&Request::Metrics)? {
             Response::Metrics { text } => Ok(text),

@@ -17,16 +17,20 @@
 //!   queries and parameter filters as datalog-grammar text.
 //! * [`server`] — accept loop, bounded pending queue, worker pool, the two
 //!   admission axes, graceful shutdown (drain in-flight, refuse new).
-//! * [`metrics`] — registry-backed lock-free counters plus a fixed-bucket
-//!   log-linear latency histogram: quantiles for the binary stats frame,
-//!   the full bucket dump for the Prometheus-style `Metrics` text frame.
+//! * [`metrics`] — the handles of the server's `fj_serve_*` cells in its
+//!   one `fj_obs::MetricsRegistry`: lock-free counters and the log-linear
+//!   latency histogram, next to the cache, scheduler and adaptive-execution
+//!   cells the session's `EngineCaches` binds into the same registry.
 //! * [`client`] — the blocking client used by tests, examples and
 //!   `bench_json`'s serving mode.
 //!
-//! The `Metrics` request returns the server's whole `fj_obs`
-//! metrics registry as Prometheus text (server counters, cache and
-//! scheduler gauges, an uptime gauge and `fj_build_info` series, latency
-//! histogram buckets) followed by a bounded slow-query log whose entries
+//! The `Metrics` request — the one way a count crosses the wire — returns
+//! that registry as Prometheus text (server, cache, scheduler and
+//! adaptive-execution counters read off their live cells, the gauges a
+//! scrape sets, the `fj_build_info` series, latency histogram buckets);
+//! `fj_obs::MetricsSnapshot::parse` reads it back by series name, the same
+//! map [`Server::metrics`] gives in process. It is followed by a bounded
+//! slow-query log whose entries
 //! carry per-node `EXPLAIN ANALYZE` profiles plus the query fingerprint
 //! and — when the execution was traced — its trace id; see
 //! [`server::ServerConfig::slow_query_us`].
@@ -64,6 +68,6 @@ pub mod protocol;
 pub mod server;
 
 pub use client::{Answer, Client, ClientError, ExecuteOpts, PreparedHandle, TraceAnswer};
-pub use metrics::{LatencyHistogram, ServerMetrics, ServerStats};
+pub use metrics::ServerMetrics;
 pub use protocol::{BusyReason, Request, Response, WireError};
 pub use server::{Server, ServerConfig};

@@ -8,13 +8,14 @@
 //! (`fj_query::parse_filter` / `Predicate::to_query_text`), so the protocol
 //! needs no structural serialization of plans or predicates — the offline
 //! `serde` stand-ins don't serialize, and text is also what a human pokes
-//! at the port with. Numbers (handles, counters, stats) are fixed-order
+//! at the port with. Numbers (handles, ids, cardinalities) are fixed-order
 //! little-endian `u64`s.
 //!
 //! Request opcodes: [`Request::Prepare`] (query text + aggregate) →
 //! [`Response::Prepared`] (handle + plan fingerprint); [`Request::Execute`]
 //! (handle + parameter overrides) → [`Response::Answer`];
-//! [`Request::Stats`] → [`Response::Stats`] ([`ServerStats`]);
+//! [`Request::Metrics`] → [`Response::Metrics`] (the registry's text
+//! exposition — the one way a count crosses the wire);
 //! [`Request::TraceExecute`] (execute with span tracing on) and
 //! [`Request::TraceFetch`] (re-fetch a sampled trace by id) →
 //! [`Response::Trace`] (trace id + rendered span tree + Chrome JSON);
@@ -24,10 +25,11 @@
 //! [`Response::Busy`] is the typed load-shedding reply (queue full or
 //! in-flight byte budget exhausted), carrying a `retry_after_ms` backoff
 //! hint derived from the current queue depth and the recent p50 service
-//! time; [`Response::Error`] carries any engine/parse error as text. Unknown opcodes and truncated payloads
-//! surface as [`WireError`], never panics — the peer is untrusted input.
+//! time; [`Response::Error`] carries any engine/parse error as text. Unknown
+//! opcodes — the retired binary stats pair `0x03` / `0x83` among them — and
+//! truncated payloads surface as [`WireError`], never panics — the peer is
+//! untrusted input.
 
-use crate::metrics::ServerStats;
 use fj_query::Aggregate;
 use std::fmt;
 use std::io::{self, Read, Write};
@@ -77,16 +79,13 @@ pub enum Request {
     /// milliseconds (`0` = none); the server clamps it to its own
     /// `max_query_ms` and arms a cancel token from the result.
     Execute { handle: u64, params: Vec<(String, String)>, request_id: u64, deadline_ms: u64 },
-    /// Snapshot cache + server counters and latency quantiles.
-    Stats,
     /// Begin graceful shutdown: drain in-flight work, refuse new arrivals.
     Shutdown,
     /// The Prometheus-style text exposition of the server's metrics
     /// registry: every `fj_*` series (server counters, cache/scheduler
-    /// gauges, the full latency histogram) plus the slow-query log as
-    /// comment lines. Unlike [`Request::Stats`], the reply is text — the
-    /// thing a scrape endpoint or a human wants — and carries series the
-    /// fixed binary snapshot can't (histogram buckets, new counters).
+    /// counters, the full latency histogram) plus the slow-query log as
+    /// comment lines — text, the thing a scrape endpoint or a human wants,
+    /// and what `fj_obs::MetricsSnapshot::parse` reads back by series name.
     Metrics,
     /// Execute a prepared handle with span tracing forced on for this
     /// request (per-request opt-in, independent of the server's
@@ -114,9 +113,6 @@ pub enum Response {
     /// execution built (0 on a fully warm path), and server-side service
     /// time in microseconds.
     Answer { cardinality: u64, tries_built: u64, service_us: u64 },
-    /// The `/metrics`-style snapshot (boxed: much larger than the other
-    /// variants, and only ever built once per stats request).
-    Stats(Box<ServerStats>),
     /// Acknowledgement (shutdown).
     Ok,
     /// Load shed: the request was NOT executed. `retry_after_ms` is the
@@ -172,18 +168,16 @@ fn wire_err<T>(message: impl Into<String>) -> Result<T, WireError> {
     Err(WireError { message: message.into() })
 }
 
-// Request opcodes.
+// Request opcodes (0x03, the retired binary stats request, decodes as unknown).
 const OP_PREPARE: u8 = 0x01;
 const OP_EXECUTE: u8 = 0x02;
-const OP_STATS: u8 = 0x03;
 const OP_SHUTDOWN: u8 = 0x04;
 const OP_METRICS: u8 = 0x05;
 const OP_TRACE: u8 = 0x06;
 const OP_CANCEL: u8 = 0x07;
-// Response opcodes (high bit set).
+// Response opcodes (high bit set; 0x83 went with 0x03).
 const OP_PREPARED: u8 = 0x81;
 const OP_ANSWER: u8 = 0x82;
-const OP_STATS_REPLY: u8 = 0x83;
 const OP_OK: u8 = 0x84;
 const OP_BUSY: u8 = 0x85;
 const OP_ERROR: u8 = 0x86;
@@ -229,8 +223,11 @@ impl<'a> Reader<'a> {
     }
 
     fn u64(&mut self) -> Result<u64, WireError> {
-        match fj_cache::take_u64(&mut self.bytes) {
-            Some(v) => Ok(v),
+        match self.bytes.split_first_chunk::<8>() {
+            Some((head, rest)) => {
+                self.bytes = rest;
+                Ok(u64::from_le_bytes(*head))
+            }
             None => wire_err("truncated payload (u64)"),
         }
     }
@@ -293,7 +290,6 @@ impl Request {
                     put_str(&mut out, filter);
                 }
             }
-            Request::Stats => out.push(OP_STATS),
             Request::Shutdown => out.push(OP_SHUTDOWN),
             Request::Metrics => out.push(OP_METRICS),
             Request::TraceExecute { handle, params, request_id, deadline_ms } => {
@@ -367,7 +363,6 @@ impl Request {
                 }
                 Request::Execute { handle, params, request_id, deadline_ms }
             }
-            OP_STATS => Request::Stats,
             OP_SHUTDOWN => Request::Shutdown,
             OP_METRICS => Request::Metrics,
             OP_TRACE => match r.u8()? {
@@ -414,10 +409,6 @@ impl Response {
                 put_u64(&mut out, *tries_built);
                 put_u64(&mut out, *service_us);
             }
-            Response::Stats(stats) => {
-                out.push(OP_STATS_REPLY);
-                stats.encode(&mut out);
-            }
             Response::Ok => out.push(OP_OK),
             Response::Busy { reason, retry_after_ms } => {
                 out.push(OP_BUSY);
@@ -457,10 +448,6 @@ impl Response {
                 cardinality: r.u64()?,
                 tries_built: r.u64()?,
                 service_us: r.u64()?,
-            },
-            OP_STATS_REPLY => match ServerStats::decode(&mut r.bytes) {
-                Some(stats) => Response::Stats(Box::new(stats)),
-                None => return wire_err("truncated stats payload"),
             },
             OP_OK => Response::Ok,
             OP_BUSY => {
@@ -523,8 +510,6 @@ pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> io::Result<Option<Vec<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::metrics::ServerStats;
-    use fj_cache::{CacheStats, ExecTotals, SchedStats, StatsSnapshot};
 
     fn round_trip_request(req: Request) {
         let payload = req.encode();
@@ -562,7 +547,6 @@ mod tests {
             request_id: 41,
             deadline_ms: 1500,
         });
-        round_trip_request(Request::Stats);
         round_trip_request(Request::Shutdown);
         round_trip_request(Request::Metrics);
         round_trip_request(Request::TraceExecute {
@@ -601,29 +585,17 @@ mod tests {
             span_tree: "query\n  pipeline 0\n    node 0\n".into(),
             chrome_json: "{\"traceEvents\":[]}".into(),
         });
-        let stats = ServerStats {
-            cache: StatsSnapshot {
-                tries: CacheStats { hits: 10, misses: 2, ..Default::default() },
-                plans: CacheStats { hits: 4, ..Default::default() },
-                sched: SchedStats { tasks_spawned: 17, tasks_stolen: 5 },
-                exec: ExecTotals { reorders: 6, estimate_busts: 2 },
-            },
-            accepted: 12,
-            rejected_queue: 1,
-            rejected_bytes: 2,
-            served: 40,
-            errors: 3,
-            observations: 40,
-            p50_us: 120,
-            p99_us: 2400,
-        };
-        round_trip_response(Response::Stats(Box::new(stats)));
     }
 
     #[test]
     fn malformed_payloads_are_typed_errors() {
         assert!(Request::decode(&[]).is_err(), "empty payload");
         assert!(Request::decode(&[0x7f]).is_err(), "unknown opcode");
+        // The retired binary stats pair is unknown on both sides, typed.
+        let retired = Request::decode(&[0x03]).unwrap_err();
+        assert_eq!(retired.message, "unknown request opcode 0x3");
+        let retired = Response::decode(&[0x83]).unwrap_err();
+        assert_eq!(retired.message, "unknown response opcode 0x83");
         assert!(Request::decode(&[OP_PREPARE, 9]).is_err(), "unknown aggregate tag");
         // A string whose announced length exceeds the payload.
         let mut bad = vec![OP_PREPARE, AGG_COUNT];
@@ -647,7 +619,7 @@ mod tests {
         // An unknown trace mode byte is rejected.
         assert!(Request::decode(&[OP_TRACE, 9]).is_err(), "unknown trace mode");
         // Trailing garbage after a valid message.
-        let mut trailing = Request::Stats.encode();
+        let mut trailing = Request::Metrics.encode();
         trailing.push(0);
         assert!(Request::decode(&trailing).is_err());
         // Invalid UTF-8 in a string.

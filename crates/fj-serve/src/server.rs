@@ -41,18 +41,23 @@
 //!
 //! # Observability
 //!
-//! Server counters live in a process-local [`fj_obs::MetricsRegistry`]; the
-//! `Metrics` frame (and [`Server::metrics_text`]) renders the full registry
-//! as Prometheus-style text — server counters, cache/scheduler gauges
-//! re-registered at scrape time, the complete latency histogram — plus a
+//! Every count lives in one cell of a process-local
+//! [`fj_obs::MetricsRegistry`], set up when the server starts: the server's
+//! own `fj_serve_*` handles, and the session's cache, scheduler and
+//! adaptive-execution cells bound under their `fj_cache_*` / `fj_sched_*` /
+//! `fj_exec_*` names. The `Metrics` frame (and [`Server::metrics_text`])
+//! renders the registry as Prometheus-style text — a scrape sets only the
+//! uptime and the caches' shard-summed gauges — plus a
 //! bounded **slow-query log**: executions at or above
 //! [`ServerConfig::slow_query_us`] land in a ring of the last
 //! [`ServerConfig::slow_query_log`] entries, each carrying its per-node
 //! [`fj_obs::QueryProfile`], rendered as `#`-prefixed comment lines.
 
-use crate::metrics::{ServerMetrics, ServerStats};
+use crate::metrics::ServerMetrics;
 use crate::protocol::{write_frame, BusyReason, Request, Response};
-use fj_obs::{chaos, Counter, MetricsRegistry, QueryProfile, TraceBuf, TraceCat, SESSION_WORKER};
+use fj_obs::{
+    chaos, MetricsRegistry, MetricsSnapshot, QueryProfile, TraceBuf, TraceCat, SESSION_WORKER,
+};
 use fj_query::{parse_filter, parse_query, Aggregate, ConjunctiveQuery, QueryError};
 use fj_storage::Catalog;
 use free_join::{CancelReason, CancelToken, EngineError, ExecRequest, Params, Prepared, Session};
@@ -202,8 +207,9 @@ struct Shared {
     catalog: Arc<Catalog>,
     config: ServerConfig,
     metrics: ServerMetrics,
-    /// The unified registry behind the `Metrics` text exposition; the
-    /// [`ServerMetrics`] counters are registered into it at startup.
+    /// The one registry behind the `Metrics` text exposition: the
+    /// [`ServerMetrics`] cells and the session's cache and executor cells,
+    /// all registered at startup.
     registry: MetricsRegistry,
     /// Ring of the most recent slow executions, newest at the back.
     slow_queries: Mutex<VecDeque<SlowQuery>>,
@@ -220,8 +226,8 @@ struct Shared {
     /// distinct prepare, reads on every execute).
     prepared: RwLock<PreparedRegistry>,
     next_handle: AtomicU64,
-    /// Server start time, behind the `fj_serve_uptime_seconds` gauge
-    /// (refreshed at scrape time, like the cache gauges).
+    /// Server start time, behind the `fj_serve_uptime_seconds` gauge (set
+    /// at scrape time, like the caches' shard-summed gauges).
     started: Instant,
     /// Ring of the most recent rendered traces, newest at the back,
     /// fetchable by id via `TraceFetch` while they last.
@@ -231,9 +237,6 @@ struct Shared {
     /// Trace-id mint; ids are never reused while the server lives, so a
     /// stale id fetches nothing rather than someone else's trace.
     next_trace_id: AtomicU64,
-    /// Events the bounded trace rings dropped across all traced
-    /// executions (`fj_obs_trace_events_dropped_total`).
-    trace_events_dropped: Counter,
     /// Cancel tokens of in-flight executions, keyed by the client-chosen
     /// request id — the `Cancel` frame (arriving on another connection)
     /// fires the token here. Entries are registered just before execution
@@ -326,7 +329,45 @@ struct SlowQuery {
     trace_id: Option<u64>,
 }
 
+/// The labeled build-info series (constant 1, the version as a label — the
+/// Prometheus "info metric" idiom). The registry rejects labeled names by
+/// design, so it is appended to the rendering as it is.
+const BUILD_INFO: &str = concat!("fj_build_info{version=\"", env!("CARGO_PKG_VERSION"), "\"} 1\n");
+
 impl Shared {
+    /// The state of a server at `addr`, its registry set up: the server's
+    /// own cells created in it, the session's cache pair bound into it.
+    fn new(
+        session: Session,
+        catalog: Arc<Catalog>,
+        config: ServerConfig,
+        addr: SocketAddr,
+    ) -> Self {
+        let registry = MetricsRegistry::new();
+        session.caches().bind_metrics(&registry);
+        Shared {
+            session,
+            catalog,
+            config,
+            metrics: ServerMetrics::registered(&registry),
+            registry,
+            slow_queries: Mutex::new(VecDeque::new()),
+            shutdown: AtomicBool::new(false),
+            addr,
+            inflight_bytes: AtomicUsize::new(0),
+            queued: AtomicUsize::new(0),
+            prepared: RwLock::new(PreparedRegistry::default()),
+            next_handle: AtomicU64::new(1),
+            started: Instant::now(),
+            traces: Mutex::new(VecDeque::new()),
+            execute_seq: AtomicU64::new(0),
+            next_trace_id: AtomicU64::new(1),
+            inflight_cancels: Mutex::new(HashMap::new()),
+            rate_buckets: Mutex::new(HashMap::new()),
+            shadow: Mutex::new(VecDeque::new()),
+        }
+    }
+
     /// Flip the shutdown flag and nudge the blocking `accept` awake with a
     /// throwaway loopback connection so the listener closes promptly.
     fn begin_shutdown(&self) {
@@ -370,19 +411,16 @@ impl Shared {
         (depth + 1).saturating_mul(p50_us).div_ceil(1_000)
     }
 
-    /// The full Prometheus-style text exposition: the registry (server
-    /// counters plus cache/scheduler gauges refreshed at scrape time), the
-    /// complete latency histogram, then the slow-query log as comments.
+    /// The full Prometheus-style text exposition: the registry (every
+    /// counter and the latency histogram read off their live cells; only
+    /// the uptime and the caches' shard-summed gauges are set here), the
+    /// build-info series, then the slow-query log as comments.
     fn metrics_text(&self) -> String {
-        self.registry
-            .set_gauge("fj_serve_uptime_seconds", self.started.elapsed().as_secs());
-        self.session.cache_stats().register_into(&self.registry);
+        self.metrics.uptime_seconds.set(self.started.elapsed().as_secs());
+        // Reading the caches' stats sums their shards into the two gauges.
+        self.session.cache_stats();
         let mut text = self.registry.render();
-        // The registry rejects labeled names by design, so the build-info
-        // series (constant 1, the version as a label — the Prometheus
-        // "info metric" idiom) is rendered directly.
-        text.push_str(&format!("fj_build_info{{version=\"{}\"}} 1\n", env!("CARGO_PKG_VERSION")));
-        text.push_str(&self.metrics.latency.render_prometheus("fj_serve_latency_us"));
+        text.push_str(BUILD_INFO);
         let log = self.slow_queries.lock().expect("slow-query log lock not poisoned");
         for entry in log.iter() {
             let trace_id = entry.trace_id.map_or_else(|| "-".to_string(), |id| id.to_string());
@@ -594,30 +632,7 @@ impl Server {
         let local_addr = listener.local_addr()?;
         let queue_capacity = config.queue_capacity.max(1);
         let worker_count = config.effective_workers().max(1);
-        let registry = MetricsRegistry::new();
-        let trace_events_dropped = registry.counter("fj_obs_trace_events_dropped_total");
-        let shared = Arc::new(Shared {
-            session,
-            catalog,
-            config,
-            metrics: ServerMetrics::registered(&registry),
-            registry,
-            slow_queries: Mutex::new(VecDeque::new()),
-            shutdown: AtomicBool::new(false),
-            addr: local_addr,
-            inflight_bytes: AtomicUsize::new(0),
-            queued: AtomicUsize::new(0),
-            prepared: RwLock::new(PreparedRegistry::default()),
-            next_handle: AtomicU64::new(1),
-            started: Instant::now(),
-            traces: Mutex::new(VecDeque::new()),
-            execute_seq: AtomicU64::new(0),
-            next_trace_id: AtomicU64::new(1),
-            trace_events_dropped,
-            inflight_cancels: Mutex::new(HashMap::new()),
-            rate_buckets: Mutex::new(HashMap::new()),
-            shadow: Mutex::new(VecDeque::new()),
-        });
+        let shared = Arc::new(Shared::new(session, catalog, config, local_addr));
 
         // Warm-up runs synchronously before the listener starts accepting:
         // shadow-file shapes from the last run first, then the configured
@@ -671,14 +686,15 @@ impl Server {
         self.shared.addr
     }
 
-    /// A point-in-time stats snapshot, same data as the stats frame.
-    pub fn stats(&self) -> ServerStats {
-        self.shared.metrics.snapshot(self.shared.session.cache_stats())
-    }
-
     /// The Prometheus-style metrics text, same data as the `Metrics` frame.
     pub fn metrics_text(&self) -> String {
         self.shared.metrics_text()
+    }
+
+    /// Every series of [`Server::metrics_text`] by name: what a wire client
+    /// gets from `MetricsSnapshot::parse` of a `Metrics` frame.
+    pub fn metrics(&self) -> MetricsSnapshot {
+        MetricsSnapshot::parse(&self.metrics_text())
     }
 
     /// Begin graceful shutdown: refuse new connections, drain queued and
@@ -687,16 +703,17 @@ impl Server {
         self.shared.begin_shutdown();
     }
 
-    /// Wait for the acceptor and every worker to finish. Call after
-    /// [`Server::shutdown`] (or after a client sent the shutdown frame).
-    pub fn join(mut self) -> ServerStats {
+    /// Wait for the acceptor and every worker to finish, and read the final
+    /// metrics. Call after [`Server::shutdown`] (or after a client sent the
+    /// shutdown frame).
+    pub fn join(mut self) -> MetricsSnapshot {
         if let Some(acceptor) = self.acceptor.take() {
             let _ = acceptor.join();
         }
         for worker in self.workers.drain(..) {
             let _ = worker.join();
         }
-        self.stats()
+        self.metrics()
     }
 }
 
@@ -960,7 +977,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
         }
         // Count BEFORE writing the response: a client must never observe
         // its answer while the counters still miss it.
-        shared.metrics.latency.record(service_us);
+        shared.metrics.latency.observe(service_us);
         shared.metrics.served.inc();
         if matches!(response, Response::Error { .. }) {
             shared.metrics.errors.inc();
@@ -999,10 +1016,6 @@ fn handle_request(shared: &Shared, payload: &[u8]) -> (Response, bool) {
         }
         Request::Cancel { request_id } => (cancel_inflight(shared, request_id), false),
         Request::TraceFetch { trace_id } => (fetch_trace(shared, trace_id), false),
-        Request::Stats => (
-            Response::Stats(Box::new(shared.metrics.snapshot(shared.session.cache_stats()))),
-            false,
-        ),
         Request::Shutdown => (Response::Ok, true),
         Request::Metrics => (Response::Metrics { text: shared.metrics_text() }, false),
     }
@@ -1182,7 +1195,7 @@ fn run_execute(
 
     let stored = report.trace.zip(lifecycle).map(|(mut trace, mut tb)| {
         trace.trace_id = shared.next_trace_id.fetch_add(1, Ordering::Relaxed);
-        shared.trace_events_dropped.add(trace.dropped_events());
+        shared.metrics.trace_events_dropped.add(trace.dropped_events());
         tb.end(TraceCat::Execute, 0, cardinality);
         tb.instant(TraceCat::Respond, 0, service_us, &[]);
         tb.end(TraceCat::Request, 0, cardinality);
@@ -1265,30 +1278,8 @@ mod tests {
     use super::*;
 
     fn test_shared(catalog: Catalog, config: ServerConfig) -> Shared {
-        let registry = MetricsRegistry::new();
-        let trace_events_dropped = registry.counter("fj_obs_trace_events_dropped_total");
-        Shared {
-            session: Session::new(Arc::new(free_join::EngineCaches::with_defaults())),
-            catalog: Arc::new(catalog),
-            config,
-            metrics: ServerMetrics::registered(&registry),
-            registry,
-            slow_queries: Mutex::new(VecDeque::new()),
-            shutdown: AtomicBool::new(false),
-            addr: "127.0.0.1:0".parse().unwrap(),
-            inflight_bytes: AtomicUsize::new(0),
-            queued: AtomicUsize::new(0),
-            prepared: RwLock::new(PreparedRegistry::default()),
-            next_handle: AtomicU64::new(1),
-            started: Instant::now(),
-            traces: Mutex::new(VecDeque::new()),
-            execute_seq: AtomicU64::new(0),
-            next_trace_id: AtomicU64::new(1),
-            trace_events_dropped,
-            inflight_cancels: Mutex::new(HashMap::new()),
-            rate_buckets: Mutex::new(HashMap::new()),
-            shadow: Mutex::new(VecDeque::new()),
-        }
+        let session = Session::new(Arc::new(free_join::EngineCaches::with_defaults()));
+        Shared::new(session, Arc::new(catalog), config, "127.0.0.1:0".parse().unwrap())
     }
 
     #[test]
@@ -1358,7 +1349,7 @@ mod tests {
         // with queue depth × the recent p50 service time.
         assert_eq!(shared.retry_after_ms(), 1, "cold server floors the hint at 1 ms");
         for _ in 0..100 {
-            shared.metrics.latency.record(10_000); // p50 ≈ 10 ms
+            shared.metrics.latency.observe(10_000); // p50 ≈ 10 ms
         }
         let idle = shared.retry_after_ms();
         assert!(idle >= 10, "idle hint covers one p50 service time, got {idle}");
@@ -1408,8 +1399,9 @@ mod tests {
             "{text}"
         );
         assert!(text.contains("fj_serve_requests_served 0"), "registry renders all counters");
-        assert!(text.contains("fj_cache_plan_"), "cache gauges re-registered at scrape time");
-        assert!(text.contains("fj_sched_"), "scheduler gauges present");
+        assert!(text.contains("fj_cache_plan_misses 1\n"), "the session's cells are bound: {text}");
+        assert!(text.contains("fj_cache_plan_entries 1\n"), "gauges are summed at scrape: {text}");
+        assert!(text.contains("fj_sched_tasks_spawned "), "{text}");
         assert!(text.contains("# slow_query handle=7"), "{text}");
         assert!(text.contains("# pipeline"), "profile rendered as comment lines");
 
@@ -1443,10 +1435,11 @@ mod tests {
         catalog.add(r.finish()).unwrap();
         let config =
             ServerConfig { slow_query_us: 0, trace_sample_n: 2, ..ServerConfig::default() };
-        let mut shared = test_shared(catalog, config);
-        shared.session = Session::new(Arc::new(EngineCaches::with_defaults())).with_options(
+        let session = Session::new(Arc::new(EngineCaches::with_defaults())).with_options(
             FreeJoinOptions::default().with_num_threads(1).with_factorized_output(false),
         );
+        let shared =
+            Shared::new(session, Arc::new(catalog), config, "127.0.0.1:0".parse().unwrap());
         let query = QueryBuilder::new("q")
             .atom_as("r", "r1", &["x", "y"])
             .atom_as("r", "r2", &["x", "z"])

@@ -296,7 +296,6 @@ pub fn compile(plan: &FreeJoinPlan, input_vars: &[Vec<String>]) -> EngineResult<
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::cancel::CancelToken;
     use crate::exec::{execute_pipeline, ExecCounters, Instruments};
     use crate::prep::bind_atom;
     use crate::sink::OutputSink;
@@ -498,8 +497,7 @@ mod tests {
             options,
             1,
             || OutputSink::new(builder.clone()),
-            &CancelToken::disabled(),
-            Instruments::default(),
+            &Instruments::default(),
         );
         (pipeline, sinks.pop().expect("one thread, one sink").finish(), counters)
     }
@@ -523,7 +521,7 @@ mod tests {
         assert_eq!(full.plan.binding_order, vec!["x", "a", "b", "c"]);
         assert!(full.pruned.iter().all(Vec::is_empty));
         assert_eq!(reference, out);
-        assert!(counters.probes <= full_counters.probes);
+        assert!(counters.stats.probes <= full_counters.stats.probes);
         assert!(counters.expansions < full_counters.expansions);
     }
 

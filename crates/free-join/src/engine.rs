@@ -8,26 +8,35 @@
 //! `fj_plan::optimize` (or is built by hand), and the input relations live in
 //! an `fj_storage::Catalog`.
 //!
-//! Execution is layered so that the serving path ([`crate::session`]) can
-//! reuse every stage with cached artifacts swapped in:
+//! There is one way a compiled query runs, whoever asks:
 //!
 //! 1. [`crate::compile::compile_query`] turns (query, binary plan) into a
 //!    [`crate::CompiledQuery`] — pure plan data, cacheable across executions;
-//! 2. `build_tries` builds one trie per pipeline input — the stage the
-//!    session replaces with `fj-cache` lookups;
-//! 3. `join_pipeline` runs one compiled pipeline over its tries and emits
-//!    the output (or a materialized intermediate for bushy plans).
+//! 2. `run_pipelines` walks its pipelines in dependency order: polls the
+//!    request's token, fetches one trie per input, joins, accounts for the
+//!    trie work and keeps the intermediate. The one thing that differs
+//!    between callers is where an atom's trie comes from, and that is a
+//!    closure: [`FreeJoinEngine`] binds the atom and builds the trie every
+//!    time, the serving path ([`crate::session`]) asks the shared trie cache;
+//! 3. `join_pipeline` — called from that loop and nowhere else — runs one
+//!    compiled pipeline over its tries and folds the sinks into the output
+//!    (or a materialized intermediate for bushy plans).
 
-use crate::cancel::CancelToken;
-use crate::compile::{compile, compile_query, CompiledPlan};
+use crate::compile::{compile, compile_query, CompiledPipeline, CompiledPlan, CompiledQuery};
 use crate::error::{EngineError, EngineResult};
 use crate::exec::{execute_pipeline, ExecCounters, Instruments};
-use crate::options::FreeJoinOptions;
-use crate::prep::{materialize_intermediate, prepare_inputs, BoundInput};
+use crate::options::{FreeJoinOptions, TrieStrategy};
+use crate::prep::{bind_atom, materialize_intermediate, var_types, BoundInput};
 use crate::sink::{MaterializeSink, OutputSink, Sink};
 use crate::trie::InputTrie;
+use fj_obs::{
+    trace_now_nanos, ProfileSheet, QueryTrace, TraceBuf, TraceCat, DEFAULT_TRACE_CAPACITY,
+    SESSION_WORKER,
+};
 use fj_plan::{optimize, BinaryPlan, CatalogStats, FreeJoinPlan, OptimizerOptions, PipeInput};
-use fj_query::{CancelReason, ConjunctiveQuery, ExecStats, OutputBuilder, QueryError, QueryOutput};
+use fj_query::{
+    Atom, CancelReason, ConjunctiveQuery, ExecStats, OutputBuilder, QueryError, QueryOutput,
+};
 use fj_storage::{Catalog, DataType};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -79,60 +88,7 @@ impl FreeJoinEngine {
             return Err(EngineError::PlanDoesNotCoverQuery);
         }
         let compiled = compile_query(query, plan, &self.options)?;
-        let prepared = prepare_inputs(catalog, query)?;
-        let token = self.options.cancel_token();
-        let mut stats =
-            ExecStats { selection_time: prepared.selection_time, ..ExecStats::default() };
-
-        let mut intermediates: Vec<Option<BoundInput>> = vec![None; compiled.pipelines.len()];
-        let mut output = None;
-
-        for (p, pipeline) in compiled.pipelines.iter().enumerate() {
-            let inputs: Vec<BoundInput> = pipeline
-                .inputs
-                .iter()
-                .map(|&input| match input {
-                    PipeInput::Atom(i) => prepared.atoms[i].clone(),
-                    PipeInput::Intermediate(j) => {
-                        intermediates[j].clone().expect("pipelines are dependency-ordered")
-                    }
-                })
-                .collect();
-            let tries = build_tries(&inputs, &pipeline.plan.schemas, &self.options, &mut stats);
-
-            let role = if p == compiled.root_pipeline() {
-                PipelineRole::Final(query)
-            } else {
-                PipelineRole::Intermediate(&prepared.var_types)
-            };
-            let (pipeline_result, _) = join_pipeline(
-                &tries,
-                &pipeline.plan,
-                &self.options,
-                role,
-                Instruments::default(),
-                &token,
-                &mut stats,
-            )?;
-            for trie in &tries {
-                stats.tries_built += trie.maps_built();
-                stats.lazy_expansions += trie.lazy_built();
-            }
-            if let Some(reason) = token.poll() {
-                return Err(cancelled(reason, &stats));
-            }
-            match pipeline_result {
-                PipelineResult::Output(out) => output = Some(out),
-                PipelineResult::Intermediate(bound) => {
-                    stats.intermediate_tuples += bound.num_rows() as u64;
-                    intermediates[p] = Some(bound);
-                }
-            }
-        }
-
-        let output = output.expect("the final pipeline produces the output");
-        stats.output_tuples = output.cardinality();
-        Ok((output, stats))
+        self.run(catalog, query, &compiled)
     }
 
     /// Execute a hand-written Free Join plan over the atoms of a query
@@ -151,96 +107,219 @@ impl FreeJoinEngine {
         query: &ConjunctiveQuery,
         fj_plan: &FreeJoinPlan,
     ) -> EngineResult<(QueryOutput, ExecStats)> {
-        let prepared = prepare_inputs(catalog, query)?;
-        let token = self.options.cancel_token();
-        let mut stats =
-            ExecStats { selection_time: prepared.selection_time, ..ExecStats::default() };
-        let input_vars: Vec<Vec<String>> = prepared.atoms.iter().map(|i| i.vars.clone()).collect();
-        let compiled = compile(fj_plan, &input_vars)?;
-        let tries = build_tries(&prepared.atoms, &compiled.schemas, &self.options, &mut stats);
-        let (result, _) = join_pipeline(
-            &tries,
-            &compiled,
-            &self.options,
-            PipelineRole::Final(query),
-            Instruments::default(),
-            &token,
-            &mut stats,
-        )?;
-        for trie in &tries {
-            stats.tries_built += trie.maps_built();
-            stats.lazy_expansions += trie.lazy_built();
-        }
-        if let Some(reason) = token.poll() {
-            return Err(cancelled(reason, &stats));
-        }
-        match result {
-            PipelineResult::Output(output) => {
-                stats.output_tuples = output.cardinality();
-                Ok((output, stats))
-            }
-            PipelineResult::Intermediate(_) => unreachable!("final pipeline yields output"),
-        }
+        let input_vars: Vec<Vec<String>> = query.atoms.iter().map(|a| a.vars.clone()).collect();
+        let pipeline = CompiledPipeline {
+            inputs: (0..query.atoms.len()).map(PipeInput::Atom).collect(),
+            plan: compile(fj_plan, &input_vars)?,
+            fj_plan: fj_plan.clone(),
+            pruned: vec![Vec::new(); query.atoms.len()],
+        };
+        self.run(catalog, query, &CompiledQuery { pipelines: vec![pipeline] })
+    }
+
+    /// Run a compiled query uncached: every atom is bound and its trie
+    /// built here, under the options' own deadline and byte budget.
+    fn run(
+        &self,
+        catalog: &Catalog,
+        query: &ConjunctiveQuery,
+        compiled: &CompiledQuery,
+    ) -> EngineResult<(QueryOutput, ExecStats)> {
+        query.validate(catalog)?;
+        let options = &self.options;
+        let instruments = Instruments { token: options.cancel_token(), ..Instruments::default() };
+        let built = |atom: &Atom, schema: &[Vec<String>], stats: &mut ExecStats| {
+            build_atom_trie(catalog, atom, schema, options.trie, stats).map(|trie| (trie, true))
+        };
+        let run = run_pipelines(compiled, catalog, query, options, &instruments, built)?;
+        Ok((run.output, run.stats))
     }
 }
 
 /// The typed error for a cooperatively cancelled execution, carrying the
 /// stats accumulated up to the trip.
-pub(crate) fn cancelled(reason: CancelReason, stats: &ExecStats) -> EngineError {
+fn cancelled(reason: CancelReason, stats: &ExecStats) -> EngineError {
     EngineError::Query(QueryError::Cancelled { reason, partial_stats: Box::new(stats.clone()) })
 }
 
-/// Build one trie per pipeline input with the configured strategy, charging
-/// the elapsed time to `stats.build_time`. With multiple workers available,
-/// independent input tries build concurrently (this is where the eager
-/// Simple/Slt strategies spend their time); the worker pool is capped at the
-/// configured thread count.
-pub(crate) fn build_tries(
-    inputs: &[BoundInput],
-    schemas: &[Vec<Vec<String>>],
-    options: &FreeJoinOptions,
+/// Bind one atom (apply its pushed-down selection) and build its trie,
+/// charging the two phases to `stats`: all of the uncached engine's
+/// `atom_trie`, and what the session's trie cache runs on a miss.
+pub(crate) fn build_atom_trie(
+    catalog: &Catalog,
+    atom: &Atom,
+    schema: &[Vec<String>],
+    strategy: TrieStrategy,
     stats: &mut ExecStats,
-) -> Vec<Arc<InputTrie>> {
-    let threads = options.effective_threads();
+) -> EngineResult<Arc<InputTrie>> {
+    let selection_start = Instant::now();
+    let bound = bind_atom(catalog, atom)?;
+    stats.selection_time += selection_start.elapsed();
     let build_start = Instant::now();
-    let tries: Vec<Arc<InputTrie>> = if threads > 1 && inputs.len() > 1 {
-        use std::sync::atomic::{AtomicUsize, Ordering};
-        use std::sync::Mutex;
-        let cursor = AtomicUsize::new(0);
-        let slots: Mutex<Vec<Option<Arc<InputTrie>>>> =
-            Mutex::new((0..inputs.len()).map(|_| None).collect());
-        std::thread::scope(|scope| {
-            for _ in 0..threads.min(inputs.len()) {
-                scope.spawn(|| loop {
-                    let i = cursor.fetch_add(1, Ordering::Relaxed);
-                    if i >= inputs.len() {
-                        break;
-                    }
-                    let trie = InputTrie::build(&inputs[i], schemas[i].clone(), options.trie);
-                    slots.lock().expect("no poisoned build slots")[i] = Some(Arc::new(trie));
-                });
-            }
-        });
-        slots
-            .into_inner()
-            .expect("no poisoned build slots")
-            .into_iter()
-            .map(|t| t.expect("every input trie was built"))
-            .collect()
-    } else {
-        inputs
-            .iter()
-            .zip(schemas)
-            .map(|(input, schema)| Arc::new(InputTrie::build(input, schema.clone(), options.trie)))
-            .collect()
-    };
+    let trie = Arc::new(InputTrie::build(&bound, schema.to_vec(), strategy));
     stats.build_time += build_start.elapsed();
-    tries
+    Ok(trie)
+}
+
+/// What one walk of a query's pipelines hands back.
+pub(crate) struct PipelinesRun {
+    /// The query's result.
+    pub output: QueryOutput,
+    /// Layer times and work counts, summed over the pipelines.
+    pub stats: ExecStats,
+    /// One merged profile sheet per pipeline, when the request asked for a
+    /// profile.
+    pub sheets: Vec<ProfileSheet>,
+    /// When the request asked for a trace: every pipeline's executor rings,
+    /// and the structural ring (query → pipelines → trie fetch/build) with
+    /// its query span still open — the caller adds what only it saw, closes
+    /// the span and attaches the ring.
+    pub trace: Option<(QueryTrace, TraceBuf)>,
+}
+
+/// Run a compiled query's pipelines in dependency order — the one loop
+/// under [`FreeJoinEngine`] and [`crate::session::Prepared`].
+///
+/// Per pipeline: the request's token is polled (clock included) before any
+/// trie is fetched, since builds can be long; `atom_trie(atom, schema,
+/// stats)` supplies each atom input's trie and whether this call built it,
+/// charging what it spent to `stats`; an earlier pipeline's intermediate is
+/// built into a trie in place; the pipeline is joined; and once it
+/// returned, a fired token becomes the typed error carrying the stats so
+/// far instead of a silently truncated result.
+///
+/// `tries_built` / `lazy_expansions` are the growth of each trie's own
+/// counters over the join: from zero for a trie built here, from the value
+/// at fetch for a cached one, each underlying trie counted once however
+/// many inputs share it (self-joins). Best-effort on shared tries: a
+/// concurrent query forcing levels of the same cached trie between fetch
+/// and readout gets its work counted here too. Totals across queries remain
+/// exact; only the per-query split can skew under concurrency.
+pub(crate) fn run_pipelines(
+    compiled: &CompiledQuery,
+    catalog: &Catalog,
+    query: &ConjunctiveQuery,
+    options: &FreeJoinOptions,
+    instruments: &Instruments,
+    mut atom_trie: impl FnMut(
+        &Atom,
+        &[Vec<String>],
+        &mut ExecStats,
+    ) -> EngineResult<(Arc<InputTrie>, bool)>,
+) -> EngineResult<PipelinesRun> {
+    let token = &instruments.token;
+    let mut stats = ExecStats::default();
+    let mut sheets = Vec::new();
+    let mut trace = instruments.trace.then(|| {
+        let mut ring = TraceBuf::with_capacity(DEFAULT_TRACE_CAPACITY, SESSION_WORKER);
+        ring.begin(TraceCat::Query, 0, 0, &[]);
+        (QueryTrace::new(), ring)
+    });
+    // Only a bushy plan's intermediates are typed by the query's variables.
+    let var_types = match compiled.pipelines.len() {
+        1 => HashMap::new(),
+        _ => var_types(catalog, &query.atoms)?,
+    };
+    let mut intermediates: Vec<Option<BoundInput>> = vec![None; compiled.pipelines.len()];
+    let mut output = None;
+
+    for (p, pipeline) in compiled.pipelines.iter().enumerate() {
+        if let Some(reason) = token.poll() {
+            return Err(cancelled(reason, &stats));
+        }
+        if let Some((_, ring)) = trace.as_mut() {
+            ring.begin(TraceCat::Pipeline, p as u32, 0, &[]);
+        }
+        let mut tries: Vec<Arc<InputTrie>> = Vec::with_capacity(pipeline.inputs.len());
+        // (maps_built, lazy_built) of each trie as it was fetched.
+        let mut baselines: Vec<(u64, u64)> = Vec::with_capacity(pipeline.inputs.len());
+        for (k, (&input, schema)) in pipeline.inputs.iter().zip(&pipeline.plan.schemas).enumerate()
+        {
+            // Captured before the fetch so the span covers it; nothing is
+            // pushed into the ring in between, and the hit/built outcome is
+            // only known afterwards (hence `begin_at`).
+            let t_fetch = trace.is_some().then(trace_now_nanos);
+            let (trie, built_here) = match input {
+                PipeInput::Atom(i) => {
+                    let (trie, built_here) = atom_trie(&query.atoms[i], schema, &mut stats)?;
+                    if let (Some((_, ring)), Some(t0)) = (trace.as_mut(), t_fetch) {
+                        ring.begin_at(t0, TraceCat::TrieFetch, k as u32, built_here as u64, &[]);
+                        let cat = if built_here { TraceCat::TrieMiss } else { TraceCat::TrieHit };
+                        ring.instant(cat, k as u32, 0, &[]);
+                        ring.end(TraceCat::TrieFetch, k as u32, 0);
+                    }
+                    (trie, built_here)
+                }
+                PipeInput::Intermediate(j) => {
+                    let bound =
+                        intermediates[j].as_ref().expect("pipelines are dependency-ordered");
+                    let build_start = Instant::now();
+                    let trie = Arc::new(InputTrie::build(bound, schema.clone(), options.trie));
+                    stats.build_time += build_start.elapsed();
+                    if let (Some((_, ring)), Some(t0)) = (trace.as_mut(), t_fetch) {
+                        ring.begin_at(t0, TraceCat::TrieBuild, k as u32, 0, &[]);
+                        ring.end(TraceCat::TrieBuild, k as u32, 0);
+                    }
+                    (trie, true)
+                }
+            };
+            baselines.push(if built_here {
+                (0, 0)
+            } else {
+                (trie.maps_built(), trie.lazy_built())
+            });
+            tries.push(trie);
+        }
+
+        let role = if p == compiled.root_pipeline() {
+            PipelineRole::Final(query)
+        } else {
+            PipelineRole::Intermediate(&var_types)
+        };
+        let (result, counters) = join_pipeline(&tries, &pipeline.plan, options, role, instruments)?;
+        stats.merge(&counters.stats);
+        if instruments.profile {
+            sheets.push(counters.profile);
+        }
+        if let Some((executor_rings, ring)) = trace.as_mut() {
+            for mut tb in counters.traces {
+                tb.set_pipeline(p as u32);
+                executor_rings.attach(tb);
+            }
+            ring.end(TraceCat::Pipeline, p as u32, 0);
+        }
+        for (idx, (trie, (maps0, lazy0))) in tries.iter().zip(&baselines).enumerate() {
+            if tries[..idx].iter().any(|t| Arc::ptr_eq(t, trie)) {
+                continue;
+            }
+            stats.tries_built += trie.maps_built().saturating_sub(*maps0);
+            stats.lazy_expansions += trie.lazy_built().saturating_sub(*lazy0);
+        }
+        // The executor unwinds cooperatively once the token fires and
+        // returns whatever it had produced.
+        if let Some(reason) = token.fired() {
+            if let PipelineResult::Output(out) = &result {
+                stats.output_tuples = out.cardinality();
+            }
+            return Err(cancelled(reason, &stats));
+        }
+        match result {
+            PipelineResult::Output(out) => output = Some(out),
+            PipelineResult::Intermediate(bound) => {
+                stats.intermediate_tuples += bound.num_rows() as u64;
+                intermediates[p] = Some(bound);
+            }
+        }
+    }
+
+    let output = output.expect("the final pipeline produces the output");
+    stats.output_tuples = output.cardinality();
+    Ok(PipelinesRun { output, stats, sheets, trace })
 }
 
 /// What a pipeline is for, with what only that role needs.
 #[derive(Clone, Copy)]
-pub(crate) enum PipelineRole<'a> {
+enum PipelineRole<'a> {
     /// The last pipeline: its results are the query's output, shaped by the
     /// query's head and aggregate.
     Final(&'a ConjunctiveQuery),
@@ -255,24 +334,23 @@ pub(crate) enum PipelineRole<'a> {
 /// sinks, in task-tree order, into the query output or a materialized
 /// intermediate.
 ///
-/// The pipeline's probe and scheduler counters and its join time are added
-/// to `stats`; the counters come back for the instruments they carry (the
-/// per-node profile and the per-worker trace rings, sorted by worker id —
-/// both empty unless `instruments` asked for them).
-///
-/// Trie-building counters (`tries_built`, `lazy_expansions`) are *not*
-/// recorded here: with cached tries shared across queries the attribution
-/// differs per caller, so each caller accounts for them itself.
-pub(crate) fn join_pipeline(
+/// The counters that come back carry everything the pipeline added up: its
+/// probe and scheduler counts, `result_chunks`, its `join_time` and — for
+/// the final pipeline — the `aggregate_time` spent folding the sinks and
+/// finishing the output, which is taken out of `join_time`; plus the
+/// instruments (the per-node profile and the per-worker trace rings, sorted
+/// by worker id — both empty unless `instruments` asked for them).
+/// Trie-building counts (`tries_built`, `lazy_expansions`) live on the
+/// tries; [`run_pipelines`] reads them.
+fn join_pipeline(
     tries: &[Arc<InputTrie>],
     compiled: &CompiledPlan,
     options: &FreeJoinOptions,
     role: PipelineRole<'_>,
-    instruments: Instruments,
-    token: &CancelToken,
-    stats: &mut ExecStats,
+    instruments: &Instruments,
 ) -> EngineResult<(PipelineResult, ExecCounters)> {
     let join_start = Instant::now();
+    let threads = options.effective_threads();
     let (result, mut counters) = match role {
         PipelineRole::Final(query) => {
             let builder = OutputBuilder::try_new(
@@ -281,74 +359,45 @@ pub(crate) fn join_pipeline(
                 &compiled.binding_order,
             )
             .map_err(EngineError::Query)?;
-            let (sink, counters) = run_merged(
-                tries,
-                compiled,
-                options,
-                instruments,
-                token,
-                || OutputSink::new(builder.clone()),
-                OutputSink::merge,
-            );
-            stats.result_chunks += sink.chunks_received();
-            (PipelineResult::Output(sink.finish()), counters)
+            let make_sink = || OutputSink::new(builder.clone());
+            let (sinks, mut counters) =
+                execute_pipeline(tries, compiled, options, threads, make_sink, instruments);
+            let fold_start = Instant::now();
+            let sink = fold_sinks(sinks, make_sink, OutputSink::merge);
+            counters.stats.result_chunks = sink.chunks_received();
+            let output = sink.finish();
+            counters.stats.aggregate_time = fold_start.elapsed();
+            (PipelineResult::Output(output), counters)
         }
         PipelineRole::Intermediate(var_types) => {
-            let (sink, counters) = run_merged(
-                tries,
-                compiled,
-                options,
-                instruments,
-                token,
-                MaterializeSink::new,
-                MaterializeSink::merge,
-            );
-            stats.result_chunks += sink.chunks_received();
+            let make_sink = MaterializeSink::new;
+            let (sinks, mut counters) =
+                execute_pipeline(tries, compiled, options, threads, make_sink, instruments);
+            let sink = fold_sinks(sinks, make_sink, MaterializeSink::merge);
+            counters.stats.result_chunks = sink.chunks_received();
             let name = format!("__fj_intermediate_{}", compiled.binding_order.join("_"));
             let rows = sink.into_rows();
             let bound = materialize_intermediate(&name, &compiled.binding_order, var_types, &rows)?;
             (PipelineResult::Intermediate(bound), counters)
         }
     };
-    stats.join_time += join_start.elapsed();
-    stats.probes += counters.probes;
-    stats.probe_hits += counters.probe_hits;
-    stats.tasks_spawned += counters.tasks_spawned;
-    stats.tasks_stolen += counters.tasks_stolen;
-    stats.reorders += counters.reorders;
-    if stats.worker_expansions.len() < counters.worker_expansions.len() {
-        stats.worker_expansions.resize(counters.worker_expansions.len(), 0);
-    }
-    for (mine, theirs) in stats.worker_expansions.iter_mut().zip(&counters.worker_expansions) {
-        *mine += theirs;
-    }
+    counters.stats.join_time = join_start.elapsed().saturating_sub(counters.stats.aggregate_time);
     counters.traces.sort_by_key(|tb| tb.worker());
     Ok((result, counters))
 }
 
-/// Run the pipeline into sinks of one kind and fold them, in the order they
-/// come back (task-tree order), into the first. One thread returns exactly
-/// one sink; a run whose every task came back empty returns none.
-fn run_merged<S: Sink + Send>(
-    tries: &[Arc<InputTrie>],
-    compiled: &CompiledPlan,
-    options: &FreeJoinOptions,
-    instruments: Instruments,
-    token: &CancelToken,
-    make_sink: impl Fn() -> S + Sync,
-    merge: impl Fn(&mut S, S),
-) -> (S, ExecCounters) {
-    let threads = options.effective_threads();
-    let (sinks, counters) =
-        execute_pipeline(tries, compiled, options, threads, &make_sink, token, instruments);
+/// Fold a pipeline's sinks, in the order they came back (task-tree order),
+/// into the first. One thread returned exactly one sink; a run whose every
+/// task came back empty returned none.
+fn fold_sinks<S: Sink>(sinks: Vec<S>, make_sink: impl Fn() -> S, merge: impl Fn(&mut S, S)) -> S {
     let mut sinks = sinks.into_iter();
-    let mut merged = sinks.next().unwrap_or_else(&make_sink);
+    let mut merged = sinks.next().unwrap_or_else(make_sink);
     sinks.for_each(|sink| merge(&mut merged, sink));
-    (merged, counters)
+    merged
 }
 
 /// What a pipeline produced.
-pub(crate) enum PipelineResult {
+enum PipelineResult {
     /// The query output (final pipeline).
     Output(QueryOutput),
     /// A materialized intermediate (non-final pipeline of a bushy plan).
@@ -569,6 +618,27 @@ mod tests {
                 assert!(rows.iter().all(|r| matches!(r[1], Value::Int(c) if (0..4).contains(&c))));
             }
             other => panic!("expected rows, got {other:?}"),
+        }
+    }
+
+    /// Folding the sinks and finishing the output is `aggregate_time`, not
+    /// `join_time`: rows to sort out or groups to total make it nonzero.
+    #[test]
+    fn the_final_pipeline_times_its_aggregation() {
+        let cat = catalog();
+        let base = QueryBuilder::new("q")
+            .atom_as("follows", "f1", &["a", "b"])
+            .atom("person", &["b", "city"]);
+        let plan = BinaryPlan::left_deep(&[0, 1]);
+        for q in [base.clone().materialize().build(), base.group_count(&["city"]).build()] {
+            for threads in [1, 4] {
+                let engine =
+                    FreeJoinEngine::new(FreeJoinOptions::default().with_num_threads(threads));
+                let (_, stats) = engine.execute(&cat, &q, &plan).unwrap();
+                let zero = std::time::Duration::ZERO;
+                assert!(stats.aggregate_time > zero, "{:?} at {threads} threads", q.aggregate);
+                assert!(stats.join_time > zero && stats.total_time() >= stats.reported_time());
+            }
         }
     }
 

@@ -105,7 +105,7 @@ use crate::options::FreeJoinOptions;
 use crate::sink::{ChunkBuffer, Sink};
 use crate::trie::{InputTrie, NodeRef};
 use fj_obs::{ProfileSheet, TraceBuf, TraceCat, DEFAULT_TRACE_CAPACITY};
-use fj_query::CancelReason;
+use fj_query::{CancelReason, ExecStats};
 use fj_storage::Value;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -113,44 +113,42 @@ use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-/// The request-scoped instruments of one execution, both off by default: an
-/// [`crate::session::ExecRequest`] carries them from the caller, the
-/// executor reads them when it sets up a worker's [`ExecCounters`]. Off,
-/// nothing is allocated and every bump or emission site is one branch.
-#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+/// What one request carries through an execution, all off by default: its
+/// cancel token and the two instruments. An
+/// [`crate::session::ExecRequest`] brings them from the caller, the
+/// pipeline loop polls the token at pipeline boundaries and the executor
+/// reads all three when it sets up a worker's [`ExecCounters`]. Off, nothing
+/// is allocated and every check, bump or emission site is one branch.
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct Instruments {
     /// Collect the per-plan-node profile ([`ExecCounters::profile`]).
     pub profile: bool,
     /// Record per-worker trace event rings ([`ExecCounters::traces`]).
     pub trace: bool,
+    /// The request's cooperative-cancellation token (deadline, byte budget,
+    /// explicit cancel); the disabled default never fires.
+    pub token: CancelToken,
 }
 
 /// Counters collected during the join phase.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct ExecCounters {
-    /// Number of probe operations.
-    pub probes: u64,
-    /// Number of probes that found a match.
-    pub probe_hits: u64,
+    /// The additive work counts, as the [`ExecStats`] they end up in:
+    /// `probes` and `probe_hits`; `tasks_spawned` (root ranges plus split
+    /// sub-ranges) and `tasks_stolen` (run by another worker than the
+    /// spawner; schedule-dependent), both zero on one thread;
+    /// `worker_expansions` (`expansions` by worker id, empty on one thread);
+    /// and `reorders` — cover-entry bindings whose adaptive probe order
+    /// differed from the static plan order (a batch ranks once per flush and
+    /// charges every entry in it). Zero unless `FreeJoinOptions::adaptive` is
+    /// set; deterministic — each binding is processed exactly once and the
+    /// ranking depends only on construction-fixed trie bounds, so the count
+    /// is identical at any thread count or steal schedule.
+    pub stats: ExecStats,
     /// Expansion work processed: cover entries iterated at join nodes plus
     /// product rows emitted at independent-tail nodes. Identical at any
     /// thread count (splitting moves work, it never adds any).
     pub expansions: u64,
-    /// Tasks created by the scheduler (root ranges plus split sub-ranges).
-    /// Zero on one thread.
-    pub tasks_spawned: u64,
-    /// Tasks executed by a worker other than the one that spawned them.
-    /// Schedule-dependent; zero on one thread.
-    pub tasks_stolen: u64,
-    /// `expansions` broken down by worker id. Empty on one thread.
-    pub worker_expansions: Vec<u64>,
-    /// Cover-entry bindings whose adaptive probe order differed from the
-    /// static plan order (a batch ranks once per flush and charges every
-    /// entry in it). Zero unless `FreeJoinOptions::adaptive` is
-    /// set; deterministic — each binding is processed exactly once and the
-    /// ranking depends only on construction-fixed trie bounds, so the count
-    /// is identical at any thread count or steal schedule.
-    pub reorders: u64,
     /// Per-plan-node profile accumulators; disabled (empty, no allocation)
     /// unless [`Instruments::profile`] is set.
     pub profile: ProfileSheet,
@@ -177,15 +175,11 @@ pub struct ExecCounters {
 const CANCEL_POLL_PERIOD: u32 = 256;
 
 impl ExecCounters {
-    /// The counters one worker starts from: the query's token, and the
-    /// instruments the request asked for.
-    fn for_worker(
-        plan: &CompiledPlan,
-        token: &CancelToken,
-        instruments: Instruments,
-        worker: u32,
-    ) -> Self {
-        let mut counters = ExecCounters { cancel: token.clone(), ..ExecCounters::default() };
+    /// The counters one worker starts from: the request's token, and the
+    /// instruments it asked for.
+    fn for_worker(plan: &CompiledPlan, instruments: &Instruments, worker: u32) -> Self {
+        let mut counters =
+            ExecCounters { cancel: instruments.token.clone(), ..ExecCounters::default() };
         if instruments.profile {
             counters.profile = ProfileSheet::enabled(plan.nodes.len());
         }
@@ -197,26 +191,16 @@ impl ExecCounters {
 
     /// Accumulate another worker's counters.
     pub fn merge(&mut self, mut other: ExecCounters) {
-        self.probes += other.probes;
-        self.probe_hits += other.probe_hits;
+        self.stats.merge(&other.stats);
         self.expansions += other.expansions;
-        self.tasks_spawned += other.tasks_spawned;
-        self.tasks_stolen += other.tasks_stolen;
-        self.reorders += other.reorders;
         self.profile.merge(&other.profile);
         self.traces.append(&mut other.traces);
-        if self.worker_expansions.len() < other.worker_expansions.len() {
-            self.worker_expansions.resize(other.worker_expansions.len(), 0);
-        }
-        for (mine, theirs) in self.worker_expansions.iter_mut().zip(&other.worker_expansions) {
-            *mine += theirs;
-        }
     }
 
     /// The schedule-independent subset (probe and expansion totals), used by
     /// tests to check that parallel execution does exactly the serial work.
     pub fn work(&self) -> (u64, u64, u64) {
-        (self.probes, self.probe_hits, self.expansions)
+        (self.stats.probes, self.stats.probe_hits, self.expansions)
     }
 
     /// Cooperative cancellation check, called at task/morsel/flush and cover
@@ -439,13 +423,14 @@ fn probe_subatom<'t>(
 /// Execute a compiled pipeline over its input tries — the executor's one
 /// entry point.
 ///
-/// `make_sink` creates the sinks results land in, `token` is checked per
-/// cover entry and at every node, flush and task boundary (chunk-buffer
-/// flushes charge its result-byte budget), and `instruments` says whether
-/// the returned counters carry a per-node profile and trace rings. A fired
-/// token makes the remaining walk a cheap no-op; the caller detects the
-/// trip via [`CancelToken::fired`] (or the counters' `cancelled` field) and
-/// discards the partial sinks. Trie-building counters live on the tries.
+/// `make_sink` creates the sinks results land in; `instruments` carries the
+/// request's token — checked per cover entry and at every node, flush and
+/// task boundary (chunk-buffer flushes charge its result-byte budget) — and
+/// says whether the returned counters carry a per-node profile and trace
+/// rings. A fired token makes the remaining walk a cheap no-op; the caller
+/// detects the trip via [`CancelToken::fired`] (or the counters' `cancelled`
+/// field) and discards the partial sinks. Trie-building counters live on
+/// the tries.
 ///
 /// With `threads <= 1` — or when the first node has no root-level work to
 /// split — the plan runs on the calling thread into **one** sink: no
@@ -460,8 +445,7 @@ pub fn execute_pipeline<S, F>(
     options: &FreeJoinOptions,
     threads: usize,
     make_sink: F,
-    token: &CancelToken,
-    instruments: Instruments,
+    instruments: &Instruments,
 ) -> (Vec<S>, ExecCounters)
 where
     S: Sink + Send,
@@ -476,7 +460,7 @@ where
 
     if root_tasks.is_empty() {
         let mut sink = make_sink();
-        let counters = ExecCounters::for_worker(plan, token, instruments, 0);
+        let counters = ExecCounters::for_worker(plan, instruments, 0);
         let mut ctx = ExecCtx::new(tries, plan, options, &mut sink, counters, (blank, roots));
         ctx.run_node(0, 1, &mut new_scratch());
         let counters = ctx.finish();
@@ -493,7 +477,7 @@ where
                 (&sched, &segments, &total_counters, &make_sink);
             scope.spawn(move || {
                 let mut scratch = new_scratch();
-                let mut counters = ExecCounters::for_worker(plan, token, instruments, id as u32);
+                let mut counters = ExecCounters::for_worker(plan, instruments, id as u32);
                 loop {
                     let Some(task) = sched.find_task(id) else {
                         if sched.pending.load(Ordering::Acquire) == 0 {
@@ -513,7 +497,7 @@ where
                     let Task { path, node_idx, items, tuple, positions, weight, spawner } = task;
                     let node = node_idx as u32;
                     if spawner != usize::MAX && spawner != id {
-                        counters.tasks_stolen += 1;
+                        counters.stats.tasks_stolen += 1;
                         if let Some(tb) = counters.traces.last_mut() {
                             tb.instant(TraceCat::Steal, node, spawner as u64, &path);
                         }
@@ -538,17 +522,17 @@ where
                     }
                     sched.pending.fetch_sub(1, Ordering::AcqRel);
                 }
-                counters.worker_expansions = vec![0; threads];
-                counters.worker_expansions[id] = counters.expansions;
+                counters.stats.worker_expansions = vec![0; threads];
+                counters.stats.worker_expansions[id] = counters.expansions;
                 total_counters.lock().expect("no poisoned counters").merge(counters);
             });
         }
     });
 
     let mut counters = total_counters.into_inner().expect("no poisoned counters");
-    counters.tasks_spawned = sched.spawned.load(Ordering::Relaxed);
-    counters.cancel = token.clone();
-    counters.cancelled = token.fired();
+    counters.stats.tasks_spawned = sched.spawned.load(Ordering::Relaxed);
+    counters.cancel = instruments.token.clone();
+    counters.cancelled = instruments.token.fired();
     let mut segments = segments.into_inner().expect("no poisoned segments");
     // The deterministic merge: lexicographic path-key order reproduces the
     // task-tree (depth-first, expansion-order) traversal regardless of which
@@ -1064,7 +1048,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
         mine: &mut NodeScratch<'t>,
         local_weight: &mut u64,
     ) -> bool {
-        self.counters.probes += 1;
+        self.counters.stats.probes += 1;
         let tuple = &self.tuple;
         let trie = &self.tries[sub.input];
         let found =
@@ -1078,7 +1062,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
             }
             None => return false,
         }
-        self.counters.probe_hits += 1;
+        self.counters.stats.probe_hits += 1;
         true
     }
 
@@ -1120,7 +1104,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
         // two subatoms there is a single probe and nothing to reorder).
         let all_matched = if self.adaptive && node.reorderable && node.subatoms.len() > 2 {
             if order_probes(node, cover_idx, &self.current, &mut mine.probe_order) {
-                self.counters.reorders += 1;
+                self.counters.stats.reorders += 1;
                 if let Some(tb) = self.counters.traces.last_mut() {
                     tb.instant(TraceCat::Reorder, node_idx as u32, 1, &[]);
                 }
@@ -1222,7 +1206,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
             } = &mut *mine;
             if self.adaptive && node.reorderable && node.subatoms.len() > 2 {
                 if order_probes(node, cover_idx, &self.current, probe_order) {
-                    self.counters.reorders += *count as u64;
+                    self.counters.stats.reorders += *count as u64;
                     if let Some(tb) = self.counters.traces.last_mut() {
                         tb.instant(TraceCat::Reorder, node_idx as u32, *count as u64, &[]);
                     }
@@ -1247,7 +1231,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
                             writes[e * new_slots + (s - node.bound_before)]
                         }
                     };
-                    self.counters.probes += 1;
+                    self.counters.stats.probes += 1;
                     let found = probe_subatom(trie, base, sub, spill_key, read);
                     self.counters.profile.add_probe(node_idx, found.is_some());
                     match found {
@@ -1258,7 +1242,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
                             continue;
                         }
                     }
-                    self.counters.probe_hits += 1;
+                    self.counters.stats.probe_hits += 1;
                 }
             }
         }
@@ -1466,8 +1450,7 @@ mod tests {
             options,
             threads,
             || OutputSink::new(builder.clone()),
-            &CancelToken::disabled(),
-            Instruments::default(),
+            &Instruments::default(),
         )
     }
 
@@ -1512,11 +1495,11 @@ mod tests {
         for threads in [0, 1] {
             let (sinks, counters) = run_sinks(&inputs, &plan, &options, Aggregate::Count, threads);
             assert_eq!(sinks.len(), 1, "threads {threads}");
-            assert_eq!((counters.tasks_spawned, counters.tasks_stolen), (0, 0));
-            assert!(counters.worker_expansions.is_empty());
+            assert_eq!((counters.stats.tasks_spawned, counters.stats.tasks_stolen), (0, 0));
+            assert!(counters.stats.worker_expansions.is_empty());
         }
         let (sinks, counters) = run_sinks(&inputs, &plan, &options, Aggregate::Count, 2);
-        assert!(counters.tasks_spawned > 0 && !sinks.is_empty());
+        assert!(counters.stats.tasks_spawned > 0 && !sinks.is_empty());
     }
 
     /// The clover instance has exactly one result: (x0, a0, b0, c0).
@@ -1534,7 +1517,7 @@ mod tests {
         ] {
             let (count, counters) = run(&inputs, &plan, &options, Aggregate::Count);
             assert_eq!(count, 1, "options {options:?}");
-            assert!(counters.probes >= counters.probe_hits);
+            assert!(counters.stats.probes >= counters.stats.probe_hits);
         }
     }
 
@@ -1555,10 +1538,10 @@ mod tests {
         // The naive plan expands the skewed R ⋈ S pairs (quadratic in n)
         // before probing T; the factored plan filters with T first.
         assert!(
-            k2.probes < k1.probes,
+            k2.stats.probes < k1.stats.probes,
             "factored plan should probe less: {} vs {}",
-            k2.probes,
-            k1.probes
+            k2.stats.probes,
+            k1.stats.probes
         );
     }
 
@@ -1792,8 +1775,7 @@ mod tests {
             &options,
             1,
             MaterializeSink::new,
-            &CancelToken::disabled(),
-            Instruments::default(),
+            &Instruments::default(),
         );
         let rows = sinks.pop().expect("one thread, one sink").into_rows();
         assert_eq!(rows.len(), 1);
@@ -1847,7 +1829,7 @@ mod tests {
         assert_eq!(c1, (k * k * k) as u64);
         assert_eq!(c2, c1);
         // k rows of R iterated against k^3 product rows emitted.
-        assert!(k2.probes <= k1.probes);
+        assert!(k2.stats.probes <= k1.stats.probes);
         assert_eq!(k2.expansions, k as u64);
         assert!(k1.expansions >= (k * k * k) as u64);
         // Same counts through the parallel driver.
@@ -1879,7 +1861,7 @@ mod tests {
         let plan = binary2fj(&iv);
         let (count, counters) = run(&inputs, &plan, &FreeJoinOptions::default(), Aggregate::Count);
         assert_eq!(count, 0);
-        assert_eq!(counters.probe_hits, 0);
+        assert_eq!(counters.stats.probe_hits, 0);
         let (par, _) =
             run_parallel(&inputs, &plan, &FreeJoinOptions::default(), Aggregate::Count, 4);
         assert_eq!(par, 0);
@@ -1917,13 +1899,13 @@ mod tests {
         assert_eq!(c_fix, 10);
         // Iterating S (10 keys) and probing R does 10 probes; iterating R
         // (1000 keys) and probing S does 1000.
-        assert_eq!(k_dyn.probes, 10);
-        assert_eq!(k_fix.probes, 1000);
+        assert_eq!(k_dyn.stats.probes, 10);
+        assert_eq!(k_fix.stats.probes, 1000);
         // The parallel driver makes the same dynamic-cover choice and does
         // the same probes in total, just spread over workers.
         let (p_dyn, pk_dyn) = run_parallel(&inputs, &plan, &dynamic, Aggregate::Count, 4);
         assert_eq!(p_dyn, 10);
-        assert_eq!(pk_dyn.probes, 10);
+        assert_eq!(pk_dyn.stats.probes, 10);
     }
 
     #[test]

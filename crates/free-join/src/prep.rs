@@ -97,14 +97,25 @@ pub fn bind_atom(catalog: &Catalog, atom: &Atom) -> EngineResult<BoundInput> {
 /// Record the data type of each of an atom's variables (first binding wins,
 /// matching the engine's slot assignment). Filtering never changes a schema,
 /// so base and filtered relations are interchangeable here.
-pub(crate) fn record_var_types(
-    vars: &[String],
-    schema: &Schema,
-    out: &mut HashMap<String, DataType>,
-) {
+fn record_var_types(vars: &[String], schema: &Schema, out: &mut HashMap<String, DataType>) {
     for (col, var) in vars.iter().enumerate() {
         out.entry(var.clone()).or_insert(schema.field(col).data_type);
     }
+}
+
+/// Data types of every query variable, derived from the (unfiltered) base
+/// relation schemas — filtering never changes a schema, so this avoids the
+/// selection work [`prepare_inputs`] does.
+pub(crate) fn var_types(
+    catalog: &Catalog,
+    atoms: &[Atom],
+) -> EngineResult<HashMap<String, DataType>> {
+    let mut out = HashMap::new();
+    for atom in atoms {
+        let relation = catalog.get(&atom.relation).map_err(EngineError::Storage)?;
+        record_var_types(&atom.vars, relation.schema(), &mut out);
+    }
+    Ok(out)
 }
 
 /// Resolve and filter every atom of a query against the catalog.

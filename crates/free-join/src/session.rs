@@ -68,16 +68,15 @@
 
 use crate::cancel::CancelToken;
 use crate::compile::{compile_query, CompiledPipeline, CompiledQuery};
-use crate::engine::{cancelled, join_pipeline, PipelineResult, PipelineRole};
+use crate::engine::{build_atom_trie, run_pipelines, PipelinesRun};
 use crate::error::{EngineError, EngineResult};
 use crate::exec::Instruments;
 use crate::options::{FreeJoinOptions, TrieStrategy};
-use crate::prep::{bind_atom, record_var_types, BoundInput};
 use crate::trie::InputTrie;
-use fj_cache::{Fingerprinter, PlanCache, StatsSnapshot, TrieCache, TrieKey};
+use fj_cache::{CacheStats, Fingerprinter, PlanCache, TrieCache, TrieKey};
 use fj_obs::{
-    trace_now_nanos, NodeProfile, PipelineProfile, ProfileSheet, QueryProfile, QueryTrace,
-    TraceBuf, TraceCat, DEFAULT_TRACE_CAPACITY, SESSION_WORKER,
+    Counter, MetricsRegistry, NodeProfile, PipelineProfile, ProfileSheet, QueryProfile, QueryTrace,
+    TraceCat,
 };
 use fj_plan::{
     optimize, CardinalityEstimator, CatalogStats, OptimizerOptions, PipeInput, SubPlanInfo,
@@ -86,13 +85,12 @@ use fj_plan::{
 use fj_query::{
     propagate_constants, Aggregate, Atom, ConjunctiveQuery, Derivation, ExecStats, QueryOutput,
 };
-use fj_storage::{Catalog, DataType, Predicate};
+use fj_storage::{Catalog, Predicate};
 use std::borrow::Cow;
 use std::collections::HashMap;
 use std::fmt::Write as _;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
 
 /// Default trie-cache byte budget: enough for the working set of a serving
 /// workload without letting tries crowd out the base data (tune per
@@ -202,24 +200,30 @@ pub struct EngineCaches {
     /// one relation scan it once.
     table_stats: Mutex<HashMap<String, (u64, TableStats)>>,
     table_stats_collected: AtomicU64,
-    /// Work-stealing scheduler counters, accumulated across every execution
-    /// that runs against this cache pair (the natural per-process scope —
-    /// the same scope the cache counters already have).
-    sched_spawned: AtomicU64,
-    sched_stolen: AtomicU64,
-    /// Adaptive-execution counters, same scope: probe reorders performed by
-    /// the adaptive executor (every execution), and plan nodes whose
-    /// profiled actuals bust their prepare-time estimate (profiled
-    /// executions — actuals exist only when a profile is collected).
-    exec_reorders: AtomicU64,
-    exec_estimate_busts: AtomicU64,
+    /// Work-stealing scheduler totals over every execution that runs
+    /// against this cache pair (the natural per-process scope — the scope
+    /// the cache counters have): `fj_sched_tasks_spawned` / `_stolen`.
+    tasks_spawned: Counter,
+    tasks_stolen: Counter,
+    /// Adaptive-execution totals, same scope: probe reorders performed by
+    /// the adaptive executor (every execution; `fj_exec_reorders`), and plan
+    /// nodes whose profiled actuals bust their prepare-time estimate
+    /// (profiled executions — actuals exist only when a profile is
+    /// collected; `fj_exec_estimate_busts`).
+    reorders: Counter,
+    estimate_busts: Counter,
 }
 
-/// Snapshot of both caches' statistics, as returned by
-/// [`Session::cache_stats`]. An alias of [`fj_cache::StatsSnapshot`] — the
-/// same plain, wire-encodable struct `fj-serve` ships in its stats frame —
-/// so in-process assertions and remote `/metrics` consumers read one shape.
-pub type SessionCacheStats = StatsSnapshot;
+/// The typed readout of both caches, as returned by
+/// [`Session::cache_stats`]. Every field is also a series of the metrics
+/// exposition ([`EngineCaches::bind_metrics`]), read off the same cells.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SessionCacheStats {
+    /// Trie cache counters/gauges.
+    pub tries: CacheStats,
+    /// Plan cache counters/gauges (`resident_bytes` counts entries).
+    pub plans: CacheStats,
+}
 
 impl EngineCaches {
     /// Caches with an explicit trie byte budget and plan capacity.
@@ -229,10 +233,10 @@ impl EngineCaches {
             plans: PlanCache::new(plan_capacity),
             table_stats: Mutex::new(HashMap::new()),
             table_stats_collected: AtomicU64::new(0),
-            sched_spawned: AtomicU64::new(0),
-            sched_stolen: AtomicU64::new(0),
-            exec_reorders: AtomicU64::new(0),
-            exec_estimate_busts: AtomicU64::new(0),
+            tasks_spawned: Counter::default(),
+            tasks_stolen: Counter::default(),
+            reorders: Counter::default(),
+            estimate_busts: Counter::default(),
         }
     }
 
@@ -294,44 +298,24 @@ impl EngineCaches {
         self.tries.invalidate_relation(relation)
     }
 
-    /// Fold one execution's scheduler counters into the process totals
-    /// (called by [`Prepared::execute`] after every execution).
-    pub fn record_sched(&self, tasks_spawned: u64, tasks_stolen: u64) {
-        if tasks_spawned > 0 {
-            self.sched_spawned.fetch_add(tasks_spawned, Ordering::Relaxed);
-        }
-        if tasks_stolen > 0 {
-            self.sched_stolen.fetch_add(tasks_stolen, Ordering::Relaxed);
-        }
+    /// Export every count this cache pair keeps into `registry`, once: the
+    /// two caches' cells as `fj_cache_{trie,plan}_*`, the scheduler totals
+    /// as `fj_sched_*`, the adaptive-execution totals as `fj_exec_*`. The
+    /// exposition then reads the cells executions bump; only the caches'
+    /// shard-summed gauges need [`EngineCaches::stats`] before a scrape.
+    pub fn bind_metrics(&self, registry: &MetricsRegistry) {
+        self.tries.cells().bind(registry, "trie");
+        self.plans.cells().bind(registry, "plan");
+        registry.bind_counter("fj_sched_tasks_spawned", &self.tasks_spawned);
+        registry.bind_counter("fj_sched_tasks_stolen", &self.tasks_stolen);
+        registry.bind_counter("fj_exec_reorders", &self.reorders);
+        registry.bind_counter("fj_exec_estimate_busts", &self.estimate_busts);
     }
 
-    /// Fold one execution's adaptive-execution counters into the process
-    /// totals: probe reorders after every execution, estimate busts after
-    /// profiled executions (the only runs with per-node actuals to compare).
-    pub fn record_exec(&self, reorders: u64, estimate_busts: u64) {
-        if reorders > 0 {
-            self.exec_reorders.fetch_add(reorders, Ordering::Relaxed);
-        }
-        if estimate_busts > 0 {
-            self.exec_estimate_busts.fetch_add(estimate_busts, Ordering::Relaxed);
-        }
-    }
-
-    /// Statistics for both caches plus the accumulated scheduler and
-    /// adaptive-execution counters.
+    /// The typed readout of both caches (refreshing their resident-bytes
+    /// and entry-count gauges).
     pub fn stats(&self) -> SessionCacheStats {
-        SessionCacheStats {
-            tries: self.tries.stats(),
-            plans: self.plans.stats(),
-            sched: fj_cache::SchedStats {
-                tasks_spawned: self.sched_spawned.load(Ordering::Relaxed),
-                tasks_stolen: self.sched_stolen.load(Ordering::Relaxed),
-            },
-            exec: fj_cache::ExecTotals {
-                reorders: self.exec_reorders.load(Ordering::Relaxed),
-                estimate_busts: self.exec_estimate_busts.load(Ordering::Relaxed),
-            },
-        }
+        SessionCacheStats { tries: self.tries.stats(), plans: self.plans.stats() }
     }
 }
 
@@ -634,9 +618,6 @@ impl Prepared {
     /// executor ring are collected into one [`QueryTrace`].
     pub fn execute(&self, catalog: &Catalog, request: &ExecRequest) -> EngineResult<ExecReport> {
         let (options, params) = (&self.options, &request.params);
-        let instruments = Instruments { profile: request.profile, trace: request.trace };
-        let mut sheets: Vec<ProfileSheet> = Vec::new();
-        let mut trace = request.trace.then(QueryTrace::new);
         // An explicit caller token wins; otherwise arm one from the options'
         // deadline/budget (disabled when neither is configured, costing one
         // branch per check site).
@@ -645,6 +626,7 @@ impl Prepared {
         } else {
             request.token.clone()
         };
+        let instruments = Instruments { profile: request.profile, trace: request.trace, token };
         // The constants of this request follow their join variables before
         // anything is bound. Without overrides that is the rewrite `prepare`
         // made, unless a relation it read the schema of has been replaced.
@@ -665,158 +647,40 @@ impl Prepared {
         // replaced (even with a different schema) since prepare, and the
         // serving path must surface that as a typed error, never a panic.
         query.validate(catalog).map_err(EngineError::Query)?;
-        let compiled = &self.plan.compiled;
-        let mut stats = ExecStats::default();
-        let var_types = var_types(catalog, &query.atoms)?;
 
-        // The session's structural ring: query/pipeline spans and trie
-        // fetch/build events — the schedule-independent skeleton the
-        // canonical span tree renders. Only exists when tracing.
-        let mut session_buf = trace
-            .is_some()
-            .then(|| TraceBuf::with_capacity(DEFAULT_TRACE_CAPACITY, SESSION_WORKER));
-        let evictions0 = trace.is_some().then(|| self.caches.tries.stats().evictions);
-        if let Some(tb) = session_buf.as_mut() {
-            tb.begin(TraceCat::Query, 0, 0, &[]);
-        }
-
-        let mut intermediates: Vec<Option<BoundInput>> = vec![None; compiled.pipelines.len()];
-        let mut output = None;
-        for (p, pipeline) in compiled.pipelines.iter().enumerate() {
-            // Pipeline boundary: consult the deadline clock (trie builds for
-            // this pipeline can be long, so trip before starting them).
-            if let Some(reason) = token.poll() {
-                return Err(cancelled(reason, &stats));
-            }
-            let mut tries: Vec<Arc<InputTrie>> = Vec::with_capacity(pipeline.inputs.len());
-            // (maps_built, lazy_built) at acquisition: zero for tries this
-            // execution built, current counters for cache hits, so the
-            // post-join delta approximates the trie work done by this
-            // query. Best-effort on shared tries: a concurrent query
-            // forcing levels of the same cached trie between our capture
-            // and readout gets its work counted here too (and a trie built
-            // here may have levels forced by others before we read). The
-            // totals across queries remain exact; only the per-query split
-            // can skew under concurrency.
-            let mut baselines: Vec<(u64, u64)> = Vec::with_capacity(pipeline.inputs.len());
-            if let Some(tb) = session_buf.as_mut() {
-                tb.begin(TraceCat::Pipeline, p as u32, 0, &[]);
-            }
-            for (k, (&input, schema)) in
-                pipeline.inputs.iter().zip(&pipeline.plan.schemas).enumerate()
-            {
-                // Captured before the fetch so the span covers it; nothing
-                // is pushed into the ring in between, and the hit/built
-                // outcome is only known afterwards (hence `begin_at`).
-                let t_fetch = session_buf.is_some().then(trace_now_nanos);
-                match input {
-                    PipeInput::Atom(i) => {
-                        let (trie, built_here) =
-                            self.cached_trie(catalog, &query.atoms[i], schema, &mut stats)?;
-                        if let (Some(tb), Some(t0)) = (session_buf.as_mut(), t_fetch) {
-                            tb.begin_at(t0, TraceCat::TrieFetch, k as u32, built_here as u64, &[]);
-                            let cat =
-                                if built_here { TraceCat::TrieMiss } else { TraceCat::TrieHit };
-                            tb.instant(cat, k as u32, 0, &[]);
-                            tb.end(TraceCat::TrieFetch, k as u32, 0);
-                        }
-                        baselines.push(if built_here {
-                            (0, 0)
-                        } else {
-                            (trie.maps_built(), trie.lazy_built())
-                        });
-                        tries.push(trie);
-                    }
-                    PipeInput::Intermediate(j) => {
-                        let bound =
-                            intermediates[j].clone().expect("pipelines are dependency-ordered");
-                        let build_start = Instant::now();
-                        let trie =
-                            Arc::new(InputTrie::build(&bound, schema.clone(), self.options.trie));
-                        stats.build_time += build_start.elapsed();
-                        if let (Some(tb), Some(t0)) = (session_buf.as_mut(), t_fetch) {
-                            tb.begin_at(t0, TraceCat::TrieBuild, k as u32, 0, &[]);
-                            tb.end(TraceCat::TrieBuild, k as u32, 0);
-                        }
-                        baselines.push((0, 0));
-                        tries.push(trie);
-                    }
-                }
-            }
-
-            let role = if p == compiled.root_pipeline() {
-                PipelineRole::Final(query)
-            } else {
-                PipelineRole::Intermediate(&var_types)
-            };
-            let (result, counters) = join_pipeline(
-                &tries,
-                &pipeline.plan,
-                options,
-                role,
-                instruments,
-                &token,
-                &mut stats,
-            )?;
-            if request.profile {
-                sheets.push(counters.profile);
-            }
-            if let Some(qt) = trace.as_mut() {
-                for mut tb in counters.traces {
-                    tb.set_pipeline(p as u32);
-                    qt.attach(tb);
-                }
-            }
-            if let Some(tb) = session_buf.as_mut() {
-                tb.end(TraceCat::Pipeline, p as u32, 0);
-            }
-            for (idx, (trie, (maps0, lazy0))) in tries.iter().zip(&baselines).enumerate() {
-                // A cached trie can serve several inputs of one pipeline
-                // (self-joins); count each underlying trie once.
-                if tries[..idx].iter().any(|t| Arc::ptr_eq(t, trie)) {
-                    continue;
-                }
-                stats.tries_built += trie.maps_built().saturating_sub(*maps0);
-                stats.lazy_expansions += trie.lazy_built().saturating_sub(*lazy0);
-            }
-            // The executor unwinds cooperatively once the token fires and
-            // returns whatever it had produced; surface the typed error
-            // instead of a silently truncated result.
-            if let Some(reason) = token.fired() {
-                if let PipelineResult::Output(out) = &result {
-                    stats.output_tuples = out.cardinality();
-                }
-                return Err(cancelled(reason, &stats));
-            }
-            match result {
-                PipelineResult::Output(out) => output = Some(out),
-                PipelineResult::Intermediate(bound) => {
-                    stats.intermediate_tuples += bound.num_rows() as u64;
-                    intermediates[p] = Some(bound);
-                }
-            }
-        }
-
-        let output = output.expect("the final pipeline produces the output");
-        stats.output_tuples = output.cardinality();
-        if let (Some(tb), Some(e0)) = (session_buf.as_mut(), evictions0) {
-            let evicted = self.caches.tries.stats().evictions.saturating_sub(e0);
+        let caches = &*self.caches;
+        let evictions0 = request.trace.then(|| caches.tries.stats().evictions);
+        let cached = |atom: &Atom, schema: &[Vec<String>], stats: &mut ExecStats| {
+            self.cached_trie(catalog, atom, schema, stats)
+        };
+        let PipelinesRun { output, stats, sheets, trace } =
+            run_pipelines(&self.plan.compiled, catalog, query, options, &instruments, cached)?;
+        let trace = trace.zip(evictions0).map(|((mut trace, mut ring), e0)| {
+            let evicted = caches.tries.stats().evictions.saturating_sub(e0);
             if evicted > 0 {
-                tb.instant(TraceCat::Evict, 0, evicted, &[]);
+                ring.instant(TraceCat::Evict, 0, evicted, &[]);
             }
-            tb.end(TraceCat::Query, 0, output.cardinality());
-        }
-        if let (Some(qt), Some(tb)) = (trace.as_mut(), session_buf) {
-            qt.attach(tb);
-        }
-        let profile = request.profile.then(|| self.assemble_profile(derived, &sheets));
-        self.caches.record_sched(stats.tasks_spawned, stats.tasks_stolen);
+            ring.end(TraceCat::Query, 0, output.cardinality());
+            trace.attach(ring);
+            trace
+        });
         // A profiled run has per-node actuals: count the nodes that bust
         // their prepare-time estimate (the same predicate behind the
         // rendered `!` markers, so the counter reconciles with EXPLAIN
         // ANALYZE output).
-        self.caches
-            .record_exec(stats.reorders, profile.as_ref().map_or(0, QueryProfile::estimate_busts));
+        let profile = request.profile.then(|| self.assemble_profile(derived, &sheets));
+        let busts = profile.as_ref().map_or(0, QueryProfile::estimate_busts);
+        for (total, n) in [
+            (&caches.tasks_spawned, stats.tasks_spawned),
+            (&caches.tasks_stolen, stats.tasks_stolen),
+            (&caches.reorders, stats.reorders),
+            (&caches.estimate_busts, busts),
+        ] {
+            // A serial, static, unprofiled request leaves the shared lines alone.
+            if n > 0 {
+                total.add(n);
+            }
+        }
         Ok(ExecReport { output, stats, profile, trace })
     }
 
@@ -891,8 +755,6 @@ impl Prepared {
         let version = catalog.version_of(&atom.relation);
         let key = trie_key(atom, version, self.options.trie, schema)?;
         let mut built_here = false;
-        let mut selection_time = Duration::ZERO;
-        let mut build_time = Duration::ZERO;
         let trie = self.caches.tries.try_get_or_build(&key, || -> EngineResult<_> {
             built_here = true;
             // Chaos failpoint: mid-build faults (and injected panics, which
@@ -902,17 +764,10 @@ impl Prepared {
             if fj_obs::chaos::should_fail("session.trie_build") {
                 return Err(EngineError::Faulted("session.trie_build".into()));
             }
-            let selection_start = Instant::now();
-            let bound = bind_atom(catalog, atom)?;
-            selection_time = selection_start.elapsed();
-            let build_start = Instant::now();
-            let trie = Arc::new(InputTrie::build(&bound, schema.to_vec(), self.options.trie));
-            build_time = build_start.elapsed();
+            let trie = build_atom_trie(catalog, atom, schema, self.options.trie, stats)?;
             let bytes = trie.estimated_bytes();
             Ok((trie, bytes))
         })?;
-        stats.selection_time += selection_time;
-        stats.build_time += build_time;
         Ok((trie, built_here))
     }
 }
@@ -948,18 +803,6 @@ fn trie_key(
         key_order,
         filter,
     })
-}
-
-/// Data types of every query variable, derived from the (unfiltered) base
-/// relation schemas — filtering never changes a schema, so this avoids the
-/// selection work `prepare_inputs` would do.
-fn var_types(catalog: &Catalog, atoms: &[Atom]) -> EngineResult<HashMap<String, DataType>> {
-    let mut out = HashMap::new();
-    for atom in atoms {
-        let relation = catalog.get(&atom.relation).map_err(EngineError::Storage)?;
-        record_var_types(&atom.vars, relation.schema(), &mut out);
-    }
-    Ok(out)
 }
 
 /// The canonical rendering of a query for plan caching: atom structure with
@@ -1010,6 +853,7 @@ mod tests {
     use super::*;
     use fj_query::QueryBuilder;
     use fj_storage::{CmpOp, RelationBuilder, Schema};
+    use std::time::{Duration, Instant};
 
     fn catalog() -> Catalog {
         let mut cat = Catalog::new();
@@ -1226,26 +1070,56 @@ mod tests {
         ));
     }
 
+    /// One loop runs under both entry points, so it must also count one way:
+    /// over a left-deep self-join, a bushy plan and a self-join whose sides
+    /// share one cached trie, a cold `Session` (no constants to propagate)
+    /// returns the uncached engine's output at every strategy and thread
+    /// count, and its work counts wherever they are schedule-independent
+    /// (one thread, or `Simple`, which forces nothing lazily).
     #[test]
     fn session_matches_uncached_engine_across_strategies_and_threads() {
         let cat = catalog();
-        let q = two_hop();
-        let engine = crate::engine::FreeJoinEngine::new(FreeJoinOptions::default());
-        let (reference, _) =
-            engine.plan_and_execute(&cat, &q, OptimizerOptions::default()).unwrap();
-        for trie in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
-            for threads in [1usize, 4] {
-                let opts = FreeJoinOptions { trie, ..FreeJoinOptions::default() }
-                    .with_num_threads(threads);
-                let s = session().with_options(opts);
-                let prepared = s.prepare(&cat, &q).unwrap();
-                for _ in 0..2 {
-                    let ExecReport { output: out, .. } =
-                        prepared.execute(&cat, &ExecRequest::default()).unwrap();
-                    assert!(
-                        out.result_eq(&reference),
-                        "session diverged for {trie:?} × {threads} threads"
-                    );
+        // Range filters that keep every row tell the four inputs' cached
+        // tries apart: a trie two inputs share is built once, and then a
+        // session has less to count than an engine that builds two.
+        let bushy = QueryBuilder::new("bushy")
+            .atom_as("edge", "e1", &["a", "b"])
+            .atom_as("edge", "e2", &["b", "c"])
+            .filter_last(Predicate::cmp_const("src", CmpOp::Ge, 0i64))
+            .atom_as("edge", "e3", &["c", "d"])
+            .filter_last(Predicate::cmp_const("dst", CmpOp::Ge, 0i64))
+            .atom_as("edge", "e4", &["d", "e"])
+            .filter_last(Predicate::cmp_const("src", CmpOp::Lt, 12i64))
+            .head(&["a", "e"])
+            .build();
+        let mutual = QueryBuilder::new("mutual")
+            .atom_as("edge", "e1", &["a", "b"])
+            .atom_as("edge", "e2", &["b", "a"])
+            .group_count(&["a"])
+            .build();
+        for (q, is_bushy) in [(two_hop(), false), (bushy, true), (mutual, false)] {
+            for trie in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
+                for threads in [1usize, 4] {
+                    let ctx = format!("{} under {trie:?} x {threads} threads", q.name);
+                    let opts = FreeJoinOptions { trie, ..FreeJoinOptions::default() }
+                        .with_num_threads(threads);
+                    let (reference, uncached) = crate::engine::FreeJoinEngine::new(opts)
+                        .plan_and_execute(&cat, &q, OptimizerOptions::default())
+                        .unwrap();
+                    assert_eq!(uncached.intermediate_tuples > 0, is_bushy, "{ctx}");
+                    let prepared = session().with_options(opts).prepare(&cat, &q).unwrap();
+                    let counts = |s: &ExecStats| {
+                        let trie_work = (s.tries_built, s.lazy_expansions);
+                        (s.probes, s.probe_hits, trie_work, s.intermediate_tuples, s.output_tuples)
+                    };
+                    for warm in [false, true] {
+                        let ExecReport { output, stats, .. } =
+                            prepared.execute(&cat, &ExecRequest::default()).unwrap();
+                        assert!(output.result_eq(&reference), "{ctx}, warm {warm}");
+                        if !warm && (threads == 1 || trie == TrieStrategy::Simple) {
+                            assert_eq!(counts(&stats), counts(&uncached), "{ctx}");
+                        }
+                    }
                 }
             }
         }

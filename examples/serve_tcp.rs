@@ -8,7 +8,8 @@
 //! Where `serve_repeated.rs` exercises the cache layer *in process*, this
 //! example goes through the whole serving stack — length-prefixed frames,
 //! the bounded admission queue, worker threads, the shared
-//! `Session`/`Prepared` registry, and the `/metrics` stats frame. It runs
+//! `Session`/`Prepared` registry, and the `Metrics` frame every count is
+//! read from, by series name. It runs
 //! a **cold pass** (4 clients × 4 queries × 25 executions over fresh
 //! caches) and a **warm pass**, then exits nonzero unless:
 //!
@@ -21,7 +22,6 @@
 //! CI runs it and asserts on the exit status.
 
 use freejoin::prelude::*;
-use freejoin::serve::ServerStats;
 use freejoin::workloads::job::{self, JobConfig};
 use std::sync::Arc;
 use std::time::Instant;
@@ -66,15 +66,17 @@ fn run_pass(addr: std::net::SocketAddr, queries: &[(String, Aggregate)]) -> (Vec
     (results[0].clone(), wall)
 }
 
-fn print_pass(label: &str, wall_ms: f64, delta: &ServerStats) {
+/// Print one pass from the metrics window it spans (quantiles are the
+/// window's own: a delta of cumulative buckets is a histogram again).
+fn print_pass(label: &str, wall_ms: f64, delta: &MetricsSnapshot) {
     println!(
         "{label} pass: {wall_ms:.1} ms | trie cache: {} builds, {} hits | plans: {} compiles | \
          p50 {} us, p99 {} us",
-        delta.cache.tries.misses,
-        delta.cache.tries.hits,
-        delta.cache.plans.misses,
-        delta.p50_us,
-        delta.p99_us,
+        delta.get("fj_cache_trie_misses"),
+        delta.get("fj_cache_trie_hits"),
+        delta.get("fj_cache_plan_misses"),
+        delta.quantile("fj_serve_latency_us", 0.50),
+        delta.quantile("fj_serve_latency_us", 0.99),
     );
 }
 
@@ -118,13 +120,13 @@ fn main() {
         catalog.total_rows(),
     );
 
-    let before = server.stats();
+    let before = server.metrics();
     let (cold_counts, cold_ms) = run_pass(addr, &queries);
-    let after_cold = server.stats();
+    let after_cold = server.metrics();
     print_pass("cold", cold_ms, &after_cold.delta(&before));
 
     let (warm_counts, warm_ms) = run_pass(addr, &queries);
-    let after_warm = server.stats();
+    let after_warm = server.metrics();
     let warm_delta = after_warm.delta(&after_cold);
     print_pass("warm", warm_ms, &warm_delta);
 
@@ -136,43 +138,40 @@ fn main() {
     if warm_counts != reference {
         failures.push(format!("warm answers diverged: {warm_counts:?} vs {reference:?}"));
     }
-    if warm_delta.cache.tries.misses != 0 {
-        failures.push(format!("warm pass rebuilt {} tries", warm_delta.cache.tries.misses));
+    if warm_delta.get("fj_cache_trie_misses") != 0 {
+        failures
+            .push(format!("warm pass rebuilt {} tries", warm_delta.get("fj_cache_trie_misses")));
     }
-    if warm_delta.cache.plans.misses != 0 {
-        failures.push(format!("warm pass recompiled {} plans", warm_delta.cache.plans.misses));
+    if warm_delta.get("fj_cache_plan_misses") != 0 {
+        failures
+            .push(format!("warm pass recompiled {} plans", warm_delta.get("fj_cache_plan_misses")));
     }
-    if warm_delta.cache.tries.hit_rate() <= 0.0 {
+    if warm_delta.get("fj_cache_trie_hits") + warm_delta.get("fj_cache_trie_coalesced") == 0 {
         failures.push("warm pass reported a zero trie-cache hit rate".to_string());
     }
-    if after_warm.rejected() != 0 {
-        failures.push(format!(
-            "{} requests were shed below the admission limits",
-            after_warm.rejected()
-        ));
+    let rejected = after_warm.get("fj_serve_rejected_queue_full")
+        + after_warm.get("fj_serve_rejected_byte_budget");
+    if rejected != 0 {
+        failures.push(format!("{rejected} requests were shed below the admission limits"));
     }
-    if after_warm.errors != 0 {
-        failures.push(format!("{} requests failed", after_warm.errors));
+    if after_warm.get("fj_serve_request_errors") != 0 {
+        failures.push(format!("{} requests failed", after_warm.get("fj_serve_request_errors")));
     }
     let expected_served = (2 * CLIENTS * (queries.len() * (ITERATIONS + 1))) as u64;
-    if after_warm.served < expected_served {
-        failures.push(format!(
-            "served {} requests, expected at least {expected_served}",
-            after_warm.served
-        ));
+    let served = after_warm.get("fj_serve_requests_served");
+    if served < expected_served {
+        failures.push(format!("served {served} requests, expected at least {expected_served}"));
     }
-    if after_warm.observations != after_warm.served {
+    if after_warm.get("fj_serve_latency_us_count") != served {
         failures.push("latency histogram missed requests".to_string());
     }
 
     // Shut down gracefully through the protocol itself — but first scrape
-    // both expositions over the wire: the binary stats frame's gauge lines
-    // and the full Prometheus-style Metrics frame (registry counters, cache
-    // and scheduler gauges, latency histogram buckets, slow-query log).
-    // The marker lines delimit the block ci/check_metrics_format.py
-    // validates against the Prometheus line grammar.
+    // the Metrics frame over the wire (every counter, the gauges, the
+    // latency histogram buckets, the slow-query log). The marker lines
+    // delimit the block ci/check_metrics_format.py validates against the
+    // Prometheus line grammar.
     let mut client = Client::connect(addr).expect("shutdown client connects");
-    println!("\n/metrics\n{}", client.stats().expect("stats frame").render_metrics());
     let metrics_text = client.metrics().expect("metrics frame");
     println!("=== METRICS BEGIN ===");
     print!("{metrics_text}");

@@ -48,7 +48,7 @@ pub use free_join as engine;
 pub mod prelude {
     pub use fj_baselines::{BinaryJoinEngine, GenericJoinEngine};
     pub use fj_cache::CacheStats;
-    pub use fj_obs::{MetricsRegistry, QueryProfile, QueryTrace};
+    pub use fj_obs::{MetricsRegistry, MetricsSnapshot, QueryProfile, QueryTrace};
     pub use fj_plan::{
         binary2fj, factor, optimize, BinaryPlan, CatalogStats, EstimatorMode, FreeJoinPlan,
         OptimizerOptions,
@@ -56,7 +56,7 @@ pub mod prelude {
     pub use fj_query::{
         parse_filter, parse_query, Aggregate, ConjunctiveQuery, QueryBuilder, QueryOutput,
     };
-    pub use fj_serve::{Client, Server, ServerConfig, ServerStats};
+    pub use fj_serve::{Client, Server, ServerConfig};
     pub use fj_storage::{Catalog, Predicate, Relation, RelationBuilder, Schema, Value};
     pub use free_join::{
         CancelReason, CancelToken, EngineCaches, ExecReport, ExecRequest, FreeJoinEngine,

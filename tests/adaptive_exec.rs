@@ -138,18 +138,20 @@ fn estimate_busts_reconcile_with_explain_analyze() {
         .with_options(FreeJoinOptions::default().with_num_threads(1).with_adaptive(true));
     let prepared = session.prepare(&catalog, &query).unwrap();
 
-    let before = caches.stats().exec.estimate_busts;
+    let registry = MetricsRegistry::new();
+    caches.bind_metrics(&registry);
+    let before = registry.snapshot();
     let report =
         prepared.execute(&catalog, &ExecRequest { profile: true, ..ExecRequest::default() });
     let ExecReport { output, profile: Some(profile), .. } = report.unwrap() else {
         panic!("the request asked for a profile");
     };
     assert_eq!(output.cardinality(), 64);
-    let after = caches.stats().exec.estimate_busts;
+    let window = registry.snapshot().delta(&before);
 
     assert!(profile.estimate_busts() > 0, "correlated join must bust its estimate");
     assert_eq!(
-        after - before,
+        window.get("fj_exec_estimate_busts"),
         profile.estimate_busts(),
         "the session counter must advance by the profile's bust count"
     );
@@ -168,8 +170,10 @@ fn unprofiled_runs_do_not_count_busts() {
     let prepared = session.prepare(&catalog, &query).unwrap();
     let output = prepared.execute(&catalog, &ExecRequest::default()).unwrap().output;
     assert_eq!(output.cardinality(), 64);
+    let registry = MetricsRegistry::new();
+    caches.bind_metrics(&registry);
     assert_eq!(
-        caches.stats().exec.estimate_busts,
+        registry.snapshot().get("fj_exec_estimate_busts"),
         0,
         "busts need per-node actuals; unprofiled runs must not guess"
     );
@@ -197,6 +201,9 @@ fn skew_flip_does_not_bust_estimates() {
     };
     assert!(stats.reorders > 0);
     assert_eq!(profile.estimate_busts(), 0, "{}", profile.render());
-    assert_eq!(caches.stats().exec.estimate_busts, 0);
-    assert!(caches.stats().exec.reorders > 0);
+    let registry = MetricsRegistry::new();
+    caches.bind_metrics(&registry);
+    let totals = registry.snapshot();
+    assert_eq!(totals.get("fj_exec_estimate_busts"), 0);
+    assert!(totals.get("fj_exec_reorders") > 0);
 }

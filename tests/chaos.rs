@@ -198,6 +198,100 @@ fn injected_panic_leaves_the_server_serving() {
     server.join();
 }
 
+/// Every `(begin, end)` of the spans of category `cat` whose begin carries
+/// `arg`, in microseconds, from a Chrome trace as `fetch_trace` returns it.
+fn spans_us(chrome_json: &str, cat: &str, arg: u64) -> Vec<(f64, f64)> {
+    let field = |event: &str, key: &str| -> String {
+        let rest = &event[event.find(key).expect("every event has the field") + key.len()..];
+        rest[..rest.find([',', '}']).expect("a field ends")]
+            .trim_matches('"')
+            .to_string()
+    };
+    let (mut open, mut spans) = (None, Vec::new());
+    let events = chrome_json.split("{\"name\":").skip(1);
+    for event in events.filter(|event| field(event, "\"cat\":") == cat) {
+        let ts: f64 = field(event, "\"ts\":").parse().expect("a timestamp");
+        match field(event, "\"ph\":").as_str() {
+            "B" if field(event, "\"arg\":") == arg.to_string() => open = Some(ts),
+            "E" => spans.extend(open.take().map(|begin| (begin, ts))),
+            _ => {}
+        }
+    }
+    spans
+}
+
+/// The scripted diagnosis, trie-build half: one request is slow because a
+/// trie build stalled (a `delay:` failpoint), and the layer is named from
+/// what the server itself reports — the `Metrics` text and the sampled
+/// trace fetched by the id the slow-query log quotes — with no engine
+/// handle and no added print. The metrics say a request was slow and how
+/// slow; the slow-query entry's profile says the join was not it; the
+/// trace says which trie fetch built, and for how long.
+#[test]
+fn a_stalled_trie_build_is_diagnosed_from_metrics_and_trace() {
+    const STALL_MS: u64 = 40;
+    let _guard = chaos_lock();
+    let workload = freejoin::workloads::micro::clover(50);
+    let catalog = Arc::new(workload.catalog);
+    let named = &workload.queries[0];
+    let server = start_server(
+        Arc::clone(&catalog),
+        ServerConfig {
+            workers: 1,
+            slow_query_us: STALL_MS * 1_000 / 2,
+            trace_sample_n: 1,
+            ..ServerConfig::default()
+        },
+    );
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let handle = client.prepare(named.query.to_string(), named.query.aggregate.clone()).unwrap();
+    let before = MetricsSnapshot::parse(&client.metrics().unwrap());
+
+    chaos::arm_times("session.trie_build", ChaosAction::DelayMs(STALL_MS), 1);
+    assert_eq!(client.execute(handle).unwrap().cardinality, 1);
+    // Forget the hit too: other tests count theirs on the same failpoint.
+    chaos::disarm_all();
+
+    // 1. Metrics: exactly one slow query, and the latency histogram gained
+    //    an observation of at least the stall.
+    let text = client.metrics().unwrap();
+    let window = MetricsSnapshot::parse(&text).delta(&before);
+    assert_eq!(window.get("fj_serve_slow_queries_total"), 1, "{text}");
+    assert!(window.quantile("fj_serve_latency_us", 1.0) >= STALL_MS * 1_000, "{text}");
+
+    // 2. The slow-query log: the entry, its service time, its trace id, and
+    //    the wall time of its first plan node — inclusive of the nodes below
+    //    it, on a one-thread session: all of the join.
+    let mut lines = text.lines().skip_while(|line| !line.starts_with("# slow_query "));
+    let entry = lines.next().unwrap_or_else(|| panic!("no slow-query entry in {text}"));
+    let value = |key: &str| -> u64 {
+        let word = entry.split(' ').find_map(|word| word.strip_prefix(key));
+        word.and_then(|v| v.parse().ok())
+            .unwrap_or_else(|| panic!("no {key} in {entry}"))
+    };
+    let (service_us, trace_id) = (value("service_us="), value("trace_id="));
+    let node0 = lines.find(|line| line.contains("node 0:")).expect("the entry has a profile");
+    let join_ms: f64 = (node0.rsplit_once("time=").and_then(|(_, t)| t.strip_suffix("ms")))
+        .and_then(|t| t.parse().ok())
+        .unwrap_or_else(|| panic!("no node time in {node0}"));
+    assert!(service_us >= STALL_MS * 1_000, "{entry}");
+    assert!(
+        join_ms * 1e3 < (service_us - STALL_MS * 1_000) as f64,
+        "the join is not the culprit: {join_ms} ms of {service_us} us"
+    );
+
+    // 3. The trace: of the fetches this execution built, one took the stall.
+    let trace = client.fetch_trace(trace_id).expect("the sampled trace is still in the ring");
+    assert!(trace.span_tree.contains("trie_fetch input=0 built"), "{}", trace.span_tree);
+    let built = spans_us(&trace.chrome_json, "trie_fetch", 1);
+    let longest = built.iter().map(|(begin, end)| end - begin).fold(0.0, f64::max);
+    assert!(longest >= (STALL_MS * 1_000) as f64, "built fetches: {built:?}");
+    assert!(spans_us(&trace.chrome_json, "trie_fetch", 0).is_empty(), "a cold run hits nothing");
+
+    client.shutdown_server().unwrap();
+    server.join();
+}
+
 /// Injected socket faults (a failed read, a failed response write) surface
 /// as typed I/O-level client errors — never hangs, never corrupt frames —
 /// and [`Client::execute_retry`] reconnects and succeeds afterwards. A
@@ -283,9 +377,9 @@ fn shadow_file_warms_up_a_restarted_server() {
     let server = start_server(Arc::clone(&catalog), config());
     let mut client = Client::connect(server.local_addr()).unwrap();
     let handle = client.prepare(named.query.to_string(), named.query.aggregate.clone()).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.cache.plans.misses, 1, "the only plan compile was the warm-up's");
-    assert!(stats.cache.plans.hits >= 1, "the client's prepare hit the warmed cache");
+    let stats = MetricsSnapshot::parse(&client.metrics().unwrap());
+    assert_eq!(stats.get("fj_cache_plan_misses"), 1, "the only plan compile was the warm-up's");
+    assert!(stats.get("fj_cache_plan_hits") >= 1, "the client's prepare hit the warmed cache");
     assert_eq!(client.execute(handle).unwrap().cardinality, 1);
     client.shutdown_server().unwrap();
     server.join();
@@ -325,8 +419,9 @@ fn rate_limiting_sheds_with_typed_busy() {
         }
         other => panic!("expected Busy(RateLimited), got {other:?}"),
     }
-    // At 50 tokens/s the bucket refills within the retry helper's backoff.
-    let answer = client.execute_retry(handle, &[], 5).expect("the bucket refills");
+    // At 50 tokens/s a token takes 20 ms; eight jittered doublings from the
+    // 1 ms hint wait at least 127 ms in all (five could add up to only 15).
+    let answer = client.execute_retry(handle, &[], 8).expect("the bucket refills");
     assert_eq!(answer.cardinality, expected);
     // The in-process accessor — the wire metrics request would itself be
     // racing the freshly re-drained bucket.

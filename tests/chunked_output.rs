@@ -110,15 +110,14 @@ fn run_both(
         OutputBuilder::try_new(&query.head, query.aggregate.clone(), &compiled.binding_order)
             .unwrap();
 
-    let (token, instruments) = (CancelToken::disabled(), Instruments::default());
+    let instruments = Instruments::default();
     let (sinks, _) = execute_pipeline(
         &tries,
         &compiled,
         options,
         threads,
         || OutputSink::new(builder.clone()),
-        &token,
-        instruments,
+        &instruments,
     );
     let mut chunked = OutputSink::new(builder.clone());
     sinks.into_iter().for_each(|sink| chunked.merge(sink));
@@ -129,8 +128,7 @@ fn run_both(
         options,
         threads,
         || PerTupleSink::new(builder.clone()),
-        &token,
-        instruments,
+        &instruments,
     );
     let mut tuple_wise = PerTupleSink::new(builder.clone());
     sinks.into_iter().for_each(|sink| tuple_wise.merge(sink));

@@ -129,8 +129,7 @@ fn run_pipeline(
         options,
         threads,
         || OutputSink::new(builder.clone()),
-        &CancelToken::disabled(),
-        Instruments::default(),
+        &Instruments::default(),
     );
     let mut merged = OutputSink::new(builder.clone());
     sinks.into_iter().for_each(|sink| merged.merge(sink));
@@ -349,7 +348,7 @@ fn work_counts_are_identical_at_every_thread_count() {
                         "{} {} {trie:?} x{threads} prune {prune} batch {batch_size}",
                         workload.name, named.name
                     );
-                    assert_eq!(counters.tasks_spawned > 0, threads > 1, "{context}");
+                    assert_eq!(counters.stats.tasks_spawned > 0, threads > 1, "{context}");
                     let (expected, work) =
                         reference.get_or_insert_with(|| (output.clone(), counters.work()));
                     assert_identical(expected, &output, &context);

@@ -43,10 +43,9 @@ fn run_fj_plan(
         options,
         1,
         || OutputSink::new(builder.clone()),
-        &CancelToken::disabled(),
-        Instruments::default(),
+        &Instruments::default(),
     );
-    (sinks.pop().expect("one thread, one sink").finish().cardinality(), counters.probes)
+    (sinks.pop().expect("one thread, one sink").finish().cardinality(), counters.stats.probes)
 }
 
 #[test]

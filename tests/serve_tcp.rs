@@ -2,7 +2,8 @@
 //! TCP, concurrent clients, admission control, and graceful shutdown.
 
 use freejoin::prelude::*;
-use freejoin::serve::{BusyReason, Client, ClientError, ServerConfig};
+use freejoin::serve::protocol::{read_frame, write_frame};
+use freejoin::serve::{BusyReason, Client, ClientError, Response, ServerConfig};
 use freejoin::workloads::job::{self, JobConfig};
 use std::net::TcpStream;
 use std::sync::Arc;
@@ -13,6 +14,11 @@ fn serving_session() -> Session {
     // oversubscription against the server's own worker pool.
     Session::new(Arc::new(EngineCaches::with_defaults()))
         .with_options(FreeJoinOptions::default().with_num_threads(1))
+}
+
+/// Scrape the `Metrics` frame into the name -> value reader.
+fn scrape(client: &mut Client) -> Result<MetricsSnapshot, ClientError> {
+    client.metrics().map(|text| MetricsSnapshot::parse(&text))
 }
 
 fn start_server(catalog: Arc<Catalog>, config: ServerConfig) -> freejoin::serve::Server {
@@ -78,14 +84,18 @@ fn concurrent_loopback_clients_match_single_threaded_session() {
     });
 
     let mut client = Client::connect(addr).unwrap();
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.rejected(), 0, "nothing was shed below the admission limits");
-    assert_eq!(stats.errors, 0);
-    assert!(stats.served >= (CLIENTS * ITERATIONS * queries.len()) as u64);
-    assert!(stats.cache.tries.hits > 0, "warm traffic was cache-served");
-    assert!(stats.p99_us >= stats.p50_us);
+    let stats = scrape(&mut client).unwrap();
+    let rejected =
+        stats.get("fj_serve_rejected_queue_full") + stats.get("fj_serve_rejected_byte_budget");
+    assert_eq!(rejected, 0, "nothing was shed below the admission limits");
+    assert_eq!(stats.get("fj_serve_request_errors"), 0);
+    let served = stats.get("fj_serve_requests_served");
+    assert!(served >= (CLIENTS * ITERATIONS * queries.len()) as u64);
+    assert!(stats.get("fj_cache_trie_hits") > 0, "warm traffic was cache-served");
+    let latency = |q| stats.quantile("fj_serve_latency_us", q);
+    assert!(latency(0.99) >= latency(0.50) && latency(0.50) > 0);
     // All 8 clients prepared the same 4 shapes: 4 compiles, the rest hits.
-    assert_eq!(stats.cache.plans.misses as usize, queries.len());
+    assert_eq!(stats.get("fj_cache_plan_misses") as usize, queries.len());
     client.shutdown_server().unwrap();
     server.join();
 }
@@ -118,7 +128,7 @@ fn queue_capacity_one_sheds_bursts_and_recovers_after_drain() {
     // nonzero retry-after hint derived from the queue depth and recent p50
     // service time — and closes.
     let mut client_c = Client::connect(addr).unwrap();
-    match client_c.stats() {
+    match scrape(&mut client_c) {
         Err(ClientError::Busy { reason: BusyReason::QueueFull, retry_after_ms }) => {
             assert!(retry_after_ms > 0, "the retry-after hint is never zero");
         }
@@ -149,8 +159,11 @@ fn queue_capacity_one_sheds_bursts_and_recovers_after_drain() {
     }
     let (mut client, handle) = recovered.expect("server recovered after the queue drained");
     assert_eq!(client.execute(handle).unwrap().cardinality, expected);
-    let stats = client.stats().unwrap();
-    assert!(stats.rejected_queue >= 1, "the burst connection was counted as shed");
+    let stats = scrape(&mut client).unwrap();
+    assert!(
+        stats.get("fj_serve_rejected_queue_full") >= 1,
+        "the burst connection was counted as shed"
+    );
 
     client.shutdown_server().unwrap();
     server.join();
@@ -189,8 +202,8 @@ fn byte_budget_sheds_oversized_requests_without_killing_the_connection() {
 
     // The same connection still serves normal requests afterwards.
     assert_eq!(client.execute(handle).unwrap().cardinality, expected);
-    let stats = client.stats().unwrap();
-    assert_eq!(stats.rejected_bytes, 1);
+    let stats = scrape(&mut client).unwrap();
+    assert_eq!(stats.get("fj_serve_rejected_byte_budget"), 1);
 
     client.shutdown_server().unwrap();
     server.join();
@@ -248,6 +261,24 @@ fn wire_params_and_typed_errors() {
     // back on the original (filtered) query.
     assert_eq!(client.execute(handle).unwrap().cardinality, plain);
 
+    // An old client's binary stats request (opcode 0x03, retired) is one
+    // more malformed frame: a typed `Error`, and the same connection serves
+    // the next request.
+    let mut old_client = TcpStream::connect(server.local_addr()).unwrap();
+    let mut exchange = |payload: &[u8]| {
+        write_frame(&mut old_client, payload).unwrap();
+        let reply = read_frame(&mut old_client, 1 << 20).unwrap().expect("a reply frame");
+        Response::decode(&reply).unwrap()
+    };
+    match exchange(&[0x03]) {
+        Response::Error { message } => assert!(message.contains("unknown request opcode 0x3")),
+        other => panic!("expected a typed error for the retired opcode, got {other:?}"),
+    }
+    match exchange(&freejoin::serve::Request::Metrics.encode()) {
+        Response::Metrics { text } => assert!(text.contains("fj_serve_request_errors"), "{text}"),
+        other => panic!("the connection must keep serving, got {other:?}"),
+    }
+
     client.shutdown_server().unwrap();
     server.join();
 }
@@ -294,13 +325,13 @@ fn prepare_loops_reuse_handles_and_the_registry_is_capped() {
 }
 
 /// The work-stealing scheduler's counters flow end to end — executor →
-/// `ExecStats` → `EngineCaches` → `StatsSnapshot` → the wire stats frame.
+/// `ExecStats` → the `EngineCaches` cells → the wire `Metrics` frame.
 /// Against the skewed-star workload with a parallel session and a small
 /// split threshold, served executions must report spawned tasks, and steals
 /// must show up within a few runs (steal schedules are nondeterministic, so
 /// the test loops executions rather than demanding a steal on the first).
 #[test]
-fn stats_frame_reports_scheduler_counters() {
+fn metrics_frame_reports_scheduler_counters() {
     let workload = freejoin::workloads::micro::skewed_star(2, 80, 0.9, 37);
     let catalog = Arc::new(workload.catalog);
     let named = &workload.queries[0];
@@ -325,17 +356,17 @@ fn stats_frame_reports_scheduler_counters() {
     let handle = client.prepare(named.query.to_string(), named.query.aggregate.clone()).unwrap();
     let expected = client.execute(handle).unwrap().cardinality;
 
-    let mut stats = client.stats().unwrap();
+    let mut stats = scrape(&mut client).unwrap();
     for _ in 0..50 {
-        if stats.cache.sched.tasks_stolen > 0 {
+        if stats.get("fj_sched_tasks_stolen") > 0 {
             break;
         }
         assert_eq!(client.execute(handle).unwrap().cardinality, expected);
-        stats = client.stats().unwrap();
+        stats = scrape(&mut client).unwrap();
     }
-    assert!(stats.cache.sched.tasks_spawned > 0, "parallel executions spawned tasks");
+    assert!(stats.get("fj_sched_tasks_spawned") > 0, "parallel executions spawned tasks");
     assert!(
-        stats.cache.sched.tasks_stolen > 0,
+        stats.get("fj_sched_tasks_stolen") > 0,
         "a skewed workload with a tiny split threshold steals within a few executions"
     );
     client.shutdown_server().unwrap();
@@ -343,8 +374,8 @@ fn stats_frame_reports_scheduler_counters() {
 }
 
 /// The `Metrics` frame round-trips through the client: Prometheus-style
-/// text carrying the registry's server counters, cache/scheduler gauges
-/// re-registered at scrape time, the full latency histogram dump, and the
+/// text carrying the registry's server counters, the cache and scheduler
+/// cells bound at start, the full latency histogram dump, and the
 /// slow-query log as comment lines with per-node profiles.
 #[test]
 fn metrics_frame_round_trips_with_histogram_and_slow_queries() {
@@ -393,6 +424,35 @@ fn metrics_frame_round_trips_with_histogram_and_slow_queries() {
         assert!(series.starts_with("fj_"), "all series carry the fj_ prefix: {line:?}");
         assert!(seen.insert(series.to_string()), "duplicate series {series}");
     }
+
+    client.shutdown_server().unwrap();
+    server.join();
+}
+
+/// The exposition only grows: every series name the parent commit rendered
+/// after one prepare and two executes (`tests/golden/metrics_series.txt`,
+/// labels stripped) is still rendered. New names are allowed, none is lost.
+#[test]
+fn metrics_frame_keeps_every_golden_series() {
+    let workload = job::workload(&JobConfig::tiny());
+    let catalog = Arc::new(workload.catalog);
+    let named = &workload.queries[0];
+    let server =
+        start_server(Arc::clone(&catalog), ServerConfig { workers: 2, ..ServerConfig::default() });
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let handle = client.prepare(named.query.to_string(), named.query.aggregate.clone()).unwrap();
+    for _ in 0..2 {
+        client.execute(handle).unwrap();
+    }
+    let rendered = scrape(&mut client).unwrap();
+    let names: std::collections::HashSet<&str> = rendered
+        .series()
+        .map(|series| series.split('{').next().expect("a name"))
+        .collect();
+    let golden = include_str!("golden/metrics_series.txt");
+    assert!(golden.lines().count() >= 40, "the golden list is the parent's");
+    let lost: Vec<&str> = golden.lines().filter(|name| !names.contains(name)).collect();
+    assert!(lost.is_empty(), "series lost from the exposition: {lost:?}");
 
     client.shutdown_server().unwrap();
     server.join();
@@ -499,14 +559,15 @@ fn shutdown_drains_and_refuses_new_connections() {
     client.shutdown_server().expect("shutdown is acknowledged before the drain");
 
     let stats = server.join();
-    assert!(stats.served >= 3, "prepare + execute + shutdown were all served");
+    let served = stats.get("fj_serve_requests_served");
+    assert!(served >= 3, "prepare + execute + shutdown were all served");
 
     // The listener is gone: connecting now fails outright, or the probe
     // request on a raced-in connection is never answered.
     match Client::connect(addr) {
         Err(_) => {}
         Ok(mut late) => {
-            assert!(late.stats().is_err(), "a post-shutdown connection must not be served")
+            assert!(late.metrics().is_err(), "a post-shutdown connection must not be served")
         }
     }
 }

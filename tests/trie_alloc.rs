@@ -126,13 +126,12 @@ fn warm_execution(r_rows: i64, options: &FreeJoinOptions) -> (u64, u64, u64) {
             options,
             1,
             || OutputSink::new(builder.clone()),
-            &CancelToken::disabled(),
-            Instruments::default(),
+            &Instruments::default(),
         );
         // R ⋈ S ⋈ T: every R row meets 2 S rows, each meeting 2 T rows.
         let sink = sinks.pop().expect("one thread, one sink");
         assert_eq!(sink.finish().cardinality(), 4 * r_rows as u64);
-        counters.probes
+        counters.stats.probes
     };
     run();
     let maps = tries.iter().map(|t| t.maps_built()).sum::<u64>();
