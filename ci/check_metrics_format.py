@@ -43,6 +43,8 @@ REQUIRED_SERIES = [
     "fj_build_info",
     "fj_cache_trie_hits",
     "fj_cache_plan_misses",
+    "fj_cache_pipe_hits",
+    "fj_cache_pipe_misses",
     "fj_sched_tasks_spawned",
     "fj_exec_reorders",
     "fj_exec_estimate_busts",

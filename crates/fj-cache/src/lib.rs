@@ -21,10 +21,12 @@
 //!   binds into its metrics registry once, so the `Metrics` exposition
 //!   reads the very cells the cache bumps; [`CacheStats`] is their typed
 //!   readout for in-process callers.
-//! * [`TrieCache`] — `ShardedLru` keyed by [`TrieKey`] `(relation name,
-//!   relation version, trie strategy, column key-order, filter
-//!   fingerprint)`, handing out `Arc` clones of built tries so concurrent
-//!   queries share one build.
+//! * [`TrieCache`] — `ShardedLru` keyed by [`TrieKey`] `(source, trie
+//!   strategy, column key-order)`, where the source is one relation
+//!   snapshot `(name, version, rendered filter)` or a bushy plan's pipeline
+//!   `(plan text, pipeline index, the snapshot of every atom under it)`,
+//!   handing out `Arc` clones of built tries so concurrent queries share
+//!   one build.
 //! * [`PlanCache`] — maps a normalized query fingerprint to its compiled
 //!   plan artifact.
 //! * [`fingerprint`] — the stable FNV-1a hashing used for filter and query
@@ -49,4 +51,4 @@ pub use fingerprint::{fingerprint_debug, Fingerprinter};
 pub use lru::ShardedLru;
 pub use plan_cache::PlanCache;
 pub use stats::{CacheCells, CacheStats};
-pub use trie_cache::{TrieCache, TrieKey};
+pub use trie_cache::{SourceAtom, TrieCache, TrieKey, TrieSource};

@@ -16,13 +16,51 @@ const MAX_SHARDS: usize = 8;
 /// trie — at least this big.
 const MIN_SHARD_BYTES: usize = 64 << 20;
 
+/// One relation snapshot a trie's rows are read from.
+///
+/// * `relation` / `version` — which data snapshot. The version is the
+///   catalog's monotonic counter, so any mutation of the relation makes
+///   previously cached tries unreachable (invalidation by key, no broadcast
+///   needed).
+/// * `filter` — the canonical rendering of the selection pushed down onto
+///   the relation (empty for none), since the trie indexes the *filtered*
+///   rows. The rendering is exact (it is the key, not a hash of it), so two
+///   distinct predicates can never alias one trie.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub struct SourceAtom {
+    /// Base relation name in the catalog.
+    pub relation: String,
+    /// The relation's catalog version at build time.
+    pub version: u64,
+    /// Canonical rendering of the pushed-down selection predicate (empty =
+    /// unfiltered).
+    pub filter: String,
+}
+
+/// The rows a cached trie indexes.
+#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+pub enum TrieSource {
+    /// The (filtered) rows of one base relation.
+    Atom(SourceAtom),
+    /// The materialized result of one pipeline of a bushy plan — exact like
+    /// everything else in the key: the canonical text of the plan (which
+    /// fixes the pipeline's shape, its variables and so its columns), the
+    /// pipeline's index in it, and the snapshot of every atom the pipeline
+    /// reads, its own input pipelines included, in plan order.
+    Pipeline {
+        /// The canonical text the plan was compiled for.
+        plan: Arc<str>,
+        /// The pipeline's index in the compiled plan.
+        pipeline: u32,
+        /// Every atom under the pipeline, transitively, in plan order.
+        atoms: Vec<SourceAtom>,
+    },
+}
+
 /// The identity of a built trie. Two pipeline inputs may share a cached trie
 /// exactly when every component matches:
 ///
-/// * `relation` / `version` — which data snapshot the trie indexes. The
-///   version is the catalog's monotonic counter, so any mutation of the
-///   relation makes previously cached tries unreachable (invalidation by
-///   key, no broadcast needed).
+/// * `source` — the rows the trie indexes ([`TrieSource`]).
 /// * `strategy` — the trie build strategy name (`"colt"`, `"slt"`,
 ///   `"simple"`); a COLT and a fully-built simple trie are different
 ///   structures even over identical data.
@@ -30,23 +68,25 @@ const MIN_SHARD_BYTES: usize = 64 << 20;
 ///   names are deliberately absent: two queries binding different variables
 ///   to the same columns in the same order (e.g. the two sides of a
 ///   self-join) share one trie.
-/// * `filter` — the canonical rendering of the selection pushed down onto
-///   the relation (empty for none), since the trie indexes the *filtered*
-///   rows. The rendering is exact (it is the key, not a hash of it), so two
-///   distinct predicates can never alias one trie.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct TrieKey {
-    /// Base relation name in the catalog.
-    pub relation: String,
-    /// The relation's catalog version at build time.
-    pub version: u64,
+    /// The rows the trie indexes.
+    pub source: TrieSource,
     /// Trie build strategy name.
     pub strategy: &'static str,
     /// Column indices keyed at each trie level.
     pub key_order: Vec<Vec<u32>>,
-    /// Canonical rendering of the pushed-down selection predicate (empty =
-    /// unfiltered). Exact, so distinct predicates never collide.
-    pub filter: String,
+}
+
+impl TrieKey {
+    /// Every relation snapshot the trie's rows were read from: the one atom
+    /// of a base trie, every atom under an intermediate's pipeline.
+    pub fn atoms(&self) -> &[SourceAtom] {
+        match &self.source {
+            TrieSource::Atom(atom) => std::slice::from_ref(atom),
+            TrieSource::Pipeline { atoms, .. } => atoms,
+        }
+    }
 }
 
 /// A memory-budgeted, sharded LRU cache of built tries, generic over the
@@ -104,17 +144,20 @@ impl<T> TrieCache<T> {
         self.inner.peek(key)
     }
 
-    /// Drop every cached trie of `relation` (all versions). Returns the
-    /// number of entries removed. Not needed for correctness — version-keyed
-    /// entries are already unreachable after a mutation — but reclaims their
-    /// budget immediately instead of waiting for LRU churn.
+    /// Drop every cached trie that reads `relation` (all versions),
+    /// intermediates of pipelines over it included. Returns the number of
+    /// entries removed. Not needed for correctness — version-keyed entries
+    /// are already unreachable after a mutation — but reclaims their budget
+    /// immediately instead of waiting for LRU churn.
     pub fn invalidate_relation(&self, relation: &str) -> u64 {
-        self.inner.retain(|k| k.relation != relation)
+        self.inner.retain(|k| k.atoms().iter().all(|a| a.relation != relation))
     }
 
-    /// Drop cached tries of `relation` older than `current_version`.
+    /// Drop cached tries that read `relation` at a version older than
+    /// `current_version`.
     pub fn purge_stale(&self, relation: &str, current_version: u64) -> u64 {
-        self.inner.retain(|k| k.relation != relation || k.version >= current_version)
+        let stale = |a: &SourceAtom| a.relation == relation && a.version < current_version;
+        self.inner.retain(|k| !k.atoms().iter().any(stale))
     }
 
     /// Remove everything.
@@ -157,14 +200,25 @@ impl<T> TrieCache<T> {
 mod tests {
     use super::*;
 
+    fn atom(relation: &str, version: u64) -> SourceAtom {
+        SourceAtom { relation: relation.to_string(), version, filter: String::new() }
+    }
+
+    fn key_of(source: TrieSource) -> TrieKey {
+        TrieKey { source, strategy: "colt", key_order: vec![vec![0], vec![1]] }
+    }
+
     fn key(relation: &str, version: u64) -> TrieKey {
-        TrieKey {
-            relation: relation.to_string(),
-            version,
-            strategy: "colt",
-            key_order: vec![vec![0], vec![1]],
-            filter: String::new(),
-        }
+        key_of(TrieSource::Atom(atom(relation, version)))
+    }
+
+    /// The result of pipeline 0 of `plan` over `R` at `r_version` and `S@1`.
+    fn pipe_key(plan: &str, r_version: u64) -> TrieKey {
+        key_of(TrieSource::Pipeline {
+            plan: plan.into(),
+            pipeline: 0,
+            atoms: vec![atom("R", r_version), atom("S", 1)],
+        })
     }
 
     #[test]
@@ -185,7 +239,8 @@ mod tests {
         let mut flipped = base.clone();
         flipped.key_order = vec![vec![1], vec![0]];
         let mut filtered = base.clone();
-        filtered.filter = "src > 99".to_string();
+        let TrieSource::Atom(atom) = &mut filtered.source else { unreachable!() };
+        atom.filter = "src > 99".to_string();
         cache.get_or_build(&base, || (Arc::new(0), 8));
         cache.get_or_build(&flipped, || (Arc::new(1), 8));
         cache.get_or_build(&filtered, || (Arc::new(2), 8));
@@ -207,5 +262,30 @@ mod tests {
         assert!(cache.peek(&key("R", 2)).is_none());
         assert!(cache.peek(&key("S", 1)).is_some(), "other relations untouched");
         assert_eq!(cache.stats().invalidated, 2);
+    }
+
+    /// An intermediate is keyed by its plan, its pipeline and every atom
+    /// under it, and goes when any relation it reads does.
+    #[test]
+    fn pipeline_keys_are_exact_and_follow_their_relations() {
+        let cache: TrieCache<u32> = TrieCache::new(1 << 16);
+        cache.get_or_build(&pipe_key("plan a", 1), || (Arc::new(1), 8));
+        cache.get_or_build(&pipe_key("plan a", 2), || (Arc::new(2), 8));
+        cache.get_or_build(&pipe_key("plan b", 2), || (Arc::new(3), 8));
+        let mut other_pipeline = pipe_key("plan a", 2);
+        let TrieSource::Pipeline { pipeline, .. } = &mut other_pipeline.source else {
+            unreachable!()
+        };
+        *pipeline = 1;
+        cache.get_or_build(&other_pipeline, || (Arc::new(4), 8));
+        cache.get_or_build(&key("S", 1), || (Arc::new(5), 8));
+        assert_eq!(cache.len(), 5, "plan, pipeline and atom versions all tell entries apart");
+        assert_eq!(*cache.peek(&pipe_key("plan a", 2)).unwrap(), 2);
+
+        assert_eq!(cache.purge_stale("R", 2), 1, "only the pipeline over R@1 is stale");
+        assert_eq!(cache.purge_stale("S", 1), 0);
+        assert_eq!(cache.invalidate_relation("R"), 3, "every pipeline that reads R");
+        assert_eq!(cache.invalidate_relation("S"), 1, "and S's own trie");
+        assert!(cache.is_empty());
     }
 }

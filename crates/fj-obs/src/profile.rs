@@ -179,20 +179,21 @@ impl NodeProfile {
 pub struct PipelineProfile {
     /// Human-readable pipeline label.
     pub label: String,
-    /// Per-node records, in plan-node order.
+    /// Per-node records, in plan-node order. Empty for a pipeline that did
+    /// not run because its result was cached (the label says so): no
+    /// actuals, so nothing to set against an estimate or to count as a bust.
     pub nodes: Vec<NodeProfile>,
 }
 
-/// A whole query's profile: one [`PipelineProfile`] per executed pipeline,
-/// in execution (dependency) order — the last pipeline produced the query
-/// output.
+/// A whole query's profile: one [`PipelineProfile`] per pipeline of the
+/// plan, in dependency order — the last pipeline produced the query output.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryProfile {
     /// Filter conjuncts the session derived before binding the inputs, each
     /// with its source (`movie_keyword.movie_id = 7 <- title.id`): why an
     /// input the query text does not filter has three rows.
     pub derived: Vec<String>,
-    /// Per-pipeline profiles in execution order.
+    /// Per-pipeline profiles in dependency order.
     pub pipelines: Vec<PipelineProfile>,
 }
 

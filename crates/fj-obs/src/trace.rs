@@ -16,7 +16,8 @@
 //! Two views come out of a [`QueryTrace`]:
 //!
 //! * [`QueryTrace::span_tree`] — the canonical, timestamp-free structural
-//!   tree (query → pipelines → trie fetch/build → plan nodes). It is built
+//!   tree (query → pipelines → trie fetches, each around the pipeline
+//!   that produced a missed intermediate → plan nodes). It is built
 //!   only from schedule-independent events, so it is **byte-identical at
 //!   any thread count and steal schedule** — the determinism contract tests
 //!   pin. Task spans and steal/split instants are deliberately excluded:
@@ -48,7 +49,7 @@ pub const TRACE_PATH_CAP: usize = 6;
 pub const DEFAULT_TRACE_CAPACITY: usize = 1 << 16;
 
 /// The worker id the session / serving layers record under — structural
-/// events (query, pipeline, trie fetch/build, cache instants) rather than
+/// events (query, pipeline, trie fetches, cache instants) rather than
 /// executor work.
 pub const SESSION_WORKER: u32 = u32::MAX;
 
@@ -84,10 +85,10 @@ pub enum TraceCat {
     /// One compiled pipeline (session layer; `node` = pipeline index).
     Pipeline = 1,
     /// Fetching one input's trie through the cache (`node` = input index;
-    /// `arg` = 1 if this execution built it, 0 on a cache hit).
+    /// `arg` = 1 if this execution built it, 0 on a cache hit). Building an
+    /// intermediate input runs its producing pipeline first, whose span
+    /// nests inside this one.
     TrieFetch = 2,
-    /// Building an intermediate input's trie (`node` = input index).
-    TrieBuild = 3,
     /// Executor work at one plan node (`node` = plan-node index).
     Node = 4,
     /// One scheduler task (`node` = starting plan node; path = task path).
@@ -124,7 +125,6 @@ impl TraceCat {
             TraceCat::Query => "query",
             TraceCat::Pipeline => "pipeline",
             TraceCat::TrieFetch => "trie_fetch",
-            TraceCat::TrieBuild => "trie_build",
             TraceCat::Node => "node",
             TraceCat::Task => "task",
             TraceCat::Steal => "steal",
@@ -422,7 +422,8 @@ impl QueryTrace {
 
     /// The canonical structural span tree, rendered without timestamps:
     /// query → pipelines (session events, in emission order) → per-input
-    /// trie fetch/build lines → plan nodes that did work (drop-proof seen
+    /// trie fetch lines, the producing pipeline of a missed intermediate
+    /// indented under its fetch → plan nodes that did work (drop-proof seen
     /// bitmaps, ascending node index). Built only from schedule-independent
     /// events, so the rendering is byte-identical at any thread count and
     /// steal schedule — the determinism contract `tests/trace_invariants.rs`
@@ -471,10 +472,9 @@ impl QueryTrace {
                         "  ".repeat(depth),
                         event.node
                     );
+                    depth += 1;
                 }
-                (TraceKind::Begin, TraceCat::TrieBuild) => {
-                    let _ = writeln!(out, "{}trie_build input={}", "  ".repeat(depth), event.node);
-                }
+                (TraceKind::End, TraceCat::TrieFetch) => depth = depth.saturating_sub(1),
                 _ => {}
             }
         }
@@ -519,9 +519,7 @@ impl QueryTrace {
                     let name = match event.cat {
                         TraceCat::Pipeline => format!("pipeline {}", event.node),
                         TraceCat::Node => format!("node {}", event.node),
-                        TraceCat::TrieFetch | TraceCat::TrieBuild => {
-                            format!("{} in{}", event.cat.name(), event.node)
-                        }
+                        TraceCat::TrieFetch => format!("trie_fetch in{}", event.node),
                         cat => cat.name().to_string(),
                     };
                     // Timestamps are microseconds (fractional): nanos / 1000.

@@ -143,6 +143,19 @@ impl CompiledQuery {
     pub fn root_pipeline(&self) -> usize {
         self.pipelines.len() - 1
     }
+
+    /// The query atoms pipeline `p` reads, through its own inputs and the
+    /// pipelines under it, in plan order.
+    pub fn atoms_under(&self, p: usize) -> Vec<usize> {
+        let mut atoms = Vec::new();
+        for &input in &self.pipelines[p].inputs {
+            match input {
+                PipeInput::Atom(i) => atoms.push(i),
+                PipeInput::Intermediate(j) => atoms.extend(self.atoms_under(j)),
+            }
+        }
+        atoms
+    }
 }
 
 /// Compile every pipeline of a binary plan for a query: decompose the plan,

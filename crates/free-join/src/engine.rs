@@ -12,12 +12,18 @@
 //!
 //! 1. [`crate::compile::compile_query`] turns (query, binary plan) into a
 //!    [`crate::CompiledQuery`] — pure plan data, cacheable across executions;
-//! 2. `run_pipelines` walks its pipelines in dependency order: polls the
-//!    request's token, fetches one trie per input, joins, accounts for the
-//!    trie work and keeps the intermediate. The one thing that differs
-//!    between callers is where an atom's trie comes from, and that is a
-//!    closure: [`FreeJoinEngine`] binds the atom and builds the trie every
-//!    time, the serving path ([`crate::session`]) asks the shared trie cache;
+//! 2. `run_pipelines` walks its pipelines on demand, from the root: it polls
+//!    the request's token, fetches one trie per input, joins and accounts
+//!    for the trie work. An input is an atom or the result of an earlier
+//!    pipeline (the paper indexes a bushy plan's materialized intermediates
+//!    as COLTs like any base relation), and both are fetched the same way:
+//!    through a closure that is handed the means to make the trie — bind
+//!    the atom, or run the producing pipeline, then build — and decides
+//!    whether to use them. That closure is the one thing that differs
+//!    between callers: [`FreeJoinEngine`] always makes the trie, the serving
+//!    path ([`crate::session`]) asks the shared trie cache first, so a
+//!    pipeline whose result is cached does not run, and neither does
+//!    anything under it;
 //! 3. `join_pipeline` — called from that loop and nowhere else — runs one
 //!    compiled pipeline over its tries and folds the sinks into the output
 //!    (or a materialized intermediate for bushy plans).
@@ -117,8 +123,9 @@ impl FreeJoinEngine {
         self.run(catalog, query, &CompiledQuery { pipelines: vec![pipeline] })
     }
 
-    /// Run a compiled query uncached: every atom is bound and its trie
-    /// built here, under the options' own deadline and byte budget.
+    /// Run a compiled query uncached: every pipeline runs, every atom is
+    /// bound and every trie built here, under the options' own deadline and
+    /// byte budget.
     fn run(
         &self,
         catalog: &Catalog,
@@ -128,10 +135,8 @@ impl FreeJoinEngine {
         query.validate(catalog)?;
         let options = &self.options;
         let instruments = Instruments { token: options.cancel_token(), ..Instruments::default() };
-        let built = |atom: &Atom, schema: &[Vec<String>], stats: &mut ExecStats| {
-            build_atom_trie(catalog, atom, schema, options.trie, stats).map(|trie| (trie, true))
-        };
-        let run = run_pipelines(compiled, catalog, query, options, &instruments, built)?;
+        let uncached = |_: PipeInput, _: &[Vec<String>], produce: Produce<'_>| produce();
+        let run = run_pipelines(compiled, catalog, query, options, &instruments, uncached)?;
         Ok((run.output, run.stats))
     }
 }
@@ -143,9 +148,8 @@ fn cancelled(reason: CancelReason, stats: &ExecStats) -> EngineError {
 }
 
 /// Bind one atom (apply its pushed-down selection) and build its trie,
-/// charging the two phases to `stats`: all of the uncached engine's
-/// `atom_trie`, and what the session's trie cache runs on a miss.
-pub(crate) fn build_atom_trie(
+/// charging the two phases to `stats`.
+fn build_atom_trie(
     catalog: &Catalog,
     atom: &Atom,
     schema: &[Vec<String>],
@@ -165,123 +169,132 @@ pub(crate) fn build_atom_trie(
 pub(crate) struct PipelinesRun {
     /// The query's result.
     pub output: QueryOutput,
-    /// Layer times and work counts, summed over the pipelines.
+    /// Layer times and work counts, summed over the pipelines that ran.
     pub stats: ExecStats,
-    /// One merged profile sheet per pipeline, when the request asked for a
-    /// profile.
-    pub sheets: Vec<ProfileSheet>,
+    /// When the request asked for a profile: one merged sheet per pipeline,
+    /// indexed like `compiled.pipelines`; `None` for a pipeline this walk
+    /// never ran, because its result — or the result of a pipeline that
+    /// consumes it — came out of the caller's cache.
+    pub sheets: Vec<Option<ProfileSheet>>,
     /// When the request asked for a trace: every pipeline's executor rings,
-    /// and the structural ring (query → pipelines → trie fetch/build) with
-    /// its query span still open — the caller adds what only it saw, closes
-    /// the span and attaches the ring.
+    /// and the structural ring (query → pipelines → trie fetches, a missed
+    /// intermediate's producing pipeline nested inside its fetch) with its
+    /// query span still open — the caller adds what only it saw, closes the
+    /// span and attaches the ring.
     pub trace: Option<(QueryTrace, TraceBuf)>,
 }
 
-/// Run a compiled query's pipelines in dependency order — the one loop
-/// under [`FreeJoinEngine`] and [`crate::session::Prepared`].
+/// Makes one input's trie from scratch: binds the atom and builds its trie,
+/// or runs the producing pipeline and builds a trie over its rows. What it
+/// spends is charged to the walk's stats.
+pub(crate) type Produce<'a> = &'a mut dyn FnMut() -> EngineResult<Arc<InputTrie>>;
+
+/// Run a compiled query's pipelines — the one loop under [`FreeJoinEngine`]
+/// and [`crate::session::Prepared`] — on demand, from the root pipeline
+/// down.
 ///
 /// Per pipeline: the request's token is polled (clock included) before any
-/// trie is fetched, since builds can be long; `atom_trie(atom, schema,
-/// stats)` supplies each atom input's trie and whether this call built it,
-/// charging what it spent to `stats`; an earlier pipeline's intermediate is
-/// built into a trie in place; the pipeline is joined; and once it
-/// returned, a fired token becomes the typed error carrying the stats so
-/// far instead of a silently truncated result.
+/// trie is fetched, since builds can be long; each input's trie — an atom's
+/// or an earlier pipeline's intermediate alike — is asked of `fetch(input,
+/// schema, produce)`, which either calls `produce` (the walk then binds the
+/// atom, or runs the producing pipeline first) or returns a trie it already
+/// has, in which case nothing under that input runs; the pipeline is
+/// joined; and once it returned, a fired token becomes the typed error
+/// carrying the stats so far instead of a silently truncated result.
 ///
-/// `tries_built` / `lazy_expansions` are the growth of each trie's own
-/// counters over the join: from zero for a trie built here, from the value
-/// at fetch for a cached one, each underlying trie counted once however
-/// many inputs share it (self-joins). Best-effort on shared tries: a
-/// concurrent query forcing levels of the same cached trie between fetch
-/// and readout gets its work counted here too. Totals across queries remain
-/// exact; only the per-query split can skew under concurrency.
+/// `tries_built` / `lazy_expansions` are what each trie's own counters read
+/// after a build made here, plus their growth over the join, each
+/// underlying trie counted once however many inputs share it (self-joins).
+/// Best-effort on shared tries: a concurrent query forcing levels of the
+/// same cached trie during the join gets its work counted here too. Totals
+/// across queries remain exact; only the per-query split can skew under
+/// concurrency.
 pub(crate) fn run_pipelines(
     compiled: &CompiledQuery,
     catalog: &Catalog,
     query: &ConjunctiveQuery,
     options: &FreeJoinOptions,
     instruments: &Instruments,
-    mut atom_trie: impl FnMut(
-        &Atom,
-        &[Vec<String>],
-        &mut ExecStats,
-    ) -> EngineResult<(Arc<InputTrie>, bool)>,
+    fetch: impl Fn(PipeInput, &[Vec<String>], Produce<'_>) -> EngineResult<Arc<InputTrie>>,
 ) -> EngineResult<PipelinesRun> {
-    let token = &instruments.token;
-    let mut stats = ExecStats::default();
-    let mut sheets = Vec::new();
-    let mut trace = instruments.trace.then(|| {
-        let mut ring = TraceBuf::with_capacity(DEFAULT_TRACE_CAPACITY, SESSION_WORKER);
-        ring.begin(TraceCat::Query, 0, 0, &[]);
-        (QueryTrace::new(), ring)
-    });
-    // Only a bushy plan's intermediates are typed by the query's variables.
-    let var_types = match compiled.pipelines.len() {
-        1 => HashMap::new(),
-        _ => var_types(catalog, &query.atoms)?,
+    let mut walk = Walk {
+        compiled,
+        catalog,
+        query,
+        options,
+        instruments,
+        fetch: &fetch,
+        // Only a bushy plan's intermediates are typed by the query's variables.
+        var_types: match compiled.pipelines.len() {
+            1 => HashMap::new(),
+            _ => var_types(catalog, &query.atoms)?,
+        },
+        stats: ExecStats::default(),
+        sheets: if instruments.profile { vec![None; compiled.pipelines.len()] } else { Vec::new() },
+        trace: instruments.trace.then(|| {
+            let mut ring = TraceBuf::with_capacity(DEFAULT_TRACE_CAPACITY, SESSION_WORKER);
+            ring.begin(TraceCat::Query, 0, 0, &[]);
+            (QueryTrace::new(), ring)
+        }),
     };
-    let mut intermediates: Vec<Option<BoundInput>> = vec![None; compiled.pipelines.len()];
-    let mut output = None;
+    let PipelineResult::Output(output) = walk.run(compiled.root_pipeline())? else {
+        unreachable!("the root pipeline produces the output")
+    };
+    let Walk { mut stats, sheets, trace, .. } = walk;
+    stats.output_tuples = output.cardinality();
+    Ok(PipelinesRun { output, stats, sheets, trace })
+}
 
-    for (p, pipeline) in compiled.pipelines.iter().enumerate() {
-        if let Some(reason) = token.poll() {
-            return Err(cancelled(reason, &stats));
+/// The state of one walk of a query's pipelines ([`run_pipelines`]).
+struct Walk<'a, F> {
+    compiled: &'a CompiledQuery,
+    catalog: &'a Catalog,
+    query: &'a ConjunctiveQuery,
+    options: &'a FreeJoinOptions,
+    instruments: &'a Instruments,
+    fetch: &'a F,
+    var_types: HashMap<String, DataType>,
+    stats: ExecStats,
+    sheets: Vec<Option<ProfileSheet>>,
+    trace: Option<(QueryTrace, TraceBuf)>,
+}
+
+impl<F> Walk<'_, F>
+where
+    F: Fn(PipeInput, &[Vec<String>], Produce<'_>) -> EngineResult<Arc<InputTrie>>,
+{
+    /// Fetch pipeline `p`'s inputs — running the pipelines under the ones
+    /// `fetch` does not have — and join it.
+    fn run(&mut self, p: usize) -> EngineResult<PipelineResult> {
+        if let Some(reason) = self.instruments.token.poll() {
+            return Err(cancelled(reason, &self.stats));
         }
-        if let Some((_, ring)) = trace.as_mut() {
+        if let Some((_, ring)) = self.trace.as_mut() {
             ring.begin(TraceCat::Pipeline, p as u32, 0, &[]);
         }
+        let pipeline = &self.compiled.pipelines[p];
         let mut tries: Vec<Arc<InputTrie>> = Vec::with_capacity(pipeline.inputs.len());
-        // (maps_built, lazy_built) of each trie as it was fetched.
-        let mut baselines: Vec<(u64, u64)> = Vec::with_capacity(pipeline.inputs.len());
         for (k, (&input, schema)) in pipeline.inputs.iter().zip(&pipeline.plan.schemas).enumerate()
         {
-            // Captured before the fetch so the span covers it; nothing is
-            // pushed into the ring in between, and the hit/built outcome is
-            // only known afterwards (hence `begin_at`).
-            let t_fetch = trace.is_some().then(trace_now_nanos);
-            let (trie, built_here) = match input {
-                PipeInput::Atom(i) => {
-                    let (trie, built_here) = atom_trie(&query.atoms[i], schema, &mut stats)?;
-                    if let (Some((_, ring)), Some(t0)) = (trace.as_mut(), t_fetch) {
-                        ring.begin_at(t0, TraceCat::TrieFetch, k as u32, built_here as u64, &[]);
-                        let cat = if built_here { TraceCat::TrieMiss } else { TraceCat::TrieHit };
-                        ring.instant(cat, k as u32, 0, &[]);
-                        ring.end(TraceCat::TrieFetch, k as u32, 0);
-                    }
-                    (trie, built_here)
-                }
-                PipeInput::Intermediate(j) => {
-                    let bound =
-                        intermediates[j].as_ref().expect("pipelines are dependency-ordered");
-                    let build_start = Instant::now();
-                    let trie = Arc::new(InputTrie::build(bound, schema.clone(), options.trie));
-                    stats.build_time += build_start.elapsed();
-                    if let (Some((_, ring)), Some(t0)) = (trace.as_mut(), t_fetch) {
-                        ring.begin_at(t0, TraceCat::TrieBuild, k as u32, 0, &[]);
-                        ring.end(TraceCat::TrieBuild, k as u32, 0);
-                    }
-                    (trie, true)
-                }
-            };
-            baselines.push(if built_here {
-                (0, 0)
-            } else {
-                (trie.maps_built(), trie.lazy_built())
-            });
-            tries.push(trie);
+            tries.push(self.input_trie(k as u32, input, schema)?);
         }
+        // (maps_built, lazy_built) of each trie going into the join: the
+        // pipelines under this one have run and counted their own forcing.
+        let baselines: Vec<(u64, u64)> =
+            tries.iter().map(|trie| (trie.maps_built(), trie.lazy_built())).collect();
 
-        let role = if p == compiled.root_pipeline() {
-            PipelineRole::Final(query)
+        let role = if p == self.compiled.root_pipeline() {
+            PipelineRole::Final(self.query)
         } else {
-            PipelineRole::Intermediate(&var_types)
+            PipelineRole::Intermediate(&self.var_types)
         };
-        let (result, counters) = join_pipeline(&tries, &pipeline.plan, options, role, instruments)?;
-        stats.merge(&counters.stats);
-        if instruments.profile {
-            sheets.push(counters.profile);
+        let (result, counters) =
+            join_pipeline(&tries, &pipeline.plan, self.options, role, self.instruments)?;
+        self.stats.merge(&counters.stats);
+        if let Some(sheet) = self.sheets.get_mut(p) {
+            *sheet = Some(counters.profile);
         }
-        if let Some((executor_rings, ring)) = trace.as_mut() {
+        if let Some((executor_rings, ring)) = self.trace.as_mut() {
             for mut tb in counters.traces {
                 tb.set_pipeline(p as u32);
                 executor_rings.attach(tb);
@@ -292,29 +305,73 @@ pub(crate) fn run_pipelines(
             if tries[..idx].iter().any(|t| Arc::ptr_eq(t, trie)) {
                 continue;
             }
-            stats.tries_built += trie.maps_built().saturating_sub(*maps0);
-            stats.lazy_expansions += trie.lazy_built().saturating_sub(*lazy0);
+            self.stats.tries_built += trie.maps_built().saturating_sub(*maps0);
+            self.stats.lazy_expansions += trie.lazy_built().saturating_sub(*lazy0);
         }
         // The executor unwinds cooperatively once the token fires and
         // returns whatever it had produced.
-        if let Some(reason) = token.fired() {
+        if let Some(reason) = self.instruments.token.fired() {
             if let PipelineResult::Output(out) = &result {
-                stats.output_tuples = out.cardinality();
+                self.stats.output_tuples = out.cardinality();
             }
-            return Err(cancelled(reason, &stats));
+            return Err(cancelled(reason, &self.stats));
         }
-        match result {
-            PipelineResult::Output(out) => output = Some(out),
-            PipelineResult::Intermediate(bound) => {
-                stats.intermediate_tuples += bound.num_rows() as u64;
-                intermediates[p] = Some(bound);
-            }
-        }
+        Ok(result)
     }
 
-    let output = output.expect("the final pipeline produces the output");
-    stats.output_tuples = output.cardinality();
-    Ok(PipelinesRun { output, stats, sheets, trace })
+    /// The trie of one pipeline input, through `fetch`. The trace records
+    /// the fetch as a span around whatever making the trie took — for a
+    /// missed intermediate, its producing pipeline's span — and its outcome
+    /// as a miss or a hit instant.
+    fn input_trie(
+        &mut self,
+        k: u32,
+        input: PipeInput,
+        schema: &[Vec<String>],
+    ) -> EngineResult<Arc<InputTrie>> {
+        let fetch = self.fetch;
+        // Captured before the fetch so the span covers it; the outcome is
+        // only known once `fetch` calls `produce` or returns without (hence
+        // `begin_at`), and nothing is pushed into the ring before either.
+        let t_fetch = self.trace.is_some().then(trace_now_nanos);
+        let mut built_here = false;
+        let mut produce = || {
+            built_here = true;
+            if let (Some((_, ring)), Some(t0)) = (self.trace.as_mut(), t_fetch) {
+                ring.begin_at(t0, TraceCat::TrieFetch, k, 1, &[]);
+                ring.instant(TraceCat::TrieMiss, k, 0, &[]);
+            }
+            match input {
+                PipeInput::Atom(i) => {
+                    let (atom, strategy) = (&self.query.atoms[i], self.options.trie);
+                    build_atom_trie(self.catalog, atom, schema, strategy, &mut self.stats)
+                }
+                PipeInput::Intermediate(j) => {
+                    let PipelineResult::Intermediate(bound) = self.run(j)? else {
+                        unreachable!("only the root pipeline produces the output")
+                    };
+                    self.stats.intermediate_tuples += bound.num_rows() as u64;
+                    let build_start = Instant::now();
+                    let trie = InputTrie::build(&bound, schema.to_vec(), self.options.trie);
+                    self.stats.build_time += build_start.elapsed();
+                    Ok(Arc::new(trie))
+                }
+            }
+        };
+        let trie = fetch(input, schema, &mut produce)?;
+        if built_here {
+            self.stats.tries_built += trie.maps_built();
+            self.stats.lazy_expansions += trie.lazy_built();
+        }
+        if let (Some((_, ring)), Some(t0)) = (self.trace.as_mut(), t_fetch) {
+            if !built_here {
+                ring.begin_at(t0, TraceCat::TrieFetch, k, 0, &[]);
+                ring.instant(TraceCat::TrieHit, k, 0, &[]);
+            }
+            ring.end(TraceCat::TrieFetch, k, 0);
+        }
+        Ok(trie)
+    }
 }
 
 /// What a pipeline is for, with what only that role needs.

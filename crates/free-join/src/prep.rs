@@ -26,6 +26,11 @@ pub struct BoundInput {
     pub vars: Vec<String>,
     /// The column index in `relation` for each entry of `vars`.
     pub var_cols: Vec<usize>,
+    /// Do the rows exist for this input alone — a filtered copy or a
+    /// materialized intermediate — or is `relation` the catalog's own
+    /// (an unfiltered atom)? A cache that drops this input's trie frees the
+    /// rows only in the first case, so only then are they charged to it.
+    pub owns_rows: bool,
 }
 
 impl BoundInput {
@@ -77,7 +82,8 @@ pub struct PreparedQuery {
 /// semantics cannot drift between the two.
 pub fn bind_atom(catalog: &Catalog, atom: &Atom) -> EngineResult<BoundInput> {
     let base = catalog.get(&atom.relation)?;
-    let filtered = if atom.has_filter() {
+    let owns_rows = atom.has_filter();
+    let relation = if owns_rows {
         // String literals stay in source form through parsing; the catalog
         // dictionary only exists here, so this is where they become
         // `Value::Str` comparisons.
@@ -88,9 +94,10 @@ pub fn bind_atom(catalog: &Catalog, atom: &Atom) -> EngineResult<BoundInput> {
     };
     Ok(BoundInput {
         name: atom.alias.clone(),
-        relation: filtered,
+        relation,
         vars: atom.vars.clone(),
         var_cols: (0..atom.vars.len()).collect(),
+        owns_rows,
     })
 }
 
@@ -156,6 +163,7 @@ pub fn materialize_intermediate(
         relation,
         vars: vars.to_vec(),
         var_cols: (0..vars.len()).collect(),
+        owns_rows: true,
     })
 }
 

@@ -15,13 +15,29 @@
 //!   the full canonical form, so a fingerprint collision degrades to an
 //!   uncached compile instead of executing the wrong plan.
 //! * **Trie building** — [`Prepared::execute`] resolves each pipeline input
-//!   to a [`fj_cache::TrieKey`] `(relation, version, strategy, column
-//!   key-order, filter fingerprint)` and fetches the trie from a shared
-//!   [`fj_cache::TrieCache`]. PR 1 made tries `Arc`/`OnceLock`-based and
-//!   `Send + Sync`, so one cached trie serves any number of concurrent
-//!   queries — including both sides of a self-join, since keys use column
-//!   positions rather than variable names. Racing cold lookups coalesce
-//!   onto a single build (single-flight).
+//!   to a [`fj_cache::TrieKey`] and fetches the trie from a shared
+//!   [`fj_cache::TrieCache`]. An atom's key is `(relation, version, rendered
+//!   filter, strategy, column key-order)`. PR 1 made tries `Arc`/
+//!   `OnceLock`-based and `Send + Sync`, so one cached trie serves any
+//!   number of concurrent queries — including both sides of a self-join,
+//!   since keys use column positions rather than variable names. Racing
+//!   cold lookups coalesce onto a single build (single-flight).
+//! * **Joining sub-plans** — a bushy plan runs as left-deep pipelines whose
+//!   materialized results are indexed like base relations, and here they
+//!   are cached like them too. The pipelines are walked on demand from the
+//!   final one (`engine::run_pipelines`), and an intermediate input is
+//!   looked up under `(the plan's canonical text, the pipeline's index,
+//!   (relation, current version, current rendered filter) of every atom
+//!   under the pipeline, strategy, the consumer's key-order)` — exact, like
+//!   an atom's key. On a hit the pipeline does not run and the tries of
+//!   *its* inputs are not even looked up; on a miss it runs inside the
+//!   cache's single-flight build, and a run that fails or is cancelled
+//!   inserts nothing. The filters are read from the request's *propagated*
+//!   query (below), so a pipeline no parameter reaches is one entry shared
+//!   by every request of the shape, and one that reads an overridden atom —
+//!   or a constant derived from one — has an entry per value. Which of a
+//!   cheap-to-rebuild cover trie and an expensive intermediate yields its
+//!   bytes is the cache's `build_cost × (1 + hits)` rule's business.
 //!
 //! **Equality constants follow their join variable**: before a session plans
 //! a query or binds a request's inputs, [`fj_query::propagate_constants`]
@@ -35,8 +51,9 @@
 //!
 //! **Invalidation** is by construction: `fj_storage::Catalog` bumps a
 //! monotonic version on every relation mutation, and the version is part of
-//! the trie key and the plan fingerprint, so stale entries are simply never
-//! looked up again and age out of the LRU. An execution therefore always
+//! the trie key — of every atom under an intermediate's pipeline, for its
+//! key — and the plan fingerprint, so stale entries are simply never looked
+//! up again and age out of the LRU. An execution therefore always
 //! reads current data, even on a `Prepared` created before the mutation.
 //!
 //! ```
@@ -68,12 +85,12 @@
 
 use crate::cancel::CancelToken;
 use crate::compile::{compile_query, CompiledPipeline, CompiledQuery};
-use crate::engine::{build_atom_trie, run_pipelines, PipelinesRun};
+use crate::engine::{run_pipelines, PipelinesRun, Produce};
 use crate::error::{EngineError, EngineResult};
 use crate::exec::Instruments;
-use crate::options::{FreeJoinOptions, TrieStrategy};
+use crate::options::FreeJoinOptions;
 use crate::trie::InputTrie;
-use fj_cache::{CacheStats, Fingerprinter, PlanCache, TrieCache, TrieKey};
+use fj_cache::{CacheStats, Fingerprinter, PlanCache, SourceAtom, TrieCache, TrieKey, TrieSource};
 use fj_obs::{
     Counter, MetricsRegistry, NodeProfile, PipelineProfile, ProfileSheet, QueryProfile, QueryTrace,
     TraceCat,
@@ -108,8 +125,9 @@ pub const DEFAULT_PLAN_CAPACITY: usize = 512;
 #[derive(Debug)]
 pub struct CachedPlan {
     /// The canonical rendering of the (query, versions, options) this plan
-    /// was compiled for — the preimage of the fingerprint.
-    canonical: String,
+    /// was compiled for — the preimage of the fingerprint, and what names
+    /// the plan in the trie-cache key of each of its intermediates.
+    canonical: Arc<str>,
     /// The compiled pipelines.
     compiled: CompiledQuery,
     /// The optimizer's estimated cardinality after each plan node, indexed
@@ -200,6 +218,12 @@ pub struct EngineCaches {
     /// one relation scan it once.
     table_stats: Mutex<HashMap<String, (u64, TableStats)>>,
     table_stats_collected: AtomicU64,
+    /// Fetches of a bushy plan's intermediate that found its trie and that
+    /// ran its pipeline: `fj_cache_pipe_hits` / `_misses`. Every such fetch
+    /// is a lookup of the trie cache too, and counts in its cells like an
+    /// atom's.
+    pipe_hits: Counter,
+    pipe_misses: Counter,
     /// Work-stealing scheduler totals over every execution that runs
     /// against this cache pair (the natural per-process scope — the scope
     /// the cache counters have): `fj_sched_tasks_spawned` / `_stolen`.
@@ -223,6 +247,11 @@ pub struct SessionCacheStats {
     pub tries: CacheStats,
     /// Plan cache counters/gauges (`resident_bytes` counts entries).
     pub plans: CacheStats,
+    /// Fetches of a bushy plan's intermediate that found its trie, so the
+    /// producing pipeline did not run (also counted in `tries`).
+    pub pipe_hits: u64,
+    /// Fetches of an intermediate that ran its pipeline (also in `tries`).
+    pub pipe_misses: u64,
 }
 
 impl EngineCaches {
@@ -233,6 +262,8 @@ impl EngineCaches {
             plans: PlanCache::new(plan_capacity),
             table_stats: Mutex::new(HashMap::new()),
             table_stats_collected: AtomicU64::new(0),
+            pipe_hits: Counter::default(),
+            pipe_misses: Counter::default(),
             tasks_spawned: Counter::default(),
             tasks_stolen: Counter::default(),
             reorders: Counter::default(),
@@ -282,7 +313,8 @@ impl EngineCaches {
         Ok(stats)
     }
 
-    /// Eagerly reclaim every cached trie of `relation` (all versions), its
+    /// Eagerly reclaim every cached trie that reads `relation` (all
+    /// versions; intermediates of pipelines over it included), its
     /// statistics and all cached plans. Never needed for correctness —
     /// mutations already make stale entries unreachable by key — but frees
     /// their budget immediately after a bulk reload.
@@ -299,13 +331,16 @@ impl EngineCaches {
     }
 
     /// Export every count this cache pair keeps into `registry`, once: the
-    /// two caches' cells as `fj_cache_{trie,plan}_*`, the scheduler totals
+    /// two caches' cells as `fj_cache_{trie,plan}_*`, the intermediates'
+    /// share of the trie lookups as `fj_cache_pipe_*`, the scheduler totals
     /// as `fj_sched_*`, the adaptive-execution totals as `fj_exec_*`. The
     /// exposition then reads the cells executions bump; only the caches'
     /// shard-summed gauges need [`EngineCaches::stats`] before a scrape.
     pub fn bind_metrics(&self, registry: &MetricsRegistry) {
         self.tries.cells().bind(registry, "trie");
         self.plans.cells().bind(registry, "plan");
+        registry.bind_counter("fj_cache_pipe_hits", &self.pipe_hits);
+        registry.bind_counter("fj_cache_pipe_misses", &self.pipe_misses);
         registry.bind_counter("fj_sched_tasks_spawned", &self.tasks_spawned);
         registry.bind_counter("fj_sched_tasks_stolen", &self.tasks_stolen);
         registry.bind_counter("fj_exec_reorders", &self.reorders);
@@ -315,7 +350,12 @@ impl EngineCaches {
     /// The typed readout of both caches (refreshing their resident-bytes
     /// and entry-count gauges).
     pub fn stats(&self) -> SessionCacheStats {
-        SessionCacheStats { tries: self.tries.stats(), plans: self.plans.stats() }
+        SessionCacheStats {
+            tries: self.tries.stats(),
+            plans: self.plans.stats(),
+            pipe_hits: self.pipe_hits.get(),
+            pipe_misses: self.pipe_misses.get(),
+        }
     }
 }
 
@@ -424,7 +464,7 @@ impl Session {
                 .map(|p| pipeline_label(planned, &compiled, p))
                 .collect();
             Ok(CachedPlan {
-                canonical: canonical.clone(),
+                canonical: canonical.as_str().into(),
                 compiled,
                 node_estimates,
                 node_labels,
@@ -432,7 +472,7 @@ impl Session {
             })
         };
         let mut plan = self.caches.plans.try_get_or_build(fingerprint, || build().map(Arc::new))?;
-        if plan.canonical != canonical {
+        if *plan.canonical != *canonical {
             // Fingerprint collision between two distinct canonical forms:
             // compile this query uncached rather than run the wrong plan.
             plan = Arc::new(build()?);
@@ -561,7 +601,8 @@ pub struct ExecRequest {
     /// ANALYZE` and of the server's slow-query log.
     pub profile: bool,
     /// Record the [`QueryTrace`]: the session's structural ring (query →
-    /// pipelines → trie fetch/build) plus one executor ring per worker,
+    /// pipelines → trie fetches, a missed intermediate's pipeline nested in
+    /// its fetch) plus one executor ring per worker,
     /// each tagged with its pipeline. Render with [`QueryTrace::span_tree`]
     /// (canonical, schedule-independent) or [`QueryTrace::to_chrome_json`]
     /// (full timeline for Perfetto).
@@ -606,16 +647,18 @@ impl Prepared {
     }
 
     /// Execute against the current catalog contents — the one way to run a
-    /// prepared query. Tries are fetched from the shared cache keyed by each
-    /// relation's *current* version, so a catalog mutation after `prepare`
+    /// prepared query. Tries — of atoms and of a bushy plan's intermediates
+    /// — are fetched from the shared cache keyed by each relation's
+    /// *current* version, so a catalog mutation after `prepare`
     /// transparently forces a rebuild: results always reflect current data.
     ///
     /// The request's instruments are request-scoped and cost nothing when
     /// off: no sheet or ring is allocated and every instrumentation site is
-    /// one branch. On, one merged [`ProfileSheet`] per pipeline is paired
-    /// with the prepare-time estimates (next to the description of every
-    /// derived filter conjunct), and the session ring and every per-worker
-    /// executor ring are collected into one [`QueryTrace`].
+    /// one branch. On, one merged [`ProfileSheet`] per pipeline that ran is
+    /// paired with the prepare-time estimates (next to the description of
+    /// every derived filter conjunct; a pipeline served from the cache is
+    /// listed as such, without nodes), and the session ring and every
+    /// per-worker executor ring are collected into one [`QueryTrace`].
     pub fn execute(&self, catalog: &Catalog, request: &ExecRequest) -> EngineResult<ExecReport> {
         let (options, params) = (&self.options, &request.params);
         // An explicit caller token wins; otherwise arm one from the options'
@@ -650,8 +693,8 @@ impl Prepared {
 
         let caches = &*self.caches;
         let evictions0 = request.trace.then(|| caches.tries.stats().evictions);
-        let cached = |atom: &Atom, schema: &[Vec<String>], stats: &mut ExecStats| {
-            self.cached_trie(catalog, atom, schema, stats)
+        let cached = |input: PipeInput, schema: &[Vec<String>], produce: Produce<'_>| {
+            self.cached_trie(catalog, query, input, schema, produce)
         };
         let PipelinesRun { output, stats, sheets, trace } =
             run_pipelines(&self.plan.compiled, catalog, query, options, &instruments, cached)?;
@@ -685,11 +728,23 @@ impl Prepared {
     }
 
     /// Pair each pipeline's merged [`ProfileSheet`] with the prepare-time
-    /// node estimates and human-readable labels into a [`QueryProfile`].
-    fn assemble_profile(&self, derived: Vec<String>, sheets: &[ProfileSheet]) -> QueryProfile {
+    /// node estimates and human-readable labels into a [`QueryProfile`]. A
+    /// pipeline without a sheet did not run — its rows were in a cached
+    /// intermediate — and has a label saying so and no nodes: there are no
+    /// actuals to set against its estimates.
+    fn assemble_profile(
+        &self,
+        derived: Vec<String>,
+        sheets: &[Option<ProfileSheet>],
+    ) -> QueryProfile {
         let compiled = &self.plan.compiled;
         let mut pipelines = Vec::with_capacity(sheets.len());
         for (p, (pipeline, sheet)) in compiled.pipelines.iter().zip(sheets).enumerate() {
+            let Some(sheet) = sheet else {
+                let label = format!("pipeline {p} (intermediate, cached)");
+                pipelines.push(PipelineProfile { label, nodes: Vec::new() });
+                continue;
+            };
             let ests = self.plan.node_estimates.get(p);
             let labels = self.plan.node_labels.get(p);
             let mut nodes = Vec::with_capacity(pipeline.fj_plan.nodes.len());
@@ -736,24 +791,33 @@ impl Prepared {
         Ok(Cow::Owned(query))
     }
 
-    /// Fetch (or build, single-flight) the shared trie for one atom input.
-    /// Returns the trie and whether this call built it. Selection and build
-    /// time are charged to `stats` only on builds — cache hits skip both
-    /// phases entirely, which is the point of the subsystem.
+    /// Fetch the shared trie of one pipeline input, or make it with
+    /// `produce` (single-flight) and leave it in the cache. A hit skips
+    /// everything `produce` stands for: an atom's selection and build, an
+    /// intermediate's whole pipeline and the fetches of *its* inputs — which
+    /// is the point of the subsystem. A `produce` that fails (a fault, a
+    /// fired token) inserts nothing, and the lookups waiting on it retry.
     fn cached_trie(
         &self,
         catalog: &Catalog,
-        atom: &Atom,
+        query: &ConjunctiveQuery,
+        input: PipeInput,
         schema: &[Vec<String>],
-        stats: &mut ExecStats,
-    ) -> EngineResult<(Arc<InputTrie>, bool)> {
+        produce: Produce<'_>,
+    ) -> EngineResult<Arc<InputTrie>> {
         // Chaos failpoint: a fault in the cache-fetch path (e.g. a poisoned
         // shard) must surface as a typed error, not a panic.
         if fj_obs::chaos::should_fail("session.trie_fetch") {
             return Err(EngineError::Faulted("session.trie_fetch".into()));
         }
-        let version = catalog.version_of(&atom.relation);
-        let key = trie_key(atom, version, self.options.trie, schema)?;
+        let (key, build_failpoint) = match input {
+            PipeInput::Atom(i) => {
+                (self.atom_key(catalog, &query.atoms[i], schema)?, "session.trie_build")
+            }
+            PipeInput::Intermediate(j) => {
+                (self.pipe_key(catalog, query, j, schema)?, "session.pipe_build")
+            }
+        };
         let mut built_here = false;
         let trie = self.caches.tries.try_get_or_build(&key, || -> EngineResult<_> {
             built_here = true;
@@ -761,48 +825,89 @@ impl Prepared {
             // unwind through the single-flight build into the serve layer's
             // catch_unwind) happen inside the build closure, where they must
             // not wedge concurrent waiters.
-            if fj_obs::chaos::should_fail("session.trie_build") {
-                return Err(EngineError::Faulted("session.trie_build".into()));
+            if fj_obs::chaos::should_fail(build_failpoint) {
+                return Err(EngineError::Faulted(build_failpoint.into()));
             }
-            let trie = build_atom_trie(catalog, atom, schema, self.options.trie, stats)?;
+            let trie = produce()?;
             let bytes = trie.estimated_bytes();
             Ok((trie, bytes))
         })?;
-        Ok((trie, built_here))
+        if let PipeInput::Intermediate(_) = input {
+            let caches = &self.caches;
+            (if built_here { &caches.pipe_misses } else { &caches.pipe_hits }).inc();
+        }
+        Ok(trie)
+    }
+
+    /// The cache key of one atom's trie: the relation's current version and
+    /// the atom's rendered filter, the strategy name, and the *column*
+    /// order keyed at each trie level (variable names normalized away, so
+    /// self-join sides and same-shape queries share).
+    fn atom_key(
+        &self,
+        catalog: &Catalog,
+        atom: &Atom,
+        schema: &[Vec<String>],
+    ) -> EngineResult<TrieKey> {
+        Ok(TrieKey {
+            source: TrieSource::Atom(source_atom(catalog, atom)),
+            strategy: self.options.trie.name(),
+            key_order: key_order(schema, |var| atom.var_position(var))?,
+        })
+    }
+
+    /// The cache key of the trie over pipeline `j`'s result: the plan's
+    /// canonical text and the pipeline's index in it, the current version
+    /// and the rendered filter — read from this request's propagated
+    /// `query` — of every atom under the pipeline, the strategy name and
+    /// the consumer's key order over the pipeline's columns. A pipeline no
+    /// parameter reaches is one entry for every request; one that reads an
+    /// overridden atom (or a constant derived from it) has an entry per
+    /// value; a catalog mutation leaves the old entries unreachable.
+    fn pipe_key(
+        &self,
+        catalog: &Catalog,
+        query: &ConjunctiveQuery,
+        j: usize,
+        schema: &[Vec<String>],
+    ) -> EngineResult<TrieKey> {
+        let compiled = &self.plan.compiled;
+        let atoms = compiled.atoms_under(j);
+        let columns = &compiled.pipelines[j].plan.binding_order;
+        Ok(TrieKey {
+            source: TrieSource::Pipeline {
+                plan: Arc::clone(&self.plan.canonical),
+                pipeline: j as u32,
+                atoms: atoms.into_iter().map(|i| source_atom(catalog, &query.atoms[i])).collect(),
+            },
+            strategy: self.options.trie.name(),
+            key_order: key_order(schema, |var| columns.iter().position(|c| c == var))?,
+        })
     }
 }
 
-/// The cache key of one atom's trie: current relation version, strategy
-/// name, the *column* order keyed at each trie level (variable names
-/// normalized away, so self-join sides and same-shape queries share), and
-/// the filter fingerprint.
-fn trie_key(
-    atom: &Atom,
-    version: u64,
-    strategy: TrieStrategy,
-    schema: &[Vec<String>],
-) -> EngineResult<TrieKey> {
-    let mut key_order = Vec::with_capacity(schema.len());
-    for level in schema {
-        let mut cols = Vec::with_capacity(level.len());
-        for var in level {
-            let col = atom
-                .var_position(var)
-                .ok_or_else(|| EngineError::UnboundVariable(var.clone()))?;
-            cols.push(col as u32);
-        }
-        key_order.push(cols);
-    }
-    // The exact canonical rendering, not a hash: two distinct predicates can
-    // never alias one trie (cf. the plan cache's canonical-form re-check).
-    let filter = if atom.has_filter() { format!("{:?}", atom.filter) } else { String::new() };
-    Ok(TrieKey {
+/// The snapshot of its relation an atom reads now.
+fn source_atom(catalog: &Catalog, atom: &Atom) -> SourceAtom {
+    SourceAtom {
         relation: atom.relation.clone(),
-        version,
-        strategy: strategy.name(),
-        key_order,
-        filter,
-    })
+        version: catalog.version_of(&atom.relation),
+        // The exact canonical rendering, not a hash: two distinct predicates
+        // can never alias one trie (cf. the plan cache's canonical-form
+        // re-check).
+        filter: if atom.has_filter() { format!("{:?}", atom.filter) } else { String::new() },
+    }
+}
+
+/// The column keyed by each variable of a trie schema, level by level.
+fn key_order(
+    schema: &[Vec<String>],
+    column_of: impl Fn(&str) -> Option<usize>,
+) -> EngineResult<Vec<Vec<u32>>> {
+    let column = |var: &String| {
+        let col = column_of(var).ok_or_else(|| EngineError::UnboundVariable(var.clone()))?;
+        Ok(col as u32)
+    };
+    schema.iter().map(|level| level.iter().map(column).collect()).collect()
 }
 
 /// The canonical rendering of a query for plan caching: atom structure with
@@ -851,6 +956,7 @@ fn canonical_query(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::options::TrieStrategy;
     use fj_query::QueryBuilder;
     use fj_storage::{CmpOp, RelationBuilder, Schema};
     use std::time::{Duration, Instant};
@@ -1123,6 +1229,81 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// A bushy plan's intermediate is fetched like an atom's trie, and the
+    /// trace shows it: a `built` fetch with the producing pipeline's span —
+    /// its own fetches and nodes — nested inside, a `hit` fetch with nothing
+    /// under it once the result is cached; and the profile of the warm run
+    /// has no actuals to bust an estimate with.
+    #[test]
+    fn a_cached_intermediate_is_a_trie_fetch_in_the_trace_and_no_actuals_in_the_profile() {
+        let cat = catalog();
+        let q = QueryBuilder::new("bushy")
+            .atom_as("edge", "e1", &["a", "b"])
+            .atom_as("edge", "e2", &["b", "c"])
+            .filter_last(Predicate::cmp_const("src", CmpOp::Ge, 0i64))
+            .atom_as("edge", "e3", &["c", "d"])
+            .filter_last(Predicate::cmp_const("dst", CmpOp::Ge, 0i64))
+            .atom_as("edge", "e4", &["d", "e"])
+            .filter_last(Predicate::cmp_const("src", CmpOp::Lt, 12i64))
+            .head(&["a", "e"])
+            .build();
+        let s = session().with_options(FreeJoinOptions::default().with_num_threads(1));
+        let prepared = s.prepare(&cat, &q).unwrap();
+        assert_eq!(prepared.num_pipelines(), 2);
+        let request = ExecRequest { profile: true, trace: true, ..ExecRequest::default() };
+        let cold = prepared.execute(&cat, &request).unwrap();
+        let warm = prepared.execute(&cat, &request).unwrap();
+        assert_eq!(cold.output, warm.output);
+
+        let (cold_trace, warm_trace) = (cold.trace.unwrap(), warm.trace.unwrap());
+        cold_trace.validate_nesting().unwrap();
+        warm_trace.validate_nesting().unwrap();
+        let fetches = |tree: String| -> Vec<String> {
+            let lines = tree.lines().filter(|l| !l.trim_start().starts_with("node"));
+            lines.map(str::to_string).collect()
+        };
+        assert_eq!(
+            fetches(cold_trace.span_tree()),
+            [
+                "query",
+                "  pipeline 1",
+                "    trie_fetch input=0 built",
+                "    trie_fetch input=1 built",
+                "    trie_fetch input=2 built",
+                "      pipeline 0",
+                "        trie_fetch input=0 built",
+                "        trie_fetch input=1 built",
+            ]
+        );
+        assert_eq!(
+            fetches(warm_trace.span_tree()),
+            [
+                "query",
+                "  pipeline 1",
+                "    trie_fetch input=0 hit",
+                "    trie_fetch input=1 hit",
+                "    trie_fetch input=2 hit",
+            ]
+        );
+        let instants = |t: &QueryTrace, cat| t.count(fj_obs::TraceKind::Instant, cat);
+        assert_eq!(instants(&cold_trace, TraceCat::TrieMiss), 5);
+        assert_eq!(instants(&cold_trace, TraceCat::TrieHit), 0);
+        assert_eq!(instants(&warm_trace, TraceCat::TrieMiss), 0);
+        assert_eq!(instants(&warm_trace, TraceCat::TrieHit), 3);
+
+        let (cold_profile, warm_profile) = (cold.profile.unwrap(), warm.profile.unwrap());
+        assert_eq!(warm_profile.pipelines[0].label, "pipeline 0 (intermediate, cached)");
+        assert_eq!(warm_profile.pipelines[1], {
+            let mut expected = cold_profile.pipelines[1].clone();
+            for (node, warm) in expected.nodes.iter_mut().zip(&warm_profile.pipelines[1].nodes) {
+                node.wall_nanos = warm.wall_nanos;
+            }
+            expected
+        });
+        assert!(warm_profile.estimate_busts() <= cold_profile.estimate_busts());
+        assert_eq!(warm_profile.total_probes(), warm.stats.probes);
     }
 
     /// Regression: replacing a relation with a different-schema one between

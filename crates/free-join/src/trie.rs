@@ -257,6 +257,8 @@ pub struct InputTrie {
     name: String,
     /// The bound (filtered) relation the offsets point into.
     relation: Arc<Relation>,
+    /// Whether `relation` goes when this trie does ([`BoundInput::owns_rows`]).
+    owns_rows: bool,
     /// Variable names per level; the last level may be empty (a pure leaf).
     schema: Vec<Vec<String>>,
     /// Column index (in `relation`) of each variable, per level.
@@ -406,6 +408,7 @@ impl InputTrie {
         let trie = InputTrie {
             name: input.name.clone(),
             relation: Arc::clone(&input.relation),
+            owns_rows: input.owns_rows,
             schema,
             last_keyed_level: level_cols.iter().rposition(|cols| !cols.is_empty()).unwrap_or(0),
             level_cols,
@@ -477,9 +480,9 @@ impl InputTrie {
     }
 
     /// A pessimistic estimate of the trie's eventual heap footprint in
-    /// bytes, for cache budget accounting: the bound relation's columns plus
-    /// an allowance per row and level for the levels lazy forcing may
-    /// eventually build. Charged once at cache-insert time, so it
+    /// bytes, for cache budget accounting: the bound relation's columns —
+    /// when they are this input's own, not the catalog's — plus an allowance
+    /// per row and level for the levels lazy forcing may eventually build. Charged once at cache-insert time, so it
     /// deliberately bounds the *fully forced* trie rather than tracking lazy
     /// growth.
     pub fn estimated_bytes(&self) -> usize {
@@ -503,9 +506,10 @@ impl InputTrie {
         let slot = std::mem::size_of::<(u64, u32)>() + 1;
         let row_level =
             std::mem::size_of::<u32>() + (16 * slot).div_ceil(7) + std::mem::size_of::<TrieNode>();
-        BASE_BYTES
-            + self.relation.approx_bytes()
-            + self.relation.num_rows() * self.schema.len().max(1) * row_level
+        // The rows themselves only where dropping the trie frees them: an
+        // unfiltered atom's trie points into the catalog's own relation.
+        let rows = if self.owns_rows { self.relation.approx_bytes() } else { 0 };
+        BASE_BYTES + rows + self.relation.num_rows() * self.schema.len().max(1) * row_level
     }
 
     /// An estimate of the number of keys at a node, used for dynamic cover
@@ -1317,8 +1321,13 @@ mod tests {
         let input = clover_s_input();
         let one = InputTrie::build(&input, schema(&[&["x", "b"]]), TrieStrategy::Colt);
         let two = InputTrie::build(&input, schema(&[&["x"], &["b"]]), TrieStrategy::Colt);
-        assert!(one.estimated_bytes() >= input.relation.approx_bytes());
         assert!(two.estimated_bytes() > one.estimated_bytes(), "more levels cost more");
+        // The rows are charged to the trie that owns them, not to one that
+        // points into the catalog's relation.
+        assert!(!input.owns_rows, "an unfiltered atom");
+        let copy = BoundInput { owns_rows: true, ..input.clone() };
+        let owning = InputTrie::build(&copy, schema(&[&["x", "b"]]), TrieStrategy::Colt);
+        assert_eq!(owning.estimated_bytes(), one.estimated_bytes() + input.relation.approx_bytes());
     }
 
     #[test]

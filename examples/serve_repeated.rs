@@ -15,8 +15,10 @@
 //! on the serving path needs a per-worker clone or an external lock. It
 //! runs a **cold pass** (trie and plan builds race and coalesce) and a
 //! **warm pass**, and exits nonzero unless the warm pass ran entirely out
-//! of the caches (nonzero hit rate, zero trie builds) with results
-//! identical to the cold pass. CI runs it and asserts on the exit status.
+//! of the caches (nonzero hit rate, zero trie builds, and — some of the
+//! shapes are planned bushy — no intermediate materialized: the pipelines
+//! under the final one did not run) with results identical to the cold
+//! pass. CI runs it and asserts on the exit status.
 
 use freejoin::prelude::*;
 use freejoin::workloads::job::{self, JobConfig};
@@ -30,34 +32,37 @@ const ITERATIONS: usize = 25;
 
 /// Run one pass: every worker executes the shared prepared queries
 /// `ITERATIONS` times. Returns per-query result cardinalities (which must
-/// be identical across workers) and the pass's wall time.
-fn run_pass(catalog: &Catalog, prepared: &[Prepared]) -> (Vec<u64>, f64) {
+/// be identical across workers), the intermediate tuples the pass
+/// materialized, and its wall time.
+fn run_pass(catalog: &Catalog, prepared: &[Prepared]) -> (Vec<u64>, u64, f64) {
     let start = Instant::now();
-    let results: Vec<Vec<u64>> = std::thread::scope(|scope| {
+    let results: Vec<(Vec<u64>, u64)> = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..WORKERS)
             .map(|_| {
                 scope.spawn(move || {
                     let mut counts = vec![0u64; prepared.len()];
+                    let mut intermediate_tuples = 0;
                     for _ in 0..ITERATIONS {
                         for (i, p) in prepared.iter().enumerate() {
-                            let out = p
+                            let report = p
                                 .execute(catalog, &ExecRequest::default())
-                                .expect("execution succeeds")
-                                .output;
-                            counts[i] = out.cardinality();
+                                .expect("execution succeeds");
+                            counts[i] = report.output.cardinality();
+                            intermediate_tuples += report.stats.intermediate_tuples;
                         }
                     }
-                    counts
+                    (counts, intermediate_tuples)
                 })
             })
             .collect();
         handles.into_iter().map(|h| h.join().expect("worker does not panic")).collect()
     });
     let wall = start.elapsed().as_secs_f64() * 1e3;
-    for w in &results[1..] {
-        assert_eq!(w, &results[0], "workers disagree on query results");
+    for (counts, _) in &results[1..] {
+        assert_eq!(counts, &results[0].0, "workers disagree on query results");
     }
-    (results[0].clone(), wall)
+    let intermediate_tuples = results.iter().map(|(_, tuples)| tuples).sum();
+    (results[0].0.clone(), intermediate_tuples, wall)
 }
 
 fn main() {
@@ -83,25 +88,31 @@ fn main() {
         .map(|q| session.prepare(&catalog, q).expect("query prepares"))
         .collect();
 
-    let (cold_counts, cold_ms) = run_pass(&catalog, &prepared);
+    let bushy = prepared.iter().filter(|p| p.num_pipelines() > 1).count();
+
+    let (cold_counts, cold_intermediates, cold_ms) = run_pass(&catalog, &prepared);
     let after_cold = caches.stats();
     println!(
-        "cold pass: {cold_ms:.1} ms | trie cache: {} builds, {} hits, {} coalesced, {} bytes resident",
+        "cold pass: {cold_ms:.1} ms | trie cache: {} builds ({} of them the intermediates of \
+         {bushy} bushy plans, {cold_intermediates} tuples), {} hits, {} coalesced, {} bytes resident",
         after_cold.tries.misses,
+        after_cold.pipe_misses,
         after_cold.tries.hits,
         after_cold.tries.coalesced,
         after_cold.tries.resident_bytes,
     );
 
-    let (warm_counts, warm_ms) = run_pass(&catalog, &prepared);
+    let (warm_counts, warm_intermediates, warm_ms) = run_pass(&catalog, &prepared);
     let after_warm = caches.stats();
     let warm_tries = after_warm.tries.delta(&after_cold.tries);
     let warm_plans = after_warm.plans.delta(&after_cold.plans);
     println!(
-        "warm pass: {warm_ms:.1} ms | trie cache: {} builds, {} hits (hit rate {:.3}), plans: {} builds",
+        "warm pass: {warm_ms:.1} ms | trie cache: {} builds, {} hits (hit rate {:.3}; {} of an \
+         intermediate, {warm_intermediates} tuples materialized), plans: {} builds",
         warm_tries.misses,
         warm_tries.hits,
         warm_tries.hit_rate(),
+        after_warm.pipe_hits - after_cold.pipe_hits,
         warm_plans.misses,
     );
 
@@ -109,6 +120,12 @@ fn main() {
     let mut failures = Vec::new();
     if warm_counts != cold_counts {
         failures.push(format!("warm results diverged: {warm_counts:?} vs {cold_counts:?}"));
+    }
+    if bushy == 0 || cold_intermediates == 0 {
+        failures.push("no shape was planned bushy: the intermediates went unexercised".to_string());
+    }
+    if warm_intermediates != 0 {
+        failures.push(format!("warm pass materialized {warm_intermediates} intermediate tuples"));
     }
     if warm_tries.hit_rate() <= 0.0 {
         failures.push("warm pass reported a zero cache hit rate".to_string());

@@ -2,9 +2,15 @@
 //! executions must be byte-identical to cold ones across strategies and
 //! thread counts, the trie cache must respect its byte budget, catalog
 //! mutations must force rebuilds, and racing sessions must build each trie
-//! exactly once (single-flight).
+//! exactly once (single-flight). A bushy plan's intermediates are tries in
+//! the same cache: the second half pins what their key tells apart and what
+//! a hit skips.
 
+mod common;
+
+use common::{catalog_of, chain_relations, chain_shape};
 use freejoin::prelude::*;
+use freejoin::storage::CmpOp;
 use proptest::prelude::*;
 use std::sync::Arc;
 
@@ -56,10 +62,10 @@ proptest! {
                     prepared.execute(&catalog, &ExecRequest::default()).unwrap();
                 let cold_rows = cold.canonical_rows();
                 let after_cold = session.cache_stats();
-                // Every subsequent run is served from the caches. (A bushy
-                // plan still materializes its intermediate per run, and a
-                // warm run may lazily force trie levels the cold run never
-                // probed — but cached base tries are never rebuilt.)
+                // Every subsequent run is served from the caches. (A warm
+                // run may lazily force trie levels the cold run never
+                // probed — but cached tries are never rebuilt, and a bushy
+                // plan's intermediate is one of them.)
                 for round in 0..2 {
                     let ExecReport { output: warm, .. } =
                         prepared.execute(&catalog, &ExecRequest::default()).unwrap();
@@ -74,8 +80,19 @@ proptest! {
                     stats.tries.misses, after_cold.tries.misses,
                     "warm runs never miss in the trie cache"
                 );
-                assert_eq!(stats.tries.misses, 3, "one cold build per relation");
-                assert_eq!(stats.tries.hits, 6, "two warm rounds × three atoms");
+                // The optimizer may join one atom with the join of the other
+                // two: then the cold run also built the intermediate's trie,
+                // and a warm run fetches it in place of the two atoms under it.
+                let intermediates = prepared.num_pipelines() as u64 - 1;
+                assert!(intermediates <= 1);
+                assert_eq!(
+                    stats.tries.misses, 3 + intermediates,
+                    "one cold build per relation and intermediate"
+                );
+                assert_eq!(
+                    stats.tries.hits, 2 * (3 - intermediates),
+                    "two warm rounds × the final pipeline's inputs"
+                );
             }
         }
     }
@@ -236,4 +253,268 @@ fn concurrent_sessions_build_each_trie_exactly_once() {
     );
     assert_eq!(stats.plans.misses, 1, "the plan was compiled exactly once");
     assert_eq!(stats.plans.hits + stats.plans.coalesced, threads as u64 - 1);
+}
+
+fn chain_query() -> ConjunctiveQuery {
+    common::chain_query(&["a", "e"])
+}
+
+fn session_with(caches: &Arc<EngineCaches>, trie: TrieStrategy, threads: usize) -> Session {
+    Session::new(Arc::clone(caches))
+        .with_options(FreeJoinOptions::default().with_trie(trie).with_num_threads(threads))
+}
+
+fn serial_session(caches: &Arc<EngineCaches>) -> Session {
+    session_with(caches, TrieStrategy::Colt, 1)
+}
+
+fn run(prepared: &Prepared, catalog: &Catalog, params: Params) -> ExecReport {
+    let request = ExecRequest { params, profile: true, ..ExecRequest::default() };
+    prepared.execute(catalog, &request).unwrap()
+}
+
+fn filter(alias: &str, column: &str, op: CmpOp, value: i64) -> Params {
+    Params::new().with_filter(alias, Predicate::cmp_const(column, op, value))
+}
+
+/// (a) A bushy query through `Prepared`, with and without overrides, cold
+/// and warm, answers like the uncached engine on the same plan under every
+/// strategy and thread count.
+#[test]
+fn a_bushy_prepared_query_matches_the_uncached_engine() {
+    let catalog = catalog_of(chain_relations(1));
+    let query = chain_query();
+    let (under, above) = chain_shape(&catalog);
+    let plan = optimize(&query, &CatalogStats::collect(&catalog), OptimizerOptions::default());
+    let overrides = [
+        None,
+        Some((above[0], Predicate::cmp_const("src", CmpOp::Lt, 6i64))),
+        Some((under[1], Predicate::cmp_const("dst", CmpOp::Ge, 3i64))),
+    ];
+    for trie in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
+        for threads in [1usize, 2, 4] {
+            let caches = Arc::new(EngineCaches::with_defaults());
+            let session = session_with(&caches, trie, threads);
+            let prepared = session.prepare(&catalog, &query).unwrap();
+            for over in &overrides {
+                let ctx = format!("{trie:?} x {threads} threads, override {over:?}");
+                let mut written = query.clone();
+                let mut params = Params::new();
+                if let Some((alias, filter)) = over {
+                    written.atoms.iter_mut().find(|a| a.alias == *alias).unwrap().filter =
+                        filter.clone();
+                    params = params.with_filter(*alias, filter.clone());
+                }
+                let (reference, uncached) = FreeJoinEngine::new(*session.options())
+                    .execute(&catalog, &written, &plan)
+                    .unwrap();
+                assert!(uncached.intermediate_tuples > 0, "{ctx}");
+                for warm in [false, true] {
+                    let report = run(&prepared, &catalog, params.clone());
+                    assert_eq!(
+                        report.output.canonical_rows(),
+                        reference.canonical_rows(),
+                        "{ctx}, warm {warm}"
+                    );
+                    // The override above the intermediate finds the entry
+                    // the request without overrides left.
+                    let found = warm || over.as_ref().is_some_and(|(a, _)| above.contains(a));
+                    assert_eq!(report.stats.intermediate_tuples == 0, found, "{ctx}");
+                }
+            }
+        }
+    }
+}
+
+/// (b) A warm run fetches its intermediate like any trie and runs nothing
+/// under it: no intermediate tuple, no lookup of the atoms under it, the
+/// final pipeline's probes alone — and a profile that says so instead of
+/// showing zero actuals against the pipeline's estimates.
+#[test]
+fn a_cached_intermediate_runs_nothing_under_it() {
+    let catalog = catalog_of(chain_relations(1));
+    let caches = Arc::new(EngineCaches::with_defaults());
+    let prepared = serial_session(&caches).prepare(&catalog, &chain_query()).unwrap();
+    let cold = run(&prepared, &catalog, Params::new());
+    let after_cold = caches.stats();
+    let warm = run(&prepared, &catalog, Params::new());
+    let after_warm = caches.stats();
+    assert_eq!(warm.output, cold.output);
+
+    assert!(cold.stats.intermediate_tuples > 0);
+    assert_eq!((warm.stats.intermediate_tuples, warm.stats.tries_built), (0, 0), "{}", warm.stats);
+    assert_eq!(warm.stats.build_time, std::time::Duration::ZERO);
+    // Cold: four atoms and the intermediate. Warm: the final pipeline's two
+    // atoms and the intermediate, all found.
+    let lookups = after_warm.tries.delta(&after_cold.tries);
+    assert_eq!((after_cold.tries.misses, after_cold.tries.hits), (5, 0));
+    assert_eq!((lookups.misses, lookups.hits), (0, 3));
+    assert_eq!((after_cold.pipe_misses, after_cold.pipe_hits), (1, 0));
+    assert_eq!((after_warm.pipe_misses, after_warm.pipe_hits), (1, 1));
+
+    let (cold_profile, warm_profile) = (cold.profile.unwrap(), warm.profile.unwrap());
+    let counts = |p: &QueryProfile| -> Vec<(String, u64, u64)> {
+        let nodes = p.pipelines[1].nodes.iter();
+        nodes.map(|n| (n.label.clone(), n.output_rows, n.probes)).collect()
+    };
+    let final_probes: u64 = counts(&cold_profile).iter().map(|n| n.2).sum();
+    assert!(final_probes < cold.stats.probes);
+    assert_eq!((warm.stats.probes, warm_profile.total_probes()), (final_probes, final_probes));
+    assert_eq!(counts(&warm_profile), counts(&cold_profile));
+    assert_eq!(warm_profile.pipelines[0].label, "pipeline 0 (intermediate, cached)");
+    assert!(warm_profile.pipelines[0].nodes.is_empty());
+    let rendered = warm_profile.render();
+    assert!(
+        rendered.starts_with("pipeline 0 (intermediate, cached)\npipeline 1 (final)"),
+        "{rendered}"
+    );
+}
+
+/// (c) The key of an intermediate is exact. Requests that differ only in an
+/// atom the pipeline does not read share its entry; a filter on an atom
+/// under it, another strategy or another plan over the same atoms each get
+/// their own — and each answers like the uncached engine.
+#[test]
+fn overrides_share_an_intermediate_exactly_when_they_do_not_reach_it() {
+    let catalog = catalog_of(chain_relations(1));
+    let (under, above) = chain_shape(&catalog);
+    let caches = Arc::new(EngineCaches::with_defaults());
+    let session = serial_session(&caches);
+    let prepared = session.prepare(&catalog, &chain_query()).unwrap();
+    let pipes = || (caches.stats().pipe_misses, caches.stats().pipe_hits);
+    let expected = |alias: &str, column: &str, op: CmpOp, value: i64| {
+        let mut written = chain_query();
+        written.atoms.iter_mut().find(|a| a.alias == alias).unwrap().filter =
+            Predicate::cmp_const(column, op, value);
+        let engine = FreeJoinEngine::new(*session.options());
+        engine
+            .plan_and_execute(&catalog, &written, OptimizerOptions::default())
+            .unwrap()
+            .0
+    };
+    let check = |alias: &str, value: i64| {
+        let out = run(&prepared, &catalog, filter(alias, "src", CmpOp::Lt, value)).output;
+        assert!(out.result_eq(&expected(alias, "src", CmpOp::Lt, value)), "{alias} src < {value}");
+    };
+
+    // Two values on an atom of the final pipeline: one entry, built once.
+    check(above[0], 4);
+    assert_eq!(pipes(), (1, 0));
+    check(above[0], 9);
+    check(above[1], 9);
+    assert_eq!(pipes(), (1, 2));
+    // Two values on an atom under the intermediate: an entry each, found
+    // again by the same request.
+    check(under[0], 4);
+    check(under[0], 9);
+    assert_eq!(pipes(), (3, 2));
+    check(under[0], 4);
+    check(under[0], 9);
+    assert_eq!(pipes(), (3, 4));
+    // The same rows under another column's filter are another entry.
+    let out = run(&prepared, &catalog, filter(under[0], "dst", CmpOp::Lt, 4)).output;
+    assert!(out.result_eq(&expected(under[0], "dst", CmpOp::Lt, 4)));
+    assert_eq!(pipes(), (4, 4));
+
+    // Another strategy over the same cache pair builds its own tries.
+    let simple = session_with(&caches, TrieStrategy::Simple, 1);
+    let out = run(&simple.prepare(&catalog, &chain_query()).unwrap(), &catalog, Params::new());
+    assert!(out.output.result_eq(&run(&prepared, &catalog, Params::new()).output));
+    assert_eq!(pipes(), (5, 5), "a miss under the new strategy, a hit under the old");
+    // Another plan over the same atoms does not read this plan's pipeline,
+    // though its own may have the same number, atoms and key order: what
+    // each head keeps of the pair joined first differs.
+    let mut misses = 5;
+    for head in [&["a", "b", "d", "e"][..], &["b", "d"], &["a", "b", "c", "d", "e"], &["c"]] {
+        let other = common::chain_query(head);
+        let prepared = session.prepare(&catalog, &other).unwrap();
+        let engine = FreeJoinEngine::new(*session.options());
+        let (reference, _) =
+            engine.plan_and_execute(&catalog, &other, OptimizerOptions::default()).unwrap();
+        let out = run(&prepared, &catalog, Params::new()).output;
+        assert_eq!(out.canonical_rows(), reference.canonical_rows(), "head {head:?}");
+        misses += prepared.num_pipelines() as u64 - 1;
+        assert_eq!(pipes(), (misses, 5), "head {head:?}");
+    }
+    assert!(misses > 5, "some of these plans are bushy");
+}
+
+/// (d) A cached intermediate never outlives the rows it was computed from:
+/// replacing or touching a relation under the pipeline forces a recompute,
+/// and `invalidate_relation` drops every entry that reads the relation.
+#[test]
+fn a_mutation_under_a_cached_pipeline_forces_a_recompute() {
+    let mut catalog = catalog_of(chain_relations(1));
+    let (under, above) = chain_shape(&catalog);
+    let caches = Arc::new(EngineCaches::with_defaults());
+    let session = serial_session(&caches);
+    let prepared = session.prepare(&catalog, &chain_query()).unwrap();
+    let before = run(&prepared, &catalog, Params::new()).output;
+    assert_eq!(caches.stats().pipe_misses, 1);
+
+    // Twice the rows in one relation under the pipeline.
+    let doubled = chain_relations(2).into_iter().find(|r| r.name() == under[0]).unwrap();
+    catalog.add_or_replace(doubled);
+    let after = run(&prepared, &catalog, Params::new());
+    assert_eq!(caches.stats().pipe_misses, 2, "the old entry is unreachable");
+    assert!(after.stats.intermediate_tuples > 0);
+    let engine = FreeJoinEngine::new(*session.options());
+    let (fresh, _) = engine
+        .plan_and_execute(&catalog, &chain_query(), OptimizerOptions::default())
+        .unwrap();
+    assert!(after.output.result_eq(&fresh));
+    assert_eq!(after.output.cardinality(), 2 * before.cardinality());
+
+    // A version bump alone does the same; one above the pipeline does not.
+    catalog.touch(under[1]);
+    assert!(run(&prepared, &catalog, Params::new()).output.result_eq(&fresh));
+    assert_eq!(caches.stats().pipe_misses, 3);
+    catalog.touch(above[0]);
+    assert!(run(&prepared, &catalog, Params::new()).output.result_eq(&fresh));
+    assert_eq!((caches.stats().pipe_misses, caches.stats().pipe_hits), (3, 1));
+
+    // Resident now: three versions of the intermediate, and per relation one
+    // trie per version seen. Reclaiming by relation takes the intermediates
+    // with the relation's own tries.
+    let tries = caches.tries();
+    assert_eq!(tries.len(), 3 + 4 + 3);
+    assert_eq!(tries.purge_stale(under[1], catalog.version_of(under[1])), 1 + 2);
+    assert_eq!(caches.invalidate_relation(above[0]), 2, "its own two tries, no intermediate");
+    assert_eq!(caches.invalidate_relation(under[0]), 2 + 1, "two tries and the intermediate left");
+    assert_eq!(tries.len(), 2);
+    assert!(run(&prepared, &catalog, Params::new()).output.result_eq(&fresh));
+}
+
+/// (e) Eight threads issuing the same cold request run each pipeline once:
+/// the lookups of the intermediate coalesce onto one build like any trie's,
+/// and the threads that waited for it never fetch the atoms under it.
+#[test]
+fn concurrent_cold_requests_run_each_pipeline_once() {
+    let catalog = catalog_of(chain_relations(1));
+    let caches = Arc::new(EngineCaches::with_defaults());
+    // Simple: the whole build happens inside the cached builder.
+    let session = session_with(&caches, TrieStrategy::Simple, 1);
+    let prepared = session.prepare(&catalog, &chain_query()).unwrap();
+    let threads = 8u64;
+    let barrier = std::sync::Barrier::new(threads as usize);
+    let outputs: Vec<QueryOutput> = std::thread::scope(|scope| {
+        let handles: Vec<_> = (0..threads)
+            .map(|_| {
+                scope.spawn(|| {
+                    barrier.wait();
+                    run(&prepared, &catalog, Params::new()).output
+                })
+            })
+            .collect();
+        handles.into_iter().map(|h| h.join().unwrap()).collect()
+    });
+    assert!(outputs.windows(2).all(|w| w[0] == w[1]));
+
+    let stats = caches.stats();
+    assert_eq!(stats.tries.misses, 5, "four atoms and the intermediate, each built once");
+    assert_eq!((stats.pipe_misses, stats.pipe_hits), (1, threads - 1));
+    // Every thread looks up the final pipeline's three inputs; only the one
+    // that ran the intermediate's pipeline looked up the two atoms under it.
+    assert_eq!(stats.tries.lookups(), threads * 3 + 2);
+    assert_eq!(stats.tries.hits + stats.tries.coalesced, threads * 3 + 2 - 5);
 }

@@ -3,14 +3,20 @@
 //! deadlines firing mid-join with partial stats, explicit cancellation by
 //! request id, injected panics that the worker survives, and injected
 //! socket faults that surface as typed client errors with retries
-//! succeeding afterwards.
+//! succeeding afterwards. The last test is in process: a bushy plan's
+//! pipeline that faults or is cancelled while concurrent requests wait for
+//! its result.
 //!
 //! The chaos failpoint registry is process-global, so every test (including
 //! the ones that arm nothing and must not become victims of another test's
 //! armed panic) serializes on one mutex.
 
+mod common;
+
+use freejoin::engine::EngineError;
 use freejoin::obs::chaos::{self, ChaosAction};
 use freejoin::prelude::*;
+use freejoin::query::QueryError;
 use freejoin::serve::{Client, ClientError, ExecuteOpts, ServerConfig};
 use std::sync::{Arc, Mutex, OnceLock};
 use std::time::{Duration, Instant};
@@ -436,4 +442,76 @@ fn rate_limiting_sheds_with_typed_busy() {
     std::thread::sleep(Duration::from_millis(120));
     client.shutdown_server().unwrap();
     server.join();
+}
+
+/// A bushy plan's intermediate is built single-flight inside the trie cache.
+/// A build that faults, or whose request is cancelled while its pipeline
+/// runs, inserts nothing: the requests waiting for it recompute and answer
+/// correctly, the next request finds their entry, and the cache stays
+/// within its budget throughout.
+#[test]
+fn a_failed_pipeline_is_never_cached_and_its_waiters_recompute() {
+    let _guard = chaos_lock();
+    // `A(a,b), B(b,c), C(c,d), D(d,e)` over one graph: joined as two pairs.
+    let catalog = common::catalog_of(common::chain_relations(1));
+    let query = common::chain_query(&["a", "e"]).with_aggregate(Aggregate::Count);
+    let options = FreeJoinOptions::default().with_num_threads(1);
+    let (reference, _) = FreeJoinEngine::new(options)
+        .plan_and_execute(&catalog, &query, OptimizerOptions::default())
+        .unwrap();
+
+    let budget = 1 << 20;
+    let caches = Arc::new(EngineCaches::new(budget, 16));
+    let session = Session::new(Arc::clone(&caches)).with_options(options);
+    let prepared = session.prepare(&catalog, &query).unwrap();
+    assert_eq!(prepared.num_pipelines(), 2, "a bushy plan");
+    let execute = |token: CancelToken| {
+        let result = prepared.execute(&catalog, &ExecRequest { token, ..ExecRequest::default() });
+        let tries = caches.tries();
+        assert!(tries.resident_bytes() <= budget as u64, "{} > {budget}", tries.resident_bytes());
+        result.map(|report| (report.output, report.stats))
+    };
+    const SITE: &str = "session.pipe_build";
+    let hits = chaos::hits(SITE);
+
+    // A fault alone: a typed error naming the failpoint, and no entry.
+    chaos::arm_times(SITE, ChaosAction::Fail, 1);
+    match execute(CancelToken::disabled()) {
+        Err(EngineError::Faulted(site)) => assert_eq!(site, SITE),
+        other => panic!("expected the injected fault, got {other:?}"),
+    }
+    assert_eq!((chaos::hits(SITE), caches.stats().pipe_misses), (hits + 1, 0));
+
+    // The builder stalls inside the single-flight build while its request
+    // is cancelled and three identical requests arrive; once the stall ends
+    // its pipeline sees the fired token at its first poll.
+    chaos::arm_times(SITE, ChaosAction::DelayMs(300), 1);
+    let token = CancelToken::new();
+    std::thread::scope(|scope| {
+        let cancelled = scope.spawn(|| execute(token.clone()));
+        while chaos::hits(SITE) < hits + 2 {
+            std::thread::yield_now();
+        }
+        token.cancel(CancelReason::Explicit);
+        let waiters: Vec<_> =
+            (0..3).map(|_| scope.spawn(|| execute(CancelToken::disabled()))).collect();
+        match cancelled.join().unwrap() {
+            Err(EngineError::Query(QueryError::Cancelled { reason, .. })) => {
+                assert_eq!(reason, CancelReason::Explicit)
+            }
+            other => panic!("expected Cancelled, got {other:?}"),
+        }
+        for waiter in waiters {
+            let (output, _) = waiter.join().unwrap().expect("a waiter recomputes");
+            assert!(output.result_eq(&reference));
+        }
+    });
+    let stats = caches.stats();
+    assert_eq!((stats.pipe_misses, stats.pipe_hits), (1, 2), "one waiter ran the pipeline");
+
+    // What the waiters left is a complete entry.
+    let (output, warm) = execute(CancelToken::disabled()).unwrap();
+    assert!(output.result_eq(&reference));
+    assert_eq!((warm.intermediate_tuples, warm.tries_built), (0, 0), "{warm}");
+    assert_eq!(caches.stats().pipe_misses, 1);
 }

@@ -1,6 +1,6 @@
 //! What the differential tests share: the brute-force oracle, the generated
-//! relations (duplicate rows, NULL keys, empty relations), the hub catalog
-//! and the cyclic self-join shapes.
+//! relations (duplicate rows, NULL keys, empty relations), the hub catalog,
+//! the cyclic self-join shapes and the chain the optimizer plans bushy.
 #![allow(dead_code)] // each test binary uses its own subset
 
 use freejoin::prelude::*;
@@ -150,4 +150,55 @@ pub fn hub_catalog(with_tags: bool) -> Catalog {
         relation("edge", &["src", "dst"], &edges),
         relation("tag", &["node", "tag"], &tags),
     ])
+}
+
+/// The relations of the chain `A(a,b), B(b,c), C(c,d), D(d,e)`: the same
+/// 12-node graph four times, `copies` rows per edge.
+pub fn chain_relations(copies: usize) -> Vec<Relation> {
+    let mut edges = Vec::new();
+    for i in 0..60i64 {
+        for _ in 0..copies {
+            edges.push([i % 12, (i + 1) % 12]);
+            edges.push([i % 12, (i + 5) % 12]);
+        }
+    }
+    let relation = |name: &str| {
+        let mut b = RelationBuilder::new(name, Schema::all_int(&["src", "dst"]));
+        edges.iter().for_each(|edge| b.push_ints(edge).unwrap());
+        b.finish()
+    };
+    ["A", "B", "C", "D"].map(relation).to_vec()
+}
+
+pub fn chain_query(head: &[&str]) -> ConjunctiveQuery {
+    QueryBuilder::new("chain")
+        .atom("A", &["a", "b"])
+        .atom("B", &["b", "c"])
+        .atom("C", &["c", "d"])
+        .atom("D", &["d", "e"])
+        .head(head)
+        .build()
+}
+
+/// The optimizer joins the chain as two pairs: one intermediate pipeline and
+/// a final one that reads it. Returns the relations under the intermediate
+/// and those the final pipeline reads itself — read off a cold profile,
+/// whose node labels name every atom where it runs.
+pub fn chain_shape(catalog: &Catalog) -> (Vec<&'static str>, Vec<&'static str>) {
+    let session = Session::new(std::sync::Arc::new(EngineCaches::with_defaults()));
+    let prepared = session.prepare(catalog, &chain_query(&["a", "e"])).unwrap();
+    let request = ExecRequest { profile: true, ..ExecRequest::default() };
+    let profile = prepared.execute(catalog, &request).unwrap().profile.unwrap();
+    assert_eq!(prepared.num_pipelines(), 2, "a bushy plan:\n{}", profile.render());
+    let reads = |pipeline: usize, name: &str| {
+        profile.pipelines[pipeline]
+            .nodes
+            .iter()
+            .any(|n| n.label.contains(&format!("{name}(")))
+    };
+    let (under, above): (Vec<&str>, Vec<&str>) =
+        ["A", "B", "C", "D"].into_iter().partition(|n| reads(0, n));
+    assert_eq!((under.len(), above.len()), (2, 2), "{}", profile.render());
+    assert!(above.iter().all(|n| reads(1, n)) && !under.iter().any(|n| reads(1, n)));
+    (under, above)
 }

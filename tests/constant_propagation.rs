@@ -8,7 +8,8 @@
 //! on two atoms at once, (d) next to a range, (e) under `or` / `not` (nothing
 //! may be derived), (f) on a column no other atom shares, (g) as a string
 //! literal, (h) as `= NULL`, (i) with the other type than the second atom's
-//! column, or (j) in a self-join.
+//! column, or (j) in a self-join. A bushy plan's cached intermediate is keyed
+//! on the filters the rewrite derived (last test).
 //!
 //! Inputs are the generated relations of `tests/dead_var_pruning.rs`
 //! (duplicate rows, NULL keys, empty relations) under an acyclic and a cyclic
@@ -18,7 +19,10 @@
 
 mod common;
 
-use common::{catalog_of, cyclic_queries, hub_catalog, oracle, relation, rows, thread_counts};
+use common::{
+    catalog_of, chain_query, chain_relations, chain_shape, cyclic_queries, hub_catalog, oracle,
+    relation, rows, thread_counts,
+};
 use freejoin::prelude::*;
 use freejoin::storage::{CmpOp, Field};
 use freejoin::workloads::job::{self, JobConfig};
@@ -290,16 +294,18 @@ fn a_point_request_touches_the_rows_of_its_key() {
                 profile.render()
             );
             assert!(stats.probes <= as_written.probes, "{ctx}: {stats} vs {as_written}");
-            // Every derived input is cached: the same request fetches them
-            // all and, for the median key, builds nothing. (The hottest
-            // key's intermediate pipeline result is above the scan bound and
-            // hashed again by every execution, as any bushy plan's is.)
+            // Every derived input is cached, and so is the intermediate of
+            // a bushy plan: the same request fetches them all, runs no
+            // pipeline under the final one and, for the median key, builds
+            // nothing. (On the hottest key's larger tries a warm run may
+            // lazily force a level the cold run never probed.)
             let misses = session.cache_stats().tries.misses;
             let ExecReport { output: again, stats: warm, .. } = prepared
                 .execute(catalog, &ExecRequest { params, ..ExecRequest::default() })
                 .unwrap();
             assert!(again.result_eq(&expected), "{ctx}");
             assert_eq!(session.cache_stats().tries.misses, misses, "{ctx}");
+            assert_eq!(warm.intermediate_tuples, 0, "{ctx}: {warm}");
             assert!(warm.tries_built == 0 || key == 0, "{ctx}: {warm}");
         }
     }
@@ -331,4 +337,44 @@ fn a_replaced_schema_is_read_again() {
     let (out, profile) = (report.output, report.profile.expect("asked for"));
     assert!(out.result_eq(&expected), "{}", profile.render());
     assert_eq!(profile.derived, ["S.b = 2 <- R.x"]);
+}
+
+/// A cached intermediate is keyed on the *derived* filters of the atoms
+/// under its pipeline. The chain `A(a,b), B(b,c), C(c,d), D(d,e)` is joined
+/// as two pairs; an equality override on `c` in the pair the final pipeline
+/// reads becomes a filter on the other pair's `c` column, so each constant
+/// has its own intermediate although the overridden atom is not under the
+/// pipeline — keyed on the request as written, the second constant would be
+/// answered from the first one's rows.
+#[test]
+fn a_cached_intermediate_is_keyed_on_its_derived_filters() {
+    let catalog = catalog_of(chain_relations(1));
+    let query = chain_query(&["a", "e"]);
+    // The side of `c` the final pipeline reads itself.
+    let (under, _) = chain_shape(&catalog);
+    let (alias, column, derived) =
+        if under.contains(&"C") { ("B", "dst", "C.src") } else { ("C", "src", "B.dst") };
+    let caches = Arc::new(EngineCaches::with_defaults());
+    let options = FreeJoinOptions::default().with_num_threads(1);
+    let session = Session::new(Arc::clone(&caches)).with_options(options);
+    let prepared = session.prepare(&catalog, &query).unwrap();
+    let run = |params: Params| {
+        let request = ExecRequest { params, profile: true, ..ExecRequest::default() };
+        let report = prepared.execute(&catalog, &request).unwrap();
+        (report.output, report.profile.expect("asked for"))
+    };
+    run(Params::new());
+    let pipes = || (caches.stats().pipe_misses, caches.stats().pipe_hits);
+    assert_eq!(pipes(), (1, 0));
+    for (round, expected_pipes) in [(0, [(2, 0), (3, 0)]), (1, [(3, 1), (3, 2)])] {
+        for (key, expected_pipes) in [3i64, 4].into_iter().zip(expected_pipes) {
+            let ctx = format!("{alias}.{column} = {key}, round {round}");
+            let written = with_overrides(&query, &[(alias, eq(column, key))]);
+            let expected = oracle(&catalog, &[&written]).remove(0);
+            let (out, profile) = run(Params::new().with_filter(alias, eq(column, key)));
+            assert!(out.result_eq(&expected), "{ctx}\n{}", profile.render());
+            assert_eq!(profile.derived, [format!("{derived} = {key} <- {alias}.{column}")]);
+            assert_eq!(pipes(), expected_pipes, "{ctx}");
+        }
+    }
 }

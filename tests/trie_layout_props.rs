@@ -49,6 +49,7 @@ fn input_of(rows: &[[Option<i64>; 4]]) -> BoundInput {
         relation: Arc::new(builder.finish()),
         vars: ["a", "b", "c", "d"].map(String::from).to_vec(),
         var_cols: vec![0, 1, 2, 3],
+        owns_rows: true,
     }
 }
 
