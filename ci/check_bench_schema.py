@@ -21,71 +21,7 @@ def load(path):
 
 
 def grid(doc):
-    return [
-        (r["query"], r["strategy"], r["threads"], r["cache"], r.get("exec"))
-        for r in doc["results"]
-    ]
-
-
-def check_exec_column(doc, path, errors):
-    """schema_version 8: every row carries exec ("static"/"adaptive");
-    adaptive rows appear only on uncached (cache="none") COLT-serial pair
-    measurements, each with a static partner row of the same key. Two perf
-    gates ride on the pairs: on skew_flip (the adversary whose per-binding
-    cardinalities are anti-correlated with the static stats) adaptive must
-    be >= 20% faster than static, and on clover (the uniform control)
-    adaptive must be < 5% slower — a breach means the adaptive executor
-    stopped winning where it must or started costing where it must not."""
-    static_rows = {}
-    adaptive_rows = {}
-    for i, r in enumerate(doc["results"]):
-        if "exec" not in r:
-            errors.append(f"{path}: row {i} is missing the exec column")
-            continue
-        exec_mode = r["exec"]
-        key = (r["query"], r["strategy"], r["threads"], r["cache"])
-        if exec_mode == "static":
-            # Keep the first static row per key (the pair emitter never
-            # duplicates keys; the ablation grid is all-static anyway).
-            static_rows.setdefault(key, r)
-        elif exec_mode == "adaptive":
-            adaptive_rows[key] = r
-            if r["cache"] != "none":
-                errors.append(
-                    f"{path}: row {i} ({r['query']}/{r['cache']}) is adaptive but not "
-                    f"an uncached grid row — serving rows must stay static"
-                )
-        else:
-            errors.append(f"{path}: row {i} has implausible exec={exec_mode!r}")
-    gated = {"skew_flip": False, "clover": False}
-    for key, adaptive in adaptive_rows.items():
-        static = static_rows.get(key)
-        if static is None:
-            errors.append(f"{path}: adaptive row {key} has no static partner row")
-            continue
-        query = key[0]
-        if query.startswith("skew_flip"):
-            gated["skew_flip"] = True
-            if not adaptive["wall_ms"] <= 0.8 * static["wall_ms"]:
-                errors.append(
-                    f"{path}: adaptive must be >= 20% faster than static on {query} "
-                    f"(colt serial): static {static['wall_ms']} ms vs adaptive "
-                    f"{adaptive['wall_ms']} ms"
-                )
-        elif query.startswith("clover"):
-            gated["clover"] = True
-            if not adaptive["wall_ms"] < 1.05 * static["wall_ms"]:
-                errors.append(
-                    f"{path}: adaptive must be < 5% slower than static on {query} "
-                    f"(colt serial): static {static['wall_ms']} ms vs adaptive "
-                    f"{adaptive['wall_ms']} ms"
-                )
-    for name, present in gated.items():
-        if not present:
-            errors.append(
-                f"{path}: no static/adaptive pair on {name} — the adaptive-execution "
-                f"perf gate is gone"
-            )
+    return [(r["query"], r["strategy"], r["threads"], r["cache"]) for r in doc["results"]]
 
 
 def check_throughput_column(doc, path, errors):
@@ -283,12 +219,12 @@ def main():
             f"schema_version drifted: committed {a['schema_version']} vs fresh "
             f"{b['schema_version']} — regenerate the committed BENCH_micro.json"
         )
-    if a["schema_version"] < 10:
+    if a["schema_version"] < 11:
         errors.append(
-            f"schema_version {a['schema_version']} < 10: the serving latency columns "
+            f"schema_version {a['schema_version']} < 11: the serving latency columns "
             f"(serve_p50_us/serve_p99_us), the tuples_per_sec throughput column, the "
-            f"skew column, the profile_overhead_pct, trace_overhead_pct and "
-            f"cancel_check_overhead_pct columns and the exec column are required"
+            f"skew column and the profile_overhead_pct, trace_overhead_pct and "
+            f"cancel_check_overhead_pct columns are required"
         )
     else:
         check_serving_columns(a, committed, errors)
@@ -301,8 +237,6 @@ def main():
         check_profile_overhead_column(b, fresh, errors)
         check_trace_overhead_column(a, committed, errors)
         check_trace_overhead_column(b, fresh, errors)
-        check_exec_column(a, committed, errors)
-        check_exec_column(b, fresh, errors)
         check_cancel_overhead_column(a, committed, errors)
         check_cancel_overhead_column(b, fresh, errors)
     if len(a["results"]) != len(b["results"]):

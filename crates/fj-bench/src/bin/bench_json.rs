@@ -51,15 +51,6 @@
 //! cheap-when-on contract (its off-cost is pinned separately, by the
 //! counting-allocator test).
 //!
-//! Since schema_version 8 every row carries `exec` — `"static"` (the plan
-//! order as optimized) or `"adaptive"` (`FreeJoinOptions::adaptive`:
-//! per-binding probe reordering from construction-fixed trie bounds). The
-//! grid gains interleaved static/adaptive COLT-serial pairs on `skew_flip`
-//! (the adversary whose per-binding cardinalities are anti-correlated with
-//! the static stats), `star_hotkey`, and clover; CI's schema gate requires
-//! adaptive ≥ 20% faster than static on `skew_flip` and < 5% slower on
-//! clover.
-//!
 //! Since schema_version 9 every row carries `trace_overhead_pct` — the
 //! warm wall-time cost of running with span tracing on
 //! (`ExecRequest::trace`), measured with the same burst-robust paired
@@ -79,9 +70,9 @@
 //! does not serialize — and the schema is deliberately flat:
 //!
 //! ```json
-//! {"schema_version":10,"cores":8,"note":"...","results":[
+//! {"schema_version":11,"cores":8,"note":"...","results":[
 //!   {"query":"clover","strategy":"colt","threads":1,"cache":"none",
-//!    "exec":"static","trie_hits":0,"trie_misses":0,"wall_ms":12.34,
+//!    "trie_hits":0,"trie_misses":0,"wall_ms":12.34,
 //!    "build_ms":1.20,"probe_ms":10.80,"output_tuples":1,
 //!    "tuples_per_sec":92,"serve_p50_us":0,"serve_p99_us":0,"skew":0.00,
 //!    "profile_overhead_pct":1.40,"trace_overhead_pct":1.10,
@@ -111,8 +102,6 @@ struct Record {
     threads: usize,
     /// `"none"` (uncached grid), `"cold"`, `"warm"`, or `"serve"` (TCP).
     cache: &'static str,
-    /// `"static"` (plan order) or `"adaptive"` (bound-driven reordering).
-    exec: &'static str,
     /// Trie-cache hits attributed to this measurement.
     trie_hits: u64,
     /// Trie-cache misses (builds) attributed to this measurement.
@@ -185,7 +174,6 @@ fn measure(workload: &Workload, options: FreeJoinOptions) -> Record {
         strategy: options.trie.name(),
         threads: options.effective_threads(),
         cache: "none",
-        exec: "static",
         trie_hits: 0,
         trie_misses: 0,
         wall_ms: best_ms,
@@ -247,7 +235,6 @@ fn measure_serving(
         strategy: options.trie.name(),
         threads: options.effective_threads(),
         cache,
-        exec: "static",
         trie_hits: hits,
         trie_misses: misses,
         wall_ms,
@@ -326,55 +313,6 @@ fn overhead_pct(workload: &Workload, measured: &ExecRequest) -> f64 {
     overhead.max(0.0)
 }
 
-/// One static-vs-adaptive COLT serial pair (schema_version 8): the same
-/// pre-optimized plan executed with `FreeJoinOptions::adaptive` off and on,
-/// interleaved round by round so frequency scaling or a background burst
-/// hits both sides, best-of per side. The outputs must agree — the adaptive
-/// executor's equivalence contract, asserted here too so a bench run can
-/// never commit rows from diverging executions.
-fn measure_exec_pair(label: &str, workload: &Workload, skew: f64, reps: usize) -> (Record, Record) {
-    let named = &workload.queries[0];
-    let (plan, _) = plan_query(&workload.catalog, &named.query, EstimatorMode::Accurate);
-    let mut best = [f64::INFINITY; 2];
-    let mut best_stats = [ExecStats::default(), ExecStats::default()];
-    let mut tuples = [0u64; 2];
-    for _ in 0..reps {
-        for (i, adaptive) in [(0usize, false), (1, true)] {
-            let options = FreeJoinOptions::default().with_num_threads(1).with_adaptive(adaptive);
-            let engine = Engine::FreeJoin(options);
-            let start = Instant::now();
-            let (output, stats) = execute(&workload.catalog, &named.query, &plan, &engine);
-            let elapsed = ms(start.elapsed());
-            if elapsed < best[i] {
-                best[i] = elapsed;
-                best_stats[i] = stats;
-            }
-            tuples[i] = output.cardinality();
-        }
-    }
-    assert_eq!(tuples[0], tuples[1], "adaptive output must equal static for {label}");
-    let make = |i: usize, exec: &'static str| Record {
-        query: label.to_string(),
-        strategy: TrieStrategy::Colt.name(),
-        threads: 1,
-        cache: "none",
-        exec,
-        trie_hits: 0,
-        trie_misses: 0,
-        wall_ms: best[i],
-        build_ms: ms(best_stats[i].build_time),
-        probe_ms: ms(best_stats[i].join_time),
-        output_tuples: tuples[i],
-        serve_p50_us: 0,
-        serve_p99_us: 0,
-        skew,
-        profile_overhead_pct: 0.0,
-        trace_overhead_pct: 0.0,
-        cancel_check_overhead_pct: 0.0,
-    };
-    (make(0, "static"), make(1, "adaptive"))
-}
-
 /// Concurrent clients hammering the TCP serving measurement (the server
 /// runs exactly this many workers, so each client owns a worker).
 const SERVE_CLIENTS: usize = 2;
@@ -445,7 +383,6 @@ fn measure_serving_tcp(label: &str, workload: &Workload, query_idx: usize) -> Re
         strategy: options.trie.name(),
         threads: options.effective_threads(),
         cache: "serve",
-        exec: "static",
         trie_hits: delta.get("fj_cache_trie_hits"),
         trie_misses: delta.get("fj_cache_trie_misses"),
         wall_ms,
@@ -575,41 +512,8 @@ fn main() {
     );
     records.push(serve);
 
-    // Static-vs-adaptive execution pairs (schema_version 8), COLT serial.
-    // skew_flip is the adversary the adaptive executor exists for (CI gates
-    // adaptive >= 20% faster there); clover is the no-win control (CI gates
-    // adaptive < 5% slower); star_hotkey tracks the skewed shape from the
-    // motivation. Reps scale inversely with row cost: the sub-millisecond
-    // clover pair needs many interleaved rounds for a stable best-of, the
-    // seconds-scale skew_flip pair does not.
-    let skew_flip = micro::skew_flip(if large { 2_000_000 } else { 1_000_000 }, 42);
-    eprintln!("running static-vs-adaptive pairs ({} skew_flip rows)...", skew_flip.total_rows());
-    let hotkey = workloads
-        .iter()
-        .find(|(label, _, _)| *label == "star_hotkey")
-        .expect("star_hotkey stays in the workload grid");
-    let clover = &workloads[0];
-    for (pair_label, workload, skew, reps) in [
-        ("skew_flip", &skew_flip, 1.0, 3),
-        ("star_hotkey", &hotkey.1, hotkey.2, 3),
-        // The clover pair gates a < 5% bound on a ~0.13 ms row: only a deep
-        // best-of keeps scheduler noise below the bound (at 300 reps the two
-        // sides measure identical, so any gap the gate sees is noise floor).
-        (clover.0, &clover.1, clover.2, 60),
-    ] {
-        let (static_row, adaptive_row) = measure_exec_pair(pair_label, workload, skew, reps);
-        eprintln!(
-            "  {pair_label}: static {:.3} ms, adaptive {:.3} ms ({:.2}x)",
-            static_row.wall_ms,
-            adaptive_row.wall_ms,
-            static_row.wall_ms / adaptive_row.wall_ms
-        );
-        records.push(static_row);
-        records.push(adaptive_row);
-    }
-
-    let note = "threads=2 > threads=1 is expected on this 1-core container (morsel overhead \
-                without real parallelism; rerun on >=2 cores); cache=cold/warm rows measure \
+    let note = "threads=2 > threads=1 is expected where cores is 1 (morsel overhead \
+                without real parallelism); cache=cold/warm rows measure \
                 fj-cache serving: cold includes planning+selection+trie build, warm reuses \
                 cached plans and tries (trie_hits/trie_misses are per-run cache deltas); \
                 build_ms/probe_ms split the best run's trie-build and join phases (wall_ms \
@@ -630,13 +534,7 @@ fn main() {
                 measured with the same paired estimator on \
                 the same clover colt serial row and 0.0 elsewhere — CI fails the build \
                 at >= 5%, and the trace-off path is separately pinned to zero \
-                allocations by tests/trace_invariants.rs; exec marks the executor \
-                mode: static is the optimized plan order, adaptive is per-binding probe \
-                reordering from construction-fixed trie bounds (FreeJoinOptions::adaptive), \
-                measured as interleaved best-of pairs on skew_flip (the anti-correlated \
-                adversary, skew=1.0 meaning the per-binding ranking is fully inverted; CI \
-                requires adaptive >= 20% faster), star_hotkey, and clover (the uniform \
-                control; CI requires adaptive < 5% slower); cancel_check_overhead_pct is \
+                allocations by tests/trace_invariants.rs; cancel_check_overhead_pct is \
                 the warm wall-time cost of executing under a live far-future-deadline \
                 CancelToken (ExecRequest::token) versus the plain path whose \
                 disabled token short-circuits every cooperative check, measured with the \
@@ -644,15 +542,15 @@ fn main() {
                 elsewhere — CI fails the build at >= 2%";
     let mut json = String::new();
     let _ =
-        write!(json, "{{\"schema_version\":10,\"cores\":{cores},\"note\":\"{note}\",\"results\":[");
+        write!(json, "{{\"schema_version\":11,\"cores\":{cores},\"note\":\"{note}\",\"results\":[");
     for (i, r) in records.iter().enumerate() {
         if i > 0 {
             json.push(',');
         }
         let _ = write!(
             json,
-            "\n  {{\"query\":\"{}\",\"strategy\":\"{}\",\"threads\":{},\"cache\":\"{}\",\"exec\":\"{}\",\"trie_hits\":{},\"trie_misses\":{},\"wall_ms\":{:.3},\"build_ms\":{:.3},\"probe_ms\":{:.3},\"output_tuples\":{},\"tuples_per_sec\":{},\"serve_p50_us\":{},\"serve_p99_us\":{},\"skew\":{:.2},\"profile_overhead_pct\":{:.2},\"trace_overhead_pct\":{:.2},\"cancel_check_overhead_pct\":{:.2}}}",
-            r.query, r.strategy, r.threads, r.cache, r.exec, r.trie_hits, r.trie_misses,
+            "\n  {{\"query\":\"{}\",\"strategy\":\"{}\",\"threads\":{},\"cache\":\"{}\",\"trie_hits\":{},\"trie_misses\":{},\"wall_ms\":{:.3},\"build_ms\":{:.3},\"probe_ms\":{:.3},\"output_tuples\":{},\"tuples_per_sec\":{},\"serve_p50_us\":{},\"serve_p99_us\":{},\"skew\":{:.2},\"profile_overhead_pct\":{:.2},\"trace_overhead_pct\":{:.2},\"cancel_check_overhead_pct\":{:.2}}}",
+            r.query, r.strategy, r.threads, r.cache, r.trie_hits, r.trie_misses,
             r.wall_ms, r.build_ms, r.probe_ms, r.output_tuples, r.tuples_per_sec(),
             r.serve_p50_us, r.serve_p99_us, r.skew, r.profile_overhead_pct,
             r.trace_overhead_pct, r.cancel_check_overhead_pct

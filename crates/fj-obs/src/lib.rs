@@ -17,7 +17,7 @@
 //! * [`TraceBuf`] / [`QueryTrace`] — span tracing. Where metrics and
 //!   profiles aggregate, a trace keeps the event timeline itself: bounded
 //!   per-worker rings of POD span/instant events (scheduler tasks, steals,
-//!   splits, trie fetches, adaptive reorders), assembled into a
+//!   splits, trie fetches, probe reorders), assembled into a
 //!   [`QueryTrace`] with a schedule-independent structural span tree and a
 //!   Chrome trace-event JSON export for Perfetto.
 //! * [`chaos`] — named fault-injection failpoints for robustness testing:

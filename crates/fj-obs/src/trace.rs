@@ -3,7 +3,7 @@
 //! The third observability pillar, next to the metrics registry and the
 //! per-node profiler. Where those are *aggregates*, a trace is the event
 //! stream itself: span begin/end pairs with monotonic timestamps plus
-//! instant events for scheduler steals/splits, adaptive reorders and cache
+//! instant events for scheduler steals/splits, probe reorders and cache
 //! hits/misses, recorded into one bounded [`TraceBuf`] ring per worker and
 //! assembled into a [`QueryTrace`].
 //!
@@ -98,7 +98,7 @@ pub enum TraceCat {
     /// An oversized expansion was split into sub-range tasks (`arg` =
     /// entry count that triggered the split).
     Split = 7,
-    /// The adaptive executor reordered probes away from plan order
+    /// The executor's bound ranking ordered probes away from plan order
     /// (`arg` = number of bindings the reorder covered).
     Reorder = 8,
     /// Trie-cache hit (session layer; `node` = input index).

@@ -163,17 +163,6 @@ impl FreeJoinPlan {
             .collect()
     }
 
-    /// Is node `k` *reorderable* under adaptive execution — does it leave a
-    /// genuine per-binding choice to make? True when the node has at least
-    /// two remaining subatoms after a cover is picked (≥ 3 subatoms, so the
-    /// probe order matters) or more than one cover candidate (so the
-    /// iterated subatom itself is a choice). Computed once at prepare time;
-    /// the executor turns it into a per-node mask so the per-binding
-    /// decision is a branch on precomputed metadata, not a replan.
-    pub fn reorderable(&self, k: usize) -> bool {
-        self.nodes[k].subatoms.len() >= 3 || self.covers(k).len() >= 2
-    }
-
     /// All variables bound by the plan, in binding order.
     pub fn all_vars(&self) -> Vec<String> {
         let mut seen = BTreeSet::new();
@@ -445,29 +434,6 @@ mod tests {
         let gj = clover_gj_style();
         // Every subatom of the first GJ node covers {x}.
         assert_eq!(gj.covers(0), vec![0, 1, 2]);
-    }
-
-    #[test]
-    fn reorderable_marks_nodes_with_a_real_choice() {
-        // Binary-style clover: node 0 has 2 subatoms but only one cover
-        // (S(x) lacks `a`), nodes 1–2 likewise leave nothing to reorder.
-        let plan = clover_binary_style();
-        assert!(!plan.reorderable(0));
-        assert!(!plan.reorderable(1));
-        assert!(!plan.reorderable(2));
-        // GJ-style clover: node 0 has three subatoms (and three covers);
-        // the single-subatom expansion nodes below are fixed.
-        let gj = clover_gj_style();
-        assert!(gj.reorderable(0));
-        assert!(!gj.reorderable(1));
-        // Two subatoms that are both covers is still a choice.
-        let two_covers = FreeJoinPlan::new(vec![
-            FjNode::new(vec![s(0, &["x"]), s(1, &["x"])]),
-            FjNode::new(vec![s(0, &["a"])]),
-            FjNode::new(vec![s(1, &["b"])]),
-            FjNode::new(vec![s(2, &["x", "c"])]),
-        ]);
-        assert!(two_covers.reorderable(0));
     }
 
     #[test]

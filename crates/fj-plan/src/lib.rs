@@ -21,12 +21,10 @@
 //!   optimizer, including the deliberately-broken `AlwaysOne` estimator used
 //!   by the paper's robustness experiment (Section 5.4).
 //!
-//! The subatom order a plan fixes here is no longer necessarily the order
-//! the engine executes: under adaptive execution
-//! (`FreeJoinOptions::adaptive` in `free-join`) it is the static fallback
-//! and tie-break, re-ranked per binding from O(1) trie bounds at every node
-//! [`FreeJoinPlan::reorderable`] marks as having a real choice (≥ 3
-//! subatoms, or ≥ 2 cover candidates).
+//! The subatom order a plan fixes here is the executor's tie-break, not
+//! necessarily the order it runs: `free-join` ranks a node's cover
+//! candidates and its probes per binding from O(1) trie bounds, wherever
+//! the node leaves a choice (≥ 2 cover candidates, ≥ 3 subatoms).
 
 pub mod binary2fj;
 pub mod binary_plan;

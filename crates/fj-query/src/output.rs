@@ -510,9 +510,8 @@ pub struct ExecStats {
     /// Scheduler tasks executed by a worker other than the one that spawned
     /// them (root tasks from the shared injector never count).
     pub tasks_stolen: u64,
-    /// Bindings (or vectorized batches) whose adaptive probe order differed
-    /// from the static plan order. Zero unless the engine runs with adaptive
-    /// cardinality-guided execution enabled.
+    /// Bindings whose probes ran in another order than the plan's: the
+    /// executor probes a node's subatoms smallest trie bound first.
     pub reorders: u64,
     /// Expansions processed per worker, indexed by worker id — the load
     /// balance record behind the skew benchmarks. Empty on serial execution.

@@ -19,14 +19,14 @@
 //!   admission axes, graceful shutdown (drain in-flight, refuse new).
 //! * [`metrics`] — the handles of the server's `fj_serve_*` cells in its
 //!   one `fj_obs::MetricsRegistry`: lock-free counters and the log-linear
-//!   latency histogram, next to the cache, scheduler and adaptive-execution
+//!   latency histogram, next to the cache, scheduler and executor
 //!   cells the session's `EngineCaches` binds into the same registry.
 //! * [`client`] — the blocking client used by tests, examples and
 //!   `bench_json`'s serving mode.
 //!
 //! The `Metrics` request — the one way a count crosses the wire — returns
 //! that registry as Prometheus text (server, cache, scheduler and
-//! adaptive-execution counters read off their live cells, the gauges a
+//! executor counters read off their live cells, the gauges a
 //! scrape sets, the `fj_build_info` series, latency histogram buckets);
 //! `fj_obs::MetricsSnapshot::parse` reads it back by series name, the same
 //! map [`Server::metrics`] gives in process. It is followed by a bounded

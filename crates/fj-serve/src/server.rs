@@ -44,7 +44,7 @@
 //! Every count lives in one cell of a process-local
 //! [`fj_obs::MetricsRegistry`], set up when the server starts: the server's
 //! own `fj_serve_*` handles, and the session's cache, scheduler and
-//! adaptive-execution cells bound under their `fj_cache_*` / `fj_sched_*` /
+//! executor cells bound under their `fj_cache_*` / `fj_sched_*` /
 //! `fj_exec_*` names. The `Metrics` frame (and [`Server::metrics_text`])
 //! renders the registry as Prometheus-style text — a scrape sets only the
 //! uptime and the caches' shard-summed gauges — plus a

@@ -215,7 +215,7 @@ pub fn skewed_star(spokes: usize, rows: usize, hot_share: f64, seed: u64) -> Wor
     )
 }
 
-/// The estimate-bust adversary for adaptive execution: a chain-star query
+/// The adversary of a fixed probe order: a chain-star query
 ///
 /// ```text
 /// Q(x,y,w) :- hub(x,y), anchor(x), mid(y), mid2(y), mid3(y), sel(y,w)
@@ -229,9 +229,9 @@ pub fn skewed_star(spokes: usize, rows: usize, hot_share: f64, seed: u64) -> Wor
 /// `sel_fanout` rows). At run time the correlation flips: every `mid*`
 /// matches every binding (each probe is a lookup into a huge hash map
 /// that pays a cache miss per binding) while `sel` rejects everything
-/// except `PLANTED` planted keys from a tiny, cache-resident map. A
-/// static executor probes all three huge `mid*` maps once per binding;
-/// adaptive execution sees `sel`'s smaller construction bound
+/// except `PLANTED` planted keys from a tiny, cache-resident map. An
+/// executor that follows the plan order (the binary join) probes all three
+/// huge `mid*` maps once per binding; Free Join sees `sel`'s smaller bound
 /// (`|sel| < |mid| < |mid2| < |mid3|`), probes it first, and skips every
 /// `mid*` lookup for every rejected binding.
 ///

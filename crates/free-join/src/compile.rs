@@ -39,7 +39,7 @@
 
 use crate::error::{EngineError, EngineResult};
 use crate::options::FreeJoinOptions;
-use fj_plan::{binary2fj, factor, factor_until_fixpoint, BinaryPlan, FreeJoinPlan, PipeInput};
+use fj_plan::{binary2fj, factor, BinaryPlan, FreeJoinPlan, PipeInput};
 use fj_query::ConjunctiveQuery;
 use std::collections::HashMap;
 
@@ -88,12 +88,6 @@ pub struct CompiledNode {
     /// variables — the remaining plan is then a Cartesian product of
     /// independent expansions whose size can be computed without enumeration.
     pub independent_tail: bool,
-    /// Prepare-time mask for adaptive execution: does this node offer a real
-    /// per-binding ordering choice (at least two probes, or at least two
-    /// cover candidates)? See [`FreeJoinPlan::reorderable`]. The executor's
-    /// per-binding decision is a branch on this precomputed flag, never a
-    /// replan.
-    pub reorderable: bool,
 }
 
 /// A fully compiled pipeline plan.
@@ -196,11 +190,7 @@ pub fn compile_query(
             fj_plan.prune_empty_subatoms();
         }
         if options.optimize_plan {
-            if options.factor_to_fixpoint {
-                factor_until_fixpoint(&mut fj_plan);
-            } else {
-                factor(&mut fj_plan);
-            }
+            factor(&mut fj_plan);
         }
         let compiled = compile(&fj_plan, &input_vars)?;
         pipelines.push(CompiledPipeline {
@@ -275,7 +265,6 @@ pub fn compile(plan: &FreeJoinPlan, input_vars: &[Vec<String>]) -> EngineResult<
 
         // Cover candidates: subatoms that bind every new variable of the node.
         let cover_candidates = plan.covers(k);
-        let reorderable = plan.reorderable(k);
 
         nodes.push(CompiledNode {
             subatoms,
@@ -283,7 +272,6 @@ pub fn compile(plan: &FreeJoinPlan, input_vars: &[Vec<String>]) -> EngineResult<
             bound_before,
             bound_after,
             independent_tail: false, // filled below
-            reorderable,
         });
     }
 
@@ -392,9 +380,6 @@ mod tests {
         assert_eq!(compiled.binding_order, vec!["x", "y", "z"]);
         // Node 0 joins R(x) and T(x); both are cover candidates.
         assert_eq!(compiled.nodes[0].cover_candidates.len(), 2);
-        // Two cover candidates (and later two probes alongside a cover) give
-        // adaptive execution a real choice at every node of this plan.
-        assert!(compiled.nodes.iter().all(|n| n.reorderable));
         // R's subatoms sit at levels 0 (x) and 1 (y); the y-subatom is final.
         let r_levels: Vec<(usize, bool)> = compiled
             .nodes

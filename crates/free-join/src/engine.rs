@@ -546,19 +546,16 @@ mod tests {
         let mut cardinalities = Vec::new();
         for trie in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
             for batch in [1usize, 4, 1000] {
-                for dynamic in [false, true] {
-                    for factorize in [false, true] {
-                        let options = FreeJoinOptions {
-                            trie,
-                            batch_size: batch,
-                            dynamic_cover: dynamic,
-                            factorize_output: factorize,
-                            ..FreeJoinOptions::default()
-                        };
-                        let engine = FreeJoinEngine::new(options);
-                        let (out, _) = engine.execute(&cat, &q, &plan).unwrap();
-                        cardinalities.push(out.cardinality());
-                    }
+                for factorize in [false, true] {
+                    let options = FreeJoinOptions {
+                        trie,
+                        batch_size: batch,
+                        factorize_output: factorize,
+                        ..FreeJoinOptions::default()
+                    };
+                    let engine = FreeJoinEngine::new(options);
+                    let (out, _) = engine.execute(&cat, &q, &plan).unwrap();
+                    cardinalities.push(out.cardinality());
                 }
             }
         }

@@ -7,15 +7,23 @@
 //! [`execute_pipeline`] is the only entry point, an `ExecCtx` holds what the
 //! recursion threads from call to call, and one cover loop walks a node's
 //! entries whether the node was reached by recursion or handed out as a
-//! scheduler task. Four of the paper's optimizations live here:
+//! scheduler task. Three of the paper's optimizations live here:
 //!
-//! * **Dynamic cover selection** (Section 4.4): among the node's cover
-//!   candidates, iterate the one whose trie currently has the fewest keys.
-//!   On the two-cover nodes split factoring produces for cyclic queries
-//!   (`[S(z), T(z)]`) this is a per-binding set intersection: the shorter
-//!   list is walked row by row and the longer one probed — by scanning it
-//!   in place when it is small, through its map when it is a hub (see
-//!   "Lazy leaves" in [`crate::trie`]).
+//! * **Bound-ranked covers and probes** (Section 4.4: "we use the length of
+//!   the vector as an estimate"). Every decision the executor makes about a
+//!   node reads one number per subatom: the row count below the subatom's
+//!   *current* trie position ([`NodeRef::key_bound`]), O(1) and fixed when
+//!   the trie is built. Per binding, the cover candidate with the smallest
+//!   bound is iterated and the node's other subatoms are probed smallest
+//!   bound first, the plan order breaking ties — so a miss on a tiny
+//!   per-binding sub-trie skips (and never lazily forces) a huge one, and on
+//!   the two-cover nodes split factoring produces for cyclic queries
+//!   (`[S(z), T(z)]`) the node is a set intersection: the shorter list is
+//!   walked row by row and the longer one probed — by scanning it in place
+//!   when it is small, through its map when it is a hub (see "Lazy leaves"
+//!   in [`crate::trie`]). A bound does not move when a node is forced, so
+//!   the choices are the same at any thread count and steal schedule, and
+//!   for a trie that arrives forced from the cache.
 //! * **Vectorized execution** (Section 4.3, Figure 13): gather a batch of
 //!   iterated keys, run each probe over the whole batch, then recurse for
 //!   the survivors. It is the cover loop's per-entry step at a node with
@@ -25,17 +33,6 @@
 //! * **Factorized output** (Section 4.4) needs nothing here: the plan
 //!   compiler removed every variable nothing reads ([`crate::compile`]), and
 //!   the weight rule below counts the rows those variables told apart.
-//! * **Adaptive cardinality-guided execution** (`FreeJoinOptions::adaptive`,
-//!   off by default): the compiled plan no longer has the last word on the
-//!   probe order. At every node marked reorderable at prepare time, each
-//!   binding re-ranks the cover candidates and the remaining probes by the
-//!   O(1) construction-fixed bound of each subatom's *current* trie position
-//!   ([`NodeRef::key_bound`]) — smallest first, plan order as the
-//!   tie-break — so a miss on a tiny per-binding sub-trie skips (and never
-//!   lazily forces) a huge one. Bounds are fixed when tries are built, so
-//!   the decisions, results and counters are identical at any thread count
-//!   and steal schedule. When off, the static order runs behind one
-//!   precomputed per-node mask check.
 //!
 //! Bag semantics are handled with a running weight: the trie node reached
 //! through an input's final subatom — probed or iterated — stands for all
@@ -78,26 +75,34 @@
 //! global injector with range tasks; each scoped worker owns a deque, pops
 //! its own tasks LIFO, and steals FIFO from the injector or a peer when
 //! idle. A worker that *begins* an expansion — at any plan node, or an
-//! independent-tail Cartesian product — whose size (read in O(1) from the
-//! trie level-map via `estimated_keys`) reaches
-//! `FreeJoinOptions::split_threshold` does not walk it alone: it pushes
-//! sub-range `Task`s onto its deque for idle workers to steal and moves
-//! on. Each task carries its binding prefix, trie positions and running
-//! weight, so the cover loop resumes mid-plan exactly where the split
-//! happened. With `threads <= 1` the same root call runs on the calling
-//! thread with the split hook absent: no scheduler, no spawned thread, one
-//! sink and one chunk buffer.
+//! independent-tail Cartesian product — whose bound (the rows below the
+//! cover's position, [`NodeRef::key_bound`]) reaches
+//! `FreeJoinOptions::split_threshold` forces the level (a tail gathers its
+//! first list), and if that is as wide does not walk it alone: it pushes
+//! sub-range `Task`s onto its deque for idle workers to steal and moves on.
+//! Each task carries its binding prefix, trie positions and running weight,
+//! so the cover loop resumes mid-plan exactly where the split happened. With
+//! `threads <= 1` the same root call runs on the calling thread with the
+//! split hook absent: no scheduler, no spawned thread, one sink and one
+//! chunk buffer.
 //!
 //! **Determinism.** Every task carries a dense *path key*: root tasks are
 //! keyed `[0] .. [k-1]` in root-range order, and a task's spawned children
 //! extend its own key with a per-task counter assigned in expansion order.
-//! Split decisions depend only on trie sizes and the configured threshold —
-//! never on the thread count or which worker ran what — so the task tree,
-//! and therefore the lexicographic path-key order in which per-task sinks
-//! are merged, is identical at any thread count above one and any steal
-//! schedule. Probes may lazily force shared trie nodes from several workers
-//! at once — the trie's `OnceLock`-based forcing (see [`crate::trie`]) makes
-//! that race-free.
+//! Split decisions depend only on construction-fixed bounds, the key counts
+//! of the levels they force and the configured threshold — never on the
+//! thread count, on which worker ran what or on which nodes were already
+//! forced — so the task tree, and therefore the lexicographic path-key
+//! order in which per-task sinks are merged, is identical at any thread
+//! count above one and any steal schedule. Probes may lazily force shared
+//! trie nodes from several workers at once — the trie's `OnceLock`-based
+//! forcing (see [`crate::trie`]) makes that race-free. One read of that
+//! shared state does reach the work counts: a cover at its input's last
+//! level is walked row by row while unforced and key by key once forced
+//! ([`InputTrie::iterates_rows`]), so over duplicate rows the number of
+//! expansions, the probes they make and whether a tail — it counts the
+//! entries it gathered — splits can depend on which worker probed the node
+//! first; the results never do.
 
 use crate::cancel::CancelToken;
 use crate::compile::{CompiledNode, CompiledPlan, CompiledSubatom, IterAction};
@@ -138,12 +143,12 @@ pub struct ExecCounters {
     /// sub-ranges) and `tasks_stolen` (run by another worker than the
     /// spawner; schedule-dependent), both zero on one thread;
     /// `worker_expansions` (`expansions` by worker id, empty on one thread);
-    /// and `reorders` — cover-entry bindings whose adaptive probe order
-    /// differed from the static plan order (a batch ranks once per flush and
-    /// charges every entry in it). Zero unless `FreeJoinOptions::adaptive` is
-    /// set; deterministic — each binding is processed exactly once and the
-    /// ranking depends only on construction-fixed trie bounds, so the count
-    /// is identical at any thread count or steal schedule.
+    /// and `reorders` — cover-entry bindings whose bound-ranked probe order
+    /// differed from the plan order (one ranking per run of the cover loop,
+    /// charged to every entry it probes for). Deterministic — each binding
+    /// is processed exactly once and the ranking depends only on
+    /// construction-fixed trie bounds, so the count is identical at any
+    /// thread count or steal schedule.
     pub stats: ExecStats,
     /// Expansion work processed: cover entries iterated at join nodes plus
     /// product rows emitted at independent-tail nodes. Identical at any
@@ -248,11 +253,11 @@ struct NodeScratch<'t> {
     children: Vec<Option<NodeRef<'t>>>,
     /// Number of entries currently buffered.
     count: usize,
-    /// Probe order for this node's non-cover subatoms (subatom indices).
-    /// A batch flush fills it every time (plan order unless adaptive
-    /// reordering kicks in); the per-entry step touches it only under
-    /// adaptive execution.
+    /// Probe order for this node's non-cover subatoms (subatom indices),
+    /// ranked by [`order_probes`] once per run of the cover loop.
     probe_order: Vec<usize>,
+    /// Does `probe_order` differ from the plan's order?
+    reordered: bool,
 }
 
 /// Which entries of a node's cover one run of the cover loop walks.
@@ -454,8 +459,7 @@ where
     debug_assert_eq!(tries.len(), plan.num_inputs);
     let roots: Vec<NodeRef<'_>> = tries.iter().map(|t| t.root()).collect();
     let blank = vec![Value::Null; plan.binding_order.len()];
-    let root_tasks =
-        if threads > 1 { root_tasks(tries, plan, options, &roots, &blank) } else { Vec::new() };
+    let root_tasks = if threads > 1 { root_tasks(tries, plan, &roots, &blank) } else { Vec::new() };
     let new_scratch = move || plan.nodes.iter().map(|_| NodeScratch::default()).collect::<Vec<_>>();
 
     if root_tasks.is_empty() {
@@ -548,12 +552,11 @@ where
 fn root_tasks<'t>(
     tries: &'t [Arc<InputTrie>],
     plan: &CompiledPlan,
-    options: &FreeJoinOptions,
     roots: &[NodeRef<'t>],
     blank: &[Value],
 ) -> Vec<Task<'t>> {
     let Some(node0) = plan.nodes.first() else { return Vec::new() };
-    let cover_idx = select_cover(tries, node0, roots, options.dynamic_cover, options.adaptive);
+    let cover_idx = select_cover(node0, roots);
     let cover = &node0.subatoms[cover_idx];
     if cover.key_slots.is_empty() {
         return Vec::new();
@@ -593,41 +596,23 @@ fn root_tasks<'t>(
 }
 
 /// Select which subatom of the node to iterate (the runtime cover): the
-/// candidate that ranks smallest, the static plan order breaking ties.
-fn select_cover(
-    tries: &[Arc<InputTrie>],
-    node: &CompiledNode,
-    current: &[NodeRef<'_>],
-    dynamic_cover: bool,
-    adaptive: bool,
-) -> usize {
-    // Adaptive execution ranks candidates by the construction-fixed bound of
-    // their current trie position — unlike `estimated_keys` this never
-    // depends on which levels other workers have already forced, so the
-    // choice (and everything downstream of it) is schedule-independent.
-    let by_bound = adaptive && node.reorderable;
-    let rank = |&i: &usize| {
-        let sub = &node.subatoms[i];
-        let at = current[sub.input];
-        if by_bound {
-            at.key_bound()
-        } else {
-            tries[sub.input].estimated_keys(at)
-        }
-    };
-    let candidates = &node.cover_candidates;
-    if candidates.len() > 1 && (by_bound || dynamic_cover) {
-        *candidates
-            .iter()
-            .min_by_key(|i| rank(i))
-            .expect("valid plans have at least one cover")
-    } else {
-        candidates[0]
+/// candidate with the fewest rows below its current trie position, the
+/// static plan order breaking ties. The bound is fixed when the trie is
+/// built — forcing a node does not move it — so the choice, and everything
+/// downstream of it, is schedule-independent.
+fn select_cover(node: &CompiledNode, current: &[NodeRef<'_>]) -> usize {
+    if let [only] = node.cover_candidates[..] {
+        return only;
     }
+    *node
+        .cover_candidates
+        .iter()
+        .min_by_key(|&&i| current[node.subatoms[i].input].key_bound())
+        .expect("valid plans have at least one cover")
 }
 
 /// Everything the recursive join threads from call to call: what it reads
-/// (tries, plan, the option values the loop consults), the state it
+/// (tries, plan, the batch size), the state it
 /// advances (binding tuple, trie positions, counters) and where results go
 /// (chunk buffer, sink). One context runs the whole plan on the calling
 /// thread, or one scheduler task on a worker — then `split` is set and the
@@ -638,8 +623,6 @@ struct ExecCtx<'a, 't> {
     tries: &'t [Arc<InputTrie>],
     plan: &'t CompiledPlan,
     batch_size: usize,
-    dynamic_cover: bool,
-    adaptive: bool,
     tuple: Vec<Value>,
     current: Vec<NodeRef<'t>>,
     sink: &'a mut dyn Sink,
@@ -668,8 +651,6 @@ impl<'a, 't> ExecCtx<'a, 't> {
             tries,
             plan,
             batch_size: options.batch_size,
-            dynamic_cover: options.dynamic_cover,
-            adaptive: options.adaptive,
             tuple: start.0,
             current: start.1,
             sink,
@@ -701,6 +682,15 @@ impl<'a, 't> ExecCtx<'a, 't> {
         }
         if let Some(tb) = self.counters.traces.last_mut() {
             tb.end(TraceCat::Node, node_idx as u32, arg);
+        }
+    }
+
+    /// Charge `entries` bindings whose probes ran in another order than the
+    /// plan's.
+    fn note_reorder(&mut self, node_idx: usize, entries: u64) {
+        self.counters.stats.reorders += entries;
+        if let Some(tb) = self.counters.traces.last_mut() {
+            tb.instant(TraceCat::Reorder, node_idx as u32, entries, &[]);
         }
     }
 
@@ -787,33 +777,37 @@ impl<'a, 't> ExecCtx<'a, 't> {
             return;
         }
 
-        let cover_idx = select_cover(tries, node, &self.current, self.dynamic_cover, self.adaptive);
+        let cover_idx = select_cover(node, &self.current);
         let cover = &node.subatoms[cover_idx];
         let cover_trie = &tries[cover.input];
 
-        // The split point: an expansion at least `split_threshold` wide (the
-        // level-map size, read in O(1)) is handed to the scheduler as
-        // sub-range tasks instead of being walked by this worker — this is
-        // what lets one hot key's subtree fan out over every idle worker.
-        // The decision depends only on trie sizes and options, keeping the
-        // task tree (and the merge order) schedule-independent.
+        // The split point: an expansion at least `split_threshold` wide is
+        // handed to the scheduler as sub-range tasks instead of being walked
+        // by this worker — this is what lets one hot key's subtree fan out
+        // over every idle worker. A cover with that many rows is forced and
+        // its keys counted; one that turns out narrower runs here after all.
+        // Rows, keys and the threshold are the same whoever asks and
+        // whenever, keeping the task tree (and the merge order)
+        // schedule-independent.
         let cover_node = self.current[cover.input];
         let threshold = self.split_threshold();
-        if let Some(threshold) = threshold.filter(|&t| cover_trie.estimated_keys(cover_node) >= t) {
+        if let Some(threshold) = threshold.filter(|&t| cover_node.key_bound() >= t) {
             let total = cover_trie.force(cover_node, cover.level, !cover_node.is_map()).num_keys();
-            if let Some(tb) = self.counters.traces.last_mut() {
-                tb.instant(TraceCat::Split, node_idx as u32, total as u64, &[]);
+            if total >= threshold {
+                if let Some(tb) = self.counters.traces.last_mut() {
+                    tb.instant(TraceCat::Split, node_idx as u32, total as u64, &[]);
+                }
+                // Balanced chunks of at most `split_threshold` entries:
+                // sub-tasks stay below the threshold themselves, and the
+                // chunking depends only on the expansion size, never on the
+                // thread count.
+                let chunk = total.div_ceil(total.div_ceil(threshold));
+                self.spawn(node_idx, weight, total, chunk, |range| TaskItems::Cover {
+                    cover_idx,
+                    range: CoverRange::Children(range),
+                });
+                return;
             }
-            // Balanced chunks of at most `split_threshold` entries:
-            // sub-tasks stay below the threshold themselves, and the
-            // chunking depends only on the expansion size, never on the
-            // thread count.
-            let chunk = total.div_ceil(total.div_ceil(threshold).max(1));
-            self.spawn(node_idx, weight, total, chunk, |range| TaskItems::Cover {
-                cover_idx,
-                range: CoverRange::Children(range),
-            });
-            return;
         }
         if !cover.final_for_input {
             // The input has subatoms to come, so every entry needs its child
@@ -855,12 +849,18 @@ impl<'a, 't> ExecCtx<'a, 't> {
         let (size, path) = task.unwrap_or((0, &[][..]));
         let started = self.begin_node(node_idx, size as u64, path);
 
+        // The probed inputs' trie positions are fixed across the loop (only
+        // the cover varies per entry), and so are their bounds: one
+        // O(#subatoms) ranking serves every entry.
+        scratch[0].reordered =
+            order_probes(node, cover_idx, &self.current, &mut scratch[0].probe_order);
+
         let batch_size = self.batch_size;
         let batched = batch_size > 1 && node.subatoms.len() > 1;
         if batched {
             // Room for the entries the cover can yield, not for a whole
             // batch: both bounds are O(1) reads.
-            let entries = task.map_or_else(|| cover_trie.estimated_keys(cover_node), |t| t.0);
+            let entries = task.map_or_else(|| cover_node.key_bound(), |t| t.0);
             ensure_batch_buffers(&mut scratch[0], batch_size.min(entries), node);
             scratch[0].count = 0;
         }
@@ -877,7 +877,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
             if batched {
                 self.buffer_cover_entry(node, cover_idx, weight, key, child, &mut scratch[0]);
                 if scratch[0].count >= batch_size {
-                    self.flush_batch(node_idx, cover_idx, scratch);
+                    self.flush_batch(node_idx, scratch);
                 }
             } else {
                 self.process_cover_entry(node_idx, cover_idx, weight, key, child, scratch);
@@ -894,7 +894,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
             }
         }
         if batched {
-            self.flush_batch(node_idx, cover_idx, scratch);
+            self.flush_batch(node_idx, scratch);
         }
 
         let arg = if task.is_some() { self.counters.expansions } else { 0 };
@@ -945,33 +945,39 @@ impl<'a, 't> ExecCtx<'a, 't> {
         let node_cur = self.current[sub.input];
         let stride = node.bound_after - node.bound_before;
 
-        // The tail split point: the product's size — first-list length (O(1)
-        // from the level map) × inner combinations (known from the gather) —
-        // decides, so a single hot join key whose output is one giant
-        // Cartesian product fans out across workers by first-list sub-ranges.
-        let first_len = trie.estimated_keys(node_cur);
-        let product = (first_len as u64).saturating_mul(inner_count.max(1));
+        // The tail split point: a bound on the product's size — rows under
+        // the first list's node (O(1)) × inner combinations (known from the
+        // gather) — decides, so a single hot join key whose output is one
+        // giant Cartesian product fans out across workers by first-list
+        // sub-ranges. A bound that large has the first list gathered and its
+        // entries counted; one that turns out shorter (the bound counts
+        // rows, a forced level lists keys) runs here after all.
+        let first_len = node_cur.key_bound();
+        let bound = (first_len as u64).saturating_mul(inner_count.max(1));
         let threshold = self.split_threshold().filter(|_| list.is_none() && first_len >= 2);
-        if let Some(threshold) = threshold.filter(|&t| product >= t as u64) {
-            let mut writes: Vec<Value> = Vec::with_capacity(first_len * stride);
-            let mut weights: Vec<u64> = Vec::with_capacity(first_len);
+        if let Some(threshold) = threshold.filter(|&t| bound >= t as u64) {
+            let (mut writes, mut weights) = (Vec::new(), Vec::new());
             gather_list(tries, node, &self.current, &mut writes, &mut weights);
-            if let Some(tb) = self.counters.traces.last_mut() {
-                tb.instant(TraceCat::Split, node_idx as u32, weights.len() as u64, &[]);
+            let total = weights.len();
+            if total >= 2 && (total as u64).saturating_mul(inner_count.max(1)) >= threshold as u64 {
+                if let Some(tb) = self.counters.traces.last_mut() {
+                    tb.instant(TraceCat::Split, node_idx as u32, total as u64, &[]);
+                }
+                // Chunk so each sub-task emits about `split_threshold`
+                // product rows: a single hot first-list entry over a huge
+                // inner product gets a task of its own, while cheap entries
+                // batch up.
+                let chunk = (threshold as u64 / inner_count.max(1)) as usize;
+                let (writes, weights) = (Arc::new(writes), Arc::new(weights));
+                self.spawn(node_idx, weight, total, chunk, |range| {
+                    TaskItems::Tail(TailList {
+                        writes: writes.clone(),
+                        weights: weights.clone(),
+                        range,
+                    })
+                });
+                return;
             }
-            // Chunk so each sub-task emits about `split_threshold` product
-            // rows: a single hot first-list entry over a huge inner product
-            // gets a task of its own, while cheap entries batch up.
-            let chunk = (threshold as u64 / inner_count.max(1)) as usize;
-            let (total, writes, weights) = (weights.len(), Arc::new(writes), Arc::new(weights));
-            self.spawn(node_idx, weight, total, chunk, |range| {
-                TaskItems::Tail(TailList {
-                    writes: writes.clone(),
-                    weights: weights.clone(),
-                    range,
-                })
-            });
-            return;
         }
 
         let started = self.begin_node(node_idx, inner_count, &[]);
@@ -995,7 +1001,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
                     return;
                 }
                 bind_new_slots(node, key, &mut self.tuple[node.bound_before..node.bound_after]);
-                entry(self, child.map_or(weight, |c| weight.saturating_mul(trie.tuple_count(c))));
+                entry(self, child.map_or(weight, |c| weight.saturating_mul(c.key_bound() as u64)));
             }),
             Some(list) => {
                 for i in list.range.clone() {
@@ -1077,7 +1083,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
         child: Option<NodeRef<'t>>,
         scratch: &mut [NodeScratch<'t>],
     ) {
-        let (tries, plan) = (self.tries, self.plan);
+        let plan = self.plan;
         let node = &plan.nodes[node_idx];
         let cover = &node.subatoms[cover_idx];
         if !apply_iter_actions(&cover.iter_actions, key, &mut self.tuple) {
@@ -1090,7 +1096,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
         // The cover's own continuation.
         if cover.final_for_input {
             if let Some(c) = child {
-                local_weight = local_weight.saturating_mul(tries[cover.input].tuple_count(c));
+                local_weight = local_weight.saturating_mul(c.key_bound() as u64);
             }
         } else {
             let c = child.expect("non-final cover level is forced into a map");
@@ -1098,26 +1104,15 @@ impl<'a, 't> ExecCtx<'a, 't> {
             mine.saved.push((cover.input, old));
         }
 
-        // Probe the other subatoms, building each key in place from the
-        // tuple slots — in plan order on the static path, smallest current
-        // bound first under adaptive execution (one mask check decides; with
-        // two subatoms there is a single probe and nothing to reorder).
-        let all_matched = if self.adaptive && node.reorderable && node.subatoms.len() > 2 {
-            if order_probes(node, cover_idx, &self.current, &mut mine.probe_order) {
-                self.counters.stats.reorders += 1;
-                if let Some(tb) = self.counters.traces.last_mut() {
-                    tb.instant(TraceCat::Reorder, node_idx as u32, 1, &[]);
-                }
-            }
-            (0..node.subatoms.len() - 1).all(|t| {
-                let sub = &node.subatoms[mine.probe_order[t]];
-                self.probe_one_subatom(node_idx, sub, mine, &mut local_weight)
-            })
-        } else {
-            node.subatoms.iter().enumerate().all(|(j, sub)| {
-                j == cover_idx || self.probe_one_subatom(node_idx, sub, mine, &mut local_weight)
-            })
-        };
+        // Probe the other subatoms, smallest current bound first, building
+        // each key in place from the tuple slots.
+        if mine.reordered {
+            self.note_reorder(node_idx, 1);
+        }
+        let all_matched = (0..mine.probe_order.len()).all(|t| {
+            let sub = &node.subatoms[mine.probe_order[t]];
+            self.probe_one_subatom(node_idx, sub, mine, &mut local_weight)
+        });
 
         if all_matched && local_weight > 0 {
             self.counters.profile.add_output_rows(node_idx, local_weight);
@@ -1162,8 +1157,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
         mine.alive[e] = true;
         if cover.final_for_input {
             if let Some(c) = child {
-                let rows = self.tries[cover.input].tuple_count(c);
-                mine.weights[e] = mine.weights[e].saturating_mul(rows);
+                mine.weights[e] = weight.saturating_mul(c.key_bound() as u64);
             }
         } else {
             let c = child.expect("non-final cover level is forced into a map");
@@ -1174,7 +1168,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
 
     /// Probe every non-cover subatom across the buffered batch, then recurse
     /// for the surviving entries (the body of Figure 13).
-    fn flush_batch(&mut self, node_idx: usize, cover_idx: usize, scratch: &mut [NodeScratch<'t>]) {
+    fn flush_batch(&mut self, node_idx: usize, scratch: &mut [NodeScratch<'t>]) {
         let (mine, rest) = scratch.split_first_mut().expect("every node has its scratch");
         if mine.count == 0 {
             return;
@@ -1194,26 +1188,22 @@ impl<'a, 't> ExecCtx<'a, 't> {
         // Probe phase: one pass over the batch per probed relation, giving
         // the temporal locality the paper's vectorization targets. Each
         // entry's key is built in place from the already-bound tuple slots
-        // and the batch's write buffer. The probed inputs' trie positions
-        // are fixed across the batch (only the cover varies per entry), so
-        // under adaptive execution the passes run smallest current bound
-        // first — one O(#subatoms) ranking per flush, amortized over up to
-        // `batch_size` probes, and every entry sees the same per-binding
-        // order the per-entry step would use.
+        // and the batch's write buffer. The passes run smallest current
+        // bound first, the order the per-entry step uses.
         {
             let NodeScratch {
-                spill_key, writes, weights, alive, children, count, probe_order, ..
+                spill_key,
+                writes,
+                weights,
+                alive,
+                children,
+                count,
+                probe_order,
+                reordered,
+                ..
             } = &mut *mine;
-            if self.adaptive && node.reorderable && node.subatoms.len() > 2 {
-                if order_probes(node, cover_idx, &self.current, probe_order) {
-                    self.counters.stats.reorders += *count as u64;
-                    if let Some(tb) = self.counters.traces.last_mut() {
-                        tb.instant(TraceCat::Reorder, node_idx as u32, *count as u64, &[]);
-                    }
-                }
-            } else {
-                probe_order.clear();
-                probe_order.extend((0..node.subatoms.len()).filter(|&j| j != cover_idx));
+            if *reordered {
+                self.note_reorder(node_idx, *count as u64);
             }
             let tuple = &self.tuple;
             for &j in probe_order.iter() {
@@ -1300,7 +1290,7 @@ fn gather_list(
         let base = writes.len();
         writes.resize(base + stride, Value::Null);
         bind_new_slots(node, key, &mut writes[base..]);
-        weights.push(child.map_or(1, |c| trie.tuple_count(c)));
+        weights.push(child.map_or(1, |c| c.key_bound() as u64));
     });
 }
 
@@ -1328,13 +1318,13 @@ fn profile_tail_rows(
     }
 }
 
-/// Fill `order` with the node's non-cover subatom indices ranked for
-/// adaptive probing: ascending by the construction-fixed key bound of each
+/// Fill `order` with the node's non-cover subatom indices in the order to
+/// probe them: ascending by the construction-fixed key bound of each
 /// subatom's current trie position, stable so the plan order breaks ties.
-/// Returns whether the result differs from plan order (the caller charges
-/// `reorders` per binding it applies the order to). O(1) per candidate —
-/// `key_bound` is fixed at trie construction, which is also what makes the
-/// ranking identical at any thread count or steal schedule.
+/// Returns whether the result differs from plan order (the cover loop
+/// charges `reorders` per entry it applies the order to). O(1) per
+/// candidate — `key_bound` is fixed at trie construction, which is also
+/// what makes the ranking identical at any thread count or steal schedule.
 fn order_probes(
     node: &CompiledNode,
     cover_idx: usize,
@@ -1343,6 +1333,9 @@ fn order_probes(
 ) -> bool {
     order.clear();
     order.extend((0..node.subatoms.len()).filter(|&j| j != cover_idx));
+    if order.len() < 2 {
+        return false;
+    }
     order.sort_by_key(|&j| current[node.subatoms[j].input].key_bound());
     order.windows(2).any(|w| w[0] > w[1])
 }
@@ -1426,6 +1419,17 @@ mod tests {
         prepare_inputs(cat, &q).unwrap().atoms
     }
 
+    /// The tries of `inputs` under the compiled plan's schemas.
+    fn build_tries(
+        inputs: &[BoundInput],
+        compiled: &CompiledPlan,
+        options: &FreeJoinOptions,
+    ) -> Vec<Arc<InputTrie>> {
+        (inputs.iter().zip(&compiled.schemas))
+            .map(|(input, schema)| Arc::new(InputTrie::build(input, schema.clone(), options.trie)))
+            .collect()
+    }
+
     /// Compile `plan` over `inputs`, build the tries and run the pipeline at
     /// `threads` into counting/aggregating sinks, one per task.
     fn run_sinks(
@@ -1437,11 +1441,7 @@ mod tests {
     ) -> (Vec<OutputSink>, ExecCounters) {
         let input_vars: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
         let compiled = compile(plan, &input_vars).unwrap();
-        let tries: Vec<Arc<InputTrie>> = inputs
-            .iter()
-            .zip(&compiled.schemas)
-            .map(|(input, schema)| Arc::new(InputTrie::build(input, schema.clone(), options.trie)))
-            .collect();
+        let tries = build_tries(inputs, &compiled, options);
         let builder =
             OutputBuilder::new(&compiled.binding_order, aggregate, &compiled.binding_order);
         execute_pipeline(
@@ -1617,11 +1617,7 @@ mod tests {
                 FreeJoinOptions::default().with_batch_size(1),
                 FreeJoinOptions::default().with_batch_size(7),
                 FreeJoinOptions::generic_join_baseline(),
-                FreeJoinOptions {
-                    trie: TrieStrategy::Slt,
-                    dynamic_cover: false,
-                    ..FreeJoinOptions::default()
-                },
+                FreeJoinOptions::default().with_trie(TrieStrategy::Slt),
             ] {
                 let (count, _) = run(&inputs, plan, &options, Aggregate::Count);
                 assert_eq!(count, expected, "plan {plan} options {options:?}");
@@ -1676,7 +1672,7 @@ mod tests {
             for batch_size in [1, 1000] {
                 let options =
                     FreeJoinOptions::default().with_trie(trie).with_batch_size(batch_size);
-                // Dynamic cover iterates #2(z), T's shorter list.
+                // The smaller bound: #2(z), T's shorter list, is iterated.
                 let (count, counters) = run(&inputs, &plan, &options, Aggregate::Count);
                 assert_eq!(count, 3, "{options:?}");
                 // (x,y), the two distinct z under T, one step into #2() each.
@@ -1764,11 +1760,7 @@ mod tests {
         factor(&mut plan);
         let compiled = compile(&plan, &iv).unwrap();
         let options = FreeJoinOptions::default();
-        let tries: Vec<Arc<InputTrie>> = inputs
-            .iter()
-            .zip(&compiled.schemas)
-            .map(|(input, schema)| Arc::new(InputTrie::build(input, schema.clone(), options.trie)))
-            .collect();
+        let tries = build_tries(&inputs, &compiled, &options);
         let (mut sinks, _) = execute_pipeline(
             &tries,
             &compiled,
@@ -1868,10 +1860,9 @@ mod tests {
     }
 
     #[test]
-    fn dynamic_cover_prefers_smaller_relation() {
-        // Node with two cover candidates where S is much smaller than R:
-        // dynamic selection should iterate S and probe R, giving fewer
-        // probes than the static choice of iterating R.
+    fn the_cover_with_the_smaller_bound_is_iterated() {
+        // A node with two cover candidates, R first in plan order, where S
+        // is much smaller than R: S is iterated and R probed.
         let mut cat = Catalog::new();
         let mut r = RelationBuilder::new("R", Schema::all_int(&["x"]));
         for i in 0..1000i64 {
@@ -1888,24 +1879,96 @@ mod tests {
         let iv: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
         let order: Vec<String> = vec!["x".to_string()];
         let plan = fj_plan_from_var_order(&order, &iv);
+        assert_eq!(plan.to_string(), "[[#0(x), #1(x)]]");
 
-        let dynamic =
-            FreeJoinOptions { dynamic_cover: true, batch_size: 1, ..FreeJoinOptions::default() };
-        let fixed =
-            FreeJoinOptions { dynamic_cover: false, batch_size: 1, ..FreeJoinOptions::default() };
-        let (c_dyn, k_dyn) = run(&inputs, &plan, &dynamic, Aggregate::Count);
-        let (c_fix, k_fix) = run(&inputs, &plan, &fixed, Aggregate::Count);
-        assert_eq!(c_dyn, 10);
-        assert_eq!(c_fix, 10);
-        // Iterating S (10 keys) and probing R does 10 probes; iterating R
-        // (1000 keys) and probing S does 1000.
-        assert_eq!(k_dyn.stats.probes, 10);
-        assert_eq!(k_fix.stats.probes, 1000);
-        // The parallel driver makes the same dynamic-cover choice and does
-        // the same probes in total, just spread over workers.
-        let (p_dyn, pk_dyn) = run_parallel(&inputs, &plan, &dynamic, Aggregate::Count, 4);
-        assert_eq!(p_dyn, 10);
-        assert_eq!(pk_dyn.stats.probes, 10);
+        for trie in [TrieStrategy::Colt, TrieStrategy::Slt, TrieStrategy::Simple] {
+            let options = FreeJoinOptions::default().with_trie(trie).with_batch_size(1);
+            let (count, counters) = run(&inputs, &plan, &options, Aggregate::Count);
+            assert_eq!(count, 10);
+            // One probe into R per row of S; the plan-order cover, R, would
+            // make one into S for each of its 1000 rows.
+            assert_eq!(counters.work(), (10, 10, 10), "{trie:?}");
+            // The parallel driver makes the same choice and does the same
+            // probes in total, just spread over workers.
+            let (par, par_counters) = run_parallel(&inputs, &plan, &options, Aggregate::Count, 4);
+            assert_eq!((par, par_counters.work()), (10, (10, 10, 10)), "{trie:?}");
+        }
+    }
+
+    /// A split decision reads the rows below the cover's node and, at or
+    /// above the threshold, the keys of its forced level — never whether the
+    /// level was forced already. `S(x,y)`'s 40 rows under `x = 0` reach the
+    /// threshold of 32: over 40 distinct `y` they are cut into two tasks,
+    /// over 8 they run inline, and a level some earlier request or another
+    /// worker forced changes neither the tasks nor the work. So it goes when
+    /// `y` is an independent tail (no `T`), which counts the entries it
+    /// gathered — with the one exception the module docs name: an unforced
+    /// last level is walked by rows, so the 40 rows over 8 `y` are 40
+    /// entries cold (two tasks) and 8 keys once forced (inline).
+    #[test]
+    fn a_split_decision_does_not_depend_on_who_forced_the_level() {
+        for (tail, distinct_y, tasks) in
+            [(false, 40, 1 + 2), (false, 8, 1), (true, 40, 1 + 2), (true, 8, 1)]
+        {
+            let ctx = format!("{distinct_y} distinct y, tail {tail}");
+            let mut cat = Catalog::new();
+            let mut r = RelationBuilder::new("R", Schema::all_int(&["x"]));
+            r.push_ints(&[0]).unwrap();
+            cat.add(r.finish()).unwrap();
+            let mut s = RelationBuilder::new("S", Schema::all_int(&["x", "y"]));
+            let mut t = RelationBuilder::new("T", Schema::all_int(&["y", "z"]));
+            for i in 0..40i64 {
+                s.push_ints(&[0, i % distinct_y]).unwrap();
+                t.push_ints(&[i, i]).unwrap();
+                t.push_ints(&[i, i + 1]).unwrap();
+            }
+            cat.add(s.finish()).unwrap();
+            cat.add(t.finish()).unwrap();
+            let q = QueryBuilder::new("chain").atom("R", &["x"]).atom("S", &["x", "y"]);
+            let (q, plan_text, count) = if tail {
+                (q, "[[#0(x), #1(x)], [#1(y)]]", 40)
+            } else {
+                (q.atom("T", &["y", "z"]), "[[#0(x), #1(x)], [#1(y), #2(y)], [#2(z)]]", 80)
+            };
+            let inputs = prepare_inputs(&cat, &q.build()).unwrap().atoms;
+            let iv: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
+            let plan = binary2fj(&iv);
+            assert_eq!(plan.to_string(), plan_text);
+            let compiled = compile(&plan, &iv).unwrap();
+            assert_eq!(compiled.nodes[1].independent_tail, tail);
+            let options = FreeJoinOptions::default().with_split_threshold(32);
+            let builder = OutputBuilder::new(
+                &compiled.binding_order,
+                Aggregate::Count,
+                &compiled.binding_order,
+            );
+
+            let run = |forced_beforehand: bool| {
+                let tries = build_tries(&inputs, &compiled, &options);
+                if forced_beforehand {
+                    let s = &tries[1];
+                    let under_x = s.get(s.root(), 0, &[Value::Int(0)]).expect("x = 0 is in S");
+                    assert_eq!(s.force(under_x, 1, true).num_keys(), distinct_y as usize);
+                }
+                let (sinks, counters) = execute_pipeline(
+                    &tries,
+                    &compiled,
+                    &options,
+                    2,
+                    || OutputSink::new(builder.clone()),
+                    &Instruments::default(),
+                );
+                let count: u64 = sinks.into_iter().map(|s| s.finish().cardinality()).sum();
+                (count, counters.stats.tasks_spawned, counters.work())
+            };
+            let (cold, warm) = (run(false), run(true));
+            assert_eq!((warm.0, warm.1), (count, tasks), "{ctx}");
+            if tail && distinct_y == 8 {
+                assert_eq!((cold.0, cold.1), (count, 1 + 2), "{ctx}");
+            } else {
+                assert_eq!(cold, warm, "{ctx}");
+            }
+        }
     }
 
     #[test]

@@ -1,4 +1,9 @@
 //! Execution options for the Free Join engine.
+//!
+//! What an option can select is which tries are built, how a plan is
+//! compiled and how many workers run it. How a node is ordered is not an
+//! option: the executor ranks a node's covers and probes per binding from
+//! the tries' own row counts (see [`crate::exec`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -37,13 +42,6 @@ pub struct FreeJoinOptions {
     /// Vectorization batch size; `1` disables vectorization (Section 4.3,
     /// Figure 18). The paper's default is 1000.
     pub batch_size: usize,
-    /// Choose the cover with the fewest keys at run time (Section 4.4)
-    /// instead of always iterating the statically designated cover. On a
-    /// node factoring left with two subatoms over one new variable — the
-    /// `[S(z), T(z)]` of the triangle — this is the set intersection of
-    /// Generic Join: per binding, the shorter list is walked and the longer
-    /// one probed. Off, such a node always walks its first subatom.
-    pub dynamic_cover: bool,
     /// Factorized output (Section 4.4 / Figure 19), decided at compile time:
     /// the plan compiler drops every *dead* variable — bound by one atom and
     /// read by nothing: no join, not the head or the grouping variables, no
@@ -62,10 +60,6 @@ pub struct FreeJoinOptions {
     /// (`fj_plan::factor`). Disabling this makes Free Join behave exactly
     /// like the binary join plan it was given.
     pub optimize_plan: bool,
-    /// Apply factorization to a fixpoint instead of the paper's single pass
-    /// (a pass moves a probe, or the bound part of one, one node earlier).
-    /// Off by default to match the paper; exposed for the ablation benches.
-    pub factor_to_fixpoint: bool,
     /// Number of worker threads for morsel-driven parallel execution.
     /// `0` (the default) uses the machine's available parallelism; `1` runs
     /// the plan on the calling thread (no scheduler, no spawned thread). Any
@@ -77,23 +71,13 @@ pub struct FreeJoinOptions {
     /// An expansion (or independent-tail product) with at least this many
     /// entries is split into sub-range tasks that idle workers steal (above
     /// one thread; splitting changes neither results nor their merged order).
-    /// The size is read in O(1) from the trie level-map (`estimated_keys`).
-    /// Minimum 2 (a single entry cannot be split); the default of 1024
-    /// keeps task overhead negligible on uniform workloads while still
-    /// breaking up skewed subtrees.
+    /// An expansion is measured by the rows below its cover's trie node,
+    /// then by the keys of the level those rows are forced into. Minimum 2
+    /// (a single entry cannot be split); the default of 1024 keeps task
+    /// overhead negligible on uniform workloads while still breaking up
+    /// skewed subtrees. No production caller sets it: it is the lever of
+    /// CI's forced-split race-hunting pass and of `examples/trace_query.rs`.
     pub split_threshold: usize,
-    /// Adaptive cardinality-guided execution: at every plan node with at
-    /// least two remaining subatoms, pick the next subatom to expand by its
-    /// O(1) construction-fixed trie bound ([`crate::trie::NodeRef::key_bound`])
-    /// instead of trusting the static plan order — the cover with the
-    /// smallest bound is iterated, and the remaining probes run
-    /// smallest-bound-first so a miss on a tiny subatom skips (and never
-    /// lazily forces) a huge one. The static order is the tie-break and the
-    /// fallback for non-reorderable nodes. Decisions depend only on trie
-    /// sizes fixed at construction, so results are identical to the static
-    /// order at any thread count or steal schedule. Off by default: the
-    /// static order runs behind one precomputed per-node mask check.
-    pub adaptive: bool,
     /// Per-query deadline in milliseconds; `0` (the default) disables it.
     /// When set, `Session`-level execution arms a [`crate::CancelToken`]
     /// whose deadline elapses this long after execution starts, and the
@@ -115,13 +99,10 @@ impl Default for FreeJoinOptions {
         FreeJoinOptions {
             trie: TrieStrategy::Colt,
             batch_size: 1000,
-            dynamic_cover: true,
             factorize_output: true,
             optimize_plan: true,
-            factor_to_fixpoint: false,
             num_threads: 0,
             split_threshold: 1024,
-            adaptive: false,
             deadline_ms: 0,
             max_result_bytes: 0,
         }
@@ -136,13 +117,10 @@ impl FreeJoinOptions {
         FreeJoinOptions {
             trie: TrieStrategy::Simple,
             batch_size: 1,
-            dynamic_cover: true,
             factorize_output: false,
             optimize_plan: true,
-            factor_to_fixpoint: true,
             num_threads: 1,
             split_threshold: 1024,
-            adaptive: false,
             deadline_ms: 0,
             max_result_bytes: 0,
         }
@@ -152,12 +130,7 @@ impl FreeJoinOptions {
     /// (no factoring, no pruning: every variable is enumerated, probe for
     /// probe like the binary hash join), useful as a sanity baseline.
     pub fn binary_equivalent() -> Self {
-        FreeJoinOptions {
-            optimize_plan: false,
-            dynamic_cover: false,
-            factorize_output: false,
-            ..Self::default()
-        }
+        FreeJoinOptions { optimize_plan: false, factorize_output: false, ..Self::default() }
     }
 
     /// Builder-style setter for the trie strategy.
@@ -190,13 +163,6 @@ impl FreeJoinOptions {
     /// a single-entry expansion cannot be split).
     pub fn with_split_threshold(mut self, threshold: usize) -> Self {
         self.split_threshold = threshold.max(2);
-        self
-    }
-
-    /// Builder-style setter for adaptive cardinality-guided execution
-    /// (per-binding subatom reordering by deterministic trie bounds).
-    pub fn with_adaptive(mut self, adaptive: bool) -> Self {
-        self.adaptive = adaptive;
         self
     }
 
@@ -253,15 +219,12 @@ mod tests {
         let o = FreeJoinOptions::default();
         assert_eq!(o.trie, TrieStrategy::Colt);
         assert_eq!(o.batch_size, 1000);
-        assert!(o.dynamic_cover);
         assert!(o.optimize_plan);
         assert!(o.factorize_output, "dead-variable pruning is on by default");
         assert!(o.vectorized());
         assert_eq!(o.num_threads, 0, "default is auto (available parallelism)");
         assert!(o.effective_threads() >= 1);
         assert_eq!(o.split_threshold, 1024);
-        assert!(!o.adaptive, "adaptive execution is opt-in");
-        assert!(o.with_adaptive(true).adaptive);
         assert_eq!(o.deadline_ms, 0, "no deadline by default");
         assert_eq!(o.max_result_bytes, 0, "no memory budget by default");
         assert_eq!(o.with_deadline_ms(250).deadline_ms, 250);

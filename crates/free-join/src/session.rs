@@ -229,8 +229,8 @@ pub struct EngineCaches {
     /// the cache counters have): `fj_sched_tasks_spawned` / `_stolen`.
     tasks_spawned: Counter,
     tasks_stolen: Counter,
-    /// Adaptive-execution totals, same scope: probe reorders performed by
-    /// the adaptive executor (every execution; `fj_exec_reorders`), and plan
+    /// Executor totals, same scope: bindings whose bound-ranked probe order
+    /// differed from the plan's (every execution; `fj_exec_reorders`), and plan
     /// nodes whose profiled actuals bust their prepare-time estimate
     /// (profiled executions — actuals exist only when a profile is
     /// collected; `fj_exec_estimate_busts`).
@@ -333,7 +333,7 @@ impl EngineCaches {
     /// Export every count this cache pair keeps into `registry`, once: the
     /// two caches' cells as `fj_cache_{trie,plan}_*`, the intermediates'
     /// share of the trie lookups as `fj_cache_pipe_*`, the scheduler totals
-    /// as `fj_sched_*`, the adaptive-execution totals as `fj_exec_*`. The
+    /// as `fj_sched_*`, the executor's totals as `fj_exec_*`. The
     /// exposition then reads the cells executions bump; only the caches'
     /// shard-summed gauges need [`EngineCaches::stats`] before a scrape.
     pub fn bind_metrics(&self, registry: &MetricsRegistry) {
@@ -947,8 +947,8 @@ fn canonical_query(
     }
     let _ = write!(
         out,
-        "opt:{:?};plan:{},{},{}",
-        optimizer, options.optimize_plan, options.factor_to_fixpoint, options.factorize_output
+        "opt:{:?};plan:{},{}",
+        optimizer, options.optimize_plan, options.factorize_output
     );
     out
 }
@@ -1179,9 +1179,8 @@ mod tests {
     /// One loop runs under both entry points, so it must also count one way:
     /// over a left-deep self-join, a bushy plan and a self-join whose sides
     /// share one cached trie, a cold `Session` (no constants to propagate)
-    /// returns the uncached engine's output at every strategy and thread
-    /// count, and its work counts wherever they are schedule-independent
-    /// (one thread, or `Simple`, which forces nothing lazily).
+    /// returns the uncached engine's output and its work counts at every
+    /// strategy and thread count.
     #[test]
     fn session_matches_uncached_engine_across_strategies_and_threads() {
         let cat = catalog();
@@ -1222,7 +1221,7 @@ mod tests {
                         let ExecReport { output, stats, .. } =
                             prepared.execute(&cat, &ExecRequest::default()).unwrap();
                         assert!(output.result_eq(&reference), "{ctx}, warm {warm}");
-                        if !warm && (threads == 1 || trie == TrieStrategy::Simple) {
+                        if !warm {
                             assert_eq!(counts(&stats), counts(&uncached), "{ctx}");
                         }
                     }

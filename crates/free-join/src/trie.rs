@@ -236,13 +236,17 @@ impl<'t> NodeRef<'t> {
         (0..self.node.len).map(move |i| rows.map_or(i, |rows| rows[i as usize]))
     }
 
-    /// The construction-fixed cardinality bound: the number of rows below
-    /// this node, an O(1) upper bound on its distinct keys under every
-    /// strategy (an eagerly built node reports its row count too, not its
-    /// map size). Unlike [`InputTrie::estimated_keys`] it never changes when
-    /// the node is lazily forced, so decisions keyed on it are identical at
-    /// any thread count or steal schedule — the property adaptive subatom
-    /// reordering relies on.
+    /// The number of base rows below this node: one field read, fixed at
+    /// construction. It is the node's multiplicity when an input's final
+    /// subatom reaches it, and an upper bound on its distinct keys — the
+    /// paper's "length of the vector as an estimate" (Section 4.4) — which
+    /// is the one size the executor ranks covers and probes by and tests
+    /// against the split threshold. An eagerly built node reports its row
+    /// count too, not its map size, and forcing a node never changes the
+    /// answer, so decisions keyed on it are identical under every strategy,
+    /// at any thread count or steal schedule, and for a trie that arrives
+    /// forced from the cache.
+    #[inline]
     pub fn key_bound(&self) -> usize {
         self.node.len as usize
     }
@@ -512,24 +516,6 @@ impl InputTrie {
         BASE_BYTES + rows + self.relation.num_rows() * self.schema.len().max(1) * row_level
     }
 
-    /// An estimate of the number of keys at a node, used for dynamic cover
-    /// selection and split-threshold checks: exact for forced nodes, the
-    /// tuple count otherwise (the paper: "we use the length of the vector as
-    /// an estimate"). O(1) for every strategy, but the answer *changes* when
-    /// a lazy node is forced — schedule-dependent under parallel execution.
-    /// Adaptive reordering therefore uses [`NodeRef::key_bound`] instead,
-    /// which is fixed at construction.
-    pub fn estimated_keys(&self, node: NodeRef<'_>) -> usize {
-        node.node.forced.get().map_or(node.node.len as usize, |level| level.num_keys())
-    }
-
-    /// The number of base tuples represented below this node: one field
-    /// read, forced or not (the same number [`NodeRef::key_bound`] reports).
-    #[inline]
-    pub fn tuple_count(&self, node: NodeRef<'_>) -> u64 {
-        u64::from(node.node.len)
-    }
-
     /// Call `f(key, item)` with the `level` key of every `(row, item)`, in
     /// order, reading directly from the column vectors. Arity ≤ 2 keys are
     /// assembled in stack arrays from typed column cursors; wider keys go
@@ -704,7 +690,7 @@ impl InputTrie {
                 return matches as u64;
             }
         }
-        self.get(node, level, key).map_or(0, |child| self.tuple_count(child))
+        self.get(node, level, key).map_or(0, |child| child.key_bound() as u64)
     }
 
     /// Does [`InputTrie::for_each`] walk `node` row by row (one entry per
@@ -730,7 +716,7 @@ impl InputTrie {
     ///   level itself has no variables either (every variable of the input
     ///   was pruned), the tuples all carry the same empty key: a non-empty
     ///   node is reported as one entry whose `child` is the node itself, so
-    ///   its multiplicity is one O(1) [`InputTrie::tuple_count`] instead of
+    ///   its multiplicity is one O(1) [`NodeRef::key_bound`] instead of
     ///   a call per row.
     /// * For an unforced node with a keyed level below it, the node is first
     ///   forced (iterating it tuple-wise would enumerate duplicate keys and
@@ -867,8 +853,7 @@ mod tests {
         assert_eq!(trie.lazy_built(), 0);
         assert_eq!(trie.num_levels(), 2);
         assert!(!trie.root().is_map());
-        assert_eq!(trie.estimated_keys(trie.root()), 7);
-        assert_eq!(trie.tuple_count(trie.root()), 7);
+        assert_eq!(trie.root().key_bound(), 7);
     }
 
     #[test]
@@ -882,7 +867,7 @@ mod tests {
         let root = trie.root();
         let x2 = trie.get(root, 0, &[Value::Int(2)]).unwrap();
         assert!(!x2.is_map());
-        assert_eq!(trie.estimated_keys(x2), 3);
+        assert_eq!(x2.key_bound(), 3);
     }
 
     #[test]
@@ -897,8 +882,8 @@ mod tests {
         assert!(x3.is_map());
         let b = trie.get(x3, 1, &[Value::Int(301)]).unwrap();
         // The leaf is a vector of one offset.
-        assert_eq!(trie.estimated_keys(b), 1);
-        assert_eq!(trie.tuple_count(x3), 3);
+        assert_eq!(b.key_bound(), 1);
+        assert_eq!(x3.key_bound(), 3);
     }
 
     #[test]
@@ -910,7 +895,7 @@ mod tests {
         let x0 = trie.get(root, 0, &[Value::Int(0)]).unwrap();
         assert_eq!(trie.maps_built(), 1);
         assert_eq!(trie.lazy_built(), 1);
-        assert_eq!(trie.estimated_keys(x0), 1);
+        assert_eq!(x0.key_bound(), 1);
         // Missing key returns None without further building.
         assert!(trie.get(root, 0, &[Value::Int(42)]).is_none());
         assert_eq!(trie.maps_built(), 1);
@@ -991,7 +976,7 @@ mod tests {
         // Once something forced the node, its map is iterated.
         trie.force(x2, 1, true);
         assert!(!trie.iterates_rows(x2, 1));
-        trie.for_each(x2, 1, |_, child| assert_eq!(trie.tuple_count(child.unwrap()), 1));
+        trie.for_each(x2, 1, |_, child| assert_eq!(child.unwrap().key_bound(), 1));
     }
 
     #[test]
@@ -1056,17 +1041,16 @@ mod tests {
         let x1 = trie.get(root, 0, &[Value::Int(1)]).unwrap();
         let y5 = trie.get(x1, 1, &[Value::Int(5)]).unwrap();
         // Two duplicate (1,5) tuples → the leaf holds two offsets.
-        assert_eq!(trie.estimated_keys(y5), 2);
-        assert_eq!(trie.tuple_count(y5), 2);
+        assert_eq!(y5.key_bound(), 2);
         let y6 = trie.get(x1, 1, &[Value::Int(6)]).unwrap();
-        assert_eq!(trie.tuple_count(y6), 1);
+        assert_eq!(y6.key_bound(), 1);
     }
 
-    /// `tuple_count` is one field read on every node — forced or not — and
-    /// agrees with a brute-force count under all three strategies, with
+    /// `key_bound` is one field read on every node — forced or not — and
+    /// agrees with a brute-force row count under all three strategies, with
     /// duplicate tuples and an empty-key level in the schema.
     #[test]
-    fn tuple_count_matches_brute_force_on_forced_nodes() {
+    fn key_bound_matches_brute_force_on_forced_nodes() {
         let tuples: [(i64, i64); 8] =
             [(1, 5), (1, 5), (1, 6), (2, 5), (2, 5), (2, 5), (3, 9), (1, 5)];
         let mut cat = Catalog::new();
@@ -1086,24 +1070,24 @@ mod tests {
             let root = trie.root();
             let all = trie.get(root, 0, &[]).unwrap();
             assert!(root.is_map());
-            assert_eq!(trie.tuple_count(root), 8, "{strategy:?}");
-            assert_eq!(trie.tuple_count(all), 8, "{strategy:?}");
+            assert_eq!(root.key_bound(), 8, "{strategy:?}");
+            assert_eq!(all.key_bound(), 8, "{strategy:?}");
             for x in 1..=3i64 {
                 let at_x = trie.get(all, 1, &[Value::Int(x)]).unwrap();
-                assert_eq!(trie.tuple_count(at_x), brute(&|a, _| a == x), "{strategy:?} x={x}");
+                assert_eq!(at_x.key_bound() as u64, brute(&|a, _| a == x), "{strategy:?} x={x}");
                 for y in [5i64, 6, 9] {
                     let expected = brute(&|a, b| a == x && b == y);
                     match trie.get(at_x, 2, &[Value::Int(y)]) {
-                        Some(leaf) => assert_eq!(trie.tuple_count(leaf), expected),
+                        Some(leaf) => assert_eq!(leaf.key_bound() as u64, expected),
                         None => assert_eq!(expected, 0),
                     }
                 }
                 // Forcing the node (the probes above did) must not change it.
                 assert!(at_x.is_map());
-                assert_eq!(trie.tuple_count(at_x), brute(&|a, _| a == x));
+                assert_eq!(at_x.key_bound() as u64, brute(&|a, _| a == x));
             }
             assert!(all.is_map());
-            assert_eq!(trie.tuple_count(all), 8);
+            assert_eq!(all.key_bound(), 8);
         }
     }
 
@@ -1114,7 +1098,7 @@ mod tests {
         let trie = InputTrie::build(&input, schema(&[&[], &["x", "b"]]), TrieStrategy::Colt);
         let root = trie.root();
         let child = trie.get(root, 0, &[]).unwrap();
-        assert_eq!(trie.tuple_count(child), 7);
+        assert_eq!(child.key_bound(), 7);
         let mut n = 0;
         trie.for_each(child, 1, |_, _| n += 1);
         assert_eq!(n, 7);
@@ -1128,7 +1112,7 @@ mod tests {
         let input = prepare_inputs(&cat, &q).unwrap().atoms.remove(0);
         let trie = InputTrie::build(&input, schema(&[&["x"]]), TrieStrategy::Simple);
         let root = trie.root();
-        assert_eq!(trie.estimated_keys(root), 0);
+        assert_eq!(root.key_bound(), 0);
         let mut n = 0;
         trie.for_each(root, 0, |_, _| n += 1);
         assert_eq!(n, 0);
@@ -1187,10 +1171,16 @@ mod tests {
             assert_eq!(trie.count_matches(root, 0, &[Value::Null]), nulls);
             assert!(!root.is_map());
             // Forced: the word index is probed.
-            assert_eq!(trie.get(root, 0, &[hit]).map(|n| trie.tuple_count(n)), Some(expected(hit)));
+            assert_eq!(
+                trie.get(root, 0, &[hit]).map(|n| n.key_bound() as u64),
+                Some(expected(hit))
+            );
             assert!(root.is_map());
             assert!(trie.get(root, 0, &[wrong_type]).is_none(), "{var}: {wrong_type:?}");
-            assert_eq!(trie.get(root, 0, &[Value::Null]).map_or(0, |n| trie.tuple_count(n)), nulls);
+            assert_eq!(
+                trie.get(root, 0, &[Value::Null]).map_or(0, |n| n.key_bound() as u64),
+                nulls
+            );
             assert_eq!(trie.count_matches(root, 0, &[hit]), expected(hit));
             assert_eq!(trie.count_matches(root, 0, &[wrong_type]), 0);
             assert_eq!(trie.count_matches(root, 0, &[Value::Null]), nulls);
@@ -1210,7 +1200,7 @@ mod tests {
             let trie = InputTrie::build(&input, schema(levels), TrieStrategy::Slt);
             let mut seen = Vec::new();
             trie.for_each(trie.root(), 0, |key, child| {
-                seen.push((key.to_vec(), trie.tuple_count(child.unwrap())));
+                seen.push((key.to_vec(), child.unwrap().key_bound() as u64));
             });
             seen
         };
@@ -1269,7 +1259,7 @@ mod tests {
             }
             let mut seen = Vec::new();
             trie.for_each(trie.root(), 0, |key, child| {
-                seen.push((key.to_vec(), trie.tuple_count(child.unwrap())));
+                seen.push((key.to_vec(), child.unwrap().key_bound() as u64));
             });
             assert_eq!(seen, groups, "{levels:?}");
             for (key, n) in &groups {
@@ -1283,36 +1273,35 @@ mod tests {
         COLLIDE.set(false);
     }
 
+    /// The one size the executor ranks by: a node's row count, the same
+    /// under all three strategies, and not its key count even where a level
+    /// is built — so forcing a node, by this query or an earlier one, leaves
+    /// every decision keyed on it where it was.
     #[test]
     fn key_bound_is_fixed_at_construction_across_strategies() {
         let input = clover_s_input();
-        // COLT: the bound is the row count everywhere and — unlike
-        // `estimated_keys` — does not shrink when a node is lazily forced.
         let colt = InputTrie::build(&input, schema(&[&["x"], &["b"]]), TrieStrategy::Colt);
         let root = colt.root();
         assert_eq!(root.key_bound(), 7);
-        assert_eq!(colt.estimated_keys(root), 7);
         let x2 = colt.get(root, 0, &[Value::Int(2)]).unwrap();
         assert_eq!(x2.key_bound(), 3);
-        colt.force(x2, 1, true);
+        assert_eq!(colt.force(x2, 1, true).num_keys(), 3);
         assert_eq!(x2.key_bound(), 3, "forcing must not change the bound");
-        assert_eq!(colt.estimated_keys(x2), 3);
-        // Root after forcing: estimated_keys becomes the distinct count (3)
-        // while the bound stays at the construction-time row count (7).
-        assert_eq!(colt.estimated_keys(root), 3);
+        // The probe forced the root into its 3 keys; it still reports 7 rows.
+        assert_eq!(colt.force(root, 0, true).num_keys(), 3);
         assert_eq!(root.key_bound(), 7);
 
-        // SLT: the pre-forced root still reports its construction bound.
+        // SLT: the pre-forced root reports its rows, not its keys.
         let slt = InputTrie::build(&input, schema(&[&["x"], &["b"]]), TrieStrategy::Slt);
+        assert!(slt.root().is_map());
         assert_eq!(slt.root().key_bound(), 7);
 
-        // Simple: eagerly built nodes report their row count like every
-        // other node (the bound is the same under all three strategies).
+        // Simple: so does every eagerly built node.
         let simple = InputTrie::build(&input, schema(&[&["x"], &["b"], &[]]), TrieStrategy::Simple);
         let root = simple.root();
         assert_eq!(root.key_bound(), 7, "eager root bound is its row count, not its 3 keys");
-        assert_eq!(simple.estimated_keys(root), 3);
         let x3 = simple.get(root, 0, &[Value::Int(3)]).unwrap();
+        assert!(x3.is_map());
         assert_eq!(x3.key_bound(), 3);
     }
 

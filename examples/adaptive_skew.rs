@@ -1,22 +1,21 @@
-//! Adaptive cardinality-guided execution on the `skew_flip` adversary.
+//! Bound-ranked execution on the `skew_flip` adversary.
 //!
 //! `skew_flip` is built so the optimizer's probe order is exactly wrong at
 //! run time: the statically cheap-looking `mid`/`mid2`/`mid3` probes hit
 //! huge hash maps that match every binding, while the statically
 //! expensive-looking `sel` probe is a tiny, cache-resident map that
-//! rejects almost everything. The adaptive executor consults O(1)
-//! construction-fixed trie bounds per node, probes `sel` first, and skips
-//! every `mid*` lookup for every rejected binding.
+//! rejects almost everything. The binary join probes in plan order. Free
+//! Join reads each subatom's O(1) trie bound per binding, probes `sel`
+//! first, and skips every `mid*` lookup for every rejected binding.
 //!
 //! ```text
 //! cargo run --release --example adaptive_skew
 //! ```
 //!
-//! The example exits nonzero unless (a) the adaptive run reports at least
-//! one probe reorder and (b) its output is identical to the static order —
-//! the two properties the adaptive executor promises. The timing ratio is
-//! printed for context; CI does not gate on it (the committed
-//! BENCH_micro.json rows do).
+//! The example exits nonzero unless the two engines agree, Free Join
+//! reports at least one probe reorder, and it makes at most half the binary
+//! join's probes — a work count, not a timing. The times are printed for
+//! context.
 
 use freejoin::plan::{optimize, CatalogStats, EstimatorMode, OptimizerOptions};
 use freejoin::prelude::*;
@@ -37,55 +36,54 @@ fn main() -> ExitCode {
     let plan = optimize(&named.query, &stats, opts);
     println!("workload: {} ({} hub rows)", w.name, w.catalog.get("hub").unwrap().num_rows());
 
-    let mut results = Vec::new();
-    for (label, adaptive) in [("static", false), ("adaptive", true)] {
-        let options = FreeJoinOptions::default().with_num_threads(1).with_adaptive(adaptive);
-        let mut best = f64::MAX;
-        let mut last = None;
-        for _ in 0..3 {
-            let engine = FreeJoinEngine::new(options);
-            let start = Instant::now();
-            let (out, stats) = engine.execute(&w.catalog, &named.query, &plan).unwrap();
-            best = best.min(start.elapsed().as_secs_f64());
-            last = Some((out, stats));
-        }
-        let (out, stats) = last.expect("at least one rep ran");
-        println!(
-            "{label:>9}: {best:.4}s  output={} reorders={}",
-            out.cardinality(),
-            stats.reorders
-        );
-        results.push((out, stats, best));
-    }
+    let start = Instant::now();
+    let (binary_out, binary) =
+        BinaryJoinEngine::new().execute(&w.catalog, &named.query, &plan).unwrap();
+    let binary_secs = start.elapsed().as_secs_f64();
+    let start = Instant::now();
+    let (out, stats) = FreeJoinEngine::new(FreeJoinOptions::default().with_num_threads(1))
+        .execute(&w.catalog, &named.query, &plan)
+        .unwrap();
+    let secs = start.elapsed().as_secs_f64();
+    println!(
+        "binary join: {binary_secs:.4}s  output={} probes={}",
+        binary_out.cardinality(),
+        binary.probes
+    );
+    println!(
+        "  free join: {secs:.4}s  output={} probes={} reorders={}",
+        out.cardinality(),
+        stats.probes,
+        stats.reorders
+    );
 
-    let (static_out, static_stats, static_secs) = &results[0];
-    let (adaptive_out, adaptive_stats, adaptive_secs) = &results[1];
-    println!("speedup: {:.2}x", static_secs / adaptive_secs);
-
-    if static_stats.reorders != 0 {
-        eprintln!("FAIL: the static executor reported {} reorders", static_stats.reorders);
-        return ExitCode::FAILURE;
-    }
-    if adaptive_stats.reorders == 0 {
-        eprintln!("FAIL: the adaptive executor never reordered on skew_flip");
-        return ExitCode::FAILURE;
-    }
-    if !adaptive_out.result_eq(static_out) {
-        eprintln!(
-            "FAIL: adaptive output diverged: {} vs {}",
-            adaptive_out.cardinality(),
-            static_out.cardinality()
-        );
-        return ExitCode::FAILURE;
-    }
     let expected = (micro::PLANTED * micro::PLANTED) as u64;
-    if static_out.cardinality() != expected {
+    if binary_out.cardinality() != expected {
         eprintln!(
             "FAIL: skew_flip must produce {expected} tuples, got {}",
-            static_out.cardinality()
+            binary_out.cardinality()
         );
         return ExitCode::FAILURE;
     }
-    println!("ok: adaptive reordered {} times, identical output", adaptive_stats.reorders);
+    if !out.result_eq(&binary_out) {
+        eprintln!(
+            "FAIL: Free Join's output diverged: {} vs {}",
+            out.cardinality(),
+            binary_out.cardinality()
+        );
+        return ExitCode::FAILURE;
+    }
+    if stats.reorders == 0 {
+        eprintln!("FAIL: Free Join never reordered on skew_flip");
+        return ExitCode::FAILURE;
+    }
+    if 2 * stats.probes > binary.probes {
+        eprintln!(
+            "FAIL: Free Join made {} probes, more than half the binary join's {}",
+            stats.probes, binary.probes
+        );
+        return ExitCode::FAILURE;
+    }
+    println!("ok: reordered {} times, identical output", stats.reorders);
     ExitCode::SUCCESS
 }

@@ -1,12 +1,10 @@
-//! Adaptive cardinality-guided execution: behavioural guarantees beyond
-//! cross-engine equivalence.
+//! Bound-ranked execution: behavioural guarantees beyond cross-engine
+//! equivalence.
 //!
-//! * On the `skew_flip` adversary the adaptive executor must actually
-//!   reorder probes (nonzero `reorders` counter) and still produce output
-//!   byte-identical to the static order, for every trie strategy and
-//!   thread count.
-//! * The static path must never report a reorder — adaptive off is the
-//!   exact legacy executor.
+//! * On the `skew_flip` adversary the executor must actually reorder probes
+//!   (nonzero `reorders` counter), make at most half the probes the binary
+//!   join makes in plan order, and still produce the binary join's output,
+//!   for every trie strategy and thread count.
 //! * `fj_exec_estimate_busts` must reconcile with EXPLAIN ANALYZE: the
 //!   session counter advances by exactly the number of `!`-marked nodes in
 //!   the rendered profile.
@@ -34,11 +32,10 @@ fn skew_flip_reorders_and_matches_static() {
     let named = &w.queries[0];
     let plan = plan_like_bench(&w);
 
-    let static_opts = FreeJoinOptions::default().with_num_threads(1);
-    let (reference, static_stats) = FreeJoinEngine::new(static_opts)
-        .execute(&w.catalog, &named.query, &plan)
-        .unwrap();
-    assert_eq!(static_stats.reorders, 0, "the static path must never reorder");
+    // The plan-order reference: the binary join probes `anchor`, `mid`,
+    // `mid2`, `mid3`, `sel` as the optimizer ordered them.
+    let (reference, binary) =
+        BinaryJoinEngine::new().execute(&w.catalog, &named.query, &plan).unwrap();
     assert_eq!(
         reference.cardinality(),
         (micro::PLANTED * micro::PLANTED) as u64,
@@ -47,18 +44,24 @@ fn skew_flip_reorders_and_matches_static() {
 
     for trie in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
         for threads in [1usize, 4, 8] {
-            let options = FreeJoinOptions { trie, ..FreeJoinOptions::default() }
-                .with_num_threads(threads)
-                .with_adaptive(true);
+            let options =
+                FreeJoinOptions { trie, ..FreeJoinOptions::default() }.with_num_threads(threads);
             let (out, stats) =
                 FreeJoinEngine::new(options).execute(&w.catalog, &named.query, &plan).unwrap();
             assert!(
                 out.result_eq(&reference),
-                "adaptive {trie:?} x{threads} diverged: {} vs {}",
+                "{trie:?} x{threads} diverged: {} vs {}",
                 out.cardinality(),
                 reference.cardinality()
             );
-            assert!(stats.reorders > 0, "adaptive {trie:?} x{threads} must reorder on skew_flip");
+            assert!(stats.reorders > 0, "{trie:?} x{threads} must reorder on skew_flip");
+            // `sel` first: a rejected binding never reaches a `mid*` map.
+            assert!(
+                2 * stats.probes <= binary.probes,
+                "{trie:?} x{threads}: {} probes against the binary join's {}",
+                stats.probes,
+                binary.probes
+            );
         }
     }
 }
@@ -70,7 +73,7 @@ fn adaptive_reorder_count_is_schedule_independent() {
     let w = micro::skew_flip(4096, 11);
     let named = &w.queries[0];
     let plan = plan_like_bench(&w);
-    let base = FreeJoinOptions::default().with_adaptive(true);
+    let base = FreeJoinOptions::default();
     let (_, serial) = FreeJoinEngine::new(base.with_num_threads(1))
         .execute(&w.catalog, &named.query, &plan)
         .unwrap();
@@ -84,7 +87,8 @@ fn adaptive_reorder_count_is_schedule_independent() {
 
 #[test]
 fn adaptive_matches_static_on_existing_workloads() {
-    // Zero behavioural drift on workloads with no estimate/bound flip.
+    // Zero behavioural drift against the plan-order engine on workloads
+    // with no estimate/bound flip.
     for w in [
         micro::clover(50),
         micro::skewed_triangle(120, 4, 1.0, 9),
@@ -93,18 +97,16 @@ fn adaptive_matches_static_on_existing_workloads() {
     ] {
         let named = &w.queries[0];
         let plan = plan_like_bench(&w);
-        let (reference, _) = FreeJoinEngine::new(FreeJoinOptions::default().with_num_threads(1))
+        let (reference, _) =
+            BinaryJoinEngine::new().execute(&w.catalog, &named.query, &plan).unwrap();
+        let (ranked, _) = FreeJoinEngine::new(FreeJoinOptions::default().with_num_threads(1))
             .execute(&w.catalog, &named.query, &plan)
             .unwrap();
-        let (adaptive, _) =
-            FreeJoinEngine::new(FreeJoinOptions::default().with_num_threads(1).with_adaptive(true))
-                .execute(&w.catalog, &named.query, &plan)
-                .unwrap();
         assert!(
-            adaptive.result_eq(&reference),
-            "adaptive diverged on {}: {} vs {}",
+            ranked.result_eq(&reference),
+            "Free Join diverged on {}: {} vs {}",
             named.name,
-            adaptive.cardinality(),
+            ranked.cardinality(),
             reference.cardinality()
         );
     }
@@ -135,7 +137,7 @@ fn estimate_busts_reconcile_with_explain_analyze() {
     let (catalog, query) = correlated_bust_workload(64);
     let caches = Arc::new(EngineCaches::with_defaults());
     let session = Session::new(Arc::clone(&caches))
-        .with_options(FreeJoinOptions::default().with_num_threads(1).with_adaptive(true));
+        .with_options(FreeJoinOptions::default().with_num_threads(1));
     let prepared = session.prepare(&catalog, &query).unwrap();
 
     let registry = MetricsRegistry::new();
@@ -187,7 +189,7 @@ fn skew_flip_does_not_bust_estimates() {
     let w = micro::skew_flip(2048, 3);
     let caches = Arc::new(EngineCaches::with_defaults());
     let session = Session::new(Arc::clone(&caches))
-        .with_options(FreeJoinOptions::default().with_num_threads(1).with_adaptive(true))
+        .with_options(FreeJoinOptions::default().with_num_threads(1))
         .with_optimizer(OptimizerOptions {
             mode: EstimatorMode::Accurate,
             left_deep_only: true,

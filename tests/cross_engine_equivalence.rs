@@ -37,12 +37,10 @@ fn assert_engines_agree(workload: &Workload, query_name: &str, mode: EstimatorMo
         FreeJoinOptions::default().with_batch_size(16),
         FreeJoinOptions { trie: TrieStrategy::Simple, ..FreeJoinOptions::default() },
         FreeJoinOptions { trie: TrieStrategy::Slt, ..FreeJoinOptions::default() },
-        FreeJoinOptions { dynamic_cover: false, ..FreeJoinOptions::default() },
         // Dead-variable pruning off: the enumerating reference plans.
         FreeJoinOptions::default().with_factorized_output(false),
         FreeJoinOptions::binary_equivalent(),
         FreeJoinOptions::generic_join_baseline(),
-        FreeJoinOptions { factor_to_fixpoint: true, ..FreeJoinOptions::default() },
         // Explicit single-thread (exact legacy serial) runs per trie
         // strategy: with the inline-packed `LevelKey` levels, every strategy
         // must agree serially as well as in parallel.
@@ -59,26 +57,7 @@ fn assert_engines_agree(workload: &Workload, query_name: &str, mode: EstimatorMo
             .with_num_threads(4),
         FreeJoinOptions::default().with_batch_size(1).with_num_threads(3),
         FreeJoinOptions::default().with_factorized_output(false).with_num_threads(4),
-        // Adaptive cardinality-guided execution: bound-driven subatom
-        // reordering must be invisible in results for every strategy,
-        // serially and under work stealing at 4 and 8 workers.
-        FreeJoinOptions::default().with_adaptive(true).with_num_threads(1),
-        FreeJoinOptions { trie: TrieStrategy::Simple, ..FreeJoinOptions::default() }
-            .with_adaptive(true)
-            .with_num_threads(1),
-        FreeJoinOptions { trie: TrieStrategy::Slt, ..FreeJoinOptions::default() }
-            .with_adaptive(true)
-            .with_num_threads(1),
-        FreeJoinOptions::default().with_adaptive(true).with_num_threads(4),
-        FreeJoinOptions { trie: TrieStrategy::Simple, ..FreeJoinOptions::default() }
-            .with_adaptive(true)
-            .with_num_threads(4),
-        FreeJoinOptions { trie: TrieStrategy::Slt, ..FreeJoinOptions::default() }
-            .with_adaptive(true)
-            .with_num_threads(4),
-        FreeJoinOptions::default().with_adaptive(true).with_num_threads(8),
-        FreeJoinOptions::default().with_adaptive(true).with_batch_size(1),
-        FreeJoinOptions::default().with_adaptive(true).with_factorized_output(false),
+        FreeJoinOptions::default().with_num_threads(8),
     ];
     for options in option_grid {
         let (fj, _) = FreeJoinEngine::new(options)
@@ -118,9 +97,9 @@ fn chain_and_star_all_engines_agree() {
 
 #[test]
 fn skew_flip_all_engines_agree() {
-    // The adaptive-execution adversary: per-binding selectivities are
-    // anti-correlated with the static statistics, so the adaptive rows of
-    // the option grid genuinely probe in a different order here.
+    // The adversary of a fixed probe order: per-binding selectivities are
+    // anti-correlated with the static statistics, so every Free Join row of
+    // the option grid probes in another order than the baselines here.
     let w = micro::skew_flip(2048, 7);
     assert_engines_agree(&w, "skew_flip", EstimatorMode::Accurate);
     assert_engines_agree(&w, "skew_flip", EstimatorMode::AlwaysOne);

@@ -5,8 +5,7 @@
 //! identical `QueryOutput`s — identical counts, identical group maps, and
 //! identical row multisets (compared in canonical sorted order, since no
 //! thread count promises a row order: hash-map iteration at trie levels is
-//! already unordered) — and, where the tries leave the executor no
-//! schedule-dependent choice, identical work counts.
+//! already unordered) — and identical work counts, under every strategy.
 
 use freejoin::engine::exec::{execute_pipeline, ExecCounters, Instruments};
 use freejoin::engine::sink::OutputSink;
@@ -59,7 +58,7 @@ fn assert_identical(serial: &QueryOutput, parallel: &QueryOutput, context: &str)
 
 /// Run every query of a workload at the given thread counts, for all three
 /// trie strategies, and demand identical outputs. `configure` customizes
-/// the shared options (split-threshold and adaptive variations).
+/// the shared options (split-threshold variations).
 /// Everything runs twice: with dead-variable pruning (the default plans)
 /// and without — these workloads count, so only the unpruned plans still
 /// have the deep expansions the scheduler splits and steals.
@@ -176,17 +175,14 @@ fn star_parallel_matches_serial() {
     check_workload(&micro::star(3, 150, 30, 0.6, 19));
 }
 
-/// Adaptive execution decides probe order from construction-fixed bounds,
-/// so serial and parallel runs must stay identical with it on — including
-/// on skew_flip, the workload where adaptive decisions actually differ
-/// from the static order, across {simple, slt, colt} × {1, 2, 4, 8}
-/// threads.
+/// The executor decides cover and probe order from construction-fixed
+/// bounds, so serial and parallel runs must stay identical — including on
+/// skew_flip, the workload where those decisions actually differ from the
+/// plan order, across {simple, slt, colt} × {1, 2, 4, 8} threads.
 #[test]
 fn adaptive_parallel_matches_serial() {
     for w in [micro::skew_flip(4096, 13), micro::clover(60), micro::skewed_star(2, 60, 0.9, 23)] {
-        check_workload_configured(&w, &[1, 2, 4, 8], |o| {
-            o.with_adaptive(true).with_split_threshold(32)
-        });
+        check_workload_configured(&w, &[1, 2, 4, 8], |o| o.with_split_threshold(32));
     }
 }
 
@@ -239,11 +235,9 @@ fn forced_split_stress_matches_serial() {
     // Split plans: every adjacency list of two or more rows is forced and
     // cut into entry ranges while other workers scan or walk the same nodes.
     check_workload_configured(&lsqb::workload(&lsqb::LsqbConfig::tiny()), &threads, tiny);
-    // Adaptive probe reordering under maximal steal interleavings: the
-    // bound-driven decisions must survive any task split schedule.
-    let tiny_adaptive = |o: FreeJoinOptions| o.with_split_threshold(2).with_adaptive(true);
-    check_workload_configured(&micro::skew_flip(2048, 17), &threads, tiny_adaptive);
-    check_workload_configured(&micro::skewed_star(2, 40, 0.9, 31), &threads, tiny_adaptive);
+    // Probe reordering under maximal steal interleavings: the bound-driven
+    // decisions must survive any task split schedule.
+    check_workload_configured(&micro::skew_flip(2048, 17), &threads, tiny);
     // Materialized rows under forced splitting exercise the task-tree sink
     // merge hardest: every split changes which sink holds which rows.
     let clover = micro::clover(40);
@@ -316,14 +310,23 @@ fn auto_threads_matches_serial() {
 /// splitting moves work without adding or dropping any — the probe, hit and
 /// expansion totals of `execute_pipeline` agree at 1, 2, 4 (and
 /// `FJ_TEST_THREADS`) threads, batched or entry by entry, on pruned and
-/// enumerating plans.
+/// enumerating plans, under all three trie strategies: covers, probe orders
+/// and splits are ranked by a node's row count, which no worker's forcing
+/// moves.
 ///
-/// Work is compared on fully built tries (`TrieStrategy::Simple`). Under
-/// the lazy strategies dynamic cover selection reads `estimated_keys`, which
-/// is a node's row count until some probe forces it and its key count
-/// after: which of two covers a binding iterates then depends on which
-/// worker got to the node first, and the totals move by a few entries from
-/// schedule to schedule (the outputs, compared for every strategy, do not).
+/// One read of a schedule-dependent state is left in the executor, outside
+/// what these inputs exercise: `InputTrie::iterates_rows` asks `is_map()`,
+/// so a cover at its input's last level is walked row by row while unforced
+/// and key by key once some probe of another binding forced it — the same
+/// bag of results, but over *duplicate rows* a different number of
+/// expansions, and of the probes each of them makes, depending on which
+/// worker reached the node first. It takes a node of more than
+/// `SCAN_PROBE_MAX_ROWS` rows, duplicates among them, that is the smaller
+/// cover for one binding and the probed side for another; none of these
+/// single-pipeline runs has one (an intermediate whose dead columns are gone
+/// does: the LSQB-like `q3` under the optimizer's bushy plan makes 8,103
+/// probes on one thread and, at `split_threshold = 64` on four, 8,068 to
+/// 8,114 from run to run).
 #[test]
 fn work_counts_are_identical_at_every_thread_count() {
     let workloads = [
@@ -352,9 +355,7 @@ fn work_counts_are_identical_at_every_thread_count() {
                     let (expected, work) =
                         reference.get_or_insert_with(|| (output.clone(), counters.work()));
                     assert_identical(expected, &output, &context);
-                    if trie == TrieStrategy::Simple {
-                        assert_eq!(*work, counters.work(), "work diverged: {context}");
-                    }
+                    assert_eq!(*work, counters.work(), "work diverged: {context}");
                 }
             }
         }

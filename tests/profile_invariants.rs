@@ -132,16 +132,12 @@ fn count_profile_is_deterministic_per_configuration() {
 }
 
 /// Repeated profiled executions of the same prepared query are idempotent:
-/// the rows every node produces depend only on the plan and data, and once
-/// the tries are warm so do the work counts (the later runs probe the same
-/// tries the first run built).
-///
-/// The cold run's *work* counts are not part of that: with `a`, `b`, `c`
-/// pruned the clover is the single node `[R(x) S(x) T(x)]`, all three
-/// subatoms are cover candidates, and dynamic cover selection reads
-/// `estimated_keys` — the row count of a trie level nobody forced yet, its
-/// distinct-key count afterwards — so the first run may iterate a different
-/// subatom than the warm ones.
+/// the rows every node produces and the work it does depend only on the
+/// plan and data, cold or warm. With `a`, `b`, `c` pruned the clover is the
+/// single node `[R(x) S(x) T(x)]` and all three subatoms are cover
+/// candidates: they are ranked by their row counts, which the levels the
+/// cold run forced do not change, so the warm runs iterate the same subatom
+/// and probe the other two in the same order.
 #[test]
 fn warm_reexecution_reports_identical_counts() {
     let workload = micro::clover(100);
@@ -152,6 +148,7 @@ fn warm_reexecution_reports_identical_counts() {
     let (_, warm_stats, warm) = profiled(&prepared, &workload.catalog);
     let (_, _, again) = profiled(&prepared, &workload.catalog);
     assert!(warm_stats.tries_built <= cold_stats.tries_built);
+    assert_eq!(counts(&cold), counts(&warm));
     assert_eq!(counts(&warm), counts(&again));
     let rows = |profile: &QueryProfile| -> Vec<(String, u64)> {
         let nodes = profile.pipelines.iter().flat_map(|p| &p.nodes);

@@ -82,11 +82,7 @@ fn check_all_engines(catalog: &Catalog, query: &ConjunctiveQuery) {
         FreeJoinOptions::default().with_batch_size(1),
         FreeJoinOptions::default().with_batch_size(3),
         FreeJoinOptions { trie: TrieStrategy::Simple, ..FreeJoinOptions::default() },
-        FreeJoinOptions {
-            trie: TrieStrategy::Slt,
-            dynamic_cover: false,
-            ..FreeJoinOptions::default()
-        },
+        FreeJoinOptions { trie: TrieStrategy::Slt, ..FreeJoinOptions::default() },
         FreeJoinOptions::default().with_factorized_output(false),
         FreeJoinOptions::generic_join_baseline(),
     ] {

@@ -5,24 +5,33 @@
 //! with a counting global allocator — tracing that is *off* allocates
 //! nothing.
 //!
-//! Every test takes the shared `GATE` lock: the allocation test reads a
-//! process-global counter, so the file's tests must not run concurrently.
+//! The allocator counts per thread, so what the test harness allocates
+//! beside a running test (reporting the last one, starting the next) stays
+//! out of the allocation test's measurement.
 
 use freejoin::obs::{TraceCat, TraceKind};
 use freejoin::prelude::*;
 use freejoin::query::ExecStats;
 use freejoin::workloads::micro;
 use std::alloc::{GlobalAlloc, Layout, System};
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::cell::Cell;
 use std::sync::{Arc, Mutex, MutexGuard};
 
 struct CountingAllocator;
 
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+thread_local! {
+    /// Allocations made by this thread.
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+fn count_one() {
+    // `try_with`: a thread may still free and allocate while its locals go.
+    let _ = ALLOCATIONS.try_with(|count| count.set(count.get() + 1));
+}
 
 unsafe impl GlobalAlloc for CountingAllocator {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.alloc(layout) }
     }
 
@@ -31,7 +40,7 @@ unsafe impl GlobalAlloc for CountingAllocator {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        count_one();
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -40,10 +49,11 @@ unsafe impl GlobalAlloc for CountingAllocator {
 static GLOBAL: CountingAllocator = CountingAllocator;
 
 fn allocations() -> u64 {
-    ALLOCATIONS.load(Ordering::SeqCst)
+    ALLOCATIONS.with(Cell::get)
 }
 
-/// Serializes the file's tests (the allocator counter is process-global).
+/// Runs the file's tests one at a time: the scheduler tests watch steals
+/// among the machine's cores.
 static GATE: Mutex<()> = Mutex::new(());
 
 fn gate() -> MutexGuard<'static, ()> {
