@@ -6,8 +6,11 @@
 //! cargo run --release -p fj-bench --bin experiments -- fig14
 //! ```
 //!
-//! Subcommands: `fig14`, `fig15`, `fig16`, `fig17`, `fig18`, `fig19`,
-//! `fig20`, `headline`, `all`.
+//! Subcommands: `fig14`, `fig15`, `fig16`, `fig17`, `fig19`, `fig20`,
+//! `headline`, `all`. Figure 18 (batch sizes) has no subcommand: the
+//! executor batches the probes of every node that has any, at the paper's
+//! default of 1000 entries, and no option changes that (README,
+//! "Per-entry step").
 //!
 //! The environment variable `FJ_SCALE` (a float, default 1.0) scales the
 //! synthetic datasets up or down.
@@ -217,42 +220,6 @@ fn fig17() {
     );
 }
 
-/// Figure 18: vectorization batch sizes 1 / 10 / 100 / 1000.
-fn fig18() {
-    let w = job_workload();
-    println!("\n[Figure 18] Impact of vectorization (JOB-like)");
-    print_header(
-        "Fig 18: batch sizes",
-        &["batch=1", "batch=10", "batch=100", "batch=1000", "1000/1"],
-    );
-    let mut ratios = Vec::new();
-    for named in &w.queries {
-        let (plan, _) = plan_query(&w.catalog, &named.query, EstimatorMode::Accurate);
-        let mut times = Vec::new();
-        for batch in [1usize, 10, 100, 1000] {
-            let options = FreeJoinOptions::default().with_batch_size(batch);
-            let r = run_query_with_plan(&w.catalog, named, &plan, &Engine::FreeJoin(options));
-            times.push(r.reported);
-        }
-        let s = speedup(times[3], times[0]);
-        ratios.push(s);
-        print_row(
-            &named.name,
-            &[
-                fmt_time(times[0]),
-                fmt_time(times[1]),
-                fmt_time(times[2]),
-                fmt_time(times[3]),
-                format!("{s:.2}x"),
-            ],
-        );
-    }
-    println!(
-        "geometric mean speedup of batch 1000 over batch 1: {:.2}x (paper: 2.12x, max 5.33x)",
-        geometric_mean(&ratios)
-    );
-}
-
 /// Figure 19: LSQB with factorized output.
 fn fig19() {
     println!("\n[Figure 19] LSQB-like run time with factorized output");
@@ -367,7 +334,6 @@ fn main() {
         "fig15" | "fig20" => fig15_20(),
         "fig16" => fig16(),
         "fig17" => fig17(),
-        "fig18" => fig18(),
         "fig19" => fig19(),
         "headline" => headline(),
         "all" => {
@@ -375,12 +341,11 @@ fn main() {
             fig15_20();
             fig16();
             fig17();
-            fig18();
             fig19();
             headline();
         }
         other => {
-            eprintln!("unknown experiment {other:?}; expected fig14|fig15|fig16|fig17|fig18|fig19|fig20|headline|all");
+            eprintln!("unknown experiment {other:?}; expected fig14|fig15|fig16|fig17|fig19|fig20|headline|all");
             std::process::exit(1);
         }
     }

@@ -9,8 +9,8 @@
 //! * [`run_query`] — plan, execute, and time one query, reporting the same
 //!   quantity the paper plots (build + join time, excluding selections and
 //!   aggregation);
-//! * the `experiments` binary — prints the rows behind every figure and is
-//!   used to fill `EXPERIMENTS.md`.
+//! * the `experiments` binary — prints the rows behind the paper's figures
+//!   and is used to fill `EXPERIMENTS.md`.
 
 use fj_baselines::{BinaryJoinEngine, GenericJoinEngine};
 use fj_plan::{optimize, BinaryPlan, CatalogStats, EstimatorMode, OptimizerOptions};
@@ -32,16 +32,10 @@ pub enum Engine {
 }
 
 impl Engine {
-    /// Free Join with the paper's default configuration (COLT, batch 1000,
-    /// dynamic covers).
+    /// Free Join with the paper's default configuration (COLT, factorized
+    /// output).
     pub fn free_join_default() -> Self {
         Engine::FreeJoin(FreeJoinOptions::default())
-    }
-
-    /// Free Join configured as the paper's Generic Join baseline (simple
-    /// tries, no vectorization) — used in the ablation studies.
-    pub fn free_join_as_generic() -> Self {
-        Engine::FreeJoin(FreeJoinOptions::generic_join_baseline())
     }
 
     /// Display label used in benchmark output.
@@ -49,9 +43,7 @@ impl Engine {
         match self {
             Engine::Binary => "binary".to_string(),
             Engine::Generic => "generic".to_string(),
-            Engine::FreeJoin(opts) => {
-                format!("freejoin[{},b{}]", opts.trie.name(), opts.batch_size)
-            }
+            Engine::FreeJoin(opts) => format!("freejoin[{}]", opts.trie.name()),
         }
     }
 
@@ -215,6 +207,5 @@ mod tests {
         let labels: Vec<String> = Engine::paper_lineup().iter().map(Engine::label).collect();
         assert_eq!(labels.len(), 3);
         assert!(labels.iter().collect::<std::collections::HashSet<_>>().len() == 3);
-        assert_eq!(Engine::free_join_as_generic().label(), "freejoin[simple,b1]");
     }
 }

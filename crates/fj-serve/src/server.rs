@@ -91,11 +91,6 @@ pub struct ServerConfig {
     /// "unknown handle" error), so an untrusted client looping `Prepare`
     /// cannot grow server memory without bound.
     pub max_prepared: usize,
-    /// Pin worker thread `i` to CPU core `i % cores` (Linux only; a no-op
-    /// elsewhere and on affinity errors). Off by default: pinning helps a
-    /// dedicated serving box (stable caches for the work-stealing executor's
-    /// per-worker deques) but hurts a shared one.
-    pub pin_workers: bool,
     /// Executions whose engine time reaches this many microseconds are
     /// recorded in the slow-query log with their per-node profile.
     pub slow_query_us: u64,
@@ -153,7 +148,6 @@ impl Default for ServerConfig {
             inflight_byte_budget: 8 << 20,
             max_frame_bytes: 1 << 20,
             max_prepared: 1024,
-            pin_workers: false,
             slow_query_us: 10_000,
             slow_query_log: 8,
             trace_sample_n: 0,
@@ -167,28 +161,6 @@ impl Default for ServerConfig {
         }
     }
 }
-
-/// Pin the calling thread to one CPU core (Linux `sched_setaffinity` on the
-/// current thread; no-op on other platforms and on error — pinning is a
-/// performance hint, never a correctness requirement).
-#[cfg(target_os = "linux")]
-fn pin_current_thread(core: usize) {
-    // The glibc symbol directly — std already links libc, and the raw call
-    // avoids a dependency for one line of affinity plumbing.
-    extern "C" {
-        fn sched_setaffinity(pid: i32, cpusetsize: usize, mask: *const u64) -> i32;
-    }
-    let mut mask = [0u64; 16]; // up to 1024 cores
-    let slot = core % (mask.len() * 64);
-    mask[slot / 64] = 1u64 << (slot % 64);
-    // pid 0 = the calling thread. Failure (e.g. a restricted cpuset) is fine.
-    unsafe {
-        let _ = sched_setaffinity(0, std::mem::size_of_val(&mask), mask.as_ptr());
-    }
-}
-
-#[cfg(not(target_os = "linux"))]
-fn pin_current_thread(_core: usize) {}
 
 impl ServerConfig {
     /// The concrete worker count (`workers`, or available parallelism).
@@ -658,14 +630,7 @@ impl Server {
                 let rx = Arc::clone(&rx);
                 std::thread::Builder::new()
                     .name(format!("fj-serve-worker-{i}"))
-                    .spawn(move || {
-                        if shared.config.pin_workers {
-                            let cores =
-                                std::thread::available_parallelism().map(|n| n.get()).unwrap_or(1);
-                            pin_current_thread(i % cores);
-                        }
-                        worker_loop(&shared, &rx)
-                    })
+                    .spawn(move || worker_loop(&shared, &rx))
                     .expect("spawning a worker thread succeeds")
             })
             .collect();

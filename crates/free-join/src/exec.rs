@@ -26,10 +26,11 @@
 //!   for a trie that arrives forced from the cache.
 //! * **Vectorized execution** (Section 4.3, Figure 13): gather a batch of
 //!   iterated keys, run each probe over the whole batch, then recurse for
-//!   the survivors. It is the cover loop's per-entry step at a node with
-//!   probes when `FreeJoinOptions::batch_size > 1`; otherwise each entry is
-//!   probed and recursed for on its own. The batch buffers hold the entries
-//!   the cover can yield, at most `batch_size`.
+//!   the survivors. It is the cover loop's per-entry step at every node
+//!   with probes — no option turns it off; a node whose cover is its only
+//!   subatom has nothing to probe and recurses entry by entry. The batch
+//!   buffers hold the entries the cover can yield, at most `BATCH` (1000,
+//!   the paper's default).
 //! * **Factorized output** (Section 4.4) needs nothing here: the plan
 //!   compiler removed every variable nothing reads ([`crate::compile`]), and
 //!   the weight rule below counts the rows those variables told apart.
@@ -40,8 +41,7 @@
 //! final probe therefore asks the trie for that number only
 //! ([`InputTrie::count_matches`]); a probe that has to descend asks for the
 //! child position. Both count as one probe (and one hit) in
-//! [`ExecCounters`] and in the per-node profile, batched or not, on one
-//! thread or many.
+//! [`ExecCounters`] and in the per-node profile, on one thread or many.
 //!
 //! The hot path is allocation-free: probe keys of arity ≤ 2 are built in
 //! stack arrays in place, and every remaining per-iteration buffer (wide-key
@@ -465,7 +465,7 @@ where
     if root_tasks.is_empty() {
         let mut sink = make_sink();
         let counters = ExecCounters::for_worker(plan, instruments, 0);
-        let mut ctx = ExecCtx::new(tries, plan, options, &mut sink, counters, (blank, roots));
+        let mut ctx = ExecCtx::new(tries, plan, &mut sink, counters, (blank, roots));
         ctx.run_node(0, 1, &mut new_scratch());
         let counters = ctx.finish();
         return (vec![sink], counters);
@@ -511,7 +511,7 @@ where
                     }
                     let (mut sink, start) = (make_sink(), (tuple, positions));
                     let mine = std::mem::take(&mut counters);
-                    let mut ctx = ExecCtx::new(tries, plan, options, &mut sink, mine, start);
+                    let mut ctx = ExecCtx::new(tries, plan, &mut sink, mine, start);
                     ctx.split =
                         Some(WorkerSplitter { sched, worker: id, path: &path, next_child: 0 });
                     ctx.run_task(node_idx, weight, &items, &mut scratch);
@@ -611,18 +611,22 @@ fn select_cover(node: &CompiledNode, current: &[NodeRef<'_>]) -> usize {
         .expect("valid plans have at least one cover")
 }
 
+/// Most entries a node with probes buffers before it probes them: the
+/// paper's default batch size (Section 4.3). The buffers are sized to
+/// `BATCH.min(entries the cover can yield)`, so a narrow cover never pays
+/// for a whole batch.
+const BATCH: usize = 1000;
+
 /// Everything the recursive join threads from call to call: what it reads
-/// (tries, plan, the batch size), the state it
-/// advances (binding tuple, trie positions, counters) and where results go
-/// (chunk buffer, sink). One context runs the whole plan on the calling
-/// thread, or one scheduler task on a worker — then `split` is set and the
-/// tuple and positions are the task's own. Methods take the plan position
+/// (tries, plan), the state it advances (binding tuple, trie positions,
+/// counters) and where results go (chunk buffer, sink). One context runs
+/// the whole plan on the calling thread, or one scheduler task on a worker
+/// — then `split` is set and the tuple and positions are the task's own. Methods take the plan position
 /// and `scratch`, the scratch space of that node and every following one
 /// (`scratch[0]` belongs to the node).
 struct ExecCtx<'a, 't> {
     tries: &'t [Arc<InputTrie>],
     plan: &'t CompiledPlan,
-    batch_size: usize,
     tuple: Vec<Value>,
     current: Vec<NodeRef<'t>>,
     sink: &'a mut dyn Sink,
@@ -637,7 +641,6 @@ impl<'a, 't> ExecCtx<'a, 't> {
     fn new(
         tries: &'t [Arc<InputTrie>],
         plan: &'t CompiledPlan,
-        options: &FreeJoinOptions,
         sink: &'a mut dyn Sink,
         counters: ExecCounters,
         start: (Vec<Value>, Vec<NodeRef<'t>>),
@@ -647,17 +650,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
             plan.binding_order.len(),
             counters.cancel.clone(),
         );
-        ExecCtx {
-            tries,
-            plan,
-            batch_size: options.batch_size,
-            tuple: start.0,
-            current: start.1,
-            sink,
-            out,
-            counters,
-            split: None,
-        }
+        ExecCtx { tries, plan, tuple: start.0, current: start.1, sink, out, counters, split: None }
     }
 
     /// Hand the buffered results to the sink and give the counters back.
@@ -820,10 +813,10 @@ impl<'a, 't> ExecCtx<'a, 't> {
     }
 
     /// The cover loop: walk `range` of the node's cover and, per entry, bind
-    /// it, probe the node's other subatoms and recurse for the matches —
-    /// entry by entry ([`Self::process_cover_entry`]), or, at a node with
-    /// probes when `batch_size > 1`, a batch at a time (Figure 13:
-    /// [`Self::buffer_cover_entry`] then [`Self::flush_batch`]).
+    /// it, probe the node's other subatoms and recurse for the matches, a
+    /// batch at a time (Figure 13: [`Self::buffer_cover_entry`] then
+    /// [`Self::flush_batch`]) — or, at a node with nothing to probe, entry by
+    /// entry ([`Self::process_cover_entry`]).
     fn run_cover(
         &mut self,
         node_idx: usize,
@@ -849,19 +842,19 @@ impl<'a, 't> ExecCtx<'a, 't> {
         let (size, path) = task.unwrap_or((0, &[][..]));
         let started = self.begin_node(node_idx, size as u64, path);
 
-        // The probed inputs' trie positions are fixed across the loop (only
-        // the cover varies per entry), and so are their bounds: one
-        // O(#subatoms) ranking serves every entry.
-        scratch[0].reordered =
-            order_probes(node, cover_idx, &self.current, &mut scratch[0].probe_order);
-
-        let batch_size = self.batch_size;
-        let batched = batch_size > 1 && node.subatoms.len() > 1;
+        // Every subatom but the cover is probed: a node with more than one
+        // batches.
+        let batched = node.subatoms.len() > 1;
         if batched {
+            // The probed inputs' trie positions are fixed across the loop
+            // (only the cover varies per entry), and so are their bounds:
+            // one O(#subatoms) ranking serves every entry.
+            scratch[0].reordered =
+                order_probes(node, cover_idx, &self.current, &mut scratch[0].probe_order);
             // Room for the entries the cover can yield, not for a whole
             // batch: both bounds are O(1) reads.
             let entries = task.map_or_else(|| cover_node.key_bound(), |t| t.0);
-            ensure_batch_buffers(&mut scratch[0], batch_size.min(entries), node);
+            ensure_batch_buffers(&mut scratch[0], BATCH.min(entries), node);
             scratch[0].count = 0;
         }
         let step = |key: &[Value], child: Option<NodeRef<'t>>| {
@@ -876,7 +869,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
             self.counters.profile.add_expansions(node_idx, 1);
             if batched {
                 self.buffer_cover_entry(node, cover_idx, weight, key, child, &mut scratch[0]);
-                if scratch[0].count >= batch_size {
+                if scratch[0].count >= BATCH {
                     self.flush_batch(node_idx, scratch);
                 }
             } else {
@@ -1042,38 +1035,9 @@ impl<'a, 't> ExecCtx<'a, 't> {
         }
     }
 
-    /// Probe one non-cover subatom for the current binding: build the key
-    /// from the bound tuple slots, look it up, and either fold the weight
-    /// (final level) or descend `current` (saving the old position in
-    /// `mine.saved`). Returns `false` on a miss.
-    #[inline(always)]
-    fn probe_one_subatom(
-        &mut self,
-        node_idx: usize,
-        sub: &CompiledSubatom,
-        mine: &mut NodeScratch<'t>,
-        local_weight: &mut u64,
-    ) -> bool {
-        self.counters.stats.probes += 1;
-        let tuple = &self.tuple;
-        let trie = &self.tries[sub.input];
-        let found =
-            probe_subatom(trie, self.current[sub.input], sub, &mut mine.spill_key, |s| tuple[s]);
-        self.counters.profile.add_probe(node_idx, found.is_some());
-        match found {
-            Some(Found::Rows(rows)) => *local_weight = local_weight.saturating_mul(rows),
-            Some(Found::Child(child)) => {
-                let old = std::mem::replace(&mut self.current[sub.input], child);
-                mine.saved.push((sub.input, old));
-            }
-            None => return false,
-        }
-        self.counters.stats.probe_hits += 1;
-        true
-    }
-
-    /// The cover loop's per-entry step without batching: bind the key, probe
-    /// the other subatoms, and recurse into the next node for matches.
+    /// The cover loop's per-entry step at a node whose cover is its only
+    /// subatom: bind the key, follow the cover's continuation and recurse
+    /// into the next node — there is nothing to probe.
     fn process_cover_entry(
         &mut self,
         node_idx: usize,
@@ -1084,42 +1048,26 @@ impl<'a, 't> ExecCtx<'a, 't> {
         scratch: &mut [NodeScratch<'t>],
     ) {
         let plan = self.plan;
-        let node = &plan.nodes[node_idx];
-        let cover = &node.subatoms[cover_idx];
+        let cover = &plan.nodes[node_idx].subatoms[cover_idx];
         if !apply_iter_actions(&cover.iter_actions, key, &mut self.tuple) {
             return;
         }
-        let (mine, rest) = scratch.split_first_mut().expect("every node has its scratch");
         let mut local_weight = weight;
-        mine.saved.clear();
-
-        // The cover's own continuation.
+        let mut saved = None;
         if cover.final_for_input {
             if let Some(c) = child {
                 local_weight = local_weight.saturating_mul(c.key_bound() as u64);
             }
         } else {
             let c = child.expect("non-final cover level is forced into a map");
-            let old = std::mem::replace(&mut self.current[cover.input], c);
-            mine.saved.push((cover.input, old));
+            saved = Some(std::mem::replace(&mut self.current[cover.input], c));
         }
-
-        // Probe the other subatoms, smallest current bound first, building
-        // each key in place from the tuple slots.
-        if mine.reordered {
-            self.note_reorder(node_idx, 1);
-        }
-        let all_matched = (0..mine.probe_order.len()).all(|t| {
-            let sub = &node.subatoms[mine.probe_order[t]];
-            self.probe_one_subatom(node_idx, sub, mine, &mut local_weight)
-        });
-
-        if all_matched && local_weight > 0 {
+        if local_weight > 0 {
             self.counters.profile.add_output_rows(node_idx, local_weight);
-            self.run_node(node_idx + 1, local_weight, rest);
+            self.run_node(node_idx + 1, local_weight, &mut scratch[1..]);
         }
-        for (input, old) in mine.saved.drain(..) {
-            self.current[input] = old;
+        if let Some(old) = saved {
+            self.current[cover.input] = old;
         }
     }
 
@@ -1511,8 +1459,7 @@ mod tests {
         let plan = binary2fj(&iv);
         for options in [
             FreeJoinOptions::default(),
-            FreeJoinOptions::default().with_batch_size(1),
-            FreeJoinOptions::generic_join_baseline(),
+            FreeJoinOptions::default().with_trie(TrieStrategy::Simple),
             FreeJoinOptions { trie: TrieStrategy::Slt, ..FreeJoinOptions::default() },
         ] {
             let (count, counters) = run(&inputs, &plan, &options, Aggregate::Count);
@@ -1530,7 +1477,7 @@ mod tests {
         let mut optimized = naive.clone();
         factor(&mut optimized);
 
-        let opts = FreeJoinOptions::default().with_batch_size(1);
+        let opts = FreeJoinOptions::default();
         let (c1, k1) = run(&inputs, &naive, &opts, Aggregate::Count);
         let (c2, k2) = run(&inputs, &optimized, &opts, Aggregate::Count);
         assert_eq!(c1, 1);
@@ -1614,9 +1561,7 @@ mod tests {
         for plan in [&binary, &factored, &gj] {
             for options in [
                 FreeJoinOptions::default(),
-                FreeJoinOptions::default().with_batch_size(1),
-                FreeJoinOptions::default().with_batch_size(7),
-                FreeJoinOptions::generic_join_baseline(),
+                FreeJoinOptions::default().with_trie(TrieStrategy::Simple),
                 FreeJoinOptions::default().with_trie(TrieStrategy::Slt),
             ] {
                 let (count, _) = run(&inputs, plan, &options, Aggregate::Count);
@@ -1669,19 +1614,16 @@ mod tests {
         factor(&mut plan);
         assert_eq!(plan.to_string(), "[[#0(x,y), #1(y), #2(x)], [#1(z), #2(z)], [#2()]]");
         for trie in [TrieStrategy::Colt, TrieStrategy::Slt, TrieStrategy::Simple] {
-            for batch_size in [1, 1000] {
-                let options =
-                    FreeJoinOptions::default().with_trie(trie).with_batch_size(batch_size);
-                // The smaller bound: #2(z), T's shorter list, is iterated.
-                let (count, counters) = run(&inputs, &plan, &options, Aggregate::Count);
-                assert_eq!(count, 3, "{options:?}");
-                // (x,y), the two distinct z under T, one step into #2() each.
-                assert_eq!(counters.expansions, 1 + 2 + 2, "{options:?}");
-                let split = options.with_split_threshold(2);
-                for threads in [2, 4] {
-                    let (par, _) = run_parallel(&inputs, &plan, &split, Aggregate::Count, threads);
-                    assert_eq!(par, 3, "threads {threads} {split:?}");
-                }
+            let options = FreeJoinOptions::default().with_trie(trie);
+            // The smaller bound: #2(z), T's shorter list, is iterated.
+            let (count, counters) = run(&inputs, &plan, &options, Aggregate::Count);
+            assert_eq!(count, 3, "{options:?}");
+            // (x,y), the two distinct z under T, one step into #2() each.
+            assert_eq!(counters.expansions, 1 + 2 + 2, "{options:?}");
+            let split = options.with_split_threshold(2);
+            for threads in [2, 4] {
+                let (par, _) = run_parallel(&inputs, &plan, &split, Aggregate::Count, threads);
+                assert_eq!(par, 3, "threads {threads} {split:?}");
             }
         }
     }
@@ -1691,8 +1633,7 @@ mod tests {
     /// bag result from a different number of expansions (and probes). The
     /// probes into S's list are final: scanned in place while the list is
     /// within the scan bound, answered by its map once it is a hub — and
-    /// counted the same either way, in the scalar, vectorized and
-    /// work-stealing loops.
+    /// counted the same either way, on one thread and under work stealing.
     #[test]
     fn row_wise_cover_reports_duplicate_rows_as_separate_entries() {
         for s_rows in [6, crate::trie::SCAN_PROBE_MAX_ROWS as i64 + 5] {
@@ -1702,22 +1643,20 @@ mod tests {
             plan.prune_empty_subatoms();
             factor(&mut plan);
             assert_eq!(plan.to_string(), "[[#0(x,y), #1(y), #2(x)], [#1(z), #2(z)]]");
-            for batch_size in [1, 1000] {
-                let colt = FreeJoinOptions::default().with_batch_size(batch_size);
-                let (count, rows) = run(&inputs, &plan, &colt, Aggregate::Count);
-                // COLT: T's three rows under x = 1, each probing S.
-                assert_eq!((count, rows.work()), (3, (2 + 3, 2 + 3, 1 + 3)), "S has {s_rows}");
-                // The simple trie built T's second level up front: two keys.
-                let simple = colt.with_trie(TrieStrategy::Simple);
-                let (count, keys) = run(&inputs, &plan, &simple, Aggregate::Count);
-                assert_eq!((count, keys.work()), (3, (2 + 2, 2 + 2, 1 + 2)), "S has {s_rows}");
-                // Materialized, the duplicate still comes out twice.
-                assert_eq!(run(&inputs, &plan, &colt, Aggregate::Materialize).0, 3);
-                let split = colt.with_split_threshold(2);
-                for threads in [2, 4] {
-                    let (par, _) = run_parallel(&inputs, &plan, &split, Aggregate::Count, threads);
-                    assert_eq!(par, 3, "threads {threads}, S has {s_rows}");
-                }
+            let colt = FreeJoinOptions::default();
+            let (count, rows) = run(&inputs, &plan, &colt, Aggregate::Count);
+            // COLT: T's three rows under x = 1, each probing S.
+            assert_eq!((count, rows.work()), (3, (2 + 3, 2 + 3, 1 + 3)), "S has {s_rows}");
+            // The simple trie built T's second level up front: two keys.
+            let simple = colt.with_trie(TrieStrategy::Simple);
+            let (count, keys) = run(&inputs, &plan, &simple, Aggregate::Count);
+            assert_eq!((count, keys.work()), (3, (2 + 2, 2 + 2, 1 + 2)), "S has {s_rows}");
+            // Materialized, the duplicate still comes out twice.
+            assert_eq!(run(&inputs, &plan, &colt, Aggregate::Materialize).0, 3);
+            let split = colt.with_split_threshold(2);
+            for threads in [2, 4] {
+                let (par, _) = run_parallel(&inputs, &plan, &split, Aggregate::Count, threads);
+                assert_eq!(par, 3, "threads {threads}, S has {s_rows}");
             }
         }
     }
@@ -1739,11 +1678,9 @@ mod tests {
         let inputs = prepare_inputs(&cat, &q).unwrap().atoms;
         let iv: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
         let plan = binary2fj(&iv);
-        for options in [
-            FreeJoinOptions::default(),
-            FreeJoinOptions::default().with_batch_size(1),
-            FreeJoinOptions::generic_join_baseline(),
-        ] {
+        for options in
+            [FreeJoinOptions::default(), FreeJoinOptions::default().with_trie(TrieStrategy::Simple)]
+        {
             let (count, _) = run(&inputs, &plan, &options, Aggregate::Count);
             assert_eq!(count, 6, "options {options:?}");
             let (par, _) = run_parallel(&inputs, &plan, &options, Aggregate::Count, 4);
@@ -1882,7 +1819,7 @@ mod tests {
         assert_eq!(plan.to_string(), "[[#0(x), #1(x)]]");
 
         for trie in [TrieStrategy::Colt, TrieStrategy::Slt, TrieStrategy::Simple] {
-            let options = FreeJoinOptions::default().with_trie(trie).with_batch_size(1);
+            let options = FreeJoinOptions::default().with_trie(trie);
             let (count, counters) = run(&inputs, &plan, &options, Aggregate::Count);
             assert_eq!(count, 10);
             // One probe into R per row of S; the plan-order cover, R, would
@@ -1971,39 +1908,114 @@ mod tests {
         }
     }
 
-    #[test]
-    fn vectorized_batches_flush_incrementally() {
-        // A join whose cover has more entries than the batch size, so the
-        // incremental flush path is exercised (and the final partial flush).
+    /// `R(x,a), S(x,b), T(x), U(x)` under a plan whose first node iterates
+    /// `R`'s 2,500 rows and probes `S`, `T` and `U` per entry — two full
+    /// batches of `BATCH` and a partial one. `R` has 50 rows per `x` in
+    /// 0..50, `S` one row per `x`, `T` the `x` in 0..40, `U` two rows per
+    /// `x`: 40 x 50 x 2 = 4,000 results.
+    fn batched_fixture() -> (Vec<BoundInput>, FreeJoinPlan) {
         let mut cat = Catalog::new();
         let mut r = RelationBuilder::new("R", Schema::all_int(&["x", "a"]));
-        let mut s = RelationBuilder::new("S", Schema::all_int(&["x", "b"]));
-        for i in 0..257i64 {
+        for i in 0..2500i64 {
             r.push_ints(&[i % 50, i]).unwrap();
-            s.push_ints(&[i % 50, i]).unwrap();
         }
         cat.add(r.finish()).unwrap();
-        cat.add(s.finish()).unwrap();
-        let q = QueryBuilder::new("q").atom("R", &["x", "a"]).atom("S", &["x", "b"]).build();
+        let mut s = RelationBuilder::new("S", Schema::all_int(&["x", "b"]));
+        let mut t = RelationBuilder::new("T", Schema::all_int(&["x"]));
+        let mut u = RelationBuilder::new("U", Schema::all_int(&["x"]));
+        for x in 0..50i64 {
+            s.push_ints(&[x, 100 + x]).unwrap();
+            if x < 40 {
+                t.push_ints(&[x]).unwrap();
+            }
+            u.push_ints(&[x]).unwrap();
+            u.push_ints(&[x]).unwrap();
+        }
+        for rel in [s, t, u] {
+            cat.add(rel.finish()).unwrap();
+        }
+        let q = QueryBuilder::new("q")
+            .atom("R", &["x", "a"])
+            .atom("S", &["x", "b"])
+            .atom("T", &["x"])
+            .atom("U", &["x"])
+            .build();
         let inputs = prepare_inputs(&cat, &q).unwrap().atoms;
-        let iv: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
-        let plan = binary2fj(&iv);
-        let scalar = FreeJoinOptions::default().with_batch_size(1);
-        let small_batches = FreeJoinOptions::default().with_batch_size(8);
-        let (a, _) = run(&inputs, &plan, &scalar, Aggregate::Count);
-        let (b, _) = run(&inputs, &plan, &small_batches, Aggregate::Count);
-        assert_eq!(a, b);
-        // 257 rows over 50 keys: most keys hold 5 or 6 rows, so the count is
-        // sum over keys of |R_x| * |S_x|.
-        let mut expected = 0u64;
-        let mut counts = std::collections::HashMap::new();
-        for i in 0..257i64 {
-            *counts.entry(i % 50).or_insert(0u64) += 1;
+        let sub = |input: usize, vars: &[&str]| {
+            Subatom::new(input, vars.iter().map(|v| v.to_string()).collect())
+        };
+        let plan = FreeJoinPlan::new(vec![
+            FjNode::new(vec![sub(0, &["x", "a"]), sub(1, &["x"]), sub(2, &["x"]), sub(3, &["x"])]),
+            FjNode::new(vec![sub(1, &["b"])]),
+        ]);
+        (inputs, plan)
+    }
+
+    /// The probes and expansions of a full run of [`batched_fixture`]:
+    /// 2,500 rows probe `T` (smallest first), the 2,000 that match probe `S`
+    /// and `U`, and the 2,000 bindings each meet one `S` row below.
+    const BATCHED_FIXTURE_WORK: (u64, u64, u64) = (2500 + 2 * 2000, 3 * 2000, 2500 + 2000);
+
+    #[test]
+    fn vectorized_batches_flush_incrementally() {
+        let (inputs, plan) = batched_fixture();
+        const { assert!(2500 > 2 * BATCH) };
+        let options = FreeJoinOptions::default();
+        let (count, counters) = run(&inputs, &plan, &options, Aggregate::Count);
+        assert_eq!((count, counters.work()), (40 * 50 * 2, BATCHED_FIXTURE_WORK));
+        for threads in [2, 4] {
+            let (par, counters) = run_parallel(&inputs, &plan, &options, Aggregate::Count, threads);
+            assert_eq!((par, counters.work()), (count, BATCHED_FIXTURE_WORK), "threads {threads}");
         }
-        for c in counts.values() {
-            expected += c * c;
+    }
+
+    /// A token that fires while a node gathers a batch abandons the entries
+    /// it buffered unprobed; one that fires while a flush recurses stops the
+    /// rest of the batch. Either way the run reports why it stopped, and the
+    /// same tries — forced, in part, by the cancelled runs — then give the
+    /// full result and the full work.
+    #[test]
+    fn cancelling_a_batched_node_leaves_its_tries_reusable() {
+        let (inputs, plan) = batched_fixture();
+        let input_vars: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
+        let compiled = compile(&plan, &input_vars).unwrap();
+        let options = FreeJoinOptions::default();
+        let tries = build_tries(&inputs, &compiled, &options);
+        let builder =
+            OutputBuilder::new(&compiled.binding_order, Aggregate::Count, &compiled.binding_order);
+        let run_with = |token: CancelToken, threads: usize| {
+            let instruments = Instruments { token, ..Instruments::default() };
+            let make_sink = || OutputSink::new(builder.clone());
+            let (sinks, counters) =
+                execute_pipeline(&tries, &compiled, &options, threads, make_sink, &instruments);
+            let merged = sinks.into_iter().reduce(|mut merged, sink| {
+                merged.merge(sink);
+                merged
+            });
+            (merged.map_or(0, |sink| sink.finish().cardinality()), counters)
+        };
+
+        // An elapsed deadline is seen at the first clock poll, a few hundred
+        // entries into the first batch: they were buffered, never probed.
+        let (_, gathering) = run_with(CancelToken::with_limits(Some(Instant::now()), 0), 1);
+        assert_eq!(gathering.cancelled, Some(CancelReason::Deadline));
+        assert_eq!(gathering.stats.probes, 0);
+        assert!(gathering.expansions > 0 && gathering.expansions < BATCH as u64);
+
+        // A one-byte budget trips at the first chunk of results: on one
+        // thread the second batch's survivors fill it, so the third batch is
+        // never probed; on four, a worker's chunk may fill only at its end.
+        let (_, flushing) = run_with(CancelToken::with_limits(None, 1), 1);
+        assert_eq!(flushing.cancelled, Some(CancelReason::MemoryBudget));
+        assert!(flushing.stats.probes < BATCHED_FIXTURE_WORK.0);
+        let (_, parallel) = run_with(CancelToken::with_limits(None, 1), 4);
+        assert_eq!(parallel.cancelled, Some(CancelReason::MemoryBudget));
+
+        for threads in [1, 4] {
+            let (count, counters) = run_with(CancelToken::new(), threads);
+            assert_eq!(counters.cancelled, None);
+            assert_eq!((count, counters.work()), (4000, BATCHED_FIXTURE_WORK), "threads {threads}");
         }
-        assert_eq!(a, expected);
     }
 
     #[test]
@@ -2013,7 +2025,7 @@ mod tests {
         let iv: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
         let mut plan = binary2fj(&iv);
         factor(&mut plan);
-        let opts = FreeJoinOptions::default().with_batch_size(1);
+        let opts = FreeJoinOptions::default();
         let (serial_count, serial_counters) = run(&inputs, &plan, &opts, Aggregate::Count);
         let (par_count, par_counters) = run_parallel(&inputs, &plan, &opts, Aggregate::Count, 4);
         assert_eq!(serial_count, par_count);

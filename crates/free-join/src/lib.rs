@@ -13,10 +13,11 @@
 //!   strategies — fully-eager simple tries, simple lazy tries (SLT, after
 //!   Freitag et al.), and the paper's **COLT** (Column-Oriented Lazy Trie);
 //! * the **Free Join algorithm** ([`exec`]) executes a plan over the tries,
-//!   with optional vectorized execution, dynamic cover selection, and a
-//!   columnar batched result pipeline (bindings accumulate in
-//!   [`fj_query::ResultChunk`]s and cross the [`sink`] boundary one chunk —
-//!   not one tuple — at a time).
+//!   ranking each node's covers and probes by the tries' row counts,
+//!   batching every node's probes (the paper's vectorized execution), with
+//!   a columnar batched result pipeline
+//!   (bindings accumulate in [`fj_query::ResultChunk`]s and cross the
+//!   [`sink`] boundary one chunk — not one tuple — at a time).
 //!
 //! The main entry point is [`FreeJoinEngine`]: give it a catalog, a
 //! conjunctive query and an optimized binary plan (e.g. from

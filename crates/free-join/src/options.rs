@@ -1,9 +1,10 @@
 //! Execution options for the Free Join engine.
 //!
 //! What an option can select is which tries are built, how a plan is
-//! compiled and how many workers run it. How a node is ordered is not an
-//! option: the executor ranks a node's covers and probes per binding from
-//! the tries' own row counts (see [`crate::exec`]).
+//! compiled and how many workers run it. How a node is ordered and stepped
+//! through is not an option: the executor ranks a node's covers and probes
+//! per binding from the tries' own row counts, and batches the probes of
+//! every node that has any (Section 4.3, Figure 13; see [`crate::exec`]).
 
 use serde::{Deserialize, Serialize};
 
@@ -39,9 +40,6 @@ impl TrieStrategy {
 pub struct FreeJoinOptions {
     /// Trie build strategy (default: COLT).
     pub trie: TrieStrategy,
-    /// Vectorization batch size; `1` disables vectorization (Section 4.3,
-    /// Figure 18). The paper's default is 1000.
-    pub batch_size: usize,
     /// Factorized output (Section 4.4 / Figure 19), decided at compile time:
     /// the plan compiler drops every *dead* variable — bound by one atom and
     /// read by nothing: no join, not the head or the grouping variables, no
@@ -98,7 +96,6 @@ impl Default for FreeJoinOptions {
     fn default() -> Self {
         FreeJoinOptions {
             trie: TrieStrategy::Colt,
-            batch_size: 1000,
             factorize_output: true,
             optimize_plan: true,
             num_threads: 0,
@@ -110,22 +107,6 @@ impl Default for FreeJoinOptions {
 }
 
 impl FreeJoinOptions {
-    /// The configuration the paper uses as its Generic Join baseline:
-    /// "modifying Free Join to fully construct all tries, and removing
-    /// vectorization" (Section 5.1).
-    pub fn generic_join_baseline() -> Self {
-        FreeJoinOptions {
-            trie: TrieStrategy::Simple,
-            batch_size: 1,
-            factorize_output: false,
-            optimize_plan: true,
-            num_threads: 1,
-            split_threshold: 1024,
-            deadline_ms: 0,
-            max_result_bytes: 0,
-        }
-    }
-
     /// A configuration that makes Free Join execute the binary plan as-is
     /// (no factoring, no pruning: every variable is enumerated, probe for
     /// probe like the binary hash join), useful as a sanity baseline.
@@ -136,12 +117,6 @@ impl FreeJoinOptions {
     /// Builder-style setter for the trie strategy.
     pub fn with_trie(mut self, trie: TrieStrategy) -> Self {
         self.trie = trie;
-        self
-    }
-
-    /// Builder-style setter for the vectorization batch size.
-    pub fn with_batch_size(mut self, batch_size: usize) -> Self {
-        self.batch_size = batch_size.max(1);
         self
     }
 
@@ -176,11 +151,6 @@ impl FreeJoinOptions {
     pub fn with_max_result_bytes(mut self, max_result_bytes: u64) -> Self {
         self.max_result_bytes = max_result_bytes;
         self
-    }
-
-    /// Is vectorization enabled?
-    pub fn vectorized(&self) -> bool {
-        self.batch_size > 1
     }
 
     /// The cancel token this configuration implies: disabled (zero-cost
@@ -218,10 +188,8 @@ mod tests {
     fn defaults_match_paper() {
         let o = FreeJoinOptions::default();
         assert_eq!(o.trie, TrieStrategy::Colt);
-        assert_eq!(o.batch_size, 1000);
         assert!(o.optimize_plan);
         assert!(o.factorize_output, "dead-variable pruning is on by default");
-        assert!(o.vectorized());
         assert_eq!(o.num_threads, 0, "default is auto (available parallelism)");
         assert!(o.effective_threads() >= 1);
         assert_eq!(o.split_threshold, 1024);
@@ -239,26 +207,14 @@ mod tests {
         assert_eq!(serial.effective_threads(), 1);
         let four = FreeJoinOptions::default().with_num_threads(4);
         assert_eq!(four.effective_threads(), 4);
-        // The paper's Generic Join baseline runs on one thread.
-        assert_eq!(FreeJoinOptions::generic_join_baseline().effective_threads(), 1);
-    }
-
-    #[test]
-    fn generic_join_baseline_configuration() {
-        let o = FreeJoinOptions::generic_join_baseline();
-        assert_eq!(o.trie, TrieStrategy::Simple);
-        assert_eq!(o.batch_size, 1);
-        assert!(!o.vectorized());
     }
 
     #[test]
     fn builder_setters() {
         let o = FreeJoinOptions::default()
             .with_trie(TrieStrategy::Slt)
-            .with_batch_size(0)
             .with_factorized_output(false);
         assert_eq!(o.trie, TrieStrategy::Slt);
-        assert_eq!(o.batch_size, 1, "batch size is clamped to at least 1");
         assert!(!o.factorize_output);
         let o = FreeJoinOptions::default().with_split_threshold(0);
         assert_eq!(o.split_threshold, 2, "split threshold is clamped to at least 2");

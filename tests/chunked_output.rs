@@ -183,7 +183,6 @@ fn check_query(catalog: &Catalog, base: &ConjunctiveQuery) {
             for threads in [1usize, 4] {
                 for options in [
                     FreeJoinOptions { trie, ..FreeJoinOptions::default() },
-                    FreeJoinOptions { trie, batch_size: 1, ..FreeJoinOptions::default() },
                     // The enumerating plans: every variable reaches the sink.
                     FreeJoinOptions { trie, factorize_output: false, ..FreeJoinOptions::default() },
                 ] {

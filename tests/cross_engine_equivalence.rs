@@ -33,14 +33,15 @@ fn assert_engines_agree(workload: &Workload, query_name: &str, mode: EstimatorMo
 
     let option_grid = vec![
         FreeJoinOptions::default(),
-        FreeJoinOptions::default().with_batch_size(1),
-        FreeJoinOptions::default().with_batch_size(16),
         FreeJoinOptions { trie: TrieStrategy::Simple, ..FreeJoinOptions::default() },
         FreeJoinOptions { trie: TrieStrategy::Slt, ..FreeJoinOptions::default() },
         // Dead-variable pruning off: the enumerating reference plans.
         FreeJoinOptions::default().with_factorized_output(false),
         FreeJoinOptions::binary_equivalent(),
-        FreeJoinOptions::generic_join_baseline(),
+        // Fully built tries, every variable enumerated, one thread.
+        FreeJoinOptions { trie: TrieStrategy::Simple, ..FreeJoinOptions::default() }
+            .with_factorized_output(false)
+            .with_num_threads(1),
         // Explicit single-thread (exact legacy serial) runs per trie
         // strategy: with the inline-packed `LevelKey` levels, every strategy
         // must agree serially as well as in parallel.
@@ -55,7 +56,7 @@ fn assert_engines_agree(workload: &Workload, query_name: &str, mode: EstimatorMo
             .with_num_threads(4),
         FreeJoinOptions { trie: TrieStrategy::Slt, ..FreeJoinOptions::default() }
             .with_num_threads(4),
-        FreeJoinOptions::default().with_batch_size(1).with_num_threads(3),
+        FreeJoinOptions::default().with_num_threads(3),
         FreeJoinOptions::default().with_factorized_output(false).with_num_threads(4),
         FreeJoinOptions::default().with_num_threads(8),
     ];

@@ -309,10 +309,9 @@ fn auto_threads_matches_serial() {
 /// the plan on the calling thread, more cut the same walk into tasks, and
 /// splitting moves work without adding or dropping any — the probe, hit and
 /// expansion totals of `execute_pipeline` agree at 1, 2, 4 (and
-/// `FJ_TEST_THREADS`) threads, batched or entry by entry, on pruned and
-/// enumerating plans, under all three trie strategies: covers, probe orders
-/// and splits are ranked by a node's row count, which no worker's forcing
-/// moves.
+/// `FJ_TEST_THREADS`) threads, on pruned and enumerating plans, under all
+/// three trie strategies: covers, probe orders and splits are ranked by a
+/// node's row count, which no worker's forcing moves.
 ///
 /// One read of a schedule-dependent state is left in the executor, outside
 /// what these inputs exercise: `InputTrie::iterates_rows` asks `is_map()`,
@@ -338,17 +337,16 @@ fn work_counts_are_identical_at_every_thread_count() {
     ];
     for (workload, named) in workloads.iter().flat_map(|w| w.queries.iter().map(move |q| (w, q))) {
         for trie in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
-            for (prune, batch_size) in [(true, 1000), (true, 1), (false, 1000), (false, 1)] {
+            for prune in [true, false] {
                 let options = FreeJoinOptions { trie, ..FreeJoinOptions::default() }
                     .with_factorized_output(prune)
-                    .with_batch_size(batch_size)
                     .with_split_threshold(32);
                 let mut reference: Option<(QueryOutput, (u64, u64, u64))> = None;
                 for threads in thread_counts() {
                     let (output, counters) =
                         run_pipeline(workload, &named.query, &options, threads);
                     let context = format!(
-                        "{} {} {trie:?} x{threads} prune {prune} batch {batch_size}",
+                        "{} {} {trie:?} x{threads} prune {prune}",
                         workload.name, named.name
                     );
                     assert_eq!(counters.stats.tasks_spawned > 0, threads > 1, "{context}");

@@ -79,12 +79,12 @@ fn check_all_engines(catalog: &Catalog, query: &ConjunctiveQuery) {
 
     for options in [
         FreeJoinOptions::default(),
-        FreeJoinOptions::default().with_batch_size(1),
-        FreeJoinOptions::default().with_batch_size(3),
         FreeJoinOptions { trie: TrieStrategy::Simple, ..FreeJoinOptions::default() },
         FreeJoinOptions { trie: TrieStrategy::Slt, ..FreeJoinOptions::default() },
         FreeJoinOptions::default().with_factorized_output(false),
-        FreeJoinOptions::generic_join_baseline(),
+        FreeJoinOptions { trie: TrieStrategy::Simple, ..FreeJoinOptions::default() }
+            .with_factorized_output(false)
+            .with_num_threads(1),
     ] {
         let (fj, _) = FreeJoinEngine::new(options).execute(catalog, query, &plan).unwrap();
         prop_assert_eq_outer(fj.cardinality(), expected, &format!("free join {options:?}"));

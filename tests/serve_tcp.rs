@@ -347,9 +347,7 @@ fn metrics_frame_reports_scheduler_counters() {
         "127.0.0.1:0",
         Arc::clone(&catalog),
         session,
-        // pin_workers exercises the core-pinning knob (a no-op off Linux
-        // and under restricted cpusets — never a correctness concern).
-        ServerConfig { workers: 2, pin_workers: true, ..ServerConfig::default() },
+        ServerConfig { workers: 2, ..ServerConfig::default() },
     )
     .expect("server binds an ephemeral loopback port");
     let mut client = Client::connect(server.local_addr()).unwrap();

@@ -8,7 +8,7 @@
 //! allocates nothing — doubling the number of probes leaves the allocation
 //! count of an execution unchanged. The allocator also sums bytes: a warm
 //! execution whose covers have a handful of entries sizes its batch buffers
-//! to them, not to `batch_size`.
+//! to them, not to a whole batch.
 //!
 //! Everything lives in one `#[test]` because the counter is process-global
 //! and the default harness runs tests concurrently.
@@ -87,6 +87,10 @@ fn force_allocations(keys: i64, per_key: i64, level0: &[&str]) -> u64 {
     spent
 }
 
+/// The most entries a node with probes buffers (the executor's private
+/// `BATCH`, the paper's default batch size).
+const BATCH: u64 = 1000;
+
 /// Allocations of one warm serial count of `R(x,y), S(y,z), T(z,w)` where
 /// `R` — the relation whose rows drive the probes — has `r_rows` rows, `S`
 /// and `T` are fixed, and every trie level the query touches was forced by
@@ -159,31 +163,22 @@ fn forcing_is_constant_and_probing_is_allocation_free() {
     assert!(large <= small + 4, "doubling the wide level added {} allocations", large - small);
 
     // (b) Warm executions: doubling the probing relation doubles the probes
-    // and leaves the allocation count where it was, on the vectorized and
-    // the scalar path and under every strategy.
+    // and leaves the allocation count where it was, under every strategy.
     for trie in [TrieStrategy::Colt, TrieStrategy::Slt, TrieStrategy::Simple] {
-        for batch_size in [1, 1000] {
-            let options = FreeJoinOptions { trie, ..FreeJoinOptions::default() }
-                .with_num_threads(1)
-                .with_batch_size(batch_size);
-            let (allocs_n, _, probes_n) = warm_execution(20_000, &options);
-            let (allocs_2n, _, probes_2n) = warm_execution(40_000, &options);
-            assert!(probes_n >= 20_000 && probes_2n == 2 * probes_n, "{probes_n} {probes_2n}");
-            assert_eq!(
-                allocs_n, allocs_2n,
-                "{trie:?} batch {batch_size}: {probes_n} more probes must not allocate"
-            );
-        }
+        let options = FreeJoinOptions { trie, ..FreeJoinOptions::default() }.with_num_threads(1);
+        let (allocs_n, _, probes_n) = warm_execution(20_000, &options);
+        let (allocs_2n, _, probes_2n) = warm_execution(40_000, &options);
+        assert!(probes_n >= 20_000 && probes_2n == 2 * probes_n, "{probes_n} {probes_2n}");
+        assert_eq!(allocs_n, allocs_2n, "{trie:?}: {probes_n} more probes must not allocate");
     }
 
     // (c) A warm execution whose every cover has at most 16 entries (16
     // rows of R, two rows of S under each y, two of T under each z) asks
-    // for less memory than one `batch_size`-entry buffer of one node would
-    // take — the 1000 x 16-byte values of a batch's writes: the result
-    // chunk's weights column is the only kilobytes-sized request.
+    // for less memory than one full batch of one node would take — the
+    // `BATCH` x 16-byte values of a batch's writes: the result chunk's
+    // weights column is the only kilobytes-sized request.
     let options = FreeJoinOptions::default().with_num_threads(1);
-    assert_eq!(options.batch_size, 1000);
     let (_, bytes, probes) = warm_execution(16, &options);
     assert_eq!(probes, 16 + 32);
-    assert!(bytes < 16_000, "a warm 16-row execution requested {bytes} bytes");
+    assert!(bytes < BATCH * 16, "a warm 16-row execution requested {bytes} bytes");
 }
