@@ -1,8 +1,9 @@
 //! A minimal blocking client for the fj-serve wire protocol, used by the
-//! integration tests, `examples/serve_tcp.rs`, and `bench_json`'s serving
-//! mode. One request in flight per connection (the protocol is strict
-//! request/response); open more clients for concurrency, exactly like the
-//! server's thread-per-connection workers expect.
+//! integration tests, `examples/serve_tcp.rs`, and the benchmark's serving
+//! workloads (`bench/src/serve.rs`). One request in flight per connection
+//! (the protocol is strict request/response); open more clients for
+//! concurrency, exactly like the server's thread-per-connection workers
+//! expect.
 
 use crate::protocol::{
     read_frame, write_frame, BusyReason, Request, Response, WireError, MAX_FRAME_BYTES,

@@ -21,8 +21,8 @@
 //!   one `fj_obs::MetricsRegistry`: lock-free counters and the log-linear
 //!   latency histogram, next to the cache, scheduler and executor
 //!   cells the session's `EngineCaches` binds into the same registry.
-//! * [`client`] — the blocking client used by tests, examples and
-//!   `bench_json`'s serving mode.
+//! * [`client`] — the blocking client used by tests, examples and the
+//!   benchmark's serving workloads (`bench/src/serve.rs`).
 //!
 //! The `Metrics` request — the one way a count crosses the wire — returns
 //! that registry as Prometheus text (server, cache, scheduler and

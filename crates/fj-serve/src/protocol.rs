@@ -511,80 +511,79 @@ pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> io::Result<Option<Vec<
 mod tests {
     use super::*;
 
-    fn round_trip_request(req: Request) {
-        let payload = req.encode();
-        assert_eq!(Request::decode(&payload).unwrap(), req);
+    /// One request of every kind and shape the codec distinguishes.
+    fn requests() -> Vec<Request> {
+        vec![
+            Request::Prepare {
+                query: "Q(x) :- R(x, y) where y > 3.".into(),
+                aggregate: Aggregate::Materialize,
+            },
+            Request::Prepare {
+                query: "Q() :- R(x, y), S(y, z).".into(),
+                aggregate: Aggregate::Count,
+            },
+            Request::Prepare {
+                query: "Q() :- R(x, city).".into(),
+                aggregate: Aggregate::GroupCount(vec!["city".into(), "x".into()]),
+            },
+            Request::Execute { handle: 7, params: vec![], request_id: 0, deadline_ms: 0 },
+            Request::Execute {
+                handle: u64::MAX,
+                params: vec![("e".into(), "src < 3".into()), ("p".into(), String::new())],
+                request_id: 41,
+                deadline_ms: 1500,
+            },
+            Request::Shutdown,
+            Request::Metrics,
+            Request::TraceExecute { handle: 3, params: vec![], request_id: 0, deadline_ms: 0 },
+            Request::TraceExecute {
+                handle: 9,
+                params: vec![("e".into(), "src < 3".into())],
+                request_id: 8,
+                deadline_ms: 30,
+            },
+            Request::TraceFetch { trace_id: 17 },
+            Request::Cancel { request_id: u64::MAX },
+        ]
     }
 
-    fn round_trip_response(resp: Response) {
-        let payload = resp.encode();
-        assert_eq!(Response::decode(&payload).unwrap(), resp);
+    /// One response of every kind and shape the codec distinguishes.
+    fn responses() -> Vec<Response> {
+        vec![
+            Response::Prepared { handle: 1, fingerprint: 0xdead_beef },
+            Response::Answer { cardinality: 42, tries_built: 3, service_us: 950 },
+            Response::Ok,
+            Response::Busy { reason: BusyReason::QueueFull, retry_after_ms: 250 },
+            Response::Busy { reason: BusyReason::ByteBudget, retry_after_ms: 1 },
+            Response::Busy { reason: BusyReason::RateLimited, retry_after_ms: 9 },
+            Response::Error { message: "unknown handle 9".into() },
+            Response::Metrics { text: String::new() },
+            Response::Metrics {
+                text: "fj_serve_requests_served 3\nfj_serve_latency_us_bucket{le=\"+Inf\"} 3\n"
+                    .into(),
+            },
+            Response::Trace {
+                trace_id: 5,
+                cardinality: 99,
+                service_us: 1200,
+                span_tree: "query\n  pipeline 0\n    node 0\n".into(),
+                chrome_json: "{\"traceEvents\":[]}".into(),
+            },
+        ]
     }
 
     #[test]
     fn requests_round_trip() {
-        round_trip_request(Request::Prepare {
-            query: "Q(x) :- R(x, y) where y > 3.".into(),
-            aggregate: Aggregate::Materialize,
-        });
-        round_trip_request(Request::Prepare {
-            query: "Q() :- R(x, y), S(y, z).".into(),
-            aggregate: Aggregate::Count,
-        });
-        round_trip_request(Request::Prepare {
-            query: "Q() :- R(x, city).".into(),
-            aggregate: Aggregate::GroupCount(vec!["city".into(), "x".into()]),
-        });
-        round_trip_request(Request::Execute {
-            handle: 7,
-            params: vec![],
-            request_id: 0,
-            deadline_ms: 0,
-        });
-        round_trip_request(Request::Execute {
-            handle: u64::MAX,
-            params: vec![("e".into(), "src < 3".into()), ("p".into(), String::new())],
-            request_id: 41,
-            deadline_ms: 1500,
-        });
-        round_trip_request(Request::Shutdown);
-        round_trip_request(Request::Metrics);
-        round_trip_request(Request::TraceExecute {
-            handle: 3,
-            params: vec![],
-            request_id: 0,
-            deadline_ms: 0,
-        });
-        round_trip_request(Request::TraceExecute {
-            handle: 9,
-            params: vec![("e".into(), "src < 3".into())],
-            request_id: 8,
-            deadline_ms: 30,
-        });
-        round_trip_request(Request::TraceFetch { trace_id: 17 });
-        round_trip_request(Request::Cancel { request_id: u64::MAX });
+        for req in requests() {
+            assert_eq!(Request::decode(&req.encode()).unwrap(), req);
+        }
     }
 
     #[test]
     fn responses_round_trip() {
-        round_trip_response(Response::Prepared { handle: 1, fingerprint: 0xdead_beef });
-        round_trip_response(Response::Answer { cardinality: 42, tries_built: 3, service_us: 950 });
-        round_trip_response(Response::Ok);
-        round_trip_response(Response::Busy { reason: BusyReason::QueueFull, retry_after_ms: 250 });
-        round_trip_response(Response::Busy { reason: BusyReason::ByteBudget, retry_after_ms: 1 });
-        round_trip_response(Response::Busy { reason: BusyReason::RateLimited, retry_after_ms: 9 });
-        round_trip_response(Response::Error { message: "unknown handle 9".into() });
-        round_trip_response(Response::Metrics { text: String::new() });
-        round_trip_response(Response::Metrics {
-            text: "fj_serve_requests_served 3\nfj_serve_latency_us_bucket{le=\"+Inf\"} 3\n".into(),
-        });
-        round_trip_response(Response::Trace {
-            trace_id: 5,
-            cardinality: 99,
-            service_us: 1200,
-            span_tree: "query\n  pipeline 0\n    node 0\n".into(),
-            chrome_json: "{\"traceEvents\":[]}".into(),
-        });
+        for resp in responses() {
+            assert_eq!(Response::decode(&resp.encode()).unwrap(), resp);
+        }
     }
 
     #[test]
@@ -627,6 +626,29 @@ mod tests {
         put_u64(&mut bad_utf8, 2);
         bad_utf8.extend_from_slice(&[0xff, 0xfe]);
         assert!(Response::decode(&bad_utf8).is_err());
+
+        // Every proper prefix of every round-trip payload is a typed error,
+        // and every single-byte mutation of one decodes to `Ok` or `Err`
+        // (a panic fails the test).
+        fn truncate_and_mutate<T>(payload: &[u8], decode: fn(&[u8]) -> Result<T, WireError>) {
+            for len in 0..payload.len() {
+                assert!(decode(&payload[..len]).is_err(), "{len}-byte prefix of {payload:?}");
+            }
+            let mut mutated = payload.to_vec();
+            for at in 0..payload.len() {
+                for byte in 0..=u8::MAX {
+                    mutated[at] = byte;
+                    let _ = decode(&mutated);
+                }
+                mutated[at] = payload[at];
+            }
+        }
+        for req in requests() {
+            truncate_and_mutate(&req.encode(), Request::decode);
+        }
+        for resp in responses() {
+            truncate_and_mutate(&resp.encode(), Response::decode);
+        }
     }
 
     #[test]

@@ -55,6 +55,7 @@
 
 use crate::metrics::ServerMetrics;
 use crate::protocol::{write_frame, BusyReason, Request, Response};
+use fj_cache::Fingerprinter;
 use fj_obs::{
     chaos, MetricsRegistry, MetricsSnapshot, QueryProfile, TraceBuf, TraceCat, SESSION_WORKER,
 };
@@ -62,6 +63,7 @@ use fj_query::{parse_filter, parse_query, Aggregate, ConjunctiveQuery, QueryErro
 use fj_storage::Catalog;
 use free_join::{CancelReason, CancelToken, EngineError, ExecRequest, Params, Prepared, Session};
 use std::collections::{HashMap, VecDeque};
+use std::hash::Hasher;
 use std::io::{self, Read};
 use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::PathBuf;
@@ -531,16 +533,14 @@ impl Shared {
     }
 }
 
-/// FNV-1a over `bytes` — the shadow file's stable fingerprint. Deliberately
-/// not the planner's fingerprint (which hashes plan structure and may shift
-/// across releases): the shadow file must stay readable by future builds.
+/// FNV-1a over `bytes`, with no length prefix — the shadow file's stable
+/// fingerprint. Deliberately not the planner's fingerprint (which hashes
+/// plan structure and may shift across releases): the shadow file must stay
+/// readable by future builds.
 fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut hash: u64 = 0xcbf2_9ce4_8422_2325;
-    for &b in bytes {
-        hash ^= u64::from(b);
-        hash = hash.wrapping_mul(0x0000_0100_0000_01b3);
-    }
-    hash
+    let mut fp = Fingerprinter::new();
+    fp.write(bytes);
+    fp.finish()
 }
 
 /// One shadow-file line: `fnv1a_hex aggregate_tag query_text` with newlines
@@ -1116,7 +1116,7 @@ struct Executed {
 /// runs), a profile whenever the slow-query log is on (the profile must
 /// already exist by the time the execution turns out to have been slow; the
 /// accumulators are flat per-node arrays, so the overhead is a few percent,
-/// pinned by `bench_json`'s `profile_overhead_pct` column and its CI gate),
+/// gated in CI by `examples/instrument_overhead.rs`),
 /// a trace when `traced`. A traced execution's engine trace is wrapped in a
 /// serve-layer lifecycle ring (request/decode/execute/respond spans), both
 /// views are rendered and the result is retained in the trace ring. Every
@@ -1256,6 +1256,22 @@ mod tests {
         assert!(config.max_frame_bytes <= crate::protocol::MAX_FRAME_BYTES);
         assert!(config.slow_query_log > 0, "slow-query log on by default");
         assert!(config.slow_query_us > 0);
+    }
+
+    #[test]
+    fn shadow_lines_keep_their_format_across_releases() {
+        // The exact line earlier builds wrote for this shape: a restarted
+        // server must still parse the shadow files they left behind.
+        let (text, aggregate) = (
+            "Q() :- R(x, y),\nS(y, z) where z > 3.",
+            Aggregate::GroupCount(vec!["x".into(), "y".into()]),
+        );
+        let line = render_shadow_line(text, &aggregate);
+        assert_eq!(line, "8de70a993e671a9f group_count:x,y Q() :- R(x, y), S(y, z) where z > 3.");
+        let (parsed_text, parsed_aggregate) = parse_shadow_line(&line).expect("line parses");
+        assert_eq!(parsed_text, text.replace('\n', " "));
+        assert_eq!(parsed_aggregate, aggregate);
+        assert!(parse_shadow_line(&line.replacen('8', "9", 1)).is_none(), "bad hash rejected");
     }
 
     #[test]

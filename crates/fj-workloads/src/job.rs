@@ -68,7 +68,8 @@ impl JobConfig {
     }
 
     /// A configuration scaled so the whole suite runs in minutes on a laptop
-    /// (used by the Figure 14/15/17/18 benches). The shape (skew, relative
+    /// (the base of the benchmark's JOB-like workloads and of the
+    /// `job_like` / `robustness` examples). The shape (skew, relative
     /// table sizes) matches [`JobConfig::default`]; only the absolute scale
     /// changes.
     pub fn benchmark() -> Self {
