@@ -11,12 +11,11 @@
 
 use crate::hash_table::JoinHashTable;
 use fj_plan::{BinaryPlan, PipeInput};
-use fj_query::ResultChunk;
-use fj_query::{ConjunctiveQuery, ExecStats, OutputBuilder, QueryOutput};
+use fj_query::{ConjunctiveQuery, ExecStats, QueryOutput};
 use fj_storage::{Catalog, Value};
-use free_join::prep::{materialize_intermediate, prepare_inputs, BoundInput, PreparedQuery};
-use free_join::sink::{ChunkBuffer, MaterializeSink, OutputSink, Sink};
-use free_join::{EngineError, EngineResult};
+use free_join::prep::{materialize_intermediate, prepare_inputs, BoundInput};
+use free_join::sink::{pipeline_builder, ChunkBuffer};
+use free_join::{CancelToken, EngineError, EngineResult};
 use std::collections::BTreeSet;
 use std::time::Instant;
 
@@ -60,13 +59,14 @@ impl BinaryJoinEngine {
                 })
                 .collect();
             let is_final = p == decomposed.root_pipeline();
-            let result = self.run_pipeline(&prepared, &inputs, query, is_final, &mut stats)?;
-            match result {
-                PipelineResult::Output(out) => output = Some(out),
-                PipelineResult::Intermediate(bound) => {
-                    stats.intermediate_tuples += bound.num_rows() as u64;
-                    intermediates[pipeline.id] = Some(bound);
-                }
+            let result = self.run_pipeline(&inputs, query, is_final, &mut stats)?;
+            if is_final {
+                output = Some(result);
+            } else {
+                stats.intermediate_tuples += result.cardinality();
+                let name = format!("__bj_intermediate_{}", result.vars.join("_"));
+                let bound = materialize_intermediate(&name, result, &prepared.var_types)?;
+                intermediates[pipeline.id] = Some(bound);
             }
         }
 
@@ -75,15 +75,15 @@ impl BinaryJoinEngine {
         Ok((output, stats))
     }
 
-    /// Run one left-deep pipeline.
+    /// Run one left-deep pipeline: the query's output for the final one,
+    /// every binding as a row for the others.
     fn run_pipeline(
         &self,
-        prepared: &PreparedQuery,
         inputs: &[BoundInput],
         query: &ConjunctiveQuery,
         is_final: bool,
         stats: &mut ExecStats,
-    ) -> EngineResult<PipelineResult> {
+    ) -> EngineResult<QueryOutput> {
         // The binding order: variables in order of first appearance across
         // the pipeline inputs.
         let mut binding_order: Vec<String> = Vec::new();
@@ -132,41 +132,30 @@ impl BinaryJoinEngine {
 
         // Probe phase: stream the left-most input through the hash tables.
         let join_start = Instant::now();
-        let mut sink = if is_final {
-            PipelineSink::Output(OutputSink::new(OutputBuilder::new(
-                &query.head,
-                query.aggregate.clone(),
-                &binding_order,
-            )))
-        } else {
-            PipelineSink::Materialize(MaterializeSink::new())
-        };
-
-        {
+        let builder = pipeline_builder(query, &binding_order, is_final)?;
+        let builder = {
             let left = &inputs[0];
             let left_slots: Vec<usize> = left.vars.iter().map(slot_of).collect();
             let mut tuple = vec![Value::Null; binding_order.len()];
             // Results leave through the same chunked pipeline as Free Join:
-            // the inner loop appends into a columnar buffer and the sink is
-            // crossed once per chunk, keeping cross-engine comparisons
+            // the inner loop appends into a columnar buffer that hands the
+            // builder one chunk at a time, keeping cross-engine comparisons
             // apples-to-apples on the output side.
-            let mut out = ChunkBuffer::for_sink(&sink, binding_order.len());
+            let mut out = ChunkBuffer::new(builder, CancelToken::disabled());
 
             // Recursive pipelined probing. Probe keys of arity ≤ 2 — the
             // common case — live in stack arrays (no allocation, mirroring
             // the Free Join executor); only wider keys collect a buffer.
-            #[allow(clippy::too_many_arguments)]
             fn probe_level(
                 levels: &[ProbeLevel],
                 depth: usize,
                 inputs: &[BoundInput],
                 tuple: &mut Vec<Value>,
-                sink: &mut dyn Sink,
                 out: &mut ChunkBuffer,
                 stats: &mut ExecStats,
             ) {
                 if depth == levels.len() {
-                    out.push(sink, tuple, 1);
+                    out.push(tuple, 1);
                     return;
                 }
                 let level = &levels[depth];
@@ -189,7 +178,7 @@ impl BinaryJoinEngine {
                     for (&col, &slot) in level.new_cols.iter().zip(&level.new_slots) {
                         tuple[slot] = relation.column(col).get(row as usize);
                     }
-                    probe_level(levels, depth + 1, inputs, tuple, sink, out, stats);
+                    probe_level(levels, depth + 1, inputs, tuple, out, stats);
                 }
             }
 
@@ -197,68 +186,14 @@ impl BinaryJoinEngine {
                 for (pos, &slot) in left_slots.iter().enumerate() {
                     tuple[slot] = left.relation.column(left.var_cols[pos]).get(row);
                 }
-                probe_level(&levels, 0, inputs, &mut tuple, &mut sink, &mut out, stats);
+                probe_level(&levels, 0, inputs, &mut tuple, &mut out, stats);
             }
-            out.flush(&mut sink);
-            stats.result_chunks += out.flushed();
-        }
+            out.finish()
+        };
+        stats.result_chunks += builder.chunks_received();
         stats.join_time += join_start.elapsed();
-
-        match sink {
-            PipelineSink::Output(sink) => Ok(PipelineResult::Output(sink.finish())),
-            PipelineSink::Materialize(sink) => {
-                let rows = sink.into_rows();
-                let name = format!("__bj_intermediate_{}", binding_order.join("_"));
-                let bound =
-                    materialize_intermediate(&name, &binding_order, &prepared.var_types, &rows)?;
-                Ok(PipelineResult::Intermediate(bound))
-            }
-        }
+        Ok(builder.finish())
     }
-}
-
-/// The sink of one pipeline: the query output for the final pipeline, a
-/// materialized intermediate for the others. Shared with the Generic Join
-/// baseline.
-pub(crate) enum PipelineSink {
-    Output(OutputSink),
-    Materialize(MaterializeSink),
-}
-
-impl Sink for PipelineSink {
-    fn push_chunk(&mut self, chunk: &ResultChunk) {
-        match self {
-            PipelineSink::Output(s) => s.push_chunk(chunk),
-            PipelineSink::Materialize(s) => s.push_chunk(chunk),
-        }
-    }
-
-    fn push(&mut self, tuple: &[Value], bound_prefix: usize, weight: u64) {
-        match self {
-            PipelineSink::Output(s) => s.push(tuple, bound_prefix, weight),
-            PipelineSink::Materialize(s) => s.push(tuple, bound_prefix, weight),
-        }
-    }
-
-    fn projected_slots(&self) -> Option<Vec<usize>> {
-        match self {
-            PipelineSink::Output(s) => s.projected_slots(),
-            PipelineSink::Materialize(s) => s.projected_slots(),
-        }
-    }
-
-    fn tuples(&self) -> u64 {
-        match self {
-            PipelineSink::Output(s) => s.tuples(),
-            PipelineSink::Materialize(s) => s.tuples(),
-        }
-    }
-}
-
-/// What a pipeline produced.
-enum PipelineResult {
-    Output(QueryOutput),
-    Intermediate(BoundInput),
 }
 
 #[cfg(test)]

@@ -12,14 +12,13 @@
 //! Generic Join plan. Bushy binary plans are handled the same way as in the
 //! other engines, by materializing each right-child pipeline.
 
-use crate::binary::PipelineSink;
 use crate::trie::{HashTrie, TrieLevel};
 use fj_plan::{binary2fj, factor_until_fixpoint, variable_order, BinaryPlan, GjPlan, PipeInput};
-use fj_query::{ConjunctiveQuery, ExecStats, OutputBuilder, QueryOutput};
+use fj_query::{ConjunctiveQuery, ExecStats, QueryOutput};
 use fj_storage::{Catalog, Value};
-use free_join::prep::{materialize_intermediate, prepare_inputs, BoundInput, PreparedQuery};
-use free_join::sink::{ChunkBuffer, MaterializeSink, OutputSink, Sink};
-use free_join::{EngineError, EngineResult};
+use free_join::prep::{materialize_intermediate, prepare_inputs, BoundInput};
+use free_join::sink::{pipeline_builder, ChunkBuffer};
+use free_join::{CancelToken, EngineError, EngineResult};
 use std::time::Instant;
 
 /// The Generic Join engine.
@@ -69,14 +68,14 @@ impl GenericJoinEngine {
             let gj_plan = variable_order(&fj_plan, &input_vars);
 
             let is_final = p == decomposed.root_pipeline();
-            let result =
-                self.run_pipeline(&prepared, &inputs, &gj_plan, query, is_final, &mut stats)?;
-            match result {
-                PipelineOutcome::Output(out) => output = Some(out),
-                PipelineOutcome::Intermediate(bound) => {
-                    stats.intermediate_tuples += bound.num_rows() as u64;
-                    intermediates[pipeline.id] = Some(bound);
-                }
+            let result = self.run_pipeline(&inputs, &gj_plan, query, is_final, &mut stats)?;
+            if is_final {
+                output = Some(result);
+            } else {
+                stats.intermediate_tuples += result.cardinality();
+                let name = format!("__gj_intermediate_{}", result.vars.join("_"));
+                let bound = materialize_intermediate(&name, result, &prepared.var_types)?;
+                intermediates[pipeline.id] = Some(bound);
             }
         }
 
@@ -86,16 +85,16 @@ impl GenericJoinEngine {
     }
 
     /// Execute one pipeline with an explicit variable order (also usable
-    /// directly for experiments on variable-order sensitivity).
+    /// directly for experiments on variable-order sensitivity): the query's
+    /// output for the final one, every binding as a row for the others.
     fn run_pipeline(
         &self,
-        prepared: &PreparedQuery,
         inputs: &[BoundInput],
         gj_plan: &GjPlan,
         query: &ConjunctiveQuery,
         is_final: bool,
         stats: &mut ExecStats,
-    ) -> EngineResult<PipelineOutcome> {
+    ) -> EngineResult<QueryOutput> {
         let order = &gj_plan.var_order;
 
         // Build phase: one full hash trie per input.
@@ -121,55 +120,33 @@ impl GenericJoinEngine {
             .collect();
 
         let join_start = Instant::now();
-        let mut sink = if is_final {
-            PipelineSink::Output(OutputSink::new(OutputBuilder::new(
-                &query.head,
-                query.aggregate.clone(),
-                order,
-            )))
-        } else {
-            PipelineSink::Materialize(MaterializeSink::new())
-        };
-
-        {
-            let mut tuple = vec![Value::Null; order.len()];
-            let mut current: Vec<&TrieLevel> = tries.iter().map(HashTrie::root).collect();
-            // Same chunked result pipeline as the other engines: results
-            // accumulate column-wise and cross the sink once per chunk.
-            let mut out = ChunkBuffer::for_sink(&sink, order.len());
-            gj_recurse(&participants, 0, &mut tuple, &mut current, &mut sink, &mut out, stats);
-            out.flush(&mut sink);
-            stats.result_chunks += out.flushed();
-        }
+        let builder = pipeline_builder(query, order, is_final)?;
+        let mut tuple = vec![Value::Null; order.len()];
+        let mut current: Vec<&TrieLevel> = tries.iter().map(HashTrie::root).collect();
+        // Same chunked result pipeline as the other engines: results
+        // accumulate column-wise and reach the builder one chunk at a time.
+        let mut out = ChunkBuffer::new(builder, CancelToken::disabled());
+        gj_recurse(&participants, 0, &mut tuple, &mut current, &mut out, stats);
+        let builder = out.finish();
+        stats.result_chunks += builder.chunks_received();
         stats.join_time += join_start.elapsed();
-
-        match sink {
-            PipelineSink::Output(sink) => Ok(PipelineOutcome::Output(sink.finish())),
-            PipelineSink::Materialize(sink) => {
-                let rows = sink.into_rows();
-                let name = format!("__gj_intermediate_{}", order.join("_"));
-                let bound = materialize_intermediate(&name, order, &prepared.var_types, &rows)?;
-                Ok(PipelineOutcome::Intermediate(bound))
-            }
-        }
+        Ok(builder.finish())
     }
 }
 
 /// The nested-loop recursion of Generic Join: one level per variable.
-#[allow(clippy::too_many_arguments)]
 fn gj_recurse(
     participants: &[Vec<usize>],
     level: usize,
     tuple: &mut Vec<Value>,
     current: &mut Vec<&TrieLevel>,
-    sink: &mut dyn Sink,
     out: &mut ChunkBuffer,
     stats: &mut ExecStats,
 ) {
     if level == participants.len() {
         // Every input has reached a leaf; multiply multiplicities.
         let weight: u64 = current.iter().map(|node| node.leaf_count().unwrap_or(1)).product();
-        out.push(sink, tuple, weight);
+        out.push(tuple, weight);
         return;
     }
     let active = &participants[level];
@@ -207,17 +184,11 @@ fn gj_recurse(
                 }
             }
         }
-        gj_recurse(participants, level + 1, tuple, current, sink, out, stats);
+        gj_recurse(participants, level + 1, tuple, current, out, stats);
         for (&i, &node) in active.iter().zip(&saved) {
             current[i] = node;
         }
     }
-}
-
-/// What a pipeline produced.
-enum PipelineOutcome {
-    Output(QueryOutput),
-    Intermediate(BoundInput),
 }
 
 #[cfg(test)]

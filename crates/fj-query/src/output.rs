@@ -137,10 +137,10 @@ pub const CHUNK_CAPACITY: usize = 1024;
 /// plus a parallel weights column, capped at [`CHUNK_CAPACITY`] entries.
 ///
 /// Chunks are the unit of the workspace's result pipeline: the join's inner
-/// loop appends bindings into a chunk and flushes it downstream in one call,
-/// so the per-tuple costs of the old row-at-a-time boundary (a virtual sink
-/// call, a bounds-checked slice copy, a heap `Vec<Value>` row) are paid once
-/// per ~1024 tuples instead. The weights column carries bag-semantics
+/// loop appends bindings into a chunk and hands it to the pipeline's
+/// [`OutputBuilder`] in one call, so the per-tuple costs of a row-at-a-time
+/// boundary (a call, a bounds-checked slice copy, a heap `Vec<Value>` row)
+/// are paid once per ~1024 tuples instead. The weights column carries bag-semantics
 /// multiplicities *and* factorized partial-tuple weights: an entry with
 /// weight `w` stands for `w` full result tuples without enumerating them,
 /// and consumers that materialize expand the shared values lazily (see
@@ -249,9 +249,9 @@ impl ResultChunk {
 
     /// Expand this chunk's entries into `rows`, honouring weights: a
     /// weight-`w` entry becomes `w` copies of its row, in entry order. The
-    /// single place chunk storage turns into row vectors — every public
-    /// row boundary (`OutputBuilder::finish`, `MaterializeSink::into_rows`)
-    /// goes through it.
+    /// single place chunk storage turns into row vectors: the public row
+    /// boundary, [`OutputBuilder::finish`] — of a query's output or of a
+    /// bushy plan's intermediate alike — goes through it.
     pub fn expand_into(&self, rows: &mut Vec<Row>) {
         for i in 0..self.len() {
             let row = self.row(i);
@@ -266,14 +266,16 @@ impl ResultChunk {
 /// Accumulates join result tuples into a [`QueryOutput`] according to an
 /// [`Aggregate`] specification.
 ///
-/// Engines feed the builder either whole [`ResultChunk`]s (the hot path —
-/// chunks arrive already projected onto [`OutputBuilder::positions`], see
-/// [`OutputBuilder::push_chunk`]) or single full binding-order tuples (the
-/// per-tuple adapter, [`OutputBuilder::push_weighted`], kept for tests and
-/// simple callers). Pushing with a weight supports bag-semantics
-/// multiplicities and factorized counting, where an engine knows that a
-/// partial binding expands into `weight` result tuples without enumerating
-/// them. Materialized results are stored as chunks — one shared copy of a
+/// It is what every pipeline of every engine emits into: the final
+/// pipeline's builder applies the query's head and aggregate, an
+/// intermediate's materializes its whole binding order. Engines feed it
+/// whole [`ResultChunk`]s (the hot path — chunks arrive already projected
+/// onto [`OutputBuilder::positions`], see [`OutputBuilder::push_chunk`]);
+/// single full binding-order tuples go through
+/// [`OutputBuilder::push_weighted`]. Pushing with a weight supports
+/// bag-semantics multiplicities and factorized counting, where an engine
+/// knows that a partial binding expands into `weight` result tuples without
+/// enumerating them. Materialized results are stored as chunks — one shared copy of a
 /// weighted tuple's values — and only expanded into rows at
 /// [`OutputBuilder::finish`].
 #[derive(Debug, Clone)]
@@ -353,7 +355,7 @@ impl OutputBuilder {
     }
 
     /// Push one full binding-order result tuple with the given multiplicity
-    /// (the per-tuple adapter; the engines' hot path uses
+    /// (the per-tuple path; the engines' hot path is
     /// [`OutputBuilder::push_chunk`]).
     pub fn push_weighted(&mut self, tuple: &[Value], weight: u64) {
         if weight == 0 {
@@ -486,11 +488,11 @@ pub struct ExecStats {
     /// Time spent in the join phase proper.
     pub join_time: Duration,
     /// Time spent in final aggregation / projection: folding the result
-    /// sinks together and finishing the output (not part of `join_time`).
+    /// builders together and finishing the output (not part of `join_time`).
     pub aggregate_time: Duration,
     /// Number of output tuples produced (with multiplicity).
     pub output_tuples: u64,
-    /// Number of result chunks that crossed the sink boundary (the batched
+    /// Number of result chunks that reached an output builder (the batched
     /// result pipeline's flush count; counts and quantile reporting read
     /// off this chunk metadata rather than materialized rows).
     pub result_chunks: u64,

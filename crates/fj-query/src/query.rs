@@ -18,7 +18,8 @@ pub enum CancelReason {
     /// An external caller (e.g. a serve-path `OP_CANCEL` frame) requested
     /// cancellation.
     Explicit,
-    /// The query's result-buffer accounting exceeded `max_result_bytes`.
+    /// The query's result-buffer accounting exceeded the byte budget its
+    /// cancel token was armed with.
     MemoryBudget,
 }
 

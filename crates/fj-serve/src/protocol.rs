@@ -484,25 +484,35 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
     w.flush()
 }
 
+/// The payload length a frame header announces, checked before anything is
+/// allocated for it: more than `max_bytes` — or than [`MAX_FRAME_BYTES`],
+/// whatever `max_bytes` says — is an `InvalidData` error. Every frame reader
+/// goes through here.
+pub fn frame_len(header: [u8; 4], max_bytes: usize) -> io::Result<usize> {
+    let len = u32::from_be_bytes(header) as usize;
+    let limit = max_bytes.min(MAX_FRAME_BYTES);
+    if len > limit {
+        return Err(io::Error::new(
+            io::ErrorKind::InvalidData,
+            format!("frame of {len} bytes exceeds the {limit}-byte limit"),
+        ));
+    }
+    Ok(len)
+}
+
 /// Read one frame's payload. `Ok(None)` is a clean EOF at a frame boundary
 /// (the peer hung up between requests); a frame longer than `max_bytes` is
-/// an `InvalidData` error — the stream cannot be resynchronized after an
-/// oversized announcement, so the caller must close the connection.
+/// an `InvalidData` error ([`frame_len`]) — the stream cannot be
+/// resynchronized after an oversized announcement, so the caller must close
+/// the connection.
 pub fn read_frame(r: &mut impl Read, max_bytes: usize) -> io::Result<Option<Vec<u8>>> {
-    let mut len_buf = [0u8; 4];
-    match r.read_exact(&mut len_buf) {
+    let mut header = [0u8; 4];
+    match r.read_exact(&mut header) {
         Ok(()) => {}
         Err(e) if e.kind() == io::ErrorKind::UnexpectedEof => return Ok(None),
         Err(e) => return Err(e),
     }
-    let len = u32::from_be_bytes(len_buf) as usize;
-    if len > max_bytes.min(MAX_FRAME_BYTES) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {max_bytes}-byte limit"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; frame_len(header, max_bytes)?];
     r.read_exact(&mut payload)?;
     Ok(Some(payload))
 }
@@ -674,5 +684,23 @@ mod tests {
         truncated.extend_from_slice(&[1, 2, 3]);
         let mut cursor = io::Cursor::new(truncated);
         assert!(read_frame(&mut cursor, 1024).is_err());
+    }
+
+    #[test]
+    fn no_limit_lifts_the_hard_frame_cap() {
+        let just_over = u32::try_from(MAX_FRAME_BYTES + 1).unwrap().to_be_bytes();
+        for limit in [usize::MAX, MAX_FRAME_BYTES + 1] {
+            let err = frame_len(just_over, limit).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "limit {limit}");
+            let mut cursor = io::Cursor::new(just_over.to_vec());
+            let err = read_frame(&mut cursor, limit).unwrap_err();
+            assert_eq!(err.kind(), io::ErrorKind::InvalidData, "limit {limit}");
+        }
+        let at_cap = u32::try_from(MAX_FRAME_BYTES).unwrap().to_be_bytes();
+        assert_eq!(frame_len(at_cap, usize::MAX).unwrap(), MAX_FRAME_BYTES);
+        assert_eq!(
+            frame_len(u32::MAX.to_be_bytes(), 0).unwrap_err().kind(),
+            io::ErrorKind::InvalidData
+        );
     }
 }

@@ -54,7 +54,7 @@
 //! [`fj_obs::QueryProfile`], rendered as `#`-prefixed comment lines.
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{write_frame, BusyReason, Request, Response};
+use crate::protocol::{frame_len, write_frame, BusyReason, Request, Response};
 use fj_cache::Fingerprinter;
 use fj_obs::{
     chaos, MetricsRegistry, MetricsSnapshot, QueryProfile, TraceBuf, TraceCat, SESSION_WORKER,
@@ -85,7 +85,8 @@ pub struct ServerConfig {
     /// Total bytes of admitted request frames allowed in flight at once;
     /// requests beyond it are shed with `Busy(ByteBudget)`.
     pub inflight_byte_budget: usize,
-    /// Per-frame size cap; larger frames are a protocol violation.
+    /// Per-frame size cap; larger frames are a protocol violation. Never
+    /// above [`crate::protocol::MAX_FRAME_BYTES`], whatever it is set to.
     pub max_frame_bytes: usize,
     /// Maximum prepared handles retained server-wide. Re-preparing an
     /// identical query reuses its existing handle; beyond the cap the
@@ -843,14 +844,7 @@ fn read_frame_deadline(
     if !read_exact_deadline(stream, &mut header, deadline)? {
         return Ok(None);
     }
-    let len = u32::from_be_bytes(header) as usize;
-    if len > max_bytes {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {len} bytes exceeds the {max_bytes}-byte cap"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
+    let mut payload = vec![0u8; frame_len(header, max_bytes)?];
     if !read_exact_deadline(stream, &mut payload, deadline)? {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
@@ -1256,6 +1250,24 @@ mod tests {
         assert!(config.max_frame_bytes <= crate::protocol::MAX_FRAME_BYTES);
         assert!(config.slow_query_log > 0, "slow-query log on by default");
         assert!(config.slow_query_us > 0);
+    }
+
+    /// However high `max_frame_bytes` is set, a header announcing more than
+    /// `MAX_FRAME_BYTES` is refused at once — nothing is allocated for it and
+    /// the body is not waited for.
+    #[test]
+    fn a_raised_frame_limit_still_refuses_more_than_the_hard_cap() {
+        use std::io::Write;
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let mut peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let (mut stream, _) = listener.accept().unwrap();
+        let just_over = u32::try_from(crate::protocol::MAX_FRAME_BYTES + 1).unwrap();
+        peer.write_all(&just_over.to_be_bytes()).unwrap();
+        let budget = Duration::from_secs(10);
+        let started = Instant::now();
+        let err = read_frame_deadline(&mut stream, usize::MAX, budget).unwrap_err();
+        assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
+        assert!(started.elapsed() < budget, "refused without waiting for a body");
     }
 
     #[test]

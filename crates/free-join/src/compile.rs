@@ -299,7 +299,6 @@ mod tests {
     use super::*;
     use crate::exec::{execute_pipeline, ExecCounters, Instruments};
     use crate::prep::bind_atom;
-    use crate::sink::OutputSink;
     use crate::trie::InputTrie;
     use fj_plan::{factor, fj_plan_from_var_order, PlanTree};
     use fj_query::{Aggregate, OutputBuilder, QueryBuilder};
@@ -489,15 +488,9 @@ mod tests {
             .collect();
         let builder =
             OutputBuilder::new(&query.head, query.aggregate.clone(), &pipeline.plan.binding_order);
-        let (mut sinks, counters) = execute_pipeline(
-            &tries,
-            &pipeline.plan,
-            options,
-            1,
-            || OutputSink::new(builder.clone()),
-            &Instruments::default(),
-        );
-        (pipeline, sinks.pop().expect("one thread, one sink").finish(), counters)
+        let (mut builders, counters) =
+            execute_pipeline(&tries, &pipeline.plan, options, 1, builder, &Instruments::default());
+        (pipeline, builders.pop().expect("one thread, one builder").finish(), counters)
     }
 
     #[test]

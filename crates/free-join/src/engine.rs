@@ -25,15 +25,16 @@
 //!    pipeline whose result is cached does not run, and neither does
 //!    anything under it;
 //! 3. `join_pipeline` — called from that loop and nowhere else — runs one
-//!    compiled pipeline over its tries and folds the sinks into the output
-//!    (or a materialized intermediate for bushy plans).
+//!    compiled pipeline over its tries into an [`OutputBuilder`] and
+//!    finishes it: the query's output for the root pipeline, the rows of a
+//!    bushy plan's intermediate for any other.
 
 use crate::compile::{compile, compile_query, CompiledPipeline, CompiledPlan, CompiledQuery};
 use crate::error::{EngineError, EngineResult};
 use crate::exec::{execute_pipeline, ExecCounters, Instruments};
 use crate::options::{FreeJoinOptions, TrieStrategy};
-use crate::prep::{bind_atom, materialize_intermediate, var_types, BoundInput};
-use crate::sink::{MaterializeSink, OutputSink, Sink};
+use crate::prep::{bind_atom, materialize_intermediate, var_types};
+use crate::sink::pipeline_builder;
 use crate::trie::InputTrie;
 use fj_obs::{
     trace_now_nanos, ProfileSheet, QueryTrace, TraceBuf, TraceCat, DEFAULT_TRACE_CAPACITY,
@@ -123,9 +124,10 @@ impl FreeJoinEngine {
         self.run(catalog, query, &CompiledQuery { pipelines: vec![pipeline] })
     }
 
-    /// Run a compiled query uncached: every pipeline runs, every atom is
-    /// bound and every trie built here, under the options' own deadline and
-    /// byte budget.
+    /// Run a compiled query uncached and uncancellable: every pipeline runs,
+    /// every atom is bound and every trie built here. A request that needs a
+    /// deadline or a result-byte budget goes through [`crate::Prepared`],
+    /// whose [`crate::ExecRequest`] carries a token.
     fn run(
         &self,
         catalog: &Catalog,
@@ -133,10 +135,9 @@ impl FreeJoinEngine {
         compiled: &CompiledQuery,
     ) -> EngineResult<(QueryOutput, ExecStats)> {
         query.validate(catalog)?;
-        let options = &self.options;
-        let instruments = Instruments { token: options.cancel_token(), ..Instruments::default() };
+        let instruments = Instruments::default();
         let uncached = |_: PipeInput, _: &[Vec<String>], produce: Produce<'_>| produce();
-        let run = run_pipelines(compiled, catalog, query, options, &instruments, uncached)?;
+        let run = run_pipelines(compiled, catalog, query, &self.options, &instruments, uncached)?;
         Ok((run.output, run.stats))
     }
 }
@@ -237,9 +238,7 @@ pub(crate) fn run_pipelines(
             (QueryTrace::new(), ring)
         }),
     };
-    let PipelineResult::Output(output) = walk.run(compiled.root_pipeline())? else {
-        unreachable!("the root pipeline produces the output")
-    };
+    let output = walk.run(compiled.root_pipeline())?;
     let Walk { mut stats, sheets, trace, .. } = walk;
     stats.output_tuples = output.cardinality();
     Ok(PipelinesRun { output, stats, sheets, trace })
@@ -264,8 +263,9 @@ where
     F: Fn(PipeInput, &[Vec<String>], Produce<'_>) -> EngineResult<Arc<InputTrie>>,
 {
     /// Fetch pipeline `p`'s inputs — running the pipelines under the ones
-    /// `fetch` does not have — and join it.
-    fn run(&mut self, p: usize) -> EngineResult<PipelineResult> {
+    /// `fetch` does not have — and join it: the query's output for the root
+    /// pipeline, every binding as a row for an intermediate.
+    fn run(&mut self, p: usize) -> EngineResult<QueryOutput> {
         if let Some(reason) = self.instruments.token.poll() {
             return Err(cancelled(reason, &self.stats));
         }
@@ -283,13 +283,10 @@ where
         let baselines: Vec<(u64, u64)> =
             tries.iter().map(|trie| (trie.maps_built(), trie.lazy_built())).collect();
 
-        let role = if p == self.compiled.root_pipeline() {
-            PipelineRole::Final(self.query)
-        } else {
-            PipelineRole::Intermediate(&self.var_types)
-        };
-        let (result, counters) =
-            join_pipeline(&tries, &pipeline.plan, self.options, role, self.instruments)?;
+        let is_root = p == self.compiled.root_pipeline();
+        let builder = pipeline_builder(self.query, &pipeline.plan.binding_order, is_root)?;
+        let (output, counters) =
+            join_pipeline(&tries, &pipeline.plan, self.options, builder, is_root, self.instruments);
         self.stats.merge(&counters.stats);
         if let Some(sheet) = self.sheets.get_mut(p) {
             *sheet = Some(counters.profile);
@@ -311,12 +308,12 @@ where
         // The executor unwinds cooperatively once the token fires and
         // returns whatever it had produced.
         if let Some(reason) = self.instruments.token.fired() {
-            if let PipelineResult::Output(out) = &result {
-                self.stats.output_tuples = out.cardinality();
+            if is_root {
+                self.stats.output_tuples = output.cardinality();
             }
             return Err(cancelled(reason, &self.stats));
         }
-        Ok(result)
+        Ok(output)
     }
 
     /// The trie of one pipeline input, through `fetch`. The trace records
@@ -347,11 +344,11 @@ where
                     build_atom_trie(self.catalog, atom, schema, strategy, &mut self.stats)
                 }
                 PipeInput::Intermediate(j) => {
-                    let PipelineResult::Intermediate(bound) = self.run(j)? else {
-                        unreachable!("only the root pipeline produces the output")
-                    };
-                    self.stats.intermediate_tuples += bound.num_rows() as u64;
+                    let rows = self.run(j)?;
+                    self.stats.intermediate_tuples += rows.cardinality();
                     let build_start = Instant::now();
+                    let name = format!("__fj_intermediate_{}", rows.vars.join("_"));
+                    let bound = materialize_intermediate(&name, rows, &self.var_types)?;
                     let trie = InputTrie::build(&bound, schema.to_vec(), self.options.trie);
                     self.stats.build_time += build_start.elapsed();
                     Ok(Arc::new(trie))
@@ -374,26 +371,14 @@ where
     }
 }
 
-/// What a pipeline is for, with what only that role needs.
-#[derive(Clone, Copy)]
-enum PipelineRole<'a> {
-    /// The last pipeline: its results are the query's output, shaped by the
-    /// query's head and aggregate.
-    Final(&'a ConjunctiveQuery),
-    /// An earlier pipeline of a bushy plan: its rows become an intermediate
-    /// relation, typed by the query's variable types.
-    Intermediate(&'a HashMap<String, DataType>),
-}
-
 /// Run one compiled pipeline over its (possibly cache-shared) tries at the
 /// configured thread count — on the calling thread at one, under the
-/// work-stealing scheduler above ([`execute_pipeline`]) — and fold its
-/// sinks, in task-tree order, into the query output or a materialized
-/// intermediate.
+/// work-stealing scheduler above ([`execute_pipeline`]) — into `builder`,
+/// and fold the per-task builders, in task-tree order, into its output.
 ///
 /// The counters that come back carry everything the pipeline added up: its
 /// probe and scheduler counts, `result_chunks`, its `join_time` and — for
-/// the final pipeline — the `aggregate_time` spent folding the sinks and
+/// the root pipeline — the `aggregate_time` spent folding the builders and
 /// finishing the output, which is taken out of `join_time`; plus the
 /// instruments (the per-node profile and the per-worker trace rings, sorted
 /// by worker id — both empty unless `instruments` asked for them).
@@ -403,62 +388,28 @@ fn join_pipeline(
     tries: &[Arc<InputTrie>],
     compiled: &CompiledPlan,
     options: &FreeJoinOptions,
-    role: PipelineRole<'_>,
+    builder: OutputBuilder,
+    is_root: bool,
     instruments: &Instruments,
-) -> EngineResult<(PipelineResult, ExecCounters)> {
+) -> (QueryOutput, ExecCounters) {
     let join_start = Instant::now();
     let threads = options.effective_threads();
-    let (result, mut counters) = match role {
-        PipelineRole::Final(query) => {
-            let builder = OutputBuilder::try_new(
-                &query.head,
-                query.aggregate.clone(),
-                &compiled.binding_order,
-            )
-            .map_err(EngineError::Query)?;
-            let make_sink = || OutputSink::new(builder.clone());
-            let (sinks, mut counters) =
-                execute_pipeline(tries, compiled, options, threads, make_sink, instruments);
-            let fold_start = Instant::now();
-            let sink = fold_sinks(sinks, make_sink, OutputSink::merge);
-            counters.stats.result_chunks = sink.chunks_received();
-            let output = sink.finish();
-            counters.stats.aggregate_time = fold_start.elapsed();
-            (PipelineResult::Output(output), counters)
-        }
-        PipelineRole::Intermediate(var_types) => {
-            let make_sink = MaterializeSink::new;
-            let (sinks, mut counters) =
-                execute_pipeline(tries, compiled, options, threads, make_sink, instruments);
-            let sink = fold_sinks(sinks, make_sink, MaterializeSink::merge);
-            counters.stats.result_chunks = sink.chunks_received();
-            let name = format!("__fj_intermediate_{}", compiled.binding_order.join("_"));
-            let rows = sink.into_rows();
-            let bound = materialize_intermediate(&name, &compiled.binding_order, var_types, &rows)?;
-            (PipelineResult::Intermediate(bound), counters)
-        }
-    };
+    let (builders, mut counters) =
+        execute_pipeline(tries, compiled, options, threads, builder.clone(), instruments);
+    let fold_start = Instant::now();
+    // One thread returned exactly one builder; a run whose every task came
+    // back empty returned none.
+    let mut builders = builders.into_iter();
+    let mut merged = builders.next().unwrap_or(builder);
+    builders.for_each(|task| merged.merge(task));
+    counters.stats.result_chunks = merged.chunks_received();
+    let output = merged.finish();
+    if is_root {
+        counters.stats.aggregate_time = fold_start.elapsed();
+    }
     counters.stats.join_time = join_start.elapsed().saturating_sub(counters.stats.aggregate_time);
     counters.traces.sort_by_key(|tb| tb.worker());
-    Ok((result, counters))
-}
-
-/// Fold a pipeline's sinks, in the order they came back (task-tree order),
-/// into the first. One thread returned exactly one sink; a run whose every
-/// task came back empty returned none.
-fn fold_sinks<S: Sink>(sinks: Vec<S>, make_sink: impl Fn() -> S, merge: impl Fn(&mut S, S)) -> S {
-    let mut sinks = sinks.into_iter();
-    let mut merged = sinks.next().unwrap_or_else(make_sink);
-    sinks.for_each(|sink| merge(&mut merged, sink));
-    merged
-}
-
-/// What a pipeline produced.
-enum PipelineResult {
-    /// The query output (final pipeline).
-    Output(QueryOutput),
-    /// A materialized intermediate (non-final pipeline of a bushy plan).
-    Intermediate(BoundInput),
+    (output, counters)
 }
 
 #[cfg(test)]
@@ -672,7 +623,7 @@ mod tests {
         }
     }
 
-    /// Folding the sinks and finishing the output is `aggregate_time`, not
+    /// Folding the builders and finishing the output is `aggregate_time`, not
     /// `join_time`: rows to sort out or groups to total make it nonzero.
     #[test]
     fn the_final_pipeline_times_its_aggregation() {

@@ -53,18 +53,18 @@
 //! # Chunked result emission
 //!
 //! The result side is **columnar and batched**, matching the vectorized trie
-//! side: instead of a virtual `Sink` call per result tuple, every worker
-//! appends bindings into a [`ChunkBuffer`] — a column-major
-//! [`fj_query::ResultChunk`] already projected onto the sink's output slots
-//! (a counting sink's chunks carry only weights) — and crosses the sink
-//! boundary once per chunk. When the remaining plan is an *independent tail*
-//! (every following node a single final expansion of live variables — the
-//! output reads them, so they must be enumerated), the executor
-//! gathers each inner expansion's `(values, weight)` list once and emits the
-//! Cartesian product straight into the chunk columns, rather than re-walking
-//! each suffix trie for every outer combination. Emission order is identical
-//! to the recursive walk's, so results are bit-for-bit those of the
-//! tuple-at-a-time executor this replaces.
+//! side: every worker appends bindings into a [`ChunkBuffer`] — a
+//! column-major [`fj_query::ResultChunk`] already projected onto the
+//! [`OutputBuilder`]'s positions (a counting builder's chunks carry only
+//! weights) — which hands the builder one chunk at a time. When the
+//! remaining plan is an *independent tail* (every following node a single
+//! final expansion of live variables — the output reads them, so they must
+//! be enumerated), the executor gathers each inner expansion's
+//! `(values, weight)` list once and emits the Cartesian product straight
+//! into the chunk columns, rather than re-walking each suffix trie for every
+//! outer combination. Emission order is identical to the recursive walk's,
+//! so results are bit-for-bit those of the tuple-at-a-time executor this
+//! replaces.
 //!
 //! # Work-stealing parallelism
 //!
@@ -83,7 +83,7 @@
 //! Each task carries its binding prefix, trie positions and running weight,
 //! so the cover loop resumes mid-plan exactly where the split happened. With
 //! `threads <= 1` the same root call runs on the calling thread with the
-//! split hook absent: no scheduler, no spawned thread, one sink and one
+//! split hook absent: no scheduler, no spawned thread, one builder and one
 //! chunk buffer.
 //!
 //! **Determinism.** Every task carries a dense *path key*: root tasks are
@@ -93,7 +93,7 @@
 //! of the levels they force and the configured threshold — never on the
 //! thread count, on which worker ran what or on which nodes were already
 //! forced — so the task tree, and therefore the lexicographic path-key
-//! order in which per-task sinks are merged, is identical at any thread
+//! order in which per-task builders are merged, is identical at any thread
 //! count above one and any steal schedule. Probes may lazily force shared
 //! trie nodes from several workers at once — the trie's `OnceLock`-based
 //! forcing (see [`crate::trie`]) makes that race-free. One read of that
@@ -107,10 +107,10 @@
 use crate::cancel::CancelToken;
 use crate::compile::{CompiledNode, CompiledPlan, CompiledSubatom, IterAction};
 use crate::options::FreeJoinOptions;
-use crate::sink::{ChunkBuffer, Sink};
+use crate::sink::ChunkBuffer;
 use crate::trie::{InputTrie, NodeRef};
 use fj_obs::{ProfileSheet, TraceBuf, TraceCat, DEFAULT_TRACE_CAPACITY};
-use fj_query::{CancelReason, ExecStats};
+use fj_query::{CancelReason, ExecStats, OutputBuilder};
 use fj_storage::Value;
 use std::collections::VecDeque;
 use std::ops::Range;
@@ -296,7 +296,7 @@ enum TaskItems {
 
 /// One unit of stealable work: resume the plan at `node_idx` with the given
 /// binding prefix, trie positions and running weight, and iterate `items`.
-/// `path` is the task's dense key in the task tree; sorting per-task sinks
+/// `path` is the task's dense key in the task tree; sorting per-task builders
 /// by it reproduces the same merge order at any thread count and any steal
 /// schedule (see the module docs).
 struct Task<'t> {
@@ -428,34 +428,31 @@ fn probe_subatom<'t>(
 /// Execute a compiled pipeline over its input tries — the executor's one
 /// entry point.
 ///
-/// `make_sink` creates the sinks results land in; `instruments` carries the
-/// request's token — checked per cover entry and at every node, flush and
-/// task boundary (chunk-buffer flushes charge its result-byte budget) — and
-/// says whether the returned counters carry a per-node profile and trace
-/// rings. A fired token makes the remaining walk a cheap no-op; the caller
-/// detects the trip via [`CancelToken::fired`] (or the counters' `cancelled`
-/// field) and discards the partial sinks. Trie-building counters live on
-/// the tries.
+/// Results land in `builder`, an empty [`OutputBuilder`] over the plan's
+/// binding order; `instruments` carries the request's token — checked per
+/// cover entry and at every node, flush and task boundary (chunk-buffer
+/// flushes charge its result-byte budget) — and says whether the returned
+/// counters carry a per-node profile and trace rings. A fired token makes
+/// the remaining walk a cheap no-op; the caller detects the trip via
+/// [`CancelToken::fired`] (or the counters' `cancelled` field) and discards
+/// the partial builders. Trie-building counters live on the tries.
 ///
 /// With `threads <= 1` — or when the first node has no root-level work to
-/// split — the plan runs on the calling thread into **one** sink: no
-/// scheduler is built and no thread is spawned. Otherwise it runs under the
-/// work-stealing scheduler of the module docs, every task gets its own
-/// sink, and the sinks come back in **task-tree order** (per-task path keys
-/// sorted lexicographically) next to the summed counters, so the caller's
-/// merge is identical at any thread count and any steal schedule.
-pub fn execute_pipeline<S, F>(
+/// split — the plan runs on the calling thread into `builder` itself, which
+/// comes back alone: no scheduler is built and no thread is spawned.
+/// Otherwise it runs under the work-stealing scheduler of the module docs,
+/// every task fills its own clone of `builder`, and the builders of the
+/// tasks that produced anything come back in **task-tree order** (per-task
+/// path keys sorted lexicographically) next to the summed counters, so the
+/// caller's merge is identical at any thread count and any steal schedule.
+pub fn execute_pipeline(
     tries: &[Arc<InputTrie>],
     plan: &CompiledPlan,
     options: &FreeJoinOptions,
     threads: usize,
-    make_sink: F,
+    builder: OutputBuilder,
     instruments: &Instruments,
-) -> (Vec<S>, ExecCounters)
-where
-    S: Sink + Send,
-    F: Fn() -> S + Sync,
-{
+) -> (Vec<OutputBuilder>, ExecCounters) {
     debug_assert_eq!(tries.len(), plan.num_inputs);
     let roots: Vec<NodeRef<'_>> = tries.iter().map(|t| t.root()).collect();
     let blank = vec![Value::Null; plan.binding_order.len()];
@@ -463,22 +460,21 @@ where
     let new_scratch = move || plan.nodes.iter().map(|_| NodeScratch::default()).collect::<Vec<_>>();
 
     if root_tasks.is_empty() {
-        let mut sink = make_sink();
         let counters = ExecCounters::for_worker(plan, instruments, 0);
-        let mut ctx = ExecCtx::new(tries, plan, &mut sink, counters, (blank, roots));
+        let mut ctx = ExecCtx::new(tries, plan, builder, counters, (blank, roots));
         ctx.run_node(0, 1, &mut new_scratch());
-        let counters = ctx.finish();
-        return (vec![sink], counters);
+        let (builder, counters) = ctx.finish();
+        return (vec![builder], counters);
     }
 
     let sched = Scheduler::new(threads, options.split_threshold, root_tasks);
-    let segments: Mutex<Vec<(Vec<u32>, S)>> = Mutex::new(Vec::new());
+    let segments: Mutex<Vec<(Vec<u32>, OutputBuilder)>> = Mutex::new(Vec::new());
     let total_counters: Mutex<ExecCounters> = Mutex::new(ExecCounters::default());
 
     std::thread::scope(|scope| {
         for id in 0..threads {
-            let (sched, segments, total_counters, make_sink) =
-                (&sched, &segments, &total_counters, &make_sink);
+            let (sched, segments, total_counters, builder) =
+                (&sched, &segments, &total_counters, &builder);
             scope.spawn(move || {
                 let mut scratch = new_scratch();
                 let mut counters = ExecCounters::for_worker(plan, instruments, id as u32);
@@ -509,20 +505,22 @@ where
                     if let Some(tb) = counters.traces.last_mut() {
                         tb.begin(TraceCat::Task, node, weight, &path);
                     }
-                    let (mut sink, start) = (make_sink(), (tuple, positions));
                     let mine = std::mem::take(&mut counters);
-                    let mut ctx = ExecCtx::new(tries, plan, &mut sink, mine, start);
+                    let start = (tuple, positions);
+                    let mut ctx = ExecCtx::new(tries, plan, builder.clone(), mine, start);
                     ctx.split =
                         Some(WorkerSplitter { sched, worker: id, path: &path, next_child: 0 });
                     ctx.run_task(node_idx, weight, &items, &mut scratch);
-                    counters = ctx.finish();
+                    let (task_builder, mine) = ctx.finish();
+                    counters = mine;
                     if let Some(tb) = counters.traces.last_mut() {
-                        tb.end(TraceCat::Task, node, sink.tuples());
+                        tb.end(TraceCat::Task, node, task_builder.tuples());
                     }
-                    // Empty sinks contribute nothing to the merge; skip them
-                    // (split-heavy schedules produce many empty tasks).
-                    if sink.tuples() > 0 {
-                        segments.lock().expect("no poisoned segments").push((path, sink));
+                    // Empty builders contribute nothing to the merge; skip
+                    // them (split-heavy schedules produce many empty tasks).
+                    if task_builder.tuples() > 0 {
+                        let segment = (path, task_builder);
+                        segments.lock().expect("no poisoned segments").push(segment);
                     }
                     sched.pending.fetch_sub(1, Ordering::AcqRel);
                 }
@@ -542,7 +540,7 @@ where
     // task-tree (depth-first, expansion-order) traversal regardless of which
     // worker ran which task.
     segments.sort_by(|a, b| a.0.cmp(&b.0));
-    (segments.into_iter().map(|(_, sink)| sink).collect(), counters)
+    (segments.into_iter().map(|(_, builder)| builder).collect(), counters)
 }
 
 /// The first node's cover iteration as range tasks for the injector, keyed
@@ -572,7 +570,7 @@ fn root_tasks<'t>(
     };
     // Root task granularity: a fixed fan-out independent of the thread count
     // (so the task tree, and with it the merge order, is the same at any
-    // thread count), capped so per-task sink overhead stays negligible.
+    // thread count), capped so per-task builder overhead stays negligible.
     // Skew below the root is the scheduler's job, not the root chunking's:
     // any root range hiding a hot subtree re-splits when it reaches the
     // oversized expansion.
@@ -619,44 +617,40 @@ const BATCH: usize = 1000;
 
 /// Everything the recursive join threads from call to call: what it reads
 /// (tries, plan), the state it advances (binding tuple, trie positions,
-/// counters) and where results go (chunk buffer, sink). One context runs
-/// the whole plan on the calling thread, or one scheduler task on a worker
-/// — then `split` is set and the tuple and positions are the task's own. Methods take the plan position
-/// and `scratch`, the scratch space of that node and every following one
+/// counters) and where results go (the chunk buffer and the builder it
+/// feeds). One context runs the whole plan on the calling thread, or one
+/// scheduler task on a worker — then `split` is set and the tuple and
+/// positions are the task's own. Methods take the plan position and
+/// `scratch`, the scratch space of that node and every following one
 /// (`scratch[0]` belongs to the node).
 struct ExecCtx<'a, 't> {
     tries: &'t [Arc<InputTrie>],
     plan: &'t CompiledPlan,
     tuple: Vec<Value>,
     current: Vec<NodeRef<'t>>,
-    sink: &'a mut dyn Sink,
     out: ChunkBuffer,
     counters: ExecCounters,
     split: Option<WorkerSplitter<'a, 't>>,
 }
 
 impl<'a, 't> ExecCtx<'a, 't> {
-    /// A context that never splits, starting from the binding tuple and
-    /// trie positions in `start`.
+    /// A context that never splits, emitting into `builder` from the
+    /// binding tuple and trie positions in `start`.
     fn new(
         tries: &'t [Arc<InputTrie>],
         plan: &'t CompiledPlan,
-        sink: &'a mut dyn Sink,
+        builder: OutputBuilder,
         counters: ExecCounters,
         start: (Vec<Value>, Vec<NodeRef<'t>>),
     ) -> Self {
-        let out = ChunkBuffer::for_sink_metered(
-            &*sink,
-            plan.binding_order.len(),
-            counters.cancel.clone(),
-        );
-        ExecCtx { tries, plan, tuple: start.0, current: start.1, sink, out, counters, split: None }
+        let out = ChunkBuffer::new(builder, counters.cancel.clone());
+        ExecCtx { tries, plan, tuple: start.0, current: start.1, out, counters, split: None }
     }
 
-    /// Hand the buffered results to the sink and give the counters back.
-    fn finish(mut self) -> ExecCounters {
-        self.out.flush(self.sink);
-        self.counters
+    /// Flush the buffered results and give the builder and the counters
+    /// back.
+    fn finish(self) -> (OutputBuilder, ExecCounters) {
+        (self.out.finish(), self.counters)
     }
 
     /// Open the span of one run of a node: in the trace, and — its start
@@ -756,7 +750,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
         }
         let (tries, plan) = (self.tries, self.plan);
         if node_idx == plan.nodes.len() {
-            self.out.push(self.sink, &self.tuple, weight);
+            self.out.push(&self.tuple, weight);
             return;
         }
         let node = &plan.nodes[node_idx];
@@ -903,7 +897,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
     /// list — and the Cartesian product is emitted by nested loops over the
     /// gathered columns straight into the chunk buffer. Emission order is
     /// exactly the recursive walk's (a slice's is the unsplit stream's, so
-    /// path-key-ordered sinks concatenate to it), and tail nodes perform no
+    /// path-key-ordered builders concatenate to it), and tail nodes perform no
     /// probes in either form, so results and counters are unchanged — only
     /// the per-combination trie iteration and recursion are gone.
     fn run_tail(
@@ -983,7 +977,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
             this.counters.profile.add_expansions(node_idx, inner_count.max(1));
             first_sum = first_sum.saturating_add(w);
             if inner.is_empty() {
-                this.out.push(this.sink, &this.tuple, w);
+                this.out.push(&this.tuple, w);
             } else {
                 this.emit_product(inner, lists, w);
             }
@@ -1028,7 +1022,7 @@ impl<'a, 't> ExecCtx<'a, 't> {
                 .copy_from_slice(&list.writes[i * stride..(i + 1) * stride]);
             let w = weight.saturating_mul(entry_weight);
             if nodes.len() == 1 {
-                self.out.push(self.sink, &self.tuple, w);
+                self.out.push(&self.tuple, w);
             } else {
                 self.emit_product(&nodes[1..], &lists[1..], w);
             }
@@ -1324,7 +1318,6 @@ mod tests {
     use crate::compile::compile;
     use crate::options::TrieStrategy;
     use crate::prep::{prepare_inputs, BoundInput};
-    use crate::sink::{MaterializeSink, OutputSink};
     use fj_plan::{binary2fj, factor, fj_plan_from_var_order, FjNode, FreeJoinPlan, Subatom};
     use fj_query::{Aggregate, OutputBuilder, QueryBuilder};
     use fj_storage::{Catalog, RelationBuilder, Schema};
@@ -1379,30 +1372,23 @@ mod tests {
     }
 
     /// Compile `plan` over `inputs`, build the tries and run the pipeline at
-    /// `threads` into counting/aggregating sinks, one per task.
-    fn run_sinks(
+    /// `threads` into counting/aggregating builders, one per task.
+    fn run_builders(
         inputs: &[BoundInput],
         plan: &fj_plan::FreeJoinPlan,
         options: &FreeJoinOptions,
         aggregate: Aggregate,
         threads: usize,
-    ) -> (Vec<OutputSink>, ExecCounters) {
+    ) -> (Vec<OutputBuilder>, ExecCounters) {
         let input_vars: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
         let compiled = compile(plan, &input_vars).unwrap();
         let tries = build_tries(inputs, &compiled, options);
         let builder =
             OutputBuilder::new(&compiled.binding_order, aggregate, &compiled.binding_order);
-        execute_pipeline(
-            &tries,
-            &compiled,
-            options,
-            threads,
-            || OutputSink::new(builder.clone()),
-            &Instruments::default(),
-        )
+        execute_pipeline(&tries, &compiled, options, threads, builder, &Instruments::default())
     }
 
-    /// [`run_sinks`] with the sinks merged in the order they came back
+    /// [`run_builders`] with the builders merged in the order they came back
     /// (task-tree order): the result's cardinality and the counters.
     fn run_parallel(
         inputs: &[BoundInput],
@@ -1411,13 +1397,13 @@ mod tests {
         aggregate: Aggregate,
         num_threads: usize,
     ) -> (u64, ExecCounters) {
-        let (sinks, counters) = run_sinks(inputs, plan, options, aggregate, num_threads);
-        let merged = sinks.into_iter().reduce(|mut merged, sink| {
-            merged.merge(sink);
+        let (builders, counters) = run_builders(inputs, plan, options, aggregate, num_threads);
+        let merged = builders.into_iter().reduce(|mut merged, builder| {
+            merged.merge(builder);
             merged
         });
-        // Tasks that produced nothing return no sink.
-        (merged.map_or(0, |sink| sink.finish().cardinality()), counters)
+        // Tasks that produced nothing return no builder.
+        (merged.map_or(0, |builder| builder.finish().cardinality()), counters)
     }
 
     /// On the calling thread.
@@ -1430,10 +1416,11 @@ mod tests {
         run_parallel(inputs, plan, options, aggregate, 1)
     }
 
-    /// One thread is the same root call without a scheduler: one sink comes
-    /// back and no task was ever created, however low the split threshold.
+    /// One thread is the same root call without a scheduler: one builder
+    /// comes back and no task was ever created, however low the split
+    /// threshold.
     #[test]
-    fn one_thread_runs_into_one_sink_without_a_scheduler() {
+    fn one_thread_runs_into_one_builder_without_a_scheduler() {
         let cat = clover_catalog(40);
         let inputs = clover_inputs(&cat);
         let iv: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
@@ -1441,13 +1428,14 @@ mod tests {
         factor(&mut plan);
         let options = FreeJoinOptions::default().with_split_threshold(2);
         for threads in [0, 1] {
-            let (sinks, counters) = run_sinks(&inputs, &plan, &options, Aggregate::Count, threads);
-            assert_eq!(sinks.len(), 1, "threads {threads}");
+            let (builders, counters) =
+                run_builders(&inputs, &plan, &options, Aggregate::Count, threads);
+            assert_eq!(builders.len(), 1, "threads {threads}");
             assert_eq!((counters.stats.tasks_spawned, counters.stats.tasks_stolen), (0, 0));
             assert!(counters.stats.worker_expansions.is_empty());
         }
-        let (sinks, counters) = run_sinks(&inputs, &plan, &options, Aggregate::Count, 2);
-        assert!(counters.stats.tasks_spawned > 0 && !sinks.is_empty());
+        let (builders, counters) = run_builders(&inputs, &plan, &options, Aggregate::Count, 2);
+        assert!(counters.stats.tasks_spawned > 0 && !builders.is_empty());
     }
 
     /// The clover instance has exactly one result: (x0, a0, b0, c0).
@@ -1698,20 +1686,15 @@ mod tests {
         let compiled = compile(&plan, &iv).unwrap();
         let options = FreeJoinOptions::default();
         let tries = build_tries(&inputs, &compiled, &options);
-        let (mut sinks, _) = execute_pipeline(
-            &tries,
-            &compiled,
-            &options,
-            1,
-            MaterializeSink::new,
-            &Instruments::default(),
-        );
-        let rows = sinks.pop().expect("one thread, one sink").into_rows();
-        assert_eq!(rows.len(), 1);
+        let order = &compiled.binding_order;
+        let builder = OutputBuilder::new(order, Aggregate::Materialize, order);
+        let (mut builders, _) =
+            execute_pipeline(&tries, &compiled, &options, 1, builder, &Instruments::default());
+        let output = builders.pop().expect("one thread, one builder").finish();
         // Binding order is x, a, b, c.
         assert_eq!(
-            rows[0],
-            vec![Value::Int(0), Value::Int(1000), Value::Int(3000), Value::Int(5000)]
+            output.canonical_rows(),
+            vec![vec![Value::Int(0), Value::Int(1000), Value::Int(3000), Value::Int(5000)]]
         );
     }
 
@@ -1887,15 +1870,15 @@ mod tests {
                     let under_x = s.get(s.root(), 0, &[Value::Int(0)]).expect("x = 0 is in S");
                     assert_eq!(s.force(under_x, 1, true).num_keys(), distinct_y as usize);
                 }
-                let (sinks, counters) = execute_pipeline(
+                let (builders, counters) = execute_pipeline(
                     &tries,
                     &compiled,
                     &options,
                     2,
-                    || OutputSink::new(builder.clone()),
+                    builder.clone(),
                     &Instruments::default(),
                 );
-                let count: u64 = sinks.into_iter().map(|s| s.finish().cardinality()).sum();
+                let count: u64 = builders.into_iter().map(|b| b.finish().cardinality()).sum();
                 (count, counters.stats.tasks_spawned, counters.work())
             };
             let (cold, warm) = (run(false), run(true));
@@ -1985,14 +1968,19 @@ mod tests {
             OutputBuilder::new(&compiled.binding_order, Aggregate::Count, &compiled.binding_order);
         let run_with = |token: CancelToken, threads: usize| {
             let instruments = Instruments { token, ..Instruments::default() };
-            let make_sink = || OutputSink::new(builder.clone());
-            let (sinks, counters) =
-                execute_pipeline(&tries, &compiled, &options, threads, make_sink, &instruments);
-            let merged = sinks.into_iter().reduce(|mut merged, sink| {
-                merged.merge(sink);
+            let (builders, counters) = execute_pipeline(
+                &tries,
+                &compiled,
+                &options,
+                threads,
+                builder.clone(),
+                &instruments,
+            );
+            let merged = builders.into_iter().reduce(|mut merged, builder| {
+                merged.merge(builder);
                 merged
             });
-            (merged.map_or(0, |sink| sink.finish().cardinality()), counters)
+            (merged.map_or(0, |builder| builder.finish().cardinality()), counters)
         };
 
         // An elapsed deadline is seen at the first clock poll, a few hundred

@@ -16,8 +16,9 @@
 //!   ranking each node's covers and probes by the tries' row counts,
 //!   batching every node's probes (the paper's vectorized execution), with
 //!   a columnar batched result pipeline
-//!   (bindings accumulate in [`fj_query::ResultChunk`]s and cross the
-//!   [`sink`] boundary one chunk — not one tuple — at a time).
+//!   (bindings accumulate in [`fj_query::ResultChunk`]s and reach the
+//!   pipeline's [`fj_query::OutputBuilder`] one chunk — not one tuple — at
+//!   a time, see [`sink`]).
 //!
 //! The main entry point is [`FreeJoinEngine`]: give it a catalog, a
 //! conjunctive query and an optimized binary plan (e.g. from
@@ -30,7 +31,7 @@
 //! scheduler): the trie layer is `Send + Sync` with race-free lazy forcing,
 //! the root cover iteration seeds a shared task injector, oversized
 //! expansions anywhere in the plan re-split into stealable sub-tasks, and
-//! per-task sinks merge deterministically in path-key order — see
+//! per-task builders merge deterministically in path-key order — see
 //! [`exec::execute_pipeline`], the executor's one entry point, and the
 //! module docs of [`trie`]. Repeated queries go through a [`Session`]:
 //! [`Prepared::execute`] takes an [`ExecRequest`] (filter overrides, a
@@ -92,7 +93,7 @@ pub use prep::{prepare_inputs, BoundInput};
 pub use session::{
     EngineCaches, ExecReport, ExecRequest, Params, Prepared, Session, SessionCacheStats,
 };
-pub use sink::{ChunkBuffer, MaterializeSink, OutputSink, Sink};
+pub use sink::ChunkBuffer;
 pub use trie::InputTrie;
 
 // Re-export the plan types most users need alongside the engine, and the

@@ -76,20 +76,6 @@ pub struct FreeJoinOptions {
     /// skewed subtrees. No production caller sets it: it is the lever of
     /// CI's forced-split race-hunting pass and of `examples/trace_query.rs`.
     pub split_threshold: usize,
-    /// Per-query deadline in milliseconds; `0` (the default) disables it.
-    /// When set, `Session`-level execution arms a [`crate::CancelToken`]
-    /// whose deadline elapses this long after execution starts, and the
-    /// executor's cooperative checks turn the trip into a typed
-    /// `QueryError::Cancelled { reason: Deadline, .. }`.
-    #[serde(default)]
-    pub deadline_ms: u64,
-    /// Result-buffer memory budget in bytes; `0` (the default) disables it.
-    /// Chunk-buffer flush accounting charges the cancel token, so a query
-    /// whose materialized output exceeds the budget degrades into a typed
-    /// `QueryError::Cancelled { reason: MemoryBudget, .. }` instead of an
-    /// unbounded allocation.
-    #[serde(default)]
-    pub max_result_bytes: u64,
 }
 
 impl Default for FreeJoinOptions {
@@ -100,8 +86,6 @@ impl Default for FreeJoinOptions {
             optimize_plan: true,
             num_threads: 0,
             split_threshold: 1024,
-            deadline_ms: 0,
-            max_result_bytes: 0,
         }
     }
 }
@@ -141,33 +125,6 @@ impl FreeJoinOptions {
         self
     }
 
-    /// Builder-style setter for the per-query deadline (`0` = none).
-    pub fn with_deadline_ms(mut self, deadline_ms: u64) -> Self {
-        self.deadline_ms = deadline_ms;
-        self
-    }
-
-    /// Builder-style setter for the result-buffer byte budget (`0` = none).
-    pub fn with_max_result_bytes(mut self, max_result_bytes: u64) -> Self {
-        self.max_result_bytes = max_result_bytes;
-        self
-    }
-
-    /// The cancel token this configuration implies: disabled (zero-cost
-    /// checks) when neither `deadline_ms` nor `max_result_bytes` is set,
-    /// otherwise armed with a deadline `deadline_ms` from *now* and the
-    /// result-byte budget. Callers that already hold a query-level token
-    /// (the serve path) ignore this and arm their own.
-    pub fn cancel_token(&self) -> crate::cancel::CancelToken {
-        if self.deadline_ms == 0 && self.max_result_bytes == 0 {
-            return crate::cancel::CancelToken::disabled();
-        }
-        let deadline = (self.deadline_ms > 0).then(|| {
-            std::time::Instant::now() + std::time::Duration::from_millis(self.deadline_ms)
-        });
-        crate::cancel::CancelToken::with_limits(deadline, self.max_result_bytes)
-    }
-
     /// The concrete number of worker threads this configuration runs with:
     /// `num_threads` itself, or the machine's available parallelism when it
     /// is `0` (auto).
@@ -193,10 +150,6 @@ mod tests {
         assert_eq!(o.num_threads, 0, "default is auto (available parallelism)");
         assert!(o.effective_threads() >= 1);
         assert_eq!(o.split_threshold, 1024);
-        assert_eq!(o.deadline_ms, 0, "no deadline by default");
-        assert_eq!(o.max_result_bytes, 0, "no memory budget by default");
-        assert_eq!(o.with_deadline_ms(250).deadline_ms, 250);
-        assert_eq!(o.with_max_result_bytes(1 << 20).max_result_bytes, 1 << 20);
     }
 
     #[test]

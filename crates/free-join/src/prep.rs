@@ -8,7 +8,7 @@
 //! than from scan or selection handling.
 
 use crate::error::{EngineError, EngineResult};
-use fj_query::{Atom, ConjunctiveQuery};
+use fj_query::{Atom, ConjunctiveQuery, OutputKind, QueryOutput};
 use fj_storage::{Catalog, DataType, Field, Relation, RelationBuilder, Row, Schema, Value};
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -139,15 +139,22 @@ pub fn prepare_inputs(catalog: &Catalog, query: &ConjunctiveQuery) -> EngineResu
     Ok(PreparedQuery { atoms, selection_time: start.elapsed(), var_types })
 }
 
-/// Materialize a collection of result rows (each laid out according to
-/// `vars`) into a relation whose columns are named after the variables. Used
-/// for the intermediate results of bushy plans.
+/// Materialize a pipeline's `Materialize` output — rows laid out according
+/// to `output.vars` — into a relation whose columns are named after the
+/// variables, moving every row into it. Used for the intermediate results
+/// of bushy plans.
+///
+/// # Panics
+/// Panics if `output` holds a count or groups instead of rows.
 pub fn materialize_intermediate(
     name: &str,
-    vars: &[String],
+    output: QueryOutput,
     var_types: &HashMap<String, DataType>,
-    rows: &[Row],
 ) -> EngineResult<BoundInput> {
+    let OutputKind::Rows(rows) = output.kind else {
+        panic!("an intermediate is materialized from rows, not {:?}", output.kind)
+    };
+    let vars = output.vars;
     let fields: Vec<Field> = vars
         .iter()
         .map(|v| Field::new(v.clone(), var_types.get(v).copied().unwrap_or(DataType::Int64)))
@@ -155,14 +162,14 @@ pub fn materialize_intermediate(
     let schema = Schema::new(fields);
     let mut builder = RelationBuilder::with_capacity(name, schema, rows.len());
     for row in rows {
-        builder.push_row(row.clone()).map_err(EngineError::Storage)?;
+        builder.push_row(row).map_err(EngineError::Storage)?;
     }
     let relation = Arc::new(builder.finish());
     Ok(BoundInput {
         name: name.to_string(),
         relation,
-        vars: vars.to_vec(),
         var_cols: (0..vars.len()).collect(),
+        vars,
         owns_rows: true,
     })
 }
@@ -268,18 +275,14 @@ mod tests {
         types.insert("x".to_string(), DataType::Int64);
         types.insert("y".to_string(), DataType::Int64);
         let rows = vec![vec![Value::Int(1), Value::Int(2)], vec![Value::Int(3), Value::Int(4)]];
-        let input = materialize_intermediate("tmp0", &vars, &types, &rows).unwrap();
+        let input = materialize_intermediate("tmp0", QueryOutput::rows(vars.clone(), rows), &types)
+            .unwrap();
         assert_eq!(input.num_rows(), 2);
         assert_eq!(input.vars, vars);
         assert_eq!(input.read_var(1, "y"), Value::Int(4));
         // Unknown type defaults to Int64 without panicking.
-        let input2 = materialize_intermediate(
-            "tmp1",
-            &["z".to_string()],
-            &HashMap::new(),
-            &[vec![Value::Int(9)]],
-        )
-        .unwrap();
+        let z = QueryOutput::rows(vec!["z".to_string()], vec![vec![Value::Int(9)]]);
+        let input2 = materialize_intermediate("tmp1", z, &HashMap::new()).unwrap();
         assert_eq!(input2.read_var(0, "z"), Value::Int(9));
     }
 }

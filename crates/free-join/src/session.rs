@@ -593,8 +593,9 @@ pub struct ExecRequest {
     /// task/morsel/flush boundary inside the executor and at pipeline
     /// boundaries; once it fires, the execution unwinds cooperatively and
     /// returns [`fj_query::QueryError::Cancelled`] with the partial stats
-    /// gathered so far. Left disabled, the deadline / byte budget of the
-    /// session options apply (if any).
+    /// gathered so far. Left disabled (the default), nothing can cancel the
+    /// execution: a deadline or a result-byte budget is armed here, through
+    /// [`CancelToken::with_limits`], and nowhere else.
     pub token: CancelToken,
     /// Collect the per-node [`QueryProfile`] (actuals paired with the
     /// optimizer's prepare-time estimates): the engine half of `EXPLAIN
@@ -661,15 +662,11 @@ impl Prepared {
     /// per-worker executor ring are collected into one [`QueryTrace`].
     pub fn execute(&self, catalog: &Catalog, request: &ExecRequest) -> EngineResult<ExecReport> {
         let (options, params) = (&self.options, &request.params);
-        // An explicit caller token wins; otherwise arm one from the options'
-        // deadline/budget (disabled when neither is configured, costing one
-        // branch per check site).
-        let token = if request.token.is_disabled() {
-            options.cancel_token()
-        } else {
-            request.token.clone()
+        let instruments = Instruments {
+            profile: request.profile,
+            trace: request.trace,
+            token: request.token.clone(),
         };
-        let instruments = Instruments { profile: request.profile, trace: request.trace, token };
         // The constants of this request follow their join variables before
         // anything is bound. Without overrides that is the rewrite `prepare`
         // made, unless a relation it read the schema of has been replaced.

@@ -1,18 +1,19 @@
 //! The chunked result pipeline must be invisible in the results: for every
 //! strategy, thread count and aggregate, executing a pipeline into the
-//! chunked sinks produces exactly the rows, counts and weights that the
-//! per-tuple adapter produces — and in the same emission order. Also pins
-//! the chunk-capacity boundary cases and the weighted-materialize
-//! allocation behavior (a weighted tuple stores its shared values once).
+//! query's builder — chunks projected onto its positions — produces exactly
+//! the rows, counts and weights that replaying every full binding through
+//! the builder's per-tuple `push_weighted` produces, and in the same
+//! emission order. Also pins the chunk-capacity boundary cases and the
+//! weighted-materialize allocation behavior (a weighted tuple stores its
+//! shared values once).
 
 use freejoin::engine::compile::compile;
 use freejoin::engine::exec::{execute_pipeline, Instruments};
 use freejoin::engine::prepare_inputs;
-use freejoin::engine::sink::{MaterializeSink, OutputSink, Sink};
 use freejoin::engine::InputTrie;
 use freejoin::plan::{binary2fj, factor};
 use freejoin::prelude::*;
-use freejoin::query::{OutputBuilder, OutputKind, ResultChunk, CHUNK_CAPACITY};
+use freejoin::query::{OutputBuilder, OutputKind, CHUNK_CAPACITY};
 use proptest::prelude::*;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -44,51 +45,10 @@ unsafe impl GlobalAlloc for CountingAllocator {
 #[global_allocator]
 static ALLOCATOR: CountingAllocator = CountingAllocator;
 
-/// The per-tuple reference sink: takes full-width chunks (no projection) and
-/// replays them entry by entry through `OutputBuilder::push_weighted` — the
-/// thin per-tuple adapter the chunked path must be equivalent to.
-struct PerTupleSink {
-    builder: OutputBuilder,
-}
-
-impl PerTupleSink {
-    fn new(builder: OutputBuilder) -> Self {
-        PerTupleSink { builder }
-    }
-
-    fn merge(&mut self, other: PerTupleSink) {
-        self.builder.merge(other.builder);
-    }
-
-    fn finish(self) -> QueryOutput {
-        self.builder.finish()
-    }
-}
-
-impl Sink for PerTupleSink {
-    fn push_chunk(&mut self, chunk: &ResultChunk) {
-        for i in 0..chunk.len() {
-            let row = chunk.row(i);
-            self.builder.push_weighted(&row, chunk.weights()[i]);
-        }
-    }
-
-    fn push(&mut self, tuple: &[Value], _bound_prefix: usize, weight: u64) {
-        self.builder.push_weighted(tuple, weight);
-    }
-
-    fn projected_slots(&self) -> Option<Vec<usize>> {
-        None // full binding-order tuples, projected per entry by the builder
-    }
-
-    fn tuples(&self) -> u64 {
-        self.builder.tuples()
-    }
-}
-
-/// Execute one (query, plan) under `options`/`threads` twice — through the
-/// chunked `OutputSink` and through the per-tuple adapter — and return both
-/// outputs.
+/// Execute one (query, plan) under `options`/`threads` twice — into the
+/// query's builder, and into a `Materialize` builder over the full binding
+/// order whose rows are then replayed one by one through the query
+/// builder's per-tuple `push_weighted` — and return both outputs.
 fn run_both(
     catalog: &Catalog,
     query: &ConjunctiveQuery,
@@ -110,34 +70,28 @@ fn run_both(
         OutputBuilder::try_new(&query.head, query.aggregate.clone(), &compiled.binding_order)
             .unwrap();
 
-    let instruments = Instruments::default();
-    let (sinks, _) = execute_pipeline(
-        &tries,
-        &compiled,
-        options,
-        threads,
-        || OutputSink::new(builder.clone()),
-        &instruments,
-    );
-    let mut chunked = OutputSink::new(builder.clone());
-    sinks.into_iter().for_each(|sink| chunked.merge(sink));
+    let run = |builder: &OutputBuilder| {
+        let instruments = Instruments::default();
+        let (builders, _) =
+            execute_pipeline(&tries, &compiled, options, threads, builder.clone(), &instruments);
+        let mut merged = builder.clone();
+        builders.into_iter().for_each(|task| merged.merge(task));
+        merged.finish()
+    };
+    let chunked = run(&builder);
 
-    let (sinks, _) = execute_pipeline(
-        &tries,
-        &compiled,
-        options,
-        threads,
-        || PerTupleSink::new(builder.clone()),
-        &instruments,
-    );
-    let mut tuple_wise = PerTupleSink::new(builder.clone());
-    sinks.into_iter().for_each(|sink| tuple_wise.merge(sink));
-
-    (chunked.finish(), tuple_wise.finish())
+    let order = &compiled.binding_order;
+    let bindings = run(&OutputBuilder::new(order, Aggregate::Materialize, order));
+    let OutputKind::Rows(bindings) = bindings.kind else { panic!("materialized rows") };
+    let mut tuple_wise = builder;
+    for binding in &bindings {
+        tuple_wise.push_weighted(binding, 1);
+    }
+    (chunked, tuple_wise.finish())
 }
 
 /// Both outputs must agree exactly: same counts/weights, same group maps,
-/// and for rows the same multiset in the same emission order (the task-sink
+/// and for rows the same multiset in the same emission order (the per-task
 /// merge and trie iteration are deterministic for fixed inputs, so even the
 /// unsorted order must match).
 fn assert_equivalent(chunked: &QueryOutput, tuple_wise: &QueryOutput, context: &str) {
@@ -183,7 +137,7 @@ fn check_query(catalog: &Catalog, base: &ConjunctiveQuery) {
             for threads in [1usize, 4] {
                 for options in [
                     FreeJoinOptions { trie, ..FreeJoinOptions::default() },
-                    // The enumerating plans: every variable reaches the sink.
+                    // The enumerating plans: every variable reaches the builder.
                     FreeJoinOptions { trie, factorize_output: false, ..FreeJoinOptions::default() },
                 ] {
                     let (chunked, tuple_wise) = run_both(catalog, &query, &options, threads);
@@ -274,19 +228,19 @@ fn chunk_capacity_boundary_is_exact() {
 }
 
 /// The weighted-materialize dedup, pinned by allocation counting: pushing a
-/// weight-10000 tuple into a `MaterializeSink` stores its values once (a
-/// handful of allocations), while expanding to rows at `into_rows` — the
-/// public boundary — pays exactly the per-row cost. Before the chunked
-/// refactor the push itself cloned one heap row per unit of weight.
+/// weight-10000 tuple into a `Materialize` builder stores its values once (a
+/// handful of allocations), while expanding to rows at `finish` — the public
+/// boundary — pays exactly the per-row cost.
 #[test]
 fn weighted_materialize_push_allocates_shared_prefix_once() {
     const WEIGHT: u64 = 10_000;
-    let mut sink = MaterializeSink::new();
+    let order: Vec<String> = vec!["x".into(), "y".into()];
+    let mut builder = OutputBuilder::new(&order, Aggregate::Materialize, &order);
     // Warm up: the first push sizes the chunk's column vectors.
-    sink.push(&[Value::Int(0), Value::Int(0)], 2, 1);
+    builder.push_weighted(&[Value::Int(0), Value::Int(0)], 1);
 
     let before = ALLOCATIONS.load(Ordering::Relaxed);
-    sink.push(&[Value::Int(1), Value::Int(2)], 2, WEIGHT);
+    builder.push_weighted(&[Value::Int(1), Value::Int(2)], WEIGHT);
     let during_push = ALLOCATIONS.load(Ordering::Relaxed) - before;
     assert!(
         during_push <= 8,
@@ -294,8 +248,8 @@ fn weighted_materialize_push_allocates_shared_prefix_once() {
          ({during_push} allocations for weight {WEIGHT})"
     );
 
-    assert_eq!(sink.tuples(), WEIGHT + 1);
-    let rows = sink.into_rows();
+    assert_eq!(builder.tuples(), WEIGHT + 1);
+    let OutputKind::Rows(rows) = builder.finish().kind else { panic!("materialized rows") };
     assert_eq!(rows.len() as u64, WEIGHT + 1);
     assert_eq!(rows[1], vec![Value::Int(1), Value::Int(2)]);
     assert_eq!(rows[rows.len() - 1], vec![Value::Int(1), Value::Int(2)]);

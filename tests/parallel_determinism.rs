@@ -8,7 +8,6 @@
 //! already unordered) — and identical work counts, under every strategy.
 
 use freejoin::engine::exec::{execute_pipeline, ExecCounters, Instruments};
-use freejoin::engine::sink::OutputSink;
 use freejoin::engine::{compile_query, prepare_inputs, InputTrie};
 use freejoin::plan::{optimize, CatalogStats, EstimatorMode, OptimizerOptions, PipeInput};
 use freejoin::prelude::*;
@@ -122,16 +121,16 @@ fn run_pipeline(
         .collect();
     let builder =
         OutputBuilder::new(&query.head, query.aggregate.clone(), &pipeline.plan.binding_order);
-    let (sinks, counters) = execute_pipeline(
+    let (builders, counters) = execute_pipeline(
         &tries,
         &pipeline.plan,
         options,
         threads,
-        || OutputSink::new(builder.clone()),
+        builder.clone(),
         &Instruments::default(),
     );
-    let mut merged = OutputSink::new(builder.clone());
-    sinks.into_iter().for_each(|sink| merged.merge(sink));
+    let mut merged = builder;
+    builders.into_iter().for_each(|task| merged.merge(task));
     (merged.finish(), counters)
 }
 
@@ -186,7 +185,7 @@ fn adaptive_parallel_matches_serial() {
     }
 }
 
-/// Materialized (row-producing) queries exercise the ordered per-task sink
+/// Materialized (row-producing) queries exercise the ordered per-task builder
 /// merge; counts alone would hide ordering bugs in the merge.
 #[test]
 fn materialized_rows_parallel_matches_serial() {
@@ -238,8 +237,8 @@ fn forced_split_stress_matches_serial() {
     // Probe reordering under maximal steal interleavings: the bound-driven
     // decisions must survive any task split schedule.
     check_workload_configured(&micro::skew_flip(2048, 17), &threads, tiny);
-    // Materialized rows under forced splitting exercise the task-tree sink
-    // merge hardest: every split changes which sink holds which rows.
+    // Materialized rows under forced splitting exercise the task-tree builder
+    // merge hardest: every split changes which builder holds which rows.
     let clover = micro::clover(40);
     let named = clover.query("clover").unwrap();
     let materialize = named.query.clone().with_aggregate(Aggregate::Materialize);

@@ -8,7 +8,6 @@
 use freejoin::engine::compile::compile;
 use freejoin::engine::exec::{execute_pipeline, Instruments};
 use freejoin::engine::prepare_inputs;
-use freejoin::engine::sink::OutputSink;
 use freejoin::engine::InputTrie;
 use freejoin::plan::{
     binary2fj, factor, factor_until_fixpoint, fj_plan_from_var_order, variable_order, BinaryPlan,
@@ -37,15 +36,9 @@ fn run_fj_plan(
         })
         .collect();
     let builder = OutputBuilder::new(&query.head, Aggregate::Count, &compiled.binding_order);
-    let (mut sinks, counters) = execute_pipeline(
-        &tries,
-        &compiled,
-        options,
-        1,
-        || OutputSink::new(builder.clone()),
-        &Instruments::default(),
-    );
-    (sinks.pop().expect("one thread, one sink").finish().cardinality(), counters.stats.probes)
+    let (mut builders, counters) =
+        execute_pipeline(&tries, &compiled, options, 1, builder, &Instruments::default());
+    (builders.pop().expect("one thread, one builder").finish().cardinality(), counters.stats.probes)
 }
 
 #[test]

@@ -5,9 +5,10 @@ use freejoin::prelude::*;
 use freejoin::serve::protocol::{read_frame, write_frame};
 use freejoin::serve::{BusyReason, Client, ClientError, Response, ServerConfig};
 use freejoin::workloads::job::{self, JobConfig};
+use std::io::{ErrorKind, Read, Write};
 use std::net::TcpStream;
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn serving_session() -> Session {
     // One worker thread per request execution; determinism and no
@@ -279,6 +280,50 @@ fn wire_params_and_typed_errors() {
         other => panic!("the connection must keep serving, got {other:?}"),
     }
 
+    client.shutdown_server().unwrap();
+    server.join();
+}
+
+/// A raw peer announcing a `u32::MAX`-byte frame and sending no body is
+/// disconnected at once: even with `max_frame_bytes` set above the
+/// protocol's hard cap nothing is allocated for the announcement and the
+/// read deadline is not waited out. The server keeps answering a second
+/// client meanwhile.
+#[test]
+fn an_oversized_frame_header_closes_only_its_connection() {
+    let workload = job::workload(&JobConfig::tiny());
+    let catalog = Arc::new(workload.catalog);
+    let named = &workload.queries[0];
+    let session = serving_session();
+    let prepared = session.prepare(&catalog, &named.query).unwrap();
+    let expected = prepared
+        .execute(&catalog, &ExecRequest::default())
+        .unwrap()
+        .output
+        .cardinality();
+
+    let read_deadline = Duration::from_secs(20);
+    let config = ServerConfig {
+        max_frame_bytes: usize::MAX,
+        read_deadline_ms: read_deadline.as_millis() as u64,
+        ..ServerConfig::default()
+    };
+    let server = start_server(Arc::clone(&catalog), config);
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_read_timeout(Some(read_deadline / 2)).unwrap();
+    let started = Instant::now();
+    raw.write_all(&u32::MAX.to_be_bytes()).unwrap();
+    match raw.read(&mut [0u8; 16]) {
+        Ok(0) => {}
+        Err(e) if matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted) => {
+        }
+        other => panic!("the server must close the connection, got {other:?}"),
+    }
+    assert!(started.elapsed() < read_deadline / 2, "closed without waiting for a body");
+
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let handle = client.prepare(named.query.to_string(), named.query.aggregate.clone()).unwrap();
+    assert_eq!(client.execute(handle).unwrap().cardinality, expected);
     client.shutdown_server().unwrap();
     server.join();
 }

@@ -16,7 +16,6 @@
 use freejoin::engine::compile::compile;
 use freejoin::engine::exec::{execute_pipeline, Instruments};
 use freejoin::engine::prepare_inputs;
-use freejoin::engine::sink::OutputSink;
 use freejoin::engine::InputTrie;
 use freejoin::plan::binary2fj;
 use freejoin::prelude::*;
@@ -124,17 +123,17 @@ fn warm_execution(r_rows: i64, options: &FreeJoinOptions) -> (u64, u64, u64) {
         OutputBuilder::try_new(&query.head, query.aggregate.clone(), &compiled.binding_order)
             .unwrap();
     let run = || {
-        let (mut sinks, counters) = execute_pipeline(
+        let (mut builders, counters) = execute_pipeline(
             &tries,
             &compiled,
             options,
             1,
-            || OutputSink::new(builder.clone()),
+            builder.clone(),
             &Instruments::default(),
         );
         // R ⋈ S ⋈ T: every R row meets 2 S rows, each meeting 2 T rows.
-        let sink = sinks.pop().expect("one thread, one sink");
-        assert_eq!(sink.finish().cardinality(), 4 * r_rows as u64);
+        let output = builders.pop().expect("one thread, one builder").finish();
+        assert_eq!(output.cardinality(), 4 * r_rows as u64);
         counters.stats.probes
     };
     run();
