@@ -4,10 +4,14 @@
 //! # Sharding
 //!
 //! Keys hash to one of `N` shards, each guarded by its own mutex, so
-//! concurrent sessions touching different keys never contend. The byte
-//! budget is split evenly across shards (`total / N` each), which keeps the
-//! global invariant — resident bytes never exceed the configured budget —
-//! enforceable with per-shard locking only.
+//! concurrent sessions touching different keys never contend. The shard is
+//! chosen from the same hash the shard's map uses (its high half; the map
+//! indexes by the low bits), computed by the cache's `BuildHasher` — for a
+//! key that carries a precomputed hash (`TrieKey`), that is a copy, not a
+//! pass over the key. The byte budget is split evenly across shards
+//! (`total / N` each), which keeps the global invariant — resident bytes
+//! never exceed the configured budget — enforceable with per-shard locking
+//! only.
 //!
 //! # Single-flight
 //!
@@ -38,8 +42,9 @@
 //! scores from instant builders) fall back to least-recently-used.
 
 use crate::stats::{CacheCells, CacheStats};
+use std::collections::hash_map::RandomState;
 use std::collections::{BTreeMap, HashMap};
-use std::hash::{Hash, Hasher};
+use std::hash::{BuildHasher, Hash};
 use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 use std::time::Instant;
 
@@ -105,23 +110,23 @@ impl<V> InFlight<V> {
 }
 
 #[derive(Debug)]
-struct Shard<K, V> {
-    ready: HashMap<K, Entry<V>>,
+struct Shard<K, V, S> {
+    ready: HashMap<K, Entry<V>, S>,
     /// Recency index: tick → key, lowest tick = least recently used.
     lru: BTreeMap<u64, K>,
-    building: HashMap<K, Arc<InFlight<V>>>,
+    building: HashMap<K, Arc<InFlight<V>>, S>,
     /// Bytes currently charged in this shard.
     bytes: usize,
     /// Monotonic recency clock (per shard).
     tick: u64,
 }
 
-impl<K, V> Default for Shard<K, V> {
-    fn default() -> Self {
+impl<K, V, S: Clone> Shard<K, V, S> {
+    fn new(hasher: &S) -> Self {
         Shard {
-            ready: HashMap::new(),
+            ready: HashMap::with_hasher(hasher.clone()),
             lru: BTreeMap::new(),
-            building: HashMap::new(),
+            building: HashMap::with_hasher(hasher.clone()),
             bytes: 0,
             tick: 0,
         }
@@ -130,22 +135,26 @@ impl<K, V> Default for Shard<K, V> {
 
 /// A sharded, memory-budgeted LRU cache with single-flight builds. See the
 /// module docs for the design; [`crate::TrieCache`] and [`crate::PlanCache`]
-/// are thin typed wrappers over this.
+/// are thin typed wrappers over this. `S` hashes keys, for the shard choice
+/// and inside each shard alike.
 #[derive(Debug)]
-pub struct ShardedLru<K, V> {
-    shards: Vec<Mutex<Shard<K, V>>>,
+pub struct ShardedLru<K, V, S = RandomState> {
+    shards: Vec<Mutex<Shard<K, V, S>>>,
+    hasher: S,
     /// Per-shard byte budget (total budget / shard count).
     shard_budget: usize,
     cells: CacheCells,
 }
 
-impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
+impl<K: Hash + Eq + Clone, V, S: BuildHasher + Clone + Default> ShardedLru<K, V, S> {
     /// A cache with the given total byte budget, sharded `num_shards` ways.
     /// The budget is split evenly; `num_shards` is clamped to at least 1.
     pub fn new(budget_bytes: usize, num_shards: usize) -> Self {
         let num_shards = num_shards.max(1);
+        let hasher = S::default();
         ShardedLru {
-            shards: (0..num_shards).map(|_| Mutex::new(Shard::default())).collect(),
+            shards: (0..num_shards).map(|_| Mutex::new(Shard::new(&hasher))).collect(),
+            hasher,
             shard_budget: budget_bytes / num_shards,
             cells: CacheCells::default(),
         }
@@ -156,13 +165,12 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
         self.shard_budget * self.shards.len()
     }
 
-    fn shard_for(&self, key: &K) -> &Mutex<Shard<K, V>> {
-        let mut hasher = std::collections::hash_map::DefaultHasher::new();
-        key.hash(&mut hasher);
-        &self.shards[(hasher.finish() as usize) % self.shards.len()]
+    fn shard_for(&self, key: &K) -> &Mutex<Shard<K, V, S>> {
+        let hash = self.hasher.hash_one(key);
+        &self.shards[((hash >> 32) as usize) % self.shards.len()]
     }
 
-    fn lock(shard: &Mutex<Shard<K, V>>) -> MutexGuard<'_, Shard<K, V>> {
+    fn lock(shard: &Mutex<Shard<K, V, S>>) -> MutexGuard<'_, Shard<K, V, S>> {
         shard.lock().expect("cache shard not poisoned")
     }
 
@@ -301,7 +309,7 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
     }
 
     /// Look up `key` in a locked shard and bump its recency and hit count.
-    fn touch_entry(shard: &mut Shard<K, V>, key: &K) -> Option<Arc<V>> {
+    fn touch_entry(shard: &mut Shard<K, V, S>, key: &K) -> Option<Arc<V>> {
         shard.tick += 1;
         let tick = shard.tick;
         let entry = shard.ready.get_mut(key)?;
@@ -318,7 +326,7 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
     /// retained at all.
     fn insert_ready(
         &self,
-        shard: &mut Shard<K, V>,
+        shard: &mut Shard<K, V, S>,
         key: K,
         value: Arc<V>,
         bytes: usize,
@@ -356,7 +364,7 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
     /// least-recently-used entries, the one with the lowest
     /// `build_cost × (1 + hits)` score — strict `<` keeps the least recent
     /// on ties, so instant builders degrade to exact LRU.
-    fn pick_victim(shard: &Shard<K, V>) -> u64 {
+    fn pick_victim(shard: &Shard<K, V, S>) -> u64 {
         let mut best: Option<(u64, u128)> = None;
         for (&tick, key) in shard.lru.iter().take(EVICT_WINDOW) {
             let entry = shard.ready.get(key).expect("LRU index matches ready map");
@@ -370,14 +378,14 @@ impl<K: Hash + Eq + Clone, V> ShardedLru<K, V> {
 }
 
 /// Clears a key's in-flight cell when its build fails or unwinds.
-struct BuildGuard<'a, K: Hash + Eq + Clone, V> {
-    cache: &'a ShardedLru<K, V>,
+struct BuildGuard<'a, K: Hash + Eq + Clone, V, S: BuildHasher + Clone + Default> {
+    cache: &'a ShardedLru<K, V, S>,
     key: &'a K,
     flight: &'a Arc<InFlight<V>>,
     armed: bool,
 }
 
-impl<K: Hash + Eq + Clone, V> Drop for BuildGuard<'_, K, V> {
+impl<K: Hash + Eq + Clone, V, S: BuildHasher + Clone + Default> Drop for BuildGuard<'_, K, V, S> {
     fn drop(&mut self) {
         if self.armed {
             let shard_mutex = self.cache.shard_for(self.key);

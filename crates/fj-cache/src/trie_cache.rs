@@ -2,7 +2,9 @@
 
 use crate::lru::ShardedLru;
 use crate::stats::{CacheCells, CacheStats};
-use std::sync::Arc;
+use std::collections::hash_map::RandomState;
+use std::hash::{BuildHasher, BuildHasherDefault, Hash, Hasher};
+use std::sync::{Arc, OnceLock};
 
 /// Maximum shard count for trie caches: enough to keep a handful of serving
 /// threads off each other's locks without fragmenting the budget.
@@ -26,15 +28,18 @@ const MIN_SHARD_BYTES: usize = 64 << 20;
 ///   the relation (empty for none), since the trie indexes the *filtered*
 ///   rows. The rendering is exact (it is the key, not a hash of it), so two
 ///   distinct predicates can never alias one trie.
+///
+/// Both strings are shared, so a snapshot rendered once (a prepared query
+/// keeps the ones no parameter changes) is copied into keys by reference.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
 pub struct SourceAtom {
     /// Base relation name in the catalog.
-    pub relation: String,
+    pub relation: Arc<str>,
     /// The relation's catalog version at build time.
     pub version: u64,
     /// Canonical rendering of the pushed-down selection predicate (empty =
     /// unfiltered).
-    pub filter: String,
+    pub filter: Arc<str>,
 }
 
 /// The rows a cached trie indexes.
@@ -68,17 +73,56 @@ pub enum TrieSource {
 ///   names are deliberately absent: two queries binding different variables
 ///   to the same columns in the same order (e.g. the two sides of a
 ///   self-join) share one trie.
-#[derive(Debug, Clone, PartialEq, Eq, Hash)]
+///
+/// A key hashes its components once, when it is made, and carries the
+/// 64-bit result: a lookup copies it into the shard choice and the shard's
+/// map instead of hashing the key (a pipeline's plan text included) again.
+/// The hash is keyed per process, so a peer cannot aim filter texts at one
+/// bucket. Equality still compares every component, so keys whose hashes
+/// collide never alias one trie.
+#[derive(Debug, Clone)]
 pub struct TrieKey {
-    /// The rows the trie indexes.
-    pub source: TrieSource,
-    /// Trie build strategy name.
-    pub strategy: &'static str,
-    /// Column indices keyed at each trie level.
-    pub key_order: Vec<Vec<u32>>,
+    hash: u64,
+    source: TrieSource,
+    strategy: &'static str,
+    key_order: Arc<[Vec<u32>]>,
+}
+
+/// The process's key hasher: randomly keyed once, the same for every key.
+fn key_hasher() -> &'static RandomState {
+    static HASHER: OnceLock<RandomState> = OnceLock::new();
+    HASHER.get_or_init(RandomState::new)
 }
 
 impl TrieKey {
+    /// The key of the trie over `source`'s rows built with `strategy`,
+    /// keyed by `key_order`'s columns level by level.
+    pub fn new(
+        source: TrieSource,
+        strategy: &'static str,
+        key_order: impl Into<Arc<[Vec<u32>]>>,
+    ) -> Self {
+        let key_order = key_order.into();
+        let hash = key_hasher().hash_one((&source, strategy, &*key_order));
+        TrieKey { hash, source, strategy, key_order }
+    }
+
+    /// The rows the trie indexes.
+    pub fn source(&self) -> &TrieSource {
+        &self.source
+    }
+
+    /// Trie build strategy name.
+    pub fn strategy(&self) -> &'static str {
+        self.strategy
+    }
+
+    /// Column indices keyed at each trie level, shared with every key
+    /// cloned from this one.
+    pub fn key_order(&self) -> &Arc<[Vec<u32>]> {
+        &self.key_order
+    }
+
     /// Every relation snapshot the trie's rows were read from: the one atom
     /// of a base trie, every atom under an intermediate's pipeline.
     pub fn atoms(&self) -> &[SourceAtom] {
@@ -86,6 +130,45 @@ impl TrieKey {
             TrieSource::Atom(atom) => std::slice::from_ref(atom),
             TrieSource::Pipeline { atoms, .. } => atoms,
         }
+    }
+}
+
+impl PartialEq for TrieKey {
+    fn eq(&self, other: &Self) -> bool {
+        self.hash == other.hash
+            && self.strategy == other.strategy
+            && self.key_order == other.key_order
+            && self.source == other.source
+    }
+}
+
+impl Eq for TrieKey {}
+
+impl Hash for TrieKey {
+    fn hash<H: Hasher>(&self, state: &mut H) {
+        state.write_u64(self.hash);
+    }
+}
+
+/// Hashes a [`TrieKey`] by taking the hash it carries.
+#[derive(Debug, Default, Clone, Copy)]
+struct CarriedHash(u64);
+
+impl Hasher for CarriedHash {
+    fn write(&mut self, bytes: &[u8]) {
+        // Only a `TrieKey` is hashed here, through `write_u64`; fold
+        // anything else in rather than drop it.
+        for &byte in bytes {
+            self.0 = self.0.rotate_left(8) ^ u64::from(byte);
+        }
+    }
+
+    fn write_u64(&mut self, hash: u64) {
+        self.0 = hash;
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
     }
 }
 
@@ -104,7 +187,7 @@ impl TrieKey {
 /// rather than relying on a hand-tuned constant.
 #[derive(Debug)]
 pub struct TrieCache<T> {
-    inner: ShardedLru<TrieKey, T>,
+    inner: ShardedLru<TrieKey, T, BuildHasherDefault<CarriedHash>>,
 }
 
 impl<T> TrieCache<T> {
@@ -150,13 +233,13 @@ impl<T> TrieCache<T> {
     /// are already unreachable after a mutation — but reclaims their budget
     /// immediately instead of waiting for LRU churn.
     pub fn invalidate_relation(&self, relation: &str) -> u64 {
-        self.inner.retain(|k| k.atoms().iter().all(|a| a.relation != relation))
+        self.inner.retain(|k| k.atoms().iter().all(|a| &*a.relation != relation))
     }
 
     /// Drop cached tries that read `relation` at a version older than
     /// `current_version`.
     pub fn purge_stale(&self, relation: &str, current_version: u64) -> u64 {
-        let stale = |a: &SourceAtom| a.relation == relation && a.version < current_version;
+        let stale = |a: &SourceAtom| &*a.relation == relation && a.version < current_version;
         self.inner.retain(|k| !k.atoms().iter().any(stale))
     }
 
@@ -201,11 +284,11 @@ mod tests {
     use super::*;
 
     fn atom(relation: &str, version: u64) -> SourceAtom {
-        SourceAtom { relation: relation.to_string(), version, filter: String::new() }
+        SourceAtom { relation: relation.into(), version, filter: "".into() }
     }
 
     fn key_of(source: TrieSource) -> TrieKey {
-        TrieKey { source, strategy: "colt", key_order: vec![vec![0], vec![1]] }
+        TrieKey::new(source, "colt", vec![vec![0], vec![1]])
     }
 
     fn key(relation: &str, version: u64) -> TrieKey {
@@ -236,11 +319,9 @@ mod tests {
     fn key_order_and_filter_distinguish_keys() {
         let cache: TrieCache<u32> = TrieCache::new(1 << 16);
         let base = key("R", 1);
-        let mut flipped = base.clone();
-        flipped.key_order = vec![vec![1], vec![0]];
-        let mut filtered = base.clone();
-        let TrieSource::Atom(atom) = &mut filtered.source else { unreachable!() };
-        atom.filter = "src > 99".to_string();
+        let flipped = TrieKey::new(base.source().clone(), "colt", vec![vec![1], vec![0]]);
+        let filtered =
+            key_of(TrieSource::Atom(SourceAtom { filter: "src > 99".into(), ..atom("R", 1) }));
         cache.get_or_build(&base, || (Arc::new(0), 8));
         cache.get_or_build(&flipped, || (Arc::new(1), 8));
         cache.get_or_build(&filtered, || (Arc::new(2), 8));
@@ -272,11 +353,11 @@ mod tests {
         cache.get_or_build(&pipe_key("plan a", 1), || (Arc::new(1), 8));
         cache.get_or_build(&pipe_key("plan a", 2), || (Arc::new(2), 8));
         cache.get_or_build(&pipe_key("plan b", 2), || (Arc::new(3), 8));
-        let mut other_pipeline = pipe_key("plan a", 2);
-        let TrieSource::Pipeline { pipeline, .. } = &mut other_pipeline.source else {
-            unreachable!()
-        };
-        *pipeline = 1;
+        let other_pipeline = key_of(TrieSource::Pipeline {
+            plan: "plan a".into(),
+            pipeline: 1,
+            atoms: vec![atom("R", 2), atom("S", 1)],
+        });
         cache.get_or_build(&other_pipeline, || (Arc::new(4), 8));
         cache.get_or_build(&key("S", 1), || (Arc::new(5), 8));
         assert_eq!(cache.len(), 5, "plan, pipeline and atom versions all tell entries apart");

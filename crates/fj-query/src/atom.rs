@@ -1,6 +1,7 @@
 //! Query atoms.
 
-use fj_storage::Predicate;
+use crate::query::QueryError;
+use fj_storage::{Predicate, Schema};
 use serde::{Deserialize, Serialize};
 use std::fmt;
 
@@ -77,6 +78,18 @@ impl Atom {
     /// True if this atom has a non-trivial selection.
     pub fn has_filter(&self) -> bool {
         !matches!(self.filter, Predicate::True)
+    }
+
+    /// Does every column the filter reads exist in `schema`, the schema of
+    /// the atom's relation? The first one that does not is the error.
+    pub fn check_filter_columns(&self, schema: &Schema) -> Result<(), QueryError> {
+        match self.filter.columns().into_iter().find(|c| schema.index_of(c).is_none()) {
+            Some(column) => Err(QueryError::UnknownFilterColumn {
+                alias: self.alias.clone(),
+                column: column.to_string(),
+            }),
+            None => Ok(()),
+        }
     }
 
     /// The shared variables between this atom and another.

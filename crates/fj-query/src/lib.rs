@@ -35,5 +35,5 @@ pub use output::{
     Aggregate, ExecStats, OutputBuilder, OutputKind, QueryOutput, ResultChunk, CHUNK_CAPACITY,
 };
 pub use parser::{parse_filter, parse_query, ParseError};
-pub use propagate::{propagate_constants, Derivation, Propagated};
+pub use propagate::{propagate_constants, propagate_constants_in_place, Derivation, Propagated};
 pub use query::{CancelReason, ConjunctiveQuery, QueryError};

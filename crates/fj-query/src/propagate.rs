@@ -97,6 +97,37 @@ fn over_column(conjunct: &Predicate, column: &str) -> Predicate {
 /// are left as they are (validation reports them), so this can run on a
 /// query that has not been validated.
 pub fn propagate_constants<'q>(query: &'q ConjunctiveQuery, catalog: &Catalog) -> Propagated<'q> {
+    let derived = derivations(query, catalog);
+    if derived.is_empty() {
+        return Propagated { query: Cow::Borrowed(query), derived };
+    }
+    let mut rewritten = query.clone();
+    apply(&mut rewritten, &derived);
+    Propagated { query: Cow::Owned(rewritten), derived }
+}
+
+/// [`propagate_constants`] on a query the caller owns and may change: the
+/// derived conjuncts are `and`-ed onto its atoms' filters in place, and
+/// returned. Nothing is cloned but the conjuncts.
+pub fn propagate_constants_in_place(
+    query: &mut ConjunctiveQuery,
+    catalog: &Catalog,
+) -> Vec<Derivation> {
+    let derived = derivations(query, catalog);
+    apply(query, &derived);
+    derived
+}
+
+/// `and` every derived conjunct onto its atom's filter.
+fn apply(query: &mut ConjunctiveQuery, derived: &[Derivation]) {
+    for d in derived {
+        let filter = &mut query.atoms[d.atom].filter;
+        *filter = std::mem::take(filter).and(d.conjunct.clone());
+    }
+}
+
+/// The conjuncts [`propagate_constants`] adds, in its order.
+fn derivations(query: &ConjunctiveQuery, catalog: &Catalog) -> Vec<Derivation> {
     let mut derived: Vec<Derivation> = Vec::new();
     for (s, source) in query.atoms.iter().enumerate() {
         if !conjuncts(&source.filter).iter().any(|c| equality_column(c).is_some()) {
@@ -125,15 +156,7 @@ pub fn propagate_constants<'q>(query: &'q ConjunctiveQuery, catalog: &Catalog) -
             }
         }
     }
-    if derived.is_empty() {
-        return Propagated { query: Cow::Borrowed(query), derived };
-    }
-    let mut rewritten = query.clone();
-    for d in &derived {
-        let filter = &mut rewritten.atoms[d.atom].filter;
-        *filter = std::mem::take(filter).and(d.conjunct.clone());
-    }
-    Propagated { query: Cow::Owned(rewritten), derived }
+    derived
 }
 
 #[cfg(test)]
@@ -211,6 +234,9 @@ mod tests {
             ]
         );
         assert_eq!(propagate_constants(&q, &cat), once);
+        let mut in_place = q.clone();
+        assert_eq!(propagate_constants_in_place(&mut in_place, &cat), once.derived);
+        assert_eq!(in_place, *once.query, "in place, the same rewrite");
         let twice = propagate_constants(&once.query, &cat);
         assert!(twice.derived.is_empty(), "{:?}", twice.derived);
         assert!(matches!(twice.query, Cow::Borrowed(_)));

@@ -216,14 +216,7 @@ impl ConjunctiveQuery {
                     found: atom.arity(),
                 });
             }
-            for col in atom.filter.columns() {
-                if rel.schema().index_of(col).is_none() {
-                    return Err(QueryError::UnknownFilterColumn {
-                        alias: atom.alias.clone(),
-                        column: col.to_string(),
-                    });
-                }
-            }
+            atom.check_filter_columns(rel.schema())?;
         }
         // Head variables appear in the body.
         let body_vars: BTreeSet<String> = self.variables().into_iter().collect();

@@ -6,7 +6,7 @@
 //! expect.
 
 use crate::protocol::{
-    read_frame, write_frame, BusyReason, Request, Response, WireError, MAX_FRAME_BYTES,
+    read_frame, send_frame, BusyReason, Request, Response, WireError, MAX_FRAME_BYTES,
 };
 use fj_query::Aggregate;
 use std::fmt;
@@ -146,7 +146,7 @@ impl Client {
     }
 
     fn round_trip(&mut self, request: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.stream, &request.encode())?;
+        send_frame(&mut self.stream, &request.encode_frame())?;
         let payload =
             read_frame(&mut self.stream, MAX_FRAME_BYTES)?.ok_or(ClientError::Disconnected)?;
         let response = Response::decode(&payload).map_err(ClientError::Wire)?;

@@ -263,6 +263,18 @@ impl Request {
     /// Encode into a frame payload (opcode + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Encode as one whole frame, header included, for [`send_frame`]: the
+    /// payload is encoded behind the header's 4 reserved bytes, so it is
+    /// never copied.
+    pub fn encode_frame(&self) -> Vec<u8> {
+        frame_with(|out| self.encode_into(out))
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Request::Prepare { query, aggregate } => {
                 out.push(OP_PREPARE);
@@ -271,23 +283,23 @@ impl Request {
                     Aggregate::Count => out.push(AGG_COUNT),
                     Aggregate::GroupCount(vars) => {
                         out.push(AGG_GROUP_COUNT);
-                        put_u64(&mut out, vars.len() as u64);
+                        put_u64(out, vars.len() as u64);
                         for v in vars {
-                            put_str(&mut out, v);
+                            put_str(out, v);
                         }
                     }
                 }
-                put_str(&mut out, query);
+                put_str(out, query);
             }
             Request::Execute { handle, params, request_id, deadline_ms } => {
                 out.push(OP_EXECUTE);
-                put_u64(&mut out, *handle);
-                put_u64(&mut out, *request_id);
-                put_u64(&mut out, *deadline_ms);
-                put_u64(&mut out, params.len() as u64);
+                put_u64(out, *handle);
+                put_u64(out, *request_id);
+                put_u64(out, *deadline_ms);
+                put_u64(out, params.len() as u64);
                 for (alias, filter) in params {
-                    put_str(&mut out, alias);
-                    put_str(&mut out, filter);
+                    put_str(out, alias);
+                    put_str(out, filter);
                 }
             }
             Request::Shutdown => out.push(OP_SHUTDOWN),
@@ -295,26 +307,25 @@ impl Request {
             Request::TraceExecute { handle, params, request_id, deadline_ms } => {
                 out.push(OP_TRACE);
                 out.push(TRACE_EXECUTE);
-                put_u64(&mut out, *handle);
-                put_u64(&mut out, *request_id);
-                put_u64(&mut out, *deadline_ms);
-                put_u64(&mut out, params.len() as u64);
+                put_u64(out, *handle);
+                put_u64(out, *request_id);
+                put_u64(out, *deadline_ms);
+                put_u64(out, params.len() as u64);
                 for (alias, filter) in params {
-                    put_str(&mut out, alias);
-                    put_str(&mut out, filter);
+                    put_str(out, alias);
+                    put_str(out, filter);
                 }
             }
             Request::TraceFetch { trace_id } => {
                 out.push(OP_TRACE);
                 out.push(TRACE_FETCH);
-                put_u64(&mut out, *trace_id);
+                put_u64(out, *trace_id);
             }
             Request::Cancel { request_id } => {
                 out.push(OP_CANCEL);
-                put_u64(&mut out, *request_id);
+                put_u64(out, *request_id);
             }
         }
-        out
     }
 
     /// Decode a frame payload.
@@ -397,17 +408,28 @@ impl Response {
     /// Encode into a frame payload (opcode + body).
     pub fn encode(&self) -> Vec<u8> {
         let mut out = Vec::new();
+        self.encode_into(&mut out);
+        out
+    }
+
+    /// Encode as one whole frame, header included, for [`send_frame`] (see
+    /// [`Request::encode_frame`]).
+    pub fn encode_frame(&self) -> Vec<u8> {
+        frame_with(|out| self.encode_into(out))
+    }
+
+    fn encode_into(&self, out: &mut Vec<u8>) {
         match self {
             Response::Prepared { handle, fingerprint } => {
                 out.push(OP_PREPARED);
-                put_u64(&mut out, *handle);
-                put_u64(&mut out, *fingerprint);
+                put_u64(out, *handle);
+                put_u64(out, *fingerprint);
             }
             Response::Answer { cardinality, tries_built, service_us } => {
                 out.push(OP_ANSWER);
-                put_u64(&mut out, *cardinality);
-                put_u64(&mut out, *tries_built);
-                put_u64(&mut out, *service_us);
+                put_u64(out, *cardinality);
+                put_u64(out, *tries_built);
+                put_u64(out, *service_us);
             }
             Response::Ok => out.push(OP_OK),
             Response::Busy { reason, retry_after_ms } => {
@@ -417,26 +439,25 @@ impl Response {
                     BusyReason::ByteBudget => 1,
                     BusyReason::RateLimited => 2,
                 });
-                put_u64(&mut out, *retry_after_ms);
+                put_u64(out, *retry_after_ms);
             }
             Response::Error { message } => {
                 out.push(OP_ERROR);
-                put_str(&mut out, message);
+                put_str(out, message);
             }
             Response::Metrics { text } => {
                 out.push(OP_METRICS_REPLY);
-                put_str(&mut out, text);
+                put_str(out, text);
             }
             Response::Trace { trace_id, cardinality, service_us, span_tree, chrome_json } => {
                 out.push(OP_TRACE_REPLY);
-                put_u64(&mut out, *trace_id);
-                put_u64(&mut out, *cardinality);
-                put_u64(&mut out, *service_us);
-                put_str(&mut out, span_tree);
-                put_str(&mut out, chrome_json);
+                put_u64(out, *trace_id);
+                put_u64(out, *cardinality);
+                put_u64(out, *service_us);
+                put_str(out, span_tree);
+                put_str(out, chrome_json);
             }
         }
-        out
     }
 
     /// Decode a frame payload.
@@ -475,13 +496,39 @@ impl Response {
     }
 }
 
-/// Write one frame: 4-byte big-endian length, then the payload.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
-    let len = u32::try_from(payload.len())
-        .map_err(|_| io::Error::new(io::ErrorKind::InvalidInput, "frame too large"))?;
-    w.write_all(&len.to_be_bytes())?;
-    w.write_all(payload)?;
+/// Bytes of a frame header: the payload length, big-endian.
+const HEADER_BYTES: usize = 4;
+
+/// A whole frame whose payload `encode` appends behind the reserved header.
+/// A payload too long for the header leaves it zero, and [`send_frame`]
+/// refuses the frame.
+fn frame_with(encode: impl FnOnce(&mut Vec<u8>)) -> Vec<u8> {
+    let mut frame = vec![0u8; HEADER_BYTES];
+    encode(&mut frame);
+    if let Ok(len) = u32::try_from(frame.len() - HEADER_BYTES) {
+        frame[..HEADER_BYTES].copy_from_slice(&len.to_be_bytes());
+    }
+    frame
+}
+
+/// Write one whole frame (`Request::encode_frame`, `Response::encode_frame`)
+/// in a single `write_all`. Header and payload must leave together: on a
+/// `TCP_NODELAY` socket two writes are two segments, and the peer's read
+/// waits for the second. A frame whose header does not announce the rest
+/// of it is an `InvalidInput` error, and nothing is written.
+pub fn send_frame(w: &mut impl Write, frame: &[u8]) -> io::Result<()> {
+    let announced = frame.first_chunk::<HEADER_BYTES>().map(|h| u32::from_be_bytes(*h) as usize);
+    if announced.is_none() || announced != frame.len().checked_sub(HEADER_BYTES) {
+        return Err(io::Error::new(io::ErrorKind::InvalidInput, "frame too large"));
+    }
+    w.write_all(frame)?;
     w.flush()
+}
+
+/// Write one frame — 4-byte big-endian length, then the payload — in a
+/// single `write_all` ([`send_frame`]).
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
+    send_frame(w, &frame_with(|out| out.extend_from_slice(payload)))
 }
 
 /// The payload length a frame header announces, checked before anything is
@@ -684,6 +731,66 @@ mod tests {
         truncated.extend_from_slice(&[1, 2, 3]);
         let mut cursor = io::Cursor::new(truncated);
         assert!(read_frame(&mut cursor, 1024).is_err());
+    }
+
+    /// A `Write` that takes every byte offered and counts the calls.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    /// Header and payload leave in one write: two would be two TCP
+    /// segments on a `TCP_NODELAY` socket.
+    #[test]
+    fn a_frame_is_one_write() {
+        for payload in [Vec::new(), vec![7u8; 64 << 10]] {
+            let mut w = CountingWriter::default();
+            write_frame(&mut w, &payload).unwrap();
+            assert_eq!(w.writes, 1, "{} payload bytes", payload.len());
+            let mut cursor = io::Cursor::new(w.bytes);
+            assert_eq!(read_frame(&mut cursor, usize::MAX).unwrap().unwrap(), payload);
+        }
+        let text = "x".repeat(64 << 10);
+        for frame in [Request::Metrics.encode_frame(), Response::Metrics { text }.encode_frame()] {
+            let mut w = CountingWriter::default();
+            send_frame(&mut w, &frame).unwrap();
+            assert_eq!((w.writes, &w.bytes), (1, &frame));
+        }
+    }
+
+    #[test]
+    fn encoded_frames_carry_their_payload() {
+        for req in requests() {
+            let frame = req.encode_frame();
+            let mut cursor = io::Cursor::new(frame);
+            let payload = read_frame(&mut cursor, usize::MAX).unwrap().unwrap();
+            assert_eq!(payload, req.encode());
+        }
+        for resp in responses() {
+            let mut cursor = io::Cursor::new(resp.encode_frame());
+            let payload = read_frame(&mut cursor, usize::MAX).unwrap().unwrap();
+            assert_eq!(payload, resp.encode());
+        }
+        // A header that does not announce the rest is refused, unwritten.
+        let mut frame = Request::Shutdown.encode_frame();
+        frame.push(0);
+        let mut w = CountingWriter::default();
+        let err = send_frame(&mut w, &frame).unwrap_err();
+        assert_eq!((err.kind(), w.writes), (io::ErrorKind::InvalidInput, 0));
+        assert!(send_frame(&mut w, &[0, 0]).is_err(), "shorter than a header");
     }
 
     #[test]

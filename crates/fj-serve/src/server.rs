@@ -29,6 +29,26 @@
 //!   protocol violation that closes the connection, since the stream can't
 //!   be resynchronized.
 //!
+//! # Read timeouts
+//!
+//! A worker waits for a connection's next frame with a `peek` under the
+//! socket's read timeout, `IDLE_POLL` (50 ms), re-checking the shutdown
+//! flag in between. Once a byte has arrived the whole frame must be in
+//! within [`ServerConfig::read_deadline_ms`], and no single read may block
+//! longer than the smaller of 250 ms and the time left before that
+//! deadline. Setting a socket's read timeout is a syscall, so the timeout
+//! is changed only when its value does: it rests at `IDLE_POLL`, which
+//! already bounds every read well inside 250 ms, drops below it only for
+//! a read closer to the frame deadline than that, and goes back once the
+//! frame is in. A request whose frame arrives in time sets it no times. A
+//! peer may still send a frame in pieces; a peer that trickles it is cut
+//! off at the deadline, within one more read.
+//!
+//! Every frame leaves in one write ([`crate::protocol::send_frame`]),
+//! header and payload together: the socket is `TCP_NODELAY`, so two writes
+//! are two segments and the peer's read of the payload waits for the
+//! second.
+//!
 //! # Graceful shutdown
 //!
 //! [`Server::shutdown`] (or a client's `Shutdown` frame) flips a flag and
@@ -54,7 +74,7 @@
 //! [`fj_obs::QueryProfile`], rendered as `#`-prefixed comment lines.
 
 use crate::metrics::ServerMetrics;
-use crate::protocol::{frame_len, write_frame, BusyReason, Request, Response};
+use crate::protocol::{frame_len, send_frame, BusyReason, Request, Response};
 use fj_cache::Fingerprinter;
 use fj_obs::{
     chaos, MetricsRegistry, MetricsSnapshot, QueryProfile, TraceBuf, TraceCat, SESSION_WORKER,
@@ -709,7 +729,7 @@ fn accept_loop(shared: &Shared, listener: TcpListener, tx: SyncSender<TcpStream>
                     reason: BusyReason::QueueFull,
                     retry_after_ms: shared.retry_after_ms(),
                 };
-                let _ = write_frame(&mut stream, &busy.encode());
+                let _ = send_frame(&mut stream, &busy.encode_frame());
                 shed_gracefully(stream);
             }
         }
@@ -762,7 +782,36 @@ fn worker_loop(shared: &Shared, rx: &Mutex<Receiver<TcpStream>>) {
 
 /// How long a worker waits for the *next frame header* before re-checking
 /// the shutdown flag. Bounds `Server::join` latency on idle connections.
+/// It is also the socket's read timeout at rest (see [`ReadTimeout`]).
 const IDLE_POLL: Duration = Duration::from_millis(50);
+
+/// The longest one read inside a frame may block, however far off the
+/// frame's deadline is.
+const MAX_READ_BLOCK: Duration = Duration::from_millis(250);
+
+/// A connection's socket read timeout, as last set: every change is a
+/// syscall, so it is changed only when its value does (module docs, "Read
+/// timeouts").
+struct ReadTimeout {
+    current: Option<Duration>,
+}
+
+impl ReadTimeout {
+    /// Set the timeout to `timeout`, unless that is what it is.
+    fn set(&mut self, stream: &TcpStream, timeout: Duration) {
+        if self.current != Some(timeout) && stream.set_read_timeout(Some(timeout)).is_ok() {
+            self.current = Some(timeout);
+        }
+    }
+
+    /// Lower the timeout to `limit` if it is above it (or unknown), so the
+    /// next read blocks no longer than that.
+    fn at_most(&mut self, stream: &TcpStream, limit: Duration) {
+        if self.current.is_none_or(|current| current > limit) {
+            self.set(stream, limit);
+        }
+    }
+}
 
 /// Wait until at least one byte of the next frame is available (`peek`, so
 /// nothing is consumed), polling the shutdown flag between timeouts.
@@ -787,10 +836,13 @@ fn await_frame(shared: &Shared, stream: &TcpStream) -> bool {
 
 /// Read exactly `buf.len()` bytes before `deadline`, slicing the wait into
 /// short read timeouts so a trickling peer is checked against the *total*
-/// budget, not a fresh per-`read` one. `Ok(false)` means clean EOF before
-/// any byte arrived (only meaningful for the first read of a frame).
+/// budget, not a fresh per-`read` one: no read blocks longer than the
+/// smaller of [`MAX_READ_BLOCK`] and the time left. `Ok(false)` means clean
+/// EOF before any byte arrived (only meaningful for the first read of a
+/// frame).
 fn read_exact_deadline(
     stream: &mut TcpStream,
+    timeout: &mut ReadTimeout,
     buf: &mut [u8],
     deadline: Instant,
 ) -> io::Result<bool> {
@@ -803,8 +855,7 @@ fn read_exact_deadline(
                 "read deadline exceeded mid-frame",
             ));
         }
-        let slice = (deadline - now).min(Duration::from_millis(250));
-        let _ = stream.set_read_timeout(Some(slice));
+        timeout.at_most(stream, (deadline - now).min(MAX_READ_BLOCK));
         match stream.read(&mut buf[filled..]) {
             Ok(0) if filled == 0 => return Ok(false),
             Ok(0) => {
@@ -830,6 +881,7 @@ fn read_exact_deadline(
 /// boundary.
 fn read_frame_deadline(
     stream: &mut TcpStream,
+    timeout: &mut ReadTimeout,
     max_bytes: usize,
     budget: Duration,
 ) -> io::Result<Option<Vec<u8>>> {
@@ -841,11 +893,11 @@ fn read_frame_deadline(
     }
     let deadline = Instant::now() + budget;
     let mut header = [0u8; 4];
-    if !read_exact_deadline(stream, &mut header, deadline)? {
+    if !read_exact_deadline(stream, timeout, &mut header, deadline)? {
         return Ok(None);
     }
     let mut payload = vec![0u8; frame_len(header, max_bytes)?];
-    if !read_exact_deadline(stream, &mut payload, deadline)? {
+    if !read_exact_deadline(stream, timeout, &mut payload, deadline)? {
         return Err(io::Error::new(
             io::ErrorKind::UnexpectedEof,
             "connection closed between header and body",
@@ -857,7 +909,8 @@ fn read_frame_deadline(
 /// Serve one connection's request/response loop to completion.
 fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(IDLE_POLL));
+    let mut timeout = ReadTimeout { current: None };
+    timeout.set(&stream, IDLE_POLL);
     let peer = stream.peer_addr().ok().map(|a| a.ip());
     let read_budget = Duration::from_millis(match shared.config.read_deadline_ms {
         0 => 30_000,
@@ -869,13 +922,13 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
         }
         // A frame is arriving: read it under the total per-request deadline
         // (a peer that trickles bytes mid-frame is broken, not idle).
-        let payload =
-            match read_frame_deadline(&mut stream, shared.config.max_frame_bytes, read_budget) {
-                Ok(Some(payload)) => payload,
-                Ok(None) => return,
-                Err(_) => return, // oversized, truncated, or too-slow frame: unrecoverable
-            };
-        let _ = stream.set_read_timeout(Some(IDLE_POLL));
+        let max_bytes = shared.config.max_frame_bytes;
+        let payload = match read_frame_deadline(&mut stream, &mut timeout, max_bytes, read_budget) {
+            Ok(Some(payload)) => payload,
+            Ok(None) => return,
+            Err(_) => return, // oversized, truncated, or too-slow frame: unrecoverable
+        };
+        timeout.set(&stream, IDLE_POLL);
 
         // Per-client fairness, checked before anything is reserved: a peer
         // past its rate gets a typed retry hint and keeps its connection.
@@ -885,8 +938,8 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 reason: BusyReason::RateLimited,
                 retry_after_ms: shared.retry_after_ms(),
             }
-            .encode();
-            if write_frame(&mut stream, &busy).is_err() {
+            .encode_frame();
+            if send_frame(&mut stream, &busy).is_err() {
                 return;
             }
             continue;
@@ -899,8 +952,8 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
                 reason: BusyReason::ByteBudget,
                 retry_after_ms: shared.retry_after_ms(),
             }
-            .encode();
-            if write_frame(&mut stream, &busy).is_err() {
+            .encode_frame();
+            if send_frame(&mut stream, &busy).is_err() {
                 return;
             }
             continue;
@@ -942,7 +995,7 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             shared.metrics.errors.inc();
         }
         let write_ok = !chaos::should_fail("serve.socket_write")
-            && write_frame(&mut stream, &response.encode()).is_ok();
+            && send_frame(&mut stream, &response.encode_frame()).is_ok();
         if shutdown_after {
             shared.begin_shutdown();
             return;
@@ -1265,7 +1318,8 @@ mod tests {
         peer.write_all(&just_over.to_be_bytes()).unwrap();
         let budget = Duration::from_secs(10);
         let started = Instant::now();
-        let err = read_frame_deadline(&mut stream, usize::MAX, budget).unwrap_err();
+        let mut timeout = ReadTimeout { current: None };
+        let err = read_frame_deadline(&mut stream, &mut timeout, usize::MAX, budget).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         assert!(started.elapsed() < budget, "refused without waiting for a body");
     }

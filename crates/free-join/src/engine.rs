@@ -225,11 +225,7 @@ pub(crate) fn run_pipelines(
         options,
         instruments,
         fetch: &fetch,
-        // Only a bushy plan's intermediates are typed by the query's variables.
-        var_types: match compiled.pipelines.len() {
-            1 => HashMap::new(),
-            _ => var_types(catalog, &query.atoms)?,
-        },
+        var_types: None,
         stats: ExecStats::default(),
         sheets: if instruments.profile { vec![None; compiled.pipelines.len()] } else { Vec::new() },
         trace: instruments.trace.then(|| {
@@ -252,7 +248,10 @@ struct Walk<'a, F> {
     options: &'a FreeJoinOptions,
     instruments: &'a Instruments,
     fetch: &'a F,
-    var_types: HashMap<String, DataType>,
+    /// The type of each query variable, read off the schemas when the walk
+    /// first materializes an intermediate — the only reader; a walk served
+    /// its intermediates from the cache never computes them.
+    var_types: Option<HashMap<String, DataType>>,
     stats: ExecStats,
     sheets: Vec<Option<ProfileSheet>>,
     trace: Option<(QueryTrace, TraceBuf)>,
@@ -346,9 +345,13 @@ where
                 PipeInput::Intermediate(j) => {
                     let rows = self.run(j)?;
                     self.stats.intermediate_tuples += rows.cardinality();
+                    if self.var_types.is_none() {
+                        self.var_types = Some(var_types(self.catalog, &self.query.atoms)?);
+                    }
+                    let types = self.var_types.as_ref().expect("computed above");
                     let build_start = Instant::now();
                     let name = format!("__fj_intermediate_{}", rows.vars.join("_"));
-                    let bound = materialize_intermediate(&name, rows, &self.var_types)?;
+                    let bound = materialize_intermediate(&name, rows, types)?;
                     let trie = InputTrie::build(&bound, schema.to_vec(), self.options.trie);
                     self.stats.build_time += build_start.elapsed();
                     Ok(Arc::new(trie))

@@ -56,6 +56,16 @@
 //! up again and age out of the LRU. An execution therefore always
 //! reads current data, even on a `Prepared` created before the mutation.
 //!
+//! **A warm request redoes only what its parameters change.** `prepare`
+//! validates the query and renders the cache key of every pipeline input
+//! once. While every relation is still at the version it saw, a request
+//! checks only its overridden atoms' filter columns and renders only the
+//! keys of the atoms whose filters its overrides (or the constants they
+//! derive) changed, and of the intermediates over them; the others are
+//! borrowed. Its query is a pooled clone of the prepared one with those
+//! filters swapped in. A relation at another version sends the request
+//! down the full path: the whole query validated, every key rendered.
+//!
 //! ```
 //! use fj_query::QueryBuilder;
 //! use fj_storage::{Catalog, RelationBuilder, Schema};
@@ -100,7 +110,8 @@ use fj_plan::{
     TableStats,
 };
 use fj_query::{
-    propagate_constants, Aggregate, Atom, ConjunctiveQuery, Derivation, ExecStats, QueryOutput,
+    propagate_constants, propagate_constants_in_place, Aggregate, Atom, ConjunctiveQuery,
+    Derivation, ExecStats, QueryOutput,
 };
 use fj_storage::{Catalog, Predicate};
 use std::borrow::Cow;
@@ -478,11 +489,14 @@ impl Session {
             plan = Arc::new(build()?);
         }
         let versions = query.atoms.iter().map(|a| catalog.version_of(&a.relation)).collect();
+        let keys = InputKeys::new(catalog, planned, &plan, self.options.trie.name())?;
         Ok(Prepared {
             query: query.clone(),
             propagated: propagated.query.into_owned(),
             derived: propagated.derived,
             versions,
+            keys: Arc::new(keys),
+            pool: Arc::default(),
             plan,
             fingerprint,
             options: self.options,
@@ -573,8 +587,13 @@ pub struct Prepared {
     propagated: ConjunctiveQuery,
     /// The conjuncts `propagated` has over `query`.
     derived: Vec<Derivation>,
-    /// The version of each atom's relation when the rewrite read its schema.
+    /// The version of each atom's relation when `prepare` validated the
+    /// query, propagated its constants and rendered `keys`.
     versions: Vec<u64>,
+    /// The trie-cache key of every pipeline input, rendered at prepare.
+    keys: Arc<InputKeys>,
+    /// Clones of `query` for requests with overrides ([`LentQuery`]).
+    pool: Arc<Mutex<Vec<ConjunctiveQuery>>>,
     plan: Arc<CachedPlan>,
     fingerprint: u64,
     options: FreeJoinOptions,
@@ -667,31 +686,37 @@ impl Prepared {
             trace: request.trace,
             token: request.token.clone(),
         };
+        // While every relation is at the version `prepare` saw, what it
+        // checked and rendered still holds: only what a parameter changes
+        // is checked and rendered again.
+        let current = self.versions_are_current(catalog);
         // The constants of this request follow their join variables before
         // anything is bound. Without overrides that is the rewrite `prepare`
         // made, unless a relation it read the schema of has been replaced.
-        let overridden = self.query_with(params)?;
-        let rederived;
-        let (query, derived) = if params.is_empty() && self.rewrite_is_current(catalog) {
+        let lent;
+        let (query, derived) = if params.is_empty() && (current || self.derived.is_empty()) {
             (&self.propagated, &self.derived[..])
         } else {
-            rederived = propagate_constants(&overridden, catalog);
-            (rederived.query.as_ref(), &rederived.derived[..])
+            lent = self.request_query(catalog, params, current)?;
+            (lent.query(), &lent.derived[..])
         };
         let derived: Vec<String> = if request.profile {
             derived.iter().map(|d| d.describe(query)).collect()
         } else {
             Vec::new()
         };
-        // Re-validate against the *current* catalog: relations may have been
-        // replaced (even with a different schema) since prepare, and the
-        // serving path must surface that as a typed error, never a panic.
-        query.validate(catalog).map_err(EngineError::Query)?;
+        // Relations may have been replaced (even with a different schema)
+        // since prepare, and the serving path must surface that as a typed
+        // error, never a panic: then the whole query is validated again.
+        if !current {
+            query.validate(catalog).map_err(EngineError::Query)?;
+        }
+        let sources = self.keys.sources(catalog, query, &self.propagated, current);
 
         let caches = &*self.caches;
         let evictions0 = request.trace.then(|| caches.tries.stats().evictions);
-        let cached = |input: PipeInput, schema: &[Vec<String>], produce: Produce<'_>| {
-            self.cached_trie(catalog, query, input, schema, produce)
+        let cached = |input: PipeInput, _: &[Vec<String>], produce: Produce<'_>| {
+            self.cached_trie(&sources, input, produce)
         };
         let PipelinesRun { output, stats, sheets, trace } =
             run_pipelines(&self.plan.compiled, catalog, query, options, &instruments, cached)?;
@@ -762,30 +787,55 @@ impl Prepared {
         QueryProfile { derived, pipelines }
     }
 
-    /// Does the rewrite made at prepare time still hold? It mapped columns
-    /// to variables through the schemas of these relation versions; a
-    /// relation replaced since may have its columns in another order.
-    fn rewrite_is_current(&self, catalog: &Catalog) -> bool {
-        self.derived.is_empty()
-            || (self.query.atoms.iter().zip(&self.versions))
-                .all(|(atom, version)| catalog.version_of(&atom.relation) == *version)
+    /// Is every atom's relation still at the version `prepare` saw? Then
+    /// the schemas it validated the query and propagated its constants
+    /// against are the current ones, and so are the snapshots in `keys`.
+    fn versions_are_current(&self, catalog: &Catalog) -> bool {
+        (self.query.atoms.iter().zip(&self.versions))
+            .all(|(atom, version)| catalog.version_of(&atom.relation) == *version)
     }
 
-    /// The query with parameter overrides applied (validated against the
-    /// prepared atoms). Borrows the prepared query untouched when there are
-    /// no overrides, so the no-params serving path clones nothing.
-    fn query_with(&self, params: &Params) -> EngineResult<Cow<'_, ConjunctiveQuery>> {
-        if params.is_empty() {
-            return Ok(Cow::Borrowed(&self.query));
-        }
-        let mut query = self.query.clone();
+    /// This request's query: a clone of the prepared query lent by its pool,
+    /// with the overrides of `params` applied (their aliases checked against
+    /// the prepared atoms, and their filter columns against the schemas too
+    /// when the versions are `current`) and its constants propagated.
+    fn request_query(
+        &self,
+        catalog: &Catalog,
+        params: &Params,
+        current: bool,
+    ) -> EngineResult<LentQuery<'_>> {
+        let pooled = self.pool.lock().expect("no panic while lending a query").pop();
+        let mut lent = LentQuery {
+            prepared: self,
+            query: Some(pooled.unwrap_or_else(|| self.query.clone())),
+            touched: Vec::with_capacity(params.filters.len()),
+            derived: Vec::new(),
+        };
+        let query = lent.query.as_mut().expect("lent until dropped");
         for (alias, filter) in &params.filters {
-            match query.atoms.iter_mut().find(|a| &a.alias == alias) {
-                Some(atom) => atom.filter = filter.clone(),
+            match query.atoms.iter().position(|a| &a.alias == alias) {
+                Some(i) => {
+                    lent.touched.push(i);
+                    query.atoms[i].filter = filter.clone();
+                }
                 None => return Err(EngineError::UnknownAtomAlias(alias.clone())),
             }
         }
-        Ok(Cow::Owned(query))
+        if current {
+            // The rest of the query is as `prepare` validated it, and the
+            // conjuncts propagation derives read columns that exist.
+            lent.touched.sort_unstable();
+            lent.touched.dedup();
+            for &i in &lent.touched {
+                let atom = &query.atoms[i];
+                let relation = catalog.get(&atom.relation).map_err(EngineError::Storage)?;
+                atom.check_filter_columns(relation.schema()).map_err(EngineError::Query)?;
+            }
+        }
+        lent.derived = propagate_constants_in_place(query, catalog);
+        lent.touched.extend(lent.derived.iter().map(|d| d.atom));
+        Ok(lent)
     }
 
     /// Fetch the shared trie of one pipeline input, or make it with
@@ -796,10 +846,8 @@ impl Prepared {
     /// fired token) inserts nothing, and the lookups waiting on it retry.
     fn cached_trie(
         &self,
-        catalog: &Catalog,
-        query: &ConjunctiveQuery,
+        sources: &[Cow<'_, SourceAtom>],
         input: PipeInput,
-        schema: &[Vec<String>],
         produce: Produce<'_>,
     ) -> EngineResult<Arc<InputTrie>> {
         // Chaos failpoint: a fault in the cache-fetch path (e.g. a poisoned
@@ -807,14 +855,11 @@ impl Prepared {
         if fj_obs::chaos::should_fail("session.trie_fetch") {
             return Err(EngineError::Faulted("session.trie_fetch".into()));
         }
-        let (key, build_failpoint) = match input {
-            PipeInput::Atom(i) => {
-                (self.atom_key(catalog, &query.atoms[i], schema)?, "session.trie_build")
-            }
-            PipeInput::Intermediate(j) => {
-                (self.pipe_key(catalog, query, j, schema)?, "session.pipe_build")
-            }
+        let build_failpoint = match input {
+            PipeInput::Atom(_) => "session.trie_build",
+            PipeInput::Intermediate(_) => "session.pipe_build",
         };
+        let key = self.keys.key(sources, input);
         let mut built_here = false;
         let trie = self.caches.tries.try_get_or_build(&key, || -> EngineResult<_> {
             built_here = true;
@@ -835,63 +880,190 @@ impl Prepared {
         }
         Ok(trie)
     }
+}
 
-    /// The cache key of one atom's trie: the relation's current version and
-    /// the atom's rendered filter, the strategy name, and the *column*
-    /// order keyed at each trie level (variable names normalized away, so
-    /// self-join sides and same-shape queries share).
-    fn atom_key(
-        &self,
-        catalog: &Catalog,
-        atom: &Atom,
-        schema: &[Vec<String>],
-    ) -> EngineResult<TrieKey> {
-        Ok(TrieKey {
-            source: TrieSource::Atom(source_atom(catalog, atom)),
-            strategy: self.options.trie.name(),
-            key_order: key_order(schema, |var| atom.var_position(var))?,
-        })
-    }
+/// Clones of its query a prepared query keeps for reuse: as many as there
+/// were requests with overrides at once, up to this many.
+const POOLED_QUERIES: usize = 16;
 
-    /// The cache key of the trie over pipeline `j`'s result: the plan's
-    /// canonical text and the pipeline's index in it, the current version
-    /// and the rendered filter — read from this request's propagated
-    /// `query` — of every atom under the pipeline, the strategy name and
-    /// the consumer's key order over the pipeline's columns. A pipeline no
-    /// parameter reaches is one entry for every request; one that reads an
-    /// overridden atom (or a constant derived from it) has an entry per
-    /// value; a catalog mutation leaves the old entries unreachable.
-    fn pipe_key(
-        &self,
-        catalog: &Catalog,
-        query: &ConjunctiveQuery,
-        j: usize,
-        schema: &[Vec<String>],
-    ) -> EngineResult<TrieKey> {
-        let compiled = &self.plan.compiled;
-        let atoms = compiled.atoms_under(j);
-        let columns = &compiled.pipelines[j].plan.binding_order;
-        Ok(TrieKey {
-            source: TrieSource::Pipeline {
-                plan: Arc::clone(&self.plan.canonical),
-                pipeline: j as u32,
-                atoms: atoms.into_iter().map(|i| source_atom(catalog, &query.atoms[i])).collect(),
-            },
-            strategy: self.options.trie.name(),
-            key_order: key_order(schema, |var| columns.iter().position(|c| c == var))?,
-        })
+/// A request's query, lent by a prepared query's pool. The request changes
+/// the filters of a few atoms — the overridden ones and those its constants
+/// reach — and, once it is done, the prepared filters go back and the query
+/// back into the pool: a request clones a filter or two instead of the
+/// whole query, and frees nothing.
+struct LentQuery<'a> {
+    prepared: &'a Prepared,
+    /// The query, until it goes back.
+    query: Option<ConjunctiveQuery>,
+    /// The atoms whose filter this request changed.
+    touched: Vec<usize>,
+    /// The conjuncts propagating its constants added.
+    derived: Vec<Derivation>,
+}
+
+impl LentQuery<'_> {
+    fn query(&self) -> &ConjunctiveQuery {
+        self.query.as_ref().expect("lent until dropped")
     }
 }
 
-/// The snapshot of its relation an atom reads now.
-fn source_atom(catalog: &Catalog, atom: &Atom) -> SourceAtom {
+impl Drop for LentQuery<'_> {
+    fn drop(&mut self) {
+        // A request that unwound may have left a filter half-written: its
+        // query is dropped, never lent again.
+        let Some(mut query) = self.query.take().filter(|_| !std::thread::panicking()) else {
+            return;
+        };
+        for &i in &self.touched {
+            query.atoms[i].filter = self.prepared.query.atoms[i].filter.clone();
+        }
+        // A poisoned pool only loses this clone (a drop must not panic).
+        if let Ok(mut pool) = self.prepared.pool.lock() {
+            if pool.len() < POOLED_QUERIES {
+                pool.push(query);
+            }
+        }
+    }
+}
+
+/// The trie-cache key of every pipeline input, rendered by `prepare` from
+/// the query it planned (constants propagated) at the versions it saw.
+///
+/// A cache key is exact — a relation snapshot is `(name, version, rendered
+/// filter)` — so it changes only where a request's filters or a relation's
+/// version do. A request borrows every snapshot and key nothing changed
+/// ([`InputKeys::sources`]) and renders only the rest: an overridden atom,
+/// the atoms its constants reach, and the intermediates over them.
+///
+/// An atom is the input of exactly one pipeline and so is an intermediate,
+/// so an input names its key.
+#[derive(Debug)]
+struct InputKeys {
+    /// The key of each atom's trie, whose source is the atom's snapshot as
+    /// prepared.
+    atom_keys: Vec<TrieKey>,
+    /// The key of the trie over pipeline `j`'s result (none for the root,
+    /// whose result is the query's).
+    pipe_keys: Vec<Option<TrieKey>>,
+    /// The atoms under each pipeline, transitively, in plan order.
+    atoms_under: Vec<Vec<usize>>,
+    /// The canonical text of the plan, which names it in every
+    /// intermediate's key.
+    plan: Arc<str>,
+}
+
+impl InputKeys {
+    fn new(
+        catalog: &Catalog,
+        query: &ConjunctiveQuery,
+        plan: &CachedPlan,
+        strategy: &'static str,
+    ) -> EngineResult<Self> {
+        let compiled = &plan.compiled;
+        let atoms: Vec<SourceAtom> = query
+            .atoms
+            .iter()
+            .map(|atom| source_atom(catalog, atom, Arc::from(atom.relation.as_str())))
+            .collect();
+        let atoms_under: Vec<Vec<usize>> =
+            (0..compiled.pipelines.len()).map(|j| compiled.atoms_under(j)).collect();
+        let mut atom_keys = vec![None; atoms.len()];
+        let mut pipe_keys = vec![None; compiled.pipelines.len()];
+        for pipeline in &compiled.pipelines {
+            for (&input, schema) in pipeline.inputs.iter().zip(&pipeline.plan.schemas) {
+                match input {
+                    PipeInput::Atom(i) => {
+                        let atom = &query.atoms[i];
+                        let order = key_order(schema, |var| atom.var_position(var))?;
+                        let source = TrieSource::Atom(atoms[i].clone());
+                        atom_keys[i] = Some(TrieKey::new(source, strategy, order));
+                    }
+                    PipeInput::Intermediate(j) => {
+                        let columns = &compiled.pipelines[j].plan.binding_order;
+                        let order = key_order(schema, |var| columns.iter().position(|c| c == var))?;
+                        let source = TrieSource::Pipeline {
+                            plan: Arc::clone(&plan.canonical),
+                            pipeline: j as u32,
+                            atoms: atoms_under[j].iter().map(|&i| atoms[i].clone()).collect(),
+                        };
+                        pipe_keys[j] = Some(TrieKey::new(source, strategy, order));
+                    }
+                }
+            }
+        }
+        let atom_keys = atom_keys.into_iter().collect::<Option<Vec<_>>>();
+        Ok(InputKeys {
+            atom_keys: atom_keys.ok_or(EngineError::PlanDoesNotCoverQuery)?,
+            pipe_keys,
+            atoms_under,
+            plan: Arc::clone(&plan.canonical),
+        })
+    }
+
+    /// The snapshot of its relation each atom of a request's (propagated)
+    /// `query` reads: borrowed from `prepare` when the versions are
+    /// `current` and the atom's filter is the one `prepared` gave it,
+    /// rendered now otherwise.
+    fn sources<'a>(
+        &'a self,
+        catalog: &Catalog,
+        query: &ConjunctiveQuery,
+        prepared: &ConjunctiveQuery,
+        current: bool,
+    ) -> Vec<Cow<'a, SourceAtom>> {
+        let atoms = query.atoms.iter().zip(&prepared.atoms).zip(&self.atom_keys);
+        atoms
+            .map(|((atom, as_prepared), key)| {
+                let snapshot = &key.atoms()[0];
+                if current && atom.filter == as_prepared.filter {
+                    Cow::Borrowed(snapshot)
+                } else {
+                    Cow::Owned(source_atom(catalog, atom, Arc::clone(&snapshot.relation)))
+                }
+            })
+            .collect()
+    }
+
+    /// The key of `input`'s trie when its atoms read `sources`: the one
+    /// `prepare` rendered when they all are its own snapshots, a new one
+    /// with the same key order otherwise.
+    fn key<'a>(&'a self, sources: &[Cow<'a, SourceAtom>], input: PipeInput) -> Cow<'a, TrieKey> {
+        let is_prepared = |i: &usize| matches!(sources[*i], Cow::Borrowed(_));
+        match input {
+            PipeInput::Atom(i) => {
+                let prepared = &self.atom_keys[i];
+                if is_prepared(&i) {
+                    return Cow::Borrowed(prepared);
+                }
+                let source = TrieSource::Atom(sources[i].clone().into_owned());
+                Cow::Owned(TrieKey::new(source, prepared.strategy(), prepared.key_order().clone()))
+            }
+            PipeInput::Intermediate(j) => {
+                let prepared = self.pipe_keys[j].as_ref().expect("only the root has no consumer");
+                let under = &self.atoms_under[j];
+                if under.iter().all(is_prepared) {
+                    return Cow::Borrowed(prepared);
+                }
+                let source = TrieSource::Pipeline {
+                    plan: Arc::clone(&self.plan),
+                    pipeline: j as u32,
+                    atoms: under.iter().map(|&i| sources[i].clone().into_owned()).collect(),
+                };
+                Cow::Owned(TrieKey::new(source, prepared.strategy(), prepared.key_order().clone()))
+            }
+        }
+    }
+}
+
+/// The snapshot of its relation (named `relation`) an atom reads now.
+fn source_atom(catalog: &Catalog, atom: &Atom, relation: Arc<str>) -> SourceAtom {
     SourceAtom {
-        relation: atom.relation.clone(),
-        version: catalog.version_of(&atom.relation),
+        version: catalog.version_of(&relation),
+        relation,
         // The exact canonical rendering, not a hash: two distinct predicates
         // can never alias one trie (cf. the plan cache's canonical-form
         // re-check).
-        filter: if atom.has_filter() { format!("{:?}", atom.filter) } else { String::new() },
+        filter: if atom.has_filter() { format!("{:?}", atom.filter).into() } else { "".into() },
     }
 }
 
@@ -1596,5 +1768,72 @@ mod tests {
         let q = QueryBuilder::new("bad").atom("nope", &["x"]).build();
         assert!(matches!(s.prepare(&cat, &q), Err(EngineError::Query(_))));
         assert_eq!(s.cache_stats().plans.lookups(), 0, "invalid queries never reach the cache");
+    }
+
+    /// A request on the prepared versions checks only its overrides; one
+    /// after a mutation validates the whole query. Both report a bad
+    /// override with the error a full validation gives it.
+    #[test]
+    fn overrides_are_checked_on_either_path() {
+        let mut cat = catalog();
+        let s = session();
+        let prepared = s.prepare(&cat, &two_hop()).unwrap();
+        let run = |cat: &Catalog, params: Params| {
+            prepared.execute(cat, &ExecRequest { params, ..ExecRequest::default() })
+        };
+        let unknown_column = || {
+            Params::new()
+                .with_filter("e2", Predicate::cmp_const("src", CmpOp::Lt, 3i64))
+                .with_filter("e1", Predicate::cmp_const("nope", CmpOp::Lt, 3i64))
+        };
+        let unknown_alias = || Params::new().with_filter("zz", Predicate::True);
+        for mutated in [false, true] {
+            if mutated {
+                cat.touch("person");
+            }
+            match run(&cat, unknown_column()) {
+                Err(EngineError::Query(fj_query::QueryError::UnknownFilterColumn {
+                    alias,
+                    column,
+                })) => {
+                    assert_eq!((alias.as_str(), column.as_str()), ("e1", "nope"))
+                }
+                other => panic!("expected an unknown filter column, got {other:?}"),
+            }
+            assert!(matches!(
+                run(&cat, unknown_alias()),
+                Err(EngineError::UnknownAtomAlias(a)) if a == "zz"
+            ));
+            // Failed requests left the prepared query as it was.
+            let plain = run(&cat, Params::new()).unwrap().output;
+            assert!(plain.result_eq(&s.execute(&cat, &two_hop()).unwrap().0), "mutated {mutated}");
+        }
+    }
+
+    /// A request's overrides and the constants they derived are gone from
+    /// the query the next request gets: each answers like a fresh engine
+    /// running its own overrides, whichever ran before it.
+    #[test]
+    fn an_override_leaves_nothing_behind() {
+        let cat = catalog();
+        let s = session();
+        let prepared = s.prepare(&cat, &two_hop()).unwrap();
+        let overrides = [
+            ("e1", Predicate::eq_const("src", 3i64)),
+            ("person", Predicate::eq_const("id", 5i64)),
+            ("e2", Predicate::cmp_const("dst", CmpOp::Gt, 6i64)),
+        ];
+        for round in 0..2 {
+            for (alias, filter) in &overrides {
+                let params = Params::new().with_filter(*alias, filter.clone());
+                let request = ExecRequest { params, ..ExecRequest::default() };
+                let served = prepared.execute(&cat, &request).unwrap().output;
+                let mut written = two_hop();
+                written.atoms.iter_mut().find(|a| a.alias == *alias).unwrap().filter =
+                    filter.clone();
+                let fresh = session().execute(&cat, &written).unwrap().0;
+                assert!(served.result_eq(&fresh), "{alias} round {round}");
+            }
+        }
     }
 }

@@ -19,11 +19,27 @@
 //! shapes are planned bushy — no intermediate materialized: the pipelines
 //! under the final one did not run) with results identical to the cold
 //! pass. CI runs it and asserts on the exit status.
+//!
+//! A last section times the **warm point request** the `serve_hot`
+//! benchmark sends, in process: the five shapes it prepares, each executed
+//! with 32 `title.id = K` overrides and the profile on (as `fj-serve` runs
+//! every request). It prints the median microseconds of one
+//! `Prepared::execute` per shape and their geomean, and exits nonzero when
+//! any answer differs from a fresh `Session` executing the overridden
+//! query. It has no timing gate: the numbers are for comparing trees on
+//! one machine.
 
 use freejoin::prelude::*;
 use freejoin::workloads::job::{self, JobConfig};
 use std::sync::Arc;
 use std::time::Instant;
+
+/// The shapes the `serve_hot` benchmark prepares.
+const POINT_SHAPES: [&str; 5] = ["q1a_like", "q3a_like", "q4a_like", "q8a_like", "q17a_like"];
+/// Distinct `title.id = K` overrides per shape, spread evenly over the movies.
+const POINT_IDS: usize = 32;
+/// Timed passes over every (shape, override) pair after the warm-up pass.
+const POINT_ROUNDS: usize = 20;
 
 /// Worker threads sharing the session.
 const WORKERS: usize = 4;
@@ -147,4 +163,79 @@ fn main() {
         WORKERS * ITERATIONS * queries.len(),
         warm_ms / cold_ms,
     );
+    warm_point_requests();
+}
+
+/// Time warm point requests in process (see the module docs) and check
+/// every answer against an unmemoized reference. Exits nonzero on a
+/// mismatch.
+fn warm_point_requests() {
+    // The `serve_hot` catalog: the benchmark's JOB-like sizes at its scale 1.
+    let movies = 5_000;
+    let workload = job::workload(&JobConfig { movies, people: 10_000, ..JobConfig::benchmark() });
+    let catalog = workload.catalog;
+    let shape = |name: &str| -> ConjunctiveQuery {
+        let named = workload.queries.iter().find(|q| q.name == name);
+        named
+            .unwrap_or_else(|| panic!("the workload has no query {name}"))
+            .query
+            .clone()
+    };
+    let filters: Vec<Predicate> = (0..POINT_IDS)
+        .map(|i| parse_filter(&format!("id = {}", i * movies / POINT_IDS)).expect("a filter"))
+        .collect();
+    let session = Session::new(Arc::new(EngineCaches::with_defaults()))
+        .with_options(FreeJoinOptions::default().with_num_threads(1));
+
+    let mut mismatches = Vec::new();
+    let mut medians = Vec::with_capacity(POINT_SHAPES.len());
+    for name in POINT_SHAPES {
+        let query = shape(name);
+        let prepared = session.prepare(&catalog, &query).expect("the shape prepares");
+        let requests: Vec<ExecRequest> = (filters.iter())
+            .map(|f| ExecRequest {
+                params: Params::new().with_filter("title", f.clone()),
+                profile: true,
+                ..ExecRequest::default()
+            })
+            .collect();
+        // Warm-up, checked: every override once against a fresh session
+        // executing the overridden query, nothing shared with `session`.
+        let mut expected = Vec::with_capacity(filters.len());
+        for (filter, request) in filters.iter().zip(&requests) {
+            let mut overridden = query.clone();
+            let atom = overridden.atoms.iter_mut().find(|a| a.alias == "title");
+            atom.expect("every shape reads title").filter = filter.clone();
+            let fresh = Session::new(Arc::new(EngineCaches::with_defaults()));
+            let (reference, _) = fresh.execute(&catalog, &overridden).expect("reference runs");
+            let served = prepared.execute(&catalog, request).expect("the request runs").output;
+            if !served.result_eq(&reference) {
+                mismatches.push(format!("{name} [{filter:?}]: differs from a fresh session"));
+            }
+            expected.push(reference);
+        }
+        let mut micros = Vec::with_capacity(POINT_ROUNDS * requests.len());
+        for _ in 0..POINT_ROUNDS {
+            for (request, reference) in requests.iter().zip(&expected) {
+                let start = Instant::now();
+                let report = prepared.execute(&catalog, request).expect("the request runs");
+                micros.push(start.elapsed().as_secs_f64() * 1e6);
+                if !report.output.result_eq(reference) {
+                    mismatches.push(format!("{name}: a warm answer differs from the reference"));
+                }
+            }
+        }
+        micros.sort_by(f64::total_cmp);
+        let median = micros[micros.len() / 2];
+        println!("warm point request {name:>10}: median {median:6.1} us in process");
+        medians.push(median);
+    }
+    let geomean = (medians.iter().map(|m| m.ln()).sum::<f64>() / medians.len() as f64).exp();
+    println!("warm point request geomean: {geomean:.1} us over {} shapes", medians.len());
+    if !mismatches.is_empty() {
+        for m in &mismatches {
+            eprintln!("FAIL: {m}");
+        }
+        std::process::exit(1);
+    }
 }

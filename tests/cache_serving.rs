@@ -518,3 +518,56 @@ fn concurrent_cold_requests_run_each_pipeline_once() {
     assert_eq!(stats.tries.lookups(), threads * 3 + 2);
     assert_eq!(stats.tries.hits + stats.tries.coalesced, threads * 3 + 2 - 5);
 }
+
+/// (f) A relation replaced after `prepare` rebuilds only what reads it. The
+/// request with an override then renders its keys afresh, and every input
+/// whose rows did not change finds the entry the same request left before:
+/// replacing an atom of the final pipeline rebuilds that atom's trie, one
+/// under the intermediate rebuilds its trie and the intermediate.
+#[test]
+fn a_replaced_relation_rebuilds_only_what_reads_it() {
+    let catalog = catalog_of(chain_relations(1));
+    let (under, above) = chain_shape(&catalog);
+    let over = || filter(above[0], "src", CmpOp::Lt, 6);
+    for (replaced, rebuilt) in [(above[1], 1), (under[0], 2)] {
+        let mut catalog = catalog.clone();
+        let caches = Arc::new(EngineCaches::with_defaults());
+        let prepared = serial_session(&caches).prepare(&catalog, &chain_query()).unwrap();
+        let before = run(&prepared, &catalog, over()).output;
+        let same_rows = chain_relations(1).into_iter().find(|r| r.name() == replaced).unwrap();
+        catalog.add_or_replace(same_rows);
+        let start = caches.stats();
+        let after = run(&prepared, &catalog, over());
+        let lookups = caches.stats().tries.delta(&start.tries);
+        assert!(after.output.result_eq(&before), "replaced {replaced}");
+        assert_eq!(lookups.misses, rebuilt, "replaced {replaced}");
+        // The final pipeline's three inputs, plus the atoms under the
+        // intermediate when it ran again.
+        let fetched = if rebuilt == 2 { 5 } else { 3 };
+        assert_eq!(lookups.hits, fetched - rebuilt, "replaced {replaced}");
+        let pipes = caches.stats().pipe_misses - start.pipe_misses;
+        assert_eq!(pipes, rebuilt - 1, "replaced {replaced}");
+    }
+}
+
+/// (g) A warm request repeats nothing: the second execution of an override
+/// on a bushy shape — under the intermediate or above it — builds no trie
+/// and materializes no intermediate, and answers like the first.
+#[test]
+fn a_repeated_override_on_a_bushy_shape_builds_nothing() {
+    let catalog = catalog_of(chain_relations(1));
+    let (under, above) = chain_shape(&catalog);
+    let caches = Arc::new(EngineCaches::with_defaults());
+    let prepared = serial_session(&caches).prepare(&catalog, &chain_query()).unwrap();
+    for alias in [under[0], above[0], under[1]] {
+        for value in [3, 7] {
+            let first = run(&prepared, &catalog, filter(alias, "src", CmpOp::Eq, value));
+            let misses = caches.stats().tries.misses;
+            let second = run(&prepared, &catalog, filter(alias, "src", CmpOp::Eq, value));
+            assert_eq!(caches.stats().tries.misses, misses, "{alias} src = {value}");
+            assert_eq!(second.stats.tries_built, 0, "{alias} src = {value}");
+            assert_eq!(second.stats.intermediate_tuples, 0, "{alias} src = {value}");
+            assert!(second.output.result_eq(&first.output), "{alias} src = {value}");
+        }
+    }
+}

@@ -328,6 +328,101 @@ fn an_oversized_frame_header_closes_only_its_connection() {
     server.join();
 }
 
+/// The `Execute` frame of a plain request for `handle`, whole.
+fn execute_frame(handle: &freejoin::serve::PreparedHandle) -> Vec<u8> {
+    let request = freejoin::serve::Request::Execute {
+        handle: handle.handle,
+        params: Vec::new(),
+        request_id: 0,
+        deadline_ms: 0,
+    };
+    request.encode_frame()
+}
+
+/// Other clients may still split a frame: a raw peer that sends one
+/// `Execute` frame in three pieces — two header bytes, two more, then the
+/// body — 20 ms apart, gets its answer.
+#[test]
+fn a_frame_split_into_pieces_is_answered() {
+    let workload = job::workload(&JobConfig::tiny());
+    let catalog = Arc::new(workload.catalog);
+    let named = &workload.queries[0];
+    let expected = serving_session().execute(&catalog, &named.query).unwrap().0.cardinality();
+
+    let server = start_server(Arc::clone(&catalog), ServerConfig::default());
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let handle = client.prepare(named.query.to_string(), named.query.aggregate.clone()).unwrap();
+    let frame = execute_frame(&handle);
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    for piece in [&frame[..2], &frame[2..4], &frame[4..]] {
+        raw.write_all(piece).unwrap();
+        std::thread::sleep(Duration::from_millis(20));
+    }
+    let reply = read_frame(&mut raw, 1 << 20).unwrap().expect("a reply frame");
+    match Response::decode(&reply).unwrap() {
+        Response::Answer { cardinality, .. } => assert_eq!(cardinality, expected),
+        other => panic!("expected an answer, got {other:?}"),
+    }
+    client.shutdown_server().unwrap();
+    server.join();
+}
+
+/// A peer trickling a frame at one byte per 100 ms is disconnected once
+/// the 300 ms read deadline has passed — within one more 250 ms read
+/// block, the longest the server lets a read wait — and a second client
+/// is answered meanwhile and after.
+#[test]
+fn a_trickling_peer_is_cut_off_at_its_read_deadline() {
+    let workload = job::workload(&JobConfig::tiny());
+    let catalog = Arc::new(workload.catalog);
+    let named = &workload.queries[0];
+    let expected = serving_session().execute(&catalog, &named.query).unwrap().0.cardinality();
+
+    let read_deadline = Duration::from_millis(300);
+    let config = ServerConfig {
+        workers: 2,
+        read_deadline_ms: read_deadline.as_millis() as u64,
+        ..ServerConfig::default()
+    };
+    let server = start_server(Arc::clone(&catalog), config);
+    let mut client = Client::connect(server.local_addr()).unwrap();
+    let handle = client.prepare(named.query.to_string(), named.query.aggregate.clone()).unwrap();
+    let frame = execute_frame(&handle);
+
+    let mut raw = TcpStream::connect(server.local_addr()).unwrap();
+    raw.set_nodelay(true).unwrap();
+    let mut trickle = raw.try_clone().unwrap();
+    let started = Instant::now();
+    let writer = std::thread::spawn(move || {
+        for byte in frame {
+            if trickle.write_all(&[byte]).is_err() {
+                return; // the server hung up
+            }
+            std::thread::sleep(Duration::from_millis(100));
+        }
+    });
+    assert_eq!(client.execute(handle).unwrap().cardinality, expected, "answered meanwhile");
+    raw.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+    match raw.read(&mut [0u8; 16]) {
+        Ok(0) => {}
+        Err(e) if matches!(e.kind(), ErrorKind::ConnectionReset | ErrorKind::ConnectionAborted) => {
+        }
+        other => panic!("the server must close the connection, got {other:?}"),
+    }
+    let cut_off = started.elapsed();
+    assert!(
+        cut_off < read_deadline + Duration::from_millis(250),
+        "disconnected after {cut_off:?}, deadline {read_deadline:?}"
+    );
+    assert!(cut_off >= read_deadline, "disconnected after {cut_off:?}, before the deadline");
+    raw.shutdown(std::net::Shutdown::Both).unwrap_or(());
+    writer.join().unwrap();
+    assert_eq!(client.execute(handle).unwrap().cardinality, expected, "answered after");
+    client.shutdown_server().unwrap();
+    server.join();
+}
+
 /// The prepared-handle registry is bounded: identical re-prepares reuse
 /// one handle (a `Prepare` loop cannot grow server memory), and beyond
 /// `max_prepared` distinct shapes the oldest handle is dropped with a
