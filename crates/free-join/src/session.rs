@@ -1812,7 +1812,9 @@ mod tests {
 
     /// A request's overrides and the constants they derived are gone from
     /// the query the next request gets: each answers like a fresh engine
-    /// running its own overrides, whichever ran before it.
+    /// running its own overrides, whichever ran just before it — also with four
+    /// threads sharing the prepared query, each taking the overrides in
+    /// another order.
     #[test]
     fn an_override_leaves_nothing_behind() {
         let cat = catalog();
@@ -1823,17 +1825,39 @@ mod tests {
             ("person", Predicate::eq_const("id", 5i64)),
             ("e2", Predicate::cmp_const("dst", CmpOp::Gt, 6i64)),
         ];
-        for round in 0..2 {
-            for (alias, filter) in &overrides {
-                let params = Params::new().with_filter(*alias, filter.clone());
-                let request = ExecRequest { params, ..ExecRequest::default() };
-                let served = prepared.execute(&cat, &request).unwrap().output;
+        let expected: Vec<QueryOutput> = (overrides.iter())
+            .map(|(alias, filter)| {
                 let mut written = two_hop();
                 written.atoms.iter_mut().find(|a| a.alias == *alias).unwrap().filter =
                     filter.clone();
-                let fresh = session().execute(&cat, &written).unwrap().0;
-                assert!(served.result_eq(&fresh), "{alias} round {round}");
+                session().execute(&cat, &written).unwrap().0
+            })
+            .collect();
+        let check = |k: usize| {
+            let (alias, filter) = &overrides[k];
+            let params = Params::new().with_filter(*alias, filter.clone());
+            let request = ExecRequest { params, ..ExecRequest::default() };
+            let served = prepared.execute(&cat, &request).unwrap().output;
+            assert!(served.result_eq(&expected[k]), "{alias}");
+        };
+        // Every override right after every other one.
+        for first in 0..expected.len() {
+            for then in 0..expected.len() {
+                check(first);
+                check(then);
             }
         }
+        let barrier = std::sync::Barrier::new(4);
+        std::thread::scope(|scope| {
+            for t in 0..4 {
+                let (barrier, check, expected) = (&barrier, &check, &expected);
+                scope.spawn(move || {
+                    barrier.wait();
+                    for round in 0..20 {
+                        check((t + round) % expected.len());
+                    }
+                });
+            }
+        });
     }
 }
