@@ -1495,9 +1495,10 @@ mod tests {
         );
     }
 
-    #[test]
-    fn triangle_count_is_correct_across_plans_and_options() {
-        // Small dense graph where triangles can be counted by brute force.
+    /// A small dense graph where triangles can be counted by brute force:
+    /// its undirected edges, and `R(x,y), S(y,z), T(z,x)` over them (each
+    /// edge in both directions).
+    fn triangle_inputs() -> (Vec<(i64, i64)>, Vec<BoundInput>) {
         let mut cat = Catalog::new();
         let edges: Vec<(i64, i64)> = (0..30)
             .flat_map(|i| ((i + 1)..30).map(move |j| (i, j)))
@@ -1511,6 +1512,17 @@ mod tests {
             }
             cat.add(b.finish()).unwrap();
         }
+        let q = QueryBuilder::new("triangle")
+            .atom("R", &["x", "y"])
+            .atom("S", &["y", "z"])
+            .atom("T", &["z", "x"])
+            .build();
+        (edges, prepare_inputs(&cat, &q).unwrap().atoms)
+    }
+
+    #[test]
+    fn triangle_count_is_correct_across_plans_and_options() {
+        let (edges, inputs) = triangle_inputs();
         // Brute-force count of directed triangles.
         let mut expected = 0u64;
         let mut adj = std::collections::HashSet::new();
@@ -1532,12 +1544,6 @@ mod tests {
             }
         }
 
-        let q = QueryBuilder::new("triangle")
-            .atom("R", &["x", "y"])
-            .atom("S", &["y", "z"])
-            .atom("T", &["z", "x"])
-            .build();
-        let inputs = prepare_inputs(&cat, &q).unwrap().atoms;
         let iv: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
 
         let binary = binary2fj(&iv);
@@ -2003,6 +2009,96 @@ mod tests {
             let (count, counters) = run_with(CancelToken::new(), threads);
             assert_eq!(counters.cancelled, None);
             assert_eq!((count, counters.work()), (4000, BATCHED_FIXTURE_WORK), "threads {threads}");
+        }
+    }
+
+    /// `R(x,y), S(x,z)` over 40 and 30 rows whose `x` is NULL every fifth
+    /// and every fourth row: NULL keys meet NULL keys in a forced level.
+    fn null_key_inputs() -> Vec<BoundInput> {
+        let mut cat = Catalog::new();
+        for (name, rows, null_every, keys) in [("R", 40i64, 5, 7), ("S", 30, 4, 9)] {
+            let mut b = RelationBuilder::new(name, Schema::all_int(&["x", "v"]));
+            for i in 0..rows {
+                let x = if i % null_every == 0 { Value::Null } else { Value::Int(i % keys) };
+                b.push_row(vec![x, Value::Int(i)]).unwrap();
+            }
+            cat.add(b.finish()).unwrap();
+        }
+        let q = QueryBuilder::new("nulls").atom("R", &["x", "y"]).atom("S", &["x", "z"]).build();
+        prepare_inputs(&cat, &q).unwrap().atoms
+    }
+
+    /// The forced one-column levels of `trie` below `node` (at `level`):
+    /// how many are slot arrays and how many hash maps.
+    fn word_levels(trie: &InputTrie, node: NodeRef<'_>, level: usize) -> (usize, usize) {
+        if !node.is_map() {
+            return (0, 0);
+        }
+        let forced = trie.force(node, level, true);
+        let mut kinds = match trie.level_vars(level).len() {
+            1 => (usize::from(forced.is_dense()), usize::from(!forced.is_dense())),
+            _ => (0, 0),
+        };
+        trie.for_each_child(forced, level, 0..forced.num_keys(), |_, child| {
+            let (dense, hashed) =
+                word_levels(trie, child.expect("a forced level's child"), level + 1);
+            kinds = (kinds.0 + dense, kinds.1 + hashed);
+        });
+        kinds
+    }
+
+    /// Every fixture above — triangle, clover, duplicate rows, NULL keys —
+    /// gives the same output, in the same order, and the same work whether
+    /// its one-column levels are slot arrays or hash maps, serially and at
+    /// two threads, lazily and eagerly built: the two indexes differ in how
+    /// they find a child, never in which child or in what order.
+    #[test]
+    fn dense_and_hashed_word_levels_run_alike() {
+        let mut fixtures = vec![triangle_inputs().1];
+        fixtures.push(clover_inputs(&clover_catalog(20)));
+        fixtures.push(duplicate_triangle_inputs(crate::trie::SCAN_PROBE_MAX_ROWS as i64 + 5));
+        fixtures.push(null_key_inputs());
+        for inputs in &fixtures {
+            let iv: Vec<Vec<String>> = inputs.iter().map(|i| i.vars.clone()).collect();
+            let mut plan = binary2fj(&iv);
+            factor(&mut plan);
+            let compiled = compile(&plan, &iv).unwrap();
+            let order = &compiled.binding_order;
+            for trie in [TrieStrategy::Colt, TrieStrategy::Simple] {
+                for threads in [1, 2] {
+                    let options =
+                        FreeJoinOptions::default().with_trie(trie).with_split_threshold(2);
+                    let run = || {
+                        let tries = build_tries(inputs, &compiled, &options);
+                        let builder = OutputBuilder::new(order, Aggregate::Materialize, order);
+                        let (builders, counters) = execute_pipeline(
+                            &tries,
+                            &compiled,
+                            &options,
+                            threads,
+                            builder,
+                            &Instruments::default(),
+                        );
+                        let output = builders.into_iter().reduce(|mut merged, builder| {
+                            merged.merge(builder);
+                            merged
+                        });
+                        let levels = tries.iter().fold((0, 0), |(dense, hashed), t| {
+                            let (d, h) = word_levels(t, t.root(), 0);
+                            (dense + d, hashed + h)
+                        });
+                        (output.map(OutputBuilder::finish), counters.work(), levels)
+                    };
+                    let ctx = format!("plan {plan} {trie:?} threads {threads}");
+                    let (dense, dense_work, dense_levels) = run();
+                    let (hashed, hashed_work, hashed_levels) = crate::trie::with_hashed_words(run);
+                    assert!(dense.as_ref().is_some_and(|out| out.cardinality() > 0), "{ctx}");
+                    assert_eq!(dense, hashed, "{ctx}");
+                    assert_eq!(dense_work, hashed_work, "{ctx}");
+                    assert!(dense_levels.0 > 0 && dense_levels.1 == 0, "{ctx}: {dense_levels:?}");
+                    assert_eq!(hashed_levels, (0, dense_levels.0), "{ctx}");
+                }
+            }
         }
     }
 

@@ -25,11 +25,10 @@
 //! [`TrieNode`] is its row range in its parent's offset array plus the
 //! `OnceLock` of its own level, so a leaf is a sub-slice of its parent's
 //! offsets and every node knows its tuple count in O(1). Forcing a
-//! one-column level costs a constant number of allocations — six or seven —
-//! whatever its size: every buffer, the index included, is sized once from
-//! the node's row count, and an index that its keys leave at most a quarter
-//! full is refitted to them once (`WORD_INDEX_REFIT_RATIO`), so that a level
-//! of many rows per key is not probed in a table sized for its rows.
+//! one-column level costs a constant number of allocations — six, or seven
+//! for a refitted hash index — whatever its size: every buffer, the index
+//! included, is sized once, from the node's row count or its key range (see
+//! below).
 //! A level the plan compiler pruned (no live variable below it, see
 //! [`crate::compile`]) is never built or walked: the node above it is a leaf
 //! whose multiplicity is `len`.
@@ -47,20 +46,35 @@
 //! What the index is depends on the level's key columns:
 //!
 //! * **One column** — every level the JOB-like and LSQB-like plans force —
-//!   is **word-keyed**: a `HashMap<u64, u32, FastBuildHasher>` from the key's
-//!   64-bit payload (the `i64`'s bits, or the `u32` dictionary id) to the
-//!   child index, one reserved child for `NULL`, and the column's
-//!   [`DataType`]. The build loop reads the typed column slice straight into
-//!   the map and constructs no [`Value`]; a probe checks the key's type
-//!   against the column's, hashes one word and compares eight bytes. A key
-//!   of the other type matches nothing (an `Int64` 5 is not a `Str` #5) and
-//!   `NULL` matches the `NULL` child: exactly what comparing `Value`s gives.
+//!   is **word-keyed**: an index from the key's 64-bit payload (the `i64`'s
+//!   bits, or the `u32` dictionary id) to the child index, one reserved
+//!   child for `NULL`, and the column's [`DataType`]. The build loop reads
+//!   the typed column slice straight into the index and constructs no
+//!   [`Value`]; a probe checks the key's type against the column's first. A
+//!   key of the other type matches nothing (an `Int64` 5 is not a `Str` #5)
+//!   and `NULL` matches the `NULL` child: exactly what comparing `Value`s
+//!   gives. The index takes one of two forms, decided per level when it is
+//!   built:
+//!   * **dense** — when the non-NULL keys span fewer than
+//!     `DENSE_SLOTS_PER_ROW` (four) values per row of the node (ids over a
+//!     compact range: nearly every forced row of both suites), a
+//!     `Box<[u32]>` of one slot per value of the range, found in one pass
+//!     over the rows before the grouping pass fills it. A probe is one
+//!     wrapping subtract, one bounds check and one load; nothing is hashed,
+//!     and the build never refits;
+//!   * **hashed** — any other key set: a `HashMap<u64, u32,
+//!     FastBuildHasher>` sized once from the row count and refitted once to
+//!     its keys when they leave it at most a quarter full
+//!     (`WORD_INDEX_REFIT_RATIO`). A probe hashes one word and compares
+//!     eight bytes.
 //! * **No column or several** keep a `HashMap<LevelKey, u32>` (see
 //!   `fj_storage::key`: inline for arity ≤ 2, one boxed slice per distinct
 //!   wider key), probed with the borrowed `&[Value]` through
 //!   `LevelKey: Borrow<[Value]>`, so no probe allocates at any arity.
 //!
-//! Both hash with the workspace's FxHash-style [`FastBuildHasher`].
+//! Both forms give every child the same index, in first-occurrence order:
+//! they differ in how a probe finds a child, never in which one. The hash
+//! maps hash with the workspace's FxHash-style [`FastBuildHasher`].
 //! `Null` is an ordinary key value (`Null == Null`), so NULL groups occupy
 //! trie branches like any other — a trie must represent every row. NULL
 //! keys match NULL keys in every engine (see `fj_storage::Value` on the
@@ -141,6 +155,17 @@ type WideBuildHasher = FastBuildHasher;
 #[cfg(test)]
 type WideBuildHasher = tests::SwitchableBuildHasher;
 
+/// `f` with every trie it builds on this thread keeping its one-column
+/// levels hashed, however compact their keys: the other half of a test that
+/// runs a fixture on both word indexes.
+#[cfg(test)]
+pub(crate) fn with_hashed_words<R>(f: impl FnOnce() -> R) -> R {
+    tests::HASH_WORDS.set(true);
+    let result = f();
+    tests::HASH_WORDS.set(false);
+    result
+}
+
 /// One node of a GHT: a range of its parent level's row offsets and, once
 /// forced, the level keyed on its own schema level.
 ///
@@ -180,15 +205,52 @@ enum LevelIndex {
     /// One key column: the key's 64-bit payload to the child index. `NULL`
     /// has no payload and gets a child of its own; a key whose type is not
     /// `data_type` matches nothing.
-    Word { data_type: DataType, map: HashMap<u64, u32, FastBuildHasher>, null: Option<u32> },
+    Word { data_type: DataType, words: WordIndex, null: Option<u32> },
     /// No key column or several.
     Wide(HashMap<LevelKey, u32, WideBuildHasher>),
+}
+
+/// A one-column level's map from key payload to child index.
+#[derive(Debug)]
+enum WordIndex {
+    /// Keys spanning fewer than [`DENSE_SLOTS_PER_ROW`] values per row: the
+    /// child of payload `w` sits at `slots[w - base]`, [`NO_CHILD`] where no
+    /// key does.
+    Dense { base: u64, slots: Box<[u32]> },
+    /// Any other key set.
+    Hashed(HashMap<u64, u32, FastBuildHasher>),
+}
+
+/// An empty slot of a [`WordIndex::Dense`] index. No level has this many
+/// children: offsets are `u32` and a child holds at least one row.
+const NO_CHILD: u32 = u32::MAX;
+
+impl WordIndex {
+    /// The child under payload `word`. A dense probe is one wrapping
+    /// subtract, one bounds check and one load: a key outside the range
+    /// wraps past the end of the slots.
+    #[inline]
+    fn get(&self, word: u64) -> Option<u32> {
+        match self {
+            WordIndex::Dense { base, slots } => {
+                let slot = usize::try_from(word.wrapping_sub(*base)).ok()?;
+                slots.get(slot).copied().filter(|&child| child != NO_CHILD)
+            }
+            WordIndex::Hashed(map) => map.get(&word).copied(),
+        }
+    }
 }
 
 impl Level {
     /// Number of distinct keys.
     pub fn num_keys(&self) -> usize {
         self.children.len()
+    }
+
+    /// Is the index a slot array (a one-column level whose keys span fewer
+    /// than four values per row) rather than a hash map?
+    pub fn is_dense(&self) -> bool {
+        matches!(self.index, LevelIndex::Word { words: WordIndex::Dense { .. }, .. })
     }
 
     #[inline]
@@ -231,7 +293,7 @@ impl<'t> NodeRef<'t> {
     }
 
     /// The row offsets below this node, ascending, the root's included.
-    fn row_iter(self) -> impl ExactSizeIterator<Item = u32> + 't {
+    fn row_iter(self) -> impl ExactSizeIterator<Item = u32> + Clone + 't {
         let rows = self.rows;
         (0..self.node.len).map(move |i| rows.map_or(i, |rows| rows[i as usize]))
     }
@@ -277,6 +339,10 @@ pub struct InputTrie {
     maps_built: AtomicU64,
     /// Number of hash-map levels built lazily during the join phase.
     lazy_built: AtomicU64,
+    /// Keep every one-column level hashed: [`tests::HASH_WORDS`] as it was
+    /// on the thread that built the trie, whichever thread forces a level.
+    #[cfg(test)]
+    hash_words: bool,
 }
 
 /// The executor copies handles across worker threads and forces nodes
@@ -338,55 +404,121 @@ macro_rules! with_word_reader {
     };
 }
 
-/// A word index sized from the row count is refitted to its keys when they
-/// fill at most one in this many of the entries reserved (`len <= capacity /
-/// 4`): a level of many rows per key (the parent of adjacency lists, a fact
-/// table's foreign key) would otherwise be probed, for as long as the trie
-/// lives, in a table several times the size its keys need.
+/// A one-column level whose non-NULL keys lie within a range of fewer than
+/// this many values per row is indexed by a slot array over the range
+/// ([`WordIndex::Dense`]) instead of a hash map.
 ///
-/// Measured, not an option. `lsqb_cyclic`'s `knows` levels hold 9,000 keys
-/// in the 131,072 slots reserved for 90,000 rows: 2.2 MB per level, two or
-/// three such levels per query, beside a 2 MiB L2. On that workload's inputs
-/// (rows shuffled as the harness shuffles them, the four engine runs of each
-/// query interleaved as the harness interleaves them, 6 alternating replays
-/// of 8 suite repetitions per setting) the geometric mean of Free Join's
-/// per-query medians read 31.9-36.9 ms with the index left at its row count,
-/// 29.0-31.2 refitted at 4, and 29.1-34.7 with the index started at an
-/// eighth of the rows and grown by doubling. Free Join alone (8 replays of
-/// 10): 37.5 / 34.4 / 31.5 ms, the medians of the replays' minima 31.1 /
-/// 27.4 / 27.7. On `job_cold`'s inputs the three settings read 3.07 / 3.04 /
-/// 3.00 ms (minima), inside the replays' own spread. Refitting keeps the
-/// build a single sized allocation where keys are mostly distinct — there it
-/// never triggers — and costs one allocation and one pass over the distinct
-/// keys, at most a quarter of the rows, where it does.
+/// A fact fixed by the layout, not an option: four `u32` slots a row are
+/// 16 bytes, below what a word map's build reserves for a row — it is sized
+/// from the row count, at least 8/7 slots of a 16-byte `(u64, u32)` entry
+/// and a control byte each, over 19 bytes — so a dense level never takes
+/// more memory than the map its build would reserve for the same rows.
+const DENSE_SLOTS_PER_ROW: u64 = 4;
+
+/// A hashed word index sized from the row count is refitted to its keys when
+/// they fill at most one in this many of the entries reserved (`len <=
+/// capacity / 4`): a level of a few rows per key would otherwise be probed,
+/// for as long as the trie lives, in a table several times the size its
+/// keys need.
+///
+/// Levels of many rows per key over a compact range — the parent of
+/// adjacency lists, a fact table's foreign key — are dense and never come
+/// here; on `lsqb_cyclic` and `job_cold` no hashed level is refitted. What
+/// is left are levels over scattered keys: a 10 s `serve_churn` run (seed
+/// 42) refitted 257 of its 13,871 hashed levels (198,473 rows), range-
+/// filtered atoms such as 119 rows holding 54 keys spread over 13..4498.
+/// Refitting costs one allocation and one pass over the distinct keys — at
+/// most a quarter of the rows — and never triggers where keys are mostly
+/// distinct. The ratio was measured when `lsqb_cyclic`'s `knows` levels
+/// (9,000 keys over 90,000 rows) still took this path: refitted at 4, Free
+/// Join's per-query medians read 29.0-31.2 ms (geometric mean) against
+/// 31.9-36.9 ms with the index left at its row count.
 const WORD_INDEX_REFIT_RATIO: usize = 4;
 
 /// Assign every row its child index, in first-occurrence order of its key
 /// word, appending to `child_of`; returns the index and the number of
-/// children. The map is sized once, from the number of rows, and refitted
-/// to its keys if they leave it mostly empty ([`WORD_INDEX_REFIT_RATIO`]).
+/// children. One pass finds the range of the non-NULL keys; when it is
+/// compact ([`DENSE_SLOTS_PER_ROW`]) and `dense` allows it, the index is a
+/// slot array over the range, and otherwise a map sized once, from the
+/// number of rows, and refitted to its keys if they leave it mostly empty
+/// ([`WORD_INDEX_REFIT_RATIO`]).
 fn group_by_word(
-    rows: impl ExactSizeIterator<Item = u32>,
+    rows: impl ExactSizeIterator<Item = u32> + Clone,
     data_type: DataType,
     word: impl Fn(u32) -> Option<u64>,
+    dense: bool,
     child_of: &mut Vec<u32>,
 ) -> (LevelIndex, u32) {
-    let mut next = 0u32;
-    let mut map: HashMap<u64, u32, FastBuildHasher> =
-        HashMap::with_capacity_and_hasher(rows.len(), FastBuildHasher);
-    let mut null = None;
+    let (words, (null, num_children)) = match dense_range(rows.clone(), &word).filter(|_| dense) {
+        Some((base, len)) => {
+            let mut slots = vec![NO_CHILD; len].into_boxed_slice();
+            let assigned = assign_children(rows, word, child_of, |word, next| {
+                let slot = &mut slots[word.wrapping_sub(base) as usize];
+                if *slot == NO_CHILD {
+                    *slot = next;
+                }
+                *slot
+            });
+            (WordIndex::Dense { base, slots }, assigned)
+        }
+        None => {
+            let mut map: HashMap<u64, u32, FastBuildHasher> =
+                HashMap::with_capacity_and_hasher(rows.len(), FastBuildHasher);
+            let assigned = assign_children(rows, word, child_of, |word, next| {
+                *map.entry(word).or_insert(next)
+            });
+            if map.len() <= map.capacity() / WORD_INDEX_REFIT_RATIO {
+                map.shrink_to_fit();
+            }
+            (WordIndex::Hashed(map), assigned)
+        }
+    };
+    (LevelIndex::Word { data_type, words, null }, num_children)
+}
+
+/// The base and the length of a slot array over the non-NULL key words of
+/// `rows`, or `None` when they span [`DENSE_SLOTS_PER_ROW`] values per row
+/// or more. Words compare as the column's values — an `Int64` payload is
+/// the integer's bits, a `Str` id fits an `i64` as it is — and the span of
+/// `i64::MIN` and `i64::MAX` is `u64::MAX`, so nothing overflows. With no
+/// such key the array is empty.
+fn dense_range(
+    rows: impl ExactSizeIterator<Item = u32>,
+    word: impl Fn(u32) -> Option<u64>,
+) -> Option<(u64, usize)> {
+    let num_rows = rows.len() as u64;
+    let range = rows.filter_map(word).map(|w| w as i64).fold(None, |range, key| match range {
+        None => Some((key, key)),
+        Some((min, max)) => Some((key.min(min), key.max(max))),
+    });
+    let Some((min, max)) = range else { return Some((0, 0)) };
+    let span = max.abs_diff(min);
+    if span >= DENSE_SLOTS_PER_ROW * num_rows {
+        return None;
+    }
+    Some((min as u64, usize::try_from(span + 1).ok()?))
+}
+
+/// Assign every row its child index in first-occurrence order, appending to
+/// `child_of`: a NULL key gets its own child, and any other key word
+/// `child_of_word(word, next)`, which is `next` when the word is new.
+/// Returns the NULL child and the number of children.
+fn assign_children(
+    rows: impl Iterator<Item = u32>,
+    word: impl Fn(u32) -> Option<u64>,
+    child_of: &mut Vec<u32>,
+    mut child_of_word: impl FnMut(u64, u32) -> u32,
+) -> (Option<u32>, u32) {
+    let (mut next, mut null) = (0u32, None);
     for row in rows {
         let child = match word(row) {
-            Some(word) => *map.entry(word).or_insert(next),
+            Some(word) => child_of_word(word, next),
             None => *null.get_or_insert(next),
         };
         next += u32::from(child == next);
         child_of.push(child);
     }
-    if map.len() <= map.capacity() / WORD_INDEX_REFIT_RATIO {
-        map.shrink_to_fit();
-    }
-    (LevelIndex::Word { data_type, map, null }, next)
+    (null, next)
 }
 
 impl InputTrie {
@@ -419,6 +551,8 @@ impl InputTrie {
             root: TrieNode { start: 0, len: num_rows, forced: OnceLock::new() },
             maps_built: AtomicU64::new(0),
             lazy_built: AtomicU64::new(0),
+            #[cfg(test)]
+            hash_words: tests::HASH_WORDS.get(),
         };
         match strategy {
             TrieStrategy::Colt => {}
@@ -505,8 +639,10 @@ impl InputTrie {
         // slots of one entry and one control byte each, so 16/7 slots; and,
         // pessimistically assuming every row is a distinct key (the case in
         // which the index is not refitted to fewer keys), one child node.
-        // The wide levels' 48-byte entries are absorbed by the all-distinct,
-        // every-level-forced over-count.
+        // A dense index stays inside this allowance: at most
+        // `DENSE_SLOTS_PER_ROW` `u32` slots a row, 16 bytes against the map's
+        // 16/7 x 17. The wide levels' 48-byte entries are absorbed by the
+        // all-distinct, every-level-forced over-count.
         let slot = std::mem::size_of::<(u64, u32)>() + 1;
         let row_level =
             std::mem::size_of::<u32>() + (16 * slot).div_ceil(7) + std::mem::size_of::<TrieNode>();
@@ -555,7 +691,8 @@ impl InputTrie {
             [c] => {
                 let column = self.relation.column(c);
                 with_word_reader!(column, word => {
-                    group_by_word(node.row_iter(), column.data_type(), word, &mut child_of)
+                    let (rows, data_type) = (node.row_iter(), column.data_type());
+                    group_by_word(rows, data_type, word, self.dense_words(), &mut child_of)
                 })
             }
             _ => self.group_by_wide_key(node, level, &mut child_of),
@@ -581,6 +718,18 @@ impl InputTrie {
             *cursor += 1;
         }
         Level { index, children, rows }
+    }
+
+    /// May a one-column level take the slot array when its keys are compact?
+    /// Always, outside tests.
+    #[cfg(not(test))]
+    fn dense_words(&self) -> bool {
+        true
+    }
+
+    #[cfg(test)]
+    fn dense_words(&self) -> bool {
+        !self.hash_words
     }
 
     /// [`group_by_word`] for a level with no key column or several: the
@@ -661,9 +810,9 @@ impl InputTrie {
     ) -> Option<NodeRef<'t>> {
         let forced = self.force(node, level, true);
         let child = match &forced.index {
-            LevelIndex::Word { data_type, map, null } => match (key, data_type) {
-                (&[Value::Int(v)], DataType::Int64) => map.get(&(v as u64)).copied(),
-                (&[Value::Str(id)], DataType::Str) => map.get(&u64::from(id)).copied(),
+            LevelIndex::Word { data_type, words, null } => match (key, data_type) {
+                (&[Value::Int(v)], DataType::Int64) => words.get(v as u64),
+                (&[Value::Str(id)], DataType::Str) => words.get(u64::from(id)),
                 (&[Value::Null], _) => *null,
                 _ => None,
             },
@@ -786,6 +935,9 @@ mod tests {
         /// While set, every multi-column index built or probed on this
         /// thread hashes all keys to the same value.
         static COLLIDE: Cell<bool> = const { Cell::new(false) };
+        /// While set, every trie built on this thread keeps its one-column
+        /// levels hashed, however compact their keys.
+        pub(super) static HASH_WORDS: Cell<bool> = const { Cell::new(false) };
     }
 
     /// The multi-column index's hash state in test builds: the workspace's

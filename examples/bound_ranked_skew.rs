@@ -9,7 +9,7 @@
 //! first, and skips every `mid*` lookup for every rejected binding.
 //!
 //! ```text
-//! cargo run --release --example adaptive_skew
+//! cargo run --release --example bound_ranked_skew
 //! ```
 //!
 //! The example exits nonzero unless the two engines agree, Free Join

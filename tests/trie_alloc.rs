@@ -1,8 +1,9 @@
 //! Pins the flat GHT's allocation behaviour with a counting global
 //! allocator: forcing a one-column (word-keyed) level costs a *constant*
-//! number of allocations — every buffer, the hash index included, is sized
-//! once from the node's row count, so nothing doubles, and an index its keys
-//! leave mostly empty is refitted to them once — a wide level's
+//! number of allocations — every buffer, the index included, is sized once
+//! from the node's row count, so nothing doubles; keys over a compact range
+//! get a slot array, and a hash index its keys leave mostly empty is refitted
+//! to them once — a wide level's
 //! `LevelKey` index still grows with its distinct keys, by doubling, never
 //! by a number of allocations proportional to them, and the probe loop over already-forced tries
 //! allocates nothing — doubling the number of probes leaves the allocation
@@ -68,12 +69,13 @@ fn relation(name: &str, cols: &[&str], rows: impl Iterator<Item = [i64; 2]>) -> 
 }
 
 /// Allocations of forcing the root level of `R(x, y)` with `keys` distinct
-/// `x` values over `per_key * keys` rows, keyed on `level0`.
-fn force_allocations(keys: i64, per_key: i64, level0: &[&str]) -> u64 {
+/// `x` values over `per_key * keys` rows, keyed on `level0`. The `x` values
+/// are `0, spread, 2 * spread, ..`: compact at a spread of 1, scattered far
+/// beyond a slot array's reach at a spread of 1,000,003.
+fn force_allocations(keys: i64, per_key: i64, spread: i64, level0: &[&str]) -> u64 {
     let mut catalog = Catalog::new();
-    catalog
-        .add(relation("R", &["x", "y"], (0..per_key * keys).map(|i| [i % keys, i / keys])))
-        .unwrap();
+    let rows = (0..per_key * keys).map(|i| [i % keys * spread, i / keys]);
+    catalog.add(relation("R", &["x", "y"], rows)).unwrap();
     let query = QueryBuilder::new("q").atom("R", &["x", "y"]).build();
     let input = prepare_inputs(&catalog, &query).unwrap().atoms.remove(0);
     let schema = vec![level0.iter().map(|v| v.to_string()).collect(), vec!["y".to_string()]];
@@ -83,8 +85,12 @@ fn force_allocations(keys: i64, per_key: i64, level0: &[&str]) -> u64 {
     let spent = allocations() - before;
     let per_child = if level0.len() == 1 { 1 } else { per_key };
     assert_eq!(level.num_keys() as i64, keys * per_child);
+    assert_eq!(level.is_dense(), level0.len() == 1 && spread == 1, "{level0:?} spread {spread}");
     spent
 }
+
+/// Far enough apart that no number of rows per key makes the keys compact.
+const SPARSE: i64 = 1_000_003;
 
 /// The most entries a node with probes buffers (the executor's private
 /// `BATCH`, the paper's default batch size).
@@ -149,15 +155,20 @@ fn warm_execution(r_rows: i64, options: &FreeJoinOptions) -> (u64, u64, u64) {
 fn forcing_is_constant_and_probing_is_allocation_free() {
     // (a) One forced word-keyed level, from two keys to 2 * 10^4: the
     // level's box, its index, the child-of-row and count vectors, the
-    // children and the grouped rows, whatever the size — and, at four rows
-    // per key, the index refitted to its keys. A wide level's index grows by
-    // doubling: a few more allocations for twice the keys.
-    let spent = [2, 10_000, 20_000].map(|keys| force_allocations(keys, 1, &["x"]));
-    assert_eq!(spent, [6; 3], "forcing a one-column level must not allocate by size");
-    let spent = [2, 10_000, 20_000].map(|keys| force_allocations(keys, 4, &["x"]));
+    // children and the grouped rows, whatever the size. Compact keys get a
+    // slot array, at any number of rows per key; scattered keys a hash
+    // index, which at four rows per key is refitted to them. A wide level's
+    // index grows by doubling: a few more allocations for twice the keys.
+    for per_key in [1, 4] {
+        let spent = [2, 10_000, 20_000].map(|keys| force_allocations(keys, per_key, 1, &["x"]));
+        assert_eq!(spent, [6; 3], "a dense level must not allocate by size ({per_key} per key)");
+    }
+    let spent = [2, 10_000, 20_000].map(|keys| force_allocations(keys, 1, SPARSE, &["x"]));
+    assert_eq!(spent, [6; 3], "a hashed level must not allocate by size");
+    let spent = [2, 10_000, 20_000].map(|keys| force_allocations(keys, 4, SPARSE, &["x"]));
     assert_eq!(spent, [7; 3], "refitting the index is one allocation, whatever the size");
-    let small = force_allocations(10_000, 4, &["x", "y"]);
-    let large = force_allocations(20_000, 4, &["x", "y"]);
+    let small = force_allocations(10_000, 4, 1, &["x", "y"]);
+    let large = force_allocations(20_000, 4, 1, &["x", "y"]);
     assert!(small < 64, "forcing 4 * 10^4 wide keys took {small} allocations");
     assert!(large <= small + 4, "doubling the wide level added {} allocations", large - small);
 

@@ -1,7 +1,8 @@
 //! Layout property of the flat GHT: for generated relations (duplicates,
 //! NULLs, skew) and levels of zero to three key columns over `Int64`, `Str`
 //! and NULL-masked columns (so the word-keyed index with and without a NULL
-//! child and the inline and the spilled `LevelKey` index are all hit), every
+//! child, as a slot array over compact keys and as a hash map over scattered
+//! ones, and the inline and the spilled `LevelKey` index are all hit), every
 //! build strategy yields, at every level, exactly
 //! the key -> row-offset lists of a naive `BTreeMap` grouping: offsets
 //! ascending inside each group, groups handed out in the order their keys
@@ -10,7 +11,9 @@
 //! executor — deterministic. The lazy-leaf reads are checked against the
 //! same oracle before anything is forced: a node with nothing keyed below it
 //! walks its rows in order, and a counting probe returns the group's size
-//! whether it scans the node or forces it, and again once it is forced.
+//! whether it scans the node or forces it, and again once it is forced. Keys
+//! one below the smallest and one above the largest of a one-column level
+//! find nothing, whichever index the level has.
 
 use freejoin::engine::trie::{NodeRef, SCAN_PROBE_MAX_ROWS};
 use freejoin::engine::{BoundInput, InputTrie};
@@ -53,20 +56,27 @@ fn input_of(rows: &[[Option<i64>; 4]]) -> BoundInput {
     }
 }
 
-/// The generated shape: `a` a nullable integer (masked column), `b` a string
-/// id without NULLs, `c` an integer skewed towards one hot value, `d` a
-/// nullable string id.
+/// The values `c` takes off its hot one: the extremes of `i64`, so a level
+/// over them spans all of it, and small ones of either sign.
+const COLD_C: [i64; 6] = [i64::MIN, -3, -1, 2, 5, i64::MAX];
+
+/// The generated shape: `a` a nullable small integer of either sign (masked
+/// column), `b` a string id without NULLs spread over the whole id space,
+/// `c` an integer skewed towards one hot value, `d` a nullable small string
+/// id. Two rows close it that hold `c`'s extremes, so `c`'s root level is
+/// hashed and the single-key levels below it are slot arrays in every case.
 fn skewed_input(codes: &[(i64, i64, i64)]) -> BoundInput {
     let rows: Vec<[Option<i64>; 4]> = codes
         .iter()
         .map(|&(a, b, c)| {
             [
-                (a % 5 != 0).then_some(a % 4),
-                Some(b % 3),
-                Some(if c % 10 < 7 { 0 } else { c % 6 }),
+                (a % 5 != 0).then_some(a % 4 - 2),
+                Some(b % 3 * 0x7FFF_FFFF),
+                Some(if c % 10 < 7 { 0 } else { COLD_C[(c % 6) as usize] }),
                 (b % 4 != 0).then_some(a % 3),
             ]
         })
+        .chain([[Some(1), Some(0), Some(i64::MIN), None], [None, Some(1), Some(i64::MAX), Some(0)]])
         .collect();
     input_of(&rows)
 }
@@ -81,9 +91,45 @@ fn retyped(value: Value) -> Value {
     }
 }
 
+/// The keys one below the smallest and one above the largest non-NULL key of
+/// a one-column level, where they exist: the first misses of a slot array.
+fn beyond_range(keys: &[Value]) -> Vec<Value> {
+    let ints = keys
+        .iter()
+        .filter_map(|key| if let Value::Int(i) = *key { Some(i) } else { None });
+    let ids = keys
+        .iter()
+        .filter_map(|key| if let Value::Str(s) = *key { Some(s) } else { None });
+    let int_ends = [
+        ints.clone().min().and_then(|min| min.checked_sub(1)),
+        ints.max().and_then(|max| max.checked_add(1)),
+    ];
+    let id_ends = [
+        ids.clone().min().and_then(|min| min.checked_sub(1)),
+        ids.max().and_then(|max| max.checked_add(1)),
+    ];
+    let ints = int_ends.into_iter().flatten().map(Value::Int);
+    ints.chain(id_ends.into_iter().flatten().map(Value::Str)).collect()
+}
+
+/// How many forced one-column levels a check met with a slot array and how
+/// many with a hash map.
+#[derive(Debug, Default, Clone, Copy)]
+struct WordLevels {
+    dense: usize,
+    hashed: usize,
+}
+
 /// Check `node` (at `level`, standing for `rows`) against the oracle, then
-/// recurse into every child.
-fn check_node(trie: &InputTrie, input: &BoundInput, node: NodeRef<'_>, level: usize, rows: &[u32]) {
+/// recurse into every child, counting the one-column levels by index kind.
+fn check_node(
+    trie: &InputTrie,
+    input: &BoundInput,
+    node: NodeRef<'_>,
+    level: usize,
+    rows: &[u32],
+    seen: &mut WordLevels,
+) {
     assert_eq!(node.key_bound(), rows.len());
     if level == trie.num_levels() {
         return;
@@ -121,7 +167,7 @@ fn check_node(trie: &InputTrie, input: &BoundInput, node: NodeRef<'_>, level: us
     // (unforced and small) or force it (a hub), and scanning forces nothing.
     // A key of the right payload and the wrong type counts nothing.
     let scanned = !node.is_map() && rows.len() <= SCAN_PROBE_MAX_ROWS && arity == 1;
-    let absent = vec![Value::Int(i64::MAX); arity];
+    let absent = vec![Value::Int(i64::MAX - 1); arity];
     let check_counts = || {
         for group in oracle.values() {
             let key = key_of(group[0]);
@@ -142,6 +188,21 @@ fn check_node(trie: &InputTrie, input: &BoundInput, node: NodeRef<'_>, level: us
     let forced = trie.force(node, level, true);
     assert_eq!(forced.num_keys(), oracle.len());
     assert_eq!(node.key_bound(), rows.len(), "forcing leaves the bound where it was");
+    // A one-column level is a slot array exactly when its non-NULL keys span
+    // fewer than four values per row, whatever their type (or there are
+    // none); a level of any other arity never is.
+    if arity == 1 {
+        let payloads = || oracle.keys().filter(|k| k[0].0 > 0).map(|k| k[0].1);
+        let span = payloads().max().zip(payloads().min()).map_or(0, |(max, min)| max.abs_diff(min));
+        assert_eq!(forced.is_dense(), span < 4 * rows.len() as u64 || oracle.is_empty());
+        if forced.is_dense() {
+            seen.dense += 1;
+        } else {
+            seen.hashed += 1;
+        }
+    } else {
+        assert!(!forced.is_dense());
+    }
     // The same answers from the index.
     check_counts();
     // A forced node hands out one entry per distinct key, in the order the
@@ -165,10 +226,17 @@ fn check_node(trie: &InputTrie, input: &BoundInput, node: NodeRef<'_>, level: us
         assert_eq!(child.rows(), Some(group.as_slice()), "level {level} key {key:?}");
         let probed = trie.get(node, level, key).expect("stored keys are found");
         assert_eq!(probed.rows(), child.rows());
-        check_node(trie, input, *child, level + 1, group);
+        check_node(trie, input, *child, level + 1, group, seen);
     }
     if arity > 0 {
         assert!(trie.get(node, level, &absent).is_none());
+    }
+    if arity == 1 {
+        let keys: Vec<Value> = entries.iter().map(|(key, _)| key[0]).collect();
+        for outside in beyond_range(&keys) {
+            assert!(trie.get(node, level, &[outside]).is_none(), "level {level}: {outside:?}");
+            assert_eq!(trie.count_matches(node, level, &[outside]), 0);
+        }
     }
 }
 
@@ -186,17 +254,19 @@ const SCHEMAS: [&[&[&str]]; 9] = [
     &[&["b"], &[], &["a", "c"]],
 ];
 
-fn check_all_layouts(input: &BoundInput) {
+fn check_all_layouts(input: &BoundInput) -> WordLevels {
     let all_rows: Vec<u32> = (0..input.num_rows() as u32).collect();
+    let mut seen = WordLevels::default();
     for levels in SCHEMAS {
         for strategy in [TrieStrategy::Simple, TrieStrategy::Slt, TrieStrategy::Colt] {
             let schema: Vec<Vec<String>> =
                 levels.iter().map(|l| l.iter().map(|v| v.to_string()).collect()).collect();
             let trie = InputTrie::build(input, schema, strategy);
             assert_eq!(trie.root().rows(), None);
-            check_node(&trie, input, trie.root(), 0, &all_rows);
+            check_node(&trie, input, trie.root(), 0, &all_rows, &mut seen);
         }
     }
+    seen
 }
 
 /// The shapes a generator rarely hits: no rows, one row, one key repeated,
@@ -219,6 +289,14 @@ fn degenerate_relations_group_like_the_oracle() {
         check_all_layouts(&input_of(&rows(&|i| {
             [(i != n / 2).then_some(i), Some(i), Some(0), (i != n / 2).then_some(n - i)]
         })));
+        // The extremes of both types, alternating: a span of `u64::MAX`
+        // (`i64`) and of `u32::MAX` (ids) must not overflow into a slot array.
+        let seen = check_all_layouts(&input_of(&rows(&|i| {
+            let max = i % 2 == 1;
+            let id = if max { i64::from(u32::MAX) } else { 0 };
+            [Some(if max { i64::MAX } else { i64::MIN }), Some(id), Some(-i), Some(id)]
+        })));
+        assert_eq!(seen.hashed > 0, n > 1, "{n} rows: {seen:?}");
     }
 }
 
@@ -233,6 +311,7 @@ proptest! {
     ) {
         let codes: Vec<(i64, i64, i64)> =
             a.iter().zip(&b).zip(&c).map(|((&a, &b), &c)| (a, b, c)).collect();
-        check_all_layouts(&skewed_input(&codes));
+        let seen = check_all_layouts(&skewed_input(&codes));
+        prop_assert!(seen.dense > 0 && seen.hashed > 0, "{:?}", seen);
     }
 }
