@@ -111,6 +111,12 @@ pub fn factor(plan: &mut FreeJoinPlan) -> usize {
 /// probes to migrate as far up the plan as validity permits, which is how the
 /// plan approaches the Generic Join end of the design space. Terminates: a
 /// move goes strictly upward and a split strictly shrinks the subatom.
+///
+/// Free Join's compiler runs one [`factor`] pass, not this: the fixpoint
+/// gave the same probe counts on both the JOB-like and the LSQB-like suite,
+/// under the optimizer's default plans and left-deep ones alike. It stays
+/// for the Generic Join baseline's variable order, the property tests and
+/// worst-case growth checks, which need that end of the design space.
 pub fn factor_until_fixpoint(plan: &mut FreeJoinPlan) -> usize {
     let mut total = 0;
     loop {

@@ -38,9 +38,6 @@ pub struct ServerMetrics {
     /// Queries whose execution exceeded the slow-query threshold
     /// (`fj_serve_slow_queries_total`).
     pub slow_queries: Counter,
-    /// Requests shed by the per-client token bucket
-    /// (`fj_serve_rejected_rate_limited`).
-    pub rate_limited: Counter,
     /// Executions stopped by a per-request or server deadline
     /// (`fj_serve_deadline_exceeded_total`).
     pub deadline_exceeded: Counter,
@@ -72,7 +69,6 @@ impl ServerMetrics {
             served: registry.counter("fj_serve_requests_served"),
             errors: registry.counter("fj_serve_request_errors"),
             slow_queries: registry.counter("fj_serve_slow_queries_total"),
-            rate_limited: registry.counter("fj_serve_rejected_rate_limited"),
             deadline_exceeded: registry.counter("fj_serve_deadline_exceeded_total"),
             cancellations: registry.counter("fj_serve_cancellations_total"),
             panics: registry.counter("fj_serve_panics_total"),

@@ -26,7 +26,8 @@
 //! in-flight byte budget exhausted), carrying a `retry_after_ms` backoff
 //! hint derived from the current queue depth and the recent p50 service
 //! time; [`Response::Error`] carries any engine/parse error as text. Unknown
-//! opcodes — the retired binary stats pair `0x03` / `0x83` among them — and
+//! opcodes (the retired binary stats pair `0x03` / `0x83` among them),
+//! unknown busy reasons (the retired per-peer limit's `2` among them) and
 //! truncated payloads surface as [`WireError`], never panics — the peer is
 //! untrusted input.
 
@@ -48,9 +49,6 @@ pub enum BusyReason {
     /// Admitting this request would exceed the server's in-flight byte
     /// budget; retry later or send smaller frames.
     ByteBudget,
-    /// This client exhausted its per-peer token bucket (fairness shedding);
-    /// retry after the hinted backoff while other clients are served.
-    RateLimited,
 }
 
 impl fmt::Display for BusyReason {
@@ -58,7 +56,6 @@ impl fmt::Display for BusyReason {
         match self {
             BusyReason::QueueFull => write!(f, "pending-connection queue full"),
             BusyReason::ByteBudget => write!(f, "in-flight byte budget exceeded"),
-            BusyReason::RateLimited => write!(f, "per-client rate limit exceeded"),
         }
     }
 }
@@ -434,10 +431,11 @@ impl Response {
             Response::Ok => out.push(OP_OK),
             Response::Busy { reason, retry_after_ms } => {
                 out.push(OP_BUSY);
+                // Reason 2 is retired (a per-peer rate limit): it decodes as
+                // unknown and is never reused.
                 out.push(match reason {
                     BusyReason::QueueFull => 0,
                     BusyReason::ByteBudget => 1,
-                    BusyReason::RateLimited => 2,
                 });
                 put_u64(out, *retry_after_ms);
             }
@@ -475,7 +473,6 @@ impl Response {
                 let reason = match r.u8()? {
                     0 => BusyReason::QueueFull,
                     1 => BusyReason::ByteBudget,
-                    2 => BusyReason::RateLimited,
                     tag => return wire_err(format!("unknown busy reason {tag:#x}")),
                 };
                 Response::Busy { reason, retry_after_ms: r.u64()? }
@@ -612,7 +609,6 @@ mod tests {
             Response::Ok,
             Response::Busy { reason: BusyReason::QueueFull, retry_after_ms: 250 },
             Response::Busy { reason: BusyReason::ByteBudget, retry_after_ms: 1 },
-            Response::Busy { reason: BusyReason::RateLimited, retry_after_ms: 9 },
             Response::Error { message: "unknown handle 9".into() },
             Response::Metrics { text: String::new() },
             Response::Metrics {
@@ -706,6 +702,16 @@ mod tests {
         for resp in responses() {
             truncate_and_mutate(&resp.encode(), Response::decode);
         }
+    }
+
+    /// Busy reason 2 is retired: a frame carrying it is a typed error, so a
+    /// client meeting an old server reports it instead of panicking.
+    #[test]
+    fn a_retired_busy_reason_is_a_typed_error() {
+        let mut busy = vec![OP_BUSY, 2];
+        put_u64(&mut busy, 9);
+        let err = Response::decode(&busy).unwrap_err();
+        assert_eq!(err.message, "unknown busy reason 0x2");
     }
 
     #[test]

@@ -69,13 +69,13 @@
 //! renders the registry as Prometheus-style text — a scrape sets only the
 //! uptime and the caches' shard-summed gauges — plus a
 //! bounded **slow-query log**: executions at or above
-//! [`ServerConfig::slow_query_us`] land in a ring of the last
-//! [`ServerConfig::slow_query_log`] entries, each carrying its per-node
-//! [`fj_obs::QueryProfile`], rendered as `#`-prefixed comment lines.
+//! [`ServerConfig::slow_query_us`] land in a ring of the last 8 entries,
+//! each carrying its per-node [`fj_obs::QueryProfile`], rendered as
+//! `#`-prefixed comment lines. Every execution is profiled, so the profile
+//! exists by the time the execution turns out to have been slow.
 
 use crate::metrics::ServerMetrics;
 use crate::protocol::{frame_len, send_frame, BusyReason, Request, Response};
-use fj_cache::Fingerprinter;
 use fj_obs::{
     chaos, MetricsRegistry, MetricsSnapshot, QueryProfile, TraceBuf, TraceCat, SESSION_WORKER,
 };
@@ -83,17 +83,16 @@ use fj_query::{parse_filter, parse_query, Aggregate, ConjunctiveQuery, QueryErro
 use fj_storage::Catalog;
 use free_join::{CancelReason, CancelToken, EngineError, ExecRequest, Params, Prepared, Session};
 use std::collections::{HashMap, VecDeque};
-use std::hash::Hasher;
 use std::io::{self, Read};
-use std::net::{IpAddr, Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
-use std::path::PathBuf;
+use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::mpsc::{Receiver, SyncSender, TrySendError};
 use std::sync::{Arc, Mutex, RwLock};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-/// Tuning knobs for [`Server::start`].
+/// Tuning knobs for [`Server::start`]. A field stays only while a workload
+/// measures it or a test pins the bound it keeps.
 #[derive(Debug, Clone)]
 pub struct ServerConfig {
     /// Worker threads serving connections. `0` = available parallelism
@@ -117,19 +116,12 @@ pub struct ServerConfig {
     /// Executions whose engine time reaches this many microseconds are
     /// recorded in the slow-query log with their per-node profile.
     pub slow_query_us: u64,
-    /// Slow-query ring capacity (most recent entries win). `0` disables
-    /// both the log and the per-execution profiling that feeds it.
-    pub slow_query_log: usize,
     /// Trace every Nth `Execute` request (the first, then every Nth after)
     /// with span tracing forced on; the rendered trace lands in the trace
     /// ring, fetchable by id via the `TraceFetch` frame, and its id is
     /// attached to any slow-query entry the execution produces. `0`
     /// disables sampling — explicit `TraceExecute` requests still trace.
     pub trace_sample_n: usize,
-    /// Capacity of the ring retaining the most recent rendered traces
-    /// (both explicit `TraceExecute` requests and sampled executions).
-    /// `0` disables retention; `TraceFetch` then always misses.
-    pub trace_ring: usize,
     /// Server-side cap on any single execution's wall time, milliseconds.
     /// Clamps the client-supplied per-request `deadline_ms` and applies
     /// when the client sends none; past it the execution unwinds
@@ -142,25 +134,6 @@ pub struct ServerConfig {
     /// splits it into — a slowloris peer is disconnected instead of pinning
     /// a worker. `0` falls back to a 30 s budget.
     pub read_deadline_ms: u64,
-    /// Per-client fairness: sustained requests/second each peer IP may
-    /// issue, enforced by a token bucket per peer. Requests beyond it are
-    /// shed with `Busy(RateLimited)` + a retry hint, without executing.
-    /// `0` disables rate limiting.
-    pub rate_limit_per_sec: u32,
-    /// Token-bucket burst capacity (instantaneous requests a quiet client
-    /// may issue before pacing kicks in). Floored at 1 when rate limiting
-    /// is enabled.
-    pub rate_limit_burst: u32,
-    /// Warm-up queries prepared synchronously inside [`Server::start`]
-    /// (before the listener accepts), each `(datalog text, aggregate)` —
-    /// the first client of each listed shape hits a warm plan cache.
-    pub warmup: Vec<(String, Aggregate)>,
-    /// Persisted shadow file of hot plan fingerprints: every successful
-    /// `Prepare` appends `fnv1a_hex aggregate_tag query_text` (deduped,
-    /// bounded), and `Server::start` replays the file as extra warm-up —
-    /// a restarted server re-prepares yesterday's working set by itself.
-    /// `None` disables persistence.
-    pub shadow_path: Option<PathBuf>,
 }
 
 impl Default for ServerConfig {
@@ -172,15 +145,9 @@ impl Default for ServerConfig {
             max_frame_bytes: 1 << 20,
             max_prepared: 1024,
             slow_query_us: 10_000,
-            slow_query_log: 8,
             trace_sample_n: 0,
-            trace_ring: 8,
             max_query_ms: 0,
             read_deadline_ms: 30_000,
-            rate_limit_per_sec: 0,
-            rate_limit_burst: 0,
-            warmup: Vec::new(),
-            shadow_path: None,
         }
     }
 }
@@ -237,23 +204,13 @@ struct Shared {
     /// fires the token here. Entries are registered just before execution
     /// and removed on every exit path (a drop guard).
     inflight_cancels: Mutex<HashMap<u64, CancelToken>>,
-    /// Per-peer token buckets behind `rate_limit_per_sec` fairness.
-    rate_buckets: Mutex<HashMap<IpAddr, TokenBucket>>,
-    /// In-memory mirror of the shadow file (fnv1a, rendered line), oldest
-    /// first — rewritten to `shadow_path` on change, bounded at
-    /// [`SHADOW_CAP`] entries.
-    shadow: Mutex<VecDeque<(u64, String)>>,
 }
 
-/// One peer's fairness bucket: fractional tokens refilled at
-/// `rate_limit_per_sec`, capped at the burst size.
-struct TokenBucket {
-    tokens: f64,
-    last: Instant,
-}
+/// Entries the slow-query ring keeps (the most recent win).
+const SLOW_QUERY_LOG: usize = 8;
 
-/// Most prepared-query shapes the shadow file retains (oldest evicted).
-const SHADOW_CAP: usize = 64;
+/// Rendered traces the trace ring keeps (the most recent win).
+const TRACE_RING: usize = 8;
 
 /// One retained trace, rendered at execution time (the ring stores the
 /// rendered strings, not the event buffers — fetches are lock-and-clone).
@@ -358,8 +315,6 @@ impl Shared {
             execute_seq: AtomicU64::new(0),
             next_trace_id: AtomicU64::new(1),
             inflight_cancels: Mutex::new(HashMap::new()),
-            rate_buckets: Mutex::new(HashMap::new()),
-            shadow: Mutex::new(VecDeque::new()),
         }
     }
 
@@ -433,7 +388,7 @@ impl Shared {
     }
 
     /// Record one execution in the slow-query ring if it crossed the
-    /// threshold (and the log is enabled at all).
+    /// threshold.
     fn note_slow_query(
         &self,
         handle: u64,
@@ -443,7 +398,7 @@ impl Shared {
         profile: QueryProfile,
         trace_id: Option<u64>,
     ) {
-        if self.config.slow_query_log == 0 || service_us < self.config.slow_query_us {
+        if service_us < self.config.slow_query_us {
             return;
         }
         self.metrics.slow_queries.inc();
@@ -456,19 +411,16 @@ impl Shared {
             profile,
             trace_id,
         });
-        while log.len() > self.config.slow_query_log {
+        while log.len() > SLOW_QUERY_LOG {
             log.pop_front();
         }
     }
 
     /// Retain a rendered trace in the bounded ring (newest wins).
     fn store_trace(&self, stored: StoredTrace) {
-        if self.config.trace_ring == 0 {
-            return;
-        }
         let mut ring = self.traces.lock().expect("trace ring lock not poisoned");
         ring.push_back(stored);
-        while ring.len() > self.config.trace_ring {
+        while ring.len() > TRACE_RING {
             ring.pop_front();
         }
     }
@@ -477,35 +429,6 @@ impl Shared {
     fn find_trace(&self, trace_id: u64) -> Option<StoredTrace> {
         let ring = self.traces.lock().expect("trace ring lock not poisoned");
         ring.iter().rev().find(|t| t.trace_id == trace_id).cloned()
-    }
-
-    /// Per-peer token-bucket fairness: may this peer issue a request now?
-    /// Disabled rate limiting, or a peer without a resolvable address
-    /// (shouldn't happen on TCP), always admits.
-    fn allow(&self, peer: Option<IpAddr>) -> bool {
-        let rate = self.config.rate_limit_per_sec;
-        if rate == 0 {
-            return true;
-        }
-        let Some(peer) = peer else { return true };
-        let burst = f64::from(self.config.rate_limit_burst.max(1));
-        let mut buckets = self.rate_buckets.lock().expect("rate-bucket lock not poisoned");
-        let now = Instant::now();
-        // Bound the map: full buckets are indistinguishable from absent ones,
-        // so a peer-churning scanner can't grow server memory.
-        if buckets.len() > 1024 {
-            buckets.retain(|_, b| b.tokens < burst);
-        }
-        let bucket = buckets.entry(peer).or_insert(TokenBucket { tokens: burst, last: now });
-        let elapsed = now.saturating_duration_since(bucket.last).as_secs_f64();
-        bucket.last = now;
-        bucket.tokens = (bucket.tokens + elapsed * f64::from(rate)).min(burst);
-        if bucket.tokens >= 1.0 {
-            bucket.tokens -= 1.0;
-            true
-        } else {
-            false
-        }
     }
 
     /// Build the cancel token for one execution: the client's `deadline_ms`
@@ -528,74 +451,6 @@ impl Shared {
             0,
         )
     }
-
-    /// Remember a successfully prepared query shape in the shadow state and
-    /// rewrite the shadow file (dedup by fingerprint, bounded, oldest out).
-    fn record_shadow(&self, query_text: &str, aggregate: &Aggregate) {
-        let Some(path) = &self.config.shadow_path else { return };
-        let line = render_shadow_line(query_text, aggregate);
-        let fp = fnv1a(line.as_bytes());
-        let mut shadow = self.shadow.lock().expect("shadow lock not poisoned");
-        if shadow.iter().any(|(existing, _)| *existing == fp) {
-            return;
-        }
-        shadow.push_back((fp, line));
-        while shadow.len() > SHADOW_CAP {
-            shadow.pop_front();
-        }
-        let mut text = String::new();
-        for (_, line) in shadow.iter() {
-            text.push_str(line);
-            text.push('\n');
-        }
-        // Persistence is best-effort: a read-only disk costs the next
-        // restart its warm-up, never this request.
-        let _ = std::fs::write(path, text);
-    }
-}
-
-/// FNV-1a over `bytes`, with no length prefix — the shadow file's stable
-/// fingerprint. Deliberately not the planner's fingerprint (which hashes
-/// plan structure and may shift across releases): the shadow file must stay
-/// readable by future builds.
-fn fnv1a(bytes: &[u8]) -> u64 {
-    let mut fp = Fingerprinter::new();
-    fp.write(bytes);
-    fp.finish()
-}
-
-/// One shadow-file line: `fnv1a_hex aggregate_tag query_text` with newlines
-/// flattened so the file stays line-oriented.
-fn render_shadow_line(query_text: &str, aggregate: &Aggregate) -> String {
-    let flat = query_text.replace(['\n', '\r'], " ");
-    let tag = match aggregate {
-        Aggregate::Materialize => "materialize".to_string(),
-        Aggregate::Count => "count".to_string(),
-        Aggregate::GroupCount(vars) => format!("group_count:{}", vars.join(",")),
-    };
-    let body = format!("{tag} {flat}");
-    format!("{:016x} {body}", fnv1a(body.as_bytes()))
-}
-
-/// Parse one shadow-file line back into `(query_text, aggregate)`; `None`
-/// on corrupt lines (bad hash, unknown tag) so a damaged file degrades to
-/// fewer warm-ups, never an error.
-fn parse_shadow_line(line: &str) -> Option<(String, Aggregate)> {
-    let (hash_hex, body) = line.split_once(' ')?;
-    let hash = u64::from_str_radix(hash_hex, 16).ok()?;
-    if hash != fnv1a(body.as_bytes()) {
-        return None;
-    }
-    let (tag, query_text) = body.split_once(' ')?;
-    let aggregate = match tag {
-        "materialize" => Aggregate::Materialize,
-        "count" => Aggregate::Count,
-        _ => {
-            let vars = tag.strip_prefix("group_count:")?;
-            Aggregate::GroupCount(vars.split(',').map(str::to_string).collect())
-        }
-    };
-    Some((query_text.to_string(), aggregate))
 }
 
 /// A running serving front-end. Dropping the handle does **not** stop the
@@ -626,21 +481,6 @@ impl Server {
         let queue_capacity = config.queue_capacity.max(1);
         let worker_count = config.effective_workers().max(1);
         let shared = Arc::new(Shared::new(session, catalog, config, local_addr));
-
-        // Warm-up runs synchronously before the listener starts accepting:
-        // shadow-file shapes from the last run first, then the configured
-        // list. Failures are skipped — a stale shadow entry naming a dropped
-        // relation must not stop the server from starting.
-        let mut warmup: Vec<(String, Aggregate)> = Vec::new();
-        if let Some(path) = &shared.config.shadow_path {
-            if let Ok(text) = std::fs::read_to_string(path) {
-                warmup.extend(text.lines().filter_map(parse_shadow_line));
-            }
-        }
-        warmup.extend(shared.config.warmup.iter().cloned());
-        for (query_text, aggregate) in &warmup {
-            let _ = prepare(&shared, query_text, aggregate.clone());
-        }
 
         let (tx, rx) = std::sync::mpsc::sync_channel::<TcpStream>(queue_capacity);
         let rx = Arc::new(Mutex::new(rx));
@@ -911,7 +751,6 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
     let _ = stream.set_nodelay(true);
     let mut timeout = ReadTimeout { current: None };
     timeout.set(&stream, IDLE_POLL);
-    let peer = stream.peer_addr().ok().map(|a| a.ip());
     let read_budget = Duration::from_millis(match shared.config.read_deadline_ms {
         0 => 30_000,
         ms => ms,
@@ -929,21 +768,6 @@ fn serve_connection(shared: &Shared, mut stream: TcpStream) {
             Err(_) => return, // oversized, truncated, or too-slow frame: unrecoverable
         };
         timeout.set(&stream, IDLE_POLL);
-
-        // Per-client fairness, checked before anything is reserved: a peer
-        // past its rate gets a typed retry hint and keeps its connection.
-        if !shared.allow(peer) {
-            shared.metrics.rate_limited.inc();
-            let busy = Response::Busy {
-                reason: BusyReason::RateLimited,
-                retry_after_ms: shared.retry_after_ms(),
-            }
-            .encode_frame();
-            if send_frame(&mut stream, &busy).is_err() {
-                return;
-            }
-            continue;
-        }
 
         // Admission axis 2: the in-flight byte budget.
         if !shared.reserve_inflight(payload.len()) {
@@ -1096,7 +920,7 @@ fn typed_error(shared: &Shared, e: &EngineError) -> Response {
 
 fn prepare(shared: &Shared, query_text: &str, aggregate: Aggregate) -> Response {
     let query: ConjunctiveQuery = match parse_query(query_text) {
-        Ok(query) => query.with_aggregate(aggregate.clone()),
+        Ok(query) => query.with_aggregate(aggregate),
         Err(e) => return Response::Error { message: e.to_string() },
     };
     let prepared = match shared.session.prepare(&shared.catalog, &query) {
@@ -1104,7 +928,6 @@ fn prepare(shared: &Shared, query_text: &str, aggregate: Aggregate) -> Response 
         Err(e) => return Response::Error { message: e.to_string() },
     };
     let fingerprint = prepared.fingerprint();
-    shared.record_shadow(query_text, &aggregate);
     let mut registry = shared.prepared.write().expect("prepared registry lock not poisoned");
     let handle = match registry.find_identical(&prepared) {
         Some(existing) => existing,
@@ -1160,11 +983,10 @@ struct Executed {
 /// Run one execution of a prepared handle — the one call into the engine.
 /// What the request asks of it is decided independently: the token from the
 /// request's deadline and id (registered for `Cancel` frames while it
-/// runs), a profile whenever the slow-query log is on (the profile must
-/// already exist by the time the execution turns out to have been slow; the
-/// accumulators are flat per-node arrays, so the overhead is a few percent,
-/// gated in CI by `examples/instrument_overhead.rs`),
-/// a trace when `traced`. A traced execution's engine trace is wrapped in a
+/// runs), always a profile (it must already exist by the time the execution
+/// turns out to have been slow; the accumulators are flat per-node arrays,
+/// so the overhead is a few percent, gated in CI by
+/// `examples/instrument_overhead.rs`), a trace when `traced`. A traced execution's engine trace is wrapped in a
 /// serve-layer lifecycle ring (request/decode/execute/respond spans), both
 /// views are rendered and the result is retained in the trace ring. Every
 /// completed execution is offered to the slow-query log with whatever it
@@ -1180,12 +1002,7 @@ fn run_execute(
     let (prepared, overrides) = resolve(shared, handle, params)?;
     let token = shared.arm_token(request_id, deadline_ms);
     let _registration = CancelRegistration::register(shared, request_id, &token);
-    let request = ExecRequest {
-        params: overrides,
-        token,
-        profile: shared.config.slow_query_log > 0,
-        trace: traced,
-    };
+    let request = ExecRequest { params: overrides, token, profile: true, trace: traced };
     // The serve-layer lifecycle ring is built around the execution so its
     // timestamps stay monotone and the execute span has real extent. It is
     // appended AFTER the engine's session ring, so the canonical span tree
@@ -1301,7 +1118,6 @@ mod tests {
         assert_eq!(ServerConfig { workers: 3, ..config }.effective_workers(), 3);
         assert!(config.queue_capacity > 0);
         assert!(config.max_frame_bytes <= crate::protocol::MAX_FRAME_BYTES);
-        assert!(config.slow_query_log > 0, "slow-query log on by default");
         assert!(config.slow_query_us > 0);
     }
 
@@ -1322,22 +1138,6 @@ mod tests {
         let err = read_frame_deadline(&mut stream, &mut timeout, usize::MAX, budget).unwrap_err();
         assert_eq!(err.kind(), io::ErrorKind::InvalidData, "{err}");
         assert!(started.elapsed() < budget, "refused without waiting for a body");
-    }
-
-    #[test]
-    fn shadow_lines_keep_their_format_across_releases() {
-        // The exact line earlier builds wrote for this shape: a restarted
-        // server must still parse the shadow files they left behind.
-        let (text, aggregate) = (
-            "Q() :- R(x, y),\nS(y, z) where z > 3.",
-            Aggregate::GroupCount(vec!["x".into(), "y".into()]),
-        );
-        let line = render_shadow_line(text, &aggregate);
-        assert_eq!(line, "8de70a993e671a9f group_count:x,y Q() :- R(x, y), S(y, z) where z > 3.");
-        let (parsed_text, parsed_aggregate) = parse_shadow_line(&line).expect("line parses");
-        assert_eq!(parsed_text, text.replace('\n', " "));
-        assert_eq!(parsed_aggregate, aggregate);
-        assert!(parse_shadow_line(&line.replacen('8', "9", 1)).is_none(), "bad hash rejected");
     }
 
     #[test]
@@ -1416,8 +1216,8 @@ mod tests {
             r.push_ints(&[i % 4, (i + 1) % 4]).unwrap();
         }
         catalog.add(r.finish()).unwrap();
-        // Threshold 0 µs: every execution is "slow". Ring capacity 2.
-        let config = ServerConfig { slow_query_us: 0, slow_query_log: 2, ..Default::default() };
+        // Threshold 0 µs: every execution is "slow".
+        let config = ServerConfig { slow_query_us: 0, ..Default::default() };
         let shared = test_shared(catalog, config);
         let query = QueryBuilder::new("q")
             .atom_as("r", "r1", &["x", "y"])
@@ -1427,18 +1227,19 @@ mod tests {
         let prepared = shared.session.prepare(&shared.catalog, &query).unwrap();
         shared.prepared.write().unwrap().insert(7, Arc::new(prepared), 8);
 
-        for _ in 0..3 {
+        for _ in 0..SLOW_QUERY_LOG + 1 {
             let response = execute(&shared, 7, &[], 0, 0);
             assert!(matches!(response, Response::Answer { cardinality: 64, .. }), "{response:?}");
         }
-        assert_eq!(shared.metrics.slow_queries.get(), 3);
+        assert_eq!(shared.metrics.slow_queries.get(), SLOW_QUERY_LOG as u64 + 1);
         let log = shared.slow_queries.lock().unwrap();
-        assert_eq!(log.len(), 2, "ring keeps only the most recent entries");
+        assert_eq!(log.len(), SLOW_QUERY_LOG, "ring keeps only the most recent entries");
         assert!(log.iter().all(|e| e.cardinality == 64 && e.profile.total_probes() > 0));
         drop(log);
 
         let text = shared.metrics_text();
-        assert!(text.contains("fj_serve_slow_queries_total 3"), "{text}");
+        let slow_total = format!("fj_serve_slow_queries_total {}\n", SLOW_QUERY_LOG + 1);
+        assert!(text.contains(&slow_total), "{text}");
         assert!(text.contains("fj_serve_uptime_seconds "), "{text}");
         assert!(text.contains("fj_obs_trace_events_dropped_total 0"), "{text}");
         assert!(
@@ -1452,12 +1253,17 @@ mod tests {
         assert!(text.contains("# slow_query handle=7"), "{text}");
         assert!(text.contains("# pipeline"), "profile rendered as comment lines");
 
-        // A disabled log records nothing (and asks the engine for no profile).
-        let off =
-            test_shared(Catalog::new(), ServerConfig { slow_query_log: 0, ..Default::default() });
-        off.note_slow_query(1, 0, u64::MAX, 0, QueryProfile::default(), None);
-        assert_eq!(off.metrics.slow_queries.get(), 0);
-        assert!(off.slow_queries.lock().unwrap().is_empty());
+        // The trace ring is bounded the same way: the oldest trace is
+        // evicted, the newest ones stay fetchable.
+        let ids: Vec<u64> = (0..TRACE_RING + 1)
+            .map(|_| match trace_execute(&shared, 7, &[], 0, 0) {
+                Response::Trace { trace_id, cardinality: 64, .. } => trace_id,
+                other => panic!("expected a trace, got {other:?}"),
+            })
+            .collect();
+        assert_eq!(shared.traces.lock().unwrap().len(), TRACE_RING);
+        assert!(shared.find_trace(ids[0]).is_none(), "the oldest trace is evicted");
+        assert!(ids[1..].iter().all(|&id| shared.find_trace(id).is_some()));
     }
 
     /// The two kinds of request an operator most wants in the slow-query

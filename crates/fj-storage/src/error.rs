@@ -20,10 +20,6 @@ pub enum StorageError {
     /// A string-literal predicate reached evaluation without being resolved
     /// against the catalog dictionary (see `Predicate::resolve_strings`).
     UnresolvedStringLiteral { column: String, text: String },
-    /// CSV parsing failed.
-    Csv { line: usize, message: String },
-    /// An I/O error occurred (stringified to keep the error type `Clone`).
-    Io(String),
 }
 
 impl fmt::Display for StorageError {
@@ -50,21 +46,11 @@ impl fmt::Display for StorageError {
                 f,
                 "string literal {column} vs '{text}' was not resolved against the dictionary"
             ),
-            StorageError::Csv { line, message } => {
-                write!(f, "CSV error at line {line}: {message}")
-            }
-            StorageError::Io(message) => write!(f, "I/O error: {message}"),
         }
     }
 }
 
 impl std::error::Error for StorageError {}
-
-impl From<std::io::Error> for StorageError {
-    fn from(err: std::io::Error) -> Self {
-        StorageError::Io(err.to_string())
-    }
-}
 
 /// Convenience alias used throughout the storage crate.
 pub type StorageResult<T> = Result<T, StorageError>;
@@ -93,12 +79,5 @@ mod tests {
     fn display_type_mismatch() {
         let err = StorageError::TypeMismatch { expected: "Int64", found: "Str" };
         assert!(err.to_string().contains("Int64"));
-    }
-
-    #[test]
-    fn io_error_converts() {
-        let io = std::io::Error::new(std::io::ErrorKind::NotFound, "missing file");
-        let err: StorageError = io.into();
-        assert!(matches!(err, StorageError::Io(_)));
     }
 }

@@ -17,14 +17,12 @@
 //!   [`Dictionary`].
 //! * [`Predicate`] — base-table selection predicates (the paper pushes
 //!   selections down to the scans).
-//! * [`csv`] — a small CSV loader/writer so external data can be imported.
 //!
 //! Everything is single-threaded and in main memory, matching the paper's
 //! experimental setup.
 
 pub mod catalog;
 pub mod column;
-pub mod csv;
 pub mod dict;
 pub mod error;
 pub mod key;

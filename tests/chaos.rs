@@ -350,100 +350,6 @@ fn injected_socket_faults_are_typed_and_retries_succeed() {
     server.join();
 }
 
-/// The warm-up + shadow-file loop: a server with a shadow path records
-/// prepared shapes; a *restarted* server replays them before accepting, so
-/// the first client of the same shape sees a warm plan cache (prepare is a
-/// pure cache hit — zero plan misses for it).
-#[test]
-fn shadow_file_warms_up_a_restarted_server() {
-    let _guard = chaos_lock();
-    let workload = freejoin::workloads::micro::clover(50);
-    let catalog = Arc::new(workload.catalog);
-    let named = &workload.queries[0];
-    let dir = std::env::temp_dir().join(format!("fj-shadow-{}", std::process::id()));
-    std::fs::create_dir_all(&dir).unwrap();
-    let shadow_path = dir.join("shadow.txt");
-    let config = || ServerConfig {
-        workers: 1,
-        shadow_path: Some(shadow_path.clone()),
-        ..ServerConfig::default()
-    };
-
-    // First server: prepare writes the shape into the shadow file.
-    let server = start_server(Arc::clone(&catalog), config());
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    client.prepare(named.query.to_string(), named.query.aggregate.clone()).unwrap();
-    client.shutdown_server().unwrap();
-    server.join();
-    let contents = std::fs::read_to_string(&shadow_path).unwrap();
-    assert_eq!(contents.lines().count(), 1, "one prepared shape recorded: {contents}");
-
-    // Second server, same shadow path: the shape is re-prepared during
-    // startup, so the client's prepare is served entirely from cache.
-    let server = start_server(Arc::clone(&catalog), config());
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    let handle = client.prepare(named.query.to_string(), named.query.aggregate.clone()).unwrap();
-    let stats = MetricsSnapshot::parse(&client.metrics().unwrap());
-    assert_eq!(stats.get("fj_cache_plan_misses"), 1, "the only plan compile was the warm-up's");
-    assert!(stats.get("fj_cache_plan_hits") >= 1, "the client's prepare hit the warmed cache");
-    assert_eq!(client.execute(handle).unwrap().cardinality, 1);
-    client.shutdown_server().unwrap();
-    server.join();
-    let _ = std::fs::remove_dir_all(&dir);
-}
-
-/// Per-client token-bucket fairness: past the configured rate a peer is
-/// shed with typed `Busy(RateLimited)` + a retry hint, without executing,
-/// and the bucket refills with time.
-#[test]
-fn rate_limiting_sheds_with_typed_busy() {
-    let _guard = chaos_lock();
-    let workload = freejoin::workloads::micro::clover(50);
-    let catalog = Arc::new(workload.catalog);
-    let named = &workload.queries[0];
-    let server = start_server(
-        Arc::clone(&catalog),
-        ServerConfig {
-            workers: 1,
-            rate_limit_per_sec: 50,
-            rate_limit_burst: 3,
-            ..ServerConfig::default()
-        },
-    );
-    let mut client = Client::connect(server.local_addr()).unwrap();
-    // Burst 3 admits prepare + two executes; the fourth request in the
-    // same instant is rate-limited.
-    let handle = client.prepare(named.query.to_string(), named.query.aggregate.clone()).unwrap();
-    let expected = client.execute(handle).unwrap().cardinality;
-    client.execute(handle).unwrap();
-    match client.execute(handle) {
-        Err(ClientError::Busy {
-            reason: freejoin::serve::BusyReason::RateLimited,
-            retry_after_ms,
-        }) => {
-            assert!(retry_after_ms > 0, "rate-limit sheds carry the retry hint");
-        }
-        other => panic!("expected Busy(RateLimited), got {other:?}"),
-    }
-    // At 50 tokens/s a token takes 20 ms; eight jittered doublings from the
-    // 1 ms hint wait at least 127 ms in all (five could add up to only 15).
-    let answer = client.execute_retry(handle, &[], 8).expect("the bucket refills");
-    assert_eq!(answer.cardinality, expected);
-    // The in-process accessor — the wire metrics request would itself be
-    // racing the freshly re-drained bucket.
-    let text = server.metrics_text();
-    let shed: u64 = text
-        .lines()
-        .find_map(|l| l.strip_prefix("fj_serve_rejected_rate_limited "))
-        .and_then(|v| v.parse().ok())
-        .expect("the rate-limited counter is in the exposition");
-    assert!(shed >= 1, "at least the fourth burst request was shed: {text}");
-    // Let the bucket refill so the shutdown frame itself is admitted.
-    std::thread::sleep(Duration::from_millis(120));
-    client.shutdown_server().unwrap();
-    server.join();
-}
-
 /// A bushy plan's intermediate is built single-flight inside the trie cache.
 /// A build that faults, or whose request is cancelled while its pipeline
 /// runs, inserts nothing: the requests waiting for it recompute and answer

@@ -523,7 +523,7 @@ fn metrics_frame_round_trips_with_histogram_and_slow_queries() {
     let server = start_server(
         Arc::clone(&catalog),
         // Threshold 0 µs so every execution lands in the slow-query ring.
-        ServerConfig { workers: 2, slow_query_us: 0, slow_query_log: 4, ..ServerConfig::default() },
+        ServerConfig { workers: 2, slow_query_us: 0, ..ServerConfig::default() },
     );
     let mut client = Client::connect(server.local_addr()).unwrap();
     let handle = client.prepare(named.query.to_string(), named.query.aggregate.clone()).unwrap();
@@ -569,7 +569,8 @@ fn metrics_frame_round_trips_with_histogram_and_slow_queries() {
 
 /// The exposition only grows: every series name the parent commit rendered
 /// after one prepare and two executes (`tests/golden/metrics_series.txt`,
-/// labels stripped) is still rendered. New names are allowed, none is lost.
+/// labels stripped) is still rendered. New names are allowed, none is lost;
+/// a series leaves the golden only with the feature it counted.
 #[test]
 fn metrics_frame_keeps_every_golden_series() {
     let workload = job::workload(&JobConfig::tiny());
@@ -612,14 +613,7 @@ fn trace_frame_round_trips_and_sampling_fills_the_ring() {
         "127.0.0.1:0",
         Arc::clone(&catalog),
         session,
-        ServerConfig {
-            workers: 2,
-            trace_sample_n: 2,
-            trace_ring: 8,
-            slow_query_us: 0,
-            slow_query_log: 8,
-            ..ServerConfig::default()
-        },
+        ServerConfig { workers: 2, trace_sample_n: 2, slow_query_us: 0, ..ServerConfig::default() },
     )
     .expect("server binds an ephemeral loopback port");
     let mut client = Client::connect(server.local_addr()).unwrap();
